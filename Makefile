@@ -3,7 +3,7 @@ REV     := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH   ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs race vet fmt-check bench benchcmp serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test race vet fmt-check bench benchcmp serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
 
 all: build
 
@@ -36,6 +36,14 @@ test-nosimd:
 # build even when it is too small to move ns/op.
 test-allocs:
 	$(GO) test -run TestAllocs -count=1 ./...
+
+# benchmark-test vets and tests the repo benchmark (benchmark/, a Go module
+# of its own that imports internal/hmd and pkg/detector through a replace
+# directive). Root `go build ./...` and `go test ./...` do not reach it, so
+# an API the benchmark calls can be deleted without the root build
+# noticing; this target is what notices.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the concurrency-heavy packages (batched assessment, request
 # coalescing, the dispatched kernels and their tree consumers) under the
@@ -127,4 +135,4 @@ serve-stats:
 	TRUSTHMD_SERVE_STATS_OUT=$(CURDIR)/serve-cache-stats.json \
 		$(GO) test -run TestServeCacheHitsAreIdentical -count=1 ./pkg/serve/
 
-ci: build build-arm64 vet fmt-check test test-nosimd
+ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test

@@ -279,8 +279,9 @@ func assessBenchSetup(b *testing.B) (*detector.Detector, [][]float64) {
 	return d, X
 }
 
-// BenchmarkAssessSequential is the old serving loop: one Assess call per
-// sample, re-projecting every vector and walking members serially.
+// BenchmarkAssessSequential is the unbatched serving loop: one Assess call
+// per sample, each a one-row batch through the assess core (lone-row
+// member walk, pooled scratch).
 func BenchmarkAssessSequential(b *testing.B) {
 	b.ReportAllocs()
 	d, X := assessBenchSetup(b)
@@ -300,7 +301,7 @@ func BenchmarkAssessSequential(b *testing.B) {
 // steady state a long-lived server runs in (TestAllocsAssessBatchInto
 // pins allocs/op at 0 for single-worker detectors). Compare against
 // BenchmarkAssessSequential; results are element-wise identical to
-// per-sample Assess (see detector.TestAssessBatchGoldenEqualsSequential).
+// per-sample Assess (see detector.TestEntryPointsMatchReference).
 func BenchmarkAssessBatch(b *testing.B) {
 	b.ReportAllocs()
 	d, X := assessBenchSetup(b)
@@ -384,7 +385,7 @@ func onlineBench(b *testing.B, fill func(i int) int) *detector.Online {
 
 // BenchmarkOnlineAssessBursty streams a steady telemetry phase: every
 // window repeats the previous one exactly, so each decision is served from
-// the projected-vector memo (feature extraction, scaling and PCA skipped).
+// the window memo (feature extraction and assessment skipped).
 func BenchmarkOnlineAssessBursty(b *testing.B) {
 	o := onlineBench(b, func(int) int { return 3 })
 	b.ReportAllocs()
@@ -400,7 +401,7 @@ func BenchmarkOnlineAssessBursty(b *testing.B) {
 }
 
 // BenchmarkOnlineAssessVaried streams windows that never repeat, paying
-// the full feature-extraction + projection path on every decision — the
+// the full feature-extraction + assessment path on every decision — the
 // baseline the bursty benchmark's memo is measured against.
 func BenchmarkOnlineAssessVaried(b *testing.B) {
 	o := onlineBench(b, func(i int) int { return i & 7 })

@@ -2,7 +2,7 @@
 // streaming endpoint: it generates a DVFS state trace (benign workloads,
 // then a cryptojacker), streams the raw states to POST /v1/assess/stream,
 // and prints the trusted verdicts as they come back line by line — the
-// whole online loop (windowing, feature extraction, projection memo,
+// whole online loop (windowing, feature extraction, window memo,
 // rejection) runs server-side, so the client ships integers, not feature
 // vectors.
 //

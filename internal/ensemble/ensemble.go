@@ -256,11 +256,15 @@ func (b *Bagging) memberInput(m int, x []float64) []float64 {
 	if cols == nil {
 		return x
 	}
-	out := make([]float64, len(cols))
+	return gather(make([]float64, len(cols)), x, cols)
+}
+
+// gather copies the cols entries of x into dst (len(cols)) and returns it.
+func gather(dst, x []float64, cols []int) []float64 {
 	for j, c := range cols {
-		out[j] = x[c]
+		dst[j] = x[c]
 	}
-	return out
+	return dst
 }
 
 // Resample draws an n-sample bootstrap replicate of (X, y).
@@ -312,23 +316,30 @@ func (b *Bagging) Votes(x []float64) []int {
 	return votes
 }
 
-// ErrVoteRange reports a member vote outside the [0, classes) histogram a
-// batched accumulation was given. Callers fall back to the allocating vote
-// path, which grows its histogram defensively.
+// ErrVoteRange reports a member vote outside the [0, classes) histogram
+// AccumulateVotes was given. Callers fall back to the allocating Votes
+// path, whose consumers grow their histogram to fit any label.
 var ErrVoteRange = errors.New("ensemble: member vote outside class range")
 
 // AccumulateVotes adds the votes of members [from, to) on every row of Z
 // into counts, a row-major rows x k histogram slab (a vote v on row i
 // increments counts[i*k+v]). votes (len >= rows) and input (len >=
-// Z.Cols()) are caller-owned scratch, so the steady state allocates
-// nothing. Members that implement model.BatchClassifier and see the full
+// MaxMemberDim) are caller-owned scratch, so the steady state allocates
+// nothing.
+//
+// The walk is chosen per member from the batch it is handed. Over several
+// rows, members that implement model.BatchClassifier and see the full
 // feature space vote through PredictBatch — one pass per member keeps that
-// member's model state cache-hot across the whole batch.
+// member's model state cache-hot across the whole batch. A lone row has
+// nothing to amortise a batch kernel's dispatch over, and feature-subset
+// members have no batch form, so both take the per-row Predict walk.
+// Labels are identical either way (the BatchClassifier contract).
 //
 // ZT, when non-nil, is the transpose of Z, computed once by the caller and
 // shared read-only by every member implementing model.ColsBatchClassifier
 // (the vectorized tree kernel wants feature-major loads). Pass nil when no
-// member wants it (see WantsCols); predictions are identical either way.
+// member would read it (see WantsCols); predictions are identical either
+// way.
 //
 // The member range makes the accumulation partitionable: disjoint ranges
 // touch disjoint member state, so workers can fill private slabs in
@@ -344,12 +355,29 @@ func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, t
 	if len(counts) < n*k {
 		return fmt.Errorf("ensemble: counts len %d for %d rows x %d classes", len(counts), n, k)
 	}
-	for m := from; m < to; m++ {
-		member := b.members[m]
-		cols := b.features[m]
+	members, features := b.members[from:to], b.features[from:to]
+	if n == 1 {
+		// The lone-row shape of the walk below: with the row hoisted out of
+		// the member loop nothing but the vote survives each Predict call.
+		x := Z.Row(0)
+		for m, member := range members {
+			xi := x
+			if cols := features[m]; cols != nil {
+				xi = gather(input[:len(cols)], x, cols)
+			}
+			v := member.Predict(xi)
+			if v < 0 || v >= k {
+				return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
+			}
+			counts[v]++
+		}
+		return nil
+	}
+	for m, member := range members {
+		cols := features[m]
 		if cols == nil {
 			if bc, ok := member.(model.BatchClassifier); ok {
-				if cbc, ok := member.(model.ColsBatchClassifier); ok && ZT != nil {
+				if cbc, ok := bc.(model.ColsBatchClassifier); ok && ZT != nil {
 					cbc.PredictBatchCols(Z, ZT, votes[:n])
 				} else {
 					bc.PredictBatch(Z, votes[:n])
@@ -364,22 +392,13 @@ func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, t
 				}
 				continue
 			}
-			for i := 0; i < n; i++ {
-				v := member.Predict(Z.Row(i))
-				if v < 0 || v >= k {
-					return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
-				}
-				counts[i*k+v]++
-			}
-			continue
 		}
-		sub := input[:len(cols)]
 		for i := 0; i < n; i++ {
-			row := Z.Row(i)
-			for j, c := range cols {
-				sub[j] = row[c]
+			x := Z.Row(i)
+			if cols != nil {
+				x = gather(input[:len(cols)], x, cols)
 			}
-			v := member.Predict(sub)
+			v := member.Predict(x)
 			if v < 0 || v >= k {
 				return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
 			}
@@ -402,35 +421,6 @@ func (b *Bagging) WantsCols() bool {
 		}
 	}
 	return false
-}
-
-// AccumulateVotesVec adds every member's vote on the single sample x into
-// counts (len k), using input as the feature-subset scratch. It is the
-// one-row form of AccumulateVotes for the streaming and single-sample
-// paths.
-func (b *Bagging) AccumulateVotesVec(counts []int, k int, x []float64, input []float64) error {
-	if b.members == nil {
-		panic(ErrNotFitted)
-	}
-	if len(counts) < k {
-		return fmt.Errorf("ensemble: counts len %d for %d classes", len(counts), k)
-	}
-	for m, member := range b.members {
-		xi := x
-		if cols := b.features[m]; cols != nil {
-			sub := input[:len(cols)]
-			for j, c := range cols {
-				sub[j] = x[c]
-			}
-			xi = sub
-		}
-		v := member.Predict(xi)
-		if v < 0 || v >= k {
-			return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
-		}
-		counts[v]++
-	}
-	return nil
 }
 
 // MaxMemberDim returns the widest member input (the full feature space, or

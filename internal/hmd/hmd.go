@@ -4,6 +4,22 @@
 // model families plug in through the Factory hook, and policy (rejection
 // thresholds, model registry, serving concerns, serialization format) lives
 // in the public pkg/detector API that wraps this package.
+//
+// Inference is exposed twice, and only twice:
+//
+//   - Four scratch-taking stages that pkg/detector's single assess core
+//     strings together — ProjectRowsScratch (scale + PCA over a batch),
+//     the caller's transpose (WantsCols says whether any member reads it),
+//     AccumulateVotes (member votes into a histogram slab) and
+//     SummarizeCounts (histogram → prediction, entropy, distribution).
+//     The pipeline owns no buffers: every stage writes into memory the
+//     caller passes in.
+//   - One allocating reference — Project, AssessProjected and Assess (plus
+//     AssessDecomposeProjected for the aleatoric/epistemic split) — built
+//     on the ensemble's plain Votes walk. Tests pin the stages to it bit
+//     for bit, and it is where the core lands when a member votes a label
+//     outside the class histogram (ensemble.ErrVoteRange): its histogram
+//     grows to fit.
 package hmd
 
 import (
@@ -19,11 +35,6 @@ import (
 	"trusthmd/pkg/linalg"
 	"trusthmd/pkg/model"
 )
-
-// ErrVoteRange re-exports the ensemble's out-of-histogram vote error so
-// the detector can trigger its allocating fallback without importing
-// internal/ensemble for one sentinel.
-var ErrVoteRange = ensemble.ErrVoteRange
 
 // Factory constructs one untrained ensemble member from a seed. The open
 // model registry in pkg/detector maps model names to factories; this
@@ -55,19 +66,13 @@ type Config struct {
 }
 
 // Pipeline is a trained trusted HMD. Its inference methods are safe for
-// concurrent use: a fitted pipeline is immutable (the scratch pool is
-// internally synchronised).
+// concurrent use: a fitted pipeline is immutable and holds no buffers.
 type Pipeline struct {
 	cfg    Config
 	scaler *dataset.Scaler
 	pca    *reduce.PCA
 	ens    *ensemble.Bagging
 	est    core.Estimator
-
-	// scratch recycles single-sample assessment buffers across calls, so
-	// the steady-state Assess path allocates only its result's VoteDist.
-	// Never serialized; decoded and truncated pipelines start empty pools.
-	scratch sync.Pool
 
 	// entropy2 memoises the binary vote entropy: with M members and two
 	// classes there are only M+1 possible histograms, so the hot
@@ -100,47 +105,6 @@ func (p *Pipeline) entropyTable() []float64 {
 		p.entropy2 = tab
 	})
 	return p.entropy2
-}
-
-// assessScratch is one pooled set of single-sample buffers.
-type assessScratch struct {
-	scaled  []float64
-	reduced []float64
-	input   []float64
-	counts  []int
-}
-
-func (p *Pipeline) getScratch() *assessScratch {
-	if s, ok := p.scratch.Get().(*assessScratch); ok {
-		return s
-	}
-	return &assessScratch{
-		scaled:  make([]float64, p.scaler.Dim()),
-		reduced: make([]float64, p.ProjectedDim()),
-		input:   make([]float64, p.MemberScratchDim()),
-		counts:  make([]int, p.Classes()),
-	}
-}
-
-// AssessPooled assesses one raw vector through pooled projection and vote
-// buffers: prediction, entropy and vote distribution are bit-identical to
-// Assess, and the only steady-state allocation is the returned VoteDist.
-func (p *Pipeline) AssessPooled(x []float64) (Assessment, error) {
-	s := p.getScratch()
-	defer p.scratch.Put(s)
-	z, err := p.ProjectInto(s.scaled, s.reduced, x)
-	if err != nil {
-		return Assessment{}, err
-	}
-	return p.AssessProjectedInto(z, s.input, make([]float64, p.Classes()), s.counts)
-}
-
-// AssessProjectedPooled is AssessPooled for an already-projected vector —
-// the streaming memo path, which skips projection entirely.
-func (p *Pipeline) AssessProjectedPooled(z []float64) (Assessment, error) {
-	s := p.getScratch()
-	defer p.scratch.Put(s)
-	return p.AssessProjectedInto(z, s.input, make([]float64, p.Classes()), s.counts)
 }
 
 // Assessment is the trusted HMD's per-input output: the raw prediction,
@@ -221,24 +185,6 @@ func (p *Pipeline) Project(x []float64) ([]float64, error) {
 	return z, nil
 }
 
-// ProjectBatch applies scaling and PCA to a whole matrix of raw feature
-// vectors (one sample per row) with matrix-level operations — once per
-// batch instead of once per vector. Row i of the result is numerically
-// identical to Project of row i of X.
-func (p *Pipeline) ProjectBatch(X *linalg.Matrix) (*linalg.Matrix, error) {
-	Z, err := p.scaler.Transform(X)
-	if err != nil {
-		return nil, err
-	}
-	if p.pca != nil {
-		Z, err = p.pca.Transform(Z)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Z, nil
-}
-
 // Classes returns the width of the vote histogram the estimator builds —
 // the counts/dist buffer size the scratch assessment paths require.
 func (p *Pipeline) Classes() int {
@@ -249,9 +195,9 @@ func (p *Pipeline) Classes() int {
 	return k
 }
 
-// ProjectedDim returns the dimensionality ensemble members consume: the
+// projectedDim returns the dimensionality ensemble members consume: the
 // PCA width when a PCA stage is fitted, the scaler width otherwise.
-func (p *Pipeline) ProjectedDim() int {
+func (p *Pipeline) projectedDim() int {
 	if p.pca != nil {
 		return p.pca.K()
 	}
@@ -261,51 +207,16 @@ func (p *Pipeline) ProjectedDim() int {
 // MemberScratchDim returns the widest per-member input the ensemble can
 // request — the input buffer size the vote-accumulation paths need.
 func (p *Pipeline) MemberScratchDim() int {
-	return p.ens.MaxMemberDim(p.ProjectedDim())
+	return p.ens.MaxMemberDim(p.projectedDim())
 }
 
-// ProjectInto is the destination-passing Project: scaled (len InputDim)
-// and reduced (len ProjectedDim) are caller-owned buffers, and the
-// returned slice aliases whichever of the two holds the projection.
-// Values are bit-identical to Project.
-func (p *Pipeline) ProjectInto(scaled, reduced, x []float64) ([]float64, error) {
-	if err := p.scaler.TransformVecInto(scaled, x); err != nil {
-		return nil, err
-	}
-	if p.pca == nil {
-		return scaled, nil
-	}
-	if err := p.pca.TransformVecInto(reduced, scaled); err != nil {
-		return nil, err
-	}
-	return reduced, nil
-}
-
-// ProjectBatchScratch projects a whole batch through scaling and PCA with
-// zero steady-state allocations: work holds the raw samples (one per row)
-// and is overwritten with the scaled representation; reduced is resized to
-// receive the PCA projection when that stage exists. The returned matrix
-// aliases one of the two scratches. Row i is bit-identical to Project of
-// row i.
-func (p *Pipeline) ProjectBatchScratch(work, reduced *linalg.Matrix) (*linalg.Matrix, error) {
-	if err := p.scaler.TransformInto(work, work); err != nil {
-		return nil, err
-	}
-	if p.pca == nil {
-		return work, nil
-	}
-	reduced.ResizeUnset(work.Rows(), p.pca.K()) // MulInto writes every cell
-	if err := p.pca.TransformInto(reduced, work); err != nil {
-		return nil, err
-	}
-	return reduced, nil
-}
-
-// ProjectRowsScratch is ProjectBatchScratch fed directly from raw sample
-// rows: scaling reads each row once and writes the standardised values
-// straight into work, skipping the separate batch-load copy. Row i of the
-// result is bit-identical to Project of rows[i]. Rows must all have
-// InputDim features.
+// ProjectRowsScratch projects a batch of raw sample rows through scaling
+// and PCA with zero steady-state allocations: scaling reads each row once
+// and writes the standardised values straight into work (no separate
+// batch-load copy); reduced is resized to receive the PCA projection when
+// that stage exists. The returned matrix aliases one of the two scratches.
+// Row i of the result is bit-identical to Project of rows[i]. Rows must
+// all have InputDim features.
 func (p *Pipeline) ProjectRowsScratch(rows [][]float64, work, reduced *linalg.Matrix) (*linalg.Matrix, error) {
 	work.ResizeUnset(len(rows), p.scaler.Dim()) // TransformRowsInto writes every cell
 	if err := p.scaler.TransformRowsInto(work, rows); err != nil {
@@ -325,9 +236,9 @@ func (p *Pipeline) ProjectRowsScratch(rows [][]float64, work, reduced *linalg.Ma
 // into the row-major rows x Classes() histogram slab counts. votes and
 // input are caller-owned scratch (see ensemble.AccumulateVotes). ZT is an
 // optional transpose of Z shared by members that want feature-major loads
-// (see WantsCols); nil is always valid. A ErrVoteRange result means a
-// member voted outside the histogram; callers fall back to the allocating
-// assessment path, which grows defensively.
+// (see WantsCols); nil is always valid. An ensemble.ErrVoteRange result
+// means a member voted outside the histogram; callers fall back to
+// AssessProjected, whose histogram grows to fit.
 func (p *Pipeline) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, from, to int, votes []int, input []float64) error {
 	return p.ens.AccumulateVotes(Z, ZT, counts, p.Classes(), from, to, votes, input)
 }
@@ -360,26 +271,6 @@ func (p *Pipeline) SummarizeCounts(counts []int, dist []float64) (Assessment, er
 		return Assessment{}, err
 	}
 	return Assessment{Prediction: s.Prediction, Entropy: s.Entropy, VoteDist: s.Dist}, nil
-}
-
-// AssessProjectedInto assesses an already-projected vector using only
-// caller-owned buffers: counts (len >= Classes()) is zeroed and refilled,
-// input is member-subset scratch, and the vote distribution lands in dist
-// (len Classes()). Results are bit-identical to AssessProjected; the rare
-// out-of-range vote falls back to it.
-func (p *Pipeline) AssessProjectedInto(z, input, dist []float64, counts []int) (Assessment, error) {
-	k := p.Classes()
-	counts = counts[:k]
-	for i := range counts {
-		counts[i] = 0
-	}
-	if err := p.ens.AccumulateVotesVec(counts, k, z, input); err != nil {
-		if errors.Is(err, ErrVoteRange) {
-			return p.AssessProjected(z)
-		}
-		return Assessment{}, err
-	}
-	return p.SummarizeCounts(counts, dist)
 }
 
 // AssessProjected assesses an already-projected vector: one walk over the
@@ -437,19 +328,6 @@ func (p *Pipeline) Posterior(x []float64) (core.Posterior, error) {
 		return nil, err
 	}
 	return core.Posterior(p.ens.PredictProba(z)), nil
-}
-
-// DecomposeUncertainty separates the prediction's uncertainty on x into
-// aleatoric and epistemic components (core.Decompose over the members'
-// posteriors). With fully grown trees the members vote one-hot and all
-// uncertainty registers as epistemic; soft members (LR, NB, kNN) yield a
-// non-trivial split.
-func (p *Pipeline) DecomposeUncertainty(x []float64) (core.Decomposition, error) {
-	z, err := p.Project(x)
-	if err != nil {
-		return core.Decomposition{}, err
-	}
-	return core.Decompose(p.ens.MemberProbas(z))
 }
 
 // Ensemble exposes the trained ensemble (for the Fig. 9a size sweep).

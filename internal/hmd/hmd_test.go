@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"trusthmd/internal/core"
 	"trusthmd/internal/ensemble"
 	"trusthmd/internal/gen"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/internal/ml/tree"
 	"trusthmd/pkg/dataset"
+	"trusthmd/pkg/linalg"
 )
 
 func dvfsSplits(t *testing.T) gen.Splits {
@@ -101,19 +103,26 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// TestProjectBatchMatchesProject pins the batch projection stage to the
+// per-vector reference: row i of ProjectRowsScratch is bit-identical to
+// Project of row i, with and without a PCA stage.
 func TestProjectBatchMatchesProject(t *testing.T) {
 	s := dvfsSplits(t)
+	rows := make([][]float64, s.Test.Len())
+	for i := range rows {
+		rows[i] = s.Test.At(i).Features
+	}
 	for _, pcaK := range []int{0, 5} {
 		p, err := Train(s.Train, Config{NewMember: rfFactory, M: 3, Seed: 3, PCAComponents: pcaK})
 		if err != nil {
 			t.Fatal(err)
 		}
-		Z, err := p.ProjectBatch(s.Test.X())
+		Z, err := p.ProjectRowsScratch(rows, linalg.New(0, 0), linalg.New(0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < s.Test.Len(); i++ {
-			z, err := p.Project(s.Test.At(i).Features)
+		for i, x := range rows {
+			z, err := p.Project(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +161,7 @@ func TestAssessDecomposeProjected(t *testing.T) {
 	if a.Prediction != plain.Prediction || a.Entropy != plain.Entropy {
 		t.Fatal("decomposing assessment must not change the assessment")
 	}
-	want, err := p.DecomposeUncertainty(x)
+	want, err := core.Decompose(p.ens.MemberProbas(z))
 	if err != nil {
 		t.Fatal(err)
 	}

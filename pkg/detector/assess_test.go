@@ -1,0 +1,269 @@
+package detector
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"trusthmd/internal/core"
+	"trusthmd/pkg/dataset"
+	"trusthmd/pkg/linalg"
+	"trusthmd/pkg/model"
+)
+
+// reference assesses x on hmd's allocating reference walk — the vector
+// Project, the plain Votes histogram and (for decomposing detectors) the
+// one-pass member-posterior split — and applies the detector's threshold.
+// It shares no buffer, kernel or batch shape with the assess core.
+func reference(t *testing.T, d *Detector, x []float64) Result {
+	t.Helper()
+	z, err := d.pipe.Project(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{}
+	a, err := d.pipe.AssessProjected(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.cfg.decompose {
+		da, dc, err := d.pipe.AssessDecomposeProjected(z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if da.Prediction != a.Prediction || da.Entropy != a.Entropy {
+			t.Fatal("reference: decomposing walk changed the assessment")
+		}
+		want.Decomposition = (*Decomposition)(&dc)
+	}
+	decision, err := core.Rejector{Threshold: d.cfg.threshold}.Decide(a.Prediction, a.Entropy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Prediction, want.Entropy, want.VoteDist, want.Decision = a.Prediction, a.Entropy, a.VoteDist, Decision(decision)
+	return want
+}
+
+// sameBits reports the first field in which got differs from want, to the
+// bit; "" means identical.
+func sameBits(got, want Result) string {
+	if got.Prediction != want.Prediction {
+		return fmt.Sprintf("prediction %d != %d", got.Prediction, want.Prediction)
+	}
+	if math.Float64bits(got.Entropy) != math.Float64bits(want.Entropy) {
+		return fmt.Sprintf("entropy %v != %v", got.Entropy, want.Entropy)
+	}
+	if got.Decision != want.Decision {
+		return fmt.Sprintf("decision %v != %v", got.Decision, want.Decision)
+	}
+	if len(got.VoteDist) != len(want.VoteDist) {
+		return fmt.Sprintf("vote dist len %d != %d", len(got.VoteDist), len(want.VoteDist))
+	}
+	for j := range want.VoteDist {
+		if math.Float64bits(got.VoteDist[j]) != math.Float64bits(want.VoteDist[j]) {
+			return fmt.Sprintf("vote dist[%d] %v != %v", j, got.VoteDist[j], want.VoteDist[j])
+		}
+	}
+	if (got.Decomposition == nil) != (want.Decomposition == nil) {
+		return "decomposition presence differs"
+	}
+	if want.Decomposition != nil && *got.Decomposition != *want.Decomposition {
+		return fmt.Sprintf("decomposition %+v != %+v", *got.Decomposition, *want.Decomposition)
+	}
+	return ""
+}
+
+// TestEntryPointsMatchReference is the equivalence contract of the assess
+// core: every public entry point, over every walk the core can choose
+// (lone row, row walk over feature subsets, 8-lane and 32-row tree kernels
+// on either side of the transpose threshold, serial and parallel member
+// partitions, the decomposing walk, a truncated view), returns results
+// bit-identical to the hmd reference. One scratch is shared by every case
+// so it is also regrown, shrunk and reshaped between calls.
+func TestEntryPointsMatchReference(t *testing.T) {
+	s := dvfsSplits(t)
+	X := make([][]float64, 0, 100)
+	for i := 0; i < 70; i++ {
+		X = append(X, s.Test.At(i).Features)
+	}
+	for i := 0; i < 30; i++ { // zero-day rows: high-entropy votes, rejections
+		X = append(X, s.Unknown.At(i).Features)
+	}
+	ds := dataset.New(len(X[0]))
+	for _, x := range X {
+		if err := ds.Add(dataset.Sample{Features: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var shared BatchScratch
+	for _, family := range []struct {
+		name string
+		opts []Option
+	}{
+		{"rf", []Option{WithModel("rf")}},
+		{"lr-subspaces", []Option{WithModel("lr"), WithMaxFeatures(0.45)}},
+		{"knn-pca", []Option{WithModel("knn"), WithPCA(6)}},
+	} {
+		trained, err := New(s.Train, append([]Option{WithEnsembleSize(9), WithSeed(4)}, family.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := trained.Truncated(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []struct {
+			name string
+			det  *Detector
+		}{{"full", trained}, {"truncated", view}} {
+			for _, decompose := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					d, err := base.det.WithOptions(WithDecomposition(decompose), WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s/%s/decompose=%v/workers=%d", family.name, base.name, decompose, workers)
+					t.Run(name, func(t *testing.T) {
+						want := make([]Result, len(X))
+						for i, x := range X {
+							want[i] = reference(t, d, x)
+						}
+						check := func(entry string, i int, got Result, err error) {
+							t.Helper()
+							if err != nil {
+								t.Fatalf("%s row %d: %v", entry, i, err)
+							}
+							if diff := sameBits(got, want[i]); diff != "" {
+								t.Fatalf("%s row %d: %s", entry, i, diff)
+							}
+						}
+						for i, x := range X {
+							got, err := d.Assess(x)
+							check("Assess", i, got, err)
+							got, err = d.AssessInto(&shared, x)
+							check("AssessInto", i, got, err)
+						}
+						for _, n := range []int{1, 2, 31, 32, 33, 100} {
+							got, err := d.AssessBatch(X[:n])
+							if err != nil || len(got) != n {
+								t.Fatalf("AssessBatch(%d): %d results, err %v", n, len(got), err)
+							}
+							for i := range got {
+								check(fmt.Sprintf("AssessBatch(%d)", n), i, got[i], nil)
+							}
+							got, err = d.AssessBatchInto(&shared, X[:n])
+							if err != nil || len(got) != n {
+								t.Fatalf("AssessBatchInto(%d): %d results, err %v", n, len(got), err)
+							}
+							for i := range got {
+								check(fmt.Sprintf("AssessBatchInto(%d)", n), i, got[i], nil)
+							}
+						}
+						got, err := d.AssessDataset(ds)
+						if err != nil || len(got) != len(X) {
+							t.Fatalf("AssessDataset: %d results, err %v", len(got), err)
+						}
+						for i := range got {
+							check("AssessDataset", i, got[i], nil)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// fixedVote is a classifier family whose members ignore their input and
+// vote one fixed label each — including labels no binary histogram holds.
+type fixedVote struct{ Label int }
+
+func (f *fixedVote) Fit(*linalg.Matrix, []int) error { return nil }
+func (f *fixedVote) Predict([]float64) int           { return f.Label }
+
+// registerFixedVote registers a family whose members each pick one of
+// labels by their seed — deterministic for a fixed WithSeed, whatever
+// order the ensemble fits them in. TryRegister tolerates the leftover of
+// an earlier -count run: the registry is package-global.
+func registerFixedVote(t *testing.T, name string, labels []int) {
+	t.Helper()
+	err := TryRegister(name, func(Params) model.Factory {
+		return func(seed int64) model.Classifier {
+			return &fixedVote{Label: labels[int(uint64(seed)%uint64(len(labels)))]}
+		}
+	}, &fixedVote{})
+	if err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+}
+
+// TestOutOfRangeVotesLandOnReference drives every entry point into the
+// ensemble.ErrVoteRange fallback — members voting a third class, then a
+// negative label — and requires exactly what hmd.Pipeline.Assess returns:
+// the grown three-class distribution in the first case, its error in the
+// second.
+func TestOutOfRangeVotesLandOnReference(t *testing.T) {
+	s := dvfsSplits(t)
+	X := make([][]float64, 40)
+	for i := range X {
+		X[i] = s.Test.At(i).Features
+	}
+	registerFixedVote(t, "test-third-class", []int{0, 1, 2})
+	registerFixedVote(t, "test-negative", []int{0, 1, -1})
+
+	for _, workers := range []int{1, 4} {
+		d, err := New(s.Train, WithModel("test-third-class"), WithEnsembleSize(9), WithSeed(1), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reference(t, d, X[0])
+		if len(want.VoteDist) != 3 || want.Decision != Reject {
+			t.Fatalf("reference did not grow its histogram: %+v", want)
+		}
+		var sc BatchScratch
+		got, err := d.Assess(X[0])
+		if diff := sameBits(got, want); err != nil || diff != "" {
+			t.Fatalf("workers=%d Assess: %v %s", workers, err, diff)
+		}
+		got, err = d.AssessInto(&sc, X[0])
+		if diff := sameBits(got, want); err != nil || diff != "" {
+			t.Fatalf("workers=%d AssessInto: %v %s", workers, err, diff)
+		}
+		for _, n := range []int{1, len(X)} {
+			for entry, assess := range map[string]func() ([]Result, error){
+				"AssessBatch":     func() ([]Result, error) { return d.AssessBatch(X[:n]) },
+				"AssessBatchInto": func() ([]Result, error) { return d.AssessBatchInto(&sc, X[:n]) },
+			} {
+				rs, err := assess()
+				if err != nil || len(rs) != n {
+					t.Fatalf("workers=%d %s(%d): %d results, err %v", workers, entry, n, len(rs), err)
+				}
+				for i, r := range rs {
+					if diff := sameBits(r, want); diff != "" { // members ignore x
+						t.Fatalf("workers=%d %s(%d) row %d: %s", workers, entry, n, i, diff)
+					}
+				}
+			}
+		}
+
+		neg, err := New(s.Train, WithModel("test-negative"), WithEnsembleSize(9), WithSeed(1), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, refErr := neg.pipe.Assess(X[0])
+		if refErr == nil {
+			t.Fatal("reference accepted a negative vote")
+		}
+		for entry, assess := range map[string]func() error{
+			"Assess":          func() error { _, err := neg.Assess(X[0]); return err },
+			"AssessInto":      func() error { _, err := neg.AssessInto(&sc, X[0]); return err },
+			"AssessBatch":     func() error { _, err := neg.AssessBatch(X); return err },
+			"AssessBatchInto": func() error { _, err := neg.AssessBatchInto(&sc, X); return err },
+		} {
+			if err := assess(); err == nil || !strings.Contains(err.Error(), refErr.Error()) {
+				t.Fatalf("workers=%d %s: error %v, want the reference's %q", workers, entry, err, refErr)
+			}
+		}
+	}
+}

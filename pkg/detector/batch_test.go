@@ -10,80 +10,23 @@ import (
 	"trusthmd/internal/gen"
 )
 
-func TestAssessBatchGoldenEqualsSequential(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"rf", []Option{WithModel("rf")}},
-		{"rf-pca", []Option{WithModel("rf"), WithPCA(6)}},
-		{"lr-decompose", []Option{WithModel("lr"), WithMaxFeatures(0.45), WithDecomposition(true)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := dvfsSplits(t)
-			d, err := New(s.Train, append([]Option{WithEnsembleSize(9), WithSeed(4)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			X := make([][]float64, s.Test.Len())
-			for i := range X {
-				X[i] = s.Test.At(i).Features
-			}
-			batch, err := d.AssessBatch(X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) != len(X) {
-				t.Fatalf("batch returned %d results for %d inputs", len(batch), len(X))
-			}
-			for i, x := range X {
-				seq, err := d.Assess(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b := batch[i]
-				if b.Prediction != seq.Prediction || b.Entropy != seq.Entropy || b.Decision != seq.Decision {
-					t.Fatalf("sample %d: batch %+v != sequential %+v", i, b, seq)
-				}
-				for j := range seq.VoteDist {
-					if b.VoteDist[j] != seq.VoteDist[j] {
-						t.Fatalf("sample %d: vote dist diverged at class %d", i, j)
-					}
-				}
-				if (b.Decomposition == nil) != (seq.Decomposition == nil) {
-					t.Fatalf("sample %d: decomposition presence diverged", i)
-				}
-				if b.Decomposition != nil && *b.Decomposition != *seq.Decomposition {
-					t.Fatalf("sample %d: decomposition diverged", i)
-				}
-			}
-		})
-	}
-}
-
-func TestAssessDatasetMatchesAssessBatch(t *testing.T) {
+// TestBatchHelpersAndEmptyInputs covers what the batch API adds around the
+// assess core (whose results TestEntryPointsMatchReference pins): the
+// extraction helpers and the empty-input errors.
+func TestBatchHelpersAndEmptyInputs(t *testing.T) {
 	d, s := trainRF(t)
 	rs, err := d.AssessDataset(s.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := make([][]float64, s.Test.Len())
-	for i := range X {
-		X[i] = s.Test.At(i).Features
-	}
-	rb, err := d.AssessBatch(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if rs[i].Prediction != rb[i].Prediction || rs[i].Entropy != rb[i].Entropy {
-			t.Fatalf("sample %d diverged between AssessDataset and AssessBatch", i)
-		}
-	}
-	if len(Predictions(rs)) != len(rs) || len(Entropies(rs)) != len(rs) {
+	if len(rs) != s.Test.Len() || len(Predictions(rs)) != len(rs) || len(Entropies(rs)) != len(rs) {
 		t.Fatal("helper length mismatch")
 	}
+	var sc BatchScratch
 	if _, err := d.AssessBatch(nil); err == nil {
+		t.Fatal("expected empty batch error")
+	}
+	if _, err := d.AssessBatchInto(&sc, nil); err == nil {
 		t.Fatal("expected empty batch error")
 	}
 	if _, err := d.AssessDataset(nil); err == nil {

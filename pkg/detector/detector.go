@@ -6,10 +6,10 @@
 //     (WithModel, WithPCA, WithThreshold, WithWorkers, ...).
 //   - Assess produces a Result — prediction, vote-entropy uncertainty, vote
 //     distribution, Benign/Malware/Reject decision and (optionally) the
-//     aleatoric/epistemic decomposition — in one pass over member outputs.
-//   - AssessBatch / AssessDataset amortise feature scaling and PCA across
-//     a whole batch (one matrix projection instead of n vector
-//     projections) and fan member inference out over a worker pool.
+//     aleatoric/epistemic decomposition.
+//   - AssessBatch / AssessDataset do the same for many rows at once;
+//     AssessInto / AssessBatchInto do it in a caller-owned BatchScratch
+//     with zero steady-state allocations.
 //   - Register plugs new base-classifier families into the open model
 //     registry without touching internal/hmd.
 //   - Save / Load serialize trained pipelines so a service can train once
@@ -18,21 +18,49 @@
 //     the paper's Fig. 1: streaming decisions, forensic retraining and
 //     drift alarms.
 //
+// # One inference path
+//
+// All of those entry points — and Online.Push, and the serving layer's
+// coalesced flushes and batch requests — are wrappers a few lines long
+// over one function, (*Detector).assess in assess.go, the only code that
+// turns raw rows into Results:
+//
+//	wrapper → assess core → hmd.ProjectRowsScratch  scale (+PCA) into the scratch
+//	                      → Matrix.TInto            iff rows >= 32 and a member kernel reads it
+//	                      → hmd.AccumulateVotes     member votes → histogram slab
+//	                      → hmd.SummarizeCounts     histogram → prediction, entropy, distribution
+//	                      → core.Rejector.Decide    threshold → decision
+//	                      ↘ hmd reference walk      on ensemble.ErrVoteRange, or WithDecomposition
+//
+// A wrapper chooses only where the BatchScratch comes from and who owns
+// the returned VoteDist:
+//
+//	Assess           pooled scratch    VoteDist copied out for the caller
+//	AssessInto       caller's scratch  VoteDist lives in the scratch until its next use
+//	AssessBatch      pooled scratch    results and VoteDists allocated fresh for the caller
+//	AssessBatchInto  caller's scratch  results and VoteDists live in the scratch
+//	AssessDataset    = AssessBatch over the dataset's rows
+//	Online.Push      the stream's own  VoteDist copied out; a window equal to the last
+//	                 scratch           one returns the remembered result without assessing
+//
+// The core picks between member walks (lone row, 8-lane tree walk, 32-row
+// bitmask kernel over a transpose, serial or partitioned across workers)
+// from the batch size and member capabilities it observes — never from an
+// option — and every walk is bit-identical to the reference,
+// hmd.Pipeline.Assess, which TestEntryPointsMatchReference holds every
+// entry point to.
+//
 // A trained Detector is immutable and safe for concurrent use.
 package detector
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/hmd"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/pkg/dataset"
-	"trusthmd/pkg/linalg"
 )
 
 // Decision is a trusted-HMD verdict: accept the prediction as Benign or
@@ -236,24 +264,6 @@ func (d *Detector) WithOptions(opts ...Option) (*Detector, error) {
 	return &Detector{cfg: cfg, pipe: d.pipe}, nil
 }
 
-// Assess runs the trusted path on one raw feature vector. Projection and
-// vote buffers come from a per-pipeline scratch pool, so the steady state
-// allocates only the result's VoteDist.
-func (d *Detector) Assess(x []float64) (Result, error) {
-	if d.cfg.decompose {
-		z, err := d.pipe.Project(x)
-		if err != nil {
-			return Result{}, fmt.Errorf("detector: %w", err)
-		}
-		return d.assessProjected(z)
-	}
-	a, err := d.pipe.AssessPooled(x)
-	if err != nil {
-		return Result{}, fmt.Errorf("detector: %w", err)
-	}
-	return d.finishResult(a, nil)
-}
-
 // Predict runs the untrusted path: the plain majority-vote label without
 // uncertainty bookkeeping.
 func (d *Detector) Predict(x []float64) (int, error) {
@@ -271,142 +281,6 @@ func (d *Detector) Posterior(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("detector: %w", err)
 	}
 	return p, nil
-}
-
-// AssessBatch assesses a batch of raw feature vectors. Scaling and PCA run
-// once over the whole batch as matrix operations into pooled scratch, and
-// member inference walks the batch member-by-member (fanned out over the
-// detector's worker pool) so each member's model state stays cache-hot
-// across every sample; results are element-wise identical to calling
-// Assess on each vector. The returned results are independently owned —
-// callers that can reuse one workspace across calls should prefer
-// AssessBatchInto, which drives the same path with zero steady-state
-// allocations.
-func (d *Detector) AssessBatch(X [][]float64) ([]Result, error) {
-	if len(X) == 0 {
-		return nil, errors.New("detector: empty batch")
-	}
-	s := batchScratchPool.Get().(*BatchScratch)
-	defer batchScratchPool.Put(s)
-	return d.assessScratchRows(s, X, true)
-}
-
-// AssessBatchWith is AssessBatch over a caller-owned workspace: projection
-// matrices, transpose and vote histograms live in s and are reused across
-// calls, while the returned results (and their VoteDist slices) are
-// independently allocated and safe to retain. It suits long-lived serving
-// loops — one scratch per worker keeps the hot buffers thread-private and
-// cache-resident without the pool's cross-worker churn. Results are
-// element-wise identical to AssessBatch.
-func (d *Detector) AssessBatchWith(s *BatchScratch, X [][]float64) ([]Result, error) {
-	if len(X) == 0 {
-		return nil, errors.New("detector: empty batch")
-	}
-	return d.assessScratchRows(s, X, true)
-}
-
-// AssessDataset assesses every sample of a dataset through the batched
-// path.
-func (d *Detector) AssessDataset(ds *dataset.Dataset) ([]Result, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, errors.New("detector: empty dataset")
-	}
-	s := batchScratchPool.Get().(*BatchScratch)
-	defer batchScratchPool.Put(s)
-	s.loadMatrix(ds.X())
-	return d.assessScratch(s, true)
-}
-
-func (d *Detector) assessMatrix(M *linalg.Matrix) ([]Result, error) {
-	Z, err := d.pipe.ProjectBatch(M)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
-	}
-	n := Z.Rows()
-	out := make([]Result, n)
-	workers := d.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if out[i], err = d.assessProjected(Z.Row(i)); err != nil {
-				return nil, fmt.Errorf("detector: sample %d: %w", i, err)
-			}
-		}
-		return out, nil
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, err := d.assessProjected(Z.Row(i))
-				if err != nil {
-					errs[w] = fmt.Errorf("detector: sample %d: %w", i, err)
-					return
-				}
-				out[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
-}
-
-// assessProjected builds a full Result from an already-projected vector in
-// one pass over the ensemble's member outputs, through the pooled vote
-// buffers on the non-decomposing path.
-func (d *Detector) assessProjected(z []float64) (Result, error) {
-	var (
-		a   hmd.Assessment
-		dec *Decomposition
-		err error
-	)
-	if d.cfg.decompose {
-		var dc core.Decomposition
-		a, dc, err = d.pipe.AssessDecomposeProjected(z)
-		dec = new(Decomposition)
-		*dec = Decomposition(dc)
-	} else {
-		a, err = d.pipe.AssessProjectedPooled(z)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return d.finishResult(a, dec)
-}
-
-// finishResult applies the rejection threshold to an assessment.
-func (d *Detector) finishResult(a hmd.Assessment, dec *Decomposition) (Result, error) {
-	decision, err := core.Rejector{Threshold: d.cfg.threshold}.Decide(a.Prediction, a.Entropy)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Prediction:    a.Prediction,
-		Entropy:       a.Entropy,
-		VoteDist:      a.VoteDist,
-		Decision:      Decision(decision),
-		Decomposition: dec,
-	}, nil
 }
 
 // Truncated returns a detector view restricted to the first m ensemble

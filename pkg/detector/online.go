@@ -32,22 +32,21 @@ type Online struct {
 	stride    int
 	sinceLast int
 
-	// lastWin/lastZ memoise the most recent window's projected feature
-	// vector. DVFS telemetry is bursty — steady phases repeat one state
-	// pattern for many strides — so when the linearised window matches the
-	// previous one, Push skips feature extraction, scaling and PCA and goes
-	// straight to member inference on the cached projection.
+	// lastWin/last memoise the most recent window and its assessment. DVFS
+	// telemetry is bursty — steady phases repeat one state pattern for many
+	// strides — and a trained detector is immutable, so when the linearised
+	// window matches the previous one, Push skips feature extraction and
+	// the whole assess core and returns the remembered result. last's
+	// VoteDist lives in assess (or, for decomposing detectors, on the
+	// heap); Push hands out copies.
 	lastWin []int
-	lastZ   []float64
+	last    Result
 	hasMemo bool
 
-	// projScaled/projReduced are the stream's private projection buffers:
-	// scale+PCA write into them instead of allocating, and lastZ copies the
-	// result, so the steady-state miss path allocates only during feature
-	// extraction and the memo-hit path allocates nothing beyond the
-	// result's VoteDist.
-	projScaled  []float64
-	projReduced []float64
+	// assess is the stream's private workspace for the detector's assess
+	// core, so a window miss allocates only during feature extraction and
+	// for the returned VoteDist.
+	assess BatchScratch
 
 	// Stats accumulates decision counts for monitoring dashboards.
 	Stats OnlineStats
@@ -65,8 +64,8 @@ type OnlineStats struct {
 	// that passed range validation, including samples whose assessment
 	// failed (the window retains them and retries on the next Push).
 	Samples int `json:"samples"`
-	// CacheHits counts windows served from the projected-vector memo
-	// (identical to their predecessor, so scale+PCA were skipped).
+	// CacheHits counts windows served from the memo (identical to their
+	// predecessor, so extraction and assessment were skipped).
 	CacheHits int `json:"cache_hits"`
 }
 
@@ -162,7 +161,7 @@ func NewOnline(d *Detector, cfg StreamConfig) (*Online, error) {
 
 // exportState snapshots the stream's replayable state: the window buffer
 // linearised oldest-first (only the filled portion), the stride phase and
-// the cumulative stats. The projection memo is deliberately excluded — it
+// the cumulative stats. The window memo is deliberately excluded — it
 // is a pure optimisation, so a resumed stream produces identical decisions
 // with at most a one-window warm-up cost.
 func (o *Online) exportState() SessionState {
@@ -246,39 +245,26 @@ func (o *Online) Push(state int) (res Result, ok bool, err error) {
 	copy(o.scratch[n:], o.ring[:o.head])
 
 	if o.hasMemo && slices.Equal(o.scratch, o.lastWin) {
-		res, err = o.det.assessProjected(o.lastZ)
-		if err != nil {
-			return Result{}, false, err
-		}
 		o.Stats.CacheHits++
 	} else {
 		feats, ferr := feature.DVFSVector(o.scratch, o.levels)
 		if ferr != nil {
 			return Result{}, false, fmt.Errorf("detector: online features: %w", ferr)
 		}
-		if o.projScaled == nil {
-			o.projScaled = make([]float64, o.det.pipe.InputDim())
-			o.projReduced = make([]float64, o.det.pipe.ProjectedDim())
-		}
-		z, perr := o.det.pipe.ProjectInto(o.projScaled, o.projReduced, feats)
-		if perr != nil {
-			return Result{}, false, fmt.Errorf("detector: %w", perr)
-		}
-		// Memoise before assessing: a failed assessment is retried on the
-		// next Push with the same window, and then it hits the cache. The
-		// memo owns its copy — z aliases the projection buffers, which the
-		// next miss overwrites.
-		if o.lastWin == nil {
-			o.lastWin = make([]int, len(o.scratch))
-			o.lastZ = make([]float64, len(z))
-		}
-		copy(o.lastWin, o.scratch)
-		copy(o.lastZ, z)
-		o.hasMemo = true
-		res, err = o.det.assessProjected(z)
-		if err != nil {
+		// The scratch behind the old memo is overwritten from here on; a
+		// failed assessment leaves no memo and is retried in full.
+		o.hasMemo = false
+		if o.last, err = o.det.AssessInto(&o.assess, feats); err != nil {
 			return Result{}, false, err
 		}
+		o.lastWin = append(o.lastWin[:0], o.scratch...)
+		o.hasMemo = true
+	}
+	res = o.last
+	res.VoteDist = ownedDist(res.VoteDist)
+	if res.Decomposition != nil {
+		dec := *res.Decomposition
+		res.Decomposition = &dec
 	}
 	o.sinceLast = 0
 	o.Stats.Observe(res.Decision)

@@ -240,7 +240,7 @@ func TestOnlineRejectsBadState(t *testing.T) {
 
 // TestOnlinePushMemoisation streams windows that repeat exactly (a steady
 // telemetry phase) interleaved with changing ones, and checks that repeats
-// are served from the projected-vector memo with decisions identical to
+// are served from the window memo with decisions identical to
 // the unmemoised path.
 func TestOnlinePushMemoisation(t *testing.T) {
 	d := onlineDetector(t)

@@ -66,7 +66,7 @@ func TestDuplicateBuiltinRegistrationPanics(t *testing.T) {
 }
 
 // TestDecisionMirrorsCore pins the exported Decision encoding to the
-// internal one: assessProjected converts between them with a plain type
+// internal one: the assess core converts between them with a plain type
 // conversion, and the serialized Stats / HTTP wire forms rely on the
 // integer values matching.
 func TestDecisionMirrorsCore(t *testing.T) {

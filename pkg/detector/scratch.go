@@ -1,37 +1,34 @@
 package detector
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
 	"sync"
 
-	"trusthmd/internal/core"
-	"trusthmd/internal/hmd"
 	"trusthmd/pkg/linalg"
 )
 
-// BatchScratch is the reusable workspace of AssessBatchInto: input copy,
-// projection matrices, vote histograms and the returned results all live
-// in one caller-owned arena that is regrown on demand and never shrunk.
-// A steady-state caller assessing same-sized batches performs zero heap
-// allocations per call.
+// BatchScratch is the workspace of the assess core: scaled input,
+// projection, transpose, vote histograms and (for the ...Into entry
+// points) the returned results all live in one arena that is regrown on
+// demand and never shrunk. A steady-state caller assessing same-sized
+// batches performs zero heap allocations per call. The zero BatchScratch
+// is ready to use.
 //
 // A BatchScratch may be used by one goroutine at a time, and the results
-// returned by AssessBatchInto (including their VoteDist slices) remain
-// valid only until the scratch's next use. Callers that hand results to
-// other goroutines or retain them across calls must copy them first, or
-// use AssessBatch, which returns independently-owned results.
+// returned by AssessInto / AssessBatchInto (including their VoteDist
+// slices) remain valid only until the scratch's next use. Callers that
+// hand results to other goroutines or retain them across calls must copy
+// them first, or use Assess / AssessBatch, which return independently
+// owned results.
 type BatchScratch struct {
-	work    *linalg.Matrix // raw input copy, overwritten by scaling
+	work    *linalg.Matrix // scaled input rows
 	reduced *linalg.Matrix // PCA projection, when that stage exists
-	workT   *linalg.Matrix // transpose of the projected batch, when members want it
+	workT   *linalg.Matrix // transpose of the projected batch, when a member kernel reads it
 	counts  []int          // row-major n x classes vote histograms
 	votes   []int          // per-member batched vote scratch
 	input   []float64      // member feature-subset scratch
 	dists   []float64      // VoteDist backing for scratch-owned results
 	results []Result
-	rows    [][]float64 // 1-row view for the single-sample AssessInto path
+	row     [1][]float64 // 1-row batch view for AssessInto
 
 	// Per-worker private histograms for the parallel member partition;
 	// integer merges keep the parallel accumulation bit-identical.
@@ -41,21 +38,16 @@ type BatchScratch struct {
 	errs       []error
 }
 
-// batchScratchPool recycles scratches behind the plain AssessBatch API.
-// Scratches are shape-agnostic (every buffer is resized per call), so one
-// pool serves every detector.
-var batchScratchPool = sync.Pool{
-	New: func() any {
-		return &BatchScratch{work: linalg.New(0, 0), reduced: linalg.New(0, 0)}
-	},
-}
+// batchScratchPool lends scratches to the entry points that take none
+// (Assess, AssessBatch, AssessDataset). Scratches are shape-agnostic —
+// every buffer is resized per call — so one pool serves every detector.
+var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 
 func (s *BatchScratch) init() {
 	if s.work == nil {
 		s.work = linalg.New(0, 0)
-	}
-	if s.reduced == nil {
 		s.reduced = linalg.New(0, 0)
+		s.workT = linalg.New(0, 0)
 	}
 }
 
@@ -73,280 +65,4 @@ func growFloats(b []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return b[:n]
-}
-
-// AssessBatchInto is AssessBatch with caller-owned memory: every buffer —
-// including the returned results and their VoteDist slices — lives in s
-// and is reused by the next call, so steady-state batched assessment
-// allocates nothing (see TestAllocsAssessBatchInto). Results are
-// element-wise identical to AssessBatch. The zero BatchScratch is ready to
-// use. Detectors built WithDecomposition take the allocating path: the
-// per-member posterior walk is not scratch-managed.
-func (d *Detector) AssessBatchInto(s *BatchScratch, X [][]float64) ([]Result, error) {
-	if len(X) == 0 {
-		return nil, errors.New("detector: empty batch")
-	}
-	return d.assessScratchRows(s, X, false)
-}
-
-// AssessInto is Assess with caller-owned memory: the projection, vote and
-// result buffers all live in s, so a steady-state caller assessing one
-// sample at a time allocates nothing. The returned Result (including its
-// VoteDist) is valid only until the scratch's next use. Results are
-// element-wise identical to Assess; member votes accumulate serially, like
-// the pooled single-sample path. Detectors built WithDecomposition fall
-// back to the allocating Assess.
-func (d *Detector) AssessInto(s *BatchScratch, x []float64) (Result, error) {
-	if d.cfg.decompose {
-		return d.Assess(x)
-	}
-	s.init()
-	if cap(s.rows) == 0 {
-		s.rows = make([][]float64, 0, 1)
-	}
-	s.rows = append(s.rows[:0], x)
-	Z, err := d.pipe.ProjectRowsScratch(s.rows, s.work, s.reduced)
-	s.rows[0] = nil // do not pin the caller's vector past the call
-	if err != nil {
-		return Result{}, fmt.Errorf("detector: %w", err)
-	}
-	rs, err := d.assessZ(s, Z, false, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// loadRows copies the raw samples into the scratch work matrix, validating
-// that the batch is rectangular. Both AssessBatch entry points share it.
-func (s *BatchScratch) loadRows(X [][]float64) error {
-	s.init()
-	cols := len(X[0])
-	s.work.ResizeUnset(len(X), cols) // every row is copied over below
-	for i, r := range X {
-		if len(r) != cols {
-			return fmt.Errorf("detector: ragged row %d: got %d values, want %d: %w",
-				i, len(r), cols, linalg.ErrShape)
-		}
-		copy(s.work.Row(i), r)
-	}
-	return nil
-}
-
-// loadMatrix copies M into the scratch work matrix.
-func (s *BatchScratch) loadMatrix(M *linalg.Matrix) {
-	s.init()
-	s.work.ResizeUnset(M.Rows(), M.Cols())
-	for i := 0; i < M.Rows(); i++ {
-		copy(s.work.Row(i), M.Row(i))
-	}
-}
-
-// assessScratch runs the zero-allocation batched path over the raw
-// samples already loaded into s.work. With fresh set, the results and
-// their VoteDist backing are independently allocated (they escape to the
-// caller of AssessBatch); otherwise both live in s.
-func (d *Detector) assessScratch(s *BatchScratch, fresh bool) ([]Result, error) {
-	if d.cfg.decompose {
-		// The decomposition walk needs every member's posterior; it stays
-		// on the allocating path.
-		return d.assessMatrix(s.work)
-	}
-	Z, err := d.pipe.ProjectBatchScratch(s.work, s.reduced)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
-	}
-	return d.assessZ(s, Z, fresh, 0)
-}
-
-// assessScratchRows is assessScratch fed directly from raw sample rows:
-// the projection reads each row once and writes the scaled batch straight
-// into scratch, skipping the separate input copy the matrix-loaded path
-// pays. Results are identical to loadRows + assessScratch.
-func (d *Detector) assessScratchRows(s *BatchScratch, X [][]float64, fresh bool) ([]Result, error) {
-	if d.cfg.decompose {
-		if err := s.loadRows(X); err != nil {
-			return nil, err
-		}
-		return d.assessMatrix(s.work)
-	}
-	s.init()
-	Z, err := d.pipe.ProjectRowsScratch(X, s.work, s.reduced)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
-	}
-	return d.assessZ(s, Z, fresh, 0)
-}
-
-// assessZ is the member-vote + summarize tail shared by every batched
-// entry point, running over the already-projected batch Z. maxWorkers,
-// when positive, caps the member-vote parallelism below the detector's
-// configured worker count (the single-sample path forces 1 to match the
-// serial pooled path's cost profile); 0 leaves the configuration alone.
-func (d *Detector) assessZ(s *BatchScratch, Z *linalg.Matrix, fresh bool, maxWorkers int) ([]Result, error) {
-	n, k := Z.Rows(), d.pipe.Classes()
-	members := d.pipe.Members()
-
-	// The vectorized tree kernel reads one feature across 32 samples, so
-	// members that want it share a single feature-major copy of the
-	// projected batch — one transpose per batch, read-only afterwards
-	// (race-free under the parallel member partition below).
-	var ZT *linalg.Matrix
-	if d.pipe.WantsCols() {
-		if s.workT == nil {
-			s.workT = linalg.New(0, 0)
-		}
-		s.workT.ResizeUnset(Z.Cols(), Z.Rows()) // TInto writes every cell
-		if err := Z.TInto(s.workT); err != nil {
-			return nil, fmt.Errorf("detector: %w", err)
-		}
-		ZT = s.workT
-	}
-
-	s.counts = growInts(s.counts, n*k)
-	clearInts(s.counts)
-	s.votes = growInts(s.votes, n)
-	s.input = growFloats(s.input, d.pipe.MemberScratchDim())
-
-	workers := d.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > members {
-		workers = members
-	}
-	var err error
-	if workers <= 1 {
-		err = d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, members, s.votes, s.input)
-	} else {
-		err = d.accumulateParallel(s, Z, ZT, workers, members, k)
-	}
-	if err != nil {
-		if !isVoteRange(err) {
-			return nil, fmt.Errorf("detector: %w", err)
-		}
-		// A member voted outside the class histogram: take the allocating
-		// per-row path, which grows its histogram defensively.
-		return d.assessRows(Z)
-	}
-
-	var results []Result
-	var dists []float64
-	if fresh {
-		results = make([]Result, n)
-		dists = make([]float64, n*k)
-	} else {
-		if cap(s.results) < n {
-			s.results = make([]Result, n)
-		}
-		s.results = s.results[:n]
-		results = s.results
-		s.dists = growFloats(s.dists, n*k)
-		dists = s.dists
-	}
-	rej := core.Rejector{Threshold: d.cfg.threshold}
-	for i := 0; i < n; i++ {
-		// Full slice expressions cap each VoteDist at its own window so a
-		// caller appending to one result cannot overwrite its neighbour.
-		a, err := d.pipe.SummarizeCounts(s.counts[i*k:(i+1)*k], dists[i*k:(i+1)*k:(i+1)*k])
-		if err != nil {
-			return nil, fmt.Errorf("detector: sample %d: %w", i, err)
-		}
-		decision, err := rej.Decide(a.Prediction, a.Entropy)
-		if err != nil {
-			return nil, fmt.Errorf("detector: sample %d: %w", i, err)
-		}
-		results[i] = Result{
-			Prediction: a.Prediction,
-			Entropy:    a.Entropy,
-			VoteDist:   a.VoteDist,
-			Decision:   Decision(decision),
-		}
-	}
-	return results, nil
-}
-
-// accumulateParallel partitions the ensemble's members across workers,
-// each filling a private vote histogram, and integer-merges the partials —
-// counts are order-independent, so the result is bit-identical to the
-// serial accumulation.
-func (d *Detector) accumulateParallel(s *BatchScratch, Z, ZT *linalg.Matrix, workers, members, k int) error {
-	n := Z.Rows()
-	for len(s.partCounts) < workers {
-		s.partCounts = append(s.partCounts, nil)
-		s.partVotes = append(s.partVotes, nil)
-		s.partInput = append(s.partInput, nil)
-	}
-	if cap(s.errs) < workers {
-		s.errs = make([]error, workers)
-	}
-	s.errs = s.errs[:workers]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-	inputDim := d.pipe.MemberScratchDim()
-
-	var wg sync.WaitGroup
-	chunk := (members + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		from := w * chunk
-		to := from + chunk
-		if to > members {
-			to = members
-		}
-		if from >= to {
-			break
-		}
-		s.partCounts[w] = growInts(s.partCounts[w], n*k)
-		clearInts(s.partCounts[w])
-		s.partVotes[w] = growInts(s.partVotes[w], n)
-		s.partInput[w] = growFloats(s.partInput[w], inputDim)
-		wg.Add(1)
-		launched++
-		go func(w, from, to int) {
-			defer wg.Done()
-			s.errs[w] = d.pipe.AccumulateVotes(Z, ZT, s.partCounts[w], from, to, s.partVotes[w], s.partInput[w])
-		}(w, from, to)
-	}
-	wg.Wait()
-	for _, err := range s.errs {
-		if err != nil {
-			return err
-		}
-	}
-	for w := 0; w < launched; w++ {
-		for i, v := range s.partCounts[w] {
-			s.counts[i] += v
-		}
-	}
-	return nil
-}
-
-// assessRows is the allocating per-row fallback over an already-projected
-// batch (decomposition-free detectors land here only on the defensive
-// out-of-histogram vote path).
-func (d *Detector) assessRows(Z *linalg.Matrix) ([]Result, error) {
-	out := make([]Result, Z.Rows())
-	for i := range out {
-		r, err := d.assessProjected(Z.Row(i))
-		if err != nil {
-			return nil, fmt.Errorf("detector: sample %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func clearInts(b []int) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-func isVoteRange(err error) bool {
-	return errors.Is(err, hmd.ErrVoteRange)
 }

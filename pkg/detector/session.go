@@ -40,7 +40,7 @@ type SessionStats struct {
 	Benign   int `json:"benign"`
 	Malware  int `json:"malware"`
 	Rejected int `json:"rejected"`
-	// CacheHits counts windows served from the projected-vector memo
+	// CacheHits counts windows served from the window memo
 	// (see OnlineStats.CacheHits).
 	CacheHits int `json:"cache_hits"`
 }

@@ -15,13 +15,14 @@ import (
 // Coalescing turns the daemon's dominant request shape — millions of
 // independent single-sample assessments — into the detector's fastest
 // path: concurrent /v1/assess requests queue into a bounded buffer, and a
-// single flusher goroutine per replica drains them into one AssessBatch
-// call whenever the batch fills, the oldest queued request has waited
-// MaxWait, or the backlog crosses the flush watermark (a hot queue flushes
-// immediately instead of adding MaxWait to every batch). AssessBatch
-// amortises scaling+PCA across the batch as one matrix projection and fans
-// member inference out over the worker pool, so the aggregate throughput
-// is the batched curve, not the one-at-a-time curve, while results stay
+// single flusher goroutine per replica drains them into one
+// AssessBatchInto call whenever the batch fills, the oldest queued request
+// has waited MaxWait, or the backlog crosses the flush watermark (a hot
+// queue flushes immediately instead of adding MaxWait to every batch). The
+// detector's assess core amortises scaling+PCA across the batch as one
+// matrix projection and picks the member walk from the batch size (a lone
+// request takes the single-row walk), so the aggregate throughput is the
+// batched curve, not the one-at-a-time curve, while results stay
 // element-wise identical to direct Assess.
 
 // ErrQueueFull is returned when a replica refuses a request — its bounded
@@ -99,11 +100,10 @@ type coalescer struct {
 	// scratch is the flusher's private assessment workspace: one arena per
 	// replica, touched only from the flusher goroutine, so the projection
 	// and vote buffers of a pinned replica stay resident in that core's
-	// cache across batches. xbuf and one are the flusher-owned batch view
-	// and single-result slot, reused every flush.
+	// cache across batches. xbuf is the flusher-owned batch view, reused
+	// every flush.
 	scratch detector.BatchScratch
 	xbuf    [][]float64
-	one     [1]detector.Result
 
 	mu     sync.RWMutex // guards queue close vs concurrent submit
 	closed bool
@@ -276,12 +276,6 @@ func (c *coalescer) loop() {
 // before the next flush reuses the arena.
 func (c *coalescer) flush(batch []*pending) {
 	c.stats.batches.Add(1)
-	if len(batch) == 1 {
-		var err error
-		c.one[0], err = c.det.AssessInto(&c.scratch, batch[0].x)
-		c.settle(batch, c.one[:], err)
-		return
-	}
 	X := c.xbuf[:0]
 	for _, p := range batch {
 		X = append(X, p.x)

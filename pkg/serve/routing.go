@@ -81,7 +81,3 @@ func (h *hashRing) lookupReplica(device string) int {
 	}
 	return idx
 }
-
-// hashKey hashes one routing key; kept as the serve-layer alias so every
-// historical call site (and test) reads the same.
-func hashKey(s string) uint64 { return ring.Hash(s) }

@@ -54,7 +54,7 @@ type ShardStats struct {
 	// StreamSessions counts /v1/assess/stream connections accepted;
 	// StreamSamples / StreamDecisions the raw states pushed and window
 	// decisions emitted across them; StreamCacheHits the windows served
-	// from the sessions' projected-vector memo (OnlineStats.CacheHits).
+	// from the sessions' window memo (OnlineStats.CacheHits).
 	// Samples/decisions/memo-hit counters fold in when a session ends.
 	StreamSessions  int64 `json:"stream_sessions"`
 	StreamSamples   int64 `json:"stream_samples"`

@@ -28,7 +28,7 @@ const drainWriteGrace = time.Second
 // POST /v1/assess/stream is the raw-telemetry transport: instead of
 // client-side feature extraction feeding /v1/assess, a client streams the
 // DVFS states themselves and the server runs the full online loop (sliding
-// window, feature extraction, projection memo, trusted decision) through a
+// window, feature extraction, window memo, trusted decision) through a
 // per-connection detector.Session.
 //
 // The protocol is newline-delimited JSON both ways:
