@@ -1,9 +1,6 @@
-GO      ?= go
-REV     := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
-BENCH   ?= .
-BENCHTIME ?= 1x
+GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test race vet fmt-check bench benchcmp serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
 
 all: build
 
@@ -31,9 +28,9 @@ test-nosimd:
 
 # test-allocs re-runs the zero-allocation contract of the inference hot
 # path (testing.AllocsPerRun assertions) uncached, race-free — the race
-# detector's instrumentation would make the counts meaningless. The bench
-# CI job runs this next to benchcmp so an allocation regression fails the
-# build even when it is too small to move ns/op.
+# detector's instrumentation would make the counts meaningless. The test
+# CI job runs it, so an allocation regression fails the build even when it
+# is too small to move any timing.
 test-allocs:
 	$(GO) test -run TestAllocs -count=1 ./...
 
@@ -61,21 +58,6 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
-
-# bench runs the figure/table benchmarks plus the component and serving
-# micro-benchmarks at the repository root and records a JSON snapshot
-# (BENCH_<rev>.json) so the performance trajectory is tracked per commit.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) . ./pkg/serve/ ./pkg/linalg/kernel/ \
-		| tee /dev/stderr \
-		| $(GO) run ./tools/benchjson -out BENCH_$(REV).json
-
-# benchcmp gates the performance trajectory: the snapshot `make bench` just
-# wrote is compared against the latest committed BENCH_<rev>.json reachable
-# from HEAD; any benchmark more than 25% slower — in ns/op or allocs/op —
-# fails the target, and the full multi-snapshot trend table is printed.
-benchcmp:
-	$(GO) run ./tools/benchcmp -new BENCH_$(REV).json
 
 # stream-e2e is the streaming + hot-swap smoke: train a tiny model, boot
 # the daemon stack, stream raw DVFS states as NDJSON, hot-swap the shard

@@ -7,25 +7,22 @@
 //
 // Endpoints: POST /v1/assess, POST /v1/assess/batch, POST /v1/assess/stream,
 // GET|POST /v1/models, GET|DELETE /v1/models/{name}, GET /v1/verdicts,
-// POST /v1/ingest, GET /healthz, GET /stats.
+// POST /v1/ingest, GET /v1/cluster, GET /healthz, GET /stats.
 //
-// Usage:
+// Usage (`trusthmdd -h` lists every flag; README's flag tables mirror it
+// and a test holds the two together):
 //
 //	trusthmd -save det.gob                          # train once
 //	trusthmdd -load det.gob                         # serve it as "default"
 //	trusthmdd -model dvfs=det.gob -model alt=b.gob  # named shard fleet
-//	         [-addr :8080] [-default dvfs]
-//	         [-max-batch 32] [-max-wait 2ms] [-queue 1024]
-//	         [-replicas 3] [-max-inflight 256] [-shed-depth 512]
-//	         [-spill-depth 32] [-flush-depth 32]
-//	         [-cache-size 4096] [-workers 0] [-threshold -1]
-//	         [-admin-token secret] [-watch 5s]
-//	         [-verdict-dir verdicts] [-ingest-dir drops]
-//	         [-auto-retrain -retrain-data data/dvfs/train.csv]
-//	         [-coordinator | -join http://peer:8080]
-//	         [-advertise http://me:8080] [-node-id n1] [-heartbeat 1s]
-//
 //	curl -s localhost:8080/v1/assess -d '{"features":[...]}'
+//
+// Boot is one path: bindFlags binds the command line straight into a
+// daemonConfig (whose fields are the serving packages' own config
+// structs), newDaemon builds every part from it, start sets the
+// background work running and close tears it down in the one safe order.
+// run only adds the listener and signal handling; the end-to-end tests
+// boot the same daemon behind httptest.
 //
 // With -replicas N each shard name is served by N independent instances
 // (own coalescer, queue and result cache over one shared model): device
@@ -69,6 +66,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -93,111 +91,104 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		loadPath   = flag.String("load", "", "serve a single saved detector under the name \"default\"")
-		defName    = flag.String("default", "", "shard serving requests that omit \"model\" and \"device\"")
-		maxBatch   = flag.Int("max-batch", 32, "coalescer flush size")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "coalescer max latency before a partial batch flushes")
-		queue      = flag.Int("queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
-		replicas   = flag.Int("replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
-		pinCores   = flag.Bool("pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
-		maxInfl    = flag.Int("max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
-		shedDepth  = flag.Int("shed-depth", 0, "shed new requests once a replica's queue holds this many waiting (0 = only when the queue is full)")
-		spillDepth = flag.Int("spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
-		flushDepth = flag.Int("flush-depth", 0, "queue backlog at which the coalescer flushes early instead of waiting out max-wait (0 = max-batch, negative disables)")
-		maxBody    = flag.Int64("max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
-		maxAdmin   = flag.Int64("max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
-		maxBatchN  = flag.Int("max-batch-samples", 4096, "largest accepted client-side batch")
-		maxLine    = flag.Int("max-stream-line", 256<<10, "largest accepted NDJSON line on /v1/assess/stream, in bytes")
-		maxWindow  = flag.Int("max-stream-window", 1<<16, "largest per-session window a stream header may request")
-		streamIdle = flag.Duration("stream-idle", 5*time.Minute, "cut an NDJSON stream whose client sends nothing for this long (negative disables)")
-		cacheSize  = flag.Int("cache-size", 0, "per-shard cross-request result cache entries (0 = default 4096, negative disables)")
-		workers    = flag.Int("workers", 0, "override assessment parallelism on every shard (0 keeps each model's saved setting)")
-		threshold  = flag.Float64("threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
-		adminToken = flag.String("admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")
-		watch      = flag.Duration("watch", 0, "poll interval for hot-reloading command-line shards when their gob mtime changes (0 disables)")
-		timeout    = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-
-		verdictDir  = flag.String("verdict-dir", "", "persist every served verdict to this directory (append-only segment store; enables GET /v1/verdicts)")
-		verdictSeg  = flag.Int64("verdict-segment-bytes", 4<<20, "verdict-store segment size before rotation, in bytes")
-		verdictKeep = flag.Int("verdict-retain", 16, "sealed verdict segments retained; beyond it the oldest segment is dropped")
-		verdictSync = flag.Int("verdict-sync-every", 0, "verdict-store durability: 0 group-commits appends off the serving path (a crash loses at most one uncommitted group), N>0 writes each record synchronously and fsyncs every N records")
-
-		ingestDir     = flag.String("ingest-dir", "", "poll this directory for CSV telemetry drops and assess them through the fleet (enables POST /v1/ingest)")
-		ingestPoll    = flag.Duration("ingest-poll", 2*time.Second, "ingest drop-directory poll interval")
-		ingestQueue   = flag.Int("ingest-queue", 1024, "ingest pump queue depth; a full queue sheds HTTP pushes with 503")
-		ingestWorkers = flag.Int("ingest-workers", 2, "goroutines draining the ingest queue into the fleet")
-
-		nodeID      = flag.String("node-id", "", "cluster identity of this node (default: hostname; IDs order coordinator promotion)")
-		advertise   = flag.String("advertise", "", "base URL other cluster nodes reach this node at, e.g. http://10.0.0.5:8080 (required with -coordinator or -join)")
-		coordinator = flag.Bool("coordinator", false, "start this node as the cluster coordinator")
-		joinAddr    = flag.String("join", "", "advertise URL of a running cluster member to join (exactly one of -coordinator/-join)")
-		heartbeat   = flag.Duration("heartbeat", time.Second, "cluster heartbeat and membership-sweep interval")
-
-		autoRetrain     = flag.Bool("auto-retrain", false, "tail the verdict store for per-device drift and hot-swap a background-retrained model (needs -verdict-dir and -retrain-data)")
-		retrainData     = flag.String("retrain-data", "", "base training-set CSV (datagen/WriteCSV format) folded into every -auto-retrain round")
-		retrainModel    = flag.String("retrain-model", "", "shard supervised by -auto-retrain (default: the -default shard, or the only one)")
-		retrainEvery    = flag.Duration("retrain-interval", time.Second, "verdict-store tail cadence for -auto-retrain")
-		retrainWindow   = flag.Int("retrain-window", 50, "per-device drift window (recent verdict entropies)")
-		retrainSustain  = flag.Int("retrain-sustain", 3, "consecutive alarmed observations before the controller acts")
-		retrainQuorum   = flag.Int("retrain-quorum", 25, "rejected-verdict forensics required before a retrain round fires")
-		retrainCooldown = flag.Duration("retrain-cooldown", time.Minute, "minimum gap between drift-driven hot swaps")
-	)
-	var specs modelFlags
-	flag.Var(&specs, "model", "name=path of a saved detector shard (repeatable)")
+	var cfg daemonConfig
+	bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
-
-	loop := loopConfig{
-		verdictDir:      *verdictDir,
-		verdictSegBytes: *verdictSeg,
-		verdictRetain:   *verdictKeep,
-		verdictSync:     *verdictSync,
-		ingestDir:       *ingestDir,
-		ingestPoll:      *ingestPoll,
-		ingestQueue:     *ingestQueue,
-		ingestWorkers:   *ingestWorkers,
-		autoRetrain:     *autoRetrain,
-		retrainData:     *retrainData,
-		retrainModel:    *retrainModel,
-		retrainInterval: *retrainEvery,
-		retrainWindow:   *retrainWindow,
-		retrainSustain:  *retrainSustain,
-		retrainQuorum:   *retrainQuorum,
-		retrainCooldown: *retrainCooldown,
-	}
-
-	cl := clusterFlags{
-		nodeID:      *nodeID,
-		advertise:   *advertise,
-		coordinator: *coordinator,
-		join:        *joinAddr,
-		heartbeat:   *heartbeat,
-	}
-
-	if err := run(*addr, *loadPath, specs, cl, serve.Config{
-		MaxBatch:           *maxBatch,
-		MaxWait:            *maxWait,
-		QueueSize:          *queue,
-		Replicas:           *replicas,
-		PinCores:           *pinCores,
-		MaxInflight:        *maxInfl,
-		ShedDepth:          *shedDepth,
-		SpillDepth:         *spillDepth,
-		FlushDepth:         *flushDepth,
-		MaxBodyBytes:       *maxBody,
-		MaxAdminBodyBytes:  *maxAdmin,
-		MaxBatchSamples:    *maxBatchN,
-		MaxStreamLineBytes: *maxLine,
-		MaxStreamWindow:    *maxWindow,
-		StreamIdleTimeout:  *streamIdle,
-		CacheSize:          *cacheSize,
-		DefaultModel:       *defName,
-		AdminToken:         *adminToken,
-	}, *workers, *threshold, *watch, *timeout, loop); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "trusthmdd:", err)
 		os.Exit(1)
 	}
+}
+
+// daemonConfig is everything that parameterises one daemon. Its fields are
+// the packages' own config structs, bound straight to the command line by
+// bindFlags; only values no package owns (listen address, model paths,
+// fleet-wide overrides, feature switches) live on the struct itself.
+// Tests build one by hand and boot it through newDaemon like run does.
+type daemonConfig struct {
+	addr            string
+	loadPath        string
+	models          modelFlags
+	workers         int
+	threshold       float64
+	watch           time.Duration
+	shutdownTimeout time.Duration
+
+	serve serve.Config
+
+	// verdictDir enables the verdict store (and GET /v1/verdicts).
+	verdictDir string
+	verdicts   verdictstore.Config
+
+	// ingestDir enables the ingest pump (and POST /v1/ingest).
+	ingestDir string
+	ingest    ingest.Config
+	ingestSrc ingest.DirConfig
+
+	// cluster is live when Coordinator or Join is set.
+	cluster cluster.Config
+
+	// autoRetrain enables the drift-driven retrain controller; retrainData
+	// is the base training-set CSV it folds into every round.
+	autoRetrain bool
+	retrainData string
+	retrain     serve.RetrainConfig
+}
+
+// bindFlags declares the daemon's command line on fs, each flag bound to
+// the config field it sets. README's flag tables mirror it (a test holds
+// them to it).
+func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.loadPath, "load", "", "serve a single saved detector under the name \"default\"")
+	fs.Var(&cfg.models, "model", "name=path of a saved detector shard (repeatable)")
+	fs.StringVar(&cfg.serve.DefaultModel, "default", "", "shard serving requests that omit \"model\" and \"device\"")
+	fs.IntVar(&cfg.serve.MaxBatch, "max-batch", 32, "coalescer flush size")
+	fs.DurationVar(&cfg.serve.MaxWait, "max-wait", 2*time.Millisecond, "coalescer max latency before a partial batch flushes")
+	fs.IntVar(&cfg.serve.QueueSize, "queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
+	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
+	fs.BoolVar(&cfg.serve.PinCores, "pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
+	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
+	fs.IntVar(&cfg.serve.ShedDepth, "shed-depth", 0, "shed new requests once a replica's queue holds this many waiting (0 = only when the queue is full)")
+	fs.IntVar(&cfg.serve.SpillDepth, "spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
+	fs.IntVar(&cfg.serve.FlushDepth, "flush-depth", 0, "queue backlog at which the coalescer flushes early instead of waiting out max-wait (0 = max-batch, negative disables)")
+	fs.Int64Var(&cfg.serve.MaxBodyBytes, "max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
+	fs.Int64Var(&cfg.serve.MaxAdminBodyBytes, "max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
+	fs.IntVar(&cfg.serve.MaxBatchSamples, "max-batch-samples", 4096, "largest accepted client-side batch")
+	fs.IntVar(&cfg.serve.MaxStreamLineBytes, "max-stream-line", 256<<10, "largest accepted NDJSON line on /v1/assess/stream, in bytes")
+	fs.IntVar(&cfg.serve.MaxStreamWindow, "max-stream-window", 1<<16, "largest per-session window a stream header may request")
+	fs.DurationVar(&cfg.serve.StreamIdleTimeout, "stream-idle", 5*time.Minute, "cut an NDJSON stream whose client sends nothing for this long (negative disables)")
+	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-shard cross-request result cache entries (0 = default 4096, negative disables)")
+	fs.IntVar(&cfg.workers, "workers", 0, "override assessment parallelism on every shard (0 keeps each model's saved setting)")
+	fs.Float64Var(&cfg.threshold, "threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
+	fs.StringVar(&cfg.serve.AdminToken, "admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")
+	fs.DurationVar(&cfg.watch, "watch", 0, "poll interval for hot-reloading command-line shards when their gob mtime changes (0 disables)")
+	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")
+
+	fs.StringVar(&cfg.verdictDir, "verdict-dir", "", "persist every served verdict to this directory (append-only segment store; enables GET /v1/verdicts)")
+	fs.Int64Var(&cfg.verdicts.SegmentBytes, "verdict-segment-bytes", 4<<20, "verdict-store segment size before rotation, in bytes")
+	fs.IntVar(&cfg.verdicts.MaxSegments, "verdict-retain", 16, "sealed verdict segments retained; beyond it the oldest segment is dropped")
+	fs.IntVar(&cfg.verdicts.SyncEvery, "verdict-sync-every", 0, "verdict-store durability: 0 group-commits appends off the serving path (a crash loses at most one uncommitted group), N>0 writes each record synchronously and fsyncs every N records")
+
+	fs.StringVar(&cfg.ingestDir, "ingest-dir", "", "poll this directory for CSV telemetry drops and assess them through the fleet (enables POST /v1/ingest)")
+	fs.DurationVar(&cfg.ingestSrc.Poll, "ingest-poll", 2*time.Second, "ingest drop-directory poll interval")
+	fs.IntVar(&cfg.ingest.Queue, "ingest-queue", 1024, "ingest pump queue depth; a full queue sheds HTTP pushes with 503")
+	fs.IntVar(&cfg.ingest.Workers, "ingest-workers", 2, "goroutines draining the ingest queue into the fleet")
+
+	fs.StringVar(&cfg.cluster.NodeID, "node-id", "", "cluster identity of this node (default: hostname; IDs order coordinator promotion)")
+	fs.StringVar(&cfg.cluster.Advertise, "advertise", "", "base URL other cluster nodes reach this node at, e.g. http://10.0.0.5:8080 (required with -coordinator or -join)")
+	fs.BoolVar(&cfg.cluster.Coordinator, "coordinator", false, "start this node as the cluster coordinator")
+	fs.StringVar(&cfg.cluster.Join, "join", "", "advertise URL of a running cluster member to join (exactly one of -coordinator/-join)")
+	fs.DurationVar(&cfg.cluster.Heartbeat, "heartbeat", time.Second, "cluster heartbeat and membership-sweep interval")
+
+	fs.BoolVar(&cfg.autoRetrain, "auto-retrain", false, "tail the verdict store for per-device drift and hot-swap a background-retrained model (needs -verdict-dir and -retrain-data)")
+	fs.StringVar(&cfg.retrainData, "retrain-data", "", "base training-set CSV (datagen/WriteCSV format) folded into every -auto-retrain round")
+	fs.StringVar(&cfg.retrain.Model, "retrain-model", "", "shard supervised by -auto-retrain (default: the -default shard, or the only one)")
+	fs.DurationVar(&cfg.retrain.Interval, "retrain-interval", time.Second, "verdict-store tail cadence for -auto-retrain")
+	fs.IntVar(&cfg.retrain.Drift.Window, "retrain-window", 50, "per-device drift window (recent verdict entropies)")
+	fs.IntVar(&cfg.retrain.Sustain, "retrain-sustain", 3, "consecutive alarmed observations before the controller acts")
+	fs.IntVar(&cfg.retrain.Quorum, "retrain-quorum", 25, "rejected-verdict forensics required before a retrain round fires")
+	fs.DurationVar(&cfg.retrain.Cooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-driven hot swaps")
 }
 
 // modelFlags collects repeated -model name=path specs. Duplicate shard
@@ -267,43 +258,35 @@ func allSpecs(loadPath string, specs modelFlags, allowEmpty bool) (modelFlags, e
 	return specs, nil
 }
 
-// clusterFlags bundles the multi-node flags.
-type clusterFlags struct {
-	nodeID      string
-	advertise   string
-	coordinator bool
-	join        string
-	heartbeat   time.Duration
-}
+// clustered reports whether the cluster flags ask for a fleet member.
+func (c *daemonConfig) clustered() bool { return c.cluster.Coordinator || c.cluster.Join != "" }
 
-func (c clusterFlags) enabled() bool { return c.coordinator || c.join != "" }
-
-// agentConfig validates the cluster flags into a cluster.Config. The
+// agentConfig validates the cluster flags into the agent's config. The
 // node-to-node surface inherits the admin token, so a cluster is never
 // more open than its admin endpoints.
-func (c clusterFlags) agentConfig(adminToken string) (cluster.Config, error) {
-	if c.advertise == "" {
+func (c *daemonConfig) agentConfig() (cluster.Config, error) {
+	acfg := c.cluster
+	if acfg.Advertise == "" {
 		return cluster.Config{}, errors.New("clustering needs -advertise (the URL other nodes reach this one at)")
 	}
-	id := c.nodeID
-	if id == "" {
+	if acfg.NodeID == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
 			return cluster.Config{}, errors.New("cannot derive -node-id from hostname; pass it explicitly")
 		}
-		id = host
+		acfg.NodeID = host
 	}
-	return cluster.Config{
-		NodeID:      id,
-		Advertise:   strings.TrimRight(c.advertise, "/"),
-		Coordinator: c.coordinator,
-		Join:        c.join,
-		Heartbeat:   c.heartbeat,
-		Token:       adminToken,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	}, nil
+	acfg.Advertise = strings.TrimRight(acfg.Advertise, "/")
+	acfg.Token = c.serve.AdminToken
+	acfg.Logf = logStdout
+	return acfg, nil
+}
+
+// logStdout and logStderr are the Logf hooks the daemon hands its parts:
+// lifecycle lines to stdout, trouble to stderr under the program name.
+func logStdout(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+func logStderr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "trusthmdd: "+format+"\n", args...)
 }
 
 // loadModels opens every resolved shard spec through the prepare hook —
@@ -385,9 +368,6 @@ func statStamps(specs modelFlags) map[string]fileStamp {
 // command-line shards.
 func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, interval time.Duration,
 	prepare func(*detector.Detector) (*detector.Detector, error), stamps map[string]fileStamp) {
-	if stamps == nil {
-		stamps = statStamps(specs)
-	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -410,40 +390,17 @@ func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, inte
 			stamps[s.name] = stamp
 			det, err := loadShard(s, prepare)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "trusthmdd: watch: reload %s: %v (keeping serving shard)\n", s.name, err)
+				logStderr("watch: reload %s: %v (keeping serving shard)", s.name, err)
 				continue
 			}
 			v, _, err := fleet.LoadOrSwapCause(s.name, det, "watch")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "trusthmdd: watch: swap %s: %v\n", s.name, err)
+				logStderr("watch: swap %s: %v", s.name, err)
 				continue
 			}
-			fmt.Printf("watch: hot-swapped shard %s -> v%d (%s)\n", s.name, v, s.path)
+			logStdout("watch: hot-swapped shard %s -> v%d (%s)", s.name, v, s.path)
 		}
 	}
-}
-
-// loopConfig bundles the closed-loop flags: verdict persistence,
-// telemetry ingestion, and drift-driven auto-retrain.
-type loopConfig struct {
-	verdictDir      string
-	verdictSegBytes int64
-	verdictRetain   int
-	verdictSync     int
-
-	ingestDir     string
-	ingestPoll    time.Duration
-	ingestQueue   int
-	ingestWorkers int
-
-	autoRetrain     bool
-	retrainData     string
-	retrainModel    string
-	retrainInterval time.Duration
-	retrainWindow   int
-	retrainSustain  int
-	retrainQuorum   int
-	retrainCooldown time.Duration
 }
 
 // supervisedShard resolves which shard -auto-retrain watches: the
@@ -475,203 +432,242 @@ func loadBaseDataset(path string) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-func run(addr, loadPath string, specs modelFlags, cl clusterFlags, cfg serve.Config, workers int, threshold float64,
-	watch, shutdownTimeout time.Duration, loop loopConfig) error {
-	if loop.autoRetrain && (loop.verdictDir == "" || loop.retrainData == "") {
-		return errors.New("-auto-retrain needs -verdict-dir (the drift signal) and -retrain-data (the retraining base)")
+// daemon is one booted trusthmdd: every long-lived part the config asks
+// for, built by newDaemon, set running by start and torn down by close.
+// run puts a listener and signal handling around it; tests put an
+// httptest server around the same value.
+type daemon struct {
+	cfg daemonConfig
+	// specs are the resolved -load/-model shards; stamps their gob files'
+	// state from before the boot-time load, so a save racing the daemon's
+	// startup is still caught by the watcher's first tick.
+	specs  modelFlags
+	stamps map[string]fileStamp
+
+	store *verdictstore.Store // nil without -verdict-dir
+	fleet *serve.Fleet
+	srv   *serve.Server
+	// handler is what the listener serves: srv, plus the node-to-node API
+	// under /cluster/ on a fleet member.
+	handler http.Handler
+	agent   *cluster.Agent           // nil standalone
+	pump    *ingest.Pump             // nil without -ingest-dir
+	retrain *serve.RetrainController // nil without -auto-retrain
+
+	cancel    context.CancelFunc
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// newDaemon constructs everything in dependency order — verdict store,
+// models, fleet, server, cluster agent, ingest pump, retrain controller —
+// without starting any background work. A failed boot releases what was
+// already built.
+func newDaemon(cfg daemonConfig) (*daemon, error) {
+	if cfg.autoRetrain && (cfg.verdictDir == "" || cfg.retrainData == "") {
+		return nil, errors.New("-auto-retrain needs -verdict-dir (the drift signal) and -retrain-data (the retraining base)")
 	}
-	prepare := overrides(workers, threshold)
-	cfg.PrepareDetector = prepare
-	// One spec resolution and one prepare hook feed boot-time loading,
-	// the watcher and (via cfg) the admin endpoint alike. A cluster joiner
-	// may boot empty — the cluster catalog supplies its shards.
-	resolved, err := allSpecs(loadPath, specs, cl.join != "")
-	if err != nil {
-		return err
+	// One prepare hook applies the fleet-wide overrides to every detector
+	// entering the fleet: boot-time load, admin endpoint (via serve.Config),
+	// watcher and retrain controller alike.
+	prepare := overrides(cfg.workers, cfg.threshold)
+	cfg.serve.PrepareDetector = prepare
+	d := &daemon{cfg: cfg}
+	booted := false
+	defer func() {
+		if !booted {
+			d.close()
+		}
+	}()
+	// A cluster joiner may boot empty — the cluster catalog supplies its
+	// shards.
+	var err error
+	if d.specs, err = allSpecs(cfg.loadPath, cfg.models, cfg.cluster.Join != ""); err != nil {
+		return nil, err
 	}
 
 	// The verdict store outlives the fleet (the fleet taps verdicts into
 	// it until its last coalescer drains), so it opens first, closes last.
-	var store *verdictstore.Store
-	if loop.verdictDir != "" {
-		store, err = verdictstore.Open(loop.verdictDir, verdictstore.Config{
-			SegmentBytes: loop.verdictSegBytes,
-			MaxSegments:  loop.verdictRetain,
-			SyncEvery:    loop.verdictSync,
-		})
-		if err != nil {
-			return err
+	if cfg.verdictDir != "" {
+		if d.store, err = verdictstore.Open(cfg.verdictDir, cfg.verdicts); err != nil {
+			return nil, err
 		}
-		defer store.Close()
-		st := store.Stats()
+		st := d.store.Stats()
 		fmt.Printf("verdict store %s: %d records recovered (%d segments, next seq %d)\n",
-			loop.verdictDir, st.Records, st.Segments, st.NextSeq)
-		cfg.Verdicts = store
+			cfg.verdictDir, st.Records, st.Segments, st.NextSeq)
+		d.cfg.serve.Verdicts = d.store
 	}
 
-	// Baseline stamps are taken before the boot-time load so a save
-	// racing the daemon's startup is still caught by the first tick.
-	var baseline map[string]fileStamp
-	if watch > 0 {
-		baseline = statStamps(resolved)
-	}
-	models, err := loadModels(resolved, prepare)
+	d.stamps = statStamps(d.specs)
+	models, err := loadModels(d.specs, prepare)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fleet, err := serve.NewFleet(models, cfg)
-	if err != nil {
-		return err
+	if d.fleet, err = serve.NewFleet(models, d.cfg.serve); err != nil {
+		return nil, err
 	}
-	srv := serve.NewServer(fleet)
+	d.srv = serve.NewServer(d.fleet)
+	d.handler = d.srv
 
 	// Clustered: an Agent shares the listener with the serving mux (the
 	// node-to-node API lives under /cluster/v1/) and hooks the server so
 	// any node serves any request, swaps go fleet-wide, and streams
 	// survive node death.
-	var agent *cluster.Agent
-	handler := http.Handler(srv)
-	if cl.enabled() {
-		acfg, err := cl.agentConfig(cfg.AdminToken)
+	if cfg.clustered() {
+		acfg, err := cfg.agentConfig()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if agent, err = cluster.New(acfg, fleet); err != nil {
-			return err
+		if d.agent, err = cluster.New(acfg, d.fleet); err != nil {
+			return nil, err
 		}
-		srv.AttachCluster(agent)
+		d.srv.AttachCluster(d.agent)
 		mux := http.NewServeMux()
-		mux.Handle("/cluster/", agent.Handler())
-		mux.Handle("/", srv)
-		handler = mux
-	}
-
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if watch > 0 {
-		go watchShards(ctx, fleet, resolved, watch, prepare, baseline)
+		mux.Handle("/cluster/", d.agent.Handler())
+		mux.Handle("/", d.srv)
+		d.handler = mux
 	}
 
 	// The ingest pump fans drop-directory (and HTTP push) telemetry into
 	// the fleet's assess path, so every ingested window becomes a stored,
 	// drift-monitored verdict.
-	var loopWG sync.WaitGroup
-	if loop.ingestDir != "" {
-		pump := ingest.NewPump(func(ctx context.Context, ev ingest.Event) error {
-			_, err := fleet.Assess(ctx, serve.AssessSpec{
+	if cfg.ingestDir != "" {
+		pcfg := cfg.ingest
+		pcfg.Logf = logStderr
+		d.pump = ingest.NewPump(func(ctx context.Context, ev ingest.Event) error {
+			_, err := d.fleet.Assess(ctx, serve.AssessSpec{
 				Model:    ev.Model,
 				Device:   ev.Device,
 				Features: ev.Features,
 				Source:   "ingest",
 			})
 			return err
-		}, ingest.Config{
-			Queue:   loop.ingestQueue,
-			Workers: loop.ingestWorkers,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "trusthmdd: "+format+"\n", args...)
-			},
-		})
-		src, err := ingest.NewDirSource(loop.ingestDir, ingest.DirConfig{Poll: loop.ingestPoll})
+		}, pcfg)
+		src, err := ingest.NewDirSource(cfg.ingestDir, cfg.ingestSrc)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pump.Add(src)
-		srv.AttachIngest(pump)
-		loopWG.Add(1)
+		d.pump.Add(src)
+		d.srv.AttachIngest(d.pump)
+	}
+
+	if cfg.autoRetrain {
+		rcfg := cfg.retrain
+		rcfg.Store, rcfg.Fleet, rcfg.Prepare, rcfg.Logf = d.store, d.fleet, prepare, logStdout
+		if rcfg.Base, err = loadBaseDataset(cfg.retrainData); err != nil {
+			return nil, err
+		}
+		if rcfg.Model, err = supervisedShard(rcfg.Model, cfg.serve.DefaultModel, d.specs); err != nil {
+			return nil, err
+		}
+		if d.retrain, err = serve.NewRetrainController(rcfg); err != nil {
+			return nil, err
+		}
+		d.srv.AttachRetrain(d.retrain)
+	}
+	booted = true
+	return d, nil
+}
+
+// start launches the background work: the shard watcher, the ingest pump,
+// the retrain controller (all stopped by ctx or close) and the cluster
+// agent. Call it once d.handler is being served — a coordinator publishes
+// its first table, a joiner dials -join (retrying briefly), and peers
+// answer back on this node's own listener. After an error, close.
+func (d *daemon) start(ctx context.Context) error {
+	ctx, d.cancel = context.WithCancel(ctx)
+	if d.cfg.watch > 0 {
+		d.wg.Add(1)
 		go func() {
-			defer loopWG.Done()
-			if err := pump.Run(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "trusthmdd: ingest: %v\n", err)
+			defer d.wg.Done()
+			watchShards(ctx, d.fleet, d.specs, d.cfg.watch, d.cfg.serve.PrepareDetector, d.stamps)
+		}()
+	}
+	if d.pump != nil {
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			if err := d.pump.Run(ctx); err != nil {
+				logStderr("ingest: %v", err)
 			}
 		}()
 		fmt.Printf("ingesting telemetry drops from %s (poll %v, queue %d, %d workers)\n",
-			loop.ingestDir, loop.ingestPoll, loop.ingestQueue, loop.ingestWorkers)
+			d.cfg.ingestDir, d.cfg.ingestSrc.Poll, d.cfg.ingest.Queue, d.cfg.ingest.Workers)
 	}
-
-	if loop.autoRetrain {
-		base, err := loadBaseDataset(loop.retrainData)
-		if err != nil {
-			return err
-		}
-		model, err := supervisedShard(loop.retrainModel, cfg.DefaultModel, resolved)
-		if err != nil {
-			return err
-		}
-		ctrl, err := serve.NewRetrainController(serve.RetrainConfig{
-			Store:    store,
-			Fleet:    fleet,
-			Model:    model,
-			Base:     base,
-			Interval: loop.retrainInterval,
-			Drift:    detector.DriftConfig{Window: loop.retrainWindow},
-			Sustain:  loop.retrainSustain,
-			Quorum:   loop.retrainQuorum,
-			Cooldown: loop.retrainCooldown,
-			Prepare:  prepare,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		srv.AttachRetrain(ctrl)
-		loopWG.Add(1)
+	if d.retrain != nil {
+		d.wg.Add(1)
 		go func() {
-			defer loopWG.Done()
-			if err := ctrl.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "trusthmdd: retrain: %v\n", err)
+			defer d.wg.Done()
+			if err := d.retrain.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+				logStderr("retrain: %v", err)
 			}
 		}()
 		fmt.Printf("auto-retrain watching shard %s (window %d, sustain %d, quorum %d, cooldown %v)\n",
-			model, loop.retrainWindow, loop.retrainSustain, loop.retrainQuorum, loop.retrainCooldown)
+			d.retrain.Stats().Model, d.cfg.retrain.Drift.Window, d.cfg.retrain.Sustain, d.cfg.retrain.Quorum, d.cfg.retrain.Cooldown)
 	}
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, max-wait %v)\n",
-			addr, fleet.Len(), cfg.Replicas, cfg.MaxBatch, cfg.MaxWait)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	// The agent starts once the listener goroutine is up: a coordinator
-	// publishes its first table, a joiner dials -join (retrying briefly),
-	// and either way the background loops take over.
-	if agent != nil {
-		if err := agent.Start(); err != nil {
-			httpSrv.Close()
-			stop()
-			loopWG.Wait()
-			srv.Close()
+	if d.agent != nil {
+		if err := d.agent.Start(); err != nil {
 			return err
 		}
-		fmt.Printf("cluster node %s (%s) up as %s\n", agent.NodeID(), cl.advertise, agent.Role())
+		fmt.Printf("cluster node %s (%s) up as %s\n", d.agent.NodeID(), d.cfg.cluster.Advertise, d.agent.Role())
 	}
+	return nil
+}
 
-	// stopLoop winds down the cluster agent (heartbeats stop; peers will
-	// declare this node dead and rebalance), then the pump (which finishes
-	// every accepted event) and the retrain controller (which waits out an
-	// in-flight round, possibly swapping the fleet) — the latter two need
-	// the fleet alive, so it all runs BEFORE srv.Close.
-	stopLoop := func() {
-		if agent != nil {
-			agent.Close()
+// close tears the daemon down in the one order that loses nothing: the
+// cluster agent first (heartbeats stop; peers will declare this node dead
+// and rebalance), then the watcher, the pump (which finishes every
+// accepted event) and the retrain controller (which waits out an
+// in-flight round, possibly swapping the fleet) — those need the fleet
+// alive — then the fleet's coalescer queues, and the verdict store last,
+// since the draining fleet still taps verdicts into it. The HTTP listener
+// should be shut down first so no new requests arrive. Safe on a
+// half-built daemon and idempotent; every call returns the store's close
+// error.
+func (d *daemon) close() error {
+	d.closeOnce.Do(func() {
+		if d.agent != nil {
+			d.agent.Close()
 		}
-		stop()
-		loopWG.Wait()
+		if d.cancel != nil {
+			d.cancel()
+		}
+		d.wg.Wait()
+		if d.srv != nil {
+			d.srv.Close()
+		}
+		if d.store != nil {
+			d.closeErr = d.store.Close()
+		}
+	})
+	return d.closeErr
+}
+
+func run(cfg daemonConfig) error {
+	d, err := newDaemon(cfg)
+	if err != nil {
+		return err
+	}
+	defer d.close()
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: d.handler, ReadHeaderTimeout: 5 * time.Second}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, max-wait %v)\n",
+		cfg.addr, d.fleet.Len(), cfg.serve.Replicas, cfg.serve.MaxBatch, cfg.serve.MaxWait)
+	if err := d.start(ctx); err != nil {
+		httpSrv.Close()
+		return err
 	}
 
 	select {
 	case err := <-errc:
-		stopLoop()
-		srv.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -679,26 +675,24 @@ func run(addr, loadPath string, specs modelFlags, cl clusterFlags, cfg serve.Con
 	// Graceful shutdown: wind down open NDJSON streams (each ends with its
 	// summary line — without this, one connected stream client would pin
 	// Shutdown for the whole budget), stop accepting connections and let
-	// in-flight requests finish, then drain the closed loop and finally
-	// the coalescer queues. The verdict store closes last (deferred).
+	// in-flight requests finish, then close the daemon.
 	fmt.Println("\nshutting down...")
-	srv.BeginDrain()
-	shCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	d.srv.BeginDrain()
+	shCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
 	defer cancel()
 	shutdownErr := httpSrv.Shutdown(shCtx)
-	stopLoop()
-	srv.Close()
+	closeErr := d.close()
 	if shutdownErr != nil && !errors.Is(shutdownErr, context.DeadlineExceeded) {
 		return shutdownErr
 	}
-	for _, st := range srv.Stats() {
+	for _, st := range d.srv.Stats() {
 		fmt.Printf("shard %-12s v%d: %d requests in %d batches (mean %.1f), %d batch requests, %d stream sessions, %d shed, rejection rate %.1f%%\n",
 			st.Model, st.Version, st.Requests, st.Batches, st.MeanBatchSize, st.BatchRequests, st.StreamSessions, st.Shed, 100*st.RejectionRate)
 	}
-	if store != nil {
-		st := store.Stats()
+	if d.store != nil {
+		st := d.store.Stats()
 		fmt.Printf("verdict store: %d records live (%d appended this run, %d segments, %d bytes)\n",
 			st.Records, st.Appended, st.Segments, st.Bytes)
 	}
-	return nil
+	return closeErr
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,36 +69,70 @@ func TestLoadModelsErrors(t *testing.T) {
 }
 
 func TestClusterFlags(t *testing.T) {
-	if (clusterFlags{}).enabled() {
+	cfg := flagDefaults()
+	if cfg.clustered() {
 		t.Fatal("no cluster flags must mean standalone")
 	}
-	if !(clusterFlags{coordinator: true}).enabled() || !(clusterFlags{join: "http://x"}).enabled() {
-		t.Fatal("-coordinator and -join must both enable clustering")
+	cfg.cluster.Coordinator = true
+	if !cfg.clustered() {
+		t.Fatal("-coordinator must enable clustering")
 	}
-	if _, err := (clusterFlags{coordinator: true}).agentConfig(""); err == nil {
+	if _, err := cfg.agentConfig(); err == nil {
 		t.Fatal("clustering without -advertise must be rejected")
 	}
-	cfg, err := clusterFlags{
-		nodeID:      "n1",
-		advertise:   "http://10.0.0.5:8080/",
-		coordinator: true,
-		heartbeat:   250 * time.Millisecond,
-	}.agentConfig("secret")
+	cfg.cluster.NodeID = "n1"
+	cfg.cluster.Advertise = "http://10.0.0.5:8080/"
+	cfg.cluster.Heartbeat = 250 * time.Millisecond
+	cfg.serve.AdminToken = "secret"
+	acfg, err := cfg.agentConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NodeID != "n1" || cfg.Advertise != "http://10.0.0.5:8080" ||
-		!cfg.Coordinator || cfg.Token != "secret" || cfg.Heartbeat != 250*time.Millisecond {
-		t.Fatalf("agentConfig: %+v", cfg)
+	if acfg.NodeID != "n1" || acfg.Advertise != "http://10.0.0.5:8080" ||
+		!acfg.Coordinator || acfg.Token != "secret" || acfg.Heartbeat != 250*time.Millisecond {
+		t.Fatalf("agentConfig: %+v", acfg)
 	}
-	// -node-id defaults to the hostname.
-	cfg, err = (clusterFlags{advertise: "http://x", join: "http://y"}).agentConfig("")
+	// -join enables clustering too, and -node-id defaults to the hostname.
+	cfg = flagDefaults()
+	cfg.cluster.Advertise, cfg.cluster.Join = "http://x", "http://y"
+	if !cfg.clustered() {
+		t.Fatal("-join must enable clustering")
+	}
+	if acfg, err = cfg.agentConfig(); err != nil {
+		t.Fatal(err)
+	}
+	if host, _ := os.Hostname(); host != "" && acfg.NodeID != host {
+		t.Fatalf("default node ID %q, want hostname %q", acfg.NodeID, host)
+	}
+}
+
+// flagDefaults is the config of a daemon started with no flags at all.
+func flagDefaults() daemonConfig {
+	var cfg daemonConfig
+	bindFlags(flag.NewFlagSet("trusthmdd", flag.ContinueOnError), &cfg)
+	return cfg
+}
+
+// bootDaemon boots cfg the way run does — newDaemon, serve d.handler,
+// start — with an httptest server standing in for the listener and the
+// test's cleanup for the signal.
+func bootDaemon(t *testing.T, cfg daemonConfig) (*daemon, *httptest.Server) {
+	t.Helper()
+	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if host, _ := os.Hostname(); host != "" && cfg.NodeID != host {
-		t.Fatalf("default node ID %q, want hostname %q", cfg.NodeID, host)
+	ts := httptest.NewServer(d.handler)
+	t.Cleanup(func() {
+		ts.Close()
+		if err := d.close(); err != nil {
+			t.Errorf("daemon close: %v", err)
+		}
+	})
+	if err := d.start(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	return d, ts
 }
 
 // TestDaemonHandoff exercises the documented workflow: save a trained
@@ -124,28 +159,19 @@ func TestDaemonHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs, err := allSpecs(path, modelFlags{{name: "named", path: path}}, false)
-	if err != nil {
-		t.Fatal(err)
+	cfg := flagDefaults()
+	cfg.loadPath = path
+	cfg.models = modelFlags{{name: "named", path: path}}
+	cfg.workers, cfg.threshold = 2, 0.25
+	cfg.serve.DefaultModel = "default"
+	daemon, ts := bootDaemon(t, cfg)
+	models := daemon.fleet.Models()
+	if len(models) != 2 || models[0].Name != "default" || models[1].Name != "named" {
+		t.Fatalf("models: %+v", models)
 	}
-	models, err := loadModels(specs, overrides(2, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(models) != 2 || models["default"] == nil || models["named"] == nil {
-		t.Fatalf("models: %v", models)
-	}
-	if got := models["default"].Threshold(); got != 0.25 {
+	if got := models[0].Threshold; got != 0.25 {
 		t.Fatalf("threshold override lost: %v", got)
 	}
-
-	srv, err := serve.New(models, serve.Config{DefaultModel: "default"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +201,8 @@ func saveDetector(t *testing.T, path string, opts ...detector.Option) *detector.
 }
 
 // TestStreamE2EHotSwap is the stream-smoke e2e CI runs under -race: train
-// a tiny model, boot the daemon's full stack (loader, fleet, admin token,
-// HTTP transport), stream raw DVFS states as NDJSON, hot-swap the shard
+// a tiny model, boot the daemon (newDaemon behind httptest, admin token
+// set), stream raw DVFS states as NDJSON, hot-swap the shard
 // through POST /v1/models mid-service, and assert that post-swap streamed
 // assessments are element-wise identical to driving the swapped-in
 // detector's Online loop directly.
@@ -189,26 +215,12 @@ func TestStreamE2EHotSwap(t *testing.T) {
 	// with nonzero vote entropy.
 	dV2 := saveDetector(t, pathV2, detector.WithThreshold(0))
 
-	// Boot the daemon stack exactly as run() wires it.
 	const token = "swap-secret"
-	cfg := serve.Config{DefaultModel: "default", AdminToken: token}
-	cfg.PrepareDetector = overrides(0, -1)
-	specs, err := allSpecs(pathV1, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, cfg.PrepareDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := serve.NewFleet(models, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(fleet)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
+	cfg := flagDefaults()
+	cfg.loadPath = pathV1
+	cfg.serve.DefaultModel = "default"
+	cfg.serve.AdminToken = token
+	_, ts := bootDaemon(t, cfg)
 
 	const levels, window, stride = 8, 16, 4
 	states := make([]int, 240)
@@ -354,28 +366,13 @@ func TestWatchHotSwapsOnMtime(t *testing.T) {
 	saveDetector(t, path)
 
 	const thresholdOverride = 0.125
-	prepare := overrides(0, thresholdOverride)
-	specs, err := allSpecs(path, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, prepare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := serve.NewFleet(models, serve.Config{DefaultModel: "default"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		watchShards(ctx, fleet, modelFlags{{name: "default", path: path}}, time.Millisecond, prepare, nil)
-	}()
+	cfg := flagDefaults()
+	cfg.loadPath = path
+	cfg.threshold = thresholdOverride
+	cfg.watch = time.Millisecond
+	cfg.serve.DefaultModel = "default"
+	d, _ := bootDaemon(t, cfg)
+	fleet := d.fleet
 
 	// The watcher may legitimately swap more than once per phase (it can
 	// see the freshly saved file before the test adjusts its mtime), so
@@ -463,9 +460,6 @@ func TestWatchHotSwapsOnMtime(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitAtLeast(base + 1)
-
-	cancel()
-	<-watchDone
 }
 
 // TestGBMShardServes proves the exported classifier contract end to end:
@@ -494,21 +488,9 @@ func TestGBMShardServes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs, err := allSpecs(path, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, overrides(0, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(models, serve.Config{DefaultModel: "default"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	cfg := flagDefaults()
+	cfg.loadPath = path
+	_, ts := bootDaemon(t, cfg)
 
 	correct := 0
 	for i := 0; i < s.Test.Len(); i++ {
@@ -573,36 +555,19 @@ func TestReplicaE2E(t *testing.T) {
 		want[i] = r
 	}
 
-	// Boot the daemon stack exactly as run() wires it, with the replica
-	// knobs a hot deployment would use (cache disabled so every request
-	// exercises a queue and the spill decision is load-driven).
+	// The replica knobs a hot deployment would use (cache disabled so every
+	// request exercises a queue and the spill decision is load-driven).
 	const token = "replica-secret"
-	cfg := serve.Config{
-		DefaultModel: "default",
-		AdminToken:   token,
-		Replicas:     3,
-		SpillDepth:   1,
-		CacheSize:    -1,
-		MaxBatch:     8,
-		MaxWait:      time.Millisecond,
-	}
-	cfg.PrepareDetector = overrides(0, -1)
-	specs, err := allSpecs(path, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, cfg.PrepareDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := serve.NewFleet(models, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(fleet)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
+	cfg := flagDefaults()
+	cfg.loadPath = path
+	cfg.serve.DefaultModel = "default"
+	cfg.serve.AdminToken = token
+	cfg.serve.Replicas = 3
+	cfg.serve.SpillDepth = 1
+	cfg.serve.CacheSize = -1
+	cfg.serve.MaxBatch = 8
+	cfg.serve.MaxWait = time.Millisecond
+	_, ts := bootDaemon(t, cfg)
 
 	const workers = 12
 	const perWorker = 30

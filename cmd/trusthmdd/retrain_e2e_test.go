@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,9 +22,9 @@ import (
 // TestRetrainE2EClosedLoop is the retrain-e2e CI job: the full automatic
 // loop through the daemon's own wiring, under the race detector.
 //
-//   - A tiny model is trained and saved; the daemon stack (loader, fleet
-//     with verdict tap, HTTP transport, retrain controller) boots exactly
-//     as run() wires it, with the store rotating small segments.
+//   - A tiny model is trained and saved; the daemon (verdict store, fleet
+//     tapping into it, HTTP transport, retrain controller) boots through
+//     newDaemon behind httptest, with the store rotating small segments.
 //   - Two device clients serve concurrently: "healthy" replays known
 //     test windows, "edge-7" replays the zero-day split — injected drift.
 //   - The controller tails the store, the drifting device's entropies trip
@@ -68,70 +66,29 @@ func TestRetrainE2EClosedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Boot the stack as run() does: store first, fleet tapping into it,
-	// server, controller — small segments so rotation happens live, ample
-	// retention so nothing served is dropped (the element-wise comparison
-	// needs every record).
+	// Small segments so rotation happens live, ample retention so nothing
+	// served is dropped (the element-wise comparison needs every record).
 	verdictDir := filepath.Join(dir, "verdicts")
-	store, err := verdictstore.Open(verdictDir, verdictstore.Config{
-		SegmentBytes: 32 << 10,
-		MaxSegments:  64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prepare := overrides(0, -1)
-	cfg := serve.Config{DefaultModel: "default", PrepareDetector: prepare, Verdicts: store}
-	specs, err := allSpecs(gobPath, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := loadModels(specs, prepare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := serve.NewFleet(models, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(fleet)
-	ts := httptest.NewServer(srv)
-
-	base, err := loadBaseDataset(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := supervisedShard("", cfg.DefaultModel, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := serve.NewRetrainController(serve.RetrainConfig{
-		Store:          store,
-		Fleet:          fleet,
-		Model:          model,
-		Base:           base,
-		Interval:       20 * time.Millisecond,
-		Drift:          detector.DriftConfig{Window: 16},
-		BaselineSample: 120,
-		Sustain:        3,
-		Quorum:         20,
-		Prepare:        prepare,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.AttachRetrain(ctrl)
-	ctx, cancel := context.WithCancel(context.Background())
-	ctrlDone := make(chan error, 1)
-	go func() { ctrlDone <- ctrl.Run(ctx) }()
+	cfg := flagDefaults()
+	cfg.loadPath = gobPath
+	cfg.serve.DefaultModel = "default"
+	cfg.verdictDir = verdictDir
+	cfg.verdicts.SegmentBytes = 32 << 10
+	cfg.verdicts.MaxSegments = 64
+	cfg.autoRetrain = true
+	cfg.retrainData = csvPath
+	cfg.retrain.Interval = 20 * time.Millisecond
+	cfg.retrain.Drift.Window = 16
+	cfg.retrain.BaselineSample = 120
+	cfg.retrain.Sustain = 3
+	cfg.retrain.Quorum = 20
+	d, ts := bootDaemon(t, cfg)
+	store, ctrl := d.store, d.retrain
 	shutdown := func() {
-		cancel()
-		if err := <-ctrlDone; err != nil && !errors.Is(err, context.Canceled) {
-			t.Errorf("controller: %v", err)
-		}
 		ts.Close()
-		srv.Close()
+		if err := d.close(); err != nil {
+			t.Errorf("daemon close: %v", err)
+		}
 	}
 
 	// Two sequential per-device clients: every request must answer 200 —
@@ -272,12 +229,9 @@ func TestRetrainE2EClosedLoop(t *testing.T) {
 		t.Fatalf("edge-7 versions %d..%d, want 1..>=2", first, last)
 	}
 
-	// Restart: close everything, reopen the store, and the same records
-	// come back (crash-safe segment recovery).
+	// Restart: close the daemon (the store last), reopen the store, and the
+	// same records come back (crash-safe segment recovery).
 	shutdown()
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
 	reopened, err := verdictstore.Open(verdictDir, verdictstore.Config{
 		SegmentBytes: 32 << 10,
 		MaxSegments:  64,

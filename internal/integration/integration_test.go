@@ -12,12 +12,9 @@ import (
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/dvfs"
-	"trusthmd/internal/ensemble"
 	"trusthmd/internal/feature"
 	"trusthmd/internal/gen"
 	"trusthmd/internal/metrics"
-	"trusthmd/internal/ml/forest"
-	"trusthmd/internal/ml/tree"
 	"trusthmd/internal/workload"
 	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
@@ -287,56 +284,5 @@ func TestHPCPipelineOverlapBehaviour(t *testing.T) {
 	mean /= float64(len(hKnown))
 	if mean < 0.3 {
 		t.Fatalf("HPC known entropy %.3f should be high (overlap)", mean)
-	}
-}
-
-// TestForestMatchesBaggedTrees compares the standalone random forest
-// (internal/ml/forest) with the generic bagging-of-trees construction used
-// by the HMD pipeline: both are random forests and must reach comparable
-// accuracy on the same data.
-func TestForestMatchesBaggedTrees(t *testing.T) {
-	splits, err := gen.DVFSWithSizes(6, gen.Sizes{Train: 280, Test: 140, Unknown: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	X, y := splits.Train.X(), splits.Train.Y()
-
-	f := forest.New(forest.Config{Trees: 15, Seed: 6})
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	ens := ensemble.New(ensemble.Config{
-		M: 15,
-		New: func(seed int64) ensemble.Classifier {
-			return tree.New(tree.Config{MaxFeatures: -1, Seed: seed})
-		},
-		Seed: 6,
-	})
-	if err := ens.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-
-	acc := func(predict func([]float64) int) float64 {
-		correct := 0
-		for i := 0; i < splits.Test.Len(); i++ {
-			s := splits.Test.At(i)
-			if predict(s.Features) == s.Label {
-				correct++
-			}
-		}
-		return float64(correct) / float64(splits.Test.Len())
-	}
-	fa := acc(f.Predict)
-	ea := acc(ens.Predict)
-	if fa < 0.85 || ea < 0.85 {
-		t.Fatalf("accuracies too low: forest %.3f, bagged trees %.3f", fa, ea)
-	}
-	if diff := math.Abs(fa - ea); diff > 0.1 {
-		t.Fatalf("forest %.3f and bagged trees %.3f should be comparable", fa, ea)
-	}
-	// Both expose per-member votes with the same ensemble size.
-	x := splits.Unknown.At(0).Features
-	if len(f.Votes(x)) != 15 || len(ens.Votes(x)) != 15 {
-		t.Fatal("vote lengths")
 	}
 }

@@ -11,9 +11,9 @@ import (
 // BatchScratch performs no heap allocations at all, single-sample Assess
 // allocates only its result's VoteDist, and the streaming window costs
 // nothing between assessment boundaries. CI runs these under
-// `-run TestAllocs -count=1` (the make benchcmp job), so a regression
-// that re-introduces garbage into the hot path fails the build even when
-// it is too small to trip the ns/op gate.
+// `-run TestAllocs -count=1` (make test-allocs), so a regression that
+// re-introduces garbage into the hot path fails the build even when it is
+// too small to move any timing.
 
 // allocDetector trains the paper's RF detector pinned to one worker: the
 // goroutine fan-out of the parallel member partition is the one part of

@@ -142,6 +142,27 @@ func (s *Server) clusterHook() ClusterHook {
 	return nil
 }
 
+// route is the one cluster-routing step every assessment entry point
+// (assess, batch, stream) takes before touching the local fleet. It
+// resolves the request's keys against the cluster-wide shard space and
+// returns the shard name plus, when another node owns that shard, the
+// hook to hand the request to (ForwardAssess or ProxyStream — the hook
+// writes the response). A nil owner means serve here, with the returned
+// name as the model key: pinning it keeps the local ring from re-routing
+// a device the cluster already placed. Standalone, the keys pass through
+// untouched.
+func (s *Server) route(r *http.Request, model, device string) (shard string, owner ClusterHook) {
+	hook := s.clusterHook()
+	if hook == nil {
+		return model, nil
+	}
+	shard, local := hook.ResolveAssess(r, model, device)
+	if local {
+		return shard, nil
+	}
+	return shard, hook
+}
+
 // handleClusterStatus is GET /v1/cluster: the node's membership view, or
 // 404 on a standalone daemon.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {

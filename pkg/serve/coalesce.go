@@ -125,16 +125,12 @@ func newCoalescer(det *detector.Detector, tuning coTuning, stats *shardStats) *c
 // queueDepth reports how many accepted requests are waiting uncollected.
 func (c *coalescer) queueDepth() int { return len(c.queue) }
 
-// submit enqueues one feature vector and blocks until its coalesced batch
-// is assessed, the context is cancelled, or admission control rejects it.
-func (c *coalescer) submit(ctx context.Context, x []float64) (detector.Result, error) {
-	return c.submitVotes(ctx, x, nil)
-}
-
-// submitVotes is submit with a caller-owned vote buffer: the verdict's
-// VoteDist is built in votes (growing it as needed) instead of a fresh
-// allocation. On success the returned Result owns the (possibly regrown)
-// buffer; on any error after enqueue the buffer must be considered lost.
+// submitVotes enqueues one feature vector and blocks until its coalesced
+// batch is assessed, the context is cancelled, or admission control
+// rejects it. The verdict's VoteDist is built in the caller-owned votes
+// buffer (growing it as needed; nil allocates). On success the returned
+// Result owns the (possibly regrown) buffer; on any error after enqueue
+// the buffer must be considered lost.
 func (c *coalescer) submitVotes(ctx context.Context, x, votes []float64) (detector.Result, error) {
 	p := pendingPool.Get().(*pending)
 	p.x, p.votes = x, votes

@@ -22,7 +22,7 @@ func TestCoalescerFlushOnBatchSize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.submit(context.Background(), X[i]); err != nil {
+			if _, err := c.submitVotes(context.Background(), X[i], nil); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -50,7 +50,7 @@ func TestCoalescerFlushOnLatency(t *testing.T) {
 	c := newCoalescer(d, coTuning{maxBatch: 1 << 20, queueSize: 64, maxWait: 5 * time.Millisecond}, st)
 	defer c.close()
 
-	res, err := c.submit(context.Background(), X[0])
+	res, err := c.submitVotes(context.Background(), X[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestCoalescerQueueFull(t *testing.T) {
 	cancel()
 	// Enqueues, then gives up immediately on the dead context — the sample
 	// stays in the queue.
-	if _, err := c.submit(cancelled, X[0]); !errors.Is(err, context.Canceled) {
+	if _, err := c.submitVotes(cancelled, X[0], nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := c.submit(context.Background(), X[1]); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.submitVotes(context.Background(), X[1], nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if st.shed.Load() != 1 {
@@ -104,12 +104,12 @@ func TestCoalescerShedDepth(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.submit(cancelled, X[0]); !errors.Is(err, context.Canceled) {
+	if _, err := c.submitVotes(cancelled, X[0], nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// One sample waiting == the watermark: the channel has 7 free slots,
 	// but admission control refuses anyway.
-	if _, err := c.submit(context.Background(), X[1]); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.submitVotes(context.Background(), X[1], nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull at the shed watermark", err)
 	}
 	if st.shed.Load() != 1 {
@@ -140,7 +140,7 @@ func TestCoalescerEarlyFlush(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.submit(context.Background(), X[i]); err != nil {
+			if _, err := c.submitVotes(context.Background(), X[i], nil); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -182,7 +182,7 @@ func TestCoalescerClosedRejects(t *testing.T) {
 	c := newCoalescer(d, coTuning{maxBatch: 8, queueSize: 8, maxWait: time.Millisecond}, st)
 	c.close()
 	c.close() // idempotent
-	if _, err := c.submit(context.Background(), X[0]); !errors.Is(err, ErrClosed) {
+	if _, err := c.submitVotes(context.Background(), X[0], nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestCoalescerCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, results[i] = c.submit(context.Background(), X[i])
+			_, results[i] = c.submitVotes(context.Background(), X[i], nil)
 		}(i)
 	}
 	// Give the submits a moment to enqueue, then shut down mid-wait.
@@ -224,7 +224,7 @@ func TestCoalescerPropagatesAssessError(t *testing.T) {
 	defer c.close()
 	// Wrong dimensionality reaches the pipeline only because this bypasses
 	// the server's validation.
-	if _, err := c.submit(context.Background(), []float64{1, 2, 3}); err == nil {
+	if _, err := c.submitVotes(context.Background(), []float64{1, 2, 3}, nil); err == nil {
 		t.Fatal("expected projection error")
 	}
 	if st.errors.Load() == 0 {
@@ -247,7 +247,7 @@ func BenchmarkCoalescer(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := c.submit(context.Background(), X[i%len(X)]); err != nil {
+			if _, err := c.submitVotes(context.Background(), X[i%len(X)], nil); err != nil {
 				b.Fatal(err)
 			}
 			i++

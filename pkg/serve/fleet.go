@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"trusthmd/pkg/cluster/ring"
 	"trusthmd/pkg/detector"
 )
 
@@ -44,7 +45,7 @@ type Fleet struct {
 	mu     sync.RWMutex
 	shards map[string]*group
 	names  []string // sorted shard names
-	ring   *hashRing
+	ring   *ring.Ring
 	// versions and statsByName survive Unload so a name reloaded later
 	// continues its version sequence and its cumulative counters instead
 	// of restarting — and counters folded in late (a stream that outlived
@@ -83,7 +84,7 @@ type group struct {
 	// ring maps device keys onto home replica indices; nil for a single
 	// replica. It depends only on the group size, so a same-size swap
 	// preserves every device's home slot.
-	ring *hashRing
+	ring *ring.Ring
 	// rr hands device-less stream sessions round-robin home slots.
 	rr atomic.Uint64
 	// spillDepth is the home-replica load at which device traffic spills
@@ -118,15 +119,6 @@ type replica struct {
 // accepted and not yet settled, plus client-batch samples in flight.
 func (r *replica) load() int64 {
 	return r.co.inflight.Load() + r.batchInflight.Load()
-}
-
-// overloaded reports whether admission control refuses new work: the
-// queue reached the shed watermark or the in-flight cap is exhausted.
-func (r *replica) overloaded() bool {
-	if sd := r.co.tuning.shedDepth; sd > 0 && r.co.queueDepth() >= sd {
-		return true
-	}
-	return r.maxInflight > 0 && r.load() >= int64(r.maxInflight)
 }
 
 // assessOne is the admission-controlled single-sample path: the in-flight
@@ -173,7 +165,7 @@ func (g *group) home(device string) *replica {
 	if device == "" {
 		return g.replicas[int(g.rr.Add(1))%len(g.replicas)]
 	}
-	return g.replicas[g.ring.lookupReplica(device)]
+	return g.replicas[replicaIndex(g.ring, device)]
 }
 
 // pick chooses the serving replica for one request: the home replica while
@@ -264,7 +256,7 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 		det:        det,
 		stats:      stats,
 		replicas:   make([]*replica, n),
-		ring:       buildReplicaRing(n),
+		ring:       newReplicaRing(n),
 		spillDepth: f.cfg.SpillDepth,
 	}
 	tuning := coTuning{
@@ -478,7 +470,7 @@ func (f *Fleet) rebuildLocked() {
 		f.names = append(f.names, name)
 	}
 	sort.Strings(f.names)
-	f.ring = buildRing(f.names)
+	f.ring = ring.New(f.names, 0)
 	f.epoch++
 }
 
@@ -498,7 +490,7 @@ func (f *Fleet) resolve(model, device string) (*group, error) {
 	}
 	name := model
 	if name == "" && device != "" {
-		name = f.ring.lookup(device)
+		name = f.ring.Lookup(device)
 	}
 	if name == "" {
 		name = f.defaultLocked()

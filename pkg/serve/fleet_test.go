@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"trusthmd/pkg/cluster/ring"
 	"trusthmd/pkg/detector"
 )
 
@@ -382,10 +383,10 @@ func TestDeviceRouting(t *testing.T) {
 
 	// A device key routes deterministically: repeats stick to one shard,
 	// and the shard matches the ring's prediction.
-	ring := buildRing([]string{"normal", "strict"})
+	devRing := ring.New([]string{"normal", "strict"}, 0)
 	for i := 0; i < 8; i++ {
 		device := fmt.Sprintf("host-%d", i)
-		want := ring.lookup(device)
+		want := devRing.Lookup(device)
 		first := assess(AssessRequest{Device: device, Features: X[i%len(X)]})
 		if first.Model != want {
 			t.Fatalf("device %q routed to %q, ring says %q", device, first.Model, want)
@@ -420,7 +421,7 @@ func TestDeviceRouting(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if batch.Model != ring.lookup("host-0") {
+	if batch.Model != devRing.Lookup("host-0") {
 		t.Fatalf("batch device routing diverged: %+v", batch)
 	}
 }

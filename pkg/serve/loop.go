@@ -128,7 +128,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSONLimit(w, r, &req, s.fleet.cfg.MaxBodyBytes) {
 		return
 	}
 	single := len(req.Features) > 0

@@ -24,10 +24,7 @@ func newLoopServer(t testing.TB) (*Server, *httptest.Server, *verdictstore.Store
 		t.Fatal(err)
 	}
 	d, _ := testDetector(t)
-	s, err := New(map[string]*detector.Detector{"dvfs-rf": d}, Config{Verdicts: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, Config{Verdicts: store})
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()

@@ -1,0 +1,180 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+
+	"trusthmd/pkg/cluster/ring"
+	"trusthmd/pkg/detector"
+)
+
+// routeHook is a ClusterHook that places every request on one shard and
+// counts what the server asks of it. Like the real agent it resolves a
+// request carrying ForwardedHeader locally whatever the table says.
+type routeHook struct {
+	shard string
+	local bool
+
+	resolves, forwards, proxies atomic.Int32
+	// handed is the shard name the server passed to ForwardAssess, or the
+	// device key in the header it passed to ProxyStream.
+	handed atomic.Value
+}
+
+func (h *routeHook) ResolveAssess(r *http.Request, model, device string) (string, bool) {
+	h.resolves.Add(1)
+	return h.shard, h.local || r.Header.Get(ForwardedHeader) != ""
+}
+
+func (h *routeHook) ForwardAssess(w http.ResponseWriter, r *http.Request, shard, device string, body []byte) {
+	h.forwards.Add(1)
+	h.handed.Store(shard)
+	writeError(w, http.StatusBadGateway, "forwarded")
+}
+
+func (h *routeHook) ProxyStream(conn *StreamConn) {
+	h.proxies.Add(1)
+	h.handed.Store(conn.Hdr.Device)
+	conn.HTTPError(http.StatusBadGateway, "proxied")
+}
+
+func (h *routeHook) HandleModelLoad(http.ResponseWriter, *http.Request, LoadModelRequest) bool {
+	return false
+}
+func (h *routeHook) StatsFields() map[string]any { return nil }
+func (h *routeHook) Status() any                 { return nil }
+
+// TestRouteStep drives the one routing step through all three assessment
+// entry points under every cluster situation, asserting the model key the
+// request was pinned to and that exactly one of serve-locally,
+// ForwardAssess and ProxyStream ran.
+func TestRouteStep(t *testing.T) {
+	d, X := testDetector(t)
+	const device = "host-7"
+	// Local device routing picks ringPick; the hook deliberately places the
+	// device on the other shard, so a pin that is dropped shows up as the
+	// wrong model in the response.
+	ringPick := ring.New([]string{"a", "b"}, 0).Lookup(device)
+	hookPick := "a"
+	if ringPick == "a" {
+		hookPick = "b"
+	}
+
+	bodies := map[string][]byte{}
+	bodies["/v1/assess"], _ = json.Marshal(AssessRequest{Device: device, Features: X[0]})
+	bodies["/v1/assess/batch"], _ = json.Marshal(BatchRequest{Device: device, Batch: [][]float64{X[0], X[1]}})
+	bodies["/v1/assess/stream"] = []byte(streamBody(StreamHeader{Device: device, Levels: 8, Window: 16}, make([]int, 16)))
+
+	// servedModel pulls the serving shard's name out of a 200 answer.
+	servedModel := func(t *testing.T, path string, body io.Reader) string {
+		t.Helper()
+		if path != "/v1/assess/stream" {
+			var got struct {
+				Model string `json:"model"`
+			}
+			if err := json.NewDecoder(body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			return got.Model
+		}
+		var summary StreamSummary
+		sc := bufio.NewScanner(body)
+		for sc.Scan() {
+			if bytes.Contains(sc.Bytes(), []byte(`"done"`)) {
+				if err := json.Unmarshal(sc.Bytes(), &summary); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return summary.Model
+	}
+
+	cases := []struct {
+		name                        string
+		clustered, local, forwarded bool
+		wantModel                   string // "" when the request must leave this node
+	}{
+		{name: "no hook", wantModel: ringPick},
+		{name: "hook local", clustered: true, local: true, wantModel: hookPick},
+		{name: "hook remote", clustered: true},
+		{name: "forwarded header", clustered: true, forwarded: true, wantModel: hookPick},
+	}
+	for _, tc := range cases {
+		for path, body := range bodies {
+			t.Run(tc.name+path, func(t *testing.T) {
+				s := mustServer(t, map[string]*detector.Detector{"a": d, "b": d}, Config{})
+				defer s.Close()
+				var hook *routeHook
+				if tc.clustered {
+					hook = &routeHook{shard: hookPick, local: tc.local}
+					s.AttachCluster(hook)
+				}
+				ts := httptest.NewServer(s)
+				defer ts.Close()
+
+				req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.forwarded {
+					req.Header.Set(ForwardedHeader, "n1")
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				gotModel := ""
+				if resp.StatusCode == http.StatusOK {
+					gotModel = servedModel(t, path, resp.Body)
+				}
+
+				var served int64
+				for _, st := range s.Stats() {
+					served += st.Requests + st.BatchRequests + st.StreamSessions
+				}
+				var resolves, forwards, proxies int32
+				if hook != nil {
+					resolves, forwards, proxies = hook.resolves.Load(), hook.forwards.Load(), hook.proxies.Load()
+					if resolves != 1 {
+						t.Fatalf("ResolveAssess ran %d times, want 1", resolves)
+					}
+				}
+				if tc.wantModel != "" {
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("status %d", resp.StatusCode)
+					}
+					if gotModel != tc.wantModel {
+						t.Fatalf("served by %q, want the pinned %q", gotModel, tc.wantModel)
+					}
+					if served != 1 || forwards != 0 || proxies != 0 {
+						t.Fatalf("local: served %d, forwards %d, proxies %d", served, forwards, proxies)
+					}
+					return
+				}
+				wantForwards, wantProxies, wantHanded := int32(1), int32(0), hookPick
+				if path == "/v1/assess/stream" {
+					wantForwards, wantProxies, wantHanded = 0, 1, device
+				}
+				if resp.StatusCode != http.StatusBadGateway {
+					t.Fatalf("status %d, want the hook's 502", resp.StatusCode)
+				}
+				if served != 0 || forwards != wantForwards || proxies != wantProxies {
+					t.Fatalf("remote: served %d, forwards %d, proxies %d", served, forwards, proxies)
+				}
+				if got := hook.handed.Load(); got != wantHanded {
+					t.Fatalf("hook was handed %v, want %q", got, wantHanded)
+				}
+			})
+		}
+	}
+}

@@ -3,36 +3,71 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"trusthmd/pkg/detector"
 )
 
+// The ring's own properties (determinism, spread, minimal remap) are
+// pinned by pkg/cluster/ring's tests; the cases here pin what the fleet
+// builds on top — that resolve keeps them across its own membership
+// bookkeeping (sorted names, ring rebuilt on Load/Unload) — and the
+// replica-index mapping.
+
+// routedFleet loads one detector under each name, in the given order.
+func routedFleet(t *testing.T, names ...string) *Fleet {
+	t.Helper()
+	d, _ := testDetector(t)
+	f, err := NewFleet(nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	for _, name := range names {
+		if _, err := f.Load(name, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// shardFor resolves a device-only request to its shard name.
+func shardFor(t *testing.T, f *Fleet, device string) string {
+	t.Helper()
+	g, err := f.resolve("", device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.name
+}
+
 func TestRingDeterministicAndOrderless(t *testing.T) {
-	a := buildRing([]string{"alpha", "beta", "gamma"})
-	b := buildRing([]string{"gamma", "alpha", "beta"})
+	a := routedFleet(t, "alpha", "beta", "gamma")
+	b := routedFleet(t, "gamma", "alpha", "beta")
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("device-%d", i)
-		if a.lookup(key) != b.lookup(key) {
-			t.Fatalf("ring depends on construction order for %q", key)
-		}
-		if a.lookup(key) != a.lookup(key) {
-			t.Fatalf("lookup not deterministic for %q", key)
+		if shardFor(t, a, key) != shardFor(t, b, key) {
+			t.Fatalf("device routing depends on load order for %q", key)
 		}
 	}
-	if buildRing(nil) != nil {
-		t.Fatal("empty ring should be nil")
+	// An empty fleet has no ring: a device key resolves to an error, not a
+	// nil dereference.
+	empty, err := NewFleet(map[string]*detector.Detector{}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var nilRing *hashRing
-	if nilRing.lookup("x") != "" {
-		t.Fatal("nil ring lookup should return empty")
+	defer empty.Close()
+	if _, err := empty.resolve("", "x"); err == nil {
+		t.Fatal("empty fleet resolved a device")
 	}
 }
 
 func TestRingSpreadsDevices(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
-	r := buildRing(names)
+	f := routedFleet(t, names...)
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.lookup(fmt.Sprintf("device-%d", i))]++
+		counts[shardFor(t, f, fmt.Sprintf("device-%d", i))]++
 	}
 	for _, name := range names {
 		share := float64(counts[name]) / n
@@ -45,33 +80,43 @@ func TestRingSpreadsDevices(t *testing.T) {
 	}
 }
 
-// TestRingMinimalRemapping is consistent hashing's defining property: when
-// a shard leaves, only its devices remap — everyone else keeps their
-// shard (and therefore their warm caches).
+// TestRingMinimalRemapping: when a shard is unloaded only its devices
+// remap — everyone else keeps their shard (and therefore their warm
+// caches) — and reloading it hands exactly those devices back.
 func TestRingMinimalRemapping(t *testing.T) {
-	before := buildRing([]string{"a", "b", "c", "d"})
-	after := buildRing([]string{"a", "b", "c"}) // "d" unloaded
+	f := routedFleet(t, "a", "b", "c", "d")
 	const n = 4000
-	moved := 0
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("device-%d", i)
-		was, is := before.lookup(key), after.lookup(key)
+	before := make([]string, n)
+	for i := range before {
+		before[i] = shardFor(t, f, fmt.Sprintf("device-%d", i))
+	}
+	if err := f.Unload("d"); err != nil {
+		t.Fatal(err)
+	}
+	for i, was := range before {
+		is := shardFor(t, f, fmt.Sprintf("device-%d", i))
 		if was == "d" {
 			if is == "d" {
-				t.Fatalf("device %q still routes to the removed shard", key)
+				t.Fatalf("device-%d still routes to the unloaded shard", i)
 			}
 			continue // had to move
 		}
 		if was != is {
-			moved++
+			t.Fatalf("device-%d moved between surviving shards (%s -> %s)", i, was, is)
 		}
 	}
-	if moved != 0 {
-		t.Fatalf("%d devices moved between surviving shards (consistent hashing should move none)", moved)
+	d, _ := testDetector(t)
+	if _, err := f.Load("d", d); err != nil {
+		t.Fatal(err)
+	}
+	for i, was := range before {
+		if is := shardFor(t, f, fmt.Sprintf("device-%d", i)); is != was {
+			t.Fatalf("device-%d did not return to its shard after reload (%s -> %s)", i, was, is)
+		}
 	}
 }
 
-// TestReplicaRingMinimalRemap is the same property one level down, as a
+// TestReplicaRingMinimalRemap is minimal remapping one level down, as a
 // sweep over group sizes: growing a replica group from n to n+1 must send
 // devices ONLY to the new replica (survivors keep their home slot and
 // their warm caches), and shrinking back must remap only the removed
@@ -79,12 +124,12 @@ func TestRingMinimalRemapping(t *testing.T) {
 func TestReplicaRingMinimalRemap(t *testing.T) {
 	const devices = 2000
 	for n := 2; n <= 8; n++ {
-		small := buildReplicaRing(n)
-		big := buildReplicaRing(n + 1)
+		small := newReplicaRing(n)
+		big := newReplicaRing(n + 1)
 		gained, moved := 0, 0
 		for i := 0; i < devices; i++ {
 			key := fmt.Sprintf("device-%d", i)
-			was, is := small.lookupReplica(key), big.lookupReplica(key)
+			was, is := replicaIndex(small, key), replicaIndex(big, key)
 			if is == n {
 				gained++ // picked up by the added replica — the only legal move
 				continue
@@ -103,7 +148,7 @@ func TestReplicaRingMinimalRemap(t *testing.T) {
 		// removed replica must land elsewhere, everyone else must stay put.
 		for i := 0; i < devices; i++ {
 			key := fmt.Sprintf("device-%d", i)
-			was, is := big.lookupReplica(key), small.lookupReplica(key)
+			was, is := replicaIndex(big, key), replicaIndex(small, key)
 			if was == n {
 				if is == n {
 					t.Fatalf("shrink %d->%d: device %q still routes to the removed replica", n+1, n, key)
@@ -121,11 +166,11 @@ func TestReplicaRingMinimalRemap(t *testing.T) {
 // share of the device space (no starved slot, no hog).
 func TestReplicaRingSpreads(t *testing.T) {
 	const n = 3
-	r := buildReplicaRing(n)
+	r := newReplicaRing(n)
 	counts := make([]int, n)
 	const devices = 3000
 	for i := 0; i < devices; i++ {
-		counts[r.lookupReplica(fmt.Sprintf("device-%d", i))]++
+		counts[replicaIndex(r, fmt.Sprintf("device-%d", i))]++
 	}
 	for idx, c := range counts {
 		share := float64(c) / devices
@@ -133,11 +178,10 @@ func TestReplicaRingSpreads(t *testing.T) {
 			t.Fatalf("replica %d homes %.1f%% of devices: %v", idx, 100*share, counts)
 		}
 	}
-	if buildReplicaRing(1) != nil {
+	if newReplicaRing(1) != nil {
 		t.Fatal("single-replica group should have a nil ring")
 	}
-	var nilRing *hashRing
-	if nilRing.lookupReplica("x") != 0 {
+	if replicaIndex(nil, "x") != 0 {
 		t.Fatal("nil ring must home everything on replica 0")
 	}
 }

@@ -49,13 +49,20 @@ func testDetector(t testing.TB) (*detector.Detector, [][]float64) {
 	return testDet, testX
 }
 
-func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+// mustServer mounts a server over a fresh fleet of the given models.
+func mustServer(t testing.TB, models map[string]*detector.Detector, cfg Config) *Server {
 	t.Helper()
-	d, _ := testDetector(t)
-	s, err := New(map[string]*detector.Detector{"dvfs-rf": d}, cfg)
+	f, err := NewFleet(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewServer(f)
+}
+
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	d, _ := testDetector(t)
+	s := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -346,10 +353,7 @@ func TestModelsAndHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(map[string]*detector.Detector{"a": d, "b": tuned}, Config{DefaultModel: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustServer(t, map[string]*detector.Detector{"a": d, "b": tuned}, Config{DefaultModel: "b"})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -387,10 +391,7 @@ func TestModelsAndHealthz(t *testing.T) {
 	}
 
 	// Two shards and no default: a model-less request must be refused.
-	s2, err := New(map[string]*detector.Detector{"a": d, "b": tuned}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustServer(t, map[string]*detector.Detector{"a": d, "b": tuned}, Config{})
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
@@ -408,10 +409,7 @@ func TestRoutingByModelName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(map[string]*detector.Detector{"normal": d, "strict": strict}, Config{DefaultModel: "normal"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustServer(t, map[string]*detector.Detector{"normal": d, "strict": strict}, Config{DefaultModel: "normal"})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -446,10 +444,7 @@ func TestRoutingByModelName(t *testing.T) {
 
 func TestShutdownShedsNewRequests(t *testing.T) {
 	d, X := testDetector(t)
-	s, err := New(map[string]*detector.Detector{"m": d}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustServer(t, map[string]*detector.Detector{"m": d}, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	s.Close() // drain coalescers; handler must now shed with 503
@@ -463,16 +458,13 @@ func TestShutdownShedsNewRequests(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	d, _ := testDetector(t)
-	if _, err := New(nil, Config{}); err == nil {
-		t.Fatal("expected no-models error")
-	}
-	if _, err := New(map[string]*detector.Detector{"": d}, Config{}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"": d}, Config{}); err == nil {
 		t.Fatal("expected empty-name error")
 	}
-	if _, err := New(map[string]*detector.Detector{"m": nil}, Config{}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"m": nil}, Config{}); err == nil {
 		t.Fatal("expected nil-detector error")
 	}
-	if _, err := New(map[string]*detector.Detector{"m": d}, Config{DefaultModel: "other"}); err == nil {
+	if _, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{DefaultModel: "other"}); err == nil {
 		t.Fatal("expected unknown-default error")
 	}
 }

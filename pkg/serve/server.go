@@ -278,23 +278,6 @@ func (s *Server) AttachIngest(p *ingest.Pump) { s.pump.Store(p) }
 // reports its trigger count and state.
 func (s *Server) AttachRetrain(c *RetrainController) { s.retrain.Store(c) }
 
-// New builds a server over the given named detectors.
-//
-// Deprecated: New freezes the fleet shape at construction. Build a Fleet
-// with NewFleet (mutable: Load/Swap/Unload while serving) and mount it
-// with NewServer; New remains as a thin wrapper doing exactly that, and
-// still requires at least one model for compatibility.
-func New(models map[string]*detector.Detector, cfg Config) (*Server, error) {
-	if len(models) == 0 {
-		return nil, errors.New("serve: no models to serve")
-	}
-	f, err := NewFleet(models, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(f), nil
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -329,19 +312,12 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	// In a cluster, resolve against the cluster-wide shard space first:
-	// shards owned by another node forward there (the hook writes the
-	// relayed response), local ones are pinned by rewriting the model key
-	// so the local ring cannot re-route a device the cluster already
-	// placed.
-	if hook := s.clusterHook(); hook != nil {
-		shard, local := hook.ResolveAssess(r, req.Model, req.Device)
-		if !local {
-			hook.ForwardAssess(w, r, shard, req.Device, sc.body)
-			return
-		}
-		req.Model = shard
+	model, owner := s.route(r, req.Model, req.Device)
+	if owner != nil {
+		owner.ForwardAssess(w, r, model, req.Device, sc.body)
+		return
 	}
+	req.Model = model
 	// Hand the scratch vote buffer to the assessment: the coalescer copies
 	// the verdict's vote distribution into it instead of allocating. The
 	// buffer's ownership rides with the request — on any error after
@@ -377,16 +353,12 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	// Cluster routing mirrors handleAssess: forward non-local shards to
-	// their owner, pin local ones by model name.
-	if hook := s.clusterHook(); hook != nil {
-		shard, local := hook.ResolveAssess(r, req.Model, req.Device)
-		if !local {
-			hook.ForwardAssess(w, r, shard, req.Device, sc.body)
-			return
-		}
-		req.Model = shard
+	model, owner := s.route(r, req.Model, req.Device)
+	if owner != nil {
+		owner.ForwardAssess(w, r, model, req.Device, sc.body)
+		return
 	}
+	req.Model = model
 	g, err := s.fleet.resolve(req.Model, req.Device)
 	if err != nil {
 		writeResolveError(w, err)
@@ -619,11 +591,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *codecScrat
 	return true
 }
 
-// decodeJSON enforces POST, bounds the body, and decodes strictly.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decodeJSONLimit(w, r, v, s.fleet.cfg.MaxBodyBytes)
-}
-
+// decodeJSONLimit enforces POST, bounds the body at limit bytes, and
+// decodes strictly.
 func (s *Server) decodeJSONLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	if !requireMethod(w, r, http.MethodPost) {
 		return false

@@ -139,43 +139,52 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad stream header: %v", err))
 		return
 	}
+	// begin commits the 200 and switches to NDJSON framing. HTTP/1.x
+	// half-closes the request body on the first response write; this stream
+	// writes decisions while states are still arriving, so it needs full
+	// duplex (a no-op error on transports that always have it). Full duplex
+	// also means net/http no longer consumes an unread request body before
+	// the reply, and a handler that returns mid-body (any post-200 failure)
+	// trips its keep-alive loop into "invalid concurrent Body.Read call"
+	// once the leftover body reaches EOF — so a stream never hands its
+	// connection back for reuse.
+	begin := func() {
+		_ = rc.EnableFullDuplex()
+		w.Header().Set("Connection", "close")
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+	}
 	// In a cluster, a stream whose shard lives on another node is proxied
 	// there chunk by chunk; the hook replays the exported session state
 	// onto a ring successor if the owner dies, so the stream survives a
 	// node kill. All socket discipline (idle deadlines, write deadlines,
 	// drain behaviour) stays here, packaged into the StreamConn closures.
-	if hook := s.clusterHook(); hook != nil {
-		shard, local := hook.ResolveAssess(r, hdr.Model, hdr.Device)
-		if !local {
-			emit := s.streamEmitter(w, rc, drainingNow)
-			hook.ProxyStream(&StreamConn{
-				Hdr: hdr,
-				Next: func() ([]int, error) {
-					armIdle()
-					line, err := nextLine(sc)
-					if errors.Is(err, bufio.ErrTooLong) {
-						return nil, &StreamLineError{Msg: fmt.Sprintf(
-							"stream line exceeds %d bytes", s.fleet.cfg.MaxStreamLineBytes)}
-					}
-					if err != nil {
-						return nil, err
-					}
-					return decodeStreamStates(line)
-				},
-				HTTPError: func(code int, msg string) { writeError(w, code, msg) },
-				Begin: func() {
-					_ = rc.EnableFullDuplex()
-					w.Header().Set("Content-Type", "application/x-ndjson")
-					w.WriteHeader(http.StatusOK)
-				},
-				Emit:     emit,
-				Fail:     func(msg string) { emit(ErrorResponse{Error: msg}) },
-				Draining: drainingNow,
-			})
-			return
-		}
-		hdr.Model = shard
+	model, owner := s.route(r, hdr.Model, hdr.Device)
+	if owner != nil {
+		emit := s.streamEmitter(w, rc, drainingNow)
+		owner.ProxyStream(&StreamConn{
+			Hdr: hdr,
+			Next: func() ([]int, error) {
+				armIdle()
+				line, err := nextLine(sc)
+				if errors.Is(err, bufio.ErrTooLong) {
+					return nil, &StreamLineError{Msg: fmt.Sprintf(
+						"stream line exceeds %d bytes", s.fleet.cfg.MaxStreamLineBytes)}
+				}
+				if err != nil {
+					return nil, err
+				}
+				return decodeStreamStates(line)
+			},
+			HTTPError: func(code int, msg string) { writeError(w, code, msg) },
+			Begin:     begin,
+			Emit:      emit,
+			Fail:      func(msg string) { emit(ErrorResponse{Error: msg}) },
+			Draining:  drainingNow,
+		})
+		return
 	}
+	hdr.Model = model
 	g, err := s.fleet.resolve(hdr.Model, hdr.Device)
 	if err != nil {
 		writeResolveError(w, err)
@@ -211,13 +220,7 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 	defer sess.Close()
 	sh.stats.streamSessions.Add(1)
 
-	// HTTP/1.x half-closes the request body on the first response write;
-	// this stream writes decisions while states are still arriving, so it
-	// needs full duplex (a no-op error on transports that always have it).
-	_ = rc.EnableFullDuplex()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	begin()
 	emit := s.streamEmitter(w, rc, drainingNow)
 	// After the 200 the status is spent; mid-stream failures become a
 	// terminal error line in the same envelope shape as ErrorResponse.

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -347,6 +352,85 @@ func TestStreamErrorPaths(t *testing.T) {
 			t.Fatalf("non-JSON 405 body: %s", body)
 		}
 	})
+}
+
+// TestStreamErrorPathsUnreadBody is the regression test for a stream that
+// fails after its 200 with request body still on the way. The handler runs
+// full duplex, so net/http leaves the unread body alone until the handler
+// has returned; when that leftover body then reached EOF the server's
+// keep-alive loop panicked with "invalid concurrent Body.Read call" (the
+// 1-in-10 flake of TestStreamErrorPaths/bad_sample_line, deterministic
+// here because the client holds the tail of its body back until it has the
+// whole response). The connection must end without a server-side panic.
+func TestStreamErrorPathsUnreadBody(t *testing.T) {
+	d, _ := testDetector(t)
+	s := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, Config{})
+	defer s.Close()
+	var serverLog syncBuffer
+	connClosed := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateClosed {
+			connClosed <- struct{}{}
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := `{"levels":8,"window":16}` + "\n" + `{"nope":1}` + "\n"
+	tail := `{"state":1}` + "\n"
+	if _, err := fmt.Fprintf(conn, "POST /v1/assess/stream HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n%s",
+		len(head)+len(tail), head); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the failed stream's response: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"error"`) {
+		t.Fatalf("status %d, body %s: want a 200 ending in an error line", resp.StatusCode, body)
+	}
+	// The handler has returned; only now does the rest of the body arrive.
+	if _, err := io.WriteString(conn, tail); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-connClosed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never finished with the connection")
+	}
+	if logged := serverLog.String(); strings.Contains(logged, "panic") {
+		t.Fatalf("server panicked on the leftover body:\n%s", logged)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to write from the server's goroutines
+// and read from the test's.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestStreamDrainEndsOpenStreams: BeginDrain must wind down a stream whose
