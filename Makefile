@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
 
 all: build
 
@@ -41,6 +41,14 @@ test-allocs:
 # noticing; this target is what notices.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# coalescer-stress repeats the coalescer's load tests twenty times under
+# the race detector. They build their backlog with a held flusher
+# (internal/testgate), not with the clock, so batch and spill counts are
+# exact; a single flaky pass here means a timing assumption crept back in.
+coalescer-stress:
+	$(GO) test -race -count=20 \
+		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
 # race runs the concurrency-heavy packages (batched assessment, request
 # coalescing, the dispatched kernels and their tree consumers) under the
@@ -117,4 +125,4 @@ serve-stats:
 	TRUSTHMD_SERVE_STATS_OUT=$(CURDIR)/serve-cache-stats.json \
 		$(GO) test -run TestServeCacheHitsAreIdentical -count=1 ./pkg/serve/
 
-ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test
+ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test coalescer-stress

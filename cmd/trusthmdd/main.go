@@ -29,8 +29,8 @@
 // routing keeps a home replica for cache affinity and spills overflow to
 // the least-loaded sibling past -spill-depth. -max-inflight and
 // -shed-depth bound each replica — beyond them requests shed with 503 +
-// Retry-After — and -flush-depth flushes a hot coalescer early instead of
-// waiting out -max-wait.
+// Retry-After. A coalescer never holds a request back: it batches what is
+// queued (up to -max-batch) and flushes when the queue runs dry.
 //
 // With -admin-token set, POST /v1/models and DELETE /v1/models/{name}
 // hot-manage the fleet (the token guards them; without the flag they are
@@ -143,15 +143,13 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.loadPath, "load", "", "serve a single saved detector under the name \"default\"")
 	fs.Var(&cfg.models, "model", "name=path of a saved detector shard (repeatable)")
 	fs.StringVar(&cfg.serve.DefaultModel, "default", "", "shard serving requests that omit \"model\" and \"device\"")
-	fs.IntVar(&cfg.serve.MaxBatch, "max-batch", 32, "coalescer flush size")
-	fs.DurationVar(&cfg.serve.MaxWait, "max-wait", 2*time.Millisecond, "coalescer max latency before a partial batch flushes")
+	fs.IntVar(&cfg.serve.MaxBatch, "max-batch", 32, "largest coalesced batch; the coalescer takes what is queued up to this many and flushes when the queue runs dry")
 	fs.IntVar(&cfg.serve.QueueSize, "queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
 	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
 	fs.BoolVar(&cfg.serve.PinCores, "pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
 	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
 	fs.IntVar(&cfg.serve.ShedDepth, "shed-depth", 0, "shed new requests once a replica's queue holds this many waiting (0 = only when the queue is full)")
 	fs.IntVar(&cfg.serve.SpillDepth, "spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
-	fs.IntVar(&cfg.serve.FlushDepth, "flush-depth", 0, "queue backlog at which the coalescer flushes early instead of waiting out max-wait (0 = max-batch, negative disables)")
 	fs.Int64Var(&cfg.serve.MaxBodyBytes, "max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
 	fs.Int64Var(&cfg.serve.MaxAdminBodyBytes, "max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
 	fs.IntVar(&cfg.serve.MaxBatchSamples, "max-batch-samples", 4096, "largest accepted client-side batch")
@@ -659,8 +657,8 @@ func run(cfg daemonConfig) error {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, max-wait %v)\n",
-		cfg.addr, d.fleet.Len(), cfg.serve.Replicas, cfg.serve.MaxBatch, cfg.serve.MaxWait)
+	fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, queue %d)\n",
+		cfg.addr, d.fleet.Len(), cfg.serve.Replicas, cfg.serve.MaxBatch, cfg.serve.QueueSize)
 	if err := d.start(ctx); err != nil {
 		httpSrv.Close()
 		return err

@@ -60,15 +60,14 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// benchServer builds a single-shard fleet tuned for the loopback path:
-// MaxBatch 1 so a sequential driver never waits out the coalescing timer,
-// cache disabled so every request walks the full assess path instead of
-// turning the benchmark into a hashmap lookup.
+// benchServer builds a single-shard fleet for the loopback path: the
+// defaults (a sequential driver's lone request is flushed at once in a
+// batch of one), except the cache is disabled so every request walks the
+// full assess path instead of turning the benchmark into a hashmap lookup.
 func benchServer(tb testing.TB) (*Server, [][]float64) {
 	tb.Helper()
 	d, X := testDetector(tb)
 	f, err := NewFleet(map[string]*detector.Detector{"dvfs-rf": d}, Config{
-		MaxBatch:  1,
 		CacheSize: -1,
 	})
 	if err != nil {

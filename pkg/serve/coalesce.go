@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"trusthmd/internal/cpupin"
 	"trusthmd/pkg/detector"
@@ -16,14 +15,16 @@ import (
 // independent single-sample assessments — into the detector's fastest
 // path: concurrent /v1/assess requests queue into a bounded buffer, and a
 // single flusher goroutine per replica drains them into one
-// AssessBatchInto call whenever the batch fills, the oldest queued request
-// has waited MaxWait, or the backlog crosses the flush watermark (a hot
-// queue flushes immediately instead of adding MaxWait to every batch). The
-// detector's assess core amortises scaling+PCA across the batch as one
-// matrix projection and picks the member walk from the batch size (a lone
-// request takes the single-row walk), so the aggregate throughput is the
-// batched curve, not the one-at-a-time curve, while results stay
-// element-wise identical to direct Assess.
+// AssessBatchInto call. The flusher blocks for the first request, takes
+// whatever else is already queued (up to MaxBatch) and flushes when the
+// queue runs dry. Nothing is held back for company, so load sets the batch
+// size: an idle replica answers a lone request in a batch of one, a busy
+// one finds the backlog that built up during its previous flush and
+// batches that. The detector's assess core amortises scaling+PCA across
+// the batch as one matrix projection and picks the member walk from the
+// batch size (a lone request takes the single-row walk), so under load the
+// aggregate throughput is the batched curve, not the one-at-a-time curve,
+// while results stay element-wise identical to direct Assess.
 
 // ErrQueueFull is returned when a replica refuses a request — its bounded
 // buffer reached the shed watermark or its in-flight cap — so the daemon
@@ -66,17 +67,11 @@ type outcome struct {
 type coTuning struct {
 	maxBatch  int
 	queueSize int
-	maxWait   time.Duration
 	// shedDepth sheds new submits once the queue holds this many waiting
 	// requests — admission control ahead of the hard channel bound, so the
 	// daemon answers 503 + Retry-After instead of growing its worst-case
 	// queueing latency. 0 disables (shed only on a full channel).
 	shedDepth int
-	// flushDepth is the backlog watermark of the latency-aware flush
-	// policy: once at least this many requests are queued behind the batch
-	// being collected, the flusher stops waiting out maxWait and flushes
-	// what is immediately available. 0 disables (timer/size flushes only).
-	flushDepth int
 	// pinCPU, when nonzero, is 1 + the CPU the flusher's OS thread is
 	// pinned to (sched_setaffinity on Linux, no-op elsewhere). 0 leaves
 	// the thread to the scheduler. One-based so the zero value stays
@@ -188,12 +183,11 @@ func (c *coalescer) close() {
 	c.wg.Wait()
 }
 
-// loop is the replica's flusher: collect one batch, assess, repeat. The
-// max-latency timer starts when the first request of a batch arrives, so
-// an idle replica adds no latency; a busy one flushes every MaxWait at the
-// latest; and a hot one (backlog at or beyond flushDepth) flushes as soon
-// as the immediately available requests are drained, without waiting out
-// the timer at all.
+// loop is the replica's flusher: block for the first request, take
+// everything already queued behind it up to maxBatch without blocking,
+// assess, repeat. There is no hold: a batch below maxBatch means the queue
+// ran dry (counted in earlyFlushes), and the requests that arrive while
+// this flush runs are the next batch.
 func (c *coalescer) loop() {
 	defer c.wg.Done()
 	if cpu := c.tuning.pinCPU - 1; cpu >= 0 {
@@ -203,66 +197,31 @@ func (c *coalescer) loop() {
 		runtime.LockOSThread()
 		cpupin.PinThread(cpu)
 	}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	batch := make([]*pending, 0, c.tuning.maxBatch)
 	for {
+		// A closed queue still yields what it holds, so close() drains:
+		// ok turns false only once the queue is both closed and empty.
 		p, ok := <-c.queue
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], p)
-		timer.Reset(c.tuning.maxWait)
-		open := true
-		early := false
 	collect:
-		for open && len(batch) < c.tuning.maxBatch {
-			if c.tuning.flushDepth > 0 && len(c.queue) >= c.tuning.flushDepth {
-				// Latency-aware flush: enough requests are already queued
-				// behind this batch that waiting out maxWait would only
-				// stack latency. Drain what is immediately there and go.
-				for len(batch) < c.tuning.maxBatch {
-					select {
-					case pn, more := <-c.queue:
-						if !more {
-							open = false
-							break collect
-						}
-						batch = append(batch, pn)
-					default:
-						early = true
-						break collect
-					}
-				}
-				break collect
-			}
+		for len(batch) < c.tuning.maxBatch {
 			select {
 			case pn, more := <-c.queue:
 				if !more {
-					open = false
 					break collect
 				}
 				batch = append(batch, pn)
-			case <-timer.C:
+			default:
 				break collect
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		if early {
+		if len(batch) < c.tuning.maxBatch {
 			c.stats.earlyFlushes.Add(1)
 		}
 		c.flush(batch)
-		if !open {
-			return
-		}
 	}
 }
 

@@ -3,66 +3,115 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
+
+	"trusthmd/internal/testgate"
+	"trusthmd/pkg/detector"
 )
 
-// TestCoalescerFlushOnBatchSize: with an effectively infinite MaxWait, the
-// only way n == maxBatch concurrent submits can all return is a size-
-// triggered flush into one batch.
-func TestCoalescerFlushOnBatchSize(t *testing.T) {
-	d, X := testDetector(t)
-	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 4, queueSize: 64, maxWait: time.Hour}, st)
-	defer c.close()
-
+// submitEach starts one submitVotes per row on c. The returned wait blocks
+// until every submit was answered, and fails the test unless each verdict
+// is element-wise identical to d.Assess on its row.
+func submitEach(t *testing.T, c *coalescer, d *detector.Detector, rows [][]float64) (wait func()) {
+	t.Helper()
+	got := make([]detector.Result, len(rows))
+	errs := make([]error, len(rows))
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := range rows {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if _, err := c.submitVotes(context.Background(), X[i], nil); err != nil {
-				t.Error(err)
+			got[i], errs[i] = c.submitVotes(context.Background(), rows[i], nil)
+		}()
+	}
+	return func() {
+		t.Helper()
+		wg.Wait()
+		for i, x := range rows {
+			if errs[i] != nil {
+				t.Fatalf("request %d: %v", i, errs[i])
 			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("size-triggered flush never happened")
-	}
-	if got := st.batches.Load(); got != 1 {
-		t.Fatalf("expected exactly 1 coalesced batch, got %d", got)
-	}
-	if got := st.requests.Load(); got != 4 {
-		t.Fatalf("requests %d, want 4", got)
+			want, err := d.Assess(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("request %d diverged from Assess:\n got %+v\nwant %+v", i, got[i], want)
+			}
+		}
 	}
 }
 
-// TestCoalescerFlushOnLatency: a lone request must not wait for a full
-// batch — the MaxWait timer flushes it.
+// backlog returns a coalescer over the gated detector whose flusher has not
+// started, with one submit per row already queued — the queue a flusher
+// finds when it comes back from a flush that took that long. The caller
+// starts the flusher with startLoop.
+func backlog(t *testing.T, maxBatch int, rows [][]float64) (c *coalescer, wait func()) {
+	t.Helper()
+	d, _ := gatedDetector(t)
+	c = &coalescer{
+		det:    d,
+		tuning: coTuning{maxBatch: maxBatch, queueSize: 64},
+		stats:  &shardStats{},
+		queue:  make(chan *pending, 64),
+	}
+	wait = submitEach(t, c, d, rows)
+	waitFor(t, "every submit to queue", func() bool { return len(c.queue) == len(rows) })
+	return c, wait
+}
+
+func startLoop(c *coalescer) {
+	c.wg.Add(1)
+	go c.loop()
+}
+
+// TestCoalescerFlushOnBatchSize: a backlog deeper than maxBatch leaves in
+// two batches, a full one and then the rest. The gate stops the flusher
+// inside its first flush, where the queue shows what it left behind.
+func TestCoalescerFlushOnBatchSize(t *testing.T) {
+	const maxBatch, k = 4, 3
+	_, X := gatedDetector(t)
+	c, wait := backlog(t, maxBatch, X[:maxBatch+k])
+	release := testgate.Hold(t)
+	startLoop(c)
+	defer c.close()
+	defer release()
+
+	waitFor(t, "the first batch to be taken", func() bool { return len(c.queue) <= k })
+	if got := len(c.queue); got != k {
+		t.Fatalf("first batch left %d queued, want %d (a full batch of %d taken)", got, k, maxBatch)
+	}
+	if got := c.inflight.Load(); got != maxBatch+k {
+		t.Fatalf("inflight gauge %d mid-flush, want %d", got, maxBatch+k)
+	}
+	release()
+	wait()
+	if b, e := c.stats.batches.Load(), c.stats.earlyFlushes.Load(); b != 2 || e != 1 {
+		t.Fatalf("%d batches, %d below maxBatch; want 2 and 1 (full, then %d)", b, e, k)
+	}
+	if got := c.stats.requests.Load(); got != maxBatch+k {
+		t.Fatalf("requests %d, want %d", got, maxBatch+k)
+	}
+}
+
+// TestCoalescerFlushOnLatency: a lone request is not held for company. The
+// flusher answers it in a batch of one as soon as it finds the queue empty
+// behind it — with nothing else happening, that is the only way this
+// submit can return.
 func TestCoalescerFlushOnLatency(t *testing.T) {
 	d, X := testDetector(t)
 	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 1 << 20, queueSize: 64, maxWait: 5 * time.Millisecond}, st)
-	defer c.close()
+	c := newCoalescer(d, coTuning{maxBatch: 32, queueSize: 64}, st)
 
-	res, err := c.submitVotes(context.Background(), X[0], nil)
-	if err != nil {
-		t.Fatal(err)
+	submitEach(t, c, d, X[:1])()
+	c.close() // the flusher retires a batch from the gauge after answering it
+	if b, e := st.batches.Load(), st.earlyFlushes.Load(); b != 1 || e != 1 {
+		t.Fatalf("%d batches, %d below maxBatch; want 1 and 1", b, e)
 	}
-	want, err := d.Assess(X[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Prediction != want.Prediction || res.Entropy != want.Entropy {
-		t.Fatalf("lone coalesced result diverged: %+v vs %+v", res, want)
-	}
-	if st.batches.Load() != 1 {
-		t.Fatalf("batches %d, want 1", st.batches.Load())
+	if got := c.inflight.Load(); got != 0 {
+		t.Fatalf("inflight gauge %d after settle, want 0", got)
 	}
 }
 
@@ -71,7 +120,7 @@ func TestCoalescerFlushOnLatency(t *testing.T) {
 func TestCoalescerQueueFull(t *testing.T) {
 	d, X := testDetector(t)
 	st := &shardStats{}
-	c := &coalescer{det: d, tuning: coTuning{maxBatch: 8, queueSize: 1, maxWait: time.Hour}, stats: st, queue: make(chan *pending, 1)}
+	c := &coalescer{det: d, tuning: coTuning{maxBatch: 8, queueSize: 1}, stats: st, queue: make(chan *pending, 1)}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -97,7 +146,7 @@ func TestCoalescerShedDepth(t *testing.T) {
 	st := &shardStats{}
 	c := &coalescer{
 		det:    d,
-		tuning: coTuning{maxBatch: 8, queueSize: 8, maxWait: time.Hour, shedDepth: 1},
+		tuning: coTuning{maxBatch: 8, queueSize: 8, shedDepth: 1},
 		stats:  st,
 		queue:  make(chan *pending, 8),
 	}
@@ -120,66 +169,38 @@ func TestCoalescerShedDepth(t *testing.T) {
 	}
 }
 
-// TestCoalescerEarlyFlush: with MaxWait effectively infinite, a backlog at
-// the flush watermark must flush immediately — the only way the submits
-// below can return is the latency-aware early flush. The flusher is
-// started only after the backlog exists so the race is deterministic.
+// TestCoalescerEarlyFlush: the flusher takes what is queued and goes. A
+// backlog of k <= maxBatch comes back as one batch, counted as flushed
+// below maxBatch only when it was.
 func TestCoalescerEarlyFlush(t *testing.T) {
-	d, X := testDetector(t)
-	st := &shardStats{}
-	c := &coalescer{
-		det:    d,
-		tuning: coTuning{maxBatch: 1 << 20, queueSize: 64, maxWait: time.Hour, flushDepth: 2},
-		stats:  st,
-		queue:  make(chan *pending, 64),
-	}
+	const maxBatch = 8
+	_, X := gatedDetector(t)
+	for _, k := range []int{2, 5, maxBatch} {
+		c, wait := backlog(t, maxBatch, X[:k])
+		startLoop(c)
+		wait()
+		c.close()
 
-	const n = 4
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.submitVotes(context.Background(), X[i], nil); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	// Wait until all n are queued, then start the flusher against the
-	// ready-made backlog.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.queue) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d submits queued", len(c.queue), n)
+		wantEarly := int64(1)
+		if k == maxBatch {
+			wantEarly = 0
 		}
-		time.Sleep(time.Millisecond)
-	}
-	c.wg.Add(1)
-	go c.loop()
-	defer c.close()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("backlog at flushDepth never early-flushed (MaxWait is an hour)")
-	}
-	if st.earlyFlushes.Load() == 0 {
-		t.Fatalf("early flush not counted: %d batches, %d early", st.batches.Load(), st.earlyFlushes.Load())
-	}
-	if got := st.requests.Load(); got != n {
-		t.Fatalf("requests %d, want %d", got, n)
-	}
-	if got := c.inflight.Load(); got != 0 {
-		t.Fatalf("inflight gauge %d after settle, want 0", got)
+		if b, e := c.stats.batches.Load(), c.stats.earlyFlushes.Load(); b != 1 || e != wantEarly {
+			t.Fatalf("k=%d: %d batches, %d below maxBatch; want 1 and %d", k, b, e, wantEarly)
+		}
+		if got := c.stats.requests.Load(); got != int64(k) {
+			t.Fatalf("k=%d: requests %d, want %d", k, got, k)
+		}
+		if got := c.inflight.Load(); got != 0 {
+			t.Fatalf("k=%d: inflight gauge %d after settle, want 0", k, got)
+		}
 	}
 }
 
 func TestCoalescerClosedRejects(t *testing.T) {
 	d, X := testDetector(t)
 	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 8, queueSize: 8, maxWait: time.Millisecond}, st)
+	c := newCoalescer(d, coTuning{maxBatch: 8, queueSize: 8}, st)
 	c.close()
 	c.close() // idempotent
 	if _, err := c.submitVotes(context.Background(), X[0], nil); !errors.Is(err, ErrClosed) {
@@ -188,30 +209,33 @@ func TestCoalescerClosedRejects(t *testing.T) {
 }
 
 // TestCoalescerCloseDrains: requests already queued at shutdown are still
-// assessed, not dropped.
+// assessed, not dropped. close() lands while the flusher is held inside its
+// first batch with two more batches' worth queued behind it.
 func TestCoalescerCloseDrains(t *testing.T) {
-	d, X := testDetector(t)
-	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 16, queueSize: 64, maxWait: 50 * time.Millisecond}, st)
+	const maxBatch, n = 4, 10
+	_, X := gatedDetector(t)
+	c, wait := backlog(t, maxBatch, X[:n])
+	release := testgate.Hold(t)
+	startLoop(c)
 
-	const n = 8
-	results := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, results[i] = c.submitVotes(context.Background(), X[i], nil)
-		}(i)
+	closed := make(chan struct{})
+	go func() {
+		c.close()
+		close(closed)
+	}()
+	waitFor(t, "close to shut the queue", func() bool {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		return c.closed
+	})
+	if _, err := c.submitVotes(context.Background(), X[0], nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 	}
-	// Give the submits a moment to enqueue, then shut down mid-wait.
-	time.Sleep(5 * time.Millisecond)
-	c.close()
-	wg.Wait()
-	for i, err := range results {
-		if err != nil {
-			t.Fatalf("queued request %d dropped at shutdown: %v", i, err)
-		}
+	release()
+	wait()
+	<-closed
+	if b, e := c.stats.batches.Load(), c.stats.earlyFlushes.Load(); b != 3 || e != 1 {
+		t.Fatalf("%d batches, %d below maxBatch; want 3 and 1 (4+4+2)", b, e)
 	}
 }
 
@@ -220,7 +244,7 @@ func TestCoalescerCloseDrains(t *testing.T) {
 func TestCoalescerPropagatesAssessError(t *testing.T) {
 	d, _ := testDetector(t)
 	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 8, queueSize: 8, maxWait: time.Millisecond}, st)
+	c := newCoalescer(d, coTuning{maxBatch: 8, queueSize: 8}, st)
 	defer c.close()
 	// Wrong dimensionality reaches the pipeline only because this bypasses
 	// the server's validation.
@@ -239,7 +263,7 @@ func TestCoalescerPropagatesAssessError(t *testing.T) {
 func BenchmarkCoalescer(b *testing.B) {
 	d, X := testDetector(b)
 	st := &shardStats{}
-	c := newCoalescer(d, coTuning{maxBatch: 32, queueSize: 4096, maxWait: 2 * time.Millisecond}, st)
+	c := newCoalescer(d, coTuning{maxBatch: 32, queueSize: 4096}, st)
 	defer c.close()
 	b.ReportAllocs()
 	b.SetParallelism(16)

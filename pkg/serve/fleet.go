@@ -260,11 +260,9 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 		spillDepth: f.cfg.SpillDepth,
 	}
 	tuning := coTuning{
-		maxBatch:   f.cfg.MaxBatch,
-		queueSize:  f.cfg.QueueSize,
-		maxWait:    f.cfg.MaxWait,
-		shedDepth:  f.cfg.ShedDepth,
-		flushDepth: f.cfg.FlushDepth,
+		maxBatch:  f.cfg.MaxBatch,
+		queueSize: f.cfg.QueueSize,
+		shedDepth: f.cfg.ShedDepth,
 	}
 	for i := range g.replicas {
 		if f.cfg.PinCores {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"trusthmd/pkg/cluster/ring"
 	"trusthmd/pkg/detector"
@@ -231,7 +230,6 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 	}
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
 		MaxBatch:  8,
-		MaxWait:   time.Millisecond,
 		QueueSize: 4096,
 		CacheSize: -1, // every request exercises the coalescer + swap race
 	})
@@ -302,7 +300,7 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 
 	close(started)
 	// Let load build, then hot-swap mid-flight.
-	time.Sleep(5 * time.Millisecond)
+	waitFor(t, "the first responses", func() bool { return sawV1.Load() >= workers })
 	if _, err := f.Swap("m", strict); err != nil {
 		t.Fatal(err)
 	}

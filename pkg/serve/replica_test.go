@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"trusthmd/internal/testgate"
 	"trusthmd/pkg/detector"
 )
 
@@ -79,13 +80,15 @@ func TestReplicaGroupShape(t *testing.T) {
 	}
 }
 
-// TestReplicaSpillUnderLoad is the tentpole's routing acceptance test: a
-// bursty load keyed to ONE device (whose home is therefore one replica)
-// must spill onto sibling replicas once the home queue is hot, siblings
-// must serve a real share (>10%) of it, and every spilled response must be
-// element-wise identical to direct assessment.
+// TestReplicaSpillUnderLoad is the routing acceptance test: load keyed to
+// ONE device (whose home is therefore one replica) must spill onto sibling
+// replicas while the home replica is busy, siblings must serve a real
+// share of it, and every spilled response must be element-wise identical
+// to direct assessment. The home flusher is busy the way it is under a
+// burst — held inside a flush — and requests are admitted one at a time, so
+// each pick sees the loads the previous one left and the split is exact.
 func TestReplicaSpillUnderLoad(t *testing.T) {
-	d, X := testDetector(t)
+	d, X := gatedDetector(t)
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
 		Replicas: 3,
 		// Spill as soon as the home replica has anything in flight, and
@@ -93,74 +96,87 @@ func TestReplicaSpillUnderLoad(t *testing.T) {
 		SpillDepth: 1,
 		CacheSize:  -1,
 		MaxBatch:   8,
-		MaxWait:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	// Reference verdicts, computed directly — the equality oracle.
-	want := make([]detector.Result, len(X))
-	for i, x := range X {
-		r, err := d.Assess(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-
-	const workers = 16
-	const perWorker = 40
-	var wg sync.WaitGroup
-	var mismatches atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				j := (w*perWorker + i) % len(X)
-				out, err := f.Assess(context.Background(), AssessSpec{Device: "hot-device", Features: X[j]})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if out.Result.Prediction != want[j].Prediction ||
-					out.Result.Entropy != want[j].Entropy ||
-					out.Result.Decision != want[j].Decision {
-					mismatches.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := mismatches.Load(); n != 0 {
-		t.Fatalf("%d spill-routed responses diverged from direct assessment", n)
-	}
-
-	_, stats := f.StatsWithEpoch()
-	st := stats[0]
-	if st.Spills == 0 {
-		t.Fatal("bursty single-device load never spilled")
-	}
 	g, err := f.resolve("m", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	home := g.home("hot-device")
-	total, sibling := int64(0), int64(0)
-	for _, r := range g.replicas {
-		n := r.served.Load()
-		total += n
-		if r != home {
-			sibling += n
+	inflight := func() (n int64) {
+		for _, r := range g.replicas {
+			n += r.load()
+		}
+		return n
+	}
+
+	const n = 31
+	release := testgate.Hold(t)
+	defer release()
+	got := make([]AssessOutcome, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = f.Assess(context.Background(), AssessSpec{Device: "hot-device", Features: X[i]})
+		}()
+		waitFor(t, "the request to be admitted", func() bool { return inflight() == int64(i+1) })
+		if i == 0 && home.load() != 1 {
+			t.Fatalf("first request found every replica idle but did not go home (home load %d)", home.load())
 		}
 	}
-	if total != workers*perWorker {
-		t.Fatalf("served %d, want %d", total, workers*perWorker)
+	// Home took the first request; after that a request stays home only
+	// when no sibling is lighter, which is every third one.
+	for _, r := range g.replicas {
+		want := int64(n / 3)
+		if r == home {
+			want = n - 2*(n/3)
+		}
+		if got := r.load(); got != want {
+			t.Fatalf("replica %d holds %d requests behind the gate, want %d", r.idx, got, want)
+		}
 	}
-	if share := float64(sibling) / float64(total); share <= 0.10 {
-		t.Fatalf("sibling replicas served %.1f%% of the burst, want >10%%", 100*share)
+	release()
+	wg.Wait()
+
+	sibling := int64(0)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		want, err := d.Assess(X[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Result, want) {
+			t.Fatalf("request %d (replica %d, spilled %v) diverged from direct assessment:\n got %+v\nwant %+v",
+				i, got[i].Replica, got[i].Spilled, got[i].Result, want)
+		}
+		if got[i].Spilled != (got[i].Replica != home.idx) {
+			t.Fatalf("request %d: spilled=%v but served by replica %d (home %d)", i, got[i].Spilled, got[i].Replica, home.idx)
+		}
+		if got[i].Spilled {
+			sibling++
+		}
+	}
+	if want := int64(2 * (n / 3)); sibling != want {
+		t.Fatalf("%d of %d requests spilled, want %d", sibling, n, want)
+	}
+	_, stats := f.StatsWithEpoch()
+	if stats[0].Spills != sibling {
+		t.Fatalf("spills counter %d, but %d responses were spilled", stats[0].Spills, sibling)
+	}
+	total := int64(0)
+	for _, r := range g.replicas {
+		total += r.served.Load()
+	}
+	if total != n || home.served.Load() != n-sibling {
+		t.Fatalf("served %d in all and %d at home, want %d and %d", total, home.served.Load(), n, n-sibling)
 	}
 }
 
@@ -175,7 +191,6 @@ func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
 		SpillDepth: 1,
 		CacheSize:  -1,
 		MaxBatch:   8,
-		MaxWait:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,17 +13,41 @@ import (
 	"time"
 
 	"trusthmd/internal/gen"
+	"trusthmd/internal/testgate"
 	"trusthmd/pkg/detector"
 )
 
 // The trained detector is shared across tests (training dominates test
 // time and a trained Detector is immutable and safe for concurrent use).
 var (
-	testOnce sync.Once
-	testDet  *detector.Detector
-	testErr  error
-	testX    [][]float64
+	testOnce  sync.Once
+	testDet   *detector.Detector
+	testGated *detector.Detector
+	testErr   error
+	testX     [][]float64
 )
+
+// gatedDetector is testDetector with internal/testgate's family: while a
+// test holds the gate, a flusher assessing this detector stays busy, so
+// requests back up behind it exactly as they do under production load.
+func gatedDetector(t testing.TB) (*detector.Detector, [][]float64) {
+	t.Helper()
+	_, X := testDetector(t)
+	return testGated, X
+}
+
+// waitFor polls cond until it holds; the conditions waited on are gauges
+// the serving layer exposes (queue depth, in-flight), not elapsed time.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
 
 func testDetector(t testing.TB) (*detector.Detector, [][]float64) {
 	t.Helper()
@@ -35,6 +59,11 @@ func testDetector(t testing.TB) (*detector.Detector, [][]float64) {
 		}
 		testDet, testErr = detector.New(s.Train,
 			detector.WithModel("rf"), detector.WithEnsembleSize(11), detector.WithSeed(1))
+		if testErr != nil {
+			return
+		}
+		testGated, testErr = detector.New(s.Train,
+			detector.WithModel(testgate.Model), detector.WithEnsembleSize(11), detector.WithSeed(1))
 		if testErr != nil {
 			return
 		}
@@ -62,6 +91,11 @@ func mustServer(t testing.TB, models map[string]*detector.Detector, cfg Config) 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	d, _ := testDetector(t)
+	return newTestServerOver(t, d, cfg)
+}
+
+func newTestServerOver(t testing.TB, d *detector.Detector, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	s := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
@@ -92,13 +126,16 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 // TestAssessCoalescedMatchesSequential is the acceptance test of the
 // serving layer: N concurrent /v1/assess requests must return decisions
 // element-wise identical to direct sequential Assess, and /stats must show
-// a mean batch size above 1 — proof that the identical answers really went
-// through coalesced AssessBatch calls.
+// them leaving in batches — proof that the identical answers really went
+// through coalesced AssessBatch calls. The load is built the way
+// production builds it: the flusher is busy (held at the gate inside its
+// first flush) while the rest arrive, so they are queued when it comes
+// back.
 func TestAssessCoalescedMatchesSequential(t *testing.T) {
-	d, X := testDetector(t)
-	s, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: 10 * time.Millisecond})
+	const maxBatch, n = 16, 96
+	d, X := gatedDetector(t)
+	s, ts := newTestServerOver(t, d, Config{MaxBatch: maxBatch})
 
-	const n = 96
 	want := make([]detector.Result, n)
 	for i := 0; i < n; i++ {
 		var err error
@@ -107,15 +144,14 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 		}
 	}
 
+	release := testgate.Hold(t)
 	got := make([]AssessResponse, n)
 	errs := make([]error, n)
-	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
 			raw, err := json.Marshal(AssessRequest{Features: X[i%len(X)]})
 			if err != nil {
 				errs[i] = err
@@ -135,7 +171,10 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 			errs[i] = json.NewDecoder(resp.Body).Decode(&got[i])
 		}(i)
 	}
-	close(start)
+	waitFor(t, "every request to be admitted behind the busy flusher", func() bool {
+		return s.Stats()[0].Replicas[0].Inflight == n
+	})
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -166,9 +205,12 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 	if st[0].Requests != n {
 		t.Fatalf("stats requests %d, want %d", st[0].Requests, n)
 	}
-	if st[0].MeanBatchSize <= 1 {
-		t.Fatalf("no coalescing happened: mean batch size %.2f over %d batches",
-			st[0].MeanBatchSize, st[0].Batches)
+	// The held flush took whatever had arrived by then (1..MaxBatch); the
+	// rest were all queued at release and left in full batches plus at
+	// most one remainder.
+	if maxBatches := int64(1 + n/maxBatch); st[0].Batches > maxBatches {
+		t.Fatalf("no coalescing happened: %d batches (mean size %.2f), want at most %d",
+			st[0].Batches, st[0].MeanBatchSize, maxBatches)
 	}
 	t.Logf("coalesced %d requests into %d batches (mean %.1f)", st[0].Requests, st[0].Batches, st[0].MeanBatchSize)
 

@@ -34,10 +34,11 @@
 // totals plus per-replica queue-depth/in-flight/served gauges.
 //
 // Concurrent /v1/assess requests are coalesced: each replica owns a
-// bounded queue and a flusher goroutine that drains waiting requests into
-// a single AssessBatch call when the batch fills, the oldest request has
-// waited Config.MaxWait, or the backlog crosses Config.FlushDepth (the
-// latency-aware early flush). Results are element-wise identical to
+// bounded queue and a flusher goroutine that takes every request already
+// waiting (up to Config.MaxBatch) into a single AssessBatch call and
+// flushes when the queue runs dry. Load sets the batch size — a lone
+// request is answered at once in a batch of one, and whatever arrives
+// during a flush is the next batch. Results are element-wise identical to
 // direct Assess — batching changes latency and throughput, never
 // decisions.
 //
@@ -69,12 +70,11 @@ import (
 
 // Config tunes the serving layer; the zero value gets sane defaults.
 type Config struct {
-	// MaxBatch is the coalescer flush size (default 32). Larger batches
-	// amortise projection further but add queueing latency under load.
+	// MaxBatch caps one coalesced batch (default 32): the flusher takes
+	// what is queued up to this many and never waits for more. Larger
+	// batches amortise projection further but add queueing latency under
+	// load.
 	MaxBatch int
-	// MaxWait is the max time the first request of a batch waits for
-	// company before the batch flushes anyway (default 2ms).
-	MaxWait time.Duration
 	// QueueSize bounds each replica's pending-request buffer (default
 	// 1024); requests beyond it are shed with 503.
 	QueueSize int
@@ -107,11 +107,6 @@ type Config struct {
 	// MaxBatch — a home replica with a full batch in flight is busy enough
 	// to share. Negative disables spilling. Irrelevant for Replicas=1.
 	SpillDepth int
-	// FlushDepth is the latency-aware flush watermark: once this many
-	// requests queue behind the batch being collected, the coalescer stops
-	// waiting out MaxWait and flushes what is immediately available.
-	// Default: MaxBatch. Negative disables (size/timer flushes only).
-	FlushDepth int
 	// MaxBatchSamples caps the size of a client-supplied /v1/assess/batch
 	// body (default 4096 vectors).
 	MaxBatchSamples int
@@ -168,9 +163,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 1024
 	}
@@ -195,12 +187,6 @@ func (c Config) withDefaults() Config {
 	case c.SpillDepth < 0:
 		// Never spill: a home replica keeps its devices no matter how hot.
 		c.SpillDepth = int(^uint(0) >> 1)
-	}
-	switch {
-	case c.FlushDepth == 0:
-		c.FlushDepth = c.MaxBatch
-	case c.FlushDepth < 0:
-		c.FlushDepth = 0 // disabled: size/timer flushes only
 	}
 	if c.MaxBatchSamples <= 0 {
 		c.MaxBatchSamples = 4096

@@ -26,8 +26,9 @@ type ShardStats struct {
 	// Batches is the number of coalesced AssessBatch flushes. MeanBatchSize
 	// is the mean over requests that actually queued: Requests minus the
 	// /v1/assess cache hits (hits were answered without queueing; batch
-	// endpoint hits never counted into Requests), divided by Batches —
-	// above 1 means coalescing is doing its job.
+	// endpoint hits never counted into Requests), divided by Batches.
+	// Load sets it: 1 on an idle replica, above 1 once requests arrive
+	// while a flush is running.
 	Batches       int64   `json:"batches"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Shed counts requests rejected by admission control — the replica's
@@ -38,8 +39,8 @@ type ShardStats struct {
 	Errors int64 `json:"errors"`
 	// Spills counts device-keyed requests routed away from their home
 	// replica to a less-loaded sibling (power-of-two-choices overflow);
-	// EarlyFlushes counts coalescer batches flushed by the latency-aware
-	// backlog watermark instead of the size/timer triggers.
+	// EarlyFlushes counts coalescer batches flushed below MaxBatch because
+	// the queue ran dry — with no hold, every batch that is not full.
 	Spills       int64 `json:"spills"`
 	EarlyFlushes int64 `json:"early_flushes"`
 
