@@ -51,11 +51,13 @@ coalescer-stress:
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
 # race runs the concurrency-heavy packages (batched assessment, request
-# coalescing, the dispatched kernels and their tree consumers) under the
-# race detector, then the same set again with SIMD forced off so both
-# dispatch arms get race coverage.
+# coalescing, the dispatched kernels and their tree consumers, and the
+# ensemble, whose members train in parallel goroutines, each tree with a
+# builder scratch of its own) under the race detector, then the kernel
+# consumers again with SIMD forced off so both dispatch arms get race
+# coverage.
 race:
-	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/
+	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:

@@ -442,6 +442,59 @@ func BenchmarkTreeFit(b *testing.B) {
 	}
 }
 
+// noisyFitData draws n samples of d standard-normal features whose label
+// follows two of them with 15% of labels flipped: no feature separates the
+// classes, so a tree grows until its leaves are pure — the shape HPC
+// training has, and the opposite of BenchmarkTreeFit's three-node tree.
+func noisyFitData(n, d int) (*linalg.Matrix, []int) {
+	rng := rand.New(rand.NewSource(1))
+	X := linalg.New(n, d)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			X.Set(i, j, rng.NormFloat64())
+		}
+		if (X.At(i, 0)+X.At(i, 1) > 0) != (rng.Float64() < 0.15) {
+			y[i] = 1
+		}
+	}
+	return X, y
+}
+
+// BenchmarkTreeFitDeep fits one unlimited-depth random-forest member on
+// 8000x16 noisy samples (thousands of nodes), so the per-node split search
+// and the hand-down of samples to children are all of the time.
+func BenchmarkTreeFitDeep(b *testing.B) {
+	b.ReportAllocs()
+	X, y := noisyFitData(8000, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := tree.New(tree.Config{MaxFeatures: -1, Seed: 0})
+		if err := tr.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBaggingFit trains the default ensemble (25 bootstrap members,
+// fitted in parallel) of such trees on 2000x16 samples: bootstrap
+// replicates repeat rows, so every member sorts heavy ties.
+func BenchmarkBaggingFit(b *testing.B) {
+	b.ReportAllocs()
+	X, y := noisyFitData(2000, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ens := ensemble.New(ensemble.Config{
+			M:    25,
+			New:  func(seed int64) ensemble.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
+			Seed: 1,
+		})
+		if err := ens.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMulInto measures the dense product at sizes bracketing the
 // parallel cutover (mulParallelFlops = 2^21): "small" shapes stay serial
 // on the kernel axpy, "large" ones fan out row blocks. The batch hot path

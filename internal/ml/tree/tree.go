@@ -3,6 +3,16 @@
 // minimum-leaf and random feature-subset controls. Trees are the base
 // classifiers of the random-forest ensemble used throughout the paper's
 // evaluation.
+//
+// Fit grows a tree with the presorted-column builder (see builder): a
+// feature's samples are sorted once, by a radix sort, the first time a node
+// considers the feature, and every node below inherits that order through a
+// stable partition instead of sorting again — one sort per feature per
+// tree and O(n) per feature per tree level after it, where a per-node sort
+// pays O(n log n) per candidate feature at every node. The tree that comes
+// out is byte-identical to the per-node-sort one (TestFitMatchesReference),
+// so trained models, verdicts and saved blobs do not depend on which
+// builder produced them.
 package tree
 
 import (
@@ -10,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"unsafe"
 
 	"trusthmd/pkg/linalg"
@@ -191,13 +200,16 @@ func New(cfg Config) *Tree {
 }
 
 // Fit trains the tree on X (one sample per row) and labels y. Labels must
-// be in [0, k) for some k >= 2 inferred from the data.
+// be in [0, k) for some k >= 2 inferred from the data. A NaN feature value
+// is an error: NaN has no place in a value order, so a tree grown over one
+// would not be a function of its inputs. ±Inf is ordered and accepted.
 func (t *Tree) Fit(X *linalg.Matrix, y []int) error {
-	if X.Rows() == 0 {
+	n := X.Rows()
+	if n == 0 {
 		return errors.New("tree: empty training set")
 	}
-	if X.Rows() != len(y) {
-		return fmt.Errorf("tree: %d rows but %d labels", X.Rows(), len(y))
+	if n != len(y) {
+		return fmt.Errorf("tree: %d rows but %d labels", n, len(y))
 	}
 	maxLabel := 0
 	for i, lab := range y {
@@ -208,122 +220,356 @@ func (t *Tree) Fit(X *linalg.Matrix, y []int) error {
 			maxLabel = lab
 		}
 	}
+	if n > math.MaxInt32 || maxLabel > math.MaxInt32 {
+		return fmt.Errorf("tree: %d rows with labels up to %d exceed the builder's 32-bit indices", n, maxLabel)
+	}
+	d, raw := X.Cols(), X.Raw()
+	for i, v := range raw {
+		if math.IsNaN(v) {
+			return fmt.Errorf("tree: NaN feature value at row %d, column %d", i/d, i%d)
+		}
+	}
 	t.nClasses = maxLabel + 1
 	if t.nClasses < 2 {
 		t.nClasses = 2
 	}
-	t.nFeatures = X.Cols()
+	t.nFeatures = d
 	if t.cfg.MaxFeatures < 0 {
-		t.cfg.MaxFeatures = int(math.Round(math.Sqrt(float64(X.Cols()))))
+		t.cfg.MaxFeatures = int(math.Round(math.Sqrt(float64(d))))
 		if t.cfg.MaxFeatures < 1 {
 			t.cfg.MaxFeatures = 1
 		}
 	}
 	t.nodes = 0
 
-	idx := make([]int, X.Rows())
-	for i := range idx {
-		idx[i] = i
+	b := &builder{
+		t:      t,
+		raw:    raw,
+		y:      y,
+		rng:    rand.New(rand.NewSource(t.cfg.Seed)),
+		rows:   make([]int32, n),
+		cols:   make([][]entry, d),
+		sorted: make([]bool, d),
+		onPath: make([]int, 0, d),
+		goLeft: make([]uint8, n),
+		buf:    make([]entry, n),
+		rowBuf: make([]int32, n),
+		feats:  make([]int, d),
+		left:   make([]int, t.nClasses),
+		right:  make([]int, t.nClasses),
 	}
-	rng := rand.New(rand.NewSource(t.cfg.Seed))
-	b := &builder{t: t, X: X, y: y, rng: rng}
-	t.root = b.build(idx, 0)
+	counts := make([]int, t.nClasses)
+	for i, lab := range y {
+		b.rows[i] = int32(i)
+		counts[lab]++
+	}
+	for f := range b.feats {
+		b.feats[f] = f
+	}
+	t.root = b.build(0, n, 0, counts)
 	t.buildFlat()
 	return nil
 }
 
+// entry is one training sample as one feature sees it: the value, the row
+// it came from and the row's label, kept together so that a split scan
+// reads memory front to back and never goes back to X or y.
+type entry struct {
+	v   float64
+	row int32
+	lab int32
+}
+
+// builder grows one tree with the presorted-column form of CART.
+//
+// A node is a segment [lo, hi) of sample positions. rows[lo:hi] names the
+// node's samples, and for every feature f that is sorted on the path from
+// the root to the node, cols[f][lo:hi] holds the same samples as
+// entries in ascending order of feature f. A feature joins the path the
+// first time a node draws it as a split candidate: that node gathers its
+// own segment from X and sorts it (radixSort), once. From there down the
+// order is inherited, not recomputed: splitting a node stable-partitions
+// rows and every on-path feature's segment around the winning threshold,
+// so both halves are again sorted segments, and the feature leaves the
+// path when the node that sorted it is finished. Features no node on the
+// path has drawn cost nothing.
+//
+// Cost: each feature is sorted at most once along any root-to-leaf path —
+// one O(n) radix sort per feature per tree when the root draws it, less
+// when it is first drawn further down — and after that one O(segment)
+// scan per candidate feature per node plus one O(segment) partition per
+// on-path feature per node, i.e. O(n) per feature per tree level. Memory
+// is one entry (16 bytes) per sample per feature.
+//
+// The result is byte-identical to searching each node with a fresh sort of
+// its samples (the reference builder in tree_test.go):
+//   - a scan reads only (value, label) pairs in value order and evaluates
+//     gain only at positions where the next value differs, so the class
+//     counts on either side of every evaluated position — and with them
+//     every gain, the sequence of gain > bestGain updates and the chosen
+//     threshold v + (next-v)/2 — do not depend on how equal values are
+//     ordered among themselves (-0 and +0 are equal and yield the same
+//     threshold against any neighbour);
+//   - samples go left by the same v <= threshold test, which on a sorted
+//     segment selects a prefix;
+//   - candidate features are drawn from rng once per searched node, in
+//     the same depth-first pre-order.
+//
+// The builder owns every scratch slice (allocated in Fit, a feature's
+// column when the feature is first sorted); growing a node allocates the
+// node and its children's class histograms, nothing else.
 type builder struct {
 	t   *Tree
-	X   *linalg.Matrix
+	raw []float64 // X, row-major
 	y   []int
 	rng *rand.Rand
+
+	rows   []int32   // sample positions -> row, partitioned along with the tree
+	cols   [][]entry // per feature, n entries, allocated when first sorted
+	sorted []bool    // sorted[f]: f is on the path to the node being built
+	onPath []int     // the features with sorted[f], in the order they joined
+
+	goLeft []uint8 // by row: 1 when the row goes to the left child
+	buf    []entry // radix and partition scratch
+	rowBuf []int32 // partition scratch for rows
+	feats  []int   // candidate features; the identity when all are drawn
+	left   []int   // class counts left and right of the scan position
+	right  []int
 }
 
-func (b *builder) classCounts(idx []int) []int {
-	counts := make([]int, b.t.nClasses)
-	for _, i := range idx {
-		counts[b.y[i]]++
-	}
-	return counts
-}
-
-func (b *builder) build(idx []int, depth int) *node {
-	b.t.nodes++
-	counts := b.classCounts(idx)
-
-	pure := false
+// terminal reports whether a node of n samples with the given class counts
+// at the given depth is a leaf whatever its features look like.
+func (b *builder) terminal(counts []int, n, depth int) bool {
 	for _, c := range counts {
-		if c == len(idx) {
-			pure = true
-			break
+		if c == n {
+			return true // pure
 		}
 	}
-	if pure || len(idx) < 2*b.t.cfg.MinLeaf ||
-		(b.t.cfg.MaxDepth > 0 && depth >= b.t.cfg.MaxDepth) {
+	return n < 2*b.t.cfg.MinLeaf || (b.t.cfg.MaxDepth > 0 && depth >= b.t.cfg.MaxDepth)
+}
+
+// build grows the subtree over positions [lo, hi), whose class counts the
+// caller has already taken. counts becomes the leaf's histogram when the
+// node does not split.
+func (b *builder) build(lo, hi, depth int, counts []int) *node {
+	b.t.nodes++
+	if b.terminal(counts, hi-lo, depth) {
 		return &node{counts: counts}
 	}
 
-	feat, thr, ok := b.bestSplit(idx, counts)
+	mark := len(b.onPath)
+	defer b.leavePath(mark)
+
+	feat, thr, ok := b.bestSplit(lo, hi, counts)
 	if !ok {
 		return &node{counts: counts}
 	}
 
-	var leftIdx, rightIdx []int
-	for _, i := range idx {
-		if b.X.At(i, feat) <= thr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
+	// The threshold is a rounded midpoint and can land on either neighbour
+	// (or be NaN or ±Inf when a neighbour is infinite), so membership is
+	// decided by the comparison prediction will make, not by the scan
+	// position; a split that leaves one side empty makes a leaf.
+	clear(b.left)
+	nl := 0
+	for _, e := range b.cols[feat][lo:hi] {
+		var g uint8
+		if e.v <= thr {
+			g = 1
+			nl++
+			b.left[e.lab]++
 		}
+		b.goLeft[e.row] = g
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
+	if nl == 0 || nl == hi-lo {
 		return &node{counts: counts}
+	}
+	k := len(counts)
+	both := make([]int, 2*k) // one allocation for the two children's histograms
+	leftCounts, rightCounts := both[:k:k], both[k:]
+	for lab, c := range b.left {
+		leftCounts[lab] = c
+		rightCounts[lab] = counts[lab] - c
+	}
+
+	// Children that are leaves on their counts alone never look at their
+	// samples, so the last split of a branch skips the partition.
+	mid := lo + nl
+	if !b.terminal(leftCounts, nl, depth+1) || !b.terminal(rightCounts, hi-mid, depth+1) {
+		b.partition(lo, hi, feat)
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      b.build(leftIdx, depth+1),
-		right:     b.build(rightIdx, depth+1),
+		left:      b.build(lo, mid, depth+1, leftCounts),
+		right:     b.build(mid, hi, depth+1, rightCounts),
+	}
+}
+
+// leavePath takes the features sorted since mark off the path: their
+// segments are valid only under the node that sorted them.
+func (b *builder) leavePath(mark int) {
+	for _, f := range b.onPath[mark:] {
+		b.sorted[f] = false
+	}
+	b.onPath = b.onPath[:mark]
+}
+
+// partition moves the samples flagged in goLeft to the front of [lo, hi)
+// in rows and in every on-path feature's segment, keeping the relative
+// order on both sides, so each side is a sorted segment of its own. The
+// split feature's segment is already in that shape.
+func (b *builder) partition(lo, hi, feat int) {
+	rows := b.rows[lo:hi]
+	l, r := 0, 0
+	for _, row := range rows {
+		g := int(b.goLeft[row])
+		rows[l], b.rowBuf[r] = row, row
+		l += g
+		r += 1 - g
+	}
+	copy(rows[l:], b.rowBuf[:r])
+
+	for _, f := range b.onPath {
+		if f == feat {
+			continue
+		}
+		seg := b.cols[f][lo:hi]
+		l, r := 0, 0
+		for _, e := range seg {
+			// Both stores, then advance one cursor: no branch to mispredict
+			// on a flag that is a coin toss. seg[l] is at or behind the
+			// entry just read.
+			g := int(b.goLeft[e.row])
+			seg[l], b.buf[r] = e, e
+			l += g
+			r += 1 - g
+		}
+		copy(seg[l:], b.buf[:r])
+	}
+}
+
+// column returns the node's samples in ascending order of feature f,
+// sorting them if no node on the path has yet.
+func (b *builder) column(f, lo, hi int) []entry {
+	if b.sorted[f] {
+		return b.cols[f][lo:hi]
+	}
+	if b.cols[f] == nil {
+		b.cols[f] = make([]entry, len(b.rows))
+	}
+	seg := b.cols[f][lo:hi]
+	d := b.t.nFeatures
+	for i, row := range b.rows[lo:hi] {
+		seg[i] = entry{v: b.raw[int(row)*d+f], row: row, lab: int32(b.y[row])}
+	}
+	radixSort(seg, b.buf[:len(seg)])
+	b.sorted[f] = true
+	b.onPath = append(b.onPath, f)
+	return seg
+}
+
+// sortKey maps a float64 to a uint64 whose unsigned order is the float's
+// numeric order (NaN excluded; -0 sorts just below +0): negative values
+// have every bit flipped, the rest only the sign bit.
+func sortKey(v float64) uint64 {
+	bits := math.Float64bits(v)
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
+}
+
+// insertionMax is the segment length up to which radixSort insertion-sorts
+// rather than clear and fill eight 256-bucket histograms. Fit time is flat
+// for cutoffs from 16 to 128.
+const insertionMax = 48
+
+// radixSort orders a by value, ascending, using tmp (same length) as
+// scratch: a byte-wide least-significant-digit radix sort on sortKey. One
+// read builds all eight histograms, and a byte on which every key agrees —
+// the high exponent bytes of any real feature, the low mantissa bytes of
+// integer-valued ones — costs no pass.
+func radixSort(a, tmp []entry) {
+	if len(a) <= insertionMax {
+		for i := 1; i < len(a); i++ {
+			e := a[i]
+			j := i
+			for ; j > 0 && a[j-1].v > e.v; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = e
+		}
+		return
+	}
+	var hist [8][256]int32
+	for i := range a {
+		k := sortKey(a[i].v)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	src, dst := a, tmp
+	for p := range hist {
+		h := &hist[p]
+		shift := uint(p) * 8
+		if int(h[byte(sortKey(src[0].v)>>shift)]) == len(src) {
+			continue
+		}
+		sum := int32(0)
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		for _, e := range src {
+			d := byte(sortKey(e.v) >> shift)
+			dst[h[d]] = e
+			h[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
 	}
 }
 
 // bestSplit searches candidate features for the split with the largest
 // impurity decrease. It returns ok=false when no split satisfies MinLeaf or
 // improves impurity.
-func (b *builder) bestSplit(idx []int, total []int) (feature int, threshold float64, ok bool) {
-	features := b.candidateFeatures()
-	n := float64(len(idx))
-	parentImp := impurity(total, len(idx), b.t.cfg.Criterion)
+func (b *builder) bestSplit(lo, hi int, total []int) (feature int, threshold float64, ok bool) {
+	size := hi - lo
+	n := float64(size)
+	crit, minLeaf := b.t.cfg.Criterion, b.t.cfg.MinLeaf
+	parentImp := impurity(total, size, crit)
 
 	// Any valid split is acceptable, even at zero gain (as in sklearn's
 	// CART): datasets like XOR have zero-gain first splits but still
 	// separate perfectly once grown. Node sizes strictly shrink, so
 	// termination is guaranteed.
 	bestGain := math.Inf(-1)
-	sorted := make([]int, len(idx))
+	leftCounts, rightCounts := b.left, b.right
 
-	for _, f := range features {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, c int) bool { return b.X.At(sorted[a], f) < b.X.At(sorted[c], f) })
+	for _, f := range b.candidateFeatures() {
+		seg := b.column(f, lo, hi)
+		clear(leftCounts)
+		copy(rightCounts, total)
 
-		leftCounts := make([]int, b.t.nClasses)
-		rightCounts := append([]int(nil), total...)
-
-		for pos := 0; pos < len(sorted)-1; pos++ {
-			lab := b.y[sorted[pos]]
+		for pos := 0; pos < size-1; pos++ {
+			lab := seg[pos].lab
 			leftCounts[lab]++
 			rightCounts[lab]--
 
-			v, next := b.X.At(sorted[pos], f), b.X.At(sorted[pos+1], f)
+			v, next := seg[pos].v, seg[pos+1].v
 			if v == next {
 				continue // cannot split between equal values
 			}
-			nl, nr := pos+1, len(sorted)-pos-1
-			if nl < b.t.cfg.MinLeaf || nr < b.t.cfg.MinLeaf {
+			nl, nr := pos+1, size-pos-1
+			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
-			child := (float64(nl)*impurity(leftCounts, nl, b.t.cfg.Criterion) +
-				float64(nr)*impurity(rightCounts, nr, b.t.cfg.Criterion)) / n
+			child := (float64(nl)*impurity(leftCounts, nl, crit) +
+				float64(nr)*impurity(rightCounts, nr, crit)) / n
 			if gain := parentImp - child; gain > bestGain {
 				bestGain = gain
 				feature = f
@@ -335,16 +581,22 @@ func (b *builder) bestSplit(idx []int, total []int) (feature int, threshold floa
 	return feature, threshold, ok
 }
 
+// candidateFeatures draws the features a node may split on: all of them,
+// or MaxFeatures of a fresh permutation. The permutation is rand.Perm's
+// own inside-out shuffle written into the builder's buffer — the same
+// draws from rng and the same result, without Perm's allocation (the loop
+// never reads an element it has not written, so the buffer needs no reset).
 func (b *builder) candidateFeatures() []int {
 	k := b.t.cfg.MaxFeatures
 	if k <= 0 || k >= b.t.nFeatures {
-		all := make([]int, b.t.nFeatures)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+		return b.feats
 	}
-	return b.rng.Perm(b.t.nFeatures)[:k]
+	for i := range b.feats {
+		j := b.rng.Intn(i + 1)
+		b.feats[i] = b.feats[j]
+		b.feats[j] = i
+	}
+	return b.feats[:k]
 }
 
 // impurity computes Gini impurity or entropy (nats scale is irrelevant for

@@ -1,8 +1,12 @@
 package tree
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +133,22 @@ func TestFitErrors(t *testing.T) {
 	}
 	if err := tr.Fit(linalg.New(2, 2), []int{0, -1}); err == nil {
 		t.Fatal("expected label error")
+	}
+}
+
+// TestFitRejectsNaN: a NaN has no position in a value order, so a tree
+// grown over one would depend on the sort, not on the data. Fit names the
+// first offender; infinities are ordered and still train.
+func TestFitRejectsNaN(t *testing.T) {
+	X := linalg.MustFromRows([][]float64{{0, 1, 2}, {3, 4, 5}, {6, math.NaN(), 8}, {math.NaN(), 1, 1}})
+	err := New(Config{}).Fit(X, []int{0, 1, 0, 1})
+	if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
+		t.Fatalf("want an error naming row 2, column 1, got %v", err)
+	}
+	X.Set(2, 1, math.Inf(1))
+	X.Set(3, 0, math.Inf(-1))
+	if err := New(Config{}).Fit(X, []int{0, 1, 0, 1}); err != nil {
+		t.Fatalf("infinite features must still train: %v", err)
 	}
 }
 
@@ -286,5 +306,254 @@ func TestNodeCountAndNumClasses(t *testing.T) {
 	}
 	if New(Config{}).Depth() != -1 {
 		t.Fatal("unfitted depth should be -1")
+	}
+}
+
+// refBuilder is the split search Fit used before the presorted-column
+// builder, kept verbatim as the oracle: every node sorts its own samples
+// once per candidate feature with sort.Slice over Matrix.At.
+type refBuilder struct {
+	t   *Tree
+	X   *linalg.Matrix
+	y   []int
+	rng *rand.Rand
+}
+
+// fitReference trains a tree with refBuilder. X must be NaN-free.
+func fitReference(cfg Config, X *linalg.Matrix, y []int) *Tree {
+	t := New(cfg)
+	maxLabel := 0
+	for _, lab := range y {
+		if lab > maxLabel {
+			maxLabel = lab
+		}
+	}
+	t.nClasses = maxLabel + 1
+	if t.nClasses < 2 {
+		t.nClasses = 2
+	}
+	t.nFeatures = X.Cols()
+	if t.cfg.MaxFeatures < 0 {
+		t.cfg.MaxFeatures = int(math.Round(math.Sqrt(float64(X.Cols()))))
+		if t.cfg.MaxFeatures < 1 {
+			t.cfg.MaxFeatures = 1
+		}
+	}
+	t.nodes = 0
+
+	idx := make([]int, X.Rows())
+	for i := range idx {
+		idx[i] = i
+	}
+	rng := rand.New(rand.NewSource(t.cfg.Seed))
+	b := &refBuilder{t: t, X: X, y: y, rng: rng}
+	t.root = b.build(idx, 0)
+	t.buildFlat()
+	return t
+}
+
+func (b *refBuilder) classCounts(idx []int) []int {
+	counts := make([]int, b.t.nClasses)
+	for _, i := range idx {
+		counts[b.y[i]]++
+	}
+	return counts
+}
+
+func (b *refBuilder) build(idx []int, depth int) *node {
+	b.t.nodes++
+	counts := b.classCounts(idx)
+
+	pure := false
+	for _, c := range counts {
+		if c == len(idx) {
+			pure = true
+			break
+		}
+	}
+	if pure || len(idx) < 2*b.t.cfg.MinLeaf ||
+		(b.t.cfg.MaxDepth > 0 && depth >= b.t.cfg.MaxDepth) {
+		return &node{counts: counts}
+	}
+
+	feat, thr, ok := b.bestSplit(idx, counts)
+	if !ok {
+		return &node{counts: counts}
+	}
+
+	var leftIdx, rightIdx []int
+	for _, i := range idx {
+		if b.X.At(i, feat) <= thr {
+			leftIdx = append(leftIdx, i)
+		} else {
+			rightIdx = append(rightIdx, i)
+		}
+	}
+	if len(leftIdx) == 0 || len(rightIdx) == 0 {
+		return &node{counts: counts}
+	}
+	return &node{
+		feature:   feat,
+		threshold: thr,
+		left:      b.build(leftIdx, depth+1),
+		right:     b.build(rightIdx, depth+1),
+	}
+}
+
+func (b *refBuilder) bestSplit(idx []int, total []int) (feature int, threshold float64, ok bool) {
+	features := b.candidateFeatures()
+	n := float64(len(idx))
+	parentImp := impurity(total, len(idx), b.t.cfg.Criterion)
+
+	bestGain := math.Inf(-1)
+	sorted := make([]int, len(idx))
+
+	for _, f := range features {
+		copy(sorted, idx)
+		sort.Slice(sorted, func(a, c int) bool { return b.X.At(sorted[a], f) < b.X.At(sorted[c], f) })
+
+		leftCounts := make([]int, b.t.nClasses)
+		rightCounts := append([]int(nil), total...)
+
+		for pos := 0; pos < len(sorted)-1; pos++ {
+			lab := b.y[sorted[pos]]
+			leftCounts[lab]++
+			rightCounts[lab]--
+
+			v, next := b.X.At(sorted[pos], f), b.X.At(sorted[pos+1], f)
+			if v == next {
+				continue // cannot split between equal values
+			}
+			nl, nr := pos+1, len(sorted)-pos-1
+			if nl < b.t.cfg.MinLeaf || nr < b.t.cfg.MinLeaf {
+				continue
+			}
+			child := (float64(nl)*impurity(leftCounts, nl, b.t.cfg.Criterion) +
+				float64(nr)*impurity(rightCounts, nr, b.t.cfg.Criterion)) / n
+			if gain := parentImp - child; gain > bestGain {
+				bestGain = gain
+				feature = f
+				threshold = v + (next-v)/2
+				ok = true
+			}
+		}
+	}
+	return feature, threshold, ok
+}
+
+func (b *refBuilder) candidateFeatures() []int {
+	k := b.t.cfg.MaxFeatures
+	if k <= 0 || k >= b.t.nFeatures {
+		all := make([]int, b.t.nFeatures)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	return b.rng.Perm(b.t.nFeatures)[:k]
+}
+
+// identityData draws one training set of the named shape: the value
+// patterns on which a presorted builder could part ways with a per-node
+// sort — ties, repeated rows, columns with nothing to split, zeros of both
+// signs, infinities, and sets too small to split.
+func identityData(rng *rand.Rand, kind string, classes int) (*linalg.Matrix, []int) {
+	n, d := 240, 7
+	switch kind {
+	case "n=1", "n=2", "n=3":
+		n = int(kind[2] - '0')
+	}
+	X := linalg.New(n, d)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			v := rng.NormFloat64()
+			switch kind {
+			case "12-level":
+				v = float64(rng.Intn(12))
+			case "signed-zero":
+				v = []float64{math.Copysign(0, -1), 0, -1, 1}[rng.Intn(4)]
+			case "infinite":
+				if rng.Intn(8) == 0 {
+					v = math.Inf(rng.Intn(2)*2 - 1)
+				}
+			}
+			X.Set(i, j, v)
+		}
+		// Labels follow two features loosely, so trees grow deep.
+		y[i] = int(math.Abs(X.At(i, 0)+X.At(i, 1))*1.5+rng.Float64()) % classes
+		if math.IsInf(X.At(i, 0)+X.At(i, 1), 0) || math.IsNaN(X.At(i, 0)+X.At(i, 1)) {
+			y[i] = rng.Intn(classes)
+		}
+	}
+	switch kind {
+	case "duplicated":
+		// A bootstrap replicate: a third of the rows repeat earlier ones.
+		for i := 2 * n / 3; i < n; i++ {
+			src := rng.Intn(2 * n / 3)
+			copy(X.Row(i), X.Row(src))
+			y[i] = y[src]
+		}
+	case "constant-column":
+		for i := 0; i < n; i++ {
+			X.Set(i, 0, 3.5)
+			X.Set(i, 4, 0)
+		}
+	}
+	return X, y
+}
+
+// TestFitMatchesReference is the byte-identity contract of the presorted
+// builder: over criterion x MaxFeatures x MinLeaf x MaxDepth x class count
+// x data shape, Fit's gob encoding equals the per-node-sort reference's,
+// and so do batch predictions on fresh rows.
+func TestFitMatchesReference(t *testing.T) {
+	kinds := []string{"continuous", "12-level", "duplicated", "constant-column",
+		"signed-zero", "infinite", "n=1", "n=2", "n=3"}
+	seed := int64(0)
+	for _, kind := range kinds {
+		for _, classes := range []int{2, 3, 4} {
+			rng := rand.New(rand.NewSource(int64(len(kind)*10 + classes)))
+			X, y := identityData(rng, kind, classes)
+			probe, _ := identityData(rng, "continuous", classes)
+			for _, crit := range []Criterion{Gini, Entropy} {
+				for _, maxFeatures := range []int{0, -1, 3} {
+					for _, minLeaf := range []int{1, 3} {
+						for _, maxDepth := range []int{0, 4} {
+							seed++
+							cfg := Config{MaxDepth: maxDepth, MinLeaf: minLeaf,
+								MaxFeatures: maxFeatures, Criterion: crit, Seed: seed}
+							name := fmt.Sprintf("%s/k=%d/%+v", kind, classes, cfg)
+							got := New(cfg)
+							if err := got.Fit(X, y); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							want := fitReference(cfg, X, y)
+							gotGob, err := got.GobEncode()
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							wantGob, err := want.GobEncode()
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if !bytes.Equal(gotGob, wantGob) {
+								t.Fatalf("%s: fitted tree differs from the reference (%d vs %d nodes)",
+									name, got.NodeCount(), want.NodeCount())
+							}
+							gotPred := make([]int, probe.Rows())
+							wantPred := make([]int, probe.Rows())
+							got.PredictBatch(probe, gotPred)
+							want.PredictBatch(probe, wantPred)
+							for i := range gotPred {
+								if gotPred[i] != wantPred[i] {
+									t.Fatalf("%s: probe row %d predicted %d, reference %d", name, i, gotPred[i], wantPred[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
