@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
 
 all: build
 
@@ -49,6 +49,22 @@ benchmark-test:
 coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
+
+# fuzz-smoke runs every Fuzz* target of the packages that decode outside
+# bytes — the JSON codec and the decimal→float64 kernel under it — for
+# FUZZTIME each. Plain `go test` only replays their seed corpora; this is
+# what lets the differential oracles (encoding/json, strconv.ParseFloat)
+# look at inputs nobody wrote down. `go test -fuzz` takes one target and
+# one package per run, hence the loop. A failure leaves its input under the
+# package's testdata/fuzz/<target>/ — commit it with the fix.
+FUZZTIME ?= 15s
+fuzz-smoke:
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # race runs the concurrency-heavy packages (batched assessment, request
 # coalescing, the dispatched kernels and their tree consumers, and the
@@ -127,4 +143,4 @@ serve-stats:
 	TRUSTHMD_SERVE_STATS_OUT=$(CURDIR)/serve-cache-stats.json \
 		$(GO) test -run TestServeCacheHitsAreIdentical -count=1 ./pkg/serve/
 
-ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test coalescer-stress
+ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test coalescer-stress fuzz-smoke

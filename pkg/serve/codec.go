@@ -24,6 +24,11 @@ package serve
 //   - encoding is byte-identical to json.Encoder.Encode of the response
 //     structs, trailing newline included (golden-pinned in codec_test.go).
 //
+// Numbers are most of a request's bytes (1088 of them in a 64-row batch
+// body), so parseNumber reads each once: grammar check and decimal→float64
+// conversion share a pass (internal/decfloat), with strconv as the
+// fallback for the rare inputs the fast conversion will not vouch for.
+//
 // A codecScratch is one request's workspace, recycled through a sync.Pool:
 // the decoded feature slices alias it, the coalescer copies the verdict's
 // VoteDist into its votes buffer, and the response bytes are assembled in
@@ -41,6 +46,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"trusthmd/internal/decfloat"
 	"trusthmd/pkg/detector"
 )
 
@@ -432,50 +438,93 @@ func (p *jsonParser) batchField() ([][]float64, error) {
 	}
 }
 
-// parseNumber validates the JSON number grammar, then defers to
-// strconv.ParseFloat — rejecting range errors like encoding/json does.
+// parseNumber consumes one JSON number in one pass: the loops that check
+// the grammar also gather the significant digits into a decimal mantissa
+// and a base-10 exponent, and decfloat.FromDecimal converts those, so no
+// digit is read twice.
+//
+// strconv.ParseFloat's value bits and range error are the contract. When
+// the kernel cannot vouch for a result — more than 19 significant digits or
+// an exponent field too long to hold (man or exp10 is no longer the
+// number's), an exponent outside its table, a product too close to a
+// rounding boundary, a subnormal or overflowing value — the number's bytes
+// go to ParseFloat itself.
 func (p *jsonParser) parseNumber() (float64, error) {
-	start := p.pos
-	if p.pos < len(p.buf) && p.buf[p.pos] == '-' {
-		p.pos++
+	buf, i := p.buf, p.pos
+	start := i
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
 	}
+	// man is the significant digits as an integer, nd their count; past
+	// nd == 19 man has wrapped and only ParseFloat can convert the number.
+	var man uint64
+	nd, exp10 := 0, 0
 	// Integer part: "0" or [1-9][0-9]*.
 	switch {
-	case p.pos < len(p.buf) && p.buf[p.pos] == '0':
-		p.pos++
-	case p.pos < len(p.buf) && p.buf[p.pos] >= '1' && p.buf[p.pos] <= '9':
-		p.pos++
-		for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
-			p.pos++
+	case i < len(buf) && buf[i] == '0':
+		i++
+	case i < len(buf) && buf[i] >= '1' && buf[i] <= '9':
+		for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(buf[i]-'0')
+			nd++
 		}
 	default:
+		p.pos = i
 		return 0, p.errAt("invalid number")
 	}
-	if p.pos < len(p.buf) && p.buf[p.pos] == '.' {
-		p.pos++
-		if p.pos >= len(p.buf) || p.buf[p.pos] < '0' || p.buf[p.pos] > '9' {
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		if i >= len(buf) || buf[i]-'0' > 9 {
+			p.pos = i
 			return 0, p.errAt("invalid number: digits required after '.'")
 		}
-		for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
-			p.pos++
+		frac := i
+		if nd == 0 { // 0.000123: zeros ahead of the first non-zero digit are not significant
+			for i < len(buf) && buf[i] == '0' {
+				i++
+			}
 		}
+		for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(buf[i]-'0')
+			nd++
+		}
+		exp10 = frac - i
 	}
-	if p.pos < len(p.buf) && (p.buf[p.pos] == 'e' || p.buf[p.pos] == 'E') {
-		p.pos++
-		if p.pos < len(p.buf) && (p.buf[p.pos] == '+' || p.buf[p.pos] == '-') {
-			p.pos++
+	if i < len(buf) && (buf[i] == 'e' || buf[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			eneg = buf[i] == '-'
+			i++
 		}
-		if p.pos >= len(p.buf) || p.buf[p.pos] < '0' || p.buf[p.pos] > '9' {
+		if i >= len(buf) || buf[i]-'0' > 9 {
+			p.pos = i
 			return 0, p.errAt("invalid number: digits required in exponent")
 		}
-		for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
-			p.pos++
+		e := 0
+		for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+			if e >= 10000 { // this digit is dropped, so exp10 will be wrong: rule the kernel out
+				nd = 20
+				continue
+			}
+			e = e*10 + int(buf[i]-'0')
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	p.pos = i
+	if nd <= 19 {
+		if v, ok := decfloat.FromDecimal(man, exp10, neg); ok {
+			return v, nil
 		}
 	}
-	v, err := strconv.ParseFloat(string(p.buf[start:p.pos]), 64)
+	v, err := strconv.ParseFloat(string(buf[start:i]), 64)
 	if err != nil {
 		// Overflow/underflow: encoding/json rejects any ParseFloat error.
-		return 0, p.errAt("number %q out of range", p.buf[start:p.pos])
+		return 0, p.errAt("number %q out of range", buf[start:i])
 	}
 	return v, nil
 }

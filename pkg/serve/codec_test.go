@@ -39,6 +39,38 @@ func encodingJSONBatch(data []byte) (BatchRequest, error) {
 	return req, nil
 }
 
+// sameFloats is reflect.DeepEqual for []float64 with the elements compared
+// by bit pattern: DeepEqual compares floats with ==, under which -0 equals
+// +0, so a decoder that lost the sign of zero would pass it.
+func sameFloats(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameAssessRequest(a, b AssessRequest) bool {
+	return a.Model == b.Model && a.Device == b.Device && sameFloats(a.Features, b.Features)
+}
+
+func sameBatchRequest(a, b BatchRequest) bool {
+	if a.Model != b.Model || a.Device != b.Device ||
+		(a.Batch == nil) != (b.Batch == nil) || len(a.Batch) != len(b.Batch) {
+		return false
+	}
+	for i := range a.Batch {
+		if !sameFloats(a.Batch[i], b.Batch[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDecodeAssessRequestParity pins accept/reject and value parity of the
 // pooled decoder against encoding/json over the corners that differ
 // between naive and exact implementations.
@@ -87,6 +119,10 @@ func TestDecodeAssessRequestParity(t *testing.T) {
 		`{"features":[0.0e-2]}`,
 		`{"features":[1E6]}`,
 		`{"features":[-0]}`,
+		`{"features":[-0.0]}`,
+		`{"features":[-0e5]}`,
+		`{"features":[-0,0]}`,
+		`{"features":[0.5,2.25,1e23,8.41e21,9007199254740993]}`,
 		`{"features":[1e309]}`,
 		`{"features":[-1e309]}`,
 		`{"features":[1e-999]}`,
@@ -143,7 +179,7 @@ func TestDecodeAssessRequestParity(t *testing.T) {
 			t.Errorf("%q: accept mismatch: encoding/json err=%v, pooled err=%v", tc, wantErr, gotErr)
 			continue
 		}
-		if wantErr == nil && !reflect.DeepEqual(want, got) {
+		if wantErr == nil && !sameAssessRequest(want, got) {
 			t.Errorf("%q: value mismatch:\n  encoding/json %#v\n  pooled        %#v", tc, want, got)
 		}
 	}
@@ -165,6 +201,7 @@ func TestDecodeBatchRequestParity(t *testing.T) {
 		`{"batch":[1,2]}`,
 		`{"batch":[[1e999]]}`,
 		`{"batch":[[01]]}`,
+		`{"batch":[[-0,0],[-0.0],[-0e5]]}`,
 		`{"extra":[[1]]}`,
 		`null`,
 		`{}`,
@@ -180,7 +217,7 @@ func TestDecodeBatchRequestParity(t *testing.T) {
 			t.Errorf("%q: accept mismatch: encoding/json err=%v, pooled err=%v", tc, wantErr, gotErr)
 			continue
 		}
-		if wantErr == nil && !reflect.DeepEqual(want, got) {
+		if wantErr == nil && !sameBatchRequest(want, got) {
 			t.Errorf("%q: value mismatch:\n  encoding/json %#v\n  pooled        %#v", tc, want, got)
 		}
 	}
@@ -329,9 +366,10 @@ func TestAppendJSONFloatMatrix(t *testing.T) {
 
 // FuzzAssessRequestDecode cross-checks the pooled decoder against
 // encoding/json on arbitrary bytes: both must agree on accept/reject, and
-// on every accepted input the decoded values must be deeply equal. The
-// same input is also run through the batch decoder against its own ground
-// truth, so one fuzzer covers both hot-path decoders.
+// on every accepted input the decoded values must be equal down to the
+// bit pattern of every float (sameFloats). The same input is also run
+// through the batch decoder against its own ground truth, so one fuzzer
+// covers both hot-path decoders.
 func FuzzAssessRequestDecode(f *testing.F) {
 	seeds := []string{
 		`{"device":"d0","features":[1,2,3]}`,
@@ -347,6 +385,11 @@ func FuzzAssessRequestDecode(f *testing.F) {
 		`{"features":[01]}`,
 		`{"features":[1e999]}`,
 		"{\"device\":\"\xff\"}",
+		`{"features":[-0]}`,
+		`{"features":[-0.0]}`,
+		`{"features":[-0e5]}`,
+		`{"features":[-0,0]}`,
+		`{"batch":[[-0,0],[-0.0e-3]]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -361,7 +404,7 @@ func FuzzAssessRequestDecode(f *testing.F) {
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("assess accept mismatch on %q: encoding/json err=%v, pooled err=%v", data, wantErr, gotErr)
 		}
-		if wantErr == nil && !reflect.DeepEqual(want, got) {
+		if wantErr == nil && !sameAssessRequest(want, got) {
 			t.Fatalf("assess value mismatch on %q:\n  encoding/json %#v\n  pooled        %#v", data, want, got)
 		}
 
@@ -371,7 +414,7 @@ func FuzzAssessRequestDecode(f *testing.F) {
 		if (wantBErr == nil) != (gotBErr == nil) {
 			t.Fatalf("batch accept mismatch on %q: encoding/json err=%v, pooled err=%v", data, wantBErr, gotBErr)
 		}
-		if wantBErr == nil && !reflect.DeepEqual(wantB, gotB) {
+		if wantBErr == nil && !sameBatchRequest(wantB, gotB) {
 			t.Fatalf("batch value mismatch on %q:\n  encoding/json %#v\n  pooled        %#v", data, wantB, gotB)
 		}
 
