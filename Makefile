@@ -50,16 +50,18 @@ coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the packages that decode outside
-# bytes — the JSON codec and the decimal→float64 kernel under it — for
-# FUZZTIME each. Plain `go test` only replays their seed corpora; this is
-# what lets the differential oracles (encoding/json, strconv.ParseFloat)
+# fuzz-smoke runs every Fuzz* target of the three packages that decode
+# outside bytes or promise another encoder's bytes — the JSON codec
+# (pkg/serve), the decimal→float64 kernel under it (internal/decfloat), and
+# the verdict store's segment reader and frame encoder (pkg/verdictstore) —
+# for FUZZTIME each. Plain `go test` only replays their seed corpora; this
+# is what lets the differential oracles (encoding/json, strconv.ParseFloat)
 # look at inputs nobody wrote down. `go test -fuzz` takes one target and
 # one package per run, hence the loop. A failure leaves its input under the
 # package's testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./pkg/verdictstore; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
@@ -67,13 +69,14 @@ fuzz-smoke:
 	done
 
 # race runs the concurrency-heavy packages (batched assessment, request
-# coalescing, the dispatched kernels and their tree consumers, and the
+# coalescing, the verdict store's appends against its group-commit
+# flusher, the dispatched kernels and their tree consumers, and the
 # ensemble, whose members train in parallel goroutines, each tree with a
 # builder scratch of its own) under the race detector, then the kernel
 # consumers again with SIMD forced off so both dispatch arms get race
 # coverage.
 race:
-	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
+	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/verdictstore/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trusthmd/pkg/detector"
+	"trusthmd/pkg/verdictstore"
 )
 
 // The loopback harness drives ServeHTTP directly with a reusable request
@@ -150,7 +151,7 @@ func TestAllocsServe(t *testing.T) {
 	srv, X := benchServer(t)
 	defer srv.Close()
 
-	run := func(path string, payload []byte) float64 {
+	run := func(srv *Server, path string, payload []byte) float64 {
 		req := httptest.NewRequest(http.MethodPost, path, nil)
 		body := &replayBody{data: payload}
 		w := newSinkWriter()
@@ -174,14 +175,32 @@ func TestAllocsServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run("/v1/assess", assess); got > 4 {
+	if got := run(srv, "/v1/assess", assess); got > 4 {
 		t.Errorf("POST /v1/assess allocates %.1f/op, budget 4", got)
 	}
 	batch, err := json.Marshal(BatchRequest{Batch: X[:8]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run("/v1/assess/batch", batch); got > 4 {
+	if got := run(srv, "/v1/assess/batch", batch); got > 4 {
 		t.Errorf("POST /v1/assess/batch allocates %.1f/op, budget 4", got)
+	}
+
+	// The same batch with a verdict store attached: the tap builds its
+	// records in the request scratch and the store frames them without
+	// reflection, so persistence fits the same budget.
+	store, err := verdictstore.Open(t.TempDir(), verdictstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	d, _ := testDetector(t)
+	tapped := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, Config{CacheSize: -1, Verdicts: store})
+	defer tapped.Close()
+	if got := run(tapped, "/v1/assess/batch", batch); got > 4 {
+		t.Errorf("POST /v1/assess/batch with a verdict store allocates %.1f/op, budget 4", got)
+	}
+	if st := store.Stats(); st.Appended < 8*200 {
+		t.Errorf("the store saw %d appends over 200 counted requests of 8 rows", st.Appended)
 	}
 }

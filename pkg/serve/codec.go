@@ -39,7 +39,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"unicode"
@@ -47,7 +46,9 @@ import (
 	"unicode/utf8"
 
 	"trusthmd/internal/decfloat"
+	"trusthmd/internal/jsonwire"
 	"trusthmd/pkg/detector"
+	"trusthmd/pkg/verdictstore"
 )
 
 // codecScratch is the pooled per-request workspace of the hot-path codecs
@@ -64,6 +65,7 @@ type codecScratch struct {
 	missIdx  []int       // batch path: indices of cache misses
 	missX    [][]float64 // batch path: vectors needing assessment
 	results  []detector.Result
+	recs     []verdictstore.Record // batch path: the request's verdict records, one AppendBatch
 	assess   detector.BatchScratch
 }
 
@@ -649,7 +651,7 @@ func appendAssessResponse(b []byte, resp *AssessResponse) []byte {
 // built via toResponse.
 func appendBatchResponseResults(b []byte, model string, version uint64, results []detector.Result) []byte {
 	b = append(b, `{"model":`...)
-	b = appendJSONString(b, model)
+	b = jsonwire.AppendString(b, model)
 	b = append(b, `,"version":`...)
 	b = strconv.AppendUint(b, version, 10)
 	b = append(b, `,"results":[`...)
@@ -674,13 +676,13 @@ func appendBatchResponseResults(b []byte, model string, version uint64, results 
 
 func appendAssessObject(b []byte, model string, version uint64, prediction int, entropy float64, voteDist []float64, decision string, dec *Decomposition) []byte {
 	b = append(b, `{"model":`...)
-	b = appendJSONString(b, model)
+	b = jsonwire.AppendString(b, model)
 	b = append(b, `,"version":`...)
 	b = strconv.AppendUint(b, version, 10)
 	b = append(b, `,"prediction":`...)
 	b = strconv.AppendInt(b, int64(prediction), 10)
 	b = append(b, `,"entropy":`...)
-	b = appendJSONFloat(b, entropy)
+	b = jsonwire.AppendFloat(b, entropy)
 	b = append(b, `,"vote_dist":`...)
 	if voteDist == nil {
 		b = append(b, `null`...)
@@ -690,19 +692,19 @@ func appendAssessObject(b []byte, model string, version uint64, prediction int, 
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, v)
+			b = jsonwire.AppendFloat(b, v)
 		}
 		b = append(b, ']')
 	}
 	b = append(b, `,"decision":`...)
-	b = appendJSONString(b, decision)
+	b = jsonwire.AppendString(b, decision)
 	if dec != nil {
 		b = append(b, `,"decomposition":{"total":`...)
-		b = appendJSONFloat(b, dec.Total)
+		b = jsonwire.AppendFloat(b, dec.Total)
 		b = append(b, `,"aleatoric":`...)
-		b = appendJSONFloat(b, dec.Aleatoric)
+		b = jsonwire.AppendFloat(b, dec.Aleatoric)
 		b = append(b, `,"epistemic":`...)
-		b = appendJSONFloat(b, dec.Epistemic)
+		b = jsonwire.AppendFloat(b, dec.Epistemic)
 		b = append(b, '}')
 	}
 	return append(b, '}')
@@ -727,85 +729,6 @@ func appendResultResponse(b []byte, model string, version uint64, r *detector.Re
 // appendErrorResponse appends the ErrorResponse envelope, newline included.
 func appendErrorResponse(b []byte, msg string) []byte {
 	b = append(b, `{"error":`...)
-	b = appendJSONString(b, msg)
+	b = jsonwire.AppendString(b, msg)
 	return append(b, '}', '\n')
-}
-
-// appendJSONFloat formats a float64 exactly like encoding/json: shortest
-// round-trip form, 'e' notation only past the same magnitude thresholds,
-// and the two-digit exponent cleanup ("e-09" → "e-9").
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly like encoding/json
-// with HTML escaping on (the json.Encoder default the generic path uses):
-// `<`, `>`, `&` become \u00XX, U+2028 and U+2029 are escaped, control
-// characters use the short escapes encoding/json uses (only \n, \r, \t)
-// or \u00XX, and each invalid UTF-8 byte becomes the literal escape
-// `\ufffd`.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				// Other control characters and the HTML-sensitive trio.
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == ' ' || r == ' ' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"trusthmd/internal/jsonwire"
 	"trusthmd/pkg/detector"
 )
 
@@ -357,7 +358,7 @@ func TestAppendJSONFloatMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendJSONFloat(nil, v)
+		got := jsonwire.AppendFloat(nil, v)
 		if !bytes.Equal(want, got) {
 			t.Errorf("float %g: encoding/json %q, pooled %q", v, want, got)
 		}
@@ -426,7 +427,7 @@ func FuzzAssessRequestDecode(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotEnc := appendJSONString(nil, got.Model); !bytes.Equal(wantEnc, gotEnc) {
+			if gotEnc := jsonwire.AppendString(nil, got.Model); !bytes.Equal(wantEnc, gotEnc) {
 				t.Fatalf("string encode mismatch for %q: encoding/json %q, pooled %q", got.Model, wantEnc, gotEnc)
 			}
 		}

@@ -120,6 +120,117 @@ func TestVerdictTapMatchesResponses(t *testing.T) {
 	}
 }
 
+// TestBatchVerdictTapMatchesResponses is the same criterion for POST
+// /v1/assess/batch, whose rows reach the store as one AppendBatch group:
+// every row — cache hits and rejections included — is stored element-wise
+// identical to its response row, in request order, with the request row
+// kept as Features on rejections only, and reads back the same after the
+// store is closed and reopened.
+func TestBatchVerdictTapMatchesResponses(t *testing.T) {
+	dir := t.TempDir()
+	store, err := verdictstore.Open(dir, verdictstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	d, xs := testDetector(t)
+	// Threshold 0 rejects every row the ensemble is not unanimous on, so a
+	// batch mixes rejected and accepted rows.
+	strict, err := d.WithOptions(detector.WithThreshold(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustServer(t, map[string]*detector.Detector{"dvfs-rf": strict}, Config{Verdicts: store})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var wantRows []AssessResponse
+	var wantX [][]float64
+	var groups []int                                                                  // rows per request
+	for _, batch := range [][][]float64{xs[:40], xs[20:60], {xs[3], xs[3], xs[70]}} { // overlaps and repeats are cache hits
+		resp, body := postJSON(t, ts.URL+"/v1/assess/batch", BatchRequest{Device: "dev-b", Batch: batch})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d %s", resp.StatusCode, body)
+		}
+		var br BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(br.Results) != len(batch) {
+			t.Fatalf("%d results for %d rows", len(br.Results), len(batch))
+		}
+		wantRows = append(wantRows, br.Results...)
+		wantX = append(wantX, batch...)
+		groups = append(groups, len(batch))
+	}
+	if hits := s.Fleet().Stats()[0].CacheHits; hits < 20 {
+		t.Fatalf("only %d cache hits; the repeats were meant to be answered from the cache", hits)
+	}
+
+	check := func(store *verdictstore.Store) {
+		t.Helper()
+		recs, err := store.Query(verdictstore.Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(wantRows) {
+			t.Fatalf("stored %d verdicts, served %d", len(recs), len(wantRows))
+		}
+		rejected, accepted := 0, 0
+		for i, rec := range recs {
+			want := wantRows[i]
+			if rec.Seq != uint64(i+1) || rec.Prediction != want.Prediction || rec.Entropy != want.Entropy ||
+				rec.Decision != want.Decision || rec.Version != want.Version || rec.Model != want.Model ||
+				!sameFloats(rec.Votes, want.VoteDist) {
+				t.Fatalf("verdict %d diverged from its response row: %+v vs %+v", i, rec, want)
+			}
+			if rec.Device != "dev-b" || rec.Source != "batch" {
+				t.Fatalf("verdict %d provenance: %+v", i, rec)
+			}
+			if rec.Decision == "reject" {
+				rejected++
+				if !sameFloats(rec.Features, wantX[i]) {
+					t.Fatalf("rejected verdict %d stored features %v, request row %v", i, rec.Features, wantX[i])
+				}
+			} else {
+				accepted++
+				if rec.Features != nil {
+					t.Fatalf("verdict %d: accepted verdict stored features", i)
+				}
+			}
+		}
+		if rejected == 0 || accepted == 0 {
+			t.Fatalf("%d rejected, %d accepted rows; the test needs both", rejected, accepted)
+		}
+		// One latency and one clock reading per request: its rows were
+		// answered, and stored, together.
+		at := 0
+		for _, n := range groups {
+			for _, rec := range recs[at : at+n] {
+				if rec.LatencyMicros != recs[at].LatencyMicros || !rec.Time.Equal(recs[at].Time) {
+					t.Fatalf("request starting at verdict %d: seq %d has latency %d, time %v; the first row %d, %v",
+						at+1, rec.Seq, rec.LatencyMicros, rec.Time, recs[at].LatencyMicros, recs[at].Time)
+				}
+			}
+			at += n
+		}
+	}
+	check(store)
+	if errs := s.Fleet().verdictAppendErrs.Load(); errs != 0 {
+		t.Fatalf("%d verdict append errors", errs)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := verdictstore.Open(dir, verdictstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check(reopened)
+}
+
 func TestVerdictsEndpointDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/verdicts")

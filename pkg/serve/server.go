@@ -427,11 +427,38 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	sh.stats.batchSamples.Add(int64(n))
 	sh.served.Add(int64(n))
 	sh.stats.observe(results)
-	// Tap every row into the verdict store (latency is the whole batch's
-	// serving time — the rows were answered together).
-	elapsed := time.Since(start)
-	for i := range results {
-		s.fleet.recordVerdict(req.Device, "batch", sh.name, sh.version, results[i], req.Batch[i], elapsed)
+	// Tap every row into the verdict store as one group (latency is the
+	// whole batch's serving time — the rows were answered together). The
+	// records alias the results' votes and, for rejections, the request
+	// rows; AppendBatch has framed them by the time it returns.
+	if st := s.fleet.cfg.Verdicts; st != nil {
+		lat := time.Since(start).Microseconds()
+		recs := sc.recs[:0]
+		for i := range results {
+			res := &results[i]
+			rec := verdictstore.Record{
+				Device:        req.Device,
+				Model:         sh.name,
+				Version:       sh.version,
+				Source:        "batch",
+				Prediction:    res.Prediction,
+				Decision:      res.Decision.String(),
+				Entropy:       res.Entropy,
+				Votes:         res.VoteDist,
+				LatencyMicros: lat,
+			}
+			if res.Decision == detector.Reject {
+				rec.Features = req.Batch[i]
+			}
+			recs = append(recs, rec)
+		}
+		// Failures are counted, never propagated: persistence must not
+		// fail serving.
+		if stored, _ := st.AppendBatch(recs); stored < len(recs) {
+			s.fleet.verdictAppendErrs.Add(int64(len(recs) - stored))
+		}
+		clear(recs) // the pooled scratch must not pin this request's strings and slices
+		sc.recs = recs[:0]
 	}
 	sc.out = appendBatchResponseResults(sc.out[:0], sh.name, sh.version, results)
 	writeBytes(w, http.StatusOK, sc.out)

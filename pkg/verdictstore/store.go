@@ -16,13 +16,20 @@
 // Appends are group-committed: Append frames the record into an
 // in-memory pending group and returns; a background flusher (optionally
 // core-pinned) drains the whole group with one write syscall and fsyncs
-// the active segment on a timer, so the serving path never waits on the
-// disk. Query, Stats, Sync and Close commit the pending group first, so
-// a read always observes every Append that returned before it. The
-// durability contract: a crash loses at most one uncommitted group plus
-// whatever the OS had not flushed since the last fsync tick — Sync
-// forces full durability on demand, and Config.SyncEvery switches the
-// store to synchronous per-record writes when that window is too wide.
+// the active segment on a timer. An append issues no I/O itself; what it
+// can wait for is the store lock, which the flusher holds across its
+// write(2) and a rotation's sealing fsync (the timer's fsync runs outside
+// it). AppendBatch is the same front door for a group of records — a
+// client batch's verdicts — taken once: one lock acquisition and one
+// flusher wake-up for the lot, the records stamped in place and framed
+// without reflection into the bytes encoding/json would have produced, so
+// both doors write one format. Query, Stats, Sync and Close commit the
+// pending group first, so a read always observes every append that
+// returned before it. The durability contract: a crash loses at most one
+// uncommitted group plus whatever the OS had not flushed since the last
+// fsync tick — Sync forces full durability on demand, and
+// Config.SyncEvery switches the store to synchronous writes when that
+// window is too wide.
 //
 // A Store is safe for concurrent use.
 package verdictstore
@@ -86,7 +93,8 @@ type Config struct {
 	// and a background flusher writes each group with one syscall,
 	// fsyncing every SyncInterval. N > 0 makes Append synchronous — the
 	// record is written before Append returns and the segment is fsynced
-	// every N records (1 = fsync per append, write-ahead-log durability).
+	// every N records (1 = fsync per append, write-ahead-log durability;
+	// an AppendBatch group is written, and counted, as a whole).
 	SyncEvery int
 	// SyncInterval is the background fsync cadence of group-commit mode
 	// (default 100ms). Ignored when SyncEvery > 0.
@@ -349,11 +357,13 @@ func readFrame(br *bufio.Reader) (Record, int64, error) {
 
 // Append stamps and persists one record, returning its sequence number.
 // In group-commit mode (Config.SyncEvery == 0) the record is framed into
-// the pending group and written by the background flusher — Append never
-// waits on the disk, and Query still observes the record immediately.
+// the pending group and written by the background flusher: Append issues
+// no I/O itself, though it can wait for the store lock while the flusher's
+// write(2) is in flight, and Query still observes the record immediately.
 // With SyncEvery > 0 the write (and every N-th fsync) happens before
 // Append returns. Append borrows nothing from rec: the frame is encoded
-// before Append returns, so the caller may reuse Votes and Features.
+// before Append returns, so the caller may reuse Votes and Features. For
+// many records at once, AppendBatch does the same under one lock.
 func (s *Store) Append(rec Record) (uint64, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -416,14 +426,110 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	return rec.Seq, nil
 }
 
+// AppendBatch stamps and persists a group of records as one append: one
+// lock acquisition, one flusher wake-up (or, with SyncEvery > 0, one
+// commit), frames encoded straight into the pending group. It returns how
+// many records were accepted and the first error.
+//
+// The group contract:
+//   - recs is stamped in place. Accepted records get contiguous sequence
+//     numbers in slice order; records with a zero Time share one clock
+//     reading.
+//   - A record that cannot be framed (a NaN or infinite float, a Time
+//     encoding/json would refuse, a payload over the frame limit) is
+//     skipped — its Seq is left 0 and it consumes no sequence number — and
+//     the rest of the group still lands; n counts the accepted ones.
+//   - A closed store, or a background commit failure waiting to be
+//     surfaced, refuses the whole group: n is 0 and nothing is stamped.
+//   - Borrowing ends at return: every frame is encoded before AppendBatch
+//     returns, so Votes and Features may alias buffers the caller reuses.
+//
+// With SyncEvery > 0 a failed commit reports n = 0, though a group that
+// straddled a rotation may have landed in part.
+func (s *Store) AppendBatch(recs []Record) (n int, err error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, ErrClosed
+	}
+	if err := s.werr; err != nil {
+		s.werr = nil
+		s.mu.Unlock()
+		return 0, err
+	}
+	var now time.Time
+	for i := range recs {
+		rec := &recs[i]
+		rec.Seq = s.nextSeq
+		if rec.Time.IsZero() {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			rec.Time = now
+		}
+		// Reserve the header, encode the payload behind it, then patch
+		// length and checksum in.
+		mark := len(s.pendBuf)
+		buf, ferr := appendRecord(append(s.pendBuf, make([]byte, frameHdr)...), rec)
+		payload := buf[mark+frameHdr:]
+		if ferr == nil && len(payload) > maxPayload {
+			ferr = fmt.Errorf("record of %d bytes exceeds frame limit", len(payload))
+		}
+		if ferr != nil {
+			s.pendBuf = buf[:mark]
+			rec.Seq = 0
+			if err == nil {
+				err = fmt.Errorf("verdictstore: %w", ferr)
+			}
+			continue
+		}
+		binary.LittleEndian.PutUint32(buf[mark:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[mark+4:], crc32.ChecksumIEEE(payload))
+		s.pendBuf = buf
+		s.pending = append(s.pending, pendMeta{seq: rec.Seq, tn: rec.Time.UnixNano(), size: frameHdr + len(payload)})
+		s.nextSeq++
+		n++
+	}
+	s.appended += int64(n)
+	if s.cfg.SyncEvery > 0 {
+		cerr := s.commitLocked()
+		if cerr == nil {
+			s.sinceSync += n
+			if s.sinceSync >= s.cfg.SyncEvery && s.f != nil {
+				if serr := s.f.Sync(); serr != nil {
+					cerr = fmt.Errorf("verdictstore: %w", serr)
+				}
+				s.dirty = false
+				s.sinceSync = 0
+			}
+		}
+		s.mu.Unlock()
+		if cerr != nil {
+			return 0, cerr
+		}
+		return n, err
+	}
+	s.mu.Unlock()
+	if n > 0 {
+		select {
+		case s.signal <- struct{}{}:
+		default: // flusher already signalled
+		}
+	}
+	return n, err
+}
+
 func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
 
 // commitLocked writes the pending group to the active segment — one
 // write syscall per contiguous run, rotating mid-group when the segment
 // bound is crossed. The group is consumed whether or not the commit
-// lands: a write failure drops it (the error is the caller's, or parks
-// in werr for the next Append/Sync to surface) rather than retrying
-// forever against a dead disk. Callers hold s.mu.
+// lands: a write failure drops the frames not yet written (the error is
+// the caller's, or parks in werr for the next Append/Sync to surface)
+// rather than retrying forever against a dead disk. Callers hold s.mu.
 func (s *Store) commitLocked() error {
 	if len(s.pending) == 0 {
 		return nil
@@ -432,37 +538,42 @@ func (s *Store) commitLocked() error {
 		s.pending = s.pending[:0]
 		s.pendBuf = s.pendBuf[:0]
 	}()
-	off, start := 0, 0
-	for _, pm := range s.pending {
-		if s.f == nil || s.active().bytes >= s.cfg.SegmentBytes {
-			// Flush the run accounted to the outgoing segment before
-			// rotation seals it.
-			if err := s.writeGroup(start, off); err != nil {
+	// The current run is pending[first:i], framed in pendBuf[start:off].
+	first, start, off := 0, 0, 0
+	for i, pm := range s.pending {
+		if s.f == nil || s.active().bytes+int64(off-start) >= s.cfg.SegmentBytes {
+			// Write the outgoing segment's run before rotation seals it.
+			if err := s.writeRun(first, i, start, off); err != nil {
 				return err
 			}
-			start = off
+			first, start = i, off
 			if err := s.rotateLocked(pm.seq); err != nil {
 				return err
 			}
 		}
-		seg := s.active()
-		seg.note(pm.seq, pm.tn)
-		seg.bytes += int64(pm.size)
 		off += pm.size
 	}
-	return s.writeGroup(start, off)
+	return s.writeRun(first, len(s.pending), start, off)
 }
 
-// writeGroup pushes pendBuf[start:end] — the frames accounted to the
-// current active segment — to the file in one Write. Callers hold s.mu.
-func (s *Store) writeGroup(start, end int) error {
-	if end == start {
+// writeRun pushes pendBuf[start:end] — the frames of pending[first:last]
+// — to the active segment in one Write, and only once the write has
+// landed accounts them to it: a failed write must not leave the segment's
+// record count, size and bounds describing frames that are not on disk.
+// Callers hold s.mu.
+func (s *Store) writeRun(first, last, start, end int) error {
+	if first == last {
 		return nil
 	}
 	if _, err := s.f.Write(s.pendBuf[start:end]); err != nil {
 		return fmt.Errorf("verdictstore: %w", err)
 	}
 	s.dirty = true
+	seg := s.active()
+	for _, pm := range s.pending[first:last] {
+		seg.note(pm.seq, pm.tn)
+	}
+	seg.bytes += int64(end - start)
 	return nil
 }
 
