@@ -15,11 +15,13 @@ import (
 	"trusthmd/internal/ensemble"
 	"trusthmd/internal/exp"
 	"trusthmd/internal/gen"
+	"trusthmd/internal/hmd"
 	"trusthmd/internal/ml/tree"
 	"trusthmd/internal/reduce"
 	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/linalg"
+	"trusthmd/pkg/model"
 )
 
 func benchScale() float64 {
@@ -570,9 +572,12 @@ func treeCompareSetup(b *testing.B) (*tree.Tree, *linalg.Matrix, *linalg.Matrix,
 	return tr, Z, ZT, make([]int, 256)
 }
 
-// BenchmarkTreeCompare8 is the 8-lane lockstep tree walk over one batch —
-// the pre-SIMD batched compare step, still the fallback for trees past 64
-// leaves and non-AVX2 hosts.
+// BenchmarkTreeCompare8 is PredictBatch over one 256-row batch of a
+// DVFS-sized tree — the row-major batched walk, which at this size is the
+// level walk; every batch of a tree past 64 leaves, and every batch on a
+// host without the vector tree step, goes this way. (The name dates from
+// the 8-lane lockstep kernel, which PredictBatch still uses below 32
+// rows; BenchmarkTreeWalkDeep sweeps the row count.)
 func BenchmarkTreeCompare8(b *testing.B) {
 	tr, Z, _, out := treeCompareSetup(b)
 	b.ReportAllocs()
@@ -584,13 +589,72 @@ func BenchmarkTreeCompare8(b *testing.B) {
 
 // BenchmarkTreeCompareCols is the vectorized bitmask walk over the same
 // batch (transpose precomputed, as the ensemble shares it across members).
-// On non-AVX2 hosts it degrades to the lockstep walk above.
+// On non-AVX2 hosts it degrades to the row-major walk above.
 func BenchmarkTreeCompareCols(b *testing.B) {
 	tr, Z, ZT, out := treeCompareSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.PredictBatchCols(Z, ZT, out)
+	}
+}
+
+// BenchmarkTreeWalkDeep is the in-repo twin of the benchmark's
+// hmd.votes_row_ns on offline-score: the 25 trees of the quarter-Table-I
+// HPC forest (the model TestGoldenModelHashes pins; 2.4k-2.7k nodes and
+// ~1.3k leaves a tree, so no bitmask form) each walking one batch through
+// PredictBatch, per batch size on either side of the 32-row walk choice.
+// Batches are cut from a pool of distinct projected test rows and cycled,
+// so the branch predictor cannot learn a batch; ns/row-tree is the time of
+// one row through one tree.
+func BenchmarkTreeWalkDeep(b *testing.B) {
+	quarter := gen.Sizes{Train: gen.TableIHPC.Train / 4, Test: gen.TableIHPC.Test / 4, Unknown: gen.TableIHPC.Unknown / 4}
+	s, err := gen.HPCWithSizes(1, quarter)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := hmd.Train(s.Train, hmd.Config{
+		NewMember: func(seed int64) model.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
+		M:         25,
+		Seed:      1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var trees []*tree.Tree
+	for _, m := range p.Ensemble().Estimators() {
+		trees = append(trees, m.(*tree.Tree))
+	}
+	const pool = 4096 // test + unknown hold 4774 distinct rows
+	rows := make([][]float64, 0, pool)
+	for _, part := range []*dataset.Dataset{s.Test, s.Unknown} {
+		for i := 0; i < part.Len() && len(rows) < pool; i++ {
+			rows = append(rows, part.At(i).Features)
+		}
+	}
+	Z, err := p.ProjectRowsScratch(rows, linalg.New(0, 0), linalg.New(0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := Z.Cols()
+	for _, n := range []int{8, 31, 32, 64, 256, 1024} {
+		b.Run("rows="+strconv.Itoa(n), func(b *testing.B) {
+			batches := make([]*linalg.Matrix, pool/n)
+			for k := range batches {
+				batches[k] = linalg.New(n, d)
+				copy(batches[k].Raw(), Z.Raw()[k*n*d:(k+1)*n*d])
+			}
+			out := make([]int, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				X := batches[i%len(batches)]
+				for _, tr := range trees {
+					tr.PredictBatch(X, out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*len(trees)), "ns/row-tree")
+		})
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 //	for each internal node n:   if !(x[feats[n]] <= thr[n]) { v &= masks[n] }
 //	exit leaf = lowest set bit of v
 //
-// Leaves are numbered left to right (preorder of the flat slab visits a
-// node's left subtree first, so its leaves occupy one contiguous bit
-// range). masks[n] clears exactly node n's left-subtree leaves — the
-// leaves ruled out when the comparison goes false (right). The true exit
+// Leaves are numbered left to right — the order the flat slab stores them
+// in, so leaf number = node index - nInternal — and a node's left subtree
+// therefore occupies one contiguous bit range. masks[n] clears exactly
+// node n's left-subtree leaves — the leaves ruled out when the comparison
+// goes false (right). The true exit
 // leaf is never cleared (every ancestor's decision spares its subtree;
 // non-ancestors clear only leaves outside the exit path), and the classic
 // QuickScorer argument makes it the minimum surviving index.
@@ -45,7 +46,9 @@ type qsSlab struct {
 }
 
 // qsMaxLeaves bounds the bitvector width. Forest trees on the paper's DVFS
-// workload average ~23 leaves; deeper trees simply keep the lockstep walk.
+// workload average ~23 leaves; trees with more leaves have no bitmask form
+// and every batch goes through PredictBatch, which picks the lockstep
+// kernel below 32 rows and the level walk from 32 up.
 const qsMaxLeaves = 64
 
 // allOnes32 is the fresh "every leaf still possible" bitvector block,
@@ -58,26 +61,18 @@ var allOnes32 = func() (v [32]uint64) {
 }()
 
 // buildQS derives the bitmask slab from the flat slab. Called by buildFlat
-// (so Fit and GobDecode both rebuild it); trees without a flat slab or
-// with more than 64 leaves leave qs nil and use the lockstep walk.
+// (so Fit and GobDecode both rebuild it); trees with more than 64 leaves
+// leave qs nil and are served by PredictBatch's walks alone.
 func (t *Tree) buildQS() {
 	t.qs = nil
-	if t.flat == nil {
-		return
-	}
-	nLeaves := 0
-	for i := range t.flat {
-		if t.flat[i].isLeaf(int32(i)) {
-			nLeaves++
-		}
-	}
+	nLeaves := len(t.flat) - t.nInternal
 	if nLeaves > qsMaxLeaves {
 		return
 	}
 	qs := &qsSlab{
-		thr:        make([]float64, 0, len(t.flat)-nLeaves),
-		masks:      make([]uint64, 0, len(t.flat)-nLeaves),
-		feats:      make([]uint32, 0, len(t.flat)-nLeaves),
+		thr:        make([]float64, 0, t.nInternal),
+		masks:      make([]uint64, 0, t.nInternal),
+		feats:      make([]uint32, 0, t.nInternal),
 		leafLabels: make([]int32, 0, nLeaves),
 	}
 	var walk func(i int32) (lo, hi int)

@@ -77,15 +77,28 @@ type Tree struct {
 	nodes     int
 
 	// flat is the inference-time form of the tree: the pointer nodes packed
-	// into one contiguous array-of-structs slab in preorder, with all leaf
-	// class histograms concatenated in leafSlab, per-node majority labels
-	// in labels, and flatDepth the longest root-to-leaf path. Predict walks
-	// flat (a cache-local slab, no pointer chasing); Fit and GobDecode
-	// rebuild it.
+	// into one contiguous array-of-structs slab, internal nodes first. The
+	// nInternal internal nodes fill [0, nInternal) in preorder among
+	// themselves (so an internal left child of node i is i+1 and the root
+	// of any tree that splits is 0); the leaves follow in [nInternal,
+	// len(flat)), also in preorder, i.e. left to right. A strictly binary
+	// tree has one leaf more than it has internal nodes, so len(flat) is
+	// 2*nInternal+1, and a tree that is one leaf has nInternal == 0.
+	// leafSlab holds the leaf class histograms concatenated in leaf order,
+	// labels the majority label per node index (-1 for internal nodes), and
+	// flatDepth is the longest root-to-leaf path. Fit and GobDecode build
+	// all of it; no fitted or decoded tree exists without it.
+	//
+	// Who reads which half: the per-row walks (predictFlat, leafCountsFlat)
+	// and the lockstep kernel load whatever node they stand on, leaves
+	// included; the level walk finishes a row the moment its next index is
+	// >= nInternal and never loads a leaf node, so its working set is the
+	// internal half alone.
 	flat      []flatNode
 	leafSlab  []int
 	labels    []int32
 	flatDepth int
+	nInternal int
 
 	// qs is the bitmask ("QuickScorer") form of flat for trees with <=64
 	// leaves; see qs.go. Rebuilt alongside flat, nil when unavailable.
@@ -102,57 +115,58 @@ type node struct {
 
 func (n *node) leaf() bool { return n.left == nil }
 
-// flatNode is one packed tree node; 24 bytes keeps a whole fitted tree
-// L1-resident. Leaves SELF-LOOP: left and right hold the leaf's own index,
-// feature is 0 and threshold +Inf, so a walk that has reached a leaf can
-// keep "stepping" without moving or branching on a leaf test. That lets
-// the batched kernel advance several rows in lock-step for a fixed
-// flatDepth iterations with no per-node leaf check at all — rows that
-// arrive early simply spin in place — which converts the walk's serial
-// pointer-chase latency into memory-level parallelism. leafOff is the
-// leaf's offset into the shared histogram slab.
+// flatNode is one packed tree node; 24 bytes keeps the internal half of
+// even a purity-grown HPC tree (~1300 internal nodes) L1-resident. right
+// and left are adjacent, in that order, on purpose: the level walk picks
+// the child by address, right's offset plus 4 when x <= threshold holds —
+// the comparison's own 0/1, with nothing to invert. Leaves SELF-LOOP:
+// left and right hold the leaf's own index, feature is 0 and threshold
+// +Inf, so a walk that has reached a leaf can keep "stepping" without
+// moving or branching on a leaf test. That lets the lockstep kernel
+// advance several rows for a fixed flatDepth iterations with no per-node
+// leaf check at all — rows that arrive early simply spin in place — which
+// converts the walk's serial pointer-chase latency into memory-level
+// parallelism. leafOff is the leaf's offset into the shared histogram slab
+// (-1 on internal nodes).
 type flatNode struct {
 	threshold float64
 	feature   int32
-	left      int32
 	right     int32
+	left      int32
 	leafOff   int32
 }
 
 // isLeaf reports whether the node at index i self-loops.
 func (n *flatNode) isLeaf(i int32) bool { return n.left == i }
 
-// buildFlat packs the pointer tree into the contiguous traversal slab.
-// Preorder matches the gob wire layout, so flattening is representation
-// only — traversal decisions, and therefore predictions, are identical to
-// the pointer walk (asserted by TestFlatMatchesPointerWalk). Trees whose
-// leaves do not all carry an nClasses-wide histogram (a malformed decode)
-// keep the pointer walk instead of a flat slab.
+// buildFlat packs the pointer tree into the traversal slab (layout: see
+// Tree.flat). It is representation only — traversal decisions, and
+// therefore predictions, are identical to walking the pointer nodes
+// (asserted by TestFlatMatchesPointerWalk). Every leaf must carry an
+// nClasses-wide histogram: Fit writes nothing else and GobDecode rejects
+// anything else.
 func (t *Tree) buildFlat() {
-	if t.root == nil || !uniformLeaves(t.root, t.nClasses) {
-		t.flat, t.leafSlab, t.qs = nil, nil, nil
-		return
-	}
-	t.flat = t.flat[:0]
-	t.leafSlab = t.leafSlab[:0]
-	t.labels = t.labels[:0]
+	t.nInternal = countInternal(t.root)
+	n := 2*t.nInternal + 1
+	t.flat = make([]flatNode, n)
+	t.labels = make([]int32, n)
+	t.leafSlab = make([]int, 0, (t.nInternal+1)*t.nClasses)
 	t.flatDepth = 0
-	t.flattenNode(t.root, 0)
+	nextInternal, nextLeaf := int32(0), int32(t.nInternal)
+	t.flattenNode(t.root, 0, &nextInternal, &nextLeaf)
 	t.buildQS()
 }
 
-// uniformLeaves reports whether every leaf histogram has width classes.
-func uniformLeaves(n *node, classes int) bool {
+func countInternal(n *node) int {
 	if n.leaf() {
-		return len(n.counts) == classes
+		return 0
 	}
-	return uniformLeaves(n.left, classes) && uniformLeaves(n.right, classes)
+	return 1 + countInternal(n.left) + countInternal(n.right)
 }
 
-func (t *Tree) flattenNode(n *node, depth int) int32 {
-	idx := int32(len(t.flat))
-	t.flat = append(t.flat, flatNode{leafOff: -1})
-	t.labels = append(t.labels, -1)
+// flattenNode writes n's subtree into the slab, drawing internal and leaf
+// indices from their two preorder counters, and returns n's index.
+func (t *Tree) flattenNode(n *node, depth int, nextInternal, nextLeaf *int32) int32 {
 	if depth > t.flatDepth {
 		t.flatDepth = depth
 	}
@@ -161,18 +175,19 @@ func (t *Tree) flattenNode(n *node, depth int) int32 {
 		// the comparison outcome irrelevant (any value, NaN included, stays
 		// put). The label is the argmax-with-ties-to-lower reduction
 		// Predict used to run against the histogram on every call.
-		t.flat[idx].left = idx
-		t.flat[idx].right = idx
-		t.flat[idx].threshold = math.Inf(1)
-		t.flat[idx].leafOff = int32(len(t.leafSlab))
+		idx := *nextLeaf
+		*nextLeaf++
+		t.flat[idx] = flatNode{threshold: math.Inf(1), left: idx, right: idx, leafOff: int32(len(t.leafSlab))}
 		t.labels[idx] = int32(majorityLabel(n.counts))
 		t.leafSlab = append(t.leafSlab, n.counts...)
 		return idx
 	}
-	t.flat[idx].feature = int32(n.feature)
-	t.flat[idx].threshold = n.threshold
-	t.flat[idx].left = t.flattenNode(n.left, depth+1)
-	t.flat[idx].right = t.flattenNode(n.right, depth+1)
+	idx := *nextInternal
+	*nextInternal++
+	t.labels[idx] = -1
+	left := t.flattenNode(n.left, depth+1, nextInternal, nextLeaf)
+	right := t.flattenNode(n.right, depth+1, nextInternal, nextLeaf)
+	t.flat[idx] = flatNode{threshold: n.threshold, feature: int32(n.feature), left: left, right: right, leafOff: -1}
 	return idx
 }
 
@@ -629,16 +644,19 @@ func impurity(counts []int, n int, c Criterion) float64 {
 
 // Predict returns the majority class of the leaf reached by x.
 func (t *Tree) Predict(x []float64) int {
-	if t.flat != nil {
-		if t.root == nil {
-			panic(ErrNotFitted)
-		}
-		if len(x) != t.nFeatures {
-			panic(fmt.Sprintf("tree: input has %d features, trained on %d", len(x), t.nFeatures))
-		}
-		return t.predictFlat(x)
+	t.checkInput(x)
+	return t.predictFlat(x)
+}
+
+// checkInput panics unless the tree is fitted and x is as wide as the rows
+// it was trained on — the precondition of the unchecked loads in the walks.
+func (t *Tree) checkInput(x []float64) {
+	if t.root == nil {
+		panic(ErrNotFitted)
 	}
-	return majorityLabel(t.leafCounts(x))
+	if len(x) != t.nFeatures {
+		panic(fmt.Sprintf("tree: input has %d features, trained on %d", len(x), t.nFeatures))
+	}
 }
 
 // predictFlat walks the packed slab to a leaf and returns its precomputed
@@ -683,21 +701,13 @@ func (t *Tree) PredictProba(x []float64) []float64 {
 }
 
 func (t *Tree) leafCounts(x []float64) []int {
-	if t.root == nil {
-		panic(ErrNotFitted)
-	}
-	if len(x) != t.nFeatures {
-		panic(fmt.Sprintf("tree: input has %d features, trained on %d", len(x), t.nFeatures))
-	}
-	if t.flat != nil {
-		return t.leafCountsFlat(x)
-	}
-	return t.leafCountsPtr(x)
+	t.checkInput(x)
+	return t.leafCountsFlat(x)
 }
 
-// leafCountsFlat is the hot traversal: successive nodes live in one
-// contiguous slab, so the walk touches a handful of cache lines instead of
-// chasing heap pointers.
+// leafCountsFlat walks the slab to x's leaf and returns its class
+// histogram: successive nodes live in one contiguous slab, so the walk
+// touches a handful of cache lines instead of chasing heap pointers.
 func (t *Tree) leafCountsFlat(x []float64) []int {
 	flat := t.flat
 	i := int32(0)
@@ -714,41 +724,47 @@ func (t *Tree) leafCountsFlat(x []float64) []int {
 	}
 }
 
-// leafCountsPtr is the original pointer-chasing walk, kept as the fallback
-// for unflattened trees and as the reference the property tests compare
-// the flat walk against.
-func (t *Tree) leafCountsPtr(x []float64) []int {
-	n := t.root
-	for !n.leaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.counts
-}
-
 // PredictBatch writes the majority-class prediction for every row of X
 // into out (length X.Rows()). It exists for batched ensemble inference:
 // one tree's flat slab stays cache-hot across the whole batch instead of
 // being evicted between samples by its ensemble neighbours. Predictions
 // are identical to calling Predict per row.
 //
-// The kernel walks eight rows in lock-step for exactly flatDepth
-// iterations. Leaves self-loop, so there is no per-node leaf test and no
-// per-lane bookkeeping — rows that reach their leaf early spin in place —
-// and the child select is branch-free mask arithmetic. Eight independent
-// traversal chains keep the load and compare ports saturated where a lone
-// walk would stall on its serial load→compare→load dependency (or, with
-// branchy selects, on mispredicted data-dependent branches); on the
-// paper's DVFS forests this kernel assesses ~40% faster end to end than
-// the one-row-at-a-time walk.
+// The walk is chosen by the row count — an input, never an option: batches
+// of levelWalkRows (32) rows or more take the level walk (levelWalk),
+// smaller ones the lockstep kernel in this function's body, in groups of
+// eight with a per-row tail. The measurement behind 32, ns per row through
+// 25 trees, distinct rows cycled so the branch predictor cannot learn
+// them, p10 of 30 interleaved rounds, lockstep -> level walk:
 //
-// Unsafe loads are confined to indices the representation already proves:
-// node indices come from the slab itself (flatten writes only in-range
-// children), features are < nFeatures (checked against X.Cols() above),
-// and lanes read rows [i, i+8) of X's backing array.
+//	rows   HPC forest (~2500 nodes,     DVFS forest (~55 nodes,
+//	       mean path 13.9, longest 30)  mean path 5.0, longest 10)
+//	   8   1144 -> 2496                 331 -> 877
+//	  16   1072 -> 1118                 327 -> 435
+//	  24   1039 ->  902                 327 -> 342
+//	  31   1554 ->  842                 398 -> 305
+//	  32   1052 ->  862                 328 -> 305
+//	  48   1027 ->  772                 328 -> 271
+//	  64   1067 ->  749                 334 -> 255
+//	 256   1031 ->  653                 324 -> 231
+//	1024    997 ->  679                 339 -> 254
+//
+// The level walk pays a fixed cost per level per call, which few rows
+// cannot carry; the lockstep kernel steps every row flatDepth times, which
+// a ragged tree makes mostly spinning. From 32 rows up the level walk
+// loses on neither forest; at 24 — three full lockstep groups — it still
+// loses on DVFS-sized trees, and 31 reads as it does only because seven of
+// lockstep's rows fall to its per-row tail. 32 is also the size from which
+// pkg/detector transposes a batch for the bitmask kernel, so one number
+// splits "small" from "batch" everywhere. On DVFS-sized trees the
+// level walk matters only where that kernel is unavailable (no vector
+// tree step on the host, or TRUSTHMD_NOSIMD).
+//
+// Unsafe loads in both walks are confined to indices the representation
+// already proves: node indices come from the slab itself (flattenNode
+// writes only in-range children), features are < nFeatures (Fit draws them
+// from the columns, GobDecode rejects any other; nFeatures is checked
+// against X.Cols() below), and rows are rows of X's backing array.
 func (t *Tree) PredictBatch(X *linalg.Matrix, out []int) {
 	if t.root == nil {
 		panic(ErrNotFitted)
@@ -759,16 +775,25 @@ func (t *Tree) PredictBatch(X *linalg.Matrix, out []int) {
 	if X.Rows() > 0 && X.Cols() != t.nFeatures {
 		panic(fmt.Sprintf("tree: input has %d features, trained on %d", X.Cols(), t.nFeatures))
 	}
-	if t.flat == nil {
-		for i := range out {
-			out[i] = majorityLabel(t.leafCountsPtr(X.Row(i)))
-		}
-		return
-	}
 	// Raw row-major storage avoids a bounds-checked Row call per sample.
 	data, cols := X.Raw(), X.Cols()
-	flat, labels, depth := t.flat, t.labels, t.flatDepth
-	base := unsafe.Pointer(unsafe.SliceData(flat))
+	if len(out) >= levelWalkRows {
+		t.levelWalk(data, cols, out)
+		return
+	}
+	// The lockstep kernel: eight rows in lock-step for exactly flatDepth
+	// iterations. Leaves self-loop, so there is no per-node leaf test and
+	// no per-lane bookkeeping — rows that reach their leaf early spin in
+	// place — and the child select is branch-free mask arithmetic. Eight
+	// independent traversal chains keep the load and compare ports
+	// saturated where a lone walk would stall on its serial
+	// load→compare→load dependency (or, with branchy selects, on
+	// mispredicted data-dependent branches). Rows past the last full group
+	// take the per-row walk. It stays in this function's own body so that a
+	// batch of two rows pays for one call per tree, not two (a call more
+	// read 3-5 % slower at two and four rows on DVFS-sized trees).
+	labels, depth := t.labels, t.flatDepth
+	base := unsafe.Pointer(unsafe.SliceData(t.flat))
 	const ndSize = unsafe.Sizeof(flatNode{})
 	n := len(out)
 	i := 0
@@ -844,6 +869,107 @@ func (t *Tree) PredictBatch(X *linalg.Matrix, out []int) {
 	for ; i < n; i++ {
 		out[i] = t.predictFlat(data[i*cols : (i+1)*cols])
 	}
+}
+
+// levelWalkRows is the batch size from which PredictBatch takes the level
+// walk; see the table there. It is also the row count at which
+// pkg/detector starts transposing batches for the bitmask kernel.
+const levelWalkRows = 32
+
+// levelBlock is how many rows the level walk keeps in flight at once; its
+// state (levelState, 3 KB) sits in L1 beside the internal half of the slab.
+const levelBlock = 256
+
+// levelState is the level walk's per-block state, a stack value of
+// levelWalk. It is one struct so that levelStep addresses all three arrays
+// and the leaf boundary off a single pointer.
+type levelState struct {
+	// The in-flight list, compacted to the front: entry k stands on
+	// node[k] and belongs to row[k] of the block.
+	node [levelBlock]uint32
+	row  [levelBlock]uint32
+	// last is, by row, the node the row most recently moved to; once the
+	// row has left the list, its leaf.
+	last      [levelBlock]uint32
+	nInternal uint32
+}
+
+// levelWalk walks the rows of data (row-major, cols wide, len(out) rows)
+// one tree level at a time. Each block of up to levelBlock rows starts as
+// a list of in-flight entries, all at the root; one pass per level
+// (levelStep) moves every entry to its child and keeps, in order, only
+// those whose child is still an internal node. A row is finished on
+// arrival at a leaf index — the leaf node itself is never loaded — so the
+// steps executed are the sum of the rows' path lengths, not rows x longest
+// path as in the lockstep kernel, and the nodes touched are the internal
+// half of the slab.
+func (t *Tree) levelWalk(data []float64, cols int, out []int) {
+	labels := t.labels
+	if t.nInternal == 0 {
+		for i := range out {
+			out[i] = int(labels[0])
+		}
+		return
+	}
+	st := levelState{nInternal: uint32(t.nInternal)}
+	base := unsafe.Pointer(unsafe.SliceData(t.flat))
+	stride := uintptr(cols) * 8
+	for r0 := 0; r0 < len(out); r0 += levelBlock {
+		blk := out[r0:min(r0+levelBlock, len(out))]
+		xp := unsafe.Add(unsafe.Pointer(unsafe.SliceData(data)), uintptr(r0)*stride)
+		for i := range blk {
+			st.node[i], st.row[i] = 0, uint32(i)
+		}
+		for m := len(blk); m > 0; {
+			m = levelStep(base, xp, stride, &st, m)
+		}
+		for i := range blk {
+			blk[i] = int(labels[st.last[i]])
+		}
+	}
+}
+
+// levelStep advances the first m in-flight entries (m <= levelBlock) by
+// one level and returns how many are still in flight. base is the slab,
+// xp the block's first row, stride a row's size in bytes. The child is
+// picked by address: right and left are adjacent int32s and b is 1 exactly
+// when x <= threshold, so a NaN goes right as in every other walk. The
+// moved entry is always stored at w, and w advances only when the child is
+// internal (the sign bit of next-nInternal) — no branch on the data. w
+// never passes the read position k, so the list compacts in place.
+//
+// The shape is measured, not incidental (ns per row through the 25 trees
+// of the quarter-Table-I HPC forest, 1024-row batches, p10 of 30
+// interleaved rounds; this form reads 689, the lockstep kernel 1032).
+// Written inline in levelWalk's block loop the compiler keeps w on the
+// stack and every entry waits on the store before it (924), hence a
+// function of its own that must not be inlined, fed by one state pointer
+// so that every value stays in a register. Indexing the arrays costs a
+// mask or a bounds check per access (780), hence the loads and stores
+// through st's address. node and row packed into one uint64 per entry cost
+// a shift, a mask and an or per step to take apart and put together (+16 %
+// when that was the form), hence two arrays. feature is loaded unsigned
+// because sign-extending it takes three instructions here (732).
+//
+//go:noinline
+func levelStep(base, xp unsafe.Pointer, stride uintptr, st *levelState, m int) int {
+	sp := unsafe.Pointer(st)
+	w := uintptr(0)
+	for k := uintptr(0); k < uintptr(m); k++ {
+		cur := *(*uint32)(unsafe.Add(sp, unsafe.Offsetof(st.node)+k*4))
+		row := uintptr(*(*uint32)(unsafe.Add(sp, unsafe.Offsetof(st.row)+k*4)))
+		nd := (*flatNode)(unsafe.Add(base, uintptr(cur)*unsafe.Sizeof(flatNode{})))
+		b := uintptr(0)
+		if *(*float64)(unsafe.Add(xp, row*stride+uintptr(uint32(nd.feature))*8)) <= nd.threshold {
+			b = 1
+		}
+		next := *(*uint32)(unsafe.Add(unsafe.Pointer(nd), unsafe.Offsetof(nd.right)+4*b))
+		*(*uint32)(unsafe.Add(sp, unsafe.Offsetof(st.last)+row*4)) = next
+		*(*uint32)(unsafe.Add(sp, unsafe.Offsetof(st.node)+w*4)) = next
+		*(*uint32)(unsafe.Add(sp, unsafe.Offsetof(st.row)+w*4)) = uint32(row)
+		w += uintptr((next - st.nInternal) >> 31)
+	}
+	return int(w)
 }
 
 // Depth returns the depth of the trained tree (a stump is depth 0), or -1

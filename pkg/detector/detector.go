@@ -43,10 +43,12 @@
 //	Online.Push      the stream's own  VoteDist copied out; a window equal to the last
 //	                 scratch           one returns the remembered result without assessing
 //
-// The core picks between member walks (lone row, 8-lane tree walk, 32-row
-// bitmask kernel over a transpose, serial or partitioned across workers)
-// from the batch size and member capabilities it observes — never from an
-// option — and every walk is bit-identical to the reference,
+// The core picks between member walks (lone row; 2-31 rows, the trees'
+// 8-lane lockstep kernel; from 32 rows the bitmask kernel over a transpose
+// for trees that fit it and the trees' level walk for those that do not;
+// serial or partitioned across workers) from the batch size and member
+// capabilities it observes — never from an option — and every walk is
+// bit-identical to the reference,
 // hmd.Pipeline.Assess, which TestEntryPointsMatchReference holds every
 // entry point to.
 //

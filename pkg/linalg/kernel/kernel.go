@@ -61,7 +61,7 @@ type impl struct {
 	// the caller's stack bitvector escape and allocate per block). It also
 	// tells callers the kernel is worth restructuring a batch for
 	// (transposing the input); the generic fallback is correct but slower
-	// than the lockstep walk it replaces.
+	// than the row-major tree walks it would replace.
 	treeMaskVec bool
 }
 
@@ -107,7 +107,7 @@ func Active() string { return active.name }
 // TreeMaskSIMD reports whether TreeMask32 dispatches to a vector kernel.
 // Callers use it to decide whether restructuring a batch for the bitmask
 // tree walk (one transpose per batch) pays for itself; the generic
-// TreeMask32 is correct but slower than a plain lockstep tree walk.
+// TreeMask32 is correct but slower than the row-major tree walks.
 func TreeMaskSIMD() bool { return active.treeMaskVec }
 
 // Axpy computes dst[i] += alpha*x[i], bit-identically to the obvious Go
