@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check serve-stats stream-e2e retrain-e2e replica-e2e cluster-e2e ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check serve-stats ci
 
 all: build
 
@@ -69,15 +69,21 @@ fuzz-smoke:
 		done; \
 	done
 
-# race runs the concurrency-heavy packages (batched assessment, request
-# coalescing, the verdict store's appends against its group-commit
-# flusher, the dispatched kernels and their tree consumers, and the
-# ensemble, whose members train in parallel goroutines, each tree with a
-# builder scratch of its own) under the race detector, then the kernel
-# consumers again with SIMD forced off so both dispatch arms get race
-# coverage.
+# race runs every package with goroutines of its own under the race
+# detector, whole packages, nothing selected by name: batched assessment,
+# request coalescing, streams against hot swaps, the replica groups and the
+# closed retrain loop (pkg/serve and cmd/trusthmdd, the daemon's e2e tests
+# included), the three-node cluster e2e with its node kills
+# (pkg/cluster/...), hmdbench's HTTP loop, the verdict store's appends
+# against its group-commit flusher, the dispatched kernels and their tree
+# consumers, and the ensemble, whose members train in parallel goroutines,
+# each tree with a builder scratch of its own. Then the kernel consumers
+# again with SIMD forced off so both dispatch arms get race coverage.
+# TestRetrainE2EClosedLoop writes its final /stats snapshot (verdict-store
+# occupancy included) to retrain-stats.json; CI uploads it as an artifact.
 race:
-	$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/verdictstore/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
+	TRUSTHMD_RETRAIN_STATS_OUT=$(CURDIR)/retrain-stats.json \
+		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./cmd/hmdbench/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:
@@ -89,57 +95,6 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# stream-e2e is the streaming + hot-swap smoke: train a tiny model, boot
-# the daemon stack, stream raw DVFS states as NDJSON, hot-swap the shard
-# through POST /v1/models mid-service, and assert post-swap assessments
-# are element-wise identical to direct Online.Push on the new model —
-# under the race detector, since swap-vs-stream is exactly where races
-# would hide.
-stream-e2e:
-	$(GO) test -race -count=1 -v \
-		-run 'TestStreamE2EHotSwap|TestWatchHotSwapsOnMtime' ./cmd/trusthmdd/
-	$(GO) test -race -count=1 \
-		-run 'TestStreamMatchesOnlinePush|TestSwapUnderLoadIsLossless|TestStreamSessionPinsVersion' ./pkg/serve/
-
-# retrain-e2e is the closed-loop smoke: boot the daemon stack with the
-# verdict store tapping every served verdict, inject drift (a device
-# replaying the zero-day split), and assert the RetrainController's
-# background retrain hot-swaps the fleet with zero lost requests — under
-# the race detector, since retrain-vs-serve is exactly where races would
-# hide. The final /stats snapshot (verdict-store occupancy included) is
-# written to retrain-stats.json; CI uploads it as a build artifact.
-retrain-e2e:
-	TRUSTHMD_RETRAIN_STATS_OUT=$(CURDIR)/retrain-stats.json \
-		$(GO) test -race -count=1 -v -run 'TestRetrainE2EClosedLoop' ./cmd/trusthmdd/
-	$(GO) test -race -count=1 \
-		-run 'TestRetrainControllerClosedLoop|TestVerdictTapMatchesResponses|TestStatsClosedLoopCounters' ./pkg/serve/
-
-# replica-e2e is the replication + admission-control smoke: sustained
-# bursty load against a 3-replica group, hot-swapping the whole group
-# mid-run, asserting zero lost requests, spilled responses element-wise
-# identical to home-replica responses, and sibling replicas carrying a
-# real share of a single-device burst — under the race detector, since
-# spill-vs-swap is exactly where races would hide.
-replica-e2e:
-	$(GO) test -race -count=1 -v -run 'TestReplicaE2E' ./cmd/trusthmdd/
-	$(GO) test -race -count=1 \
-		-run 'TestReplicaSpillUnderLoad|TestReplicaGroupSwapUnderLoadLossless|TestReplicaGroupShape|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestStatsReplicaFields|TestCoalescerShedDepth|TestCoalescerEarlyFlush' ./pkg/serve/
-	$(GO) test -race -count=1 -run 'TestClosedLoopReplicas' ./cmd/hmdbench/
-
-# cluster-e2e is the fleet smoke: boot a three-node cluster over loopback
-# HTTP, drive bursty load through every entry point while a fleet-wide
-# two-phase hot swap lands, then SIGKILL-equivalently drop a non-coordinator
-# node mid-stream and a coordinator outright — asserting zero lost requests,
-# element-wise identical verdicts after session replay onto the ring
-# successor, and promotion of a new coordinator — under the race detector,
-# since membership-vs-forwarding is exactly where races would hide.
-cluster-e2e:
-	$(GO) test -race -count=1 -v -run 'TestCluster' ./pkg/cluster/
-	$(GO) test -race -count=1 -run 'TestMembership|TestOwnership|TestCatalog' ./pkg/cluster/
-	$(GO) test -race -count=1 ./pkg/cluster/ring/
-	$(GO) test -race -count=1 -run 'TestClusterFlags' ./cmd/trusthmdd/
-	$(GO) test -race -count=1 -run 'TestPostWindowRetries|TestHTTPLoopSmoke|TestParseRetryAfter' ./cmd/hmdbench/
-
 # serve-stats replays the serve-layer cross-request cache e2e and writes
 # the final /stats snapshot (cache hit/miss counters included) to
 # serve-cache-stats.json; CI uploads it as a build artifact.
@@ -147,4 +102,4 @@ serve-stats:
 	TRUSTHMD_SERVE_STATS_OUT=$(CURDIR)/serve-cache-stats.json \
 		$(GO) test -run TestServeCacheHitsAreIdentical -count=1 ./pkg/serve/
 
-ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test coalescer-stress fuzz-smoke
+ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test race coalescer-stress fuzz-smoke

@@ -19,8 +19,9 @@ import (
 	"trusthmd/pkg/verdictstore"
 )
 
-// TestRetrainE2EClosedLoop is the retrain-e2e CI job: the full automatic
-// loop through the daemon's own wiring, under the race detector.
+// TestRetrainE2EClosedLoop is the closed-loop e2e: the full automatic
+// loop through the daemon's own wiring. `make race` (and so CI) runs it
+// under the race detector with the whole of this package.
 //
 //   - A tiny model is trained and saved; the daemon (verdict store, fleet
 //     tapping into it, HTTP transport, retrain controller) boots through

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -765,5 +766,42 @@ func TestClusterCoordinatorFailover(t *testing.T) {
 	want, _ := detB.Assess(X[2])
 	if !sameDecision(*got, want) {
 		t.Fatalf("post-failover swap not visible: %+v", got)
+	}
+}
+
+// TestClusterRefusedChunkSameOnEveryNode: a chunk carrying a state outside
+// the header's levels is refused in the one stream loop before any session
+// sees it, so the client reads the same lines whichever node it entered on
+// — the stream-wide sample index, nothing of the chunk assessed, and no
+// peer's internal URL in the error.
+func TestClusterRefusedChunkSameOnEveryNode(t *testing.T) {
+	detA, _, _ := e2eDetectors(t)
+	ids := []string{"n1", "n2", "n3"}
+	nodes := startCluster(t, ids, "n1", detA)
+	body := `{"model":"dvfs-rf","levels":8,"window":16,"stride":4}` + "\n" +
+		`{"states":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3]}` + "\n" +
+		`{"states":[1,2,3,4,99]}` + "\n"
+	var first string
+	for _, id := range ids {
+		resp, err := http.Post(nodes[id].url()+"/v1/assess/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := string(raw)
+		if first == "" {
+			first = got
+		}
+		if got != first {
+			t.Fatalf("entry %s answered\n%s\nbut entry %s answered\n%s", id, got, ids[0], first)
+		}
+		lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+		if want := `{"error":"sample 24: state 99 outside [0,8)"}`; len(lines) != 3 || lines[2] != want {
+			t.Fatalf("entry %s: want two decisions then %s, got\n%s", id, want, got)
+		}
 	}
 }

@@ -2,108 +2,31 @@ package cluster
 
 import (
 	"errors"
-	"io"
 	"net/http"
 
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/serve"
 )
 
-// Stream proxying: an NDJSON stream whose shard lives on another node is
-// replayed there chunk by chunk. Every push carries the complete exported
-// session state (window buffer, stride phase, counters) and gets the
-// updated state back, so the protocol is stateless on the owner: when the
-// owner dies mid-stream, the SAME chunk and state are replayed onto the
-// shard's ring successor and the stream continues with decisions
-// element-wise identical to an uninterrupted session — the window
-// straddling the kill included. That is the lossless-failover property
-// the cluster e2e pins.
+// Stream proxying. The NDJSON loop runs in pkg/serve on the node the client
+// connected to, whoever owns the shard; what a cluster alone can know is
+// where a chunk goes, and that is all this file does. Every push carries the
+// complete exported session state (window buffer, stride phase, counters)
+// and gets the updated state back, so the protocol is stateless on the
+// owner: when the owner dies mid-stream, the SAME chunk and state are
+// replayed onto the shard's ring successor and the stream continues with
+// decisions element-wise identical to an uninterrupted session — the window
+// straddling the kill included. That is the lossless-failover property the
+// cluster e2e pins. Stateless also means a proxied stream does not pin a
+// shard version: each chunk is answered by whatever version the owner
+// serves when it lands, and every result line names it.
 
-// ProxyStream implements serve.ClusterHook.
-func (a *Agent) ProxyStream(conn *serve.StreamConn) {
-	v := a.view.Load()
-	if v == nil {
-		conn.HTTPError(http.StatusServiceUnavailable, "cluster view not ready")
-		return
-	}
-	shard := conn.Hdr.Model
-	if shard == "" {
-		shard = v.shardRing.Lookup(conn.Hdr.Device)
-	}
-	cfg := detector.StreamConfig{Levels: conn.Hdr.Levels, Window: conn.Hdr.Window, Stride: conn.Hdr.Stride}
-
-	// Opening push (no samples, no state): validates the header against
-	// the model on the owner while the HTTP status machinery is still
-	// available, exactly like the local path's session-open checks.
-	open, err := a.pushChunk(shard, conn.Hdr.Device, cfg, nil, nil)
-	if err != nil {
-		conn.HTTPError(http.StatusBadRequest, err.Error())
-		return
-	}
-	state := open.State
-	model, version := open.Model, open.Version
-	conn.Begin()
-
-	seq, samples := 0, 0
-	summary := func(draining bool) {
-		st := state.Stats
-		conn.Emit(serve.StreamSummary{
-			Done:      true,
-			Draining:  draining,
-			Model:     model,
-			Version:   version,
-			Samples:   st.Samples,
-			Decisions: st.Total(),
-			CacheHits: st.CacheHits,
-			Benign:    st.Benign,
-			Malware:   st.Malware,
-			Rejected:  st.Rejected,
-		})
-	}
-	for {
-		states, err := conn.Next()
-		var lineErr *serve.StreamLineError
-		switch {
-		case errors.Is(err, io.EOF):
-			summary(false)
-			return
-		case errors.As(err, &lineErr):
-			conn.Fail(lineErr.Msg)
-			return
-		case err != nil:
-			if conn.Draining() {
-				summary(true)
-				return
-			}
-			conn.Fail("reading stream: " + err.Error())
-			return
-		}
-		res, err := a.pushChunk(shard, conn.Hdr.Device, cfg, &state, states)
-		if err != nil {
-			conn.Fail(err.Error())
-			return
-		}
-		state = res.State
-		model, version = res.Model, res.Version
-		for _, d := range res.Results {
-			seq++
-			if !conn.Emit(serve.StreamResult{
-				Seq:            seq,
-				Sample:         samples + d.Offset,
-				AssessResponse: serve.ToResponse(res.Model, res.Version, d.Result),
-			}) {
-				return // client stopped reading; abandon the stream
-			}
-		}
-		samples += len(states)
-	}
-}
-
-// pushChunk applies one chunk on the shard's owner, walking the ring
-// successor chain on transport errors — the same chunk and state replay
-// losslessly because the push is idempotent given its state. A successor
-// chain entry that is this node itself serves the chunk in-process.
-func (a *Agent) pushChunk(shard, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (serve.StreamPushResult, error) {
+// PushStream implements serve.ClusterHook: it applies one chunk on the
+// shard's owner, walking the ring successor chain on transport errors —
+// the same chunk and state replay losslessly because the push is
+// idempotent given its state. A successor chain entry that is this node
+// itself serves the chunk in-process.
+func (a *Agent) PushStream(shard, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (serve.StreamPushResult, error) {
 	v := a.view.Load()
 	if v == nil {
 		return serve.StreamPushResult{}, errors.New("cluster view not ready")

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"time"
 
 	"trusthmd/pkg/detector"
 )
@@ -21,11 +19,10 @@ import (
 //     owns the shard; ForwardAssess proxies non-local requests to the
 //     owner (with a loop-guard header so a forwarded request is always
 //     served where it lands).
-//   - streaming: a non-local NDJSON stream is proxied line by line via
-//     ProxyStream; serve hands the hook a StreamConn bundling the parsed
-//     header and deadline-disciplined read/write closures, so all socket
-//     hygiene (idle timeouts, write deadlines, drain behaviour) stays in
-//     one place regardless of who runs the loop.
+//   - streaming: the NDJSON loop stays in serve whoever owns the shard
+//     (handleAssessStream, with all its socket hygiene); for a non-local
+//     stream serve keeps the exported session state between lines and
+//     PushStream carries each chunk, with that state, to the owner.
 //   - admin: HandleModelLoad lets the hook turn POST /v1/models into a
 //     fleet-wide two-phase hot swap.
 //   - observability: StatsFields merges cluster counters into /stats and
@@ -52,10 +49,14 @@ type ClusterHook interface {
 	// a response, falling over to ring successors on network errors and
 	// answering 503 when no owner is reachable.
 	ForwardAssess(w http.ResponseWriter, r *http.Request, shard, device string, body []byte)
-	// ProxyStream runs a non-local NDJSON stream by replaying its samples
-	// onto the owning node (and, on owner death, replaying the exported
-	// session state onto a ring successor so the stream survives).
-	ProxyStream(conn *StreamConn)
+	// PushStream applies one chunk of a non-local stream on the shard's
+	// owner (Fleet.StreamPush there) and returns its decisions plus the
+	// updated session state. A nil state with no states is the opening
+	// push, which only checks cfg against the owner's model. The push is
+	// idempotent given its state, so on a transport failure the hook
+	// replays the same chunk onto a ring successor and the stream goes on
+	// losslessly; the error it returns otherwise ends the stream.
+	PushStream(shard, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (StreamPushResult, error)
 	// HandleModelLoad intercepts an authenticated POST /v1/models and
 	// applies it cluster-wide; returning false falls back to the local
 	// single-node install.
@@ -66,62 +67,6 @@ type ClusterHook interface {
 	// Status answers GET /v1/cluster: the node's view of the membership
 	// table and catalog.
 	Status() any
-}
-
-// StreamConn is the serve-side of a proxied NDJSON stream: the parsed
-// header plus closures that keep every read and write under the same
-// deadline discipline as a locally served stream. The hook's proxy loop
-// calls Next for the client's sample chunks and Emit/Fail for response
-// lines; exactly one of HTTPError (before Begin) or Begin-then-Emit
-// terminates the exchange.
-type StreamConn struct {
-	// Hdr is the stream's parsed header line.
-	Hdr StreamHeader
-	// Next returns the next sample chunk. io.EOF means a clean client
-	// end-of-stream; a *StreamLineError is a protocol violation whose
-	// message should be sent with Fail; any other error is a transport
-	// failure (check Draining to distinguish shutdown from disconnect).
-	Next func() ([]int, error)
-	// HTTPError rejects the stream with a proper HTTP status; only valid
-	// before Begin.
-	HTTPError func(code int, msg string)
-	// Begin commits the 200 and switches to NDJSON framing.
-	Begin func()
-	// Emit writes one NDJSON response line under a write deadline; false
-	// means the client stopped reading and the stream must be abandoned.
-	Emit func(v any) bool
-	// Fail emits a terminal error line (the post-200 failure shape).
-	Fail func(msg string)
-	// Draining reports whether the server began draining (the stream
-	// should end with a Draining summary).
-	Draining func() bool
-}
-
-// StreamLineError is a protocol violation on a stream line (oversized
-// line, malformed JSON, ambiguous sample shape): the stream fails with
-// this message but the transport is healthy.
-type StreamLineError struct{ Msg string }
-
-func (e *StreamLineError) Error() string { return e.Msg }
-
-// decodeStreamStates parses one NDJSON sample line into its states,
-// returning a *StreamLineError on any protocol violation.
-func decodeStreamStates(line []byte) ([]int, error) {
-	var sample StreamSample
-	if err := unmarshalStrict(line, &sample); err != nil {
-		return nil, &StreamLineError{Msg: fmt.Sprintf("bad stream line: %v", err)}
-	}
-	if sample.State != nil && len(sample.States) > 0 {
-		return nil, &StreamLineError{Msg: `stream line carries both "state" and "states"`}
-	}
-	states := sample.States
-	if sample.State != nil {
-		states = append(states, *sample.State)
-	}
-	if len(states) == 0 {
-		return nil, &StreamLineError{Msg: `stream line carries neither "state" nor "states"`}
-	}
-	return states, nil
 }
 
 // clusterBox wraps the hook interface so it can live in an
@@ -146,11 +91,11 @@ func (s *Server) clusterHook() ClusterHook {
 // (assess, batch, stream) takes before touching the local fleet. It
 // resolves the request's keys against the cluster-wide shard space and
 // returns the shard name plus, when another node owns that shard, the
-// hook to hand the request to (ForwardAssess or ProxyStream — the hook
-// writes the response). A nil owner means serve here, with the returned
-// name as the model key: pinning it keeps the local ring from re-routing
-// a device the cluster already placed. Standalone, the keys pass through
-// untouched.
+// hook to hand the request to (ForwardAssess writes the response;
+// PushStream takes a stream's chunks). A nil owner means serve here, with
+// the returned name as the model key: pinning it keeps the local ring from
+// re-routing a device the cluster already placed. Standalone, the keys
+// pass through untouched.
 func (s *Server) route(r *http.Request, model, device string) (shard string, owner ClusterHook) {
 	hook := s.clusterHook()
 	if hook == nil {
@@ -212,45 +157,16 @@ type StreamPushResult struct {
 // successor after this node dies and the stream continues losslessly,
 // which is exactly what the cluster does on failover.
 func (f *Fleet) StreamPush(model, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (StreamPushResult, error) {
-	g, err := f.resolve(model, device)
-	if err != nil {
-		return StreamPushResult{}, &routeError{err}
-	}
-	sh := g.home(device)
-	if cfg.Window > f.cfg.MaxStreamWindow {
-		return StreamPushResult{}, fmt.Errorf("window %d exceeds limit %d", cfg.Window, f.cfg.MaxStreamWindow)
-	}
-	if err := sh.det.ValidateStream(cfg); err != nil {
-		return StreamPushResult{}, err
-	}
-	sess, err := detector.ResumeSession(sh.det, cfg, st)
+	ls, err := f.openStream(model, device, cfg, st)
 	if err != nil {
 		return StreamPushResult{}, err
 	}
-	defer sess.Close()
-	if st == nil {
-		sh.stats.streamSessions.Add(1)
+	res, err := ls.push(states)
+	if err != nil {
+		return StreamPushResult{}, err
 	}
-	before := sess.Stats()
-	out := StreamPushResult{Model: sh.name, Version: sh.version}
-	for i, state := range states {
-		res, ok, err := sess.Push(state)
-		if err != nil {
-			return StreamPushResult{}, fmt.Errorf("sample %d: %w", i, err)
-		}
-		if !ok {
-			continue
-		}
-		sh.stats.observeOne(res.Decision)
-		f.recordVerdict(device, "stream", sh.name, sh.version, res, nil, time.Duration(0))
-		out.Results = append(out.Results, StreamPushDecision{Offset: i, Result: res})
-	}
-	after := sess.Stats()
-	sh.stats.streamSamples.Add(int64(after.Samples - before.Samples))
-	sh.stats.streamDecisions.Add(int64(after.Decisions - before.Decisions))
-	sh.stats.streamCacheHits.Add(int64(after.CacheHits - before.CacheHits))
-	out.State = sess.Export()
-	return out, nil
+	res.State = ls.sess.Export()
+	return res, nil
 }
 
 // PrepareDetector runs a detector through the fleet's configured prepare
@@ -262,11 +178,4 @@ func (f *Fleet) PrepareDetector(det *detector.Detector) (*detector.Detector, err
 		return prep(det)
 	}
 	return det, nil
-}
-
-// ToResponse converts a raw detector result into the wire form, stamped
-// with the serving shard version — the cluster's stream proxy uses it to
-// emit result lines identical to a locally served stream's.
-func ToResponse(model string, version uint64, r detector.Result) AssessResponse {
-	return toResponse(model, version, r)
 }

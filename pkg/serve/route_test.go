@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -22,8 +23,8 @@ type routeHook struct {
 	local bool
 
 	resolves, forwards, proxies atomic.Int32
-	// handed is the shard name the server passed to ForwardAssess, or the
-	// device key in the header it passed to ProxyStream.
+	// handed is the shard name the server passed to ForwardAssess or
+	// PushStream.
 	handed atomic.Value
 }
 
@@ -38,10 +39,10 @@ func (h *routeHook) ForwardAssess(w http.ResponseWriter, r *http.Request, shard,
 	writeError(w, http.StatusBadGateway, "forwarded")
 }
 
-func (h *routeHook) ProxyStream(conn *StreamConn) {
+func (h *routeHook) PushStream(shard, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (StreamPushResult, error) {
 	h.proxies.Add(1)
-	h.handed.Store(conn.Hdr.Device)
-	conn.HTTPError(http.StatusBadGateway, "proxied")
+	h.handed.Store(shard)
+	return StreamPushResult{}, errors.New("proxied")
 }
 
 func (h *routeHook) HandleModelLoad(http.ResponseWriter, *http.Request, LoadModelRequest) bool {
@@ -53,7 +54,7 @@ func (h *routeHook) Status() any                 { return nil }
 // TestRouteStep drives the one routing step through all three assessment
 // entry points under every cluster situation, asserting the model key the
 // request was pinned to and that exactly one of serve-locally,
-// ForwardAssess and ProxyStream ran.
+// ForwardAssess and PushStream ran.
 func TestRouteStep(t *testing.T) {
 	d, X := testDetector(t)
 	const device = "host-7"
@@ -161,18 +162,20 @@ func TestRouteStep(t *testing.T) {
 					}
 					return
 				}
-				wantForwards, wantProxies, wantHanded := int32(1), int32(0), hookPick
+				// A refused opening push answers 400, as a refused local open
+				// does; either way the hook is handed route's shard.
+				wantForwards, wantProxies, wantStatus := int32(1), int32(0), http.StatusBadGateway
 				if path == "/v1/assess/stream" {
-					wantForwards, wantProxies, wantHanded = 0, 1, device
+					wantForwards, wantProxies, wantStatus = 0, 1, http.StatusBadRequest
 				}
-				if resp.StatusCode != http.StatusBadGateway {
-					t.Fatalf("status %d, want the hook's 502", resp.StatusCode)
+				if resp.StatusCode != wantStatus {
+					t.Fatalf("status %d, want %d", resp.StatusCode, wantStatus)
 				}
 				if served != 0 || forwards != wantForwards || proxies != wantProxies {
 					t.Fatalf("remote: served %d, forwards %d, proxies %d", served, forwards, proxies)
 				}
-				if got := hook.handed.Load(); got != wantHanded {
-					t.Fatalf("hook was handed %v, want %q", got, wantHanded)
+				if got := hook.handed.Load(); got != hookPick {
+					t.Fatalf("hook was handed %v, want %q", got, hookPick)
 				}
 			})
 		}

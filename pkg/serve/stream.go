@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"trusthmd/pkg/detector"
@@ -41,10 +42,14 @@ const drainWriteGrace = time.Second
 //	<- {"error":"..."}                                               terminal, on mid-stream failure
 //
 // Routing follows the assess endpoints (explicit model, else consistent-
-// hash on device, else default). The session pins the shard version that
-// accepted it: a hot swap mid-stream never changes an open stream's
-// decisions — new streams get the new version. Each input line is bounded
-// by Config.MaxStreamLineBytes; the body as a whole is unbounded.
+// hash on device, else default). A session held on this node pins the
+// shard version that accepted it: a hot swap mid-stream never changes such
+// a stream's decisions — new streams get the new version. A stream whose
+// shard another cluster node owns is stateless there, so each of its
+// chunks is answered by the version the owner serves when it lands; every
+// result line names the version that produced it. A line's decisions are
+// written once the whole line has been applied. Each input line is
+// bounded by Config.MaxStreamLineBytes; the body as a whole is unbounded.
 func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -154,96 +159,46 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 	}
-	// In a cluster, a stream whose shard lives on another node is proxied
-	// there chunk by chunk; the hook replays the exported session state
-	// onto a ring successor if the owner dies, so the stream survives a
-	// node kill. All socket discipline (idle deadlines, write deadlines,
-	// drain behaviour) stays here, packaged into the StreamConn closures.
-	model, owner := s.route(r, hdr.Model, hdr.Device)
-	if owner != nil {
-		emit := s.streamEmitter(w, rc, drainingNow)
-		owner.ProxyStream(&StreamConn{
-			Hdr: hdr,
-			Next: func() ([]int, error) {
-				armIdle()
-				line, err := nextLine(sc)
-				if errors.Is(err, bufio.ErrTooLong) {
-					return nil, &StreamLineError{Msg: fmt.Sprintf(
-						"stream line exceeds %d bytes", s.fleet.cfg.MaxStreamLineBytes)}
-				}
-				if err != nil {
-					return nil, err
-				}
-				return decodeStreamStates(line)
-			},
-			HTTPError: func(code int, msg string) { writeError(w, code, msg) },
-			Begin:     begin,
-			Emit:      emit,
-			Fail:      func(msg string) { emit(ErrorResponse{Error: msg}) },
-			Draining:  drainingNow,
-		})
-		return
-	}
-	hdr.Model = model
-	g, err := s.fleet.resolve(hdr.Model, hdr.Device)
-	if err != nil {
-		writeResolveError(w, err)
-		return
-	}
-	// A session pins its home replica the way it pins the shard version: the
-	// device's consistent-hash slot (round-robin for device-less streams),
-	// chosen once at accept time. Streams run their own per-connection
-	// Session rather than the replica's coalescer, so the pin is affinity
-	// and accounting — a hot swap mid-stream changes neither.
-	sh := g.home(hdr.Device)
-	if hdr.Window > s.fleet.cfg.MaxStreamWindow {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("window %d exceeds limit %d", hdr.Window, s.fleet.cfg.MaxStreamWindow))
-		return
-	}
+	// Where the stream's session lives is the only thing a cluster changes:
+	// held here when this node serves the shard, carried as exported state
+	// and shipped chunk by chunk through the hook when another node does.
+	// The loop below, and all socket discipline above, is the same for both.
+	shard, owner := s.route(r, hdr.Model, hdr.Device)
 	cfg := detector.StreamConfig{Levels: hdr.Levels, Window: hdr.Window, Stride: hdr.Stride}
-	// Fail fast on dimensionality: a Levels value whose windows can never
-	// match the model's input — including absurd ones that would size the
-	// per-window histogram allocation, an unauthenticated DoS lever — is
-	// rejected here with a 400 instead of an error line after the first
-	// full window. The check is arithmetic (levels determines the feature
-	// dim); nothing is allocated before it passes.
-	if err := sh.det.ValidateStream(cfg); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	var sess streamSession
+	if owner != nil {
+		sess, err = openRemoteStream(owner, shard, hdr.Device, cfg)
+	} else {
+		sess, err = s.fleet.openStream(shard, hdr.Device, cfg, nil)
 	}
-	sess, err := detector.NewSession(sh.det, cfg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		var route *routeError
+		if errors.As(err, &route) {
+			writeResolveError(w, route.err)
+		} else {
+			writeError(w, http.StatusBadRequest, err.Error())
+		}
 		return
 	}
-	defer sess.Close()
-	sh.stats.streamSessions.Add(1)
 
 	begin()
 	emit := s.streamEmitter(w, rc, drainingNow)
 	// After the 200 the status is spent; mid-stream failures become a
 	// terminal error line in the same envelope shape as ErrorResponse.
 	fail := func(msg string) { emit(ErrorResponse{Error: msg}) }
-	defer func() {
-		st := sess.Stats()
-		sh.stats.streamSamples.Add(int64(st.Samples))
-		sh.stats.streamDecisions.Add(int64(st.Decisions))
-		sh.stats.streamCacheHits.Add(int64(st.CacheHits))
-	}()
 
 	// summary ends the stream; draining marks a server-initiated cutoff so
 	// clients can distinguish "all my telemetry was assessed" from "the
 	// server wound me down mid-stream — resume against a fresh stream".
 	summary := func(draining bool) {
-		st := sess.Stats()
+		model, version, st := sess.totals()
 		emit(StreamSummary{
 			Done:      true,
 			Draining:  draining,
-			Model:     sh.name,
-			Version:   sh.version,
+			Model:     model,
+			Version:   version,
 			Samples:   st.Samples,
-			Decisions: st.Decisions,
+			Decisions: st.Total(),
 			CacheHits: st.CacheHits,
 			Benign:    st.Benign,
 			Malware:   st.Malware,
@@ -282,33 +237,181 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 			fail(err.Error())
 			return
 		}
-		for _, state := range states {
-			res, ok, err := sess.Push(state)
-			samples++
-			if err != nil {
-				fail(fmt.Sprintf("sample %d: %v", samples-1, err))
-				return
-			}
-			if !ok {
-				continue
-			}
+		// A state the header's levels rule out refuses the whole line before
+		// either kind of session sees it, so the refusal reads the same on
+		// every node and nothing of the line is assessed or stored.
+		// Online.Push's own check stays as the defence behind this one.
+		if i := slices.IndexFunc(states, func(st int) bool { return st < 0 || st >= hdr.Levels }); i >= 0 {
+			fail(fmt.Sprintf("sample %d: state %d outside [0,%d)", samples+i, states[i], hdr.Levels))
+			return
+		}
+		res, err := sess.push(states)
+		if err != nil {
+			fail(err.Error())
+			return
+		}
+		for _, d := range res.Results {
 			seq++
-			sh.stats.observeOne(res.Decision)
-			// Stream verdicts are stored without features: the session's
-			// extracted window vector is internal, and stream forensics
-			// are reconstructible from the raw states client-side.
-			s.fleet.recordVerdict(hdr.Device, "stream", sh.name, sh.version, res, nil, 0)
 			if !emit(StreamResult{
 				Seq:            seq,
-				Sample:         samples - 1,
-				AssessResponse: toResponse(sh.name, sh.version, res),
+				Sample:         samples + d.Offset,
+				AssessResponse: toResponse(res.Model, res.Version, d.Result),
 			}) {
 				// The client stopped reading (or the write deadline hit):
 				// abandon the stream rather than wedge on the next write.
 				return
 			}
 		}
+		samples += len(states)
 	}
+}
+
+// streamSession is what the NDJSON loop drives: somewhere to apply a line's
+// states, and the totals to close with. The two implementations differ only
+// in where the detector.Session lives between lines.
+type streamSession interface {
+	// push applies one line's states and returns the decisions they
+	// completed (Offset counting within the line) with the shard version
+	// that made them.
+	push(states []int) (StreamPushResult, error)
+	// totals is the summary line's content: the stream's running counts
+	// and the shard version that answered last.
+	totals() (model string, version uint64, st detector.OnlineStats)
+}
+
+// localStream is a stream served on this node: a detector.Session pinned
+// to the replica that accepted it. A session pins its home replica the way
+// it pins the shard version: the device's consistent-hash slot (round-robin
+// for device-less streams), chosen once at accept time. Streams run their
+// own Session rather than the replica's coalescer, so the pin is affinity
+// and accounting — a hot swap mid-stream changes neither.
+type localStream struct {
+	f      *Fleet
+	sh     *replica
+	device string
+	sess   *detector.Session
+}
+
+// openStream opens a stream session on the shard model/device resolve to,
+// continuing from st when it is non-nil (a proxied chunk, StreamPush) and
+// counting a new session when it is nil. Resolve failures come back as
+// *routeError; anything else is the caller's header or state being wrong.
+func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *detector.SessionState) (*localStream, error) {
+	g, err := f.resolve(model, device)
+	if err != nil {
+		return nil, &routeError{err}
+	}
+	sh := g.home(device)
+	if cfg.Window > f.cfg.MaxStreamWindow {
+		return nil, fmt.Errorf("window %d exceeds limit %d", cfg.Window, f.cfg.MaxStreamWindow)
+	}
+	// Fail fast on dimensionality: a Levels value whose windows can never
+	// match the model's input — including absurd ones that would size the
+	// per-window histogram allocation, an unauthenticated DoS lever — is
+	// rejected here instead of after the first full window. The check is
+	// arithmetic (levels determines the feature dim); nothing is allocated
+	// before it passes.
+	if err := sh.det.ValidateStream(cfg); err != nil {
+		return nil, err
+	}
+	sess, err := detector.ResumeSession(sh.det, cfg, st)
+	if err != nil {
+		return nil, err
+	}
+	if st == nil {
+		sh.stats.streamSessions.Add(1)
+	}
+	return &localStream{f: f, sh: sh, device: device, sess: sess}, nil
+}
+
+// push is the one place a stream's windows are assessed, counted and
+// stored, whether the states came off this node's socket or in a peer's
+// StreamPush (which adds the exported State; it is left zero here). The
+// loop has range-checked states, so an error here is an assessment failing;
+// what was accepted before it stays counted.
+func (l *localStream) push(states []int) (StreamPushResult, error) {
+	before := l.sess.Stats()
+	defer func() {
+		after := l.sess.Stats()
+		l.sh.stats.streamSamples.Add(int64(after.Samples - before.Samples))
+		l.sh.stats.streamDecisions.Add(int64(after.Decisions - before.Decisions))
+		l.sh.stats.streamCacheHits.Add(int64(after.CacheHits - before.CacheHits))
+	}()
+	out := StreamPushResult{Model: l.sh.name, Version: l.sh.version}
+	for i, state := range states {
+		res, ok, err := l.sess.Push(state)
+		if err != nil {
+			return StreamPushResult{}, err
+		}
+		if !ok {
+			continue
+		}
+		l.sh.stats.observeOne(res.Decision)
+		// Stream verdicts are stored without features: the session's
+		// extracted window vector is internal, and stream forensics
+		// are reconstructible from the raw states client-side.
+		l.f.recordVerdict(l.device, "stream", l.sh.name, l.sh.version, res, nil, 0)
+		out.Results = append(out.Results, StreamPushDecision{Offset: i, Result: res})
+	}
+	return out, nil
+}
+
+// totals reads the counts off an export: Session has no cheaper way to give
+// them in the form a proxied stream's state carries, and a stream ends once.
+func (l *localStream) totals() (string, uint64, detector.OnlineStats) {
+	return l.sh.name, l.sh.version, l.sess.Export().Stats
+}
+
+// remoteStream is a stream whose shard another node serves. The owner holds
+// nothing between lines: every push carries the whole exported session
+// state and brings back the updated one, which is what lets the hook replay
+// a chunk onto a ring successor when the owner dies.
+type remoteStream struct {
+	hook          ClusterHook
+	shard, device string
+	cfg           detector.StreamConfig
+	last          StreamPushResult
+}
+
+// openRemoteStream makes the opening push (no state, no samples): the owner
+// checks the header against its model while the HTTP status is still unspent.
+func openRemoteStream(hook ClusterHook, shard, device string, cfg detector.StreamConfig) (*remoteStream, error) {
+	open, err := hook.PushStream(shard, device, cfg, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &remoteStream{hook: hook, shard: shard, device: device, cfg: cfg, last: open}, nil
+}
+
+func (r *remoteStream) push(states []int) (StreamPushResult, error) {
+	res, err := r.hook.PushStream(r.shard, r.device, r.cfg, &r.last.State, states)
+	if err == nil {
+		r.last = res
+	}
+	return res, err
+}
+
+func (r *remoteStream) totals() (string, uint64, detector.OnlineStats) {
+	return r.last.Model, r.last.Version, r.last.State.Stats
+}
+
+// decodeStreamStates parses one NDJSON sample line into its states.
+func decodeStreamStates(line []byte) ([]int, error) {
+	var sample StreamSample
+	if err := unmarshalStrict(line, &sample); err != nil {
+		return nil, fmt.Errorf("bad stream line: %v", err)
+	}
+	if sample.State != nil && len(sample.States) > 0 {
+		return nil, errors.New(`stream line carries both "state" and "states"`)
+	}
+	states := sample.States
+	if sample.State != nil {
+		states = append(states, *sample.State)
+	}
+	if len(states) == 0 {
+		return nil, errors.New(`stream line carries neither "state" nor "states"`)
+	}
+	return states, nil
 }
 
 // streamEmitter builds the stream's response writer: emit reports whether

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -750,5 +751,161 @@ func TestStreamSessionPinsVersion(t *testing.T) {
 	}
 	if len(got) == 0 || got[0].Version != 2 {
 		t.Fatalf("v2 stream results: %+v", got)
+	}
+}
+
+// ownerHook is a ClusterHook that places every stream on another fleet: its
+// PushStream is that fleet's StreamPush, which is what the cluster agent
+// does once it has picked a node.
+type ownerHook struct {
+	routeHook
+	owner *Fleet
+}
+
+// ResolveAssess keeps a model the request names, the way the agent does, so
+// an unknown one reaches the owner and is refused there.
+func (h *ownerHook) ResolveAssess(r *http.Request, model, device string) (string, bool) {
+	if model == "" {
+		model = h.shard
+	}
+	return model, false
+}
+
+func (h *ownerHook) PushStream(shard, device string, cfg detector.StreamConfig, st *detector.SessionState, states []int) (StreamPushResult, error) {
+	return h.owner.StreamPush(shard, device, cfg, st, states)
+}
+
+// TestStreamLocalAndRemoteLinesIdentical holds the two stream sessions to
+// one another: the same request body sent to a fleet that serves the stream
+// itself and to a server that proxies every chunk to a second fleet over
+// the same detector must come back as the same NDJSON bytes — seq, sample,
+// model, version, every verdict field, the summary's counts and the error
+// text — and leave the same stream counters on the fleet that assessed.
+//
+// cache_hits is the one field left out, of the bodies and of the counters:
+// the window memo is deliberately not part of an exported SessionState
+// (detector.Online.exportState), so a proxied stream re-warms it every
+// chunk and hits it less often than a session that stays put.
+func TestStreamLocalAndRemoteLinesIdentical(t *testing.T) {
+	d, _ := testDetector(t)
+	cfg := Config{MaxStreamLineBytes: 512}
+	models := map[string]*detector.Detector{"dvfs-rf": d}
+	local := mustServer(t, models, cfg)
+	defer local.Close()
+	owner := mustServer(t, models, cfg)
+	defer owner.Close()
+	entry := mustServer(t, models, cfg)
+	defer entry.Close()
+	entry.AttachCluster(&ownerHook{routeHook: routeHook{shard: "dvfs-rf"}, owner: owner.Fleet()})
+	localTS, entryTS := httptest.NewServer(local), httptest.NewServer(entry)
+	defer localTS.Close()
+	defer entryTS.Close()
+
+	const header = `{"device":"host-7","levels":8,"window":16,"stride":4}` + "\n"
+	rng := rand.New(rand.NewSource(7))
+	chunk := func(n int) string {
+		states := make([]int, n)
+		for i := range states {
+			states[i] = rng.Intn(8)
+		}
+		raw, _ := json.Marshal(StreamSample{States: states})
+		return string(raw) + "\n"
+	}
+	singles := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "{\"state\":%d}\n", rng.Intn(8))
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name, body string
+		lines      int
+		lastLine   string // "" when the last line is a summary
+	}{
+		{name: "header only, clean EOF", body: header, lines: 1},
+		{name: "single states", body: header + singles(40), lines: 8},
+		{name: "chunks", body: header + chunk(16) + chunk(32), lines: 10},
+		// Windows complete at samples 15, 19, 23, …: the second and third
+		// lines each finish a window the line before them started.
+		{name: "chunks straddling window boundaries", body: header + chunk(14) + chunk(3) + singles(2) + chunk(9), lines: 5},
+		{name: "singles and chunks mixed, blank lines", body: header + singles(5) + "\n" + chunk(21) + "\n\n" + singles(3), lines: 5},
+		{name: "refused chunk", body: header + chunk(20) + `{"states":[1,2,3,4,99]}` + "\n" + chunk(8), lines: 3,
+			lastLine: `{"error":"sample 24: state 99 outside [0,8)"}`},
+		{name: "refused negative state", body: header + singles(17) + `{"state":-1}` + "\n", lines: 2,
+			lastLine: `{"error":"sample 17: state -1 outside [0,8)"}`},
+		{name: "oversized line", body: header + chunk(16) + `{"states":[` + strings.Repeat("1,", 400) + `1]}` + "\n", lines: 2,
+			lastLine: `{"error":"stream line exceeds 512 bytes"}`},
+		{name: "state and states", body: header + chunk(16) + `{"state":1,"states":[2]}` + "\n", lines: 2,
+			lastLine: `{"error":"stream line carries both \"state\" and \"states\""}`},
+		{name: "malformed line", body: header + singles(16) + "{nope}\n", lines: 2},
+	}
+	cacheHits := regexp.MustCompile(`"cache_hits":\d+`)
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/assess/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, cacheHits.ReplaceAllString(string(raw), `"cache_hits":0`)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, want := post(localTS.URL, tc.body)
+			gotStatus, got := post(entryTS.URL, tc.body)
+			if wantStatus != http.StatusOK || gotStatus != wantStatus {
+				t.Fatalf("status: local %d, proxied %d", wantStatus, gotStatus)
+			}
+			if got != want {
+				t.Fatalf("proxied stream differs from local\nlocal:\n%s\nproxied:\n%s", want, got)
+			}
+			lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+			if len(lines) != tc.lines {
+				t.Fatalf("%d lines, want %d:\n%s", len(lines), tc.lines, want)
+			}
+			last := lines[len(lines)-1]
+			switch {
+			case tc.lastLine != "" && last != tc.lastLine:
+				t.Fatalf("last line %s, want %s", last, tc.lastLine)
+			case tc.lastLine == "" && tc.name != "malformed line" && !strings.HasPrefix(last, `{"done":true,`):
+				t.Fatalf("last line %s, want a summary", last)
+			}
+		})
+	}
+
+	// A refused open is refused the same way: nothing streamed, same status.
+	for _, hdr := range []string{
+		`{"model":"ghost","levels":8,"window":16}`,
+		`{"levels":4,"window":16}`,
+		`{"levels":8,"window":1000000}`,
+	} {
+		wantStatus, want := post(localTS.URL, hdr+"\n")
+		gotStatus, got := post(entryTS.URL, hdr+"\n")
+		if gotStatus != wantStatus || got != want || wantStatus == http.StatusOK {
+			t.Fatalf("header %s: local %d %s, proxied %d %s", hdr, wantStatus, want, gotStatus, got)
+		}
+	}
+
+	// The fleet that assessed counted the same sessions, samples and
+	// decisions either way, and the entry node counted none.
+	counters := func(s *Server) [3]int64 {
+		var c [3]int64
+		for _, st := range s.Stats() {
+			c[0] += st.StreamSessions
+			c[1] += st.StreamSamples
+			c[2] += st.StreamDecisions
+		}
+		return c
+	}
+	if l, o := counters(local), counters(owner); l != o || l[2] == 0 {
+		t.Fatalf("stream sessions/samples/decisions: local %v, owner behind the proxy %v", l, o)
+	}
+	if e := counters(entry); e != [3]int64{} {
+		t.Fatalf("entry node counted stream work it only proxied: %v", e)
 	}
 }
