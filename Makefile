@@ -50,19 +50,21 @@ coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the four packages that decode
+# fuzz-smoke runs every Fuzz* target of the five packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec
-# (pkg/serve), the decimal→float64 kernel under it (internal/decfloat), the
-# verdict store's segment reader and frame encoder (pkg/verdictstore), and
-# the tree gob decoder whose output the unchecked tree walks index by
-# (internal/ml/tree) — for FUZZTIME each. Plain `go test` only replays their seed corpora; this
-# is what lets the differential oracles (encoding/json, strconv.ParseFloat)
-# look at inputs nobody wrote down. `go test -fuzz` takes one target and
+# (pkg/serve), the float64↔decimal kernels under it (internal/decfloat),
+# the float and string encoders the codec and the store share
+# (internal/jsonwire), the verdict store's segment reader and frame encoder
+# (pkg/verdictstore), and the tree gob decoder whose output the unchecked
+# tree walks index by (internal/ml/tree) — for FUZZTIME each. Plain `go
+# test` only replays their seed corpora; this is what lets the
+# differential oracles (encoding/json, strconv) look at inputs nobody
+# wrote down. `go test -fuzz` takes one target and
 # one package per run, hence the loop. A failure leaves its input under the
 # package's testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./pkg/verdictstore ./internal/ml/tree; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

@@ -1,14 +1,20 @@
-// Package decfloat converts a decimal mantissa and base-10 exponent to the
-// nearest float64 with the Eisel–Lemire algorithm
+// Package decfloat converts between float64 and decimal digits, both
+// directions on one 128-bit power-of-ten table.
+//
+// Reading, FromDecimal turns a decimal mantissa and base-10 exponent into
+// the nearest float64 with the Eisel–Lemire algorithm
 // (https://nigeltao.github.io/blog/2020/eisel-lemire.html) — the fast path
 // inside strconv.ParseFloat, lifted out so a caller that already holds the
 // digits (pkg/serve's JSON number scanner) does not have to render them
 // back to a string and have strconv scan them a second time.
 //
-// The kernel either returns the correctly rounded float64 — the value
-// strconv.ParseFloat returns for the same decimal — or reports that it
-// cannot vouch for one; it never returns a wrong value. Callers keep
-// strconv.ParseFloat as the fallback and as the reference.
+// Writing, Shortest finds the shortest decimal that reads back as a
+// float64 with Schubfach — the digits strconv's shortest formatting picks
+// with Ryū — for internal/jsonwire to lay out as encoding/json does.
+//
+// Each kernel either returns strconv's answer or reports that it cannot
+// vouch for one; neither returns a wrong value. Callers keep strconv as
+// the fallback and as the reference.
 package decfloat
 
 import (
@@ -30,7 +36,7 @@ const (
 // down; the binary exponent is implied by the decimal one. It is built at
 // init, ~0.15 ms, rather than pasted in as a 696-line literal;
 // TestTableMatchesStrconv compares it entry for entry with the table in
-// Go's own strconv.
+// Go's own strconv. FromDecimal and Shortest both read it.
 var pow10 [maxExp10 - minExp10 + 1]struct{ hi, lo uint64 }
 
 // exact10 holds the powers of ten a float64 represents exactly.

@@ -341,30 +341,6 @@ func TestEncodeResponsesGolden(t *testing.T) {
 	})
 }
 
-// TestAppendJSONFloatMatrix sweeps a dense grid of magnitudes across the
-// format-switch boundaries to pin the float formatter byte-for-byte.
-func TestAppendJSONFloatMatrix(t *testing.T) {
-	var vals []float64
-	for exp := -320; exp <= 308; exp++ {
-		v := math.Pow(10, float64(exp))
-		vals = append(vals, v, -v, v*1.5, v*9.999999999)
-	}
-	vals = append(vals, goldenFloats...)
-	for _, v := range vals {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			continue
-		}
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := jsonwire.AppendFloat(nil, v)
-		if !bytes.Equal(want, got) {
-			t.Errorf("float %g: encoding/json %q, pooled %q", v, want, got)
-		}
-	}
-}
-
 // FuzzAssessRequestDecode cross-checks the pooled decoder against
 // encoding/json on arbitrary bytes: both must agree on accept/reject, and
 // on every accepted input the decoded values must be equal down to the

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -412,6 +413,136 @@ func TestFailedWriteIsNotAccounted(t *testing.T) {
 	s.mu.Unlock()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// fullDisk wraps the active segment file: its first Write after arming
+// lands half the bytes and fails with ENOSPC, and with failTruncate the
+// cleanup's Truncate fails as well.
+type fullDisk struct {
+	segmentFile
+	armed, failTruncate bool
+}
+
+func (d *fullDisk) Write(p []byte) (int, error) {
+	if !d.armed {
+		return d.segmentFile.Write(p)
+	}
+	d.armed = false
+	n, err := d.segmentFile.Write(p[:len(p)/2])
+	if err == nil {
+		err = syscall.ENOSPC
+	}
+	return n, err
+}
+
+func (d *fullDisk) Truncate(size int64) error {
+	if d.failTruncate {
+		return syscall.EIO
+	}
+	return d.segmentFile.Truncate(size)
+}
+
+// TestShortWriteKeepsSegmentReadable: a group write that lands in part
+// must not leave a torn frame where Query or the next Open reads it as the
+// end of the segment. The error surfaces once; afterwards Query returns the
+// records committed before and after the fault, a reopen recovers the
+// same, and the counts match the files. When the torn run cannot be cut
+// off, the segment is sealed and its whole frames that landed count as
+// committed, since Open recovers them.
+func TestShortWriteKeepsSegmentReadable(t *testing.T) {
+	for _, failTruncate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failTruncate=%v", failTruncate), func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Config{SyncInterval: time.Hour})
+			freezeFlusher(t, s)
+			base := time.Date(2026, 10, 3, 9, 0, 0, 0, time.UTC)
+			before, torn, after := servedRecords(10, base), servedRecords(20, base.Add(time.Hour)), servedRecords(10, base.Add(2*time.Hour))
+			if n, err := s.AppendBatch(before); n != len(before) || err != nil {
+				t.Fatalf("AppendBatch = %d, %v", n, err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			s.mu.Lock()
+			s.f = &fullDisk{segmentFile: s.f, armed: true, failTruncate: failTruncate}
+			s.mu.Unlock()
+			if n, err := s.AppendBatch(torn); n != len(torn) || err != nil {
+				t.Fatalf("AppendBatch into the pending group = %d, %v", n, err)
+			}
+			if err := s.Sync(); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("Sync after the short write = %v, want ENOSPC", err)
+			}
+			if n, err := s.AppendBatch(after); n != len(after) || err != nil {
+				t.Fatalf("AppendBatch after the fault = %d, %v (the error must surface once)", n, err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatalf("Sync after the fault: %v", err)
+			}
+
+			// The frames of torn that landed whole: none once the run is cut
+			// off, those inside its first half otherwise.
+			sizes, run := make([]int, len(torn)), 0
+			for i := range torn {
+				payload, err := appendRecord(nil, &torn[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sizes[i] = frameHdr + len(payload)
+				run += sizes[i]
+			}
+			landed, whole := 0, 0
+			for failTruncate && whole+sizes[landed] <= run/2 {
+				whole += sizes[landed]
+				landed++
+			}
+			if failTruncate && (landed == 0 || whole == run/2) {
+				t.Fatalf("half the run (%d of %d bytes) is %d whole frames: no torn frame to test", run/2, run, landed)
+			}
+			var want []uint64
+			for _, recs := range [][]Record{before, torn[:landed], after} {
+				for _, rec := range recs {
+					want = append(want, rec.Seq)
+				}
+			}
+			seqs := func(recs []Record) []uint64 {
+				out := make([]uint64, len(recs))
+				for i, rec := range recs {
+					out[i] = rec.Seq
+				}
+				return out
+			}
+			if got := seqs(mustQueryAll(t, s)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Query after the fault returned seqs %v, want %v", got, want)
+			}
+			st := s.Stats()
+			var onDisk int64
+			for _, data := range segmentFiles(t, dir) {
+				onDisk += int64(len(data))
+			}
+			torntail := int64(0)
+			if failTruncate {
+				torntail = int64(run/2 - whole) // the torn frame, in the sealed segment
+			}
+			if st.Records != int64(len(want)) || st.Bytes+torntail != onDisk {
+				t.Fatalf("Stats: %d records / %d bytes; want %d records, and %d bytes on disk hold %d torn",
+					st.Records, st.Bytes, len(want), onDisk, torntail)
+			}
+
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			reopened := mustOpen(t, dir, Config{})
+			defer reopened.Close()
+			if got := seqs(mustQueryAll(t, reopened)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after reopen Query returned seqs %v, want %v", got, want)
+			}
+			rst := reopened.Stats()
+			if rst.Records != st.Records || rst.Bytes != st.Bytes || rst.TruncatedBytes != torntail {
+				t.Fatalf("reopened: %d records / %d bytes, %d truncated; before Close %d / %d, %d torn",
+					rst.Records, rst.Bytes, rst.TruncatedBytes, st.Records, st.Bytes, torntail)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,10 @@
 // uncommitted group plus whatever the OS had not flushed since the last
 // fsync tick — Sync forces full durability on demand, and
 // Config.SyncEvery switches the store to synchronous writes when that
-// window is too wide.
+// window is too wide. A write that fails part-way (ENOSPC, EIO) is cut
+// back to the last accounted frame, or, when even that fails, its segment
+// is sealed; either way no later record lands behind a torn frame, and
+// reads stop at the accounted bytes.
 //
 // A Store is safe for concurrent use.
 package verdictstore
@@ -181,6 +184,15 @@ type pendMeta struct {
 	size int   // frame bytes (header + payload) in pendBuf
 }
 
+// segmentFile is what the store does to the active segment: *os.File,
+// opened O_APPEND, or a test's wrapper that injects disk faults.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+	Truncate(size int64) error
+}
+
 // Store is the embedded verdict log. Open one per daemon.
 type Store struct {
 	dir string
@@ -188,8 +200,8 @@ type Store struct {
 
 	mu     sync.Mutex
 	closed bool
-	segs   []*segment // oldest first; the last one is active
-	f      *os.File   // active segment, O_APPEND
+	segs   []*segment  // oldest first; the last one is active
+	f      segmentFile // active segment, O_APPEND; nil until the next commit opens one
 
 	// The pending group: Append frames records into pendBuf (metadata in
 	// pending) and the flusher — or the next Query/Stats/Sync/Close —
@@ -559,22 +571,56 @@ func (s *Store) commitLocked() error {
 // writeRun pushes pendBuf[start:end] — the frames of pending[first:last]
 // — to the active segment in one Write, and only once the write has
 // landed accounts them to it: a failed write must not leave the segment's
-// record count, size and bounds describing frames that are not on disk.
-// Callers hold s.mu.
+// record count, size and bounds describing frames that are not on disk,
+// nor a torn frame in front of the next run. Callers hold s.mu.
 func (s *Store) writeRun(first, last, start, end int) error {
 	if first == last {
 		return nil
 	}
-	if _, err := s.f.Write(s.pendBuf[start:end]); err != nil {
+	n, err := s.f.Write(s.pendBuf[start:end])
+	if err != nil {
+		// A write that failed part-way (ENOSPC, EIO) leaves a torn run
+		// behind the last accounted frame. Cut it off; O_APPEND puts the
+		// next write at the new end.
+		if s.f.Truncate(s.active().bytes) != nil {
+			s.sealTorn(first, start, start+n)
+		}
 		return fmt.Errorf("verdictstore: %w", err)
 	}
+	s.account(first, last, end-start)
+	return nil
+}
+
+// account adds the frames of pending[first:last], size bytes in all, to
+// the active segment. Callers hold s.mu.
+func (s *Store) account(first, last, size int) {
 	s.dirty = true
 	seg := s.active()
 	for _, pm := range s.pending[first:last] {
 		seg.note(pm.seq, pm.tn)
 	}
-	seg.bytes += int64(end - start)
-	return nil
+	seg.bytes += int64(size)
+}
+
+// sealTorn retires an active segment whose torn run could not be cut off:
+// the next commit opens a fresh segment, so a torn frame is only ever the
+// tail of a sealed one, which Query never reads past and Open truncates.
+// The run's whole frames that did land (pendBuf up to landed) are
+// accounted, since Open will recover them: Query shows what a restart
+// will. Callers hold s.mu.
+func (s *Store) sealTorn(first, start, landed int) {
+	last, end := first, start
+	for last < len(s.pending) && end+s.pending[last].size <= landed {
+		end += s.pending[last].size
+		last++
+	}
+	s.account(first, last, end-start)
+	// Best effort: the write's error is the one reported, and a disk that
+	// cannot truncate may not sync or close either.
+	_ = s.f.Sync()
+	_ = s.f.Close()
+	s.f = nil
+	s.dirty = false
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens a
@@ -650,7 +696,7 @@ func (s *Store) drain(fsync bool) {
 	if err := s.commitLocked(); err != nil && s.werr == nil {
 		s.werr = err
 	}
-	var f *os.File
+	var f segmentFile
 	if fsync && s.dirty && s.f != nil {
 		f, s.dirty = s.f, false
 	}
@@ -690,7 +736,9 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verdictstore: %w", err)
 		}
-		br := bufio.NewReader(rf)
+		// Only the accounted bytes: past them a sealed segment may end in
+		// a run whose write failed part-way.
+		br := bufio.NewReader(io.LimitReader(rf, seg.bytes))
 		for {
 			rec, _, err := readFrame(br)
 			if err == io.EOF {
