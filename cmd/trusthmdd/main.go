@@ -156,7 +156,7 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.serve.MaxStreamLineBytes, "max-stream-line", 256<<10, "largest accepted NDJSON line on /v1/assess/stream, in bytes")
 	fs.IntVar(&cfg.serve.MaxStreamWindow, "max-stream-window", 1<<16, "largest per-session window a stream header may request")
 	fs.DurationVar(&cfg.serve.StreamIdleTimeout, "stream-idle", 5*time.Minute, "cut an NDJSON stream whose client sends nothing for this long (negative disables)")
-	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-shard cross-request result cache entries (0 = default 4096, negative disables)")
+	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-replica /v1/assess result cache entries (0 = default 4096, negative disables)")
 	fs.IntVar(&cfg.workers, "workers", 0, "override assessment parallelism on every shard (0 keeps each model's saved setting)")
 	fs.Float64Var(&cfg.threshold, "threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
 	fs.StringVar(&cfg.serve.AdminToken, "admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")

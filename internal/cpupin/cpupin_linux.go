@@ -1,9 +1,8 @@
 //go:build linux
 
-// Package cpupin pins OS threads to CPU cores — the shared cache-locality
-// discipline of the serving layer's replica flushers and the verdict
-// store's group-commit flusher. Pinning is always best-effort: failures
-// and out-of-range CPUs are ignored, never surfaced.
+// Package cpupin pins OS threads to CPU cores — the cache-locality
+// discipline of the serving layer's replica flushers. Pinning is always
+// best-effort: failures and out-of-range CPUs are ignored, never surfaced.
 package cpupin
 
 import (

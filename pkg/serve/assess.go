@@ -88,7 +88,6 @@ func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, err
 				// verdict — answered without queueing or assessing.
 				sh.stats.requests.Add(1)
 				sh.stats.cacheHits.Add(1)
-				sh.stats.cacheHitsSingle.Add(1)
 				sh.stats.observeOne(res.Decision)
 				sh.served.Add(1)
 				out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res, Cached: true}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -135,6 +136,53 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ReportMetric(float64(n), "samples/op")
 }
 
+// BenchmarkServeBatchUnique is the batch-closed shape on the default
+// config: 64-row POST /v1/assess/batch bodies drawn from 16384 distinct
+// jittered rows, more than the default cache holds, so no row ever
+// repeats within the cache's reach and the loop measures what a batch of
+// fresh telemetry costs end to end through the handler.
+func BenchmarkServeBatchUnique(b *testing.B) {
+	d, X := testDetector(b)
+	srv := mustServer(b, map[string]*detector.Detector{"dvfs-rf": d}, Config{})
+	defer srv.Close()
+	const rowsPerBody, uniqueRows = 64, 16384
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, uniqueRows/rowsPerBody)
+	for i := range bodies {
+		batch := make([][]float64, rowsPerBody)
+		for r := range batch {
+			base := X[rng.Intn(len(X))]
+			x := make([]float64, len(base))
+			for j, v := range base {
+				x[j] = v*(1+1e-3*rng.NormFloat64()) + 1e-6*rng.NormFloat64()
+			}
+			batch[r] = x
+		}
+		payload, err := json.Marshal(BatchRequest{Batch: batch})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = payload
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/assess/batch", nil)
+	body := &replayBody{}
+	w := newSinkWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.data = bodies[i%len(bodies)]
+		body.reset()
+		req.Body = body
+		w.reset()
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.code, w.body)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(rowsPerBody, "samples/op")
+}
+
 // TestAllocsServe pins the steady-state allocation budget of the hot
 // request paths. The pooled codecs, coalescer fast path and precomputed
 // error bodies brought /v1/assess to ~1 alloc/op and /v1/assess/batch to
@@ -186,16 +234,17 @@ func TestAllocsServe(t *testing.T) {
 		t.Errorf("POST /v1/assess/batch allocates %.1f/op, budget 4", got)
 	}
 
-	// The same batch with a verdict store attached: the tap builds its
-	// records in the request scratch and the store frames them without
-	// reflection, so persistence fits the same budget.
+	// The same batch with a verdict store attached, on the default config
+	// (result cache on): the tap builds its records in the request scratch
+	// and the store frames them without reflection, and the batch path
+	// never copies into the cache, so the replayed rows fit the same budget.
 	store, err := verdictstore.Open(t.TempDir(), verdictstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	d, _ := testDetector(t)
-	tapped := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, Config{CacheSize: -1, Verdicts: store})
+	tapped := mustServer(t, map[string]*detector.Detector{"dvfs-rf": d}, Config{Verdicts: store})
 	defer tapped.Close()
 	if got := run(tapped, "/v1/assess/batch", batch); got > 4 {
 		t.Errorf("POST /v1/assess/batch with a verdict store allocates %.1f/op, budget 4", got)

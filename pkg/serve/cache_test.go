@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"testing"
 
 	"trusthmd/pkg/detector"
@@ -79,7 +80,8 @@ func TestHashVecDiscriminates(t *testing.T) {
 // TestServeCacheHitsAreIdentical is the cross-request caching e2e: the
 // same vectors served twice over HTTP must answer bit-identically, /stats
 // must show the second pass as pure cache hits, and the coalescer must see
-// no additional batches. When TRUSTHMD_SERVE_STATS_OUT is set (the CI
+// no additional batches. A batch of the same vectors then bypasses the
+// cache and answers the same bits. When TRUSTHMD_SERVE_STATS_OUT is set (the CI
 // bench job does this), the final /stats snapshot is written there as a
 // build artifact.
 func TestServeCacheHitsAreIdentical(t *testing.T) {
@@ -143,8 +145,10 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 		t.Fatal("cache reports zero entries after serving")
 	}
 
-	// The batch endpoint shares the cache: an all-repeat batch is pure hits.
-	hitsBefore := s.Stats()[0].CacheHits
+	// The batch endpoint leaves the cache alone: a batch of vectors that
+	// are all cached is assessed directly, answers bit-identically to the
+	// cached pass and to AssessBatch, and moves no cache counter.
+	before := s.Stats()[0]
 	batch := make([][]float64, n)
 	for i := range batch {
 		batch[i] = X[i%len(X)]
@@ -157,14 +161,31 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 	if err := json.Unmarshal(body, &bout); err != nil {
 		t.Fatal(err)
 	}
+	direct, err := d.AssessBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bout.Results) != n {
+		t.Fatalf("batch answered %d results, want %d", len(bout.Results), n)
+	}
 	for i, r := range bout.Results {
-		if r.Prediction != first[i].Prediction || r.Entropy != first[i].Entropy {
-			t.Fatalf("batch[%d]: cached answer diverged", i)
+		want := first[i]
+		if r.Prediction != want.Prediction || r.Entropy != want.Entropy || r.Decision != want.Decision ||
+			!slices.Equal(r.VoteDist, want.VoteDist) {
+			t.Fatalf("batch[%d]: %+v diverged from the cached pass %+v", i, r, want)
+		}
+		if r.Prediction != direct[i].Prediction || r.Entropy != direct[i].Entropy ||
+			r.Decision != direct[i].Decision.String() || !slices.Equal(r.VoteDist, direct[i].VoteDist) {
+			t.Fatalf("batch[%d]: %+v diverged from AssessBatch %+v", i, r, direct[i])
 		}
 	}
 	st = s.Stats()[0]
-	if st.CacheHits < hitsBefore+int64(n) {
-		t.Fatalf("batch pass expected >= %d more hits, got %d -> %d", n, hitsBefore, st.CacheHits)
+	if st.CacheHits != before.CacheHits || st.CacheMisses != before.CacheMisses || st.CacheEntries != before.CacheEntries {
+		t.Fatalf("batch pass touched the cache: hits %d -> %d, misses %d -> %d, entries %d -> %d",
+			before.CacheHits, st.CacheHits, before.CacheMisses, st.CacheMisses, before.CacheEntries, st.CacheEntries)
+	}
+	if st.BatchSamples != before.BatchSamples+int64(n) {
+		t.Fatalf("batch samples %d -> %d, want +%d", before.BatchSamples, st.BatchSamples, n)
 	}
 
 	if path := os.Getenv("TRUSTHMD_SERVE_STATS_OUT"); path != "" {

@@ -33,8 +33,10 @@ package serve
 // the decoded feature slices alias it, the coalescer copies the verdict's
 // VoteDist into its votes buffer, and the response bytes are assembled in
 // its out buffer. Ownership is strictly per-request — everything the
-// serving layer retains (result cache, verdict store) copies out of it
-// before the handler returns it to the pool.
+// serving layer retains copies out of it before the handler returns it to
+// the pool: the result cache copies a /v1/assess verdict, and the verdict
+// store frames every record. The batch path's results live in the
+// scratch's assess workspace and never leave it.
 
 import (
 	"errors"
@@ -55,18 +57,14 @@ import (
 // and handlers. The zero value is ready to use; buffers grow on demand and
 // are reused across requests.
 type codecScratch struct {
-	body     []byte      // raw request body
-	features []float64   // AssessRequest.Features backing
-	rows     [][]float64 // BatchRequest.Batch row views; each row keeps its own backing
-	votes    []float64   // VoteDist copy-out buffer threaded to the coalescer
-	out      []byte      // response encode buffer
-	str      []byte      // unquoted string/key scratch
-	keys     []uint64    // batch path: per-row cache keys
-	missIdx  []int       // batch path: indices of cache misses
-	missX    [][]float64 // batch path: vectors needing assessment
-	results  []detector.Result
+	body     []byte                // raw request body
+	features []float64             // AssessRequest.Features backing
+	rows     [][]float64           // BatchRequest.Batch row views; each row keeps its own backing
+	votes    []float64             // VoteDist copy-out buffer threaded to the coalescer
+	out      []byte                // response encode buffer
+	str      []byte                // unquoted string/key scratch
 	recs     []verdictstore.Record // batch path: the request's verdict records, one AppendBatch
-	assess   detector.BatchScratch
+	assess   detector.BatchScratch // batch path: AssessBatchInto's workspace and results
 }
 
 var codecPool = sync.Pool{New: func() any { return new(codecScratch) }}

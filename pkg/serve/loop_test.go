@@ -122,7 +122,7 @@ func TestVerdictTapMatchesResponses(t *testing.T) {
 
 // TestBatchVerdictTapMatchesResponses is the same criterion for POST
 // /v1/assess/batch, whose rows reach the store as one AppendBatch group:
-// every row — cache hits and rejections included — is stored element-wise
+// every row — repeated rows and rejections included — is stored element-wise
 // identical to its response row, in request order, with the request row
 // kept as Features on rejections only, and reads back the same after the
 // store is closed and reopened.
@@ -148,7 +148,7 @@ func TestBatchVerdictTapMatchesResponses(t *testing.T) {
 	var wantRows []AssessResponse
 	var wantX [][]float64
 	var groups []int                                                                  // rows per request
-	for _, batch := range [][][]float64{xs[:40], xs[20:60], {xs[3], xs[3], xs[70]}} { // overlaps and repeats are cache hits
+	for _, batch := range [][][]float64{xs[:40], xs[20:60], {xs[3], xs[3], xs[70]}} { // overlaps and repeats are assessed again
 		resp, body := postJSON(t, ts.URL+"/v1/assess/batch", BatchRequest{Device: "dev-b", Batch: batch})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch: %d %s", resp.StatusCode, body)
@@ -164,8 +164,8 @@ func TestBatchVerdictTapMatchesResponses(t *testing.T) {
 		wantX = append(wantX, batch...)
 		groups = append(groups, len(batch))
 	}
-	if hits := s.Fleet().Stats()[0].CacheHits; hits < 20 {
-		t.Fatalf("only %d cache hits; the repeats were meant to be answered from the cache", hits)
+	if st := s.Fleet().Stats()[0]; st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
+		t.Fatalf("the batch path touched the result cache: %+v", st)
 	}
 
 	check := func(store *verdictstore.Store) {

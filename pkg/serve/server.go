@@ -43,13 +43,15 @@
 // decisions.
 //
 // Each replica additionally owns a bounded cross-request result cache
-// (LRU keyed on the feature-vector hash, Config.CacheSize): telemetry
-// streams repeat vectors heavily, and a repeat is answered from the cache
-// without queueing or assessing at all. Detectors are deterministic, so
-// cached verdicts are bit-identical to recomputed ones; /stats exposes
-// hit, miss and occupancy counters per shard. A hot swap replaces the
-// caches along with the detector — a stale cache must never answer for a
-// retired model version.
+// (LRU keyed on the feature-vector hash, Config.CacheSize) in front of
+// /v1/assess: a repeated vector is answered from the cache without
+// queueing or assessing at all. /v1/assess/batch does not consult it —
+// batch rows are continuous readings that rarely repeat bit for bit, and
+// a per-row probe costs more than the rare hit saves. Detectors are
+// deterministic, so cached verdicts are bit-identical to recomputed ones;
+// /stats exposes hit, miss and occupancy counters per shard. A hot swap
+// replaces the caches along with the detector — a stale cache must never
+// answer for a retired model version.
 package serve
 
 import (
@@ -122,12 +124,13 @@ type Config struct {
 	// DefaultModel names the shard serving requests that carry neither
 	// "model" nor "device"; when unset, the only loaded shard serves them.
 	DefaultModel string
-	// CacheSize bounds each shard's cross-request result cache (an LRU
+	// CacheSize bounds each replica's cross-request result cache (an LRU
 	// keyed on the feature-vector hash; see /stats cache_hits and
-	// cache_misses). 0 means the default of 4096 entries; negative
-	// disables caching. Telemetry streams repeat vectors heavily, so hits
-	// skip coalescing and assessment entirely; answers are bit-identical
-	// either way because a trained detector is deterministic.
+	// cache_misses), so a shard with Replicas r holds up to r x CacheSize
+	// entries. 0 means the default of 4096 entries; negative disables
+	// caching. Only /v1/assess consults it: a hit skips coalescing and
+	// assessment entirely, and answers are bit-identical either way because
+	// a trained detector is deterministic.
 	CacheSize int
 	// AdminToken guards the mutating admin endpoints (POST /v1/models,
 	// DELETE /v1/models/{name}): when set, they require
@@ -377,51 +380,16 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sh.releaseBatch(n)
-	// The client already aggregated; consult the cross-request cache per
-	// vector and go straight to the batched path for the misses only.
-	// With the cache disabled, every row is a "miss" without hashing or
-	// counter traffic. All working slices live in the request scratch; the
-	// assessed results are scratch-owned too, which is safe here because
-	// everything retained past the handler (cache entries, verdict
-	// records) copies out of them and the response is encoded before the
-	// scratch is pooled again.
-	if cap(sc.results) < n {
-		sc.results = make([]detector.Result, n)
-	}
-	results := sc.results[:n]
-	keys := sc.keys[:0]
-	missIdx := sc.missIdx[:0]
-	missX := req.Batch
-	if sh.cache != nil {
-		missX = sc.missX[:0]
-		for i, x := range req.Batch {
-			keys = append(keys, hashVec(x))
-			if r, ok := sh.cache.get(keys[i], x); ok {
-				results[i] = r
-				continue
-			}
-			missIdx = append(missIdx, i)
-			missX = append(missX, x)
-		}
-		sc.keys, sc.missIdx, sc.missX = keys, missIdx, missX
-		sh.stats.cacheHits.Add(int64(n - len(missX)))
-		sh.stats.cacheMisses.Add(int64(len(missX)))
-	}
-	if len(missX) > 0 {
-		rs, err := sh.det.AssessBatchInto(&sc.assess, missX)
-		if err != nil {
-			sh.stats.errors.Add(int64(len(missX)))
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		for j := range rs {
-			idx := j
-			if sh.cache != nil {
-				idx = missIdx[j]
-				sh.cache.put(keys[idx], missX[j], rs[j])
-			}
-			results[idx] = rs[j]
-		}
+	// The client already aggregated, so the rows go straight to one batched
+	// assessment, without the result cache (see the package comment). The
+	// results are scratch-owned, which is safe because the verdict records
+	// are framed and the response is encoded before the scratch is pooled
+	// again.
+	results, err := sh.det.AssessBatchInto(&sc.assess, req.Batch)
+	if err != nil {
+		sh.stats.errors.Add(int64(n))
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	sh.stats.batchRequests.Add(1)
 	sh.stats.batchSamples.Add(int64(n))

@@ -24,9 +24,8 @@ type ShardStats struct {
 	BatchRequests int64 `json:"batch_requests"`
 	BatchSamples  int64 `json:"batch_samples"`
 	// Batches is the number of coalesced AssessBatch flushes. MeanBatchSize
-	// is the mean over requests that actually queued: Requests minus the
-	// /v1/assess cache hits (hits were answered without queueing; batch
-	// endpoint hits never counted into Requests), divided by Batches.
+	// is the mean over requests that actually queued: Requests minus
+	// CacheHits (hits were answered without queueing), divided by Batches.
 	// Load sets it: 1 on an idle replica, above 1 once requests arrive
 	// while a flush is running.
 	Batches       int64   `json:"batches"`
@@ -45,9 +44,10 @@ type ShardStats struct {
 	EarlyFlushes int64 `json:"early_flushes"`
 
 	// CacheHits / CacheMisses count cross-request result-cache lookups on
-	// both assessment endpoints: a hit is served straight from the
-	// per-shard LRU (no coalescing, no detector work) with a bit-identical
-	// verdict. CacheEntries is the current number of cached vectors.
+	// /v1/assess (the batch endpoint does not consult the cache): a hit is
+	// served straight from the replica's LRU (no coalescing, no detector
+	// work) with a bit-identical verdict. CacheEntries is the current
+	// number of cached vectors.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
@@ -116,10 +116,6 @@ type shardStats struct {
 	streamSamples   atomic.Int64
 	streamDecisions atomic.Int64
 	streamCacheHits atomic.Int64
-	// cacheHitsSingle counts the subset of cacheHits from /v1/assess; only
-	// those were diverted from the coalescer queue, so only they are
-	// excluded from the mean-batch-size denominator.
-	cacheHitsSingle atomic.Int64
 
 	mu        sync.Mutex
 	decisions detector.OnlineStats
@@ -167,7 +163,7 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		Rejected:        dec.Rejected,
 	}
 	if out.Batches > 0 {
-		if queued := out.Requests - s.cacheHitsSingle.Load(); queued > 0 {
+		if queued := out.Requests - out.CacheHits; queued > 0 {
 			out.MeanBatchSize = float64(queued) / float64(out.Batches)
 		}
 	}

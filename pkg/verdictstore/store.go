@@ -48,13 +48,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"trusthmd/internal/cpupin"
 )
 
 // Record is one served verdict. Seq is store-assigned and strictly
@@ -102,10 +99,6 @@ type Config struct {
 	// SyncInterval is the background fsync cadence of group-commit mode
 	// (default 100ms). Ignored when SyncEvery > 0.
 	SyncInterval time.Duration
-	// PinCPU, when nonzero, is 1 + the CPU core the group-commit flusher
-	// thread is pinned to (sched_setaffinity on Linux, no-op elsewhere).
-	// One-based so the zero value stays unpinned.
-	PinCPU int
 }
 
 func (c Config) withDefaults() Config {
@@ -663,12 +656,6 @@ func (s *Store) rotateLocked(firstSeq uint64) error {
 // channels are captured at start so Close can clear the Store fields.
 func (s *Store) flusher(signal, stop chan struct{}) {
 	defer s.wg.Done()
-	if s.cfg.PinCPU > 0 {
-		// Pin for the goroutine's lifetime; the locked thread dies with
-		// it, so the narrowed affinity mask never leaks.
-		runtime.LockOSThread()
-		cpupin.PinThread(s.cfg.PinCPU - 1)
-	}
 	ticker := time.NewTicker(s.cfg.SyncInterval)
 	defer ticker.Stop()
 	for {
