@@ -805,3 +805,63 @@ func TestClusterRefusedChunkSameOnEveryNode(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRefusedBodySameOnEveryNode: the entry node routes a batch from
+// a peek at its keys and forwards the bytes unparsed, so a body the owner
+// refuses in its numbers or rows reads the same, status and bytes, through
+// either node, as does a valid one; every body sent to the non-owner
+// crosses to the owner, and every answer carries its length.
+func TestClusterRefusedBodySameOnEveryNode(t *testing.T) {
+	detA, _, X := e2eDetectors(t)
+	ids := []string{"n1", "n2"}
+	nodes := startCluster(t, ids, "n1", detA)
+	owner := nodes[ring.New(ids, 0).Lookup(e2eModel)]
+	entry := nodes["n1"]
+	if entry == owner {
+		entry = nodes["n2"]
+	}
+
+	valid, err := json.Marshal(serve.BatchRequest{Model: e2eModel, Batch: X[:64]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overLimit := `{"model":"dvfs-rf","batch":[[1]` + strings.Repeat(`,[1]`, 4096) + `]}`
+	bodies := []struct {
+		name, body string
+		status     int
+	}{
+		{"valid", string(valid), http.StatusOK},
+		{"out-of-range number", `{"model":"dvfs-rf","batch":[[1e999]]}`, http.StatusBadRequest},
+		{"trailing comma", `{"model":"dvfs-rf","batch":[[1,2,]]}`, http.StatusBadRequest},
+		{"wrong width", `{"model":"dvfs-rf","batch":[[1,2]]}`, http.StatusBadRequest},
+		{"over the batch limit", overLimit, http.StatusRequestEntityTooLarge},
+	}
+	post := func(n *node, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(n.url()+"/v1/assess/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("%s answered %d bytes with Content-Length %d", n.id, len(raw), resp.ContentLength)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	forwardsOut := func() int64 { return int64(getStats(t, entry.url())["forwards_out"].(float64)) }
+	before := forwardsOut()
+	for _, b := range bodies {
+		viaEntry, entryBody := post(entry, b.body)
+		viaOwner, ownerBody := post(owner, b.body)
+		if viaEntry != b.status || viaOwner != b.status || entryBody != ownerBody {
+			t.Fatalf("%s: via %s %d %s\nvia %s %d %s", b.name, entry.id, viaEntry, entryBody, owner.id, viaOwner, ownerBody)
+		}
+	}
+	if got := forwardsOut() - before; got != int64(len(bodies)) {
+		t.Fatalf("%s forwarded %d of the %d bodies", entry.id, got, len(bodies))
+	}
+}

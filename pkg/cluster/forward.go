@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"trusthmd/pkg/serve"
 )
 
 // Request forwarding: any node accepts any assessment request; one owned
 // by another node is relayed there over plain HTTP with the original body
-// and the serve.ForwardedHeader loop guard. The receiving node always
+// (the entry node read only its routing keys; the owner decodes it) and the
+// serve.ForwardedHeader loop guard. The receiving node always
 // serves a guarded request locally (installing the shard from the catalog
 // on demand), so even a routing disagreement between two nodes' tables
 // terminates after one hop.
@@ -106,7 +108,8 @@ func (a *Agent) ForwardAssess(w http.ResponseWriter, r *http.Request, shard, dev
 }
 
 // relayResponse copies a forwarded response back to the client: status,
-// the headers that matter (content type, shed backoff), and the body.
+// the headers that matter (content type, shed backoff, and the length when
+// the owner sent one, so a long body is not re-sent chunked), and the body.
 func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -114,6 +117,9 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)

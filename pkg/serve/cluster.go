@@ -45,8 +45,11 @@ type ClusterHook interface {
 	// requests (ForwardedHeader present) always resolve local.
 	ResolveAssess(r *http.Request, model, device string) (shard string, local bool)
 	// ForwardAssess proxies a non-local request (original body bytes, same
-	// path) to the shard's owner and relays the response. It always writes
-	// a response, falling over to ring successors on network errors and
+	// path) to the shard's owner and relays the response. The handler
+	// normally routed the body from a peek at its keys alone, so its numbers
+	// are unread: a body the owner's decoder refuses is answered by the
+	// owner, in the bytes a local refusal would have. It always writes a
+	// response, falling over to ring successors on network errors and
 	// answering 503 when no owner is reachable.
 	ForwardAssess(w http.ResponseWriter, r *http.Request, shard, device string, body []byte)
 	// PushStream applies one chunk of a non-local stream on the shard's

@@ -29,6 +29,13 @@ package serve
 // conversion share a pass (internal/decfloat), with strconv as the
 // fallback for the rare inputs the fast conversion will not vouch for.
 //
+// A node in a cluster reads no number of a body it forwards: peekRoute
+// reads only the routing keys, through the same object/string/field-match
+// code as the decoders, and skips the number arrays by bracket matching.
+// The owner decodes the forwarded bytes strictly, so a body is decoded
+// once, and a refused body is refused with the same status and bytes
+// whichever node it entered on.
+//
 // A codecScratch is one request's workspace, recycled through a sync.Pool:
 // the decoded feature slices alias it, the coalescer copies the verdict's
 // VoteDist into its votes buffer, and the response bytes are assembled in
@@ -39,6 +46,7 @@ package serve
 // scratch's assess workspace and never leave it.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -96,6 +104,8 @@ type jsonParser struct {
 	buf []byte
 	pos int
 	sc  *codecScratch
+	// rawKey is the last object key as written, between its quotes.
+	rawKey []byte
 }
 
 func (p *jsonParser) errAt(format string, args ...any) error {
@@ -206,6 +216,87 @@ func decodeBatchRequest(data []byte, sc *codecScratch, req *BatchRequest) error 
 	return p.checkTrailing()
 }
 
+// errPeekDeclined ends a peek at a body that peekRoute does not read.
+var errPeekDeclined = errors.New("peek declined")
+
+// peekRoute reads the routing keys of an assessment body, its top-level
+// "model" and "device", without converting a number: the value of field
+// ("features", or "batch" for an array of rows) is skipped by bracket
+// matching. Keys and key values go through the decoders' own object,
+// fieldMatch and stringField, so case folding, escaped values, null and
+// last-duplicate-wins are theirs. On any body a decoder accepts, peekRoute
+// either returns that decoder's Model and Device or declines (ok false).
+// It declines a non-object body, a key written with an escape (clients
+// write the three names plain; the decoder takes the rare spelling), any
+// other key, a key value that is neither string nor null, a field value
+// that is not an array or null, and trailing data.
+func peekRoute(data []byte, sc *codecScratch, field string) (model, device string, ok bool) {
+	depth := 1
+	if field == "batch" {
+		depth = 2
+	}
+	p := jsonParser{buf: data, sc: sc}
+	p.skipWS()
+	if p.pos >= len(p.buf) || p.buf[p.pos] != '{' {
+		return "", "", false
+	}
+	err := p.object(func(key []byte) error {
+		switch {
+		case string(p.rawKey) != string(key):
+			return errPeekDeclined
+		case fieldMatch(key, "model"):
+			return p.stringField(&model)
+		case fieldMatch(key, "device"):
+			return p.stringField(&device)
+		case fieldMatch(key, field):
+			return p.skipNumbers(depth)
+		default:
+			return errPeekDeclined
+		}
+	})
+	if err != nil || p.checkTrailing() != nil {
+		return "", "", false
+	}
+	return model, device, true
+}
+
+// skipNumbers consumes null or an array of numbers (depth 1) or of such
+// arrays (depth 2) without reading the numbers. A value the decoders accept
+// holds no string, so the first ']' closes the innermost array. A value
+// they refuse may be misread; its body is refused by the strict decode on
+// whichever node the keys route it to.
+func (p *jsonParser) skipNumbers(depth int) error {
+	if p.pos < len(p.buf) && p.buf[p.pos] == 'n' {
+		return p.lit("null")
+	}
+	if p.pos >= len(p.buf) || p.buf[p.pos] != '[' {
+		return errPeekDeclined
+	}
+	if depth == 1 {
+		end := bytes.IndexByte(p.buf[p.pos:], ']')
+		if end < 0 {
+			return errPeekDeclined
+		}
+		p.pos += end + 1
+		return nil
+	}
+	p.pos++
+	for {
+		p.skipWS()
+		if p.pos < len(p.buf) && p.buf[p.pos] == ']' {
+			p.pos++
+			return nil
+		}
+		if err := p.skipNumbers(depth - 1); err != nil {
+			return err
+		}
+		p.skipWS()
+		if p.pos < len(p.buf) && p.buf[p.pos] == ',' {
+			p.pos++
+		}
+	}
+}
+
 // object walks {"key": value, ...}, calling field for each key with the
 // cursor positioned at the value. field must consume the value.
 func (p *jsonParser) object(field func(key []byte) error) error {
@@ -220,11 +311,13 @@ func (p *jsonParser) object(field func(key []byte) error) error {
 		if p.pos >= len(p.buf) || p.buf[p.pos] != '"' {
 			return p.errAt("expected object key")
 		}
+		start := p.pos
 		key, err := p.parseString(p.sc.str[:0])
 		if err != nil {
 			return err
 		}
 		p.sc.str = key[:0]
+		p.rawKey = p.buf[start+1 : p.pos-1]
 		p.skipWS()
 		if p.pos >= len(p.buf) || p.buf[p.pos] != ':' {
 			return p.errAt("expected ':' after object key")

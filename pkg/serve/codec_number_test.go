@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"trusthmd/internal/gen"
 )
 
 // parseNumberRef is the decoder's number path as it was before the
@@ -277,12 +279,50 @@ func TestAllocsDecode(t *testing.T) {
 	}
 }
 
+// benchBatchBody is a /v1/assess/batch body built the way the repo
+// benchmark builds one (benchmark/inputs.go): an explicit model, a device
+// key, and 64 rows drawn from the DVFS test and unknown splits with every
+// feature nudged by a relative 1e-3 and an absolute 1e-6 normal step,
+// rendered shortest. About three quarters of the 1088 numbers come out as
+// 0.… with 16–17 significant digits and the rest in e-06/e-07 form; digit
+// loops read differently on this shape than on numberBatchBody's.
+func benchBatchBody(tb testing.TB) []byte {
+	tb.Helper()
+	s, err := gen.DVFSWithSizes(3, gen.Sizes{Train: 1, Test: 140, Unknown: 40})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var base [][]float64
+	for i := 0; i < s.Test.Len(); i++ {
+		base = append(base, s.Test.At(i).Features)
+	}
+	for i := 0; i < s.Unknown.Len(); i++ {
+		base = append(base, s.Unknown.At(i).Features)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b := []byte(`{"model":"dvfs-rf","device":"dev-00","batch":[`)
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, v := range base[rng.Intn(len(base))] {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = shortest(b, v*(1+1e-3*rng.NormFloat64())+1e-6*rng.NormFloat64())
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']', '}')
+}
+
 // BenchmarkDecodeBatchRequest decodes the repo benchmark's batch body
-// shape — 64 rows × 17 shortest-representation doubles, ~22 KB — into a
-// warm scratch: the codec's share of a batch-closed op, and twice that of
-// a forward-closed one.
+// (benchBatchBody, 64 rows × 17 numbers) into a warm scratch: the codec's
+// share of a batch-closed op, and of the owner's half of a forward-closed
+// one.
 func BenchmarkDecodeBatchRequest(b *testing.B) {
-	body := numberBatchBody(64, 17, shortest)
+	body := benchBatchBody(b)
 	sc := new(codecScratch)
 	var req BatchRequest
 	b.SetBytes(int64(len(body)))
@@ -291,6 +331,21 @@ func BenchmarkDecodeBatchRequest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := decodeBatchRequest(body, sc, &req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPeekRoute reads the routing keys of the same body: all the
+// entry node of a forward-closed op reads before it forwards.
+func BenchmarkPeekRoute(b *testing.B) {
+	body := benchBatchBody(b)
+	sc := new(codecScratch)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := peekRoute(body, sc, "batch"); !ok {
+			b.Fatal("peek declined the benchmark body")
 		}
 	}
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"trusthmd/internal/jsonwire"
@@ -72,107 +74,111 @@ func sameBatchRequest(a, b BatchRequest) bool {
 	return true
 }
 
+// assessParityCases are the corners where a naive decoder and an exact one
+// part: the parity tests hold decodeAssessRequest to encoding/json on them
+// and FuzzPeekRoute starts from them.
+var assessParityCases = []string{
+	// Plain shapes.
+	`{"device":"d0","features":[1,2,3]}`,
+	`{"model":"m","device":"d","features":[0.5,-0.25]}`,
+	`{}`,
+	`null`,
+	`  {"features":[1]}  `,
+	"\t\r\n {\"features\":[1]} \n",
+	// Empty and null slices: "[]" decodes non-nil, null decodes nil.
+	`{"features":[]}`,
+	`{"features":null}`,
+	// Null semantics: null string field is a no-op, null array element
+	// leaves its slot at zero.
+	`{"device":null,"features":[1,null,3]}`,
+	`{"features":[null]}`,
+	// Duplicate keys: last one wins.
+	`{"features":[1,2],"features":[9]}`,
+	`{"device":"a","device":"b","features":[1]}`,
+	`{"features":[1],"features":null}`,
+	// Case-folded and escaped keys.
+	`{"FEATURES":[4,5]}`,
+	`{"Device":"x","features":[1]}`,
+	`{"\u0066eatures":[7]}`,
+	`{"deVICE":"y","features":[2]}`,
+	// Unknown fields rejected.
+	`{"extra":1}`,
+	`{"features":[1],"extra":true}`,
+	// Type mismatches rejected.
+	`{"features":"nope"}`,
+	`{"features":[true]}`,
+	`{"features":[[1]]}`,
+	`{"device":5}`,
+	`{"features":{"a":1}}`,
+	// Number grammar.
+	`{"features":[01]}`,
+	`{"features":[1.]}`,
+	`{"features":[.5]}`,
+	`{"features":[+1]}`,
+	`{"features":[-]}`,
+	`{"features":[1e]}`,
+	`{"features":[1e+]}`,
+	`{"features":[0.0e-2]}`,
+	`{"features":[1E6]}`,
+	`{"features":[-0]}`,
+	`{"features":[-0.0]}`,
+	`{"features":[-0e5]}`,
+	`{"features":[-0,0]}`,
+	`{"features":[0.5,2.25,1e23,8.41e21,9007199254740993]}`,
+	`{"features":[1e309]}`,
+	`{"features":[-1e309]}`,
+	`{"features":[1e-999]}`,
+	`{"features":[123456789012345678901234567890]}`,
+	`{"features":[NaN]}`,
+	`{"features":[Infinity]}`,
+	// String corners: escapes, surrogates, raw control chars, UTF-8.
+	`{"device":"a\"b\\c\/d\b\f\n\r\t"}`,
+	`{"device":"\u0041\u00e9\u4e2d"}`,
+	`{"device":"\ud83d\ude00"}`,
+	`{"device":"\ud83d"}`,
+	`{"device":"\ude00\ud83d"}`,
+	`{"device":"\ud83dx"}`,
+	`{"device":"\uZZZZ"}`,
+	`{"device":"\u12"}`,
+	`{"device":"\x41"}`,
+	"{\"device\":\"a\x01b\"}",
+	"{\"device\":\"a\x7fb\"}",
+	"{\"device\":\"a\xffb\"}",
+	"{\"device\":\"\xc3\x28\"}",
+	`{"device":"中文✓"}`,
+	// Structural errors.
+	``,
+	`   `,
+	`{`,
+	`{"features":[1,]}`,
+	`{"features":[1}`,
+	`{"features" [1]}`,
+	`{"features":}`,
+	`{,}`,
+	`{"a"}`,
+	`true`,
+	`42`,
+	`"str"`,
+	`[1,2]`,
+	`nul`,
+	`nullx`,
+	// Trailing data: More() accepts '}'/']', rejects anything else.
+	`{"features":[1]} garbage`,
+	`{"features":[1]}{"features":[2]}`,
+	`{"features":[1]} }`,
+	`{"features":[1]} ]`,
+	`{"features":[1]},`,
+	`null null`,
+	`null }`,
+}
+
 // TestDecodeAssessRequestParity pins accept/reject and value parity of the
 // pooled decoder against encoding/json over the corners that differ
 // between naive and exact implementations.
 func TestDecodeAssessRequestParity(t *testing.T) {
-	cases := []string{
-		// Plain shapes.
-		`{"device":"d0","features":[1,2,3]}`,
-		`{"model":"m","device":"d","features":[0.5,-0.25]}`,
-		`{}`,
-		`null`,
-		`  {"features":[1]}  `,
-		"\t\r\n {\"features\":[1]} \n",
-		// Empty and null slices: "[]" decodes non-nil, null decodes nil.
-		`{"features":[]}`,
-		`{"features":null}`,
-		// Null semantics: null string field is a no-op, null array element
-		// leaves its slot at zero.
-		`{"device":null,"features":[1,null,3]}`,
-		`{"features":[null]}`,
-		// Duplicate keys: last one wins.
-		`{"features":[1,2],"features":[9]}`,
-		`{"device":"a","device":"b","features":[1]}`,
-		`{"features":[1],"features":null}`,
-		// Case-folded and escaped keys.
-		`{"FEATURES":[4,5]}`,
-		`{"Device":"x","features":[1]}`,
-		`{"\u0066eatures":[7]}`,
-		`{"deVICE":"y","features":[2]}`,
-		// Unknown fields rejected.
-		`{"extra":1}`,
-		`{"features":[1],"extra":true}`,
-		// Type mismatches rejected.
-		`{"features":"nope"}`,
-		`{"features":[true]}`,
-		`{"features":[[1]]}`,
-		`{"device":5}`,
-		`{"features":{"a":1}}`,
-		// Number grammar.
-		`{"features":[01]}`,
-		`{"features":[1.]}`,
-		`{"features":[.5]}`,
-		`{"features":[+1]}`,
-		`{"features":[-]}`,
-		`{"features":[1e]}`,
-		`{"features":[1e+]}`,
-		`{"features":[0.0e-2]}`,
-		`{"features":[1E6]}`,
-		`{"features":[-0]}`,
-		`{"features":[-0.0]}`,
-		`{"features":[-0e5]}`,
-		`{"features":[-0,0]}`,
-		`{"features":[0.5,2.25,1e23,8.41e21,9007199254740993]}`,
-		`{"features":[1e309]}`,
-		`{"features":[-1e309]}`,
-		`{"features":[1e-999]}`,
-		`{"features":[123456789012345678901234567890]}`,
-		`{"features":[NaN]}`,
-		`{"features":[Infinity]}`,
-		// String corners: escapes, surrogates, raw control chars, UTF-8.
-		`{"device":"a\"b\\c\/d\b\f\n\r\t"}`,
-		`{"device":"\u0041\u00e9\u4e2d"}`,
-		`{"device":"\ud83d\ude00"}`,
-		`{"device":"\ud83d"}`,
-		`{"device":"\ude00\ud83d"}`,
-		`{"device":"\ud83dx"}`,
-		`{"device":"\uZZZZ"}`,
-		`{"device":"\u12"}`,
-		`{"device":"\x41"}`,
-		"{\"device\":\"a\x01b\"}",
-		"{\"device\":\"a\x7fb\"}",
-		"{\"device\":\"a\xffb\"}",
-		"{\"device\":\"\xc3\x28\"}",
-		`{"device":"中文✓"}`,
-		// Structural errors.
-		``,
-		`   `,
-		`{`,
-		`{"features":[1,]}`,
-		`{"features":[1}`,
-		`{"features" [1]}`,
-		`{"features":}`,
-		`{,}`,
-		`{"a"}`,
-		`true`,
-		`42`,
-		`"str"`,
-		`[1,2]`,
-		`nul`,
-		`nullx`,
-		// Trailing data: More() accepts '}'/']', rejects anything else.
-		`{"features":[1]} garbage`,
-		`{"features":[1]}{"features":[2]}`,
-		`{"features":[1]} }`,
-		`{"features":[1]} ]`,
-		`{"features":[1]},`,
-		`null null`,
-		`null }`,
-	}
 	sc := getCodecScratch()
 	defer putCodecScratch(sc)
-	for _, tc := range cases {
+	for _, tc := range assessParityCases {
 		want, wantErr := encodingJSONAssess([]byte(tc))
 		var got AssessRequest
 		gotErr := decodeAssessRequest([]byte(tc), sc, &got)
@@ -186,31 +192,33 @@ func TestDecodeAssessRequestParity(t *testing.T) {
 	}
 }
 
+// batchParityCases are the same for decodeBatchRequest.
+var batchParityCases = []string{
+	`{"batch":[[1,2],[3,4]]}`,
+	`{"model":"m","device":"d","batch":[[0.5]]}`,
+	`{"batch":[]}`,
+	`{"batch":null}`,
+	`{"batch":[null,[1]]}`,
+	`{"batch":[[],[null,2]]}`,
+	`{"batch":[[1,2],[3,4]],"batch":[[9]]}`,
+	`{"BATCH":[[1]]}`,
+	`{"batch":[[1],"x"]}`,
+	`{"batch":[1,2]}`,
+	`{"batch":[[1e999]]}`,
+	`{"batch":[[01]]}`,
+	`{"batch":[[-0,0],[-0.0],[-0e5]]}`,
+	`{"extra":[[1]]}`,
+	`null`,
+	`{}`,
+	`{"batch":[[1]]} trailing`,
+}
+
 // TestDecodeBatchRequestParity pins the batch decoder the same way,
 // including row-backing reuse across consecutive decodes.
 func TestDecodeBatchRequestParity(t *testing.T) {
-	cases := []string{
-		`{"batch":[[1,2],[3,4]]}`,
-		`{"model":"m","device":"d","batch":[[0.5]]}`,
-		`{"batch":[]}`,
-		`{"batch":null}`,
-		`{"batch":[null,[1]]}`,
-		`{"batch":[[],[null,2]]}`,
-		`{"batch":[[1,2],[3,4]],"batch":[[9]]}`,
-		`{"BATCH":[[1]]}`,
-		`{"batch":[[1],"x"]}`,
-		`{"batch":[1,2]}`,
-		`{"batch":[[1e999]]}`,
-		`{"batch":[[01]]}`,
-		`{"batch":[[-0,0],[-0.0],[-0e5]]}`,
-		`{"extra":[[1]]}`,
-		`null`,
-		`{}`,
-		`{"batch":[[1]]} trailing`,
-	}
 	sc := getCodecScratch()
 	defer putCodecScratch(sc)
-	for _, tc := range cases {
+	for _, tc := range batchParityCases {
 		want, wantErr := encodingJSONBatch([]byte(tc))
 		var got BatchRequest
 		gotErr := decodeBatchRequest([]byte(tc), sc, &got)
@@ -233,6 +241,94 @@ func TestDecodeBatchRequestParity(t *testing.T) {
 	if want := [][]float64{{10}}; !reflect.DeepEqual(small.Batch, want) {
 		t.Fatalf("after shrink: got %v, want %v", small.Batch, want)
 	}
+}
+
+// escapeKey spells the first letter of body's first "key" as a \u escape:
+// the same key to the strict decoder, one the peek declines.
+func escapeKey(body, key string) string {
+	return strings.Replace(body, `"`+key+`"`, fmt.Sprintf("\"\\u%04x%s\"", key[0], key[1:]), 1)
+}
+
+// TestPeekRoute pins what the routing-key peek reads and what it leaves to
+// the strict decoder.
+func TestPeekRoute(t *testing.T) {
+	sc := getCodecScratch()
+	defer putCodecScratch(sc)
+	for _, tc := range []struct {
+		body, field   string
+		model, device string
+		ok            bool
+	}{
+		{`{"model":"m","device":"d","batch":[[1,2],[3]]}`, "batch", "m", "d", true},
+		{` {"batch":[null,[], [ 1 , null ] ] , "DEVICE":"d"} `, "batch", "", "d", true},
+		{`{"model":"a","model":null,"features":[1]}`, "features", "a", "", true},
+		{`{"device":"hé\n","features":null}`, "features", "", "hé\n", true},
+		{`{"model":"m","batch":[[1]]} }`, "batch", "m", "", true},
+		{`{}`, "batch", "", "", true},
+		// Numbers and rows are not read: the owner's decoder refuses these.
+		{`{"device":"d","batch":[[1e999],[1,2,]]}`, "batch", "", "d", true},
+		{`{"device":"d","features":[01,x]}`, "features", "", "d", true},
+		// Declined: the handler decodes strictly first.
+		{`null`, "batch", "", "", false},
+		{escapeKey(`{"device":"d","features":[1]}`, "device"), "features", "", "", false},
+		{escapeKey(`{"device":"d","features":[1]}`, "features"), "features", "", "", false},
+		{`{"device":"d","extra":1}`, "features", "", "", false},
+		{`{"device":"d","batch":[[1]]}`, "features", "", "", false},
+		{`{"device":5}`, "features", "", "", false},
+		{`{"features":"x"}`, "features", "", "", false},
+		{`{"batch":[1]}`, "batch", "", "", false},
+		{`{"device":"d"} x`, "features", "", "", false},
+		{`{"device":"d","features":[1]`, "features", "", "", false},
+		{`{"device":"d","features":[1`, "features", "", "", false},
+	} {
+		model, device, ok := peekRoute([]byte(tc.body), sc, tc.field)
+		if ok != tc.ok || model != tc.model || device != tc.device {
+			t.Errorf("%s as %q: got (%q, %q, %v), want (%q, %q, %v)",
+				tc.body, tc.field, model, device, ok, tc.model, tc.device, tc.ok)
+		}
+	}
+	if model, device, ok := peekRoute(benchBatchBody(t), sc, "batch"); !ok || model != "dvfs-rf" || device != "dev-00" {
+		t.Errorf("benchmark body: got (%q, %q, %v)", model, device, ok)
+	}
+}
+
+// FuzzPeekRoute holds the peek to the strict decoders on arbitrary bytes:
+// wherever decodeAssessRequest (decodeBatchRequest) accepts the input,
+// peekRoute on "features" ("batch") either declines or reads the decoded
+// Model and Device.
+func FuzzPeekRoute(f *testing.F) {
+	for _, s := range append(append([]string{}, assessParityCases...), batchParityCases...) {
+		f.Add([]byte(s))
+	}
+	for _, s := range []string{
+		escapeKey(`{"model":"m","batch":[[1]]}`, "model"),
+		`{"MODEL":"m","Device":"d","batch":[[1]]}`,
+		`{"model":"a","model":null,"device":"d","device":null,"batch":[]}`,
+		`{"batch":[null,[],[1,null]],"device":"d"}`,
+		`{"device":"d","features":[1],"features":null}`,
+		`{"model":"m","extra":1,"batch":[[1]]}`,
+		`{"model":"m","batch":[[1]]} }`,
+		`{"model":"m","batch":[[1]]} x`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Add(benchBatchBody(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := getCodecScratch()
+		defer putCodecScratch(sc)
+		var a AssessRequest
+		if decodeAssessRequest(data, sc, &a) == nil {
+			if model, device, ok := peekRoute(data, sc, "features"); ok && (model != a.Model || device != a.Device) {
+				t.Fatalf("features peek on %q read (%q, %q), decoder (%q, %q)", data, model, device, a.Model, a.Device)
+			}
+		}
+		var b BatchRequest
+		if decodeBatchRequest(data, sc, &b) == nil {
+			if model, device, ok := peekRoute(data, sc, "batch"); ok && (model != b.Model || device != b.Device) {
+				t.Fatalf("batch peek on %q read (%q, %q), decoder (%q, %q)", data, model, device, b.Model, b.Device)
+			}
+		}
+	})
 }
 
 // goldenStrings covers every string-escaping branch of the encoder.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,8 +25,8 @@ type routeHook struct {
 
 	resolves, forwards, proxies atomic.Int32
 	// handed is the shard name the server passed to ForwardAssess or
-	// PushStream.
-	handed atomic.Value
+	// PushStream; sent is the body ForwardAssess was handed.
+	handed, sent atomic.Value
 }
 
 func (h *routeHook) ResolveAssess(r *http.Request, model, device string) (string, bool) {
@@ -36,6 +37,7 @@ func (h *routeHook) ResolveAssess(r *http.Request, model, device string) (string
 func (h *routeHook) ForwardAssess(w http.ResponseWriter, r *http.Request, shard, device string, body []byte) {
 	h.forwards.Add(1)
 	h.handed.Store(shard)
+	h.sent.Store(string(body))
 	writeError(w, http.StatusBadGateway, "forwarded")
 }
 
@@ -103,14 +105,22 @@ func TestRouteStep(t *testing.T) {
 		name                        string
 		clustered, local, forwarded bool
 		wantModel                   string // "" when the request must leave this node
+		// escaped spells the device key with an escape, which the routing
+		// peek declines: the body is decoded before it is routed.
+		escaped bool
 	}{
 		{name: "no hook", wantModel: ringPick},
 		{name: "hook local", clustered: true, local: true, wantModel: hookPick},
 		{name: "hook remote", clustered: true},
 		{name: "forwarded header", clustered: true, forwarded: true, wantModel: hookPick},
+		{name: "hook remote, escaped key", clustered: true, escaped: true},
+		{name: "hook local, escaped key", clustered: true, local: true, wantModel: hookPick, escaped: true},
 	}
 	for _, tc := range cases {
 		for path, body := range bodies {
+			if tc.escaped {
+				body = []byte(escapeKey(string(body), "device"))
+			}
 			t.Run(tc.name+path, func(t *testing.T) {
 				s := mustServer(t, map[string]*detector.Detector{"a": d, "b": d}, Config{})
 				defer s.Close()
@@ -178,6 +188,44 @@ func TestRouteStep(t *testing.T) {
 					t.Fatalf("hook was handed %v, want %q", got, hookPick)
 				}
 			})
+		}
+	}
+}
+
+// TestPeekForwardsUndecodedBody: a node that routes a body elsewhere reads
+// only its keys, so a body malformed only in its numbers or rows is handed
+// to ForwardAssess byte for byte instead of being answered 400; on the node
+// that serves it the strict decoder refuses it.
+func TestPeekForwardsUndecodedBody(t *testing.T) {
+	d, _ := testDetector(t)
+	bodies := map[string]string{
+		"/v1/assess":       `{"device":"host-7","features":[1,1e999]}`,
+		"/v1/assess/batch": `{"device":"host-7","batch":[[1,2,]]}`,
+	}
+	for path, body := range bodies {
+		for _, local := range []bool{false, true} {
+			s := mustServer(t, map[string]*detector.Detector{"a": d}, Config{})
+			hook := &routeHook{shard: "a", local: local}
+			s.AttachCluster(hook)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			s.Close()
+			if n := hook.resolves.Load(); n != 1 {
+				t.Fatalf("%s local=%v: ResolveAssess ran %d times, want 1", path, local, n)
+			}
+			if local {
+				if w.Code != http.StatusBadRequest || hook.forwards.Load() != 0 ||
+					!strings.HasPrefix(w.Body.String(), `{"error":"bad request body: invalid JSON at offset`) {
+					t.Fatalf("%s served here: status %d, forwards %d, body %s", path, w.Code, hook.forwards.Load(), w.Body)
+				}
+				continue
+			}
+			if w.Code != http.StatusBadGateway || hook.forwards.Load() != 1 {
+				t.Fatalf("%s owned elsewhere: status %d, forwards %d, body %s", path, w.Code, hook.forwards.Load(), w.Body)
+			}
+			if got := hook.sent.Load(); got != body {
+				t.Fatalf("%s: ForwardAssess was handed %q, want the body as sent", path, got)
+			}
 		}
 	}
 }

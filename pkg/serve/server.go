@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -296,14 +297,23 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, sc, s.fleet.cfg.MaxBodyBytes) {
 		return
 	}
+	// A cluster member routes from a peek at the keys, so a body another
+	// node owns is forwarded with its numbers unread and decoded only there.
+	// Without a hook, or when the peek declines, the body is decoded first.
 	var req AssessRequest
-	if err := decodeAssessRequest(sc.body, sc, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	peeked := false
+	if s.clusterHook() != nil {
+		req.Model, req.Device, peeked = peekRoute(sc.body, sc, "features")
+	}
+	if !peeked && refuseBody(w, decodeAssessRequest(sc.body, sc, &req)) {
 		return
 	}
 	model, owner := s.route(r, req.Model, req.Device)
 	if owner != nil {
 		owner.ForwardAssess(w, r, model, req.Device, sc.body)
+		return
+	}
+	if peeked && refuseBody(w, decodeAssessRequest(sc.body, sc, &req)) {
 		return
 	}
 	req.Model = model
@@ -338,13 +348,19 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := decodeBatchRequest(sc.body, sc, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	peeked := false
+	if s.clusterHook() != nil {
+		req.Model, req.Device, peeked = peekRoute(sc.body, sc, "batch")
+	}
+	if !peeked && refuseBody(w, decodeBatchRequest(sc.body, sc, &req)) {
 		return
 	}
 	model, owner := s.route(r, req.Model, req.Device)
 	if owner != nil {
 		owner.ForwardAssess(w, r, model, req.Device, sc.body)
+		return
+	}
+	if peeked && refuseBody(w, decodeBatchRequest(sc.body, sc, &req)) {
 		return
 	}
 	req.Model = model
@@ -599,6 +615,16 @@ func (s *Server) decodeJSONLimit(w http.ResponseWriter, r *http.Request, v any, 
 	return true
 }
 
+// refuseBody answers 400 for a body the strict decoder refused, and reports
+// whether it did.
+func refuseBody(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	return true
+}
+
 // writeResolveError maps a fleet resolve failure onto the wire: a closed
 // fleet sheds with 503, everything else (unknown model, empty fleet,
 // ambiguous default) is the caller naming something that is not there.
@@ -669,9 +695,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeBytes answers with a pre-encoded JSON body.
+// chunkingThreshold is net/http's buffer ahead of a response body: a
+// handler that writes no more than this gets its Content-Length set by
+// net/http, and a longer body without one goes out chunked.
+const chunkingThreshold = 2048
+
+// writeBytes answers with a pre-encoded JSON body. A body longer than
+// chunkingThreshold gets its length here, so it is sent as one
+// known-length body rather than chunked.
 func writeBytes(w http.ResponseWriter, code int, body []byte) {
-	w.Header()["Content-Type"] = contentTypeJSON
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	if len(body) > chunkingThreshold {
+		h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	}
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 }
