@@ -50,21 +50,22 @@ coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the five packages that decode
-# outside bytes or promise another encoder's bytes — the JSON codec
-# (pkg/serve), the float64↔decimal kernels under it (internal/decfloat),
-# the float and string encoders the codec and the store share
-# (internal/jsonwire), the verdict store's segment reader and frame encoder
-# (pkg/verdictstore), and the tree gob decoder whose output the unchecked
-# tree walks index by (internal/ml/tree) — for FUZZTIME each. Plain `go
-# test` only replays their seed corpora; this is what lets the
+# fuzz-smoke runs every Fuzz* target of the six packages that decode
+# outside bytes or promise another encoder's bytes — the JSON codec and
+# the stream-line decoder (pkg/serve), the float64↔decimal kernels under
+# it (internal/decfloat), the float and string encoders the codec and the
+# store share (internal/jsonwire), the verdict store's segment reader and
+# frame encoder (pkg/verdictstore), the tree gob decoder whose output the
+# unchecked tree walks index by (internal/ml/tree), and the stream-state
+# resume a cluster peer's push feeds (pkg/detector) — for FUZZTIME each.
+# Plain `go test` only replays their seed corpora; this is what lets the
 # differential oracles (encoding/json, strconv) look at inputs nobody
-# wrote down. `go test -fuzz` takes one target and
-# one package per run, hence the loop. A failure leaves its input under the
-# package's testdata/fuzz/<target>/ — commit it with the fix.
+# wrote down. `go test -fuzz` takes one target and one package per run,
+# hence the loop. A failure leaves its input under the package's
+# testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./pkg/detector; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

@@ -361,7 +361,7 @@ func statStamps(specs modelFlags) map[string]fileStamp {
 // decode is genuinely bad content, not a torn read: the watcher logs it
 // and advances the stamp — the serving shard keeps answering, and the
 // next rewrite (a newer stamp) is picked up normally. Installs go through
-// LoadOrSwapCause, so a shard unloaded over the admin API is reinstated
+// LoadOrSwap, so a shard unloaded over the admin API is reinstated
 // by the next save — the file on disk is the source of truth for
 // command-line shards.
 func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, interval time.Duration,
@@ -391,7 +391,7 @@ func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, inte
 				logStderr("watch: reload %s: %v (keeping serving shard)", s.name, err)
 				continue
 			}
-			v, _, err := fleet.LoadOrSwapCause(s.name, det, "watch")
+			v, _, err := fleet.LoadOrSwap(s.name, det, "watch")
 			if err != nil {
 				logStderr("watch: swap %s: %v", s.name, err)
 				continue
@@ -683,7 +683,7 @@ func run(cfg daemonConfig) error {
 	if shutdownErr != nil && !errors.Is(shutdownErr, context.DeadlineExceeded) {
 		return shutdownErr
 	}
-	for _, st := range d.srv.Stats() {
+	for _, st := range d.fleet.Stats() {
 		fmt.Printf("shard %-12s v%d: %d requests in %d batches (mean %.1f), %d batch requests, %d stream sessions, %d shed, rejection rate %.1f%%\n",
 			st.Model, st.Version, st.Requests, st.Batches, st.MeanBatchSize, st.BatchRequests, st.StreamSessions, st.Shed, 100*st.RejectionRate)
 	}

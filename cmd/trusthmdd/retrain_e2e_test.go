@@ -30,7 +30,7 @@ import (
 //     test windows, "edge-7" replays the zero-day split — injected drift.
 //   - The controller tails the store, the drifting device's entropies trip
 //     its DriftMonitor, rejected-verdict forensics reach quorum, a
-//     background retrain fires and Fleet.SwapCause installs version 2 with
+//     background retrain fires and Fleet.Swap installs version 2 with
 //     ZERO lost requests (every in-flight and subsequent request answers
 //     200; the swap-retry loop absorbs the race).
 //   - The verdict store then holds exactly the verdicts served — per

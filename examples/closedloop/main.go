@@ -71,7 +71,7 @@ func main() {
 
 	// 4. The retrain controller tails the store; sustained drift on any
 	// single device triggers a background retrain and a zero-downtime
-	// Fleet.SwapCause.
+	// Fleet.Swap.
 	ctrl, err := serve.NewRetrainController(serve.RetrainConfig{
 		Store:          store,
 		Fleet:          fleet,

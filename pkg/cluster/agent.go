@@ -450,7 +450,7 @@ func (a *Agent) ensureLocal(shard string) error {
 	if det, err = a.fleet.PrepareDetector(det); err != nil {
 		return fmt.Errorf("cluster: preparing shard %q: %w", shard, err)
 	}
-	if _, _, err := a.fleet.LoadOrSwapCause(shard, det, "cluster"); err != nil {
+	if _, _, err := a.fleet.LoadOrSwap(shard, det, "cluster"); err != nil {
 		return err
 	}
 	a.cfg.Logf("cluster: %s installed shard %q on demand", a.cfg.NodeID, shard)
@@ -477,6 +477,6 @@ func (a *Agent) installCommitted(name string, data []byte) error {
 	if det, err = a.fleet.PrepareDetector(det); err != nil {
 		return err
 	}
-	_, _, err = a.fleet.LoadOrSwapCause(name, det, "cluster")
+	_, _, err = a.fleet.LoadOrSwap(name, det, "cluster")
 	return err
 }

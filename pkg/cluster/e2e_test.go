@@ -501,13 +501,19 @@ func TestClusterNodeKillLosslessFailover(t *testing.T) {
 		states[i] = rng.Intn(levels)
 	}
 	cfg := detector.StreamConfig{Levels: levels, Window: window, Stride: stride}
-	base, err := detector.NewSession(detA, cfg)
+	base, err := detector.NewOnline(detA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantResults, err := base.PushAll(states)
-	if err != nil {
-		t.Fatal(err)
+	var wantResults []detector.Result
+	for _, st := range states {
+		res, ok, err := base.Push(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			wantResults = append(wantResults, res)
+		}
 	}
 	if len(wantResults) == 0 {
 		t.Fatal("baseline produced no decisions; bad stream parameters")

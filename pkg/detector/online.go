@@ -14,7 +14,10 @@ import (
 // use the wrapped detector's rejection threshold.
 //
 // Online is not safe for concurrent use; give each telemetry stream its own
-// instance (the shared Detector underneath is safe to reuse).
+// instance (the shared Detector underneath is safe to reuse). It pins the
+// detector it was opened on, so a serving layer that hot-swaps models never
+// changes the decisions of streams already in flight. Export and
+// ResumeOnline move a live stream between detector instances.
 type Online struct {
 	det    *Detector
 	levels int
@@ -159,12 +162,23 @@ func NewOnline(d *Detector, cfg StreamConfig) (*Online, error) {
 	}, nil
 }
 
-// exportState snapshots the stream's replayable state: the window buffer
+// SessionState is the replayable snapshot of a stream: the window buffer
+// linearised oldest-first, the per-stride phase counter and the cumulative
+// stats. It is everything another node needs to continue the stream with
+// decisions element-wise identical to never having moved — the unit a
+// cluster replays onto a shard's new owner on failover.
+type SessionState struct {
+	Window    []int       `json:"window"`
+	SinceLast int         `json:"since_last"`
+	Stats     OnlineStats `json:"stats"`
+}
+
+// Export snapshots the stream's replayable state: the window buffer
 // linearised oldest-first (only the filled portion), the stride phase and
 // the cumulative stats. The window memo is deliberately excluded — it
 // is a pure optimisation, so a resumed stream produces identical decisions
 // with at most a one-window warm-up cost.
-func (o *Online) exportState() SessionState {
+func (o *Online) Export() SessionState {
 	win := make([]int, o.filled)
 	if o.filled == len(o.ring) {
 		n := copy(win, o.ring[o.head:])
@@ -181,10 +195,11 @@ func (o *Online) exportState() SessionState {
 	}
 }
 
-// resumeOnline rebuilds a streaming detector from an exported state, so a
+// ResumeOnline rebuilds a streaming detector from an exported state, so a
 // stream can continue on another detector instance (same trained model)
-// with decisions identical to never having moved.
-func resumeOnline(d *Detector, cfg StreamConfig, st *SessionState) (*Online, error) {
+// with decisions identical to never having moved. A nil state means a
+// fresh stream, exactly like NewOnline.
+func ResumeOnline(d *Detector, cfg StreamConfig, st *SessionState) (*Online, error) {
 	o, err := NewOnline(d, cfg)
 	if err != nil {
 		return nil, err

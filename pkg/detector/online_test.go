@@ -1,7 +1,11 @@
 package detector
 
 import (
+	"encoding/json"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"trusthmd/internal/dvfs"
@@ -9,7 +13,7 @@ import (
 	"trusthmd/internal/workload"
 )
 
-func onlineDetector(t *testing.T) *Detector {
+func onlineDetector(t testing.TB) *Detector {
 	t.Helper()
 	s := dvfsSplits(t)
 	d, err := New(s.Train, WithModel("rf"), WithEnsembleSize(11), WithSeed(20))
@@ -307,4 +311,200 @@ func TestOnlineStatsZero(t *testing.T) {
 	if s.RejectedFraction() != 0 || s.Total() != 0 {
 		t.Fatal("zero stats")
 	}
+}
+
+// The failover fixtures: one stream configuration, its state sequence, cut
+// points covering every regime (mid-fill with the window not yet full,
+// mid-stride, exactly on a decision boundary) and states ResumeOnline must
+// refuse.
+var (
+	resumeCfg  = StreamConfig{Levels: 8, Window: 32, Stride: 8}
+	resumeCuts = []int{0, 7, 17, 40, 131, 200}
+	badResume  = []SessionState{
+		{Window: make([]int, resumeCfg.Window+1)},
+		{Window: []int{0, 1, 99}},
+		{Window: []int{0, 1, -1}},
+		{SinceLast: -1},
+	}
+)
+
+func resumeStates() []int {
+	rng := rand.New(rand.NewSource(31))
+	states := make([]int, 300)
+	for i := range states {
+		states[i] = rng.Intn(resumeCfg.Levels)
+	}
+	return states
+}
+
+// pushAll feeds states one by one and returns the decisions emitted.
+func pushAll(t testing.TB, o *Online, states []int) []Result {
+	t.Helper()
+	var out []Result
+	for i, st := range states {
+		res, ok, err := o.Push(st)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if ok {
+			out = append(out, res)
+		}
+	}
+	return out
+}
+
+// TestOnlineExportResumeIdentity pins the failover contract: exporting a
+// stream at an arbitrary cut point and resuming it with ResumeOnline
+// yields decisions element-wise identical to the uninterrupted stream —
+// windows straddling the cut included.
+func TestOnlineExportResumeIdentity(t *testing.T) {
+	d := onlineDetector(t)
+	cfg := resumeCfg
+	states := resumeStates()
+
+	baseline, err := NewOnline(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pushAll(t, baseline, states)
+	if len(want) == 0 {
+		t.Fatal("baseline produced no decisions")
+	}
+
+	for _, cut := range resumeCuts {
+		first, err := NewOnline(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pushAll(t, first, states[:cut])
+		st := first.Export()
+
+		resumed, err := ResumeOnline(d, cfg, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pushAll(t, resumed, states[cut:])...)
+
+		if len(got) != len(want) {
+			t.Fatalf("cut %d: %d decisions, want %d", cut, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Prediction != want[i].Prediction ||
+				got[i].Entropy != want[i].Entropy ||
+				got[i].Decision != want[i].Decision {
+				t.Fatalf("cut %d: decision %d diverged: %+v vs %+v", cut, i, got[i], want[i])
+			}
+		}
+		if s := resumed.Stats; s.Samples != len(states) || s.Total() != len(want) {
+			t.Fatalf("cut %d: resumed stats %+v, want %d samples / %d decisions", cut, s, len(states), len(want))
+		}
+	}
+
+	// A nil state resumes fresh; invalid states are rejected up front.
+	if _, err := ResumeOnline(d, cfg, nil); err != nil {
+		t.Fatalf("nil state: %v", err)
+	}
+	for i, st := range badResume {
+		if _, err := ResumeOnline(d, cfg, &st); err == nil {
+			t.Fatalf("bad state %d: expected error", i)
+		}
+	}
+
+	// The export is what cluster peers exchange: its JSON keys are wire.
+	raw, err := json.Marshal(baseline.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(top["stats"], &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(top)), []string{"since_last", "stats", "window"}; !slices.Equal(got, want) {
+		t.Fatalf("export keys %v, want %v", got, want)
+	}
+	if got, want := slices.Sorted(maps.Keys(stats)), []string{"benign", "cache_hits", "malware", "rejected", "samples", "windows"}; !slices.Equal(got, want) {
+		t.Fatalf("export stats keys %v, want %v", got, want)
+	}
+}
+
+// FuzzResumeOnline feeds ResumeOnline the SessionState JSON a cluster peer
+// may send in /cluster/v1/push and pushes a chunk of states onto what it
+// accepted. ResumeOnline accepts exactly the states that fit the window,
+// lie in [0,Levels) and carry a non-negative since_last; the accepted
+// state round-trips through Export; and a push fails exactly on an
+// out-of-range state, never panicking.
+func FuzzResumeOnline(f *testing.F) {
+	d := onlineDetector(f)
+	cfg := resumeCfg
+	states := resumeStates()
+	chunk := make([]byte, 40)
+	for i := range chunk {
+		chunk[i] = byte(states[i] + 1)
+	}
+	seed := func(st SessionState) {
+		raw, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, chunk)
+	}
+	for _, st := range badResume {
+		seed(st)
+	}
+	for _, cut := range resumeCuts {
+		o, err := NewOnline(d, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pushAll(f, o, states[:cut])
+		seed(o.Export())
+	}
+
+	f.Fuzz(func(t *testing.T, raw, chunk []byte) {
+		var st SessionState
+		if json.Unmarshal(raw, &st) != nil {
+			return
+		}
+		outOfRange := func(s int) bool { return s < 0 || s >= cfg.Levels }
+		valid := len(st.Window) <= cfg.Window && st.SinceLast >= 0 && !slices.ContainsFunc(st.Window, outOfRange)
+		o, err := ResumeOnline(d, cfg, &st)
+		if (err == nil) != valid {
+			t.Fatalf("ResumeOnline(%s): err %v, want accepted %v", raw, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		exp := o.Export()
+		if !slices.Equal(exp.Window, st.Window) || exp.SinceLast != st.SinceLast || exp.Stats != st.Stats {
+			t.Fatalf("export %+v, resumed from %+v", exp, st)
+		}
+		again, err := ResumeOnline(d, cfg, &exp)
+		if err != nil {
+			t.Fatalf("re-resuming an export: %v", err)
+		}
+		if exp2 := again.Export(); !reflect.DeepEqual(exp2, exp) {
+			t.Fatalf("round trip %+v, want %+v", exp2, exp)
+		}
+
+		accepted := 0
+		for _, b := range chunk {
+			// Byte 0 is state -1 and byte Levels+1 is state Levels, so both
+			// out-of-range neighbours are reachable.
+			state := int(b)%(cfg.Levels+2) - 1
+			_, _, err := o.Push(state)
+			if (err != nil) != outOfRange(state) {
+				t.Fatalf("push %d: err %v", state, err)
+			}
+			if err == nil {
+				accepted++
+			}
+		}
+		if got, want := len(o.Export().Window), min(cfg.Window, len(st.Window)+accepted); got != want {
+			t.Fatalf("window holds %d samples after pushes, want %d", got, want)
+		}
+	})
 }

@@ -108,13 +108,11 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
 		return
 	}
-	if prep := s.fleet.cfg.PrepareDetector; prep != nil {
-		if det, err = prep(det); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
-			return
-		}
+	if det, err = s.fleet.PrepareDetector(det); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
+		return
 	}
-	version, replaced, err := s.fleet.LoadOrSwapCause(req.Name, det, "admin")
+	version, replaced, err := s.fleet.LoadOrSwap(req.Name, det, "admin")
 	if err != nil {
 		// For an upsert the only non-shutdown failures are caller errors
 		// (bad name, nil detector), not missing resources.

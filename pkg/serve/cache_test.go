@@ -105,7 +105,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 	for i := 0; i < n; i++ {
 		first[i] = assess(i)
 	}
-	st := s.Stats()[0]
+	st := s.Fleet().Stats()[0]
 	if st.CacheMisses == 0 {
 		t.Fatalf("first pass recorded no cache misses: %+v", st)
 	}
@@ -131,7 +131,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 			t.Fatalf("request %d: cached answer diverged from direct Assess", i)
 		}
 	}
-	st = s.Stats()[0]
+	st = s.Fleet().Stats()[0]
 	if st.CacheHits < int64(n) {
 		t.Fatalf("second pass expected >= %d cache hits, got %d", n, st.CacheHits)
 	}
@@ -148,7 +148,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 	// The batch endpoint leaves the cache alone: a batch of vectors that
 	// are all cached is assessed directly, answers bit-identically to the
 	// cached pass and to AssessBatch, and moves no cache counter.
-	before := s.Stats()[0]
+	before := s.Fleet().Stats()[0]
 	batch := make([][]float64, n)
 	for i := range batch {
 		batch[i] = X[i%len(X)]
@@ -179,7 +179,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 			t.Fatalf("batch[%d]: %+v diverged from AssessBatch %+v", i, r, direct[i])
 		}
 	}
-	st = s.Stats()[0]
+	st = s.Fleet().Stats()[0]
 	if st.CacheHits != before.CacheHits || st.CacheMisses != before.CacheMisses || st.CacheEntries != before.CacheEntries {
 		t.Fatalf("batch pass touched the cache: hits %d -> %d, misses %d -> %d, entries %d -> %d",
 			before.CacheHits, st.CacheHits, before.CacheMisses, st.CacheMisses, before.CacheEntries, st.CacheEntries)
@@ -189,7 +189,7 @@ func TestServeCacheHitsAreIdentical(t *testing.T) {
 	}
 
 	if path := os.Getenv("TRUSTHMD_SERVE_STATS_OUT"); path != "" {
-		raw, err := json.MarshalIndent(map[string]any{"shards": s.Stats()}, "", "  ")
+		raw, err := json.MarshalIndent(map[string]any{"shards": s.Fleet().Stats()}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestServeCacheDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
-	st := s.Stats()[0]
+	st := s.Fleet().Stats()[0]
 	if st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}

@@ -21,7 +21,7 @@ import (
 //     served where it lands).
 //   - streaming: the NDJSON loop stays in serve whoever owns the shard
 //     (handleAssessStream, with all its socket hygiene); for a non-local
-//     stream serve keeps the exported session state between lines and
+//     stream serve keeps the exported stream state between lines and
 //     PushStream carries each chunk, with that state, to the owner.
 //   - admin: HandleModelLoad lets the hook turn POST /v1/models into a
 //     fleet-wide two-phase hot swap.
@@ -54,7 +54,7 @@ type ClusterHook interface {
 	ForwardAssess(w http.ResponseWriter, r *http.Request, shard, device string, body []byte)
 	// PushStream applies one chunk of a non-local stream on the shard's
 	// owner (Fleet.StreamPush there) and returns its decisions plus the
-	// updated session state. A nil state with no states is the opening
+	// updated stream state. A nil state with no states is the opening
 	// push, which only checks cfg against the owner's model. The push is
 	// idempotent given its state, so on a transport failure the hook
 	// replays the same chunk onto a ring successor and the stream goes on
@@ -142,9 +142,9 @@ type StreamPushDecision struct {
 }
 
 // StreamPushResult answers one StreamPush: the shard version that served
-// the chunk, the decisions it produced, and the exported session state the
-// caller must carry into the next push — the state is the whole session,
-// so the next chunk may land on any node holding the same model.
+// the chunk, the decisions it produced, and the exported stream state the
+// caller must carry into the next push — the state is the whole stream, so
+// the next chunk may land on any node holding the same model.
 type StreamPushResult struct {
 	Model   string                `json:"model"`
 	Version uint64                `json:"version"`
@@ -153,9 +153,9 @@ type StreamPushResult struct {
 }
 
 // StreamPush is the owner-side half of cluster stream proxying: it applies
-// one chunk of DVFS states to a streaming session materialised from the
-// pushed state (nil state opens the session) and returns the decisions
-// plus the re-exported state. Holding the session state on the caller
+// one chunk of DVFS states to a detector.Online resumed from the pushed
+// state (nil state opens a fresh one) and returns the decisions plus the
+// re-exported state. Holding the stream state on the caller
 // makes the protocol stateless here — a chunk may be replayed onto a ring
 // successor after this node dies and the stream continues losslessly,
 // which is exactly what the cluster does on failover.
@@ -168,7 +168,7 @@ func (f *Fleet) StreamPush(model, device string, cfg detector.StreamConfig, st *
 	if err != nil {
 		return StreamPushResult{}, err
 	}
-	res.State = ls.sess.Export()
+	res.State = ls.o.Export()
 	return res, nil
 }
 

@@ -287,7 +287,7 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 // Load adds a new shard under a name not currently in the fleet and
 // returns its version. Use Swap to replace an existing shard.
 func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
-	v, _, err := f.install(name, det, installNew)
+	v, _, err := f.install(name, det, installNew, "")
 	return v, err
 }
 
@@ -296,31 +296,21 @@ func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
 // (new coalescers, new empty result caches); every old replica's coalescer
 // drains its queued requests on the old detector before Swap returns, so a
 // swap under load loses nothing — racing requests re-resolve onto the new
-// version.
-func (f *Fleet) Swap(name string, det *detector.Detector) (uint64, error) {
-	return f.SwapCause(name, det, "swap")
-}
-
-// SwapCause is Swap with an attributed cause ("admin", "watch",
-// "drift-retrain", ...) recorded as the fleet's last swap cause and
-// surfaced by /stats — so an operator reading a version bump can tell an
-// operator-driven rollout from the auto-retrain loop.
-func (f *Fleet) SwapCause(name string, det *detector.Detector, cause string) (uint64, error) {
-	v, _, err := f.installCause(name, det, installReplace, cause)
+// version. The cause ("admin", "watch", "drift-retrain", ...) is recorded
+// as the fleet's last swap cause and surfaced by /stats — so an operator
+// reading a version bump can tell an operator-driven rollout from the
+// auto-retrain loop.
+func (f *Fleet) Swap(name string, det *detector.Detector, cause string) (uint64, error) {
+	v, _, err := f.install(name, det, installReplace, cause)
 	return v, err
 }
 
 // LoadOrSwap loads the shard if the name is new and swaps it otherwise,
-// reporting which happened — the admin endpoint's upsert.
-func (f *Fleet) LoadOrSwap(name string, det *detector.Detector) (version uint64, replaced bool, err error) {
-	return f.install(name, det, installUpsert)
-}
-
-// LoadOrSwapCause is LoadOrSwap with an attributed cause, recorded only
-// when the install actually replaced a shard (a fresh load is not a
-// swap).
-func (f *Fleet) LoadOrSwapCause(name string, det *detector.Detector, cause string) (version uint64, replaced bool, err error) {
-	return f.installCause(name, det, installUpsert, cause)
+// reporting which happened — the admin endpoint's upsert. The cause is
+// recorded only when the install actually replaced a shard (a fresh load
+// is not a swap).
+func (f *Fleet) LoadOrSwap(name string, det *detector.Detector, cause string) (version uint64, replaced bool, err error) {
+	return f.install(name, det, installUpsert, cause)
 }
 
 // LastSwapCause names what drove the most recent hot swap (empty until
@@ -358,11 +348,7 @@ const (
 )
 
 // install is the single mutation path behind Load, Swap and LoadOrSwap.
-func (f *Fleet) install(name string, det *detector.Detector, mode installMode) (uint64, bool, error) {
-	return f.installCause(name, det, mode, "swap")
-}
-
-func (f *Fleet) installCause(name string, det *detector.Detector, mode installMode, cause string) (uint64, bool, error) {
+func (f *Fleet) install(name string, det *detector.Detector, mode installMode, cause string) (uint64, bool, error) {
 	if name == "" {
 		return 0, false, errors.New("serve: empty model name")
 	}

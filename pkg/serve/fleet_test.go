@@ -39,7 +39,7 @@ func TestFleetLifecycle(t *testing.T) {
 	if _, err := f.Load("m", d); err == nil {
 		t.Fatal("duplicate Load should fail")
 	}
-	if _, err := f.Swap("nope", d); err == nil {
+	if _, err := f.Swap("nope", d, "swap"); err == nil {
 		t.Fatal("Swap of unknown shard should fail")
 	}
 	if _, err := f.Load("", d); err == nil {
@@ -59,15 +59,15 @@ func TestFleetLifecycle(t *testing.T) {
 		t.Fatalf("resolve: %+v err=%v", sh, err)
 	}
 
-	v, err = f.Swap("m", d)
+	v, err = f.Swap("m", d, "swap")
 	if err != nil || v != 2 {
 		t.Fatalf("Swap: v=%d err=%v", v, err)
 	}
-	v, replaced, err := f.LoadOrSwap("m", d)
+	v, replaced, err := f.LoadOrSwap("m", d, "swap")
 	if err != nil || !replaced || v != 3 {
 		t.Fatalf("LoadOrSwap existing: v=%d replaced=%v err=%v", v, replaced, err)
 	}
-	v, replaced, err = f.LoadOrSwap("n", d)
+	v, replaced, err = f.LoadOrSwap("n", d, "swap")
 	if err != nil || replaced || v != 1 {
 		t.Fatalf("LoadOrSwap new: v=%d replaced=%v err=%v", v, replaced, err)
 	}
@@ -100,7 +100,7 @@ func TestFleetLifecycle(t *testing.T) {
 	}
 
 	epoch := f.Epoch()
-	if _, err := f.Swap("m", d); err != nil {
+	if _, err := f.Swap("m", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	if f.Epoch() != epoch+1 {
@@ -169,7 +169,7 @@ func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
 		t.Fatalf("pre-swap stats: %+v", st)
 	}
 
-	if _, err := f.Swap("m", d); err != nil {
+	if _, err := f.Swap("m", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	st = f.Stats()[0]
@@ -301,7 +301,7 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 	close(started)
 	// Let load build, then hot-swap mid-flight.
 	waitFor(t, "the first responses", func() bool { return sawV1.Load() >= workers })
-	if _, err := f.Swap("m", strict); err != nil {
+	if _, err := f.Swap("m", strict, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

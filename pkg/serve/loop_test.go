@@ -357,7 +357,7 @@ func TestStatsClosedLoopCounters(t *testing.T) {
 		}
 	}
 
-	if _, err := s.Fleet().SwapCause("dvfs-rf", d, "drift-retrain"); err != nil {
+	if _, err := s.Fleet().Swap("dvfs-rf", d, "drift-retrain"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -379,7 +379,7 @@ func TestStatsClosedLoopCounters(t *testing.T) {
 // TestRetrainControllerClosedLoop exercises the full automatic loop at
 // package level: a drifting device's verdicts accumulate in the store,
 // the controller's per-device monitor alarms, forensics reach quorum, a
-// background retrain fires and SwapCause installs the new version — all
+// background retrain fires and Swap installs the new version — all
 // while the healthy device keeps serving.
 func TestRetrainControllerClosedLoop(t *testing.T) {
 	splits, err := gen.DVFSWithSizes(5, gen.Sizes{Train: 320, Test: 80, Unknown: 120})

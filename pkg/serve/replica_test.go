@@ -56,7 +56,7 @@ func TestReplicaGroupShape(t *testing.T) {
 			t.Fatalf("device %s home flapped: %d vs %d", dev, homes[dev], again)
 		}
 	}
-	if _, err := f.Swap("m", d); err != nil {
+	if _, err := f.Swap("m", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := f.resolve("m", "")
@@ -240,7 +240,7 @@ func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
 		var v uint64
 		for i := 0; i < 3; i++ {
 			time.Sleep(2 * time.Millisecond)
-			nv, err := f.Swap("m", d)
+			nv, err := f.Swap("m", d, "swap")
 			if err != nil {
 				t.Errorf("swap %d: %v", i, err)
 				break
@@ -426,7 +426,7 @@ func TestPinCoresServes(t *testing.T) {
 	}
 
 	// A swap keeps counting cores instead of restacking on the first ones.
-	if _, err := f.Swap("m", d); err != nil {
+	if _, err := f.Swap("m", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := f.resolve("m", "")

@@ -16,7 +16,7 @@ import (
 // tails the verdict store, feeds each device's entropy stream into its
 // own DriftMonitor, and when drift is sustained, drains the rejected
 // verdicts' stored feature vectors into a Retrainer, retrains in the
-// background and installs the result via Fleet.SwapCause — a zero-
+// background and installs the result via Fleet.Swap — a zero-
 // downtime model refresh with no operator in the loop. The swap is the
 // same lossless hot swap the admin endpoint uses: in-flight requests
 // finish on the old version, everything after routes to the new one.
@@ -59,7 +59,7 @@ type deviceState struct {
 type RetrainConfig struct {
 	// Store is the verdict store the controller tails.
 	Store *verdictstore.Store
-	// Fleet receives the retrained model via SwapCause.
+	// Fleet receives the retrained model via Swap.
 	Fleet *Fleet
 	// Model is the shard under supervision; its verdicts are monitored
 	// and it is the one hot-swapped on retrain.
@@ -348,7 +348,7 @@ func (c *RetrainController) retrainAndSwap() {
 			return
 		}
 	}
-	version, err := c.cfg.Fleet.SwapCause(c.cfg.Model, det, "drift-retrain")
+	version, err := c.cfg.Fleet.Swap(c.cfg.Model, det, "drift-retrain")
 	if err != nil {
 		fail(err)
 		return

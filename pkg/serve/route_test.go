@@ -150,7 +150,7 @@ func TestRouteStep(t *testing.T) {
 				}
 
 				var served int64
-				for _, st := range s.Stats() {
+				for _, st := range s.Fleet().Stats() {
 					served += st.Requests + st.BatchRequests + st.StreamSessions
 				}
 				var resolves, forwards, proxies int32

@@ -172,7 +172,7 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "every request to be admitted behind the busy flusher", func() bool {
-		return s.Stats()[0].Replicas[0].Inflight == n
+		return s.Fleet().Stats()[0].Replicas[0].Inflight == n
 	})
 	release()
 	wg.Wait()
@@ -198,7 +198,7 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
+	st := s.Fleet().Stats()
 	if len(st) != 1 {
 		t.Fatalf("expected 1 shard, got %d", len(st))
 	}
@@ -262,7 +262,7 @@ func TestBatchEndpointMatchesAssessBatch(t *testing.T) {
 			t.Fatalf("batch[%d] diverged: %+v vs %+v", i, got.Results[i], want[i])
 		}
 	}
-	st := s.Stats()[0]
+	st := s.Fleet().Stats()[0]
 	if st.BatchRequests != 1 || st.BatchSamples != int64(len(batch)) {
 		t.Fatalf("batch counters: %+v", st)
 	}

@@ -288,9 +288,6 @@ func (s *Server) Close() {
 	s.fleet.Close()
 }
 
-// Stats snapshots every shard's serving counters, sorted by shard name.
-func (s *Server) Stats() []ShardStats { return s.fleet.Stats() }
-
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	sc := getCodecScratch()
 	defer putCodecScratch(sc)

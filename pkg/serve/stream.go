@@ -30,7 +30,7 @@ const drainWriteGrace = time.Second
 // client-side feature extraction feeding /v1/assess, a client streams the
 // DVFS states themselves and the server runs the full online loop (sliding
 // window, feature extraction, window memo, trusted decision) through a
-// per-connection detector.Session.
+// per-connection detector.Online.
 //
 // The protocol is newline-delimited JSON both ways:
 //
@@ -268,7 +268,7 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 
 // streamSession is what the NDJSON loop drives: somewhere to apply a line's
 // states, and the totals to close with. The two implementations differ only
-// in where the detector.Session lives between lines.
+// in where the detector.Online lives between lines.
 type streamSession interface {
 	// push applies one line's states and returns the decisions they
 	// completed (Offset counting within the line) with the shard version
@@ -279,17 +279,18 @@ type streamSession interface {
 	totals() (model string, version uint64, st detector.OnlineStats)
 }
 
-// localStream is a stream served on this node: a detector.Session pinned
-// to the replica that accepted it. A session pins its home replica the way
+// localStream is a stream served on this node: a detector.Online pinned
+// to the replica that accepted it. A stream pins its home replica the way
 // it pins the shard version: the device's consistent-hash slot (round-robin
 // for device-less streams), chosen once at accept time. Streams run their
-// own Session rather than the replica's coalescer, so the pin is affinity
-// and accounting — a hot swap mid-stream changes neither.
+// own Online rather than the replica's coalescer, so the pin is affinity
+// and accounting — a hot swap mid-stream changes neither. One goroutine
+// drives it: the connection's NDJSON loop, or one StreamPush.
 type localStream struct {
 	f      *Fleet
 	sh     *replica
 	device string
-	sess   *detector.Session
+	o      *detector.Online
 }
 
 // openStream opens a stream session on the shard model/device resolve to,
@@ -314,14 +315,14 @@ func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *
 	if err := sh.det.ValidateStream(cfg); err != nil {
 		return nil, err
 	}
-	sess, err := detector.ResumeSession(sh.det, cfg, st)
+	o, err := detector.ResumeOnline(sh.det, cfg, st)
 	if err != nil {
 		return nil, err
 	}
 	if st == nil {
 		sh.stats.streamSessions.Add(1)
 	}
-	return &localStream{f: f, sh: sh, device: device, sess: sess}, nil
+	return &localStream{f: f, sh: sh, device: device, o: o}, nil
 }
 
 // push is the one place a stream's windows are assessed, counted and
@@ -330,16 +331,16 @@ func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *
 // loop has range-checked states, so an error here is an assessment failing;
 // what was accepted before it stays counted.
 func (l *localStream) push(states []int) (StreamPushResult, error) {
-	before := l.sess.Stats()
+	before := l.o.Stats
 	defer func() {
-		after := l.sess.Stats()
+		after := l.o.Stats
 		l.sh.stats.streamSamples.Add(int64(after.Samples - before.Samples))
-		l.sh.stats.streamDecisions.Add(int64(after.Decisions - before.Decisions))
+		l.sh.stats.streamDecisions.Add(int64(after.Total() - before.Total()))
 		l.sh.stats.streamCacheHits.Add(int64(after.CacheHits - before.CacheHits))
 	}()
 	out := StreamPushResult{Model: l.sh.name, Version: l.sh.version}
 	for i, state := range states {
-		res, ok, err := l.sess.Push(state)
+		res, ok, err := l.o.Push(state)
 		if err != nil {
 			return StreamPushResult{}, err
 		}
@@ -347,7 +348,7 @@ func (l *localStream) push(states []int) (StreamPushResult, error) {
 			continue
 		}
 		l.sh.stats.observeOne(res.Decision)
-		// Stream verdicts are stored without features: the session's
+		// Stream verdicts are stored without features: the stream's
 		// extracted window vector is internal, and stream forensics
 		// are reconstructible from the raw states client-side.
 		l.f.recordVerdict(l.device, "stream", l.sh.name, l.sh.version, res, nil, 0)
@@ -356,10 +357,10 @@ func (l *localStream) push(states []int) (StreamPushResult, error) {
 	return out, nil
 }
 
-// totals reads the counts off an export: Session has no cheaper way to give
-// them in the form a proxied stream's state carries, and a stream ends once.
+// totals reads the stream's own counts, the form a proxied stream's
+// exported state carries them in.
 func (l *localStream) totals() (string, uint64, detector.OnlineStats) {
-	return l.sh.name, l.sh.version, l.sess.Export().Stats
+	return l.sh.name, l.sh.version, l.o.Stats
 }
 
 // remoteStream is a stream whose shard another node serves. The owner holds
@@ -417,7 +418,7 @@ func decodeStreamStates(line []byte) ([]int, error) {
 // streamEmitter builds the stream's response writer: emit reports whether
 // the line was written. Every write carries a deadline — a client that
 // sends states but never reads its responses would otherwise fill the
-// socket buffer and wedge the handler goroutine (and its Session) in
+// socket buffer and wedge the handler goroutine (and its Online) in
 // Write forever; emit failing aborts the stream instead. While draining,
 // the tighter grace keeps shutdown snappy.
 func (s *Server) streamEmitter(w http.ResponseWriter, rc *http.ResponseController, drainingNow func() bool) func(v any) bool {

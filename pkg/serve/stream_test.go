@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestStreamMatchesOnlinePush(t *testing.T) {
 	}
 
 	// The session's activity lands in the shard's /stats counters.
-	st := s.Stats()[0]
+	st := s.Fleet().Stats()[0]
 	if st.StreamSessions != 1 || st.StreamSamples != int64(len(states)) || st.StreamDecisions != int64(len(want)) {
 		t.Fatalf("stream counters: %+v", st)
 	}
@@ -675,7 +676,7 @@ func TestStreamPinsShardAcrossMidStreamSwap(t *testing.T) {
 	}
 
 	// Swap while the stream is OPEN, then push the second half.
-	if _, err := s.Fleet().Swap("dvfs-rf", strict); err != nil {
+	if _, err := s.Fleet().Swap("dvfs-rf", strict, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	send(states[32:])
@@ -741,7 +742,7 @@ func TestStreamSessionPinsVersion(t *testing.T) {
 	}
 
 	// Swap, then stream again: the new session reports v2.
-	if _, err := s.Fleet().Swap("dvfs-rf", d); err != nil {
+	if _, err := s.Fleet().Swap("dvfs-rf", d, "swap"); err != nil {
 		t.Fatal(err)
 	}
 	_, got, summary, errLine = streamNDJSON(t, ts.URL,
@@ -784,7 +785,7 @@ func (h *ownerHook) PushStream(shard, device string, cfg detector.StreamConfig, 
 //
 // cache_hits is the one field left out, of the bodies and of the counters:
 // the window memo is deliberately not part of an exported SessionState
-// (detector.Online.exportState), so a proxied stream re-warms it every
+// (detector.Online.Export), so a proxied stream re-warms it every
 // chunk and hits it less often than a session that stays put.
 func TestStreamLocalAndRemoteLinesIdentical(t *testing.T) {
 	d, _ := testDetector(t)
@@ -895,7 +896,7 @@ func TestStreamLocalAndRemoteLinesIdentical(t *testing.T) {
 	// decisions either way, and the entry node counted none.
 	counters := func(s *Server) [3]int64 {
 		var c [3]int64
-		for _, st := range s.Stats() {
+		for _, st := range s.Fleet().Stats() {
 			c[0] += st.StreamSessions
 			c[1] += st.StreamSamples
 			c[2] += st.StreamDecisions
@@ -908,4 +909,64 @@ func TestStreamLocalAndRemoteLinesIdentical(t *testing.T) {
 	if e := counters(entry); e != [3]int64{} {
 		t.Fatalf("entry node counted stream work it only proxied: %v", e)
 	}
+}
+
+// FuzzDecodeStreamStates holds the NDJSON sample-line decoder to
+// encoding/json. A line is accepted exactly when its first JSON value
+// unmarshals into a StreamSample, has no key but "state" and "states"
+// (matched case-insensitively, as encoding/json matches field names),
+// carries exactly one of a state and a non-empty states list, and is
+// followed by nothing but whitespace — or by a '}' or ']', which
+// Decoder.More waves through on every JSON endpoint (see checkTrailing).
+// The accepted states are that decode's.
+func FuzzDecodeStreamStates(f *testing.F) {
+	// The line shapes TestStreamLocalAndRemoteLinesIdentical sends.
+	for _, line := range []string{
+		`{"state":3}`,
+		`{"states":[0,7,1,4,4,2]}`,
+		`{"states":[1,2,3,4,99]}`,
+		`{"state":-1}`,
+		`{"states":[` + strings.Repeat("1,", 400) + `1]}`,
+		`{"state":1,"states":[2]}`,
+		`{nope}`,
+		// The edges of the one-of rule, field-name folding and More.
+		`{"state":1,"states":[]}`,
+		`{"STATE":2}`,
+		`{"state":1}}`,
+		`{"state":1} 2`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, err := decodeStreamStates(line)
+
+		var raw json.RawMessage
+		dec := json.NewDecoder(bytes.NewReader(line))
+		ok := dec.Decode(&raw) == nil
+		if ok {
+			rest := bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n")
+			ok = len(rest) == 0 || rest[0] == '}' || rest[0] == ']'
+		}
+		var sample StreamSample
+		var keys map[string]json.RawMessage
+		ok = ok && json.Unmarshal(raw, &sample) == nil && json.Unmarshal(raw, &keys) == nil
+		for k := range keys {
+			ok = ok && (strings.EqualFold(k, "state") || strings.EqualFold(k, "states"))
+		}
+		ok = ok && (sample.State != nil) != (len(sample.States) > 0)
+
+		if (err == nil) != ok {
+			t.Fatalf("line %q: err %v, want accepted %v", line, err, ok)
+		}
+		if !ok {
+			return
+		}
+		want := sample.States
+		if sample.State != nil {
+			want = []int{*sample.State}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("line %q: states %v, want %v", line, got, want)
+		}
+	})
 }
