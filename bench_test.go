@@ -6,6 +6,7 @@
 package trusthmd
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -301,18 +302,24 @@ func BenchmarkAssessSequential(b *testing.B) {
 // per batch into scratch matrices, member-major flattened-tree inference,
 // and results written into a reused workspace — the zero-allocation
 // steady state a long-lived server runs in (TestAllocsAssessBatchInto
-// pins allocs/op at 0 for single-worker detectors). Compare against
-// BenchmarkAssessSequential; results are element-wise identical to
-// per-sample Assess (see detector.TestEntryPointsMatchReference).
+// pins allocs/op at 0). The row counts are the shapes serving and offline
+// scoring send it: coalesced flushes (2, 8, 32), a 64-row batch body and a
+// 1000-row offline chunk. Compare against BenchmarkAssessSequential;
+// results are element-wise identical to per-sample Assess (see
+// detector.TestEntryPointsMatchReference).
 func BenchmarkAssessBatch(b *testing.B) {
-	b.ReportAllocs()
 	d, X := assessBenchSetup(b)
-	var sc detector.BatchScratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.AssessBatchInto(&sc, X); err != nil {
-			b.Fatal(err)
-		}
+	for _, rows := range []int{2, 8, 32, 64, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			var sc detector.BatchScratch
+			for i := 0; i < b.N; i++ {
+				if _, err := d.AssessBatchInto(&sc, X[:rows]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }
 

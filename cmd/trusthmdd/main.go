@@ -27,18 +27,18 @@
 // With -replicas N each shard name is served by N independent instances
 // (own coalescer, queue and result cache over one shared model): device
 // routing keeps a home replica for cache affinity and spills overflow to
-// the least-loaded sibling past -spill-depth. -max-inflight and
-// -shed-depth bound each replica — beyond them requests shed with 503 +
-// Retry-After. A coalescer never holds a request back: it batches what is
-// queued (up to -max-batch) and flushes when the queue runs dry.
+// the least-loaded sibling past -spill-depth. -queue and -max-inflight
+// bound each replica — beyond them requests shed with 503 + Retry-After.
+// A coalescer never holds a request back: it batches what is queued (up
+// to -max-batch) and flushes when the queue runs dry.
 //
 // With -admin-token set, POST /v1/models and DELETE /v1/models/{name}
 // hot-manage the fleet (the token guards them; without the flag they are
 // open). With -watch set, every shard given on the command line is
 // reloaded automatically when its gob file's mtime changes — and both
-// paths reapply the daemon's -workers/-threshold overrides to the
-// incoming model, so a hot swap never silently drops the fleet-wide
-// serving configuration.
+// paths reapply the daemon's -threshold override to the incoming model,
+// so a hot swap never silently drops the fleet-wide serving
+// configuration.
 //
 // Clustering: -coordinator starts a new cluster, -join http://peer:8080
 // joins a running one (either needs -advertise, the URL peers reach this
@@ -109,7 +109,6 @@ type daemonConfig struct {
 	addr            string
 	loadPath        string
 	models          modelFlags
-	workers         int
 	threshold       float64
 	watch           time.Duration
 	shutdownTimeout time.Duration
@@ -148,7 +147,6 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
 	fs.BoolVar(&cfg.serve.PinCores, "pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
 	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
-	fs.IntVar(&cfg.serve.ShedDepth, "shed-depth", 0, "shed new requests once a replica's queue holds this many waiting (0 = only when the queue is full)")
 	fs.IntVar(&cfg.serve.SpillDepth, "spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
 	fs.Int64Var(&cfg.serve.MaxBodyBytes, "max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
 	fs.Int64Var(&cfg.serve.MaxAdminBodyBytes, "max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
@@ -157,7 +155,6 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.serve.MaxStreamWindow, "max-stream-window", 1<<16, "largest per-session window a stream header may request")
 	fs.DurationVar(&cfg.serve.StreamIdleTimeout, "stream-idle", 5*time.Minute, "cut an NDJSON stream whose client sends nothing for this long (negative disables)")
 	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-replica /v1/assess result cache entries (0 = default 4096, negative disables)")
-	fs.IntVar(&cfg.workers, "workers", 0, "override assessment parallelism on every shard (0 keeps each model's saved setting)")
 	fs.Float64Var(&cfg.threshold, "threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
 	fs.StringVar(&cfg.serve.AdminToken, "admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")
 	fs.DurationVar(&cfg.watch, "watch", 0, "poll interval for hot-reloading command-line shards when their gob mtime changes (0 disables)")
@@ -220,21 +217,15 @@ func (m *modelFlags) Set(v string) error {
 }
 
 // overrides builds the detector-preparation hook applying the fleet-wide
-// serving-time flags. It runs on boot-time loads, admin-endpoint loads and
-// watch reloads alike, so a hot swap keeps the daemon's configuration.
-func overrides(workers int, threshold float64) func(*detector.Detector) (*detector.Detector, error) {
+// -threshold flag (negative keeps each model's saved threshold). It runs
+// on boot-time loads, admin-endpoint loads and watch reloads alike, so a
+// hot swap keeps the daemon's configuration.
+func overrides(threshold float64) func(*detector.Detector) (*detector.Detector, error) {
 	return func(det *detector.Detector) (*detector.Detector, error) {
-		var opts []detector.Option
-		if workers > 0 {
-			opts = append(opts, detector.WithWorkers(workers))
-		}
-		if threshold >= 0 {
-			opts = append(opts, detector.WithThreshold(threshold))
-		}
-		if len(opts) == 0 {
+		if threshold < 0 {
 			return det, nil
 		}
-		return det.WithOptions(opts...)
+		return det.WithOptions(detector.WithThreshold(threshold))
 	}
 }
 
@@ -469,7 +460,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	// One prepare hook applies the fleet-wide overrides to every detector
 	// entering the fleet: boot-time load, admin endpoint (via serve.Config),
 	// watcher and retrain controller alike.
-	prepare := overrides(cfg.workers, cfg.threshold)
+	prepare := overrides(cfg.threshold)
 	cfg.serve.PrepareDetector = prepare
 	d := &daemon{cfg: cfg}
 	booted := false

@@ -54,7 +54,7 @@ func TestLoadModelsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadModels(specs, overrides(0, -1)); err == nil {
+	if _, err := loadModels(specs, overrides(-1)); err == nil {
 		t.Fatal("expected open error")
 	}
 	// -load claims the name "default"; a -model spec reusing it must be
@@ -162,7 +162,7 @@ func TestDaemonHandoff(t *testing.T) {
 	cfg := flagDefaults()
 	cfg.loadPath = path
 	cfg.models = modelFlags{{name: "named", path: path}}
-	cfg.workers, cfg.threshold = 2, 0.25
+	cfg.threshold = 0.25
 	cfg.serve.DefaultModel = "default"
 	daemon, ts := bootDaemon(t, cfg)
 	models := daemon.fleet.Models()

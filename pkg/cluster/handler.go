@@ -113,7 +113,9 @@ func (a *Agent) guard(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// decodeBody decodes a bounded JSON body, answering the error itself.
+// decodeBody decodes a bounded JSON body, answering the error itself: 413
+// only for a body over maxClusterBodyBytes, 400 for one that could not be
+// read (truncated, or the peer hung up) or does not decode.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -122,7 +124,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClusterBodyBytes))
 	if err != nil {
-		serve.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		serve.WriteError(w, status, err.Error())
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {

@@ -15,9 +15,8 @@ import (
 // re-introduces garbage into the hot path fails the build even when it is
 // too small to move any timing.
 
-// allocDetector trains the paper's RF detector pinned to one worker: the
-// goroutine fan-out of the parallel member partition is the one part of
-// the batched path that is allowed to allocate.
+// allocDetector trains an 11-member RF detector with no worker cap, so the
+// contract is checked at the default configuration.
 func allocDetector(t *testing.T) (*Detector, [][]float64) {
 	t.Helper()
 	if raceEnabled {
@@ -27,7 +26,7 @@ func allocDetector(t *testing.T) (*Detector, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(s.Train, WithModel("rf"), WithEnsembleSize(11), WithSeed(1), WithWorkers(1))
+	d, err := New(s.Train, WithModel("rf"), WithEnsembleSize(11), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

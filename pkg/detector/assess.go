@@ -3,8 +3,6 @@ package detector
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/ensemble"
@@ -102,8 +100,11 @@ const colsBlock = 32
 // With fresh set, the results and their VoteDist backing are allocated for
 // the caller to keep; otherwise both live in s until its next use. Every
 // choice between walks is made from what the call can observe (batch
-// size, member capabilities, worker count) and none changes a result:
-// each row is bit-identical to hmd.Pipeline.Assess on that row.
+// size, member capabilities) and none changes a result: each row is
+// bit-identical to hmd.Pipeline.Assess on that row. The members vote
+// serially on the caller's goroutine — a 64-row batch over 25 trees is
+// less work than fanning them out — so parallelism comes from concurrent
+// calls, never from inside one.
 //
 // Two cases swap the accumulate and summarize stages for hmd's allocating
 // per-row reference walk (referenceRow), keeping the projection and the
@@ -124,8 +125,7 @@ func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Resu
 	reference := d.cfg.decompose
 	if !reference {
 		// One transpose per batch, shared read-only by every member that
-		// wants feature-major loads (race-free under the parallel member
-		// partition).
+		// wants feature-major loads.
 		var ZT *linalg.Matrix
 		if n >= colsBlock && d.pipe.WantsCols() {
 			s.workT.ResizeUnset(Z.Cols(), n) // TInto writes every cell
@@ -138,7 +138,8 @@ func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Resu
 		clear(s.counts)
 		s.votes = growInts(s.votes, n)
 		s.input = growFloats(s.input, Z.Cols()) // bounds every member's feature subset
-		if err := d.accumulate(s, Z, ZT); errors.Is(err, ensemble.ErrVoteRange) {
+		err = d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, d.pipe.Members(), s.votes, s.input)
+		if errors.Is(err, ensemble.ErrVoteRange) {
 			reference = true
 		} else if err != nil {
 			return nil, fmt.Errorf("detector: %w", err)
@@ -201,64 +202,4 @@ func (d *Detector) referenceRow(z []float64) (hmd.Assessment, *Decomposition, er
 	}
 	a, dc, err := d.pipe.AssessDecomposeProjected(z)
 	return a, (*Decomposition)(&dc), err
-}
-
-// accumulate fills s.counts with every member's vote on every row of Z.
-// With more than one worker the ensemble's members are partitioned across
-// goroutines, each filling a private histogram that is integer-merged
-// afterwards — counts are order-independent, so the result is
-// bit-identical to the serial walk. A lone row is less work than one
-// goroutine handoff and always walks serially.
-func (d *Detector) accumulate(s *BatchScratch, Z, ZT *linalg.Matrix) error {
-	n, k, members := Z.Rows(), d.pipe.Classes(), d.pipe.Members()
-	workers := 1
-	if n > 1 {
-		if workers = d.cfg.workers; workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = min(workers, members)
-	}
-	if workers <= 1 {
-		return d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, members, s.votes, s.input)
-	}
-
-	for len(s.partCounts) < workers {
-		s.partCounts = append(s.partCounts, nil)
-		s.partVotes = append(s.partVotes, nil)
-		s.partInput = append(s.partInput, nil)
-	}
-	if cap(s.errs) < workers {
-		s.errs = make([]error, workers)
-	}
-	s.errs = s.errs[:workers]
-	clear(s.errs)
-
-	var wg sync.WaitGroup
-	chunk := (members + workers - 1) / workers
-	launched := 0
-	for from := 0; from < members; from += chunk {
-		w, to := launched, min(from+chunk, members)
-		s.partCounts[w] = growInts(s.partCounts[w], n*k)
-		clear(s.partCounts[w])
-		s.partVotes[w] = growInts(s.partVotes[w], n)
-		s.partInput[w] = growFloats(s.partInput[w], len(s.input))
-		wg.Add(1)
-		launched++
-		go func() {
-			defer wg.Done()
-			s.errs[w] = d.pipe.AccumulateVotes(Z, ZT, s.partCounts[w], from, to, s.partVotes[w], s.partInput[w])
-		}()
-	}
-	wg.Wait()
-	for _, err := range s.errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, part := range s.partCounts[:launched] {
-		for i, v := range part {
-			s.counts[i] += v
-		}
-	}
-	return nil
 }

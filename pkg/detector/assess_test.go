@@ -1,9 +1,11 @@
 package detector
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"trusthmd/internal/core"
@@ -77,10 +79,12 @@ func sameBits(got, want Result) string {
 // TestEntryPointsMatchReference is the equivalence contract of the assess
 // core: every public entry point, over every walk the core can choose
 // (lone row, row walk over feature subsets, 8-lane and 32-row tree kernels
-// on either side of the transpose threshold, serial and parallel member
-// partitions, the decomposing walk, a truncated view), returns results
-// bit-identical to the hmd reference. One scratch is shared by every case
-// so it is also regrown, shrunk and reshaped between calls.
+// on either side of the transpose threshold, the decomposing walk, a
+// truncated view), returns results bit-identical to the hmd reference.
+// The workers axis is the number of goroutines sweeping the entry points
+// at once on the shared detector — the only parallelism assessment has.
+// Each worker keeps one scratch across every case, so it is also regrown,
+// shrunk and reshaped between calls.
 func TestEntryPointsMatchReference(t *testing.T) {
 	s := dvfsSplits(t)
 	X := make([][]float64, 0, 100)
@@ -97,7 +101,7 @@ func TestEntryPointsMatchReference(t *testing.T) {
 		}
 	}
 
-	var shared BatchScratch
+	var scratches [4]BatchScratch
 	for _, family := range []struct {
 		name string
 		opts []Option
@@ -119,60 +123,77 @@ func TestEntryPointsMatchReference(t *testing.T) {
 			det  *Detector
 		}{{"full", trained}, {"truncated", view}} {
 			for _, decompose := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					d, err := base.det.WithOptions(WithDecomposition(decompose), WithWorkers(workers))
-					if err != nil {
-						t.Fatal(err)
-					}
+				d, err := base.det.WithOptions(WithDecomposition(decompose))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]Result, len(X))
+				for i, x := range X {
+					want[i] = reference(t, d, x)
+				}
+				for _, workers := range []int{1, len(scratches)} {
 					name := fmt.Sprintf("%s/%s/decompose=%v/workers=%d", family.name, base.name, decompose, workers)
 					t.Run(name, func(t *testing.T) {
-						want := make([]Result, len(X))
-						for i, x := range X {
-							want[i] = reference(t, d, x)
+						errs := make([]error, workers)
+						var wg sync.WaitGroup
+						for w := range errs {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								errs[w] = sweepEntryPoints(d, &scratches[w], X, ds, want)
+							}()
 						}
-						check := func(entry string, i int, got Result, err error) {
-							t.Helper()
-							if err != nil {
-								t.Fatalf("%s row %d: %v", entry, i, err)
-							}
-							if diff := sameBits(got, want[i]); diff != "" {
-								t.Fatalf("%s row %d: %s", entry, i, diff)
-							}
-						}
-						for i, x := range X {
-							got, err := d.Assess(x)
-							check("Assess", i, got, err)
-							got, err = d.AssessInto(&shared, x)
-							check("AssessInto", i, got, err)
-						}
-						for _, n := range []int{1, 2, 31, 32, 33, 100} {
-							got, err := d.AssessBatch(X[:n])
-							if err != nil || len(got) != n {
-								t.Fatalf("AssessBatch(%d): %d results, err %v", n, len(got), err)
-							}
-							for i := range got {
-								check(fmt.Sprintf("AssessBatch(%d)", n), i, got[i], nil)
-							}
-							got, err = d.AssessBatchInto(&shared, X[:n])
-							if err != nil || len(got) != n {
-								t.Fatalf("AssessBatchInto(%d): %d results, err %v", n, len(got), err)
-							}
-							for i := range got {
-								check(fmt.Sprintf("AssessBatchInto(%d)", n), i, got[i], nil)
-							}
-						}
-						got, err := d.AssessDataset(ds)
-						if err != nil || len(got) != len(X) {
-							t.Fatalf("AssessDataset: %d results, err %v", len(got), err)
-						}
-						for i := range got {
-							check("AssessDataset", i, got[i], nil)
+						wg.Wait()
+						if err := errors.Join(errs...); err != nil {
+							t.Fatal(err)
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// sweepEntryPoints runs X through every entry point of d — row by row,
+// in batches on either side of the transpose threshold, and as a dataset —
+// and reports the first result that differs from want by a bit.
+func sweepEntryPoints(d *Detector, sc *BatchScratch, X [][]float64, ds *dataset.Dataset, want []Result) error {
+	check := func(entry string, got, want []Result, err error) error {
+		if err == nil && len(got) != len(want) {
+			err = fmt.Errorf("%d results, want %d", len(got), len(want))
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", entry, err)
+		}
+		for i := range got {
+			if diff := sameBits(got[i], want[i]); diff != "" {
+				return fmt.Errorf("%s row %d: %s", entry, i, diff)
+			}
+		}
+		return nil
+	}
+	for i, x := range X {
+		got, err := d.Assess(x)
+		if err := check(fmt.Sprintf("Assess(row %d)", i), []Result{got}, want[i:i+1], err); err != nil {
+			return err
+		}
+		got, err = d.AssessInto(sc, x)
+		if err := check(fmt.Sprintf("AssessInto(row %d)", i), []Result{got}, want[i:i+1], err); err != nil {
+			return err
+		}
+	}
+	for _, n := range []int{1, 2, 31, 32, 33, 100} {
+		got, err := d.AssessBatch(X[:n])
+		if err := check(fmt.Sprintf("AssessBatch(%d)", n), got, want[:n], err); err != nil {
+			return err
+		}
+		got, err = d.AssessBatchInto(sc, X[:n])
+		if err := check(fmt.Sprintf("AssessBatchInto(%d)", n), got, want[:n], err); err != nil {
+			return err
+		}
+	}
+	got, err := d.AssessDataset(ds)
+	return check("AssessDataset", got, want, err)
 }
 
 // fixedVote is a classifier family whose members ignore their input and
@@ -212,58 +233,56 @@ func TestOutOfRangeVotesLandOnReference(t *testing.T) {
 	registerFixedVote(t, "test-third-class", []int{0, 1, 2})
 	registerFixedVote(t, "test-negative", []int{0, 1, -1})
 
-	for _, workers := range []int{1, 4} {
-		d, err := New(s.Train, WithModel("test-third-class"), WithEnsembleSize(9), WithSeed(1), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := reference(t, d, X[0])
-		if len(want.VoteDist) != 3 || want.Decision != Reject {
-			t.Fatalf("reference did not grow its histogram: %+v", want)
-		}
-		var sc BatchScratch
-		got, err := d.Assess(X[0])
-		if diff := sameBits(got, want); err != nil || diff != "" {
-			t.Fatalf("workers=%d Assess: %v %s", workers, err, diff)
-		}
-		got, err = d.AssessInto(&sc, X[0])
-		if diff := sameBits(got, want); err != nil || diff != "" {
-			t.Fatalf("workers=%d AssessInto: %v %s", workers, err, diff)
-		}
-		for _, n := range []int{1, len(X)} {
-			for entry, assess := range map[string]func() ([]Result, error){
-				"AssessBatch":     func() ([]Result, error) { return d.AssessBatch(X[:n]) },
-				"AssessBatchInto": func() ([]Result, error) { return d.AssessBatchInto(&sc, X[:n]) },
-			} {
-				rs, err := assess()
-				if err != nil || len(rs) != n {
-					t.Fatalf("workers=%d %s(%d): %d results, err %v", workers, entry, n, len(rs), err)
-				}
-				for i, r := range rs {
-					if diff := sameBits(r, want); diff != "" { // members ignore x
-						t.Fatalf("workers=%d %s(%d) row %d: %s", workers, entry, n, i, diff)
-					}
-				}
-			}
-		}
-
-		neg, err := New(s.Train, WithModel("test-negative"), WithEnsembleSize(9), WithSeed(1), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, refErr := neg.pipe.Assess(X[0])
-		if refErr == nil {
-			t.Fatal("reference accepted a negative vote")
-		}
-		for entry, assess := range map[string]func() error{
-			"Assess":          func() error { _, err := neg.Assess(X[0]); return err },
-			"AssessInto":      func() error { _, err := neg.AssessInto(&sc, X[0]); return err },
-			"AssessBatch":     func() error { _, err := neg.AssessBatch(X); return err },
-			"AssessBatchInto": func() error { _, err := neg.AssessBatchInto(&sc, X); return err },
+	d, err := New(s.Train, WithModel("test-third-class"), WithEnsembleSize(9), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference(t, d, X[0])
+	if len(want.VoteDist) != 3 || want.Decision != Reject {
+		t.Fatalf("reference did not grow its histogram: %+v", want)
+	}
+	var sc BatchScratch
+	got, err := d.Assess(X[0])
+	if diff := sameBits(got, want); err != nil || diff != "" {
+		t.Fatalf("Assess: %v %s", err, diff)
+	}
+	got, err = d.AssessInto(&sc, X[0])
+	if diff := sameBits(got, want); err != nil || diff != "" {
+		t.Fatalf("AssessInto: %v %s", err, diff)
+	}
+	for _, n := range []int{1, len(X)} {
+		for entry, assess := range map[string]func() ([]Result, error){
+			"AssessBatch":     func() ([]Result, error) { return d.AssessBatch(X[:n]) },
+			"AssessBatchInto": func() ([]Result, error) { return d.AssessBatchInto(&sc, X[:n]) },
 		} {
-			if err := assess(); err == nil || !strings.Contains(err.Error(), refErr.Error()) {
-				t.Fatalf("workers=%d %s: error %v, want the reference's %q", workers, entry, err, refErr)
+			rs, err := assess()
+			if err != nil || len(rs) != n {
+				t.Fatalf("%s(%d): %d results, err %v", entry, n, len(rs), err)
 			}
+			for i, r := range rs {
+				if diff := sameBits(r, want); diff != "" { // members ignore x
+					t.Fatalf("%s(%d) row %d: %s", entry, n, i, diff)
+				}
+			}
+		}
+	}
+
+	neg, err := New(s.Train, WithModel("test-negative"), WithEnsembleSize(9), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, refErr := neg.pipe.Assess(X[0])
+	if refErr == nil {
+		t.Fatal("reference accepted a negative vote")
+	}
+	for entry, assess := range map[string]func() error{
+		"Assess":          func() error { _, err := neg.Assess(X[0]); return err },
+		"AssessInto":      func() error { _, err := neg.AssessInto(&sc, X[0]); return err },
+		"AssessBatch":     func() error { _, err := neg.AssessBatch(X); return err },
+		"AssessBatchInto": func() error { _, err := neg.AssessBatchInto(&sc, X); return err },
+	} {
+		if err := assess(); err == nil || !strings.Contains(err.Error(), refErr.Error()) {
+			t.Fatalf("%s: error %v, want the reference's %q", entry, err, refErr)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package detector
 
 import (
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -93,10 +92,11 @@ func (e *mismatchError) Error() string { return "concurrent assess diverged" }
 
 // TestAssessBatchSpeedup exercises the acceptance workload — a 1k-sample
 // split through both the batched and the per-sample sequential path — and
-// always requires identical outputs. The >=2x wall-clock assertion is
-// opt-in (TRUSTHMD_TIMING=1, >=4 real cores) because timing assertions
-// flake on contended CI machines; BenchmarkAssessBatch at the repository
-// root is the canonical measurement.
+// always requires identical outputs. Both run on one goroutine, so the
+// gain is the batched walks' alone. The >=2x wall-clock assertion is
+// opt-in (TRUSTHMD_TIMING=1) because timing assertions flake on contended
+// CI machines; BenchmarkAssessBatch at the repository root is the
+// canonical measurement.
 func TestAssessBatchSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -155,10 +155,6 @@ func TestAssessBatchSpeedup(t *testing.T) {
 	t.Logf("batch speedup %.2fx (sequential %v, batch %v)", speedup, seqTime, batchTime)
 	if os.Getenv("TRUSTHMD_TIMING") == "" {
 		return
-	}
-	if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("timing assertion needs >= 4 real cores (have %d) at GOMAXPROCS >= 4 (have %d)",
-			runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
 	if speedup < 2 {
 		t.Fatalf("batch speedup %.2fx (sequential %v, batch %v), want >= 2x", speedup, seqTime, batchTime)

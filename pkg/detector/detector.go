@@ -45,10 +45,10 @@
 //
 // The core picks between member walks (lone row; 2-31 rows, the trees'
 // 8-lane lockstep kernel; from 32 rows the bitmask kernel over a transpose
-// for trees that fit it and the trees' level walk for those that do not;
-// serial or partitioned across workers) from the batch size and member
-// capabilities it observes — never from an option — and every walk is
-// bit-identical to the reference,
+// for trees that fit it and the trees' level walk for those that do not)
+// from the batch size and member capabilities it observes — never from an
+// option. The members vote serially on the caller's goroutine; parallelism
+// comes from concurrent calls. Every walk is bit-identical to the reference,
 // hmd.Pipeline.Assess, which TestEntryPointsMatchReference holds every
 // entry point to.
 //
@@ -190,7 +190,7 @@ type Info struct {
 	Seed int64 `json:"seed"`
 	// Threshold is the entropy rejection threshold in bits.
 	Threshold float64 `json:"threshold"`
-	// Workers caps assessment parallelism (0 = GOMAXPROCS).
+	// Workers capped member-training parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Diversity names the member-diversification scheme.
 	Diversity string `json:"diversity"`
@@ -244,9 +244,10 @@ func (i Info) Options() []Option {
 }
 
 // WithOptions returns a detector sharing this one's trained pipeline but
-// with decision-time options (threshold, workers, decomposition) replaced.
+// with decision-time options (threshold, decomposition) replaced.
 // Training-time options are ignored: the pipeline is not refitted and the
-// trained configuration (model, ensemble shape, seeds) is kept as-is.
+// trained configuration (model, ensemble shape, seeds, workers) is kept
+// as-is.
 func (d *Detector) WithOptions(opts ...Option) (*Detector, error) {
 	cfg := d.cfg
 	for _, o := range opts {
@@ -257,7 +258,7 @@ func (d *Detector) WithOptions(opts ...Option) (*Detector, error) {
 	}
 	// Training-time fields cannot change without refitting; restore them so
 	// the returned detector never misreports (or mis-saves) its pipeline.
-	cfg.model, cfg.m, cfg.pca, cfg.seed = d.cfg.model, d.cfg.m, d.cfg.pca, d.cfg.seed
+	cfg.model, cfg.m, cfg.pca, cfg.seed, cfg.workers = d.cfg.model, d.cfg.m, d.cfg.pca, d.cfg.seed, d.cfg.workers
 	cfg.diversity, cfg.maxSamples, cfg.maxFeatures = d.cfg.diversity, d.cfg.maxSamples, d.cfg.maxFeatures
 	cfg.params = d.cfg.params
 	if err := cfg.validate(); err != nil {

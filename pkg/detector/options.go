@@ -92,8 +92,9 @@ func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithWorkers caps parallelism for both member training and batched
-// assessment; 0 (the default) means GOMAXPROCS.
+// WithWorkers caps member-training parallelism; 0 (the default) means
+// GOMAXPROCS. It is a training-time option: assessment always votes
+// serially on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

@@ -29,13 +29,6 @@ type BatchScratch struct {
 	dists   []float64      // VoteDist backing for scratch-owned results
 	results []Result
 	row     [1][]float64 // 1-row batch view for AssessInto
-
-	// Per-worker private histograms for the parallel member partition;
-	// integer merges keep the parallel accumulation bit-identical.
-	partCounts [][]int
-	partVotes  [][]int
-	partInput  [][]float64
-	errs       []error
 }
 
 // batchScratchPool lends scratches to the entry points that take none

@@ -27,7 +27,7 @@ import (
 // while results stay element-wise identical to direct Assess.
 
 // ErrQueueFull is returned when a replica refuses a request — its bounded
-// buffer reached the shed watermark or its in-flight cap — so the daemon
+// buffer is full or its in-flight cap is reached — so the daemon
 // sheds load instead of queueing unboundedly.
 var ErrQueueFull = errors.New("serve: assessment queue full")
 
@@ -67,11 +67,6 @@ type outcome struct {
 type coTuning struct {
 	maxBatch  int
 	queueSize int
-	// shedDepth sheds new submits once the queue holds this many waiting
-	// requests — admission control ahead of the hard channel bound, so the
-	// daemon answers 503 + Retry-After instead of growing its worst-case
-	// queueing latency. 0 disables (shed only on a full channel).
-	shedDepth int
 	// pinCPU, when nonzero, is 1 + the CPU the flusher's OS thread is
 	// pinned to (sched_setaffinity on Linux, no-op elsewhere). 0 leaves
 	// the thread to the scheduler. One-based so the zero value stays
@@ -135,15 +130,6 @@ func (c *coalescer) submitVotes(ctx context.Context, x, votes []float64) (detect
 		p.x, p.votes = nil, nil
 		pendingPool.Put(p)
 		return detector.Result{}, ErrClosed
-	}
-	if c.tuning.shedDepth > 0 && len(c.queue) >= c.tuning.shedDepth {
-		// Queue-depth shedding: the backlog already guarantees more
-		// latency than a retry would cost the client.
-		c.mu.RUnlock()
-		c.stats.shed.Add(1)
-		p.x, p.votes = nil, nil
-		pendingPool.Put(p)
-		return detector.Result{}, ErrQueueFull
 	}
 	select {
 	case c.queue <- p:

@@ -135,35 +135,6 @@ func TestCoalescerQueueFull(t *testing.T) {
 	if st.shed.Load() != 1 {
 		t.Fatalf("shed %d, want 1", st.shed.Load())
 	}
-}
-
-// TestCoalescerShedDepth: the queue-depth watermark sheds BEFORE the hard
-// channel bound — admission control answers fast instead of maximising
-// queueing latency. Like TestCoalescerQueueFull this uses a coalescer with
-// no flusher, so queued samples stay queued.
-func TestCoalescerShedDepth(t *testing.T) {
-	d, X := testDetector(t)
-	st := &shardStats{}
-	c := &coalescer{
-		det:    d,
-		tuning: coTuning{maxBatch: 8, queueSize: 8, shedDepth: 1},
-		stats:  st,
-		queue:  make(chan *pending, 8),
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.submitVotes(cancelled, X[0], nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// One sample waiting == the watermark: the channel has 7 free slots,
-	// but admission control refuses anyway.
-	if _, err := c.submitVotes(context.Background(), X[1], nil); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull at the shed watermark", err)
-	}
-	if st.shed.Load() != 1 {
-		t.Fatalf("shed %d, want 1", st.shed.Load())
-	}
 	if got := c.inflight.Load(); got != 1 {
 		t.Fatalf("inflight gauge %d, want 1 (shed must not count)", got)
 	}

@@ -122,8 +122,8 @@ func (r *replica) load() int64 {
 }
 
 // assessOne is the admission-controlled single-sample path: the in-flight
-// cap is enforced here (the queue-depth watermark lives in the coalescer),
-// then the request coalesces as before.
+// cap is enforced here (a full queue sheds in the coalescer), then the
+// request coalesces as before.
 func (r *replica) assessOne(ctx context.Context, x, votes []float64) (detector.Result, error) {
 	if r.maxInflight > 0 && r.load() >= int64(r.maxInflight) {
 		r.stats.shed.Add(1)
@@ -133,14 +133,14 @@ func (r *replica) assessOne(ctx context.Context, x, votes []float64) (detector.R
 }
 
 // admitBatch reserves capacity for a client-supplied batch of n samples.
-// A replica whose queue is at the shed watermark, or whose in-flight cap
-// is already exhausted, refuses — the batch path sheds with the same 503 +
+// A replica whose queue is full, or whose in-flight cap is already
+// exhausted, refuses — the batch path sheds with the same 503 +
 // Retry-After as the coalesced path. An idle replica always admits one
 // batch regardless of its size (the cap gates concurrency, it is not a
 // batch-size limit); the reservation may overshoot the cap and later
 // requests observe it.
 func (r *replica) admitBatch(n int) error {
-	if sd := r.co.tuning.shedDepth; sd > 0 && r.co.queueDepth() >= sd {
+	if r.co.queueDepth() >= r.co.tuning.queueSize {
 		r.stats.shed.Add(1)
 		return ErrQueueFull
 	}
@@ -262,7 +262,6 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 	tuning := coTuning{
 		maxBatch:  f.cfg.MaxBatch,
 		queueSize: f.cfg.QueueSize,
-		shedDepth: f.cfg.ShedDepth,
 	}
 	for i := range g.replicas {
 		if f.cfg.PinCores {

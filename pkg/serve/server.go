@@ -29,7 +29,7 @@
 // when the home replica's load crosses Config.SpillDepth, power-of-two-
 // choices spills the request to the least-loaded sibling. Admission
 // control bounds each replica: Config.MaxInflight caps concurrent work
-// and Config.ShedDepth sheds on queue depth; both assessment endpoints
+// and a full Config.QueueSize queue sheds; both assessment endpoints
 // answer a shed with 503 + Retry-After. /stats reports shed and spill
 // totals plus per-replica queue-depth/in-flight/served gauges.
 //
@@ -99,12 +99,6 @@ type Config struct {
 	// accepted and not yet answered plus client-batch samples assessing.
 	// Beyond it requests shed with 503 + Retry-After. 0 means unbounded.
 	MaxInflight int
-	// ShedDepth sheds new requests once a replica's queue holds this many
-	// waiting — admission control ahead of the hard QueueSize bound, so
-	// overload answers fast instead of maximising queueing latency.
-	// Default: QueueSize (shed only when the queue is actually full);
-	// clamped to QueueSize.
-	ShedDepth int
 	// SpillDepth is the home-replica load at which device-keyed requests
 	// spill to the least-loaded sibling (power-of-two-choices). Default:
 	// MaxBatch — a home replica with a full batch in flight is busy enough
@@ -140,8 +134,8 @@ type Config struct {
 	AdminToken string
 	// PrepareDetector, when set, is applied to every detector entering the
 	// fleet through the admin endpoint before it is installed — the hook
-	// the daemon uses to reapply its fleet-wide -workers/-threshold
-	// overrides to hot-swapped models.
+	// the daemon uses to reapply its fleet-wide -threshold override to
+	// hot-swapped models.
 	PrepareDetector func(*detector.Detector) (*detector.Detector, error)
 	// MaxStreamLineBytes caps one NDJSON line on /v1/assess/stream
 	// (default 256 KiB). The stream body as a whole is unbounded — that is
@@ -178,12 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight < 0 {
 		c.MaxInflight = 0
-	}
-	switch {
-	case c.ShedDepth <= 0, c.ShedDepth > c.QueueSize:
-		// Shedding at (or beyond) the hard channel bound is the legacy
-		// behavior: refuse only what cannot be buffered at all.
-		c.ShedDepth = c.QueueSize
 	}
 	switch {
 	case c.SpillDepth == 0:

@@ -31,9 +31,8 @@ type ShardStats struct {
 	Batches       int64   `json:"batches"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Shed counts requests rejected by admission control — the replica's
-	// queue hit its shed watermark (or the hard channel bound) or its
-	// in-flight cap was exhausted; every shed answered 503 + Retry-After.
-	// Errors counts failed assessments.
+	// queue was full or its in-flight cap was exhausted; every shed
+	// answered 503 + Retry-After. Errors counts failed assessments.
 	Shed   int64 `json:"shed"`
 	Errors int64 `json:"errors"`
 	// Spills counts device-keyed requests routed away from their home
