@@ -56,11 +56,13 @@ coalescer-stress:
 # it (internal/decfloat), the float and string encoders the codec and the
 # store share (internal/jsonwire), the verdict store's segment reader and
 # frame encoder (pkg/verdictstore), the tree gob decoder whose output the
-# unchecked tree walks index by (internal/ml/tree), and the stream-state
+# unchecked tree walks index by (FuzzTreeGobDecode) and the tree builder
+# whose gob bytes must equal its per-node-sort reference's
+# (FuzzFitMatchesReference) (internal/ml/tree), and the stream-state
 # resume a cluster peer's push feeds (pkg/detector) — for FUZZTIME each.
 # Plain `go test` only replays their seed corpora; this is what lets the
-# differential oracles (encoding/json, strconv) look at inputs nobody
-# wrote down. `go test -fuzz` takes one target and one package per run,
+# differential oracles (encoding/json, strconv, the reference builder)
+# look at inputs nobody wrote down. `go test -fuzz` takes one target and one package per run,
 # hence the loop. A failure leaves its input under the package's
 # testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s

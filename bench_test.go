@@ -472,10 +472,25 @@ func noisyFitData(n, d int) (*linalg.Matrix, []int) {
 
 // BenchmarkTreeFitDeep fits one unlimited-depth random-forest member on
 // 8000x16 noisy samples (thousands of nodes), so the per-node split search
-// and the hand-down of samples to children are all of the time.
+// and the hand-down of samples to children are all of the time. Every row
+// is distinct, so grouping repeated rows saves nothing here; see
+// BenchmarkTreeFitDeepBootstrap for the other side.
 func BenchmarkTreeFitDeep(b *testing.B) {
-	b.ReportAllocs()
 	X, y := noisyFitData(8000, 16)
+	benchTreeFit(b, X, y)
+}
+
+// BenchmarkTreeFitDeepBootstrap fits the same member on one full-size
+// bootstrap replicate of those rows, the training set an ensemble member
+// sees: about 63 % of its rows are distinct.
+func BenchmarkTreeFitDeepBootstrap(b *testing.B) {
+	X, y := noisyFitData(8000, 16)
+	X, y = ensemble.ResampleN(X, y, X.Rows(), rand.New(rand.NewSource(1)))
+	benchTreeFit(b, X, y)
+}
+
+func benchTreeFit(b *testing.B, X *linalg.Matrix, y []int) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := tree.New(tree.Config{MaxFeatures: -1, Seed: 0})

@@ -341,9 +341,8 @@ var ErrVoteRange = errors.New("ensemble: member vote outside class range")
 // member would read it (see WantsCols); predictions are identical either
 // way.
 //
-// The member range makes the accumulation partitionable: disjoint ranges
-// touch disjoint member state, so workers can fill private slabs in
-// parallel and integer-add them together without changing any count.
+// Counts are added, never reset, so votes over disjoint member ranges
+// accumulate into one slab in any order with the same result.
 func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, to int, votes []int, input []float64) error {
 	if b.members == nil {
 		panic(ErrNotFitted)
@@ -424,21 +423,29 @@ func (b *Bagging) WantsCols() bool {
 }
 
 // MaxMemberDim returns the widest member input (the full feature space, or
-// the largest feature subset) — the scratch size AccumulateVotes needs.
-func (b *Bagging) MaxMemberDim(full int) int {
+// the largest feature subset) — the scratch size AccumulateVotes needs. It
+// fails unless every feature subset is strictly increasing within [0,
+// full), the only shape Fit draws: a column outside it would send gather
+// past the end of the row, so a decoded ensemble is checked here before it
+// serves.
+func (b *Bagging) MaxMemberDim(full int) (int, error) {
 	dim := 0
-	for _, cols := range b.features {
+	for m, cols := range b.features {
 		if cols == nil {
-			return full
+			dim = full
+			continue
 		}
-		if len(cols) > dim {
-			dim = len(cols)
+		for j, c := range cols {
+			if c < 0 || c >= full || (j > 0 && c <= cols[j-1]) {
+				return 0, fmt.Errorf("ensemble: member %d feature subset %v is not strictly increasing within [0, %d)", m, cols, full)
+			}
 		}
+		dim = max(dim, len(cols))
 	}
-	if dim == 0 || dim > full {
+	if dim == 0 {
 		dim = full
 	}
-	return dim
+	return dim, nil
 }
 
 // VoteCounts returns the per-class tally of member votes on x.

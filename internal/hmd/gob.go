@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/ensemble"
@@ -52,7 +53,10 @@ func (p *Pipeline) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. It refuses an ensemble whose member
+// feature subsets are not strictly increasing columns of the projected
+// width: the vote walks gather by those indices unchecked, and a panic
+// there would take down whatever goroutine serves the first assessment.
 func (p *Pipeline) GobDecode(b []byte) error {
 	var g pipelineGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&g); err != nil {
@@ -60,6 +64,13 @@ func (p *Pipeline) GobDecode(b []byte) error {
 	}
 	if g.Scaler == nil || g.Ens == nil {
 		return errors.New("hmd: corrupt pipeline gob")
+	}
+	width := g.Scaler.Dim()
+	if g.PCA != nil {
+		width = g.PCA.K()
+	}
+	if _, err := g.Ens.MaxMemberDim(width); err != nil {
+		return fmt.Errorf("hmd: corrupt pipeline gob: %w", err)
 	}
 	p.cfg = Config{
 		M:             g.M,

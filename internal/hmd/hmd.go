@@ -207,7 +207,8 @@ func (p *Pipeline) projectedDim() int {
 // MemberScratchDim returns the widest per-member input the ensemble can
 // request — the input buffer size the vote-accumulation paths need.
 func (p *Pipeline) MemberScratchDim() int {
-	return p.ens.MaxMemberDim(p.projectedDim())
+	dim, _ := p.ens.MaxMemberDim(p.projectedDim()) // Train draws and GobDecode checks every subset
+	return dim
 }
 
 // ProjectRowsScratch projects a batch of raw sample rows through scaling
@@ -245,7 +246,7 @@ func (p *Pipeline) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, from, to 
 
 // WantsCols reports whether AccumulateVotes would exploit a transposed
 // copy of the projected batch. Callers that answer true compute the
-// transpose once per batch and pass it to every AccumulateVotes range.
+// transpose once per batch and pass it to AccumulateVotes.
 func (p *Pipeline) WantsCols() bool { return p.ens.WantsCols() }
 
 // SummarizeCounts turns one row's accumulated vote histogram into an

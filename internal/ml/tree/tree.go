@@ -4,15 +4,27 @@
 // classifiers of the random-forest ensemble used throughout the paper's
 // evaluation.
 //
-// Fit grows a tree with the presorted-column builder (see builder): a
-// feature's samples are sorted once, by a radix sort, the first time a node
-// considers the feature, and every node below inherits that order through a
-// stable partition instead of sorting again — one sort per feature per
-// tree and O(n) per feature per tree level after it, where a per-node sort
-// pays O(n log n) per candidate feature at every node. The tree that comes
-// out is byte-identical to the per-node-sort one (TestFitMatchesReference),
-// so trained models, verdicts and saved blobs do not depend on which
-// builder produced them.
+// Fit grows a tree with the presorted-column builder (see builder) over the
+// distinct rows of its training set: rows that repeat bit for bit, label
+// included — a bootstrap replicate's copies — are grouped first, and the
+// builder carries one row per group with the group's size as its weight,
+// counting weight wherever CART counts samples. A feature's rows are sorted
+// once, by a radix sort, the first time a node considers the feature, and
+// every node below inherits that order through a stable partition instead
+// of sorting again — one sort per feature per tree and O(g) per feature per
+// tree level after it for g distinct rows, where a per-node sort pays
+// O(n log n) per candidate feature at every node. A split scan has two
+// forms, chosen by the criterion and the class count: integer counts with
+// the Gini arithmetic written out for two classes under Gini, the generic
+// impurity loop otherwise.
+//
+// The tree that comes out is byte-identical to the per-node-sort one over
+// every copy of every row (TestFitMatchesReference,
+// FuzzFitMatchesReference): the copies of a row have equal values, so no
+// split position ever falls between them, and every position that is
+// evaluated sees the same integer counts, hence the same gains in the same
+// order and the same threshold. Trained models, verdicts and saved blobs do
+// not depend on which builder produced them.
 package tree
 
 import (
@@ -257,67 +269,149 @@ func (t *Tree) Fit(X *linalg.Matrix, y []int) error {
 	}
 	t.nodes = 0
 
+	rows, weight := distinctRows(raw, y, d)
 	b := &builder{
 		t:      t,
 		raw:    raw,
 		y:      y,
 		rng:    rand.New(rand.NewSource(t.cfg.Seed)),
-		rows:   make([]int32, n),
+		rows:   rows,
+		weight: weight,
 		cols:   make([][]entry, d),
 		sorted: make([]bool, d),
 		onPath: make([]int, 0, d),
 		goLeft: make([]uint8, n),
-		buf:    make([]entry, n),
-		rowBuf: make([]int32, n),
+		buf:    make([]entry, len(rows)),
+		rowBuf: make([]int32, len(rows)),
 		feats:  make([]int, d),
 		left:   make([]int, t.nClasses),
 		right:  make([]int, t.nClasses),
 	}
 	counts := make([]int, t.nClasses)
-	for i, lab := range y {
-		b.rows[i] = int32(i)
+	for _, lab := range y {
 		counts[lab]++
 	}
 	for f := range b.feats {
 		b.feats[f] = f
 	}
-	t.root = b.build(0, n, 0, counts)
+	t.root = b.build(0, len(rows), n, 0, counts)
 	t.buildFlat()
 	return nil
 }
 
-// entry is one training sample as one feature sees it: the value, the row
-// it came from and the row's label, kept together so that a split scan
-// reads memory front to back and never goes back to X or y.
+// distinctRows groups the n = len(y) rows of raw (row-major, d wide) whose
+// feature bits and label are all equal. It returns the first row of each
+// group, in row order, and by row the size of the group the row heads (0
+// for a row folded into an earlier one). The groups come from an
+// open-addressing table of row indices, and every probe that meets a slot
+// with the same hash tag compares the two rows bit for bit, so a hash
+// collision never merges rows. Bits, not values: -0 and +0 stay apart, as
+// do rows that agree in every feature but not in the label.
+func distinctRows(raw []float64, y []int, d int) (rows, weight []int32) {
+	n := len(y)
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	// A slot holds the row heading its group plus one (0 is empty) and the
+	// high half of the row's hash.
+	type slot struct{ row, tag int32 }
+	table := make([]slot, size)
+	mask := uint64(size - 1)
+	rows = make([]int32, 0, n)
+	weight = make([]int32, n)
+	for i := 0; i < n; i++ {
+		x := raw[i*d : i*d+d]
+		h := uint64(y[i])
+		for _, v := range x {
+			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		}
+		// murmur3's fmix64, so that the low bits (the slot) depend on the
+		// high bits of every value as well.
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
+		tag := int32(h >> 32)
+		for s := h & mask; ; s = (s + 1) & mask {
+			sl := &table[s]
+			if sl.row == 0 {
+				*sl = slot{row: int32(i + 1), tag: tag}
+				rows = append(rows, int32(i))
+				weight[i] = 1
+				break
+			}
+			if r := int(sl.row - 1); sl.tag == tag && y[r] == y[i] && sameBits(raw[r*d:r*d+d], x) {
+				weight[r]++
+				break
+			}
+		}
+	}
+	return rows, weight
+}
+
+// sameBits reports whether a and b (equal lengths) agree bit for bit.
+func sameBits(a, b []float64) bool {
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// entry is one distinct row as one feature sees it: the value, the row it
+// came from and the row's label, kept together so that a split scan reads
+// memory front to back and never goes back to X or y. The row's weight is
+// looked up by row (builder.weight), which keeps the entry at 16 bytes.
 type entry struct {
 	v   float64
 	row int32
 	lab int32
 }
 
-// builder grows one tree with the presorted-column form of CART.
+// builder grows one tree with the presorted-column form of CART, over the
+// distinct rows of its training set.
 //
-// A node is a segment [lo, hi) of sample positions. rows[lo:hi] names the
-// node's samples, and for every feature f that is sorted on the path from
-// the root to the node, cols[f][lo:hi] holds the same samples as
-// entries in ascending order of feature f. A feature joins the path the
-// first time a node draws it as a split candidate: that node gathers its
-// own segment from X and sorts it (radixSort), once. From there down the
-// order is inherited, not recomputed: splitting a node stable-partitions
-// rows and every on-path feature's segment around the winning threshold,
-// so both halves are again sorted segments, and the feature leaves the
-// path when the node that sorted it is finished. Features no node on the
-// path has drawn cost nothing.
+// Distinct rows: a bootstrap replicate repeats rows — only about 1 − 1/e ≈
+// 63 % of a full-size replicate's rows are distinct — and every copy of a
+// row would be sorted, scanned and partitioned like any other sample. Fit
+// groups rows whose feature bits and label agree (distinctRows), and the
+// builder works on one position per group, with the group's size as the
+// row's weight. Everything that counts samples counts weight: the class
+// histograms, a node's size (terminal, MinLeaf, the impurity divisor) and
+// the left child's size when a node splits. Positions stay positions: a
+// segment [lo, hi) is hi-lo groups, and the partition and the sorts move
+// groups.
+//
+// A node is a segment [lo, hi) of positions. rows[lo:hi] names the node's
+// distinct rows, and for every feature f that is sorted on the path from
+// the root to the node, cols[f][lo:hi] holds the same rows as entries in
+// ascending order of feature f. A feature joins the path the first time a
+// node draws it as a split candidate: that node gathers its own segment
+// from X and sorts it (radixSort), once. From there down the order is
+// inherited, not recomputed: splitting a node stable-partitions rows and
+// every on-path feature's segment around the winning threshold, so both
+// halves are again sorted segments, and the feature leaves the path when
+// the node that sorted it is finished. Features no node on the path has
+// drawn cost nothing.
 //
 // Cost: each feature is sorted at most once along any root-to-leaf path —
-// one O(n) radix sort per feature per tree when the root draws it, less
-// when it is first drawn further down — and after that one O(segment)
-// scan per candidate feature per node plus one O(segment) partition per
-// on-path feature per node, i.e. O(n) per feature per tree level. Memory
-// is one entry (16 bytes) per sample per feature.
+// one O(g) radix sort per feature per tree for g distinct rows when the
+// root draws it, less when it is first drawn further down — and after that
+// one O(segment) scan per candidate feature per node plus one O(segment)
+// partition per on-path feature per node, i.e. O(g) per feature per tree
+// level. Memory is one entry (16 bytes) per distinct row per feature.
+//
+// A split scan walks a segment once, adding each row's weight to its
+// class; there are two forms of it, picked by the criterion and the class
+// count (scanGini2 for Gini over two classes, the generic loop in
+// bestSplit otherwise), which compute the same floats.
 //
 // The result is byte-identical to searching each node with a fresh sort of
-// its samples (the reference builder in tree_test.go):
+// all its samples, copies included (the reference builder in
+// tree_test.go):
 //   - a scan reads only (value, label) pairs in value order and evaluates
 //     gain only at positions where the next value differs, so the class
 //     counts on either side of every evaluated position — and with them
@@ -325,8 +419,13 @@ type entry struct {
 //     threshold v + (next-v)/2 — do not depend on how equal values are
 //     ordered among themselves (-0 and +0 are equal and yield the same
 //     threshold against any neighbour);
+//   - the copies of a row have equal values, so the per-sample scan never
+//     evaluates a position between two of them, and the positions it does
+//     evaluate are the boundaries between groups that the weighted scan
+//     evaluates, in the same order, with the same integer counts on either
+//     side — the same gains, bit for bit;
 //   - samples go left by the same v <= threshold test, which on a sorted
-//     segment selects a prefix;
+//     segment selects a prefix, and the copies of a row go together;
 //   - candidate features are drawn from rng once per searched node, in
 //     the same depth-first pre-order.
 //
@@ -339,8 +438,9 @@ type builder struct {
 	y   []int
 	rng *rand.Rand
 
-	rows   []int32   // sample positions -> row, partitioned along with the tree
-	cols   [][]entry // per feature, n entries, allocated when first sorted
+	rows   []int32   // positions -> distinct row, partitioned along with the tree
+	weight []int32   // by row: how many training rows the distinct row stands for
+	cols   [][]entry // per feature, one entry per position, allocated when first sorted
 	sorted []bool    // sorted[f]: f is on the path to the node being built
 	onPath []int     // the features with sorted[f], in the order they joined
 
@@ -352,8 +452,9 @@ type builder struct {
 	right  []int
 }
 
-// terminal reports whether a node of n samples with the given class counts
-// at the given depth is a leaf whatever its features look like.
+// terminal reports whether a node of n samples (its weight) with the given
+// class counts at the given depth is a leaf whatever its features look
+// like.
 func (b *builder) terminal(counts []int, n, depth int) bool {
 	for _, c := range counts {
 		if c == n {
@@ -363,19 +464,19 @@ func (b *builder) terminal(counts []int, n, depth int) bool {
 	return n < 2*b.t.cfg.MinLeaf || (b.t.cfg.MaxDepth > 0 && depth >= b.t.cfg.MaxDepth)
 }
 
-// build grows the subtree over positions [lo, hi), whose class counts the
-// caller has already taken. counts becomes the leaf's histogram when the
-// node does not split.
-func (b *builder) build(lo, hi, depth int, counts []int) *node {
+// build grows the subtree over positions [lo, hi), which hold size samples
+// and whose class counts the caller has already taken. counts becomes the
+// leaf's histogram when the node does not split.
+func (b *builder) build(lo, hi, size, depth int, counts []int) *node {
 	b.t.nodes++
-	if b.terminal(counts, hi-lo, depth) {
+	if b.terminal(counts, size, depth) {
 		return &node{counts: counts}
 	}
 
 	mark := len(b.onPath)
 	defer b.leavePath(mark)
 
-	feat, thr, ok := b.bestSplit(lo, hi, counts)
+	feat, thr, ok := b.bestSplit(lo, hi, size, counts)
 	if !ok {
 		return &node{counts: counts}
 	}
@@ -383,19 +484,22 @@ func (b *builder) build(lo, hi, depth int, counts []int) *node {
 	// The threshold is a rounded midpoint and can land on either neighbour
 	// (or be NaN or ±Inf when a neighbour is infinite), so membership is
 	// decided by the comparison prediction will make, not by the scan
-	// position; a split that leaves one side empty makes a leaf.
+	// position; a split that leaves one side empty makes a leaf. mid counts
+	// positions, nl samples.
 	clear(b.left)
-	nl := 0
+	mid, nl := lo, 0
 	for _, e := range b.cols[feat][lo:hi] {
 		var g uint8
 		if e.v <= thr {
 			g = 1
-			nl++
-			b.left[e.lab]++
+			w := int(b.weight[e.row])
+			mid++
+			nl += w
+			b.left[e.lab] += w
 		}
 		b.goLeft[e.row] = g
 	}
-	if nl == 0 || nl == hi-lo {
+	if mid == lo || mid == hi {
 		return &node{counts: counts}
 	}
 	k := len(counts)
@@ -408,15 +512,15 @@ func (b *builder) build(lo, hi, depth int, counts []int) *node {
 
 	// Children that are leaves on their counts alone never look at their
 	// samples, so the last split of a branch skips the partition.
-	mid := lo + nl
-	if !b.terminal(leftCounts, nl, depth+1) || !b.terminal(rightCounts, hi-mid, depth+1) {
+	nr := size - nl
+	if !b.terminal(leftCounts, nl, depth+1) || !b.terminal(rightCounts, nr, depth+1) {
 		b.partition(lo, hi, feat)
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      b.build(lo, mid, depth+1, leftCounts),
-		right:     b.build(mid, hi, depth+1, rightCounts),
+		left:      b.build(lo, mid, nl, depth+1, leftCounts),
+		right:     b.build(mid, hi, nr, depth+1, rightCounts),
 	}
 }
 
@@ -549,14 +653,14 @@ func radixSort(a, tmp []entry) {
 	}
 }
 
-// bestSplit searches candidate features for the split with the largest
-// impurity decrease. It returns ok=false when no split satisfies MinLeaf or
-// improves impurity.
-func (b *builder) bestSplit(lo, hi int, total []int) (feature int, threshold float64, ok bool) {
-	size := hi - lo
+// bestSplit searches candidate features of the node over positions [lo,
+// hi), size samples, for the split with the largest impurity decrease. It
+// returns ok=false when no split satisfies MinLeaf or improves impurity.
+func (b *builder) bestSplit(lo, hi, size int, total []int) (feature int, threshold float64, ok bool) {
 	n := float64(size)
 	crit, minLeaf := b.t.cfg.Criterion, b.t.cfg.MinLeaf
 	parentImp := impurity(total, size, crit)
+	gini2 := crit == Gini && len(total) == 2
 
 	// Any valid split is acceptable, even at zero gain (as in sklearn's
 	// CART): datasets like XOR have zero-gain first splits but still
@@ -567,19 +671,28 @@ func (b *builder) bestSplit(lo, hi int, total []int) (feature int, threshold flo
 
 	for _, f := range b.candidateFeatures() {
 		seg := b.column(f, lo, hi)
+		if gini2 {
+			if gain, thr, found := b.scanGini2(seg, size, total[1], parentImp, bestGain); found {
+				bestGain, feature, threshold, ok = gain, f, thr, true
+			}
+			continue
+		}
 		clear(leftCounts)
 		copy(rightCounts, total)
 
-		for pos := 0; pos < size-1; pos++ {
-			lab := seg[pos].lab
-			leftCounts[lab]++
-			rightCounts[lab]--
+		nl := 0
+		for pos := 0; pos < len(seg)-1; pos++ {
+			e := &seg[pos]
+			w := int(b.weight[e.row])
+			leftCounts[e.lab] += w
+			rightCounts[e.lab] -= w
+			nl += w
 
-			v, next := seg[pos].v, seg[pos+1].v
+			v, next := e.v, seg[pos+1].v
 			if v == next {
 				continue // cannot split between equal values
 			}
-			nl, nr := pos+1, size-pos-1
+			nr := size - nl
 			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
@@ -594,6 +707,52 @@ func (b *builder) bestSplit(lo, hi int, total []int) (feature int, threshold flo
 		}
 	}
 	return feature, threshold, ok
+}
+
+// scanGini2 is bestSplit's scan of one sorted segment for Gini over two
+// classes: the class counts stay two integers (the left class-1 count
+// beside the left size; total1 is the node's class-1 count), and
+// impurity's Gini arithmetic is written out operation for operation —
+// inv := 1/n, g := 1, g -= p*p per class in class order — so every gain
+// is the float the generic scan computes. It returns the best gain above
+// best, with its threshold, and whether there was one.
+func (b *builder) scanGini2(seg []entry, size, total1 int, parentImp, best float64) (gain, threshold float64, found bool) {
+	n := float64(size)
+	minLeaf, weight := b.t.cfg.MinLeaf, b.weight
+	nl, l1 := 0, 0
+	for pos := 0; pos < len(seg)-1; pos++ {
+		e := &seg[pos]
+		w := int(weight[e.row])
+		nl += w
+		l1 += w * int(e.lab)
+
+		v, next := e.v, seg[pos+1].v
+		if v == next {
+			continue // cannot split between equal values
+		}
+		nr := size - nl
+		if nl < minLeaf || nr < minLeaf {
+			continue
+		}
+		r1 := total1 - l1
+		inv := 1 / float64(nl)
+		gl := 1.0
+		p := float64(nl-l1) * inv
+		gl -= p * p
+		p = float64(l1) * inv
+		gl -= p * p
+		inv = 1 / float64(nr)
+		gr := 1.0
+		p = float64(nr-r1) * inv
+		gr -= p * p
+		p = float64(r1) * inv
+		gr -= p * p
+		child := (float64(nl)*gl + float64(nr)*gr) / n
+		if g := parentImp - child; g > best {
+			best, threshold, found = g, v+(next-v)/2, true
+		}
+	}
+	return best, threshold, found
 }
 
 // candidateFeatures draws the features a node may split on: all of them,

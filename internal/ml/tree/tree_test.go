@@ -488,11 +488,40 @@ func identityData(rng *rand.Rand, kind string, classes int) (*linalg.Matrix, []i
 	}
 	switch kind {
 	case "duplicated":
-		// A bootstrap replicate: a third of the rows repeat earlier ones.
+		// A third of the rows repeat earlier ones.
 		for i := 2 * n / 3; i < n; i++ {
 			src := rng.Intn(2 * n / 3)
 			copy(X.Row(i), X.Row(src))
 			y[i] = y[src]
+		}
+	case "bootstrap":
+		// A with-replacement replicate in draw order, as
+		// ensemble.ResampleN draws it, so copies are scattered and about a
+		// third of the rows repeat another. Then a few drawn vectors come
+		// again under another label (one vector, two groups), and a few
+		// rows gain a twin whose zeros carry the other sign (equal values,
+		// different bits: two groups that no split may separate).
+		src, srcY := X.Clone(), append([]int(nil), y...)
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n)
+			copy(X.Row(i), src.Row(j))
+			y[i] = srcY[j]
+		}
+		for k := 0; k < 8; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			copy(X.Row(b), X.Row(a))
+			y[b] = (y[a] + 1 + rng.Intn(classes-1)) % classes
+		}
+		for k := 0; k < 6; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			for j := 2; j < d; j += 2 {
+				X.Set(a, j, 0)
+			}
+			copy(X.Row(b), X.Row(a))
+			y[b] = y[a]
+			for j := 2; j < d; j += 2 {
+				X.Set(b, j, math.Copysign(0, -1))
+			}
 		}
 	case "constant-column":
 		for i := 0; i < n; i++ {
@@ -508,7 +537,7 @@ func identityData(rng *rand.Rand, kind string, classes int) (*linalg.Matrix, []i
 // x data shape, Fit's gob encoding equals the per-node-sort reference's,
 // and so do batch predictions on fresh rows.
 func TestFitMatchesReference(t *testing.T) {
-	kinds := []string{"continuous", "12-level", "duplicated", "constant-column",
+	kinds := []string{"continuous", "12-level", "duplicated", "bootstrap", "constant-column",
 		"signed-zero", "infinite", "n=1", "n=2", "n=3"}
 	seed := int64(0)
 	for _, kind := range kinds {
@@ -524,22 +553,9 @@ func TestFitMatchesReference(t *testing.T) {
 							cfg := Config{MaxDepth: maxDepth, MinLeaf: minLeaf,
 								MaxFeatures: maxFeatures, Criterion: crit, Seed: seed}
 							name := fmt.Sprintf("%s/k=%d/%+v", kind, classes, cfg)
-							got := New(cfg)
-							if err := got.Fit(X, y); err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							want := fitReference(cfg, X, y)
-							gotGob, err := got.GobEncode()
+							got, want, err := fitBoth(cfg, X, y)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
-							}
-							wantGob, err := want.GobEncode()
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if !bytes.Equal(gotGob, wantGob) {
-								t.Fatalf("%s: fitted tree differs from the reference (%d vs %d nodes)",
-									name, got.NodeCount(), want.NodeCount())
 							}
 							gotPred := make([]int, probe.Rows())
 							wantPred := make([]int, probe.Rows())
@@ -556,4 +572,121 @@ func TestFitMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fitBoth trains cfg on (X, y) with Fit and with the reference builder and
+// fails unless the two gob encodings are equal.
+func fitBoth(cfg Config, X *linalg.Matrix, y []int) (got, want *Tree, err error) {
+	got = New(cfg)
+	if err := got.Fit(X, y); err != nil {
+		return nil, nil, err
+	}
+	want = fitReference(cfg, X, y)
+	gotGob, err := got.GobEncode()
+	if err != nil {
+		return nil, nil, err
+	}
+	wantGob, err := want.GobEncode()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !bytes.Equal(gotGob, wantGob) {
+		return nil, nil, fmt.Errorf("fitted tree differs from the reference (%d vs %d nodes)",
+			got.NodeCount(), want.NodeCount())
+	}
+	return got, want, nil
+}
+
+// fuzzValues is the alphabet FuzzFitMatchesReference draws feature values
+// from: few enough values that rows repeat and ties are everywhere, zeros
+// of both signs and both infinities.
+var fuzzValues = [...]float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, math.Inf(1)}
+
+// fuzzFitInput maps fuzz bytes to a configuration and a training set. Byte
+// 0 holds the criterion (bit 0) and the class count k in [2, 4], byte 1
+// MaxFeatures in [-1, 4], byte 2 MinLeaf in [1, 3] and MaxDepth in [0, 5],
+// byte 3 the seed, byte 4 the width d in [1, 4] and byte 5 the row count n
+// in [1, 64]; then come n*d value bytes, row-major, indexing fuzzValues,
+// and n label bytes, each taken mod k. Bytes past the end read as 0.
+func fuzzFitInput(data []byte) (Config, *linalg.Matrix, []int) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	k := 2 + (at(0)>>1)%3
+	cfg := Config{
+		Criterion:   Criterion(at(0) & 1),
+		MaxFeatures: at(1)%6 - 1,
+		MinLeaf:     1 + at(2)%3,
+		MaxDepth:    (at(2) >> 2) % 6,
+		Seed:        int64(at(3)),
+	}
+	d, n := 1+at(4)%4, 1+at(5)%64
+	X := linalg.New(n, d)
+	y := make([]int, n)
+	for i := 0; i < n*d; i++ {
+		X.Set(i/d, i%d, fuzzValues[at(6+i)%len(fuzzValues)])
+	}
+	for i := range y {
+		y[i] = at(6+n*d+i) % k
+	}
+	return cfg, X, y
+}
+
+// fuzzSeed writes the first rows and columns of an identityData set as
+// fuzzFitInput bytes, each value replaced by the alphabet entry of its
+// sign class, so the seed keeps the shape — repeated rows, a constant
+// column, signed zeros, infinities, a set too small to split.
+func fuzzSeed(rng *rand.Rand, kind string, classes int) []byte {
+	X, y := identityData(rng, kind, classes)
+	n, d := min(X.Rows(), 64), min(X.Cols(), 4)
+	data := []byte{byte((classes - 2) << 1), byte(rng.Intn(6)), byte(rng.Intn(256)), byte(rng.Intn(256)),
+		byte(d - 1), byte(n - 1)}
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			v := X.At(i, j)
+			var c byte
+			switch {
+			case math.IsInf(v, -1):
+				c = 0
+			case math.IsInf(v, 1):
+				c = 5
+			case v == 0 && math.Signbit(v):
+				c = 2
+			case v == 0:
+				c = 3
+			case v < 0:
+				c = 1
+			default:
+				c = 4
+			}
+			data = append(data, c)
+		}
+	}
+	for _, lab := range y[:n] {
+		data = append(data, byte(lab))
+	}
+	return data
+}
+
+// FuzzFitMatchesReference is TestFitMatchesReference over inputs nobody
+// wrote down: a small matrix from a six-value alphabet, so rows repeat
+// under one label and under several, values tie, and zeros differ only in
+// sign, must train to the reference builder's gob bytes.
+func FuzzFitMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, kind := range []string{"continuous", "12-level", "duplicated", "bootstrap", "constant-column",
+		"signed-zero", "infinite", "n=1", "n=2", "n=3"} {
+		for _, classes := range []int{2, 3} {
+			f.Add(fuzzSeed(rng, kind, classes))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, X, y := fuzzFitInput(data)
+		if _, _, err := fitBoth(cfg, X, y); err != nil {
+			t.Fatalf("%+v on %v labels %v: %v", cfg, X.Raw(), y, err)
+		}
+	})
 }

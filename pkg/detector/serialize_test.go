@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"trusthmd/internal/ensemble"
@@ -278,5 +279,114 @@ func TestSaveFileAtomic(t *testing.T) {
 	// Failure path: a missing directory errors and creates nothing.
 	if err := d.SaveFile(filepath.Join(dir, "no-such-dir", "m.gob")); err == nil {
 		t.Fatal("expected error saving into a missing directory")
+	}
+}
+
+// rawGob carries a GobEncoder's bytes through a decode and back out
+// unread, so a test can rewrite one layer of a saved detector and keep
+// the layers around it byte for byte.
+type rawGob []byte
+
+func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
+func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
+
+// The wire forms of a saved detector, of its pipeline and of the pipeline's
+// ensemble, with every other nested GobEncoder kept as bytes.
+type (
+	forgedDetector struct {
+		Version                 int
+		Model                   string
+		Threshold               float64
+		Workers                 int
+		Decompose               bool
+		Diversity               ensemble.Diversity
+		Params                  Params
+		Pipeline                rawGob
+		PCA                     int
+		Seed                    int64
+		MaxSamples, MaxFeatures float64
+	}
+	forgedPipeline struct {
+		M, PCAComponents        int
+		Seed                    int64
+		Diversity               ensemble.Diversity
+		MaxSamples, MaxFeatures float64
+		Workers                 int
+		Scaler, PCA, Ens        rawGob
+	}
+	forgedBagging struct {
+		M                       int
+		Diversity               ensemble.Diversity
+		MaxSamples, MaxFeatures float64
+		Seed                    int64
+		Workers                 int
+		Members                 []ensemble.Classifier
+		Features                [][]int
+		Classes                 int
+	}
+)
+
+// forgeSubsets saves d, hands the member feature subsets of the saved
+// ensemble to edit and returns the stream with the edited subsets.
+func forgeSubsets(t *testing.T, d *Detector, edit func(features [][]int)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var det forgedDetector
+	var pipe forgedPipeline
+	var ens forgedBagging
+	if err := gob.NewDecoder(&buf).Decode(&det); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(det.Pipeline)).Decode(&pipe); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(pipe.Ens)).Decode(&ens); err != nil {
+		t.Fatal(err)
+	}
+	edit(ens.Features)
+	encode := func(v any) []byte {
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	pipe.Ens = encode(ens)
+	det.Pipeline = encode(pipe)
+	return encode(det)
+}
+
+// TestLoadRejectsBadFeatureSubset: the vote walks gather a member's input
+// by its feature subset unchecked, so a saved model naming a column
+// outside the projected width used to load cleanly and then panic on the
+// first assessment — in the daemon, on the coalescer's flusher goroutine,
+// which ended the process. Load refuses such a model, and a subset that is
+// not strictly increasing, the only shape training draws.
+func TestLoadRejectsBadFeatureSubset(t *testing.T) {
+	s := dvfsSplits(t)
+	d, err := New(s.Train, WithModel("lr"), WithMaxFeatures(0.45), WithEnsembleSize(3), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := d.pipe.InputDim()
+	if _, err := Load(bytes.NewReader(forgeSubsets(t, d, func([][]int) {}))); err != nil {
+		t.Fatalf("an unedited forged stream must load: %v", err)
+	}
+	cases := map[string]func(cols []int){
+		"past the width": func(cols []int) { cols[len(cols)-1] = width },
+		"negative":       func(cols []int) { cols[0] = -1 },
+		"repeated":       func(cols []int) { cols[1] = cols[0] },
+		"descending":     func(cols []int) { cols[0], cols[1] = cols[1], cols[0] },
+	}
+	for name, edit := range cases {
+		t.Run(name, func(t *testing.T) {
+			blob := forgeSubsets(t, d, func(features [][]int) { edit(features[len(features)-1]) })
+			if _, err := Load(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), "feature subset") {
+				t.Fatalf("Load of a feature subset the vote walks cannot gather by: %v", err)
+			}
+		})
 	}
 }
