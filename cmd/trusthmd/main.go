@@ -63,8 +63,8 @@ func run(model string, threshold float64, thresholdSet bool, windows int, seed i
 		return err
 	}
 	if savePath != "" {
-		// Atomic (temp file + rename): a concurrent `trusthmdd -watch` must
-		// never observe a torn gob mid-write.
+		// Atomic (temp file + rename): a daemon loading this path over
+		// POST /v1/models must never observe a torn gob mid-write.
 		if err := det.SaveFile(savePath); err != nil {
 			return err
 		}

@@ -34,11 +34,11 @@
 //
 // With -admin-token set, POST /v1/models and DELETE /v1/models/{name}
 // hot-manage the fleet (the token guards them; without the flag they are
-// open). With -watch set, every shard given on the command line is
-// reloaded automatically when its gob file's mtime changes — and both
-// paths reapply the daemon's -threshold override to the incoming model,
-// so a hot swap never silently drops the fleet-wide serving
-// configuration.
+// open); rolling out a rewritten gob file is one POST {"name","path"}.
+// Every model the fleet installs — at boot, over the admin endpoint, from
+// the cluster catalog or from the retrain loop — passes through the one
+// serve.Config.PrepareDetector hook that applies -threshold, so a hot swap
+// never silently drops the fleet-wide serving configuration.
 //
 // Clustering: -coordinator starts a new cluster, -join http://peer:8080
 // joins a running one (either needs -advertise, the URL peers reach this
@@ -58,7 +58,9 @@
 // verdict store for per-device entropy drift and, on sustained drift,
 // retrains in the background on the base set (-retrain-data) plus the
 // drifting device's rejected-verdict forensics and hot-swaps the result
-// in — zero downtime, no operator.
+// in — zero downtime, no operator. It runs standalone only: a clustered
+// node installs only what the cluster catalog commits, and a local
+// retrain would be undone the moment its shard moved to another node.
 package main
 
 import (
@@ -110,7 +112,6 @@ type daemonConfig struct {
 	loadPath        string
 	models          modelFlags
 	threshold       float64
-	watch           time.Duration
 	shutdownTimeout time.Duration
 
 	serve serve.Config
@@ -157,7 +158,6 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-replica /v1/assess result cache entries (0 = default 4096, negative disables)")
 	fs.Float64Var(&cfg.threshold, "threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
 	fs.StringVar(&cfg.serve.AdminToken, "admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")
-	fs.DurationVar(&cfg.watch, "watch", 0, "poll interval for hot-reloading command-line shards when their gob mtime changes (0 disables)")
 	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 
 	fs.StringVar(&cfg.verdictDir, "verdict-dir", "", "persist every served verdict to this directory (append-only segment store; enables GET /v1/verdicts)")
@@ -176,7 +176,7 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.cluster.Join, "join", "", "advertise URL of a running cluster member to join (exactly one of -coordinator/-join)")
 	fs.DurationVar(&cfg.cluster.Heartbeat, "heartbeat", time.Second, "cluster heartbeat and membership-sweep interval")
 
-	fs.BoolVar(&cfg.autoRetrain, "auto-retrain", false, "tail the verdict store for per-device drift and hot-swap a background-retrained model (needs -verdict-dir and -retrain-data)")
+	fs.BoolVar(&cfg.autoRetrain, "auto-retrain", false, "tail the verdict store for per-device drift and hot-swap a background-retrained model (needs -verdict-dir and -retrain-data; standalone only, refused with -coordinator/-join)")
 	fs.StringVar(&cfg.retrainData, "retrain-data", "", "base training-set CSV (datagen/WriteCSV format) folded into every -auto-retrain round")
 	fs.StringVar(&cfg.retrain.Model, "retrain-model", "", "shard supervised by -auto-retrain (default: the -default shard, or the only one)")
 	fs.DurationVar(&cfg.retrain.Interval, "retrain-interval", time.Second, "verdict-store tail cadence for -auto-retrain")
@@ -217,9 +217,9 @@ func (m *modelFlags) Set(v string) error {
 }
 
 // overrides builds the detector-preparation hook applying the fleet-wide
-// -threshold flag (negative keeps each model's saved threshold). It runs
-// on boot-time loads, admin-endpoint loads and watch reloads alike, so a
-// hot swap keeps the daemon's configuration.
+// -threshold flag (negative keeps each model's saved threshold). The fleet
+// runs it on every install, so a hot swap keeps the daemon's
+// configuration.
 func overrides(threshold float64) func(*detector.Detector) (*detector.Detector, error) {
 	return func(det *detector.Detector) (*detector.Detector, error) {
 		if threshold < 0 {
@@ -278,118 +278,26 @@ func logStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "trusthmdd: "+format+"\n", args...)
 }
 
-// loadModels opens every resolved shard spec through the prepare hook —
-// the same hook admin loads and watch reloads run, so boot-time loading
-// cannot diverge from the hot paths.
-func loadModels(specs modelFlags, prepare func(*detector.Detector) (*detector.Detector, error)) (map[string]*detector.Detector, error) {
+// loadModels decodes every resolved shard spec. The fleet prepares them
+// as it installs them, like every later install.
+func loadModels(specs modelFlags) (map[string]*detector.Detector, error) {
 	out := make(map[string]*detector.Detector, len(specs))
 	for _, s := range specs {
-		det, err := loadShard(s, prepare)
+		f, err := os.Open(s.path)
 		if err != nil {
 			return nil, err
+		}
+		det, err := detector.Load(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("model %s: %w", s.name, err)
 		}
 		// Duplicate names cannot reach here: modelFlags.Set rejects them
 		// at flag-parse time and allSpecs rejects -load vs -model
 		// collisions on "default".
 		out[s.name] = det
-		info := det.Info()
-		fmt.Printf("loaded shard %-12s %s (%d members, %d features, threshold %.2f)\n",
-			s.name, info.Model, info.Members, info.InputDim, info.Threshold)
 	}
 	return out, nil
-}
-
-// loadShard opens, decodes and prepares one gob-saved detector.
-func loadShard(s modelSpec, prepare func(*detector.Detector) (*detector.Detector, error)) (*detector.Detector, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	det, err := detector.Load(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("model %s: %w", s.name, err)
-	}
-	if det, err = prepare(det); err != nil {
-		return nil, fmt.Errorf("model %s: %w", s.name, err)
-	}
-	return det, nil
-}
-
-// fileStamp identifies one observed gob file state. Size participates so
-// a rewrite landing within the filesystem's mtime granularity (FAT 2s,
-// coarse NFS/overlay timestamps) is still detected when it changes the
-// file length.
-type fileStamp struct {
-	mtime time.Time
-	size  int64
-}
-
-// changedFrom reports whether the file differs from the recorded state:
-// any mtime difference counts (a restored backup may be older), as does a
-// size change within the same timestamp tick.
-func (a fileStamp) changedFrom(b fileStamp) bool {
-	return !a.mtime.Equal(b.mtime) || a.size != b.size
-}
-
-// statStamps snapshots the shards' gob file stamps. The daemon takes it
-// BEFORE loading the models, so a file rewritten between the boot-time
-// load and the watcher's first tick still registers as changed.
-func statStamps(specs modelFlags) map[string]fileStamp {
-	stamps := make(map[string]fileStamp, len(specs))
-	for _, s := range specs {
-		if fi, err := os.Stat(s.path); err == nil {
-			stamps[s.name] = fileStamp{mtime: fi.ModTime(), size: fi.Size()}
-		}
-	}
-	return stamps
-}
-
-// watchShards polls every command-line shard's gob file and hot-swaps the
-// fleet when the file changes — `trusthmd -save` over the file is all it
-// takes to roll a new model out. Saves are atomic (detector.SaveFile and
-// `trusthmd -save` write temp-file + rename), so a file that fails to
-// decode is genuinely bad content, not a torn read: the watcher logs it
-// and advances the stamp — the serving shard keeps answering, and the
-// next rewrite (a newer stamp) is picked up normally. Installs go through
-// LoadOrSwap, so a shard unloaded over the admin API is reinstated
-// by the next save — the file on disk is the source of truth for
-// command-line shards.
-func watchShards(ctx context.Context, fleet *serve.Fleet, specs modelFlags, interval time.Duration,
-	prepare func(*detector.Detector) (*detector.Detector, error), stamps map[string]fileStamp) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		for _, s := range specs {
-			fi, err := os.Stat(s.path)
-			if err != nil {
-				continue // mid-rename or removed: keep the serving shard
-			}
-			// The stat happens before the load: if the file changes in
-			// between, the next tick sees a newer stamp and reconverges.
-			stamp := fileStamp{mtime: fi.ModTime(), size: fi.Size()}
-			if !stamp.changedFrom(stamps[s.name]) {
-				continue
-			}
-			stamps[s.name] = stamp
-			det, err := loadShard(s, prepare)
-			if err != nil {
-				logStderr("watch: reload %s: %v (keeping serving shard)", s.name, err)
-				continue
-			}
-			v, _, err := fleet.LoadOrSwap(s.name, det, "watch")
-			if err != nil {
-				logStderr("watch: swap %s: %v", s.name, err)
-				continue
-			}
-			logStdout("watch: hot-swapped shard %s -> v%d (%s)", s.name, v, s.path)
-		}
-	}
 }
 
 // supervisedShard resolves which shard -auto-retrain watches: the
@@ -427,11 +335,8 @@ func loadBaseDataset(path string) (*dataset.Dataset, error) {
 // httptest server around the same value.
 type daemon struct {
 	cfg daemonConfig
-	// specs are the resolved -load/-model shards; stamps their gob files'
-	// state from before the boot-time load, so a save racing the daemon's
-	// startup is still caught by the watcher's first tick.
-	specs  modelFlags
-	stamps map[string]fileStamp
+	// specs are the resolved -load/-model shards.
+	specs modelFlags
 
 	store *verdictstore.Store // nil without -verdict-dir
 	fleet *serve.Fleet
@@ -454,14 +359,17 @@ type daemon struct {
 // without starting any background work. A failed boot releases what was
 // already built.
 func newDaemon(cfg daemonConfig) (*daemon, error) {
+	if cfg.autoRetrain && cfg.clustered() {
+		// The controller swaps its own fleet, outside the catalog: when the
+		// shard moves, the next owner installs the committed model and the
+		// retrain is silently undone.
+		return nil, errors.New("-auto-retrain cannot run with -coordinator or -join: a clustered node installs only what the cluster catalog commits")
+	}
 	if cfg.autoRetrain && (cfg.verdictDir == "" || cfg.retrainData == "") {
 		return nil, errors.New("-auto-retrain needs -verdict-dir (the drift signal) and -retrain-data (the retraining base)")
 	}
-	// One prepare hook applies the fleet-wide overrides to every detector
-	// entering the fleet: boot-time load, admin endpoint (via serve.Config),
-	// watcher and retrain controller alike.
-	prepare := overrides(cfg.threshold)
-	cfg.serve.PrepareDetector = prepare
+	// The fleet runs the fleet-wide overrides on every detector it installs.
+	cfg.serve.PrepareDetector = overrides(cfg.threshold)
 	d := &daemon{cfg: cfg}
 	booted := false
 	defer func() {
@@ -488,13 +396,16 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.cfg.serve.Verdicts = d.store
 	}
 
-	d.stamps = statStamps(d.specs)
-	models, err := loadModels(d.specs, prepare)
+	models, err := loadModels(d.specs)
 	if err != nil {
 		return nil, err
 	}
 	if d.fleet, err = serve.NewFleet(models, d.cfg.serve); err != nil {
 		return nil, err
+	}
+	for _, m := range d.fleet.Models() {
+		fmt.Printf("loaded shard %-12s %s (%d members, %d features, threshold %.2f)\n",
+			m.Name, m.Model, m.Members, m.InputDim, m.Threshold)
 	}
 	d.srv = serve.NewServer(d.fleet)
 	d.handler = d.srv
@@ -543,7 +454,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 
 	if cfg.autoRetrain {
 		rcfg := cfg.retrain
-		rcfg.Store, rcfg.Fleet, rcfg.Prepare, rcfg.Logf = d.store, d.fleet, prepare, logStdout
+		rcfg.Store, rcfg.Fleet, rcfg.Logf = d.store, d.fleet, logStdout
 		if rcfg.Base, err = loadBaseDataset(cfg.retrainData); err != nil {
 			return nil, err
 		}
@@ -559,20 +470,13 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	return d, nil
 }
 
-// start launches the background work: the shard watcher, the ingest pump,
-// the retrain controller (all stopped by ctx or close) and the cluster
-// agent. Call it once d.handler is being served — a coordinator publishes
-// its first table, a joiner dials -join (retrying briefly), and peers
-// answer back on this node's own listener. After an error, close.
+// start launches the background work: the ingest pump, the retrain
+// controller (both stopped by ctx or close) and the cluster agent. Call
+// it once d.handler is being served — a coordinator publishes its first
+// table, a joiner dials -join (retrying briefly), and peers answer back
+// on this node's own listener. After an error, close.
 func (d *daemon) start(ctx context.Context) error {
 	ctx, d.cancel = context.WithCancel(ctx)
-	if d.cfg.watch > 0 {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			watchShards(ctx, d.fleet, d.specs, d.cfg.watch, d.cfg.serve.PrepareDetector, d.stamps)
-		}()
-	}
 	if d.pump != nil {
 		d.wg.Add(1)
 		go func() {
@@ -606,10 +510,9 @@ func (d *daemon) start(ctx context.Context) error {
 
 // close tears the daemon down in the one order that loses nothing: the
 // cluster agent first (heartbeats stop; peers will declare this node dead
-// and rebalance), then the watcher, the pump (which finishes every
-// accepted event) and the retrain controller (which waits out an
-// in-flight round, possibly swapping the fleet) — those need the fleet
-// alive — then the fleet's coalescer queues, and the verdict store last,
+// and rebalance), then the pump (which finishes every accepted event) and
+// the retrain controller (which waits out an in-flight round, possibly
+// swapping the fleet) — those need the fleet alive — then the fleet's coalescer queues, and the verdict store last,
 // since the draining fleet still taps verdicts into it. The HTTP listener
 // should be shut down first so no new requests arrive. Safe on a
 // half-built daemon and idempotent; every call returns the store's close

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestLoadModelsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadModels(specs, overrides(-1)); err == nil {
+	if _, err := loadModels(specs); err == nil {
 		t.Fatal("expected open error")
 	}
 	// -load claims the name "default"; a -model spec reusing it must be
@@ -103,6 +104,22 @@ func TestClusterFlags(t *testing.T) {
 	}
 	if host, _ := os.Hostname(); host != "" && acfg.NodeID != host {
 		t.Fatalf("default node ID %q, want hostname %q", acfg.NodeID, host)
+	}
+
+	// -auto-retrain swaps the local fleet outside the cluster catalog, so a
+	// clustered node refuses it at boot, naming both flags.
+	for flagName, set := range map[string]func(*daemonConfig){
+		"-coordinator": func(c *daemonConfig) { c.cluster.Coordinator = true },
+		"-join":        func(c *daemonConfig) { c.cluster.Join = "http://y" },
+	} {
+		cfg = flagDefaults()
+		cfg.cluster.Advertise = "http://x"
+		cfg.autoRetrain = true
+		set(&cfg)
+		_, err := newDaemon(cfg)
+		if err == nil || !strings.Contains(err.Error(), "-auto-retrain") || !strings.Contains(err.Error(), flagName) {
+			t.Fatalf("-auto-retrain with %s: %v, want a refusal naming both flags", flagName, err)
+		}
 	}
 }
 
@@ -355,111 +372,6 @@ func TestStreamE2EHotSwap(t *testing.T) {
 			t.Fatalf("swap to threshold-0 changed nothing: pre %d rejects, post %d", preRejects, rejected)
 		}
 	}
-}
-
-// TestWatchHotSwapsOnMtime covers -watch: rewriting a shard's gob file is
-// all it takes — the watcher notices the mtime change, reloads, reapplies
-// the daemon overrides, and hot-swaps the fleet.
-func TestWatchHotSwapsOnMtime(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "det.gob")
-	saveDetector(t, path)
-
-	const thresholdOverride = 0.125
-	cfg := flagDefaults()
-	cfg.loadPath = path
-	cfg.threshold = thresholdOverride
-	cfg.watch = time.Millisecond
-	cfg.serve.DefaultModel = "default"
-	d, _ := bootDaemon(t, cfg)
-	fleet := d.fleet
-
-	// The watcher may legitimately swap more than once per phase (it can
-	// see the freshly saved file before the test adjusts its mtime), so
-	// all waits are at-least + settle rather than exact-match.
-	waitAtLeast := func(want uint64) serve.ModelInfo {
-		t.Helper()
-		deadline := time.After(5 * time.Second)
-		for {
-			models := fleet.Models()
-			if len(models) == 1 && models[0].Version >= want {
-				return models[0]
-			}
-			select {
-			case <-deadline:
-				t.Fatalf("watcher never reached v%d: %+v", want, models)
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
-	settle := func() serve.ModelInfo {
-		t.Helper()
-		deadline := time.After(5 * time.Second)
-		last := fleet.Models()[0]
-		for stable := 0; stable < 20; {
-			select {
-			case <-deadline:
-				t.Fatalf("fleet never settled: %+v", last)
-			case <-time.After(2 * time.Millisecond):
-			}
-			cur := fleet.Models()[0]
-			if cur.Version == last.Version {
-				stable++
-			} else {
-				stable, last = 0, cur
-			}
-		}
-		return last
-	}
-
-	// Rewrite the gob (a fresh training run) with a bumped mtime.
-	saveDetector(t, path)
-	future := time.Now().Add(time.Hour)
-	if err := os.Chtimes(path, future, future); err != nil {
-		t.Fatal(err)
-	}
-	waitAtLeast(2)
-	m := settle()
-	if m.Threshold != thresholdOverride {
-		t.Fatalf("watch reload dropped the threshold override: %+v", m)
-	}
-	base := m.Version
-
-	// A garbage rewrite with a newer mtime must not swap. Saves are atomic
-	// now, so the watcher treats undecodable content as bad (not a torn
-	// read): it logs once, advances the stamp, and the serving shard keeps
-	// answering until the next valid rewrite.
-	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	future = future.Add(time.Hour)
-	if err := os.Chtimes(path, future, future); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // several ticks over the bad file
-	if v := fleet.Models()[0].Version; v != base {
-		t.Fatalf("garbage gob was swapped in: v%d (base v%d)", v, base)
-	}
-	// The next valid save (a fresh rename → newer stamp) rolls out.
-	saveDetector(t, path)
-	future = future.Add(time.Hour)
-	if err := os.Chtimes(path, future, future); err != nil {
-		t.Fatal(err)
-	}
-	waitAtLeast(base + 1)
-	base = settle().Version
-
-	// A shard unloaded over the admin API is reinstated by the next save:
-	// for command-line shards the file on disk is the source of truth.
-	if err := fleet.Unload("default"); err != nil {
-		t.Fatal(err)
-	}
-	saveDetector(t, path)
-	future = future.Add(time.Hour)
-	if err := os.Chtimes(path, future, future); err != nil {
-		t.Fatal(err)
-	}
-	waitAtLeast(base + 1)
 }
 
 // TestGBMShardServes proves the exported classifier contract end to end:

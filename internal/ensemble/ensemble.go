@@ -425,22 +425,27 @@ func (b *Bagging) WantsCols() bool {
 // MaxMemberDim returns the widest member input (the full feature space, or
 // the largest feature subset) — the scratch size AccumulateVotes needs. It
 // fails unless every feature subset is strictly increasing within [0,
-// full), the only shape Fit draws: a column outside it would send gather
-// past the end of the row, so a decoded ensemble is checked here before it
-// serves.
+// full), the only shape Fit draws, and unless every member that reports
+// its trained width (a NumFeatures method) is fed exactly that many
+// columns: a column outside the row would send gather past its end, and a
+// width the member was not trained on panics inside the member, so a
+// decoded ensemble is checked here before it serves.
 func (b *Bagging) MaxMemberDim(full int) (int, error) {
 	dim := 0
 	for m, cols := range b.features {
-		if cols == nil {
-			dim = full
-			continue
-		}
-		for j, c := range cols {
-			if c < 0 || c >= full || (j > 0 && c <= cols[j-1]) {
-				return 0, fmt.Errorf("ensemble: member %d feature subset %v is not strictly increasing within [0, %d)", m, cols, full)
+		width := full
+		if cols != nil {
+			for j, c := range cols {
+				if c < 0 || c >= full || (j > 0 && c <= cols[j-1]) {
+					return 0, fmt.Errorf("ensemble: member %d feature subset %v is not strictly increasing within [0, %d)", m, cols, full)
+				}
 			}
+			width = len(cols)
 		}
-		dim = max(dim, len(cols))
+		if w, ok := b.members[m].(interface{ NumFeatures() int }); ok && w.NumFeatures() != width {
+			return 0, fmt.Errorf("ensemble: member %d is fed %d features (feature subset %v), trained on %d", m, width, cols, w.NumFeatures())
+		}
+		dim = max(dim, width)
 	}
 	if dim == 0 {
 		dim = full

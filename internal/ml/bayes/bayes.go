@@ -170,3 +170,12 @@ func (g *Gaussian) PredictProba(x []float64) []float64 {
 
 // NumClasses returns the number of classes inferred at fit time.
 func (g *Gaussian) NumClasses() int { return g.classes }
+
+// NumFeatures returns the input width the model was trained on (0 when
+// unfitted, as a decoded member may be).
+func (g *Gaussian) NumFeatures() int {
+	if len(g.mean) == 0 {
+		return 0
+	}
+	return len(g.mean[0])
+}

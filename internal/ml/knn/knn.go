@@ -125,3 +125,12 @@ func (k *KNN) PredictProba(x []float64) []float64 {
 
 // NumClasses returns the number of classes inferred at fit time.
 func (k *KNN) NumClasses() int { return k.classes }
+
+// NumFeatures returns the input width the model was trained on (0 when
+// unfitted, as a decoded member may be).
+func (k *KNN) NumFeatures() int {
+	if k.X == nil {
+		return 0
+	}
+	return k.X.Cols()
+}

@@ -144,6 +144,9 @@ func (l *Logistic) Score(x []float64) float64 {
 	return linalg.Dot(l.w, x) + l.bias
 }
 
+// NumFeatures returns the input width the model was trained on.
+func (l *Logistic) NumFeatures() int { return len(l.w) }
+
 // Proba returns P(y=1|x) through the logistic link.
 func (l *Logistic) Proba(x []float64) float64 { return sigmoid(l.Score(x)) }
 

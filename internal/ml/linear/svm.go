@@ -169,6 +169,9 @@ func (s *SVM) Score(x []float64) float64 {
 	return linalg.Dot(s.w, x) + s.bias
 }
 
+// NumFeatures returns the input width the model was trained on.
+func (s *SVM) NumFeatures() int { return len(s.w) }
+
 // Predict returns 1 when the score is non-negative, else 0.
 func (s *SVM) Predict(x []float64) int {
 	if s.Score(x) >= 0 {

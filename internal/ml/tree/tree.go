@@ -1156,3 +1156,6 @@ func (t *Tree) NodeCount() int { return t.nodes }
 
 // NumClasses returns the number of classes inferred at fit time.
 func (t *Tree) NumClasses() int { return t.nClasses }
+
+// NumFeatures returns the input width the tree was trained on.
+func (t *Tree) NumFeatures() int { return t.nFeatures }

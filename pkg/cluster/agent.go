@@ -443,14 +443,7 @@ func (a *Agent) ensureLocal(shard string) error {
 		a.cat.commit(m.Name, m.Version)
 		data = m.Data
 	}
-	det, err := detector.Load(bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("cluster: decoding shard %q: %w", shard, err)
-	}
-	if det, err = a.fleet.PrepareDetector(det); err != nil {
-		return fmt.Errorf("cluster: preparing shard %q: %w", shard, err)
-	}
-	if _, _, err := a.fleet.LoadOrSwap(shard, det, "cluster"); err != nil {
+	if err := a.install(shard, data); err != nil {
 		return err
 	}
 	a.cfg.Logf("cluster: %s installed shard %q on demand", a.cfg.NodeID, shard)
@@ -470,12 +463,15 @@ func (a *Agent) installCommitted(name string, data []byte) error {
 	if !loaded && !owns {
 		return nil // not serving this shard; the catalog replica suffices
 	}
+	return a.install(name, data)
+}
+
+// install decodes a committed catalog payload into the local fleet, which
+// applies its prepare hook as it does on every install.
+func (a *Agent) install(name string, data []byte) error {
 	det, err := detector.Load(bytes.NewReader(data))
 	if err != nil {
-		return err
-	}
-	if det, err = a.fleet.PrepareDetector(det); err != nil {
-		return err
+		return fmt.Errorf("cluster: decoding shard %q: %w", name, err)
 	}
 	_, _, err = a.fleet.LoadOrSwap(name, det, "cluster")
 	return err

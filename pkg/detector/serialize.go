@@ -73,8 +73,8 @@ func (d *Detector) Save(w io.Writer) error {
 
 // SaveFile writes the detector to path crash-safely: the gob stream goes
 // to a temp file in the same directory, is fsynced, and is renamed into
-// place. A concurrent reader — the daemon's -watch poller, an admin load
-// — sees either the previous complete model or the new complete model,
+// place. A concurrent reader — a daemon's POST /v1/models {"path": ...}
+// load — sees either the previous complete model or the new complete model,
 // never a torn write; a crash mid-save leaves the previous file intact.
 func (d *Detector) SaveFile(path string) (err error) {
 	dir := filepath.Dir(path)

@@ -363,29 +363,41 @@ func forgeSubsets(t *testing.T, d *Detector, edit func(features [][]int)) []byte
 // by its feature subset unchecked, so a saved model naming a column
 // outside the projected width used to load cleanly and then panic on the
 // first assessment — in the daemon, on the coalescer's flusher goroutine,
-// which ended the process. Load refuses such a model, and a subset that is
-// not strictly increasing, the only shape training draws.
+// which ended the process. Load refuses such a model, a subset that is
+// not strictly increasing (the only shape training draws), and a subset
+// of a width the member was not trained on, for a linear and a tree
+// family alike.
 func TestLoadRejectsBadFeatureSubset(t *testing.T) {
 	s := dvfsSplits(t)
-	d, err := New(s.Train, WithModel("lr"), WithMaxFeatures(0.45), WithEnsembleSize(3), WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
+	dets := map[string]*Detector{}
+	for _, model := range []string{"lr", "rf"} {
+		d, err := New(s.Train, WithModel(model), WithMaxFeatures(0.45), WithEnsembleSize(3), WithSeed(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(forgeSubsets(t, d, func([][]int) {}))); err != nil {
+			t.Fatalf("%s: an unedited forged stream must load: %v", model, err)
+		}
+		dets[model] = d
 	}
-	width := d.pipe.InputDim()
-	if _, err := Load(bytes.NewReader(forgeSubsets(t, d, func([][]int) {}))); err != nil {
-		t.Fatalf("an unedited forged stream must load: %v", err)
-	}
-	cases := map[string]func(cols []int){
-		"past the width": func(cols []int) { cols[len(cols)-1] = width },
-		"negative":       func(cols []int) { cols[0] = -1 },
-		"repeated":       func(cols []int) { cols[1] = cols[0] },
-		"descending":     func(cols []int) { cols[0], cols[1] = cols[1], cols[0] },
+	cases := map[string]func(cols []int, width int) []int{
+		"past the width":   func(cols []int, width int) []int { cols[len(cols)-1] = width; return cols },
+		"negative":         func(cols []int, _ int) []int { cols[0] = -1; return cols },
+		"repeated":         func(cols []int, _ int) []int { cols[1] = cols[0]; return cols },
+		"descending":       func(cols []int, _ int) []int { cols[0], cols[1] = cols[1], cols[0]; return cols },
+		"one column short": func(cols []int, _ int) []int { return cols[:len(cols)-1] },
 	}
 	for name, edit := range cases {
 		t.Run(name, func(t *testing.T) {
-			blob := forgeSubsets(t, d, func(features [][]int) { edit(features[len(features)-1]) })
-			if _, err := Load(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), "feature subset") {
-				t.Fatalf("Load of a feature subset the vote walks cannot gather by: %v", err)
+			for model, d := range dets {
+				width := d.pipe.InputDim()
+				blob := forgeSubsets(t, d, func(features [][]int) {
+					last := len(features) - 1
+					features[last] = edit(features[last], width)
+				})
+				if _, err := Load(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), "feature subset") {
+					t.Fatalf("%s: Load of a feature subset the vote walks cannot gather by: %v", model, err)
+				}
 			}
 		})
 	}

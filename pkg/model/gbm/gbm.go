@@ -95,6 +95,9 @@ func New(cfg Config) *GBM {
 	return &GBM{cfg: cfg.withDefaults()}
 }
 
+// NumFeatures returns the input width the model was trained on.
+func (g *GBM) NumFeatures() int { return g.nFeatures }
+
 // Rounds returns the number of fitted stumps (0 before Fit). Early rounds
 // may stop when the training set is perfectly separated.
 func (g *GBM) Rounds() int { return len(g.stumps) }

@@ -68,8 +68,9 @@ func (s *Server) checkAdmin(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleLoadModel is POST /v1/models: decode a detector from a gob path or
-// inline body, run it through the PrepareDetector hook, and install it —
-// Load for a new name, Swap (lossless under load) for an existing one.
+// inline body and install it — Load for a new name, Swap (lossless under
+// load) for an existing one. The fleet applies PrepareDetector on the way
+// in, so the answer's info describes the detector as installed.
 func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	if !s.checkAdmin(w, r) {
 		return
@@ -108,14 +109,11 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
 		return
 	}
-	if det, err = s.fleet.PrepareDetector(det); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
-		return
-	}
-	version, replaced, err := s.fleet.LoadOrSwap(req.Name, det, "admin")
+	g, replaced, err := s.fleet.install(req.Name, det, installUpsert, "admin")
 	if err != nil {
 		// For an upsert the only non-shutdown failures are caller errors
-		// (bad name, nil detector), not missing resources.
+		// (bad name, a detector the prepare hook refuses), not missing
+		// resources.
 		if errors.Is(err, ErrClosed) {
 			writeResolveError(w, err)
 		} else {
@@ -125,10 +123,10 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, LoadModelResponse{
 		Name:     req.Name,
-		Version:  version,
+		Version:  g.version,
 		Replaced: replaced,
 		Replicas: s.fleet.cfg.Replicas,
-		Info:     det.Info(),
+		Info:     g.det.Info(),
 	})
 }
 

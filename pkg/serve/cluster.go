@@ -171,14 +171,3 @@ func (f *Fleet) StreamPush(model, device string, cfg detector.StreamConfig, st *
 	res.State = ls.o.Export()
 	return res, nil
 }
-
-// PrepareDetector runs a detector through the fleet's configured prepare
-// hook (identity when none is set) — the cluster applies it when
-// installing models that arrive over the wire, so fleet-wide swaps get
-// the same per-node overrides as admin loads.
-func (f *Fleet) PrepareDetector(det *detector.Detector) (*detector.Detector, error) {
-	if prep := f.cfg.PrepareDetector; prep != nil {
-		return prep(det)
-	}
-	return det, nil
-}

@@ -55,7 +55,7 @@ type Fleet struct {
 	epoch       uint64
 	closed      bool
 	// lastSwapCause names what drove the most recent hot swap ("admin",
-	// "watch", "drift-retrain", ...; empty until the first swap) — the
+	// "cluster", "drift-retrain", ...; empty until the first swap) — the
 	// /stats answer to "why did the model just change?".
 	lastSwapCause string
 
@@ -221,7 +221,8 @@ func (g *group) close() {
 
 // NewFleet builds a fleet over the given named detectors (which may be
 // empty: an empty fleet serves 404s until Load or the admin endpoint
-// populates it). Every detector must be trained; Config.DefaultModel, if
+// populates it). Every detector must be trained, and each passes through
+// Config.PrepareDetector like any later install; Config.DefaultModel, if
 // set alongside initial models, must name one of them.
 func NewFleet(models map[string]*detector.Detector, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
@@ -286,7 +287,7 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 // Load adds a new shard under a name not currently in the fleet and
 // returns its version. Use Swap to replace an existing shard.
 func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
-	v, _, err := f.install(name, det, installNew, "")
+	v, _, err := installed(f.install(name, det, installNew, ""))
 	return v, err
 }
 
@@ -295,12 +296,12 @@ func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
 // (new coalescers, new empty result caches); every old replica's coalescer
 // drains its queued requests on the old detector before Swap returns, so a
 // swap under load loses nothing — racing requests re-resolve onto the new
-// version. The cause ("admin", "watch", "drift-retrain", ...) is recorded
+// version. The cause ("admin", "cluster", "drift-retrain", ...) is recorded
 // as the fleet's last swap cause and surfaced by /stats — so an operator
 // reading a version bump can tell an operator-driven rollout from the
 // auto-retrain loop.
 func (f *Fleet) Swap(name string, det *detector.Detector, cause string) (uint64, error) {
-	v, _, err := f.install(name, det, installReplace, cause)
+	v, _, err := installed(f.install(name, det, installReplace, cause))
 	return v, err
 }
 
@@ -309,7 +310,7 @@ func (f *Fleet) Swap(name string, det *detector.Detector, cause string) (uint64,
 // recorded only when the install actually replaced a shard (a fresh load
 // is not a swap).
 func (f *Fleet) LoadOrSwap(name string, det *detector.Detector, cause string) (version uint64, replaced bool, err error) {
-	return f.install(name, det, installUpsert, cause)
+	return installed(f.install(name, det, installUpsert, cause))
 }
 
 // LastSwapCause names what drove the most recent hot swap (empty until
@@ -346,34 +347,44 @@ const (
 	installUpsert
 )
 
-// install is the single mutation path behind Load, Swap and LoadOrSwap.
-func (f *Fleet) install(name string, det *detector.Detector, mode installMode, cause string) (uint64, bool, error) {
+// install is the single mutation path behind Load, Swap and LoadOrSwap,
+// and so the one place a detector enters the fleet: it runs
+// Config.PrepareDetector on every detector it installs, whoever hands it
+// over (boot, admin endpoint, cluster catalog, retrain loop). It returns
+// the installed group, whose det is the prepared detector.
+func (f *Fleet) install(name string, det *detector.Detector, mode installMode, cause string) (*group, bool, error) {
 	if name == "" {
-		return 0, false, errors.New("serve: empty model name")
+		return nil, false, errors.New("serve: empty model name")
 	}
 	if strings.Contains(name, "/") {
 		// "/" would make the shard unaddressable on /v1/models/{name}.
-		return 0, false, fmt.Errorf("serve: model name %q must not contain '/'", name)
+		return nil, false, fmt.Errorf("serve: model name %q must not contain '/'", name)
+	}
+	if prep := f.cfg.PrepareDetector; prep != nil && det != nil {
+		var err error
+		if det, err = prep(det); err != nil {
+			return nil, false, fmt.Errorf("serve: model %q: %w", name, err)
+		}
 	}
 	if det == nil {
-		return 0, false, fmt.Errorf("serve: model %q is nil", name)
+		return nil, false, fmt.Errorf("serve: model %q is nil", name)
 	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return 0, false, ErrClosed
+		return nil, false, ErrClosed
 	}
 	old, exists := f.shards[name]
 	switch mode {
 	case installNew:
 		if exists {
 			f.mu.Unlock()
-			return 0, false, fmt.Errorf("serve: model %q already loaded (use Swap to replace it)", name)
+			return nil, false, fmt.Errorf("serve: model %q already loaded (use Swap to replace it)", name)
 		}
 	case installReplace:
 		if !exists {
 			f.mu.Unlock()
-			return 0, false, fmt.Errorf("serve: unknown model %q (use Load to add it)", name)
+			return nil, false, fmt.Errorf("serve: unknown model %q (use Load to add it)", name)
 		}
 	}
 	v := f.versions[name] + 1
@@ -386,7 +397,8 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 		stats = &shardStats{}
 		f.statsByName[name] = stats
 	}
-	f.shards[name] = f.newGroup(name, v, det, stats)
+	g := f.newGroup(name, v, det, stats)
+	f.shards[name] = g
 	if exists {
 		// A swap keeps the membership: names and ring are unchanged, so
 		// resolvers are only blocked for the pointer write + epoch bump.
@@ -402,7 +414,16 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 		// replacement group.
 		old.close()
 	}
-	return v, exists, nil
+	return g, exists, nil
+}
+
+// installed turns install's group into the version Load, Swap and
+// LoadOrSwap report.
+func installed(g *group, replaced bool, err error) (uint64, bool, error) {
+	if err != nil {
+		return 0, false, err
+	}
+	return g.version, replaced, nil
 }
 
 // Unload removes a shard and drains its replicas' coalescers. The name's

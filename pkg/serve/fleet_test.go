@@ -452,6 +452,10 @@ func TestAdminEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hook runs on every install, the boot shard included.
+	if m := f.Models(); len(m) != 1 || m[0].Threshold != 0.33 {
+		t.Fatalf("boot shard skipped PrepareDetector: %+v", m)
+	}
 	s := NewServer(f)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -396,7 +396,17 @@ func TestRetrainControllerClosedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	fleet, err := NewFleet(map[string]*detector.Detector{"hmd": det}, Config{Verdicts: store})
+	// The fleet's prepare hook must reach the retrained model with no
+	// controller wiring. 0.45 rejects exactly what 0.40 does for nine
+	// members (the smallest split entropy is H(1/9) ≈ 0.50), so the loop
+	// itself runs as without the hook.
+	const prepared = 0.45
+	fleet, err := NewFleet(map[string]*detector.Detector{"hmd": det}, Config{
+		Verdicts: store,
+		PrepareDetector: func(d *detector.Detector) (*detector.Detector, error) {
+			return d.WithOptions(detector.WithThreshold(prepared))
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +471,9 @@ func TestRetrainControllerClosedLoop(t *testing.T) {
 	}
 	if out.Version < 2 {
 		t.Fatalf("post-retrain version %d, want >= 2", out.Version)
+	}
+	if m := fleet.Models(); len(m) != 1 || m[0].Version < 2 || m[0].Threshold != prepared {
+		t.Fatalf("retrained model skipped the fleet's prepare hook: %+v", m)
 	}
 }
 

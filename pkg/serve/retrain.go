@@ -89,9 +89,6 @@ type RetrainConfig struct {
 	// Cooldown is the minimum gap between swaps (default 1m), so an
 	// ineffective retrain cannot thrash the fleet.
 	Cooldown time.Duration
-	// Prepare, when set, post-processes the retrained detector before the
-	// swap — the daemon reapplies its fleet-wide overrides here.
-	Prepare func(*detector.Detector) (*detector.Detector, error)
 	// Labeler assigns a training label to one rejected verdict, or false
 	// to discard it. The default pseudo-labels with the ensemble's
 	// plurality prediction — the paper's loop has an analyst here, and
@@ -322,7 +319,8 @@ func (c *RetrainController) tick() error {
 }
 
 // retrainAndSwap runs one background round: train on base+forensics,
-// apply the prepare hook, hot-swap the shard, reseed the baseline.
+// hot-swap the shard (the fleet applies its prepare hook) and reseed the
+// baseline from the detector as installed.
 // Serving never pauses — the fleet keeps answering on the old version
 // until the swap installs the new one.
 func (c *RetrainController) retrainAndSwap() {
@@ -342,18 +340,15 @@ func (c *RetrainController) retrainAndSwap() {
 	// Snapshot while this round still owns the retrainer: after the
 	// retraining flag clears, the tick loop may touch it again.
 	trainSize := c.retrainer.TrainingSize()
-	if c.cfg.Prepare != nil {
-		if det, err = c.cfg.Prepare(det); err != nil {
-			fail(err)
-			return
-		}
-	}
 	version, err := c.cfg.Fleet.Swap(c.cfg.Model, det, "drift-retrain")
 	if err != nil {
 		fail(err)
 		return
 	}
-	if err := c.reseedBaseline(det); err != nil {
+	if det, err = c.cfg.Fleet.Detector(c.cfg.Model); err == nil {
+		err = c.reseedBaseline(det)
+	}
+	if err != nil {
 		// The swap already landed; a baseline error only degrades future
 		// drift detection. Keep the old baseline and say so.
 		c.cfg.Logf("retrain: %v (keeping previous baseline)", err)

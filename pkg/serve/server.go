@@ -132,10 +132,11 @@ type Config struct {
 	// "Authorization: Bearer <token>". Empty leaves them open — acceptable
 	// on trusted networks and in tests, unacceptable on anything public.
 	AdminToken string
-	// PrepareDetector, when set, is applied to every detector entering the
-	// fleet through the admin endpoint before it is installed — the hook
-	// the daemon uses to reapply its fleet-wide -threshold override to
-	// hot-swapped models.
+	// PrepareDetector, when set, is applied to every detector the fleet
+	// installs, before it serves: NewFleet's initial models, Load, Swap and
+	// LoadOrSwap, and so the admin endpoint, the cluster catalog and the
+	// retrain controller alike. The daemon's fleet-wide -threshold override
+	// is this hook. An error refuses the install.
 	PrepareDetector func(*detector.Detector) (*detector.Detector, error)
 	// MaxStreamLineBytes caps one NDJSON line on /v1/assess/stream
 	// (default 256 KiB). The stream body as a whole is unbounded — that is
