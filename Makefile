@@ -50,7 +50,7 @@ coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the six packages that decode
+# fuzz-smoke runs every Fuzz* target of the seven packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
 # the stream-line decoder (pkg/serve), the float64↔decimal kernels under
 # it (internal/decfloat), the float and string encoders the codec and the
@@ -58,8 +58,10 @@ coalescer-stress:
 # frame encoder (pkg/verdictstore), the tree gob decoder whose output the
 # unchecked tree walks index by (FuzzTreeGobDecode) and the tree builder
 # whose gob bytes must equal its per-node-sort reference's
-# (FuzzFitMatchesReference) (internal/ml/tree), and the stream-state
-# resume a cluster peer's push feeds (pkg/detector) — for FUZZTIME each.
+# (FuzzFitMatchesReference) (internal/ml/tree), the stream-state
+# resume a cluster peer's push feeds (pkg/detector), and the drop-line
+# parser of `trusthmd push`, whose CSV drops are outside bytes
+# (cmd/trusthmd) — for FUZZTIME each.
 # Plain `go test` only replays their seed corpora; this is what lets the
 # differential oracles (encoding/json, strconv, the reference builder)
 # look at inputs nobody wrote down. `go test -fuzz` takes one target and one package per run,
@@ -67,7 +69,7 @@ coalescer-stress:
 # testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./pkg/detector; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./pkg/detector ./cmd/trusthmd; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

@@ -10,11 +10,17 @@
 // detector.gob` (cmd/trusthmdd) serves the same detector over HTTP with
 // request coalescing.
 //
+// `trusthmd push` is the daemon's telemetry client: one pass over a
+// directory of CSV drops (device,f0,f1,... per line), posting every new
+// or changed file to /v1/assess/batch and journaling it once delivered
+// (see push.go).
+//
 // Usage:
 //
 //	trusthmd [-model rf|lr|svm|nb|knn] [-threshold 0.40] [-windows 40]
 //	         [-seed 1] [-save detector.gob] [-load detector.gob]
 //	trusthmdd -load detector.gob             # then serve it over HTTP
+//	trusthmd push -dir drops -addr http://localhost:8080
 package main
 
 import (
@@ -34,6 +40,13 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "push" {
+		if err := runPush(os.Args[2:]); err != nil {
+			fmt.Fprintln(os.Stderr, "trusthmd push:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	var (
 		model     = flag.String("model", "rf", "base classifier registry name (see pkg/detector)")
 		threshold = flag.Float64("threshold", detector.DefaultThreshold, "entropy rejection threshold")

@@ -13,7 +13,8 @@ import (
 	"time"
 
 	"trusthmd/internal/gen"
-	"trusthmd/pkg/ingest"
+	"trusthmd/internal/testgate"
+	"trusthmd/pkg/detector"
 	"trusthmd/pkg/serve"
 	"trusthmd/pkg/verdictstore"
 )
@@ -86,16 +87,17 @@ func sameDefault(f *flag.Flag, cell string) bool {
 	return cell == f.DefValue
 }
 
-// TestDaemonLifecycle pins close's order from the outside. Eight ingest
-// events are accepted before start, so every one of them is assessed
-// while close is already running: they only succeed if the fleet is still
-// open while the pump drains, and their verdicts only reach the disk if
-// the store is still open while the fleet drains. After close returns,
-// fleet and store are closed, and closing again changes nothing.
+// TestDaemonLifecycle pins close's order from the outside. Eight
+// Fleet.Assess calls are queued behind a held flusher on a test-gated
+// shard before close runs, so every one of them is assessed while close
+// is already running: they only succeed if the fleet drains its queue
+// before it reports closed, and their verdicts only reach the disk if the
+// store is still open while the fleet drains. After close returns, fleet
+// and store are closed, and closing again changes nothing.
 func TestDaemonLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	gobPath := filepath.Join(dir, "det.gob")
-	saveDetector(t, gobPath)
+	saveDetector(t, gobPath, detector.WithModel(testgate.Model))
 	splits, err := gen.DVFSWithSizes(3, gen.Sizes{Train: 280, Test: 40, Unknown: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -104,27 +106,51 @@ func TestDaemonLifecycle(t *testing.T) {
 	cfg := flagDefaults()
 	cfg.loadPath = gobPath
 	cfg.verdictDir = filepath.Join(dir, "verdicts")
-	cfg.ingestDir = filepath.Join(dir, "drops")
+	cfg.serve.CacheSize = -1
 	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const events = 8
-	for i := 0; i < events; i++ {
-		if err := d.pump.Push(ingest.Event{Device: "edge-1", Features: splits.Test.At(i).Features}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := d.start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.close(); err != nil {
+
+	const calls = 8
+	release := testgate.Hold(t)
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := d.fleet.Assess(context.Background(), serve.AssessSpec{Device: "edge-1", Features: splits.Test.At(i).Features})
+			errs <- err
+		}()
+	}
+	waitUntil(t, "every call to queue behind the held flusher", func() bool {
+		var inflight int64
+		for _, st := range d.fleet.Stats() {
+			for _, r := range st.Replicas {
+				inflight += r.Inflight
+			}
+		}
+		return inflight == calls
+	})
+	closed := make(chan error, 1)
+	go func() { closed <- d.close() }()
+	// A probe naming no shard answers at once, whether or not the fleet is
+	// closed, so it can watch for close without joining the queue.
+	waitUntil(t, "close to reach the fleet", func() bool {
+		_, err := d.fleet.Assess(context.Background(), serve.AssessSpec{Model: "no-such-shard", Features: splits.Test.At(0).Features})
+		return errors.Is(err, serve.ErrClosed)
+	})
+	release()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-
-	if st := d.pump.Stats(); st.Handled != events || st.Failed != 0 {
-		t.Fatalf("pump drained into a closed fleet: %+v", st)
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("a call queued before close lost its verdict: %v", err)
+		}
 	}
+
 	if _, err := d.fleet.Assess(context.Background(), serve.AssessSpec{Features: splits.Test.At(0).Features}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("fleet after close: %v, want ErrClosed", err)
 	}
@@ -140,7 +166,19 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got := reopened.Stats().Records; got != events {
-		t.Fatalf("store holds %d verdicts, want the %d the pump drained: the store closed before the fleet did", got, events)
+	if got := reopened.Stats().Records; got != calls {
+		t.Fatalf("store holds %d verdicts, want the %d the fleet drained: the store closed before the fleet did", got, calls)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 30s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
 }

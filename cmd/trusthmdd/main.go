@@ -7,7 +7,7 @@
 //
 // Endpoints: POST /v1/assess, POST /v1/assess/batch, POST /v1/assess/stream,
 // GET|POST /v1/models, GET|DELETE /v1/models/{name}, GET /v1/verdicts,
-// POST /v1/ingest, GET /v1/cluster, GET /healthz, GET /stats.
+// GET /v1/cluster, GET /healthz, GET /stats.
 //
 // Usage (`trusthmdd -h` lists every flag; README's flag tables mirror it
 // and a test holds the two together):
@@ -52,9 +52,9 @@
 //
 // The closed loop: -verdict-dir persists every served verdict to an
 // embedded append-only segment store (queryable over GET /v1/verdicts,
-// surviving restarts via crash-safe recovery); -ingest-dir polls a drop
-// directory for CSV telemetry and assesses it through the fleet (and
-// enables POST /v1/ingest for HTTP push); -auto-retrain tails the
+// surviving restarts via crash-safe recovery); telemetry arrives through
+// the assess endpoints, drop-directory CSV included (`trusthmd push -dir D
+// -addr URL` posts it to /v1/assess/batch); -auto-retrain tails the
 // verdict store for per-device entropy drift and, on sustained drift,
 // retrains in the background on the base set (-retrain-data) plus the
 // drifting device's rejected-verdict forensics and hot-swaps the result
@@ -80,7 +80,6 @@ import (
 	"trusthmd/pkg/cluster"
 	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
-	"trusthmd/pkg/ingest"
 	"trusthmd/pkg/serve"
 	"trusthmd/pkg/verdictstore"
 
@@ -119,11 +118,6 @@ type daemonConfig struct {
 	// verdictDir enables the verdict store (and GET /v1/verdicts).
 	verdictDir string
 	verdicts   verdictstore.Config
-
-	// ingestDir enables the ingest pump (and POST /v1/ingest).
-	ingestDir string
-	ingest    ingest.Config
-	ingestSrc ingest.DirConfig
 
 	// cluster is live when Coordinator or Join is set.
 	cluster cluster.Config
@@ -164,11 +158,6 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.Int64Var(&cfg.verdicts.SegmentBytes, "verdict-segment-bytes", 4<<20, "verdict-store segment size before rotation, in bytes")
 	fs.IntVar(&cfg.verdicts.MaxSegments, "verdict-retain", 16, "sealed verdict segments retained; beyond it the oldest segment is dropped")
 	fs.IntVar(&cfg.verdicts.SyncEvery, "verdict-sync-every", 0, "verdict-store durability: 0 group-commits appends off the serving path (a crash loses at most one uncommitted group), N>0 writes each record synchronously and fsyncs every N records")
-
-	fs.StringVar(&cfg.ingestDir, "ingest-dir", "", "poll this directory for CSV telemetry drops and assess them through the fleet (enables POST /v1/ingest)")
-	fs.DurationVar(&cfg.ingestSrc.Poll, "ingest-poll", 2*time.Second, "ingest drop-directory poll interval")
-	fs.IntVar(&cfg.ingest.Queue, "ingest-queue", 1024, "ingest pump queue depth; a full queue sheds HTTP pushes with 503")
-	fs.IntVar(&cfg.ingest.Workers, "ingest-workers", 2, "goroutines draining the ingest queue into the fleet")
 
 	fs.StringVar(&cfg.cluster.NodeID, "node-id", "", "cluster identity of this node (default: hostname; IDs order coordinator promotion)")
 	fs.StringVar(&cfg.cluster.Advertise, "advertise", "", "base URL other cluster nodes reach this node at, e.g. http://10.0.0.5:8080 (required with -coordinator or -join)")
@@ -345,7 +334,6 @@ type daemon struct {
 	// under /cluster/ on a fleet member.
 	handler http.Handler
 	agent   *cluster.Agent           // nil standalone
-	pump    *ingest.Pump             // nil without -ingest-dir
 	retrain *serve.RetrainController // nil without -auto-retrain
 
 	cancel    context.CancelFunc
@@ -355,7 +343,7 @@ type daemon struct {
 }
 
 // newDaemon constructs everything in dependency order — verdict store,
-// models, fleet, server, cluster agent, ingest pump, retrain controller —
+// models, fleet, server, cluster agent, retrain controller —
 // without starting any background work. A failed boot releases what was
 // already built.
 func newDaemon(cfg daemonConfig) (*daemon, error) {
@@ -429,29 +417,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.handler = mux
 	}
 
-	// The ingest pump fans drop-directory (and HTTP push) telemetry into
-	// the fleet's assess path, so every ingested window becomes a stored,
-	// drift-monitored verdict.
-	if cfg.ingestDir != "" {
-		pcfg := cfg.ingest
-		pcfg.Logf = logStderr
-		d.pump = ingest.NewPump(func(ctx context.Context, ev ingest.Event) error {
-			_, err := d.fleet.Assess(ctx, serve.AssessSpec{
-				Model:    ev.Model,
-				Device:   ev.Device,
-				Features: ev.Features,
-				Source:   "ingest",
-			})
-			return err
-		}, pcfg)
-		src, err := ingest.NewDirSource(cfg.ingestDir, cfg.ingestSrc)
-		if err != nil {
-			return nil, err
-		}
-		d.pump.Add(src)
-		d.srv.AttachIngest(d.pump)
-	}
-
 	if cfg.autoRetrain {
 		rcfg := cfg.retrain
 		rcfg.Store, rcfg.Fleet, rcfg.Logf = d.store, d.fleet, logStdout
@@ -470,24 +435,13 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	return d, nil
 }
 
-// start launches the background work: the ingest pump, the retrain
-// controller (both stopped by ctx or close) and the cluster agent. Call
-// it once d.handler is being served — a coordinator publishes its first
-// table, a joiner dials -join (retrying briefly), and peers answer back
-// on this node's own listener. After an error, close.
+// start launches the background work: the retrain controller (stopped by
+// ctx or close) and the cluster agent. Call it once d.handler is being
+// served — a coordinator publishes its first table, a joiner dials -join
+// (retrying briefly), and peers answer back on this node's own listener.
+// After an error, close.
 func (d *daemon) start(ctx context.Context) error {
 	ctx, d.cancel = context.WithCancel(ctx)
-	if d.pump != nil {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			if err := d.pump.Run(ctx); err != nil {
-				logStderr("ingest: %v", err)
-			}
-		}()
-		fmt.Printf("ingesting telemetry drops from %s (poll %v, queue %d, %d workers)\n",
-			d.cfg.ingestDir, d.cfg.ingestSrc.Poll, d.cfg.ingest.Queue, d.cfg.ingest.Workers)
-	}
 	if d.retrain != nil {
 		d.wg.Add(1)
 		go func() {
@@ -510,9 +464,9 @@ func (d *daemon) start(ctx context.Context) error {
 
 // close tears the daemon down in the one order that loses nothing: the
 // cluster agent first (heartbeats stop; peers will declare this node dead
-// and rebalance), then the pump (which finishes every accepted event) and
-// the retrain controller (which waits out an in-flight round, possibly
-// swapping the fleet) — those need the fleet alive — then the fleet's coalescer queues, and the verdict store last,
+// and rebalance), then the retrain controller (which waits out an
+// in-flight round, possibly swapping the fleet, so it needs the fleet
+// alive), then the fleet's coalescer queues, and the verdict store last,
 // since the draining fleet still taps verdicts into it. The HTTP listener
 // should be shut down first so no new requests arrive. Safe on a
 // half-built daemon and idempotent; every call returns the store's close

@@ -1,5 +1,5 @@
-// Closed loop: the whole autonomous lifecycle in one process. Telemetry
-// events flow through an ingest pump into a verdict-tapped fleet, a
+// Closed loop: the whole autonomous lifecycle in one process. Two
+// telemetry producers assess their windows through a verdict-tapped fleet, a
 // retrain controller tails the verdict store and watches each device's
 // entropy stream, and when one device starts replaying zero-day windows
 // the controller retrains in the background and hot-swaps the fleet —
@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"trusthmd/internal/gen"
+	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
-	"trusthmd/pkg/ingest"
 	"trusthmd/pkg/serve"
 	"trusthmd/pkg/verdictstore"
 )
@@ -56,20 +58,7 @@ func main() {
 	}
 	defer fleet.Close()
 
-	// 3. The ingest pump is the telemetry front door: events fan in
-	// through a bounded queue and land in the fleet's assess path, so
-	// every ingested window becomes a stored, drift-monitored verdict.
-	pump := ingest.NewPump(func(ctx context.Context, ev ingest.Event) error {
-		_, err := fleet.Assess(ctx, serve.AssessSpec{
-			Model:    ev.Model,
-			Device:   ev.Device,
-			Features: ev.Features,
-			Source:   "ingest",
-		})
-		return err
-	}, ingest.Config{Queue: 256, Workers: 2})
-
-	// 4. The retrain controller tails the store; sustained drift on any
+	// 3. The retrain controller tails the store; sustained drift on any
 	// single device triggers a background retrain and a zero-downtime
 	// Fleet.Swap.
 	ctrl, err := serve.NewRetrainController(serve.RetrainConfig{
@@ -89,47 +78,46 @@ func main() {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	pumpDone := make(chan error, 1)
+	defer cancel()
 	ctrlDone := make(chan error, 1)
-	go func() { pumpDone <- pump.Run(ctx) }()
 	go func() { ctrlDone <- ctrl.Run(ctx) }()
 
-	// 5. Drive telemetry: a healthy device replays known test windows, a
-	// compromised one replays the zero-day split — that is the injected
-	// drift. Push sheds with ErrBusy under pressure; a real producer
-	// would back off, here we just retry.
-	push := func(device string, features []float64) {
-		for {
-			err := pump.Push(ingest.Event{Device: device, Features: features})
-			if err == nil {
+	// 4. Drive telemetry: two producers assess their windows through the
+	// fleet, so every window becomes a stored, drift-monitored verdict. A
+	// healthy device replays known test windows, a compromised one
+	// replays the zero-day split — that is the injected drift. Both stop
+	// once the retrained model is serving.
+	var assessed atomic.Int64
+	var wg sync.WaitGroup
+	produce := func(device string, windows *dataset.Dataset) {
+		defer wg.Done()
+		for i := 0; fleet.Epoch() == 1 && ctx.Err() == nil; i++ {
+			_, err := fleet.Assess(ctx, serve.AssessSpec{Device: device, Features: windows.At(i % windows.Len()).Features})
+			if err != nil {
+				if ctx.Err() == nil {
+					log.Fatal(err)
+				}
 				return
 			}
-			if err == ingest.ErrBusy {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			log.Fatal(err)
+			assessed.Add(1)
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; fleet.Epoch() == 1; i++ {
-		push("healthy", splits.Test.At(i%splits.Test.Len()).Features)
-		push("edge-7", splits.Unknown.At(i%splits.Unknown.Len()).Features)
-		if time.Now().After(deadline) {
-			log.Fatalf("no retrain within 30s: %+v", ctrl.Stats())
-		}
+	wg.Add(2)
+	go produce("healthy", splits.Test)
+	go produce("edge-7", splits.Unknown)
+	timer := time.AfterFunc(30*time.Second, cancel)
+	wg.Wait()
+	if !timer.Stop() {
+		log.Fatalf("no retrain within 30s: %+v", ctrl.Stats())
 	}
 
-	// 6. The loop has closed: report what happened.
+	// 5. The loop has closed: report what happened.
 	cancel()
-	if err := <-pumpDone; err != nil {
-		log.Fatal(err)
-	}
 	<-ctrlDone
-	st, ps, cs := store.Stats(), pump.Stats(), ctrl.Stats()
+	st, cs := store.Stats(), ctrl.Stats()
 	fmt.Printf("swap cause:        %s (fleet epoch %d)\n", fleet.LastSwapCause(), fleet.Epoch())
 	fmt.Printf("retrains:          %d\n", cs.Retrains)
-	fmt.Printf("ingested:          %d events (%d shed and retried)\n", ps.Handled, ps.Shed)
+	fmt.Printf("assessed:          %d windows\n", assessed.Load())
 	fmt.Printf("verdicts stored:   %d in %d segment(s)\n", st.Records, st.Segments)
 	rejects, err := store.Query(verdictstore.Filter{Device: "edge-7", Limit: 5})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 // AssessSpec is one assessment request against the fleet: the routing
 // keys and feature vector of the HTTP assess endpoint, usable by any
-// embedder (the ingest pump drives it directly, no HTTP involved).
+// embedder with no HTTP involved.
 type AssessSpec struct {
 	// Model / Device route like AssessRequest's fields: explicit model
 	// wins, else consistent-hash on device, else the default shard.
@@ -21,7 +21,8 @@ type AssessSpec struct {
 	// Features is the raw feature vector.
 	Features []float64
 	// Source tags the verdict's origin in the verdict store ("assess",
-	// "batch", "stream", "ingest"; default "assess").
+	// "batch", "stream"; default "assess"). Records written before the
+	// daemon's in-process ingest door was removed may also read "ingest".
 	Source string
 	// VoteBuf, when non-nil, is a caller-owned buffer the verdict's vote
 	// distribution is built in (grown as needed) instead of a fresh
@@ -47,6 +48,17 @@ type AssessOutcome struct {
 	Cached bool
 }
 
+// enter admits one Assess call into f.calls unless the fleet is closed.
+func (f *Fleet) enter() bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.closed {
+		return false
+	}
+	f.calls.Add(1)
+	return true
+}
+
 // routeError marks a resolve failure (unknown model, empty fleet,
 // ambiguous default, closed fleet) so transports can map it onto their
 // not-found/unavailable vocabulary. It renders as the inner message.
@@ -70,6 +82,10 @@ func (e *validationError) Unwrap() error { return e.err }
 // a verdict store is attached, every outcome — cache hits included, they
 // are served verdicts — is persisted with its latency.
 func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, error) {
+	if !f.enter() {
+		return AssessOutcome{}, &routeError{ErrClosed}
+	}
+	defer f.calls.Done()
 	start := time.Now()
 	missCounted := false
 	for attempt := 0; ; attempt++ {

@@ -62,6 +62,11 @@ type Fleet struct {
 	// verdictAppendErrs counts verdict-store appends that failed (the tap
 	// never fails serving, so the only trace is this counter).
 	verdictAppendErrs atomic.Int64
+	// calls counts Assess calls in flight. Close waits them out, so every
+	// verdict they record reaches the store before its owner closes it.
+	// Add runs under mu's read lock while the fleet is open, so none races
+	// Close's Wait.
+	calls sync.WaitGroup
 
 	// nextPin hands out CPU cores round-robin to replica flushers when
 	// PinCores is set; it keeps counting across loads and swaps so a
@@ -628,9 +633,11 @@ func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
 	return f.epoch, out
 }
 
-// Close stops every replica's coalescer after draining queued requests and
-// rejects all future mutations and resolves. Safe to call more than once.
-// The HTTP listener should be shut down first so no new requests arrive.
+// Close stops every replica's coalescer after draining queued requests,
+// waits for every Assess call in flight to return, its verdict recorded,
+// and rejects all future mutations and resolves. Safe to call more than
+// once. The HTTP listener should be shut down first so no new requests
+// arrive.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -646,4 +653,5 @@ func (f *Fleet) Close() {
 	for _, g := range groups {
 		g.close()
 	}
+	f.calls.Wait()
 }

@@ -7,18 +7,12 @@ import (
 	"strconv"
 	"time"
 
-	"trusthmd/pkg/ingest"
 	"trusthmd/pkg/verdictstore"
 )
 
-// The closed-loop HTTP surface:
-//
-//	GET  /v1/verdicts   range-query the attached verdict store
-//	POST /v1/ingest     push telemetry events into the attached pump
-//
-// Both answer 404 when their backing piece is not attached — the
-// endpoints exist only when the daemon runs with a verdict store /
-// ingest pump.
+// The closed loop's HTTP read side: GET /v1/verdicts range-queries the
+// attached verdict store, and answers 404 when the daemon runs without
+// one.
 
 // maxVerdictQueryLimit bounds one GET /v1/verdicts response; the default
 // (no "limit" param) is deliberately smaller.
@@ -99,70 +93,4 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		recs = []verdictstore.Record{}
 	}
 	writeJSON(w, http.StatusOK, VerdictsResponse{Count: len(recs), Records: recs})
-}
-
-// IngestRequest is the JSON body of POST /v1/ingest: one event (device +
-// features, like /v1/assess) or a batch under "events".
-type IngestRequest struct {
-	Device   string         `json:"device,omitempty"`
-	Model    string         `json:"model,omitempty"`
-	Features []float64      `json:"features,omitempty"`
-	Events   []ingest.Event `json:"events,omitempty"`
-}
-
-// IngestResponse answers a successful POST /v1/ingest.
-type IngestResponse struct {
-	// Queued is how many events were accepted into the pump. Assessment
-	// is asynchronous: the verdicts land in the verdict store, not in
-	// this response.
-	Queued int `json:"queued"`
-}
-
-// handleIngest is POST /v1/ingest: enqueue telemetry into the attached
-// pump without waiting for assessment (202). A full queue sheds with 503
-// + Retry-After — the pump's backpressure reaching the HTTP edge.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	pump := s.pump.Load()
-	if pump == nil {
-		writeError(w, http.StatusNotFound, "ingest not enabled (start with -ingest-dir or attach a pump)")
-		return
-	}
-	var req IngestRequest
-	if !s.decodeJSONLimit(w, r, &req, s.fleet.cfg.MaxBodyBytes) {
-		return
-	}
-	single := len(req.Features) > 0
-	if single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, `exactly one of "features" and "events" must be set`)
-		return
-	}
-	events := req.Events
-	if single {
-		events = []ingest.Event{{Device: req.Device, Model: req.Model, Features: req.Features}}
-	}
-	for i, ev := range events {
-		if len(ev.Features) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("events[%d]: features missing or empty", i))
-			return
-		}
-	}
-	queued := 0
-	for _, ev := range events {
-		if err := pump.Push(ev); err != nil {
-			switch {
-			case errors.Is(err, ingest.ErrBusy):
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Sprintf("ingest queue full after %d of %d events", queued, len(events)))
-			case errors.Is(err, ingest.ErrStopped):
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-			default:
-				writeError(w, http.StatusInternalServerError, err.Error())
-			}
-			return
-		}
-		queued++
-	}
-	writeJSON(w, http.StatusAccepted, IngestResponse{Queued: queued})
 }

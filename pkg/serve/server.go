@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"trusthmd/pkg/detector"
-	"trusthmd/pkg/ingest"
 	"trusthmd/pkg/verdictstore"
 )
 
@@ -150,8 +149,8 @@ type Config struct {
 	// goes silent would otherwise pin a handler goroutine and its session
 	// for the daemon's lifetime. Negative disables the idle bound.
 	StreamIdleTimeout time.Duration
-	// Verdicts, when set, receives every served verdict (assess, batch,
-	// stream and ingest paths alike; cache hits included — they are served
+	// Verdicts, when set, receives every served verdict (assess, batch
+	// and stream paths alike; cache hits included — they are served
 	// verdicts) and powers GET /v1/verdicts and the drift-driven retrain
 	// loop. Nil disables persistence. The caller owns the store's
 	// lifecycle: close it after the fleet.
@@ -222,9 +221,8 @@ type Server struct {
 	// until the client hangs up.
 	draining  chan struct{}
 	drainOnce sync.Once
-	// pump / retrain are the closed-loop attachments (AttachIngest /
-	// AttachRetrain): /v1/ingest feeds the pump, /stats reports both.
-	pump    atomic.Pointer[ingest.Pump]
+	// retrain is the closed-loop attachment (AttachRetrain): /stats
+	// reports its trigger count and state.
 	retrain atomic.Pointer[RetrainController]
 	// cluster is the fleet-membership attachment (AttachCluster): non-local
 	// shards forward to their owner, POST /v1/models goes fleet-wide, and
@@ -244,14 +242,9 @@ func NewServer(f *Fleet) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/verdicts", s.handleVerdicts)
-	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/cluster", s.handleClusterStatus)
 	return s
 }
-
-// AttachIngest wires a running ingest pump into the server: POST
-// /v1/ingest enqueues into it and /stats reports its lag and counters.
-func (s *Server) AttachIngest(p *ingest.Pump) { s.pump.Store(p) }
 
 // AttachRetrain wires a retrain controller into the server so /stats
 // reports its trigger count and state.
@@ -498,7 +491,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shed_total":         shedTotal,
 		"last_swap_cause":    s.fleet.LastSwapCause(),
 		"verdicts_stored":    int64(0),
-		"ingest_lag":         0,
 		"retrains_triggered": int64(0),
 		// Cluster identity keys are likewise always present (zero-valued on
 		// a standalone daemon) and overwritten from the hook's snapshot when
@@ -513,11 +505,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := st.Stats()
 		out["verdicts_stored"] = snap.Records
 		out["verdict_store"] = snap
-	}
-	if p := s.pump.Load(); p != nil {
-		snap := p.Stats()
-		out["ingest_lag"] = snap.Lag
-		out["ingest"] = snap
 	}
 	if rc := s.retrain.Load(); rc != nil {
 		snap := rc.Stats()

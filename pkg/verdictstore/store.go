@@ -64,7 +64,8 @@ type Record struct {
 	Model   string    `json:"model"`
 	Version uint64    `json:"version"`
 	// Source names the serving path that produced the verdict: "assess",
-	// "batch", "stream" or "ingest".
+	// "batch" or "stream". Records written by daemons that still had the
+	// in-process ingest door may read "ingest".
 	Source     string  `json:"source,omitempty"`
 	Prediction int     `json:"prediction"`
 	Decision   string  `json:"decision"`
