@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check serve-stats ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check ci
 
 all: build
 
@@ -50,7 +50,7 @@ coalescer-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the seven packages that decode
+# fuzz-smoke runs every Fuzz* target of the nine packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
 # the stream-line decoder (pkg/serve), the float64↔decimal kernels under
 # it (internal/decfloat), the float and string encoders the codec and the
@@ -58,10 +58,12 @@ coalescer-stress:
 # frame encoder (pkg/verdictstore), the tree gob decoder whose output the
 # unchecked tree walks index by (FuzzTreeGobDecode) and the tree builder
 # whose gob bytes must equal its per-node-sort reference's
-# (FuzzFitMatchesReference) (internal/ml/tree), the stream-state
-# resume a cluster peer's push feeds (pkg/detector), and the drop-line
-# parser of `trusthmd push`, whose CSV drops are outside bytes
-# (cmd/trusthmd) — for FUZZTIME each.
+# (FuzzFitMatchesReference) (internal/ml/tree), the naive-Bayes and kNN
+# member gob decoders, whose models must predict without a fault on any
+# row as wide as they report (FuzzMemberGobDecode in internal/ml/bayes and
+# internal/ml/knn), the stream-state resume a cluster peer's push feeds
+# (pkg/detector), and the drop-line parser of `trusthmd push`, whose CSV
+# drops are outside bytes (cmd/trusthmd) — for FUZZTIME each.
 # Plain `go test` only replays their seed corpora; this is what lets the
 # differential oracles (encoding/json, strconv, the reference builder)
 # look at inputs nobody wrote down. `go test -fuzz` takes one target and one package per run,
@@ -69,7 +71,7 @@ coalescer-stress:
 # testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./pkg/detector ./cmd/trusthmd; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./internal/ml/bayes ./internal/ml/knn ./pkg/detector ./cmd/trusthmd; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
@@ -102,11 +104,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# serve-stats replays the serve-layer cross-request cache e2e and writes
-# the final /stats snapshot (cache hit/miss counters included) to
-# serve-cache-stats.json; CI uploads it as a build artifact.
-serve-stats:
-	TRUSTHMD_SERVE_STATS_OUT=$(CURDIR)/serve-cache-stats.json \
-		$(GO) test -run TestServeCacheHitsAreIdentical -count=1 ./pkg/serve/
-
-ci: build build-arm64 vet fmt-check test test-nosimd benchmark-test race coalescer-stress fuzz-smoke
+ci: build build-arm64 vet fmt-check test test-nosimd test-allocs benchmark-test race coalescer-stress fuzz-smoke

@@ -266,7 +266,7 @@ func assessWithRetry(ctx context.Context, fleet *serve.Fleet, spec serve.AssessS
 // runClosedLoop is the -loop load harness: a tiny detector served by a
 // verdict-tapped replica-group fleet, n windows per scenario driven
 // concurrently through the full path (routing, replica pick, coalescing,
-// cache, verdict persistence), reporting throughput, p50/p99 latency and
+// verdict persistence), reporting throughput, p50/p99 latency and
 // the spill share per scenario. It fails when any verdict is lost — the
 // store must hold exactly one record per served window.
 func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File) error {
@@ -291,11 +291,8 @@ func runClosedLoop(n int, seed int64, replicas int, pinCores bool, out *os.File)
 	defer store.Close()
 	fleet, err := serve.NewFleet(map[string]*detector.Detector{"dvfs-rf": det},
 		serve.Config{
-			Verdicts: store,
-			Replicas: replicas,
-			// The harness measures the serving path, not the memo: a warm
-			// cache would turn the loop into a hashmap benchmark.
-			CacheSize:  -1,
+			Verdicts:   store,
+			Replicas:   replicas,
 			SpillDepth: 1,
 			PinCores:   pinCores,
 		})

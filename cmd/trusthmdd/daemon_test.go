@@ -106,7 +106,6 @@ func TestDaemonLifecycle(t *testing.T) {
 	cfg := flagDefaults()
 	cfg.loadPath = gobPath
 	cfg.verdictDir = filepath.Join(dir, "verdicts")
-	cfg.serve.CacheSize = -1
 	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@
 // boot the same daemon behind httptest.
 //
 // With -replicas N each shard name is served by N independent instances
-// (own coalescer, queue and result cache over one shared model): device
-// routing keeps a home replica for cache affinity and spills overflow to
+// (own coalescer and queue over one shared model): device routing keeps a
+// home replica for session and locality affinity and spills overflow to
 // the least-loaded sibling past -spill-depth. -queue and -max-inflight
 // bound each replica — beyond them requests shed with 503 + Retry-After.
 // A coalescer never holds a request back: it batches what is queued (up
@@ -139,7 +139,7 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.serve.DefaultModel, "default", "", "shard serving requests that omit \"model\" and \"device\"")
 	fs.IntVar(&cfg.serve.MaxBatch, "max-batch", 32, "largest coalesced batch; the coalescer takes what is queued up to this many and flushes when the queue runs dry")
 	fs.IntVar(&cfg.serve.QueueSize, "queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
-	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer, queue and cache; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
+	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer and queue; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
 	fs.BoolVar(&cfg.serve.PinCores, "pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
 	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
 	fs.IntVar(&cfg.serve.SpillDepth, "spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
@@ -149,7 +149,6 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.serve.MaxStreamLineBytes, "max-stream-line", 256<<10, "largest accepted NDJSON line on /v1/assess/stream, in bytes")
 	fs.IntVar(&cfg.serve.MaxStreamWindow, "max-stream-window", 1<<16, "largest per-session window a stream header may request")
 	fs.DurationVar(&cfg.serve.StreamIdleTimeout, "stream-idle", 5*time.Minute, "cut an NDJSON stream whose client sends nothing for this long (negative disables)")
-	fs.IntVar(&cfg.serve.CacheSize, "cache-size", 0, "per-replica /v1/assess result cache entries (0 = default 4096, negative disables)")
 	fs.Float64Var(&cfg.threshold, "threshold", -1, "override the rejection threshold on every shard (<0 keeps each model's saved threshold)")
 	fs.StringVar(&cfg.serve.AdminToken, "admin-token", "", "bearer token guarding POST /v1/models and DELETE /v1/models/{name} (empty leaves them open)")
 	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")

@@ -474,8 +474,8 @@ func TestReplicaE2E(t *testing.T) {
 		want[i] = r
 	}
 
-	// The replica knobs a hot deployment would use (cache disabled so every
-	// request exercises a queue and the spill decision is load-driven).
+	// The replica knobs a hot deployment would use (every request
+	// exercises a queue, so the spill decision is load-driven).
 	const token = "replica-secret"
 	cfg := flagDefaults()
 	cfg.loadPath = path
@@ -483,7 +483,6 @@ func TestReplicaE2E(t *testing.T) {
 	cfg.serve.AdminToken = token
 	cfg.serve.Replicas = 3
 	cfg.serve.SpillDepth = 1
-	cfg.serve.CacheSize = -1
 	cfg.serve.MaxBatch = 8
 	_, ts := bootDaemon(t, cfg)
 

@@ -44,8 +44,6 @@ type AssessOutcome struct {
 	Spilled bool
 	// Result is the trusted verdict.
 	Result detector.Result
-	// Cached reports whether the cross-request result cache answered.
-	Cached bool
 }
 
 // enter admits one Assess call into f.calls unless the fleet is closed.
@@ -77,17 +75,15 @@ func (e *validationError) Unwrap() error { return e.err }
 // Assess routes one feature vector to a shard and returns its verdict —
 // the transport-independent core of POST /v1/assess. The full serving
 // path applies: resolve (model/device/default precedence), input
-// validation, the cross-request result cache, coalesced batching, and
-// the lossless retry when a hot swap closes the shard mid-request. When
-// a verdict store is attached, every outcome — cache hits included, they
-// are served verdicts — is persisted with its latency.
+// validation, coalesced batching, and the lossless retry when a hot swap
+// closes the shard mid-request. When a verdict store is attached, every
+// outcome is persisted with its latency.
 func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, error) {
 	if !f.enter() {
 		return AssessOutcome{}, &routeError{ErrClosed}
 	}
 	defer f.calls.Done()
 	start := time.Now()
-	missCounted := false
 	for attempt := 0; ; attempt++ {
 		sh, spilled, err := f.resolveReplica(spec.Model, spec.Device)
 		if err != nil {
@@ -96,32 +92,9 @@ func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, err
 		if err := validateFeatures(spec.Features, sh.det.InputDim()); err != nil {
 			return AssessOutcome{}, &validationError{err}
 		}
-		var key uint64
-		if sh.cache != nil { // disabled caches pay no hashing and keep zero counters
-			key = hashVec(spec.Features)
-			if res, ok := sh.cache.get(key, spec.Features); ok {
-				// Cross-request memo hit: same vector, same (deterministic)
-				// verdict — answered without queueing or assessing.
-				sh.stats.requests.Add(1)
-				sh.stats.cacheHits.Add(1)
-				sh.stats.observeOne(res.Decision)
-				sh.served.Add(1)
-				out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res, Cached: true}
-				f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
-				return out, nil
-			}
-			// One miss per request: a retry after losing the swap race
-			// probes the replacement's fresh cache, but it is still the
-			// same request.
-			if !missCounted {
-				sh.stats.cacheMisses.Add(1)
-				missCounted = true
-			}
-		}
 		res, err := sh.assessOne(ctx, spec.Features, spec.VoteBuf)
 		switch {
 		case err == nil:
-			sh.cache.put(key, spec.Features, res)
 			sh.served.Add(1)
 			out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res}
 			f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))

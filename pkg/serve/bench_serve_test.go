@@ -62,16 +62,13 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// benchServer builds a single-shard fleet for the loopback path: the
-// defaults (a sequential driver's lone request is flushed at once in a
-// batch of one), except the cache is disabled so every request walks the
-// full assess path instead of turning the benchmark into a hashmap lookup.
+// benchServer builds a single-shard fleet for the loopback path on the
+// defaults: a sequential driver's lone request is flushed at once in a
+// batch of one.
 func benchServer(tb testing.TB) (*Server, [][]float64) {
 	tb.Helper()
 	d, X := testDetector(tb)
-	f, err := NewFleet(map[string]*detector.Detector{"dvfs-rf": d}, Config{
-		CacheSize: -1,
-	})
+	f, err := NewFleet(map[string]*detector.Detector{"dvfs-rf": d}, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -138,9 +135,8 @@ func BenchmarkServeBatch(b *testing.B) {
 
 // BenchmarkServeBatchUnique is the batch-closed shape on the default
 // config: 64-row POST /v1/assess/batch bodies drawn from 16384 distinct
-// jittered rows, more than the default cache holds, so no row ever
-// repeats within the cache's reach and the loop measures what a batch of
-// fresh telemetry costs end to end through the handler.
+// jittered rows, so the loop measures what a batch of fresh telemetry
+// costs end to end through the handler.
 func BenchmarkServeBatchUnique(b *testing.B) {
 	d, X := testDetector(b)
 	srv := mustServer(b, map[string]*detector.Detector{"dvfs-rf": d}, Config{})
@@ -235,10 +231,10 @@ func TestAllocsServe(t *testing.T) {
 		t.Errorf("POST /v1/assess/batch allocates %.1f/op, budget 1", got)
 	}
 
-	// The same batch with a verdict store attached, on the default config
-	// (result cache on): the tap builds its records in the request scratch
-	// and the store frames them without reflection, and the batch path
-	// never copies into the cache, so the replayed rows fit the same budget.
+	// The same batch with a verdict store attached, on the default config:
+	// the tap builds its records in the request scratch and the store
+	// frames them without reflection, so the replayed rows fit the same
+	// budget.
 	store, err := verdictstore.Open(t.TempDir(), verdictstore.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,8 @@ package serve
 // VoteDist into its votes buffer, and the response bytes are assembled in
 // its out buffer. Ownership is strictly per-request — everything the
 // serving layer retains copies out of it before the handler returns it to
-// the pool: the result cache copies a /v1/assess verdict, and the verdict
-// store frames every record. The batch path's results live in the
-// scratch's assess workspace and never leave it.
+// the pool: the verdict store frames every record. The batch path's
+// results live in the scratch's assess workspace and never leave it.
 
 import (
 	"bytes"

@@ -21,21 +21,20 @@ import (
 // drive the Fleet directly.
 //
 // Each name resolves to a *replica group*: Config.Replicas independent
-// instances of the same detector, each with its own coalescer, result
-// cache and bounded queue. Requests pick a replica in two levels — the
-// consistent-hash device routing chooses a *home* replica for cache and
-// session affinity, and when the home queue is hot, power-of-two-choices
-// spills the overflow to the least-loaded sibling. Replicas share one
-// trained detector (assessment is read-only and concurrency-safe), so a
-// spilled request's verdict is element-wise identical to the home
-// replica's.
+// instances of the same detector, each with its own coalescer and bounded
+// queue. Requests pick a replica in two levels — the consistent-hash
+// device routing chooses a *home* replica for session and locality
+// affinity, and when the home queue is hot, power-of-two-choices spills
+// the overflow to the least-loaded sibling. Replicas share one trained
+// detector (assessment is read-only and concurrency-safe), so a spilled
+// request's verdict is element-wise identical to the home replica's.
 //
 // Mutations are RCU-style and group-wide: Swap installs a freshly built
-// group (new coalescers, new result caches, version+1) under the registry
-// lock and only then drains the old group's coalescers outside the lock,
-// so requests already queued complete on the detector they were accepted
-// for and requests that race the swap retry onto the replacement — no
-// in-flight work is lost. Each group carries a monotonically increasing
+// group (new coalescers, version+1) under the registry lock and only
+// then drains the old group's coalescers outside the lock, so requests
+// already queued complete on the detector they were accepted for and
+// requests that race the swap retry onto the replacement — no in-flight
+// work is lost. Each group carries a monotonically increasing
 // per-name version and the fleet an epoch that bumps on every mutation;
 // both are surfaced in /v1/models, /stats and assessment responses so
 // clients can observe exactly which model answered.
@@ -75,9 +74,9 @@ type Fleet struct {
 }
 
 // group is one named shard version fanned out over N replicas. The
-// replicas, their coalescers and their caches belong to this version (a
-// swap replaces them all — a stale cache must never serve the old model's
-// verdicts); the stats object is shared across versions of the same name
+// replicas and their coalescers belong to this version (a swap replaces
+// them all, so no queue outlives the model it was built on); the stats
+// object is shared across versions of the same name
 // so counters stay cumulative over swaps.
 type group struct {
 	name    string
@@ -98,8 +97,7 @@ type group struct {
 }
 
 // replica is one independent serving instance inside a group: its own
-// coalescer (queue + flusher) and its own result cache over the group's
-// shared detector. The name/version/det/stats fields mirror the group's so
+// coalescer (queue + flusher) over the group's shared detector. The name/version/det/stats fields mirror the group's so
 // handlers can serve from a picked replica without a back-reference.
 type replica struct {
 	name    string
@@ -107,7 +105,6 @@ type replica struct {
 	idx     int
 	det     *detector.Detector
 	co      *coalescer
-	cache   *resultCache
 	stats   *shardStats
 	// maxInflight caps this replica's total in-flight work (coalesced +
 	// client-batched samples); 0 means unbounded.
@@ -160,7 +157,7 @@ func (r *replica) admitBatch(n int) error {
 // releaseBatch retires a reservation made by admitBatch.
 func (r *replica) releaseBatch(n int) { r.batchInflight.Add(-int64(n)) }
 
-// home returns the replica a request has cache/session affinity with: the
+// home returns the replica a request has session/locality affinity with: the
 // within-group consistent-hash pick for a device key, a round-robin slot
 // for device-less requests.
 func (g *group) home(device string) *replica {
@@ -281,7 +278,6 @@ func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, st
 			idx:         i,
 			det:         det,
 			co:          newCoalescer(det, tuning, stats),
-			cache:       newResultCache(f.cfg.CacheSize),
 			stats:       stats,
 			maxInflight: f.cfg.MaxInflight,
 		}
@@ -298,7 +294,7 @@ func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
 
 // Swap atomically replaces the detector behind an existing shard name and
 // returns the new version. The replacement is a whole fresh replica group
-// (new coalescers, new empty result caches); every old replica's coalescer
+// (new coalescers); every old replica's coalescer
 // drains its queued requests on the old detector before Swap returns, so a
 // swap under load loses nothing — racing requests re-resolve onto the new
 // version. The cause ("admin", "cluster", "drift-retrain", ...) is recorded
@@ -395,8 +391,7 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 	v := f.versions[name] + 1
 	f.versions[name] = v
 	// Counters stay cumulative per name across swaps AND unload/reload
-	// cycles (like the version sequence); only the caches restart, because
-	// the caches themselves do.
+	// cycles (like the version sequence).
 	stats := f.statsByName[name]
 	if stats == nil {
 		stats = &shardStats{}
@@ -603,7 +598,7 @@ func (f *Fleet) Stats() []ShardStats {
 
 // StatsWithEpoch returns the counter snapshot together with the epoch of
 // the same consistent view — the pair /stats reports. Per-replica gauges
-// (queue depth, in-flight load, served share, cache occupancy) are read
+// (queue depth, in-flight load, served share) are read
 // under the same registry lock, so the whole snapshot describes one fleet
 // generation.
 func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
@@ -615,19 +610,14 @@ func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
 		st := g.stats.snapshot(name)
 		st.Version = g.version
 		st.Replicas = make([]ReplicaStats, len(g.replicas))
-		entries := 0
 		for i, r := range g.replicas {
-			n := r.cache.len()
-			entries += n
 			st.Replicas[i] = ReplicaStats{
-				Replica:      i,
-				QueueDepth:   r.co.queueDepth(),
-				Inflight:     r.load(),
-				Served:       r.served.Load(),
-				CacheEntries: n,
+				Replica:    i,
+				QueueDepth: r.co.queueDepth(),
+				Inflight:   r.load(),
+				Served:     r.served.Load(),
 			}
 		}
-		st.CacheEntries = entries
 		out = append(out, st)
 	}
 	return f.epoch, out

@@ -147,9 +147,11 @@ func TestFleetRetiredNameBound(t *testing.T) {
 	}
 }
 
-func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
+// TestFleetStatsSurviveSwap pins that a shard's counters are per name,
+// not per version: a swap and an unload/reload cycle both keep them.
+func TestFleetStatsSurviveSwap(t *testing.T) {
 	d, X := testDetector(t)
-	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{CacheSize: 64})
+	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
 		}
 	}
 	st := f.Stats()[0]
-	if st.Requests != 4 || st.CacheHits != 3 || st.CacheEntries != 1 {
+	if st.Requests != 4 || st.Batches != 4 {
 		t.Fatalf("pre-swap stats: %+v", st)
 	}
 
@@ -179,11 +181,7 @@ func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
 	if st.Requests != 4 {
 		t.Fatalf("request counter reset on swap: %+v", st)
 	}
-	if st.CacheEntries != 0 {
-		t.Fatalf("swap must discard the old version's cache: %+v", st)
-	}
 
-	// The first post-swap repeat recomputes (fresh cache), then hits again.
 	resp, body := postJSON(t, ts.URL+"/v1/assess", AssessRequest{Features: X[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -195,8 +193,8 @@ func TestFleetStatsSurviveSwapCacheDoesNot(t *testing.T) {
 	if got.Version != 2 {
 		t.Fatalf("post-swap response version %d, want 2", got.Version)
 	}
-	if st := f.Stats()[0]; st.CacheEntries != 1 {
-		t.Fatalf("post-swap miss should repopulate the new cache: %+v", st)
+	if st := f.Stats()[0]; st.Requests != 5 {
+		t.Fatalf("post-swap request not counted on the shard's name: %+v", st)
 	}
 
 	// Counters also survive an unload/reload cycle, like the version
@@ -231,7 +229,6 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
 		MaxBatch:  8,
 		QueueSize: 4096,
-		CacheSize: -1, // every request exercises the coalescer + swap race
 	})
 	if err != nil {
 		t.Fatal(err)

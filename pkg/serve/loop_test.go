@@ -48,8 +48,8 @@ func getJSON(t testing.TB, url string) (*http.Response, map[string]any) {
 }
 
 // TestVerdictTapMatchesResponses is the store half of the closed-loop
-// acceptance criterion at package level: every served verdict (including
-// cache hits) lands in the store, element-wise identical to the
+// acceptance criterion at package level: every served verdict (repeated
+// vectors included) lands in the store, element-wise identical to the
 // synchronous HTTP responses, and /v1/verdicts returns them filtered.
 func TestVerdictTapMatchesResponses(t *testing.T) {
 	_, ts, store := newLoopServer(t)
@@ -57,7 +57,7 @@ func TestVerdictTapMatchesResponses(t *testing.T) {
 
 	var want []AssessResponse
 	for i := 0; i < 30; i++ {
-		x := xs[i%10] // repeats force cache hits; hits must still be stored
+		x := xs[i%10] // repeated vectors are served verdicts too, each stored
 		dev := fmt.Sprintf("dev-%d", i%2)
 		resp, body := postJSON(t, ts.URL+"/v1/assess", AssessRequest{Device: dev, Features: x})
 		if resp.StatusCode != http.StatusOK {
@@ -163,10 +163,6 @@ func TestBatchVerdictTapMatchesResponses(t *testing.T) {
 		wantX = append(wantX, batch...)
 		groups = append(groups, len(batch))
 	}
-	if st := s.Fleet().Stats()[0]; st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
-		t.Fatalf("the batch path touched the result cache: %+v", st)
-	}
-
 	check := func(store *verdictstore.Store) {
 		t.Helper()
 		recs, err := store.Query(verdictstore.Filter{})

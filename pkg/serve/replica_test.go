@@ -34,14 +34,11 @@ func TestReplicaGroupShape(t *testing.T) {
 		t.Fatalf("group has %d replicas, want 3", len(g.replicas))
 	}
 	for i, r := range g.replicas {
-		if r.idx != i || r.name != "m" || r.version != 1 || r.co == nil || r.cache == nil {
+		if r.idx != i || r.name != "m" || r.version != 1 || r.co == nil {
 			t.Fatalf("replica %d malformed: %+v", i, r)
 		}
 		if g.replicas[i].co == g.replicas[(i+1)%3].co {
 			t.Fatal("replicas share a coalescer")
-		}
-		if g.replicas[i].cache == g.replicas[(i+1)%3].cache {
-			t.Fatal("replicas share a result cache")
 		}
 	}
 
@@ -91,10 +88,8 @@ func TestReplicaSpillUnderLoad(t *testing.T) {
 	d, X := gatedDetector(t)
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
 		Replicas: 3,
-		// Spill as soon as the home replica has anything in flight, and
-		// disable the result cache so every request exercises the queue.
+		// Spill as soon as the home replica has anything in flight.
 		SpillDepth: 1,
-		CacheSize:  -1,
 		MaxBatch:   8,
 	})
 	if err != nil {
@@ -189,7 +184,6 @@ func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
 	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
 		Replicas:   3,
 		SpillDepth: 1,
-		CacheSize:  -1,
 		MaxBatch:   8,
 	})
 	if err != nil {
@@ -267,7 +261,7 @@ func TestReplicaGroupSwapUnderLoadLossless(t *testing.T) {
 // /v1/assess with 503 + Retry-After (satellite: both assessment endpoints
 // shed the same way).
 func TestAssessShedsWithRetryAfter(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInflight: 1, CacheSize: -1})
+	srv, ts := newTestServer(t, Config{MaxInflight: 1})
 	// Saturate the only replica's admission gauge from the inside — the
 	// deterministic way to make "overloaded" hold for exactly one request.
 	g, err := srv.fleet.resolve("dvfs-rf", "")
@@ -300,7 +294,7 @@ func TestAssessShedsWithRetryAfter(t *testing.T) {
 // 503 + Retry-After exactly like /v1/assess (satellite: today's divergence
 // — batch never shed — is gone).
 func TestBatchShedsWithRetryAfter(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInflight: 1, CacheSize: -1})
+	srv, ts := newTestServer(t, Config{MaxInflight: 1})
 	g, err := srv.fleet.resolve("dvfs-rf", "")
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 // ring.Ring (Fleet.ring), so a given device always lands on the same shard
 // while the fleet membership is stable, and loading or unloading a shard
 // only remaps the ~1/n of devices nearest to it on the ring — the rest
-// keep their shard (and therefore their warm result-cache entries).
+// keep their shard.
 //
 // Within a replica group the same ring shape maps a device key onto a
 // *home* replica (group.ring), so a device keeps hitting the same
-// coalescer and result cache while the group size is stable. The ring
+// coalescer while the group size is stable. The ring
 // members are the replica indices themselves — affinity depends only on
 // the group size, so a hot swap (same size, fresh replicas) preserves
 // every device's home slot.

@@ -81,8 +81,8 @@ func TestRingSpreadsDevices(t *testing.T) {
 }
 
 // TestRingMinimalRemapping: when a shard is unloaded only its devices
-// remap — everyone else keeps their shard (and therefore their warm
-// caches) — and reloading it hands exactly those devices back.
+// remap — everyone else keeps their shard — and reloading it hands
+// exactly those devices back.
 func TestRingMinimalRemapping(t *testing.T) {
 	f := routedFleet(t, "a", "b", "c", "d")
 	const n = 4000
@@ -118,9 +118,8 @@ func TestRingMinimalRemapping(t *testing.T) {
 
 // TestReplicaRingMinimalRemap is minimal remapping one level down, as a
 // sweep over group sizes: growing a replica group from n to n+1 must send
-// devices ONLY to the new replica (survivors keep their home slot and
-// their warm caches), and shrinking back must remap only the removed
-// replica's devices.
+// devices ONLY to the new replica (survivors keep their home slot), and
+// shrinking back must remap only the removed replica's devices.
 func TestReplicaRingMinimalRemap(t *testing.T) {
 	const devices = 2000
 	for n := 2; n <= 8; n++ {

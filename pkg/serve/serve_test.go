@@ -130,16 +130,18 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 // through coalesced AssessBatch calls. The load is built the way
 // production builds it: the flusher is busy (held at the gate inside its
 // first flush) while the rest arrive, so they are queued when it comes
-// back.
+// back. The last n-distinct requests repeat earlier vectors bit for bit:
+// a repeat is queued and assessed like any other request, and answers the
+// same bits as its first occurrence.
 func TestAssessCoalescedMatchesSequential(t *testing.T) {
-	const maxBatch, n = 16, 96
+	const maxBatch, n, distinct = 16, 96, 80
 	d, X := gatedDetector(t)
 	s, ts := newTestServerOver(t, d, Config{MaxBatch: maxBatch})
 
 	want := make([]detector.Result, n)
 	for i := 0; i < n; i++ {
 		var err error
-		if want[i], err = d.Assess(X[i%len(X)]); err != nil {
+		if want[i], err = d.Assess(X[i%distinct]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +154,7 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			raw, err := json.Marshal(AssessRequest{Features: X[i%len(X)]})
+			raw, err := json.Marshal(AssessRequest{Features: X[i%distinct]})
 			if err != nil {
 				errs[i] = err
 				return

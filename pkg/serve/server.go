@@ -1,8 +1,8 @@
 // Package serve is the HTTP serving layer of the trusted HMD: a mutable,
 // versioned fleet of named detector shards (Fleet) exposed through a thin
-// HTTP transport (Server) with per-shard request coalescing, cross-request
-// result caching, consistent-hash device routing, NDJSON streaming and a
-// hot model-lifecycle admin surface.
+// HTTP transport (Server) with per-shard request coalescing,
+// consistent-hash device routing, NDJSON streaming and a hot
+// model-lifecycle admin surface.
 //
 // Endpoints:
 //
@@ -23,9 +23,9 @@
 // otherwise the default model serves.
 //
 // Each shard name resolves to a replica group of Config.Replicas
-// independent instances (own coalescer, own queue, own result cache) over
-// one shared detector. Within the group a second consistent-hash level
-// picks a *home* replica per device — cache and session affinity — and
+// independent instances (own coalescer, own queue) over one shared
+// detector. Within the group a second consistent-hash level picks a
+// *home* replica per device — session and locality affinity — and
 // when the home replica's load crosses Config.SpillDepth, power-of-two-
 // choices spills the request to the least-loaded sibling. Admission
 // control bounds each replica: Config.MaxInflight caps concurrent work
@@ -42,16 +42,11 @@
 // direct Assess — batching changes latency and throughput, never
 // decisions.
 //
-// Each replica additionally owns a bounded cross-request result cache
-// (LRU keyed on the feature-vector hash, Config.CacheSize) in front of
-// /v1/assess: a repeated vector is answered from the cache without
-// queueing or assessing at all. /v1/assess/batch does not consult it —
-// batch rows are continuous readings that rarely repeat bit for bit, and
-// a per-row probe costs more than the rare hit saves. Detectors are
-// deterministic, so cached verdicts are bit-identical to recomputed ones;
-// /stats exposes hit, miss and occupancy counters per shard. A hot swap
-// replaces the caches along with the detector — a stale cache must never
-// answer for a retired model version.
+// There is no cross-request result cache: the detector reads continuous
+// HPC/DVFS counter windows, which rarely repeat bit for bit, and on the
+// one benchmark workload with built-in repeats a cache neither lowered
+// latency beyond run-to-run noise nor saved CPU per verdict. Every
+// /v1/assess request is validated, coalesced, assessed and recorded.
 package serve
 
 import (
@@ -81,10 +76,9 @@ type Config struct {
 	// 1024); requests beyond it are shed with 503.
 	QueueSize int
 	// Replicas is the number of independent shard instances per name
-	// (default 1; clamped to 64). Each replica owns its coalescer, queue
-	// and result cache over the group's shared detector; devices keep a
-	// consistent-hash home replica and overflow spills to the least-loaded
-	// sibling.
+	// (default 1; clamped to 64). Each replica owns its coalescer and queue
+	// over the group's shared detector; devices keep a consistent-hash home
+	// replica and overflow spills to the least-loaded sibling.
 	Replicas int
 	// PinCores pins each replica's flusher thread to its own CPU core,
 	// assigned round-robin across the fleet (sched_setaffinity on Linux,
@@ -118,14 +112,6 @@ type Config struct {
 	// DefaultModel names the shard serving requests that carry neither
 	// "model" nor "device"; when unset, the only loaded shard serves them.
 	DefaultModel string
-	// CacheSize bounds each replica's cross-request result cache (an LRU
-	// keyed on the feature-vector hash; see /stats cache_hits and
-	// cache_misses), so a shard with Replicas r holds up to r x CacheSize
-	// entries. 0 means the default of 4096 entries; negative disables
-	// caching. Only /v1/assess consults it: a hit skips coalescing and
-	// assessment entirely, and answers are bit-identical either way because
-	// a trained detector is deterministic.
-	CacheSize int
 	// AdminToken guards the mutating admin endpoints (POST /v1/models,
 	// DELETE /v1/models/{name}): when set, they require
 	// "Authorization: Bearer <token>". Empty leaves them open — acceptable
@@ -150,10 +136,9 @@ type Config struct {
 	// for the daemon's lifetime. Negative disables the idle bound.
 	StreamIdleTimeout time.Duration
 	// Verdicts, when set, receives every served verdict (assess, batch
-	// and stream paths alike; cache hits included — they are served
-	// verdicts) and powers GET /v1/verdicts and the drift-driven retrain
-	// loop. Nil disables persistence. The caller owns the store's
-	// lifecycle: close it after the fleet.
+	// and stream paths alike) and powers GET /v1/verdicts and the
+	// drift-driven retrain loop. Nil disables persistence. The caller owns
+	// the store's lifecycle: close it after the fleet.
 	Verdicts *verdictstore.Store
 }
 
@@ -188,9 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAdminBodyBytes <= 0 {
 		c.MaxAdminBodyBytes = 64 << 20
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
 	}
 	if c.MaxStreamLineBytes <= 0 {
 		c.MaxStreamLineBytes = 256 << 10
@@ -376,10 +358,9 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sh.releaseBatch(n)
 	// The client already aggregated, so the rows go straight to one batched
-	// assessment, without the result cache (see the package comment). The
-	// results are scratch-owned, which is safe because the verdict records
-	// are framed and the response is encoded before the scratch is pooled
-	// again.
+	// assessment. The results are scratch-owned, which is safe because the
+	// verdict records are framed and the response is encoded before the
+	// scratch is pooled again.
 	results, err := sh.det.AssessBatchInto(&sc.assess, req.Batch)
 	if err != nil {
 		sh.stats.errors.Add(int64(n))

@@ -10,8 +10,7 @@ import (
 // ShardStats is the serving snapshot of one model shard, exposed by
 // GET /stats. Counters cover the coalesced single-assess path, the
 // client-batched path and the NDJSON streaming path; they are cumulative
-// across hot swaps of the shard (Version tells versions apart, the cache
-// occupancy restarts per version because the cache itself does).
+// across hot swaps of the shard (Version tells versions apart).
 type ShardStats struct {
 	Model string `json:"model"`
 	// Version is the shard version currently serving this name.
@@ -24,10 +23,8 @@ type ShardStats struct {
 	BatchRequests int64 `json:"batch_requests"`
 	BatchSamples  int64 `json:"batch_samples"`
 	// Batches is the number of coalesced AssessBatch flushes. MeanBatchSize
-	// is the mean over requests that actually queued: Requests minus
-	// CacheHits (hits were answered without queueing), divided by Batches.
-	// Load sets it: 1 on an idle replica, above 1 once requests arrive
-	// while a flush is running.
+	// is Requests divided by Batches. Load sets it: 1 on an idle replica,
+	// above 1 once requests arrive while a flush is running.
 	Batches       int64   `json:"batches"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Shed counts requests rejected by admission control — the replica's
@@ -42,14 +39,12 @@ type ShardStats struct {
 	Spills       int64 `json:"spills"`
 	EarlyFlushes int64 `json:"early_flushes"`
 
-	// CacheHits / CacheMisses count cross-request result-cache lookups on
-	// /v1/assess (the batch endpoint does not consult the cache): a hit is
-	// served straight from the replica's LRU (no coalescing, no detector
-	// work) with a bit-identical verdict. CacheEntries is the current
-	// number of cached vectors.
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	CacheEntries int   `json:"cache_entries"`
+	// CacheHits / CacheMisses always read 0: /v1/assess has no result
+	// cache. They are kept only because the benchmark module reads them;
+	// the next change to the benchmark removes them together with its
+	// serve.cache_hit_ratio and serve.cache_repeat_capture metrics.
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
 
 	// StreamSessions counts /v1/assess/stream connections accepted;
 	// StreamSamples / StreamDecisions the raw states pushed and window
@@ -89,11 +84,9 @@ type ReplicaStats struct {
 	// Inflight is the replica's admission gauge: coalesced requests
 	// accepted and not yet settled plus client-batch samples assessing.
 	Inflight int64 `json:"inflight"`
-	// Served counts requests this replica answered (cache hits included) —
-	// compare across slots to read the spillover share.
+	// Served counts requests this replica answered — compare across slots
+	// to read the spillover share.
 	Served int64 `json:"served"`
-	// CacheEntries is this replica's result-cache occupancy.
-	CacheEntries int `json:"cache_entries"`
 }
 
 // shardStats is the live counter set behind a ShardStats snapshot. The
@@ -109,8 +102,6 @@ type shardStats struct {
 	spills          atomic.Int64
 	earlyFlushes    atomic.Int64
 	errors          atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
 	streamSessions  atomic.Int64
 	streamSamples   atomic.Int64
 	streamDecisions atomic.Int64
@@ -129,7 +120,7 @@ func (s *shardStats) observe(rs []detector.Result) {
 	s.mu.Unlock()
 }
 
-// observeOne folds a single cache-served decision into the tally.
+// observeOne folds a single stream decision into the tally.
 func (s *shardStats) observeOne(d detector.Decision) {
 	s.mu.Lock()
 	s.decisions.Observe(d)
@@ -151,8 +142,6 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		Spills:          s.spills.Load(),
 		EarlyFlushes:    s.earlyFlushes.Load(),
 		Errors:          s.errors.Load(),
-		CacheHits:       s.cacheHits.Load(),
-		CacheMisses:     s.cacheMisses.Load(),
 		StreamSessions:  s.streamSessions.Load(),
 		StreamSamples:   s.streamSamples.Load(),
 		StreamDecisions: s.streamDecisions.Load(),
@@ -162,9 +151,7 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		Rejected:        dec.Rejected,
 	}
 	if out.Batches > 0 {
-		if queued := out.Requests - out.CacheHits; queued > 0 {
-			out.MeanBatchSize = float64(queued) / float64(out.Batches)
-		}
+		out.MeanBatchSize = float64(out.Requests) / float64(out.Batches)
 	}
 	out.RejectionRate = dec.RejectedFraction()
 	return out

@@ -74,7 +74,7 @@ type ModelInfo struct {
 	// Version counts hot swaps of this name: 1 on first load, +1 per Swap.
 	Version uint64 `json:"version"`
 	// Replicas is the group size serving this name: how many independent
-	// instances (own coalescer, queue and cache) fan out the same detector.
+	// instances (own coalescer and queue) fan out the same detector.
 	Replicas int `json:"replicas"`
 	// Default marks the shard used when requests carry neither "model"
 	// nor "device".
