@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test coalescer-stress fuzz-smoke race vet fmt-check ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test serve-stress fuzz-smoke race vet fmt-check ci
 
 all: build
 
@@ -42,13 +42,15 @@ test-allocs:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# coalescer-stress repeats the coalescer's load tests twenty times under
-# the race detector. They build their backlog with a held flusher
-# (internal/testgate), not with the clock, so batch and spill counts are
-# exact; a single flaky pass here means a timing assumption crept back in.
-coalescer-stress:
+# serve-stress repeats the serving layer's load tests twenty times under
+# the race detector: concurrent bit-identity, swap under load, shedding at
+# the in-flight cap and Close waiting out calls in flight. The ones that
+# need requests in flight hold them inside the assessment
+# (internal/testgate), not with the clock, so their counts are exact; a
+# single flaky pass here means a timing assumption crept back in.
+serve-stress:
 	$(GO) test -race -count=20 \
-		-run 'TestCoalescer|TestAssessCoalescedMatchesSequential|TestReplicaSpillUnderLoad' ./pkg/serve/
+		-run 'TestAssessCoalescedMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments' ./pkg/serve/
 
 # fuzz-smoke runs every Fuzz* target of the nine packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
@@ -80,7 +82,7 @@ fuzz-smoke:
 
 # race runs every package with goroutines of its own under the race
 # detector, whole packages, nothing selected by name: batched assessment,
-# request coalescing, streams against hot swaps, the replica groups and the
+# concurrent inline assessment, streams against hot swaps and the
 # closed retrain loop (pkg/serve and cmd/trusthmdd, the daemon's e2e tests
 # included), the three-node cluster e2e with its node kills
 # (pkg/cluster/...), hmdbench's HTTP loop, the verdict store's appends
@@ -104,4 +106,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build build-arm64 vet fmt-check test test-nosimd test-allocs benchmark-test race coalescer-stress fuzz-smoke
+ci: build build-arm64 vet fmt-check test test-nosimd test-allocs benchmark-test race serve-stress fuzz-smoke

@@ -302,9 +302,9 @@ func BenchmarkAssessSequential(b *testing.B) {
 // per batch into scratch matrices, member-major flattened-tree inference,
 // and results written into a reused workspace — the zero-allocation
 // steady state a long-lived server runs in (TestAllocsAssessBatchInto
-// pins allocs/op at 0). The row counts are the shapes serving and offline
-// scoring send it: coalesced flushes (2, 8, 32), a 64-row batch body and a
-// 1000-row offline chunk. Compare against BenchmarkAssessSequential;
+// pins allocs/op at 0). The row counts are small client batches (2, 8,
+// 32), the 64-row batch body `trusthmd push` sends and a 1000-row offline
+// chunk. Compare against BenchmarkAssessSequential;
 // results are element-wise identical to per-sample Assess (see
 // detector.TestEntryPointsMatchReference).
 func BenchmarkAssessBatch(b *testing.B) {

@@ -7,8 +7,7 @@
 // a previously saved detector serves immediately without retraining — the
 // train-once-serve-many workflow of a production deployment. A -save
 // snapshot is also the handoff to the serving daemon: `trusthmdd -load
-// detector.gob` (cmd/trusthmdd) serves the same detector over HTTP with
-// request coalescing.
+// detector.gob` (cmd/trusthmdd) serves the same detector over HTTP.
 //
 // `trusthmd push` is the daemon's telemetry client: one pass over a
 // directory of CSV drops (device,f0,f1,... per line), posting every new

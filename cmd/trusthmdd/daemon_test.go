@@ -88,11 +88,11 @@ func sameDefault(f *flag.Flag, cell string) bool {
 }
 
 // TestDaemonLifecycle pins close's order from the outside. Eight
-// Fleet.Assess calls are queued behind a held flusher on a test-gated
-// shard before close runs, so every one of them is assessed while close
-// is already running: they only succeed if the fleet drains its queue
-// before it reports closed, and their verdicts only reach the disk if the
-// store is still open while the fleet drains. After close returns, fleet
+// Fleet.Assess calls are held inside their assessments on a test-gated
+// shard before close runs, so every one of them finishes while close is
+// already running: they only succeed if the fleet waits them out before
+// it reports closed, and their verdicts only reach the disk if the store
+// is still open while the fleet waits. After close returns, fleet
 // and store are closed, and closing again changes nothing.
 func TestDaemonLifecycle(t *testing.T) {
 	dir := t.TempDir()
@@ -123,19 +123,17 @@ func TestDaemonLifecycle(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitUntil(t, "every call to queue behind the held flusher", func() bool {
+	waitUntil(t, "every call to be held in flight", func() bool {
 		var inflight int64
 		for _, st := range d.fleet.Stats() {
-			for _, r := range st.Replicas {
-				inflight += r.Inflight
-			}
+			inflight += st.Inflight
 		}
 		return inflight == calls
 	})
 	closed := make(chan error, 1)
 	go func() { closed <- d.close() }()
 	// A probe naming no shard answers at once, whether or not the fleet is
-	// closed, so it can watch for close without joining the queue.
+	// closed, so it can watch for close without being held at the gate.
 	waitUntil(t, "close to reach the fleet", func() bool {
 		_, err := d.fleet.Assess(context.Background(), serve.AssessSpec{Model: "no-such-shard", Features: splits.Test.At(0).Features})
 		return errors.Is(err, serve.ErrClosed)
@@ -146,7 +144,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	for i := 0; i < calls; i++ {
 		if err := <-errs; err != nil {
-			t.Fatalf("a call queued before close lost its verdict: %v", err)
+			t.Fatalf("a call in flight before close lost its verdict: %v", err)
 		}
 	}
 
@@ -166,7 +164,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	defer reopened.Close()
 	if got := reopened.Stats().Records; got != calls {
-		t.Fatalf("store holds %d verdicts, want the %d the fleet drained: the store closed before the fleet did", got, calls)
+		t.Fatalf("store holds %d verdicts, want the %d the fleet waited out: the store closed before the fleet did", got, calls)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command trusthmdd is the trusted-HMD serving daemon: it loads one or
 // more gob-saved detectors (train them with `trusthmd -save` or the
 // pkg/detector Save API) into a hot-swappable serve.Fleet and serves
-// assessment traffic over HTTP — coalesced single-sample requests, client
-// batches, and NDJSON streams of raw DVFS states — while shards can be
+// assessment traffic over HTTP — single-sample requests, client batches,
+// and NDJSON streams of raw DVFS states — while shards can be
 // loaded, replaced and unloaded without restarting.
 //
 // Endpoints: POST /v1/assess, POST /v1/assess/batch, POST /v1/assess/stream,
@@ -24,13 +24,10 @@
 // run only adds the listener and signal handling; the end-to-end tests
 // boot the same daemon behind httptest.
 //
-// With -replicas N each shard name is served by N independent instances
-// (own coalescer and queue over one shared model): device routing keeps a
-// home replica for session and locality affinity and spills overflow to
-// the least-loaded sibling past -spill-depth. -queue and -max-inflight
-// bound each replica — beyond them requests shed with 503 + Retry-After.
-// A coalescer never holds a request back: it batches what is queued (up
-// to -max-batch) and flushes when the queue runs dry.
+// Every request is assessed on the goroutine that serves its connection,
+// against the one shared model of its shard. -max-inflight bounds each
+// shard's concurrent work — beyond it requests shed with 503 +
+// Retry-After.
 //
 // With -admin-token set, POST /v1/models and DELETE /v1/models/{name}
 // hot-manage the fleet (the token guards them; without the flag they are
@@ -137,12 +134,7 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.loadPath, "load", "", "serve a single saved detector under the name \"default\"")
 	fs.Var(&cfg.models, "model", "name=path of a saved detector shard (repeatable)")
 	fs.StringVar(&cfg.serve.DefaultModel, "default", "", "shard serving requests that omit \"model\" and \"device\"")
-	fs.IntVar(&cfg.serve.MaxBatch, "max-batch", 32, "largest coalesced batch; the coalescer takes what is queued up to this many and flushes when the queue runs dry")
-	fs.IntVar(&cfg.serve.QueueSize, "queue", 1024, "per-replica pending-request buffer; beyond it requests are shed with 503")
-	fs.IntVar(&cfg.serve.Replicas, "replicas", 1, "independent instances per shard name (own coalescer and queue; device routing keeps a home replica, overflow spills to the least-loaded sibling)")
-	fs.BoolVar(&cfg.serve.PinCores, "pin-cores", false, "pin each replica's flusher thread to its own CPU core, round-robin across the fleet (Linux sched_setaffinity; no-op elsewhere)")
-	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 0, "per-replica cap on concurrent work; beyond it requests are shed with 503 + Retry-After (0 = unbounded)")
-	fs.IntVar(&cfg.serve.SpillDepth, "spill-depth", 0, "home-replica load at which device traffic spills to a sibling (0 = max-batch, negative disables)")
+	fs.IntVar(&cfg.serve.MaxInflight, "max-inflight", 1024, "per-shard cap on concurrent work (assessments running plus batch samples); beyond it requests are shed with 503 + Retry-After (negative = unbounded)")
 	fs.Int64Var(&cfg.serve.MaxBodyBytes, "max-body", 8<<20, "request body size cap in bytes (JSON assessment endpoints)")
 	fs.Int64Var(&cfg.serve.MaxAdminBodyBytes, "max-admin-body", 64<<20, "POST /v1/models body cap in bytes (inline model uploads)")
 	fs.IntVar(&cfg.serve.MaxBatchSamples, "max-batch-samples", 4096, "largest accepted client-side batch")
@@ -372,7 +364,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 
 	// The verdict store outlives the fleet (the fleet taps verdicts into
-	// it until its last coalescer drains), so it opens first, closes last.
+	// it until its last assessment returns), so it opens first, closes last.
 	if cfg.verdictDir != "" {
 		if d.store, err = verdictstore.Open(cfg.verdictDir, cfg.verdicts); err != nil {
 			return nil, err
@@ -465,8 +457,9 @@ func (d *daemon) start(ctx context.Context) error {
 // cluster agent first (heartbeats stop; peers will declare this node dead
 // and rebalance), then the retrain controller (which waits out an
 // in-flight round, possibly swapping the fleet, so it needs the fleet
-// alive), then the fleet's coalescer queues, and the verdict store last,
-// since the draining fleet still taps verdicts into it. The HTTP listener
+// alive), then the fleet, which waits out its assessments in flight, and
+// the verdict store last, since those assessments still tap verdicts into
+// it. The HTTP listener
 // should be shut down first so no new requests arrive. Safe on a
 // half-built daemon and idempotent; every call returns the store's close
 // error.
@@ -504,8 +497,8 @@ func run(cfg daemonConfig) error {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("trusthmdd listening on %s (%d shard(s) x %d replica(s), max-batch %d, queue %d)\n",
-		cfg.addr, d.fleet.Len(), cfg.serve.Replicas, cfg.serve.MaxBatch, cfg.serve.QueueSize)
+	fmt.Printf("trusthmdd listening on %s (%d shard(s), max-inflight %d)\n",
+		cfg.addr, d.fleet.Len(), cfg.serve.MaxInflight)
 	if err := d.start(ctx); err != nil {
 		httpSrv.Close()
 		return err
@@ -531,8 +524,8 @@ func run(cfg daemonConfig) error {
 		return shutdownErr
 	}
 	for _, st := range d.fleet.Stats() {
-		fmt.Printf("shard %-12s v%d: %d requests in %d batches (mean %.1f), %d batch requests, %d stream sessions, %d shed, rejection rate %.1f%%\n",
-			st.Model, st.Version, st.Requests, st.Batches, st.MeanBatchSize, st.BatchRequests, st.StreamSessions, st.Shed, 100*st.RejectionRate)
+		fmt.Printf("shard %-12s v%d: %d requests, %d batch requests, %d stream sessions, %d shed, rejection rate %.1f%%\n",
+			st.Model, st.Version, st.Requests, st.BatchRequests, st.StreamSessions, st.Shed, 100*st.RejectionRate)
 	}
 	if d.store != nil {
 		st := d.store.Stats()

@@ -1,12 +1,13 @@
 // Package testgate registers a test-only classifier family whose members
 // wait at a process-wide gate inside Predict. Holding the gate keeps every
-// coalescer flusher that is assessing a "test-gated" detector busy for as
-// long as a test needs, which is how production builds a backlog — requests
-// queue while the flusher is occupied — without any timing assumption.
+// caller that is assessing a "test-gated" detector inside its assessment
+// for as long as a test needs, which is how a test puts an exact number of
+// requests in flight at once — or holds them across a hot swap or a
+// shutdown — without any timing assumption.
 //
 // Tests import it for the registration side effect, train (or gob-load) a
 // detector with detector.WithModel(testgate.Model), and bracket the phase
-// that needs busy flushers with Hold / release.
+// that needs held callers with Hold / release.
 package testgate
 
 import (
@@ -48,7 +49,7 @@ func init() {
 
 // Hold closes the gate: every Predict of a gated member blocks until the
 // returned release runs. release is idempotent and also runs at test
-// cleanup, so a failing test cannot leave flushers stuck.
+// cleanup, so a failing test cannot leave callers stuck.
 func Hold(t testing.TB) (release func()) {
 	gate.Lock()
 	var once sync.Once

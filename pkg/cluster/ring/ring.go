@@ -1,9 +1,9 @@
 // Package ring is the repository's one consistent-hash ring: FNV-1a
 // hashing with a murmur fmix64 avalanche finisher over a sorted set of
-// virtual nodes. It backs every routing level of the system — device →
-// shard and device → replica inside one daemon (pkg/serve), and shard →
-// node across a cluster (pkg/cluster) — so all three inherit the same
-// tested minimal-remap and spread properties.
+// virtual nodes. It backs both routing levels of the system — device →
+// shard inside one daemon (pkg/serve), and shard → node across a cluster
+// (pkg/cluster) — so both inherit the same tested minimal-remap and
+// spread properties.
 //
 // A Ring is immutable: membership changes rebuild it (construction is
 // cheap — sort of members×vnodes points) and lookups on the snapshot are

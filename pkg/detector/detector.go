@@ -21,7 +21,7 @@
 // # One inference path
 //
 // All of those entry points — and Online.Push, and the serving layer's
-// coalesced flushes and batch requests — are wrappers a few lines long
+// single and batch requests — are wrappers a few lines long
 // over one function, (*Detector).assess in assess.go, the only code that
 // turns raw rows into Results:
 //

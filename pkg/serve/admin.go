@@ -17,9 +17,9 @@ import (
 //	POST   /v1/models          {"name":..., "data":...}  load or swap from an inline base64 gob body
 //	DELETE /v1/models/{name}                             unload
 //
-// Both mutate the fleet while traffic flows: a swap drains in-flight
-// coalesced batches on the old detector and routes everything after it to
-// the new version (see Fleet.Swap). When Config.AdminToken is set, both
+// Both mutate the fleet while traffic flows: a swap lets assessments in
+// flight finish on the old detector and routes everything after it to the
+// new version (see Fleet.Swap). When Config.AdminToken is set, both
 // require "Authorization: Bearer <token>".
 
 // LoadModelRequest is the JSON body of POST /v1/models. Exactly one of
@@ -39,10 +39,8 @@ type LoadModelResponse struct {
 	Name string `json:"name"`
 	// Version is the shard's new version; Replaced reports whether an
 	// earlier version was hot-swapped out (false: the name is new).
-	Version  uint64 `json:"version"`
-	Replaced bool   `json:"replaced"`
-	// Replicas is the group size the new version was fanned out to.
-	Replicas int           `json:"replicas"`
+	Version  uint64        `json:"version"`
+	Replaced bool          `json:"replaced"`
 	Info     detector.Info `json:"info"`
 }
 
@@ -109,7 +107,7 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("model %s: %v", req.Name, err))
 		return
 	}
-	g, replaced, err := s.fleet.install(req.Name, det, installUpsert, "admin")
+	sh, replaced, err := s.fleet.install(req.Name, det, installUpsert, "admin")
 	if err != nil {
 		// For an upsert the only non-shutdown failures are caller errors
 		// (bad name, a detector the prepare hook refuses), not missing
@@ -123,10 +121,9 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, LoadModelResponse{
 		Name:     req.Name,
-		Version:  g.version,
+		Version:  sh.version,
 		Replaced: replaced,
-		Replicas: s.fleet.cfg.Replicas,
-		Info:     g.det.Info(),
+		Info:     sh.det.Info(),
 	})
 }
 

@@ -25,10 +25,9 @@ type AssessSpec struct {
 	// daemon's in-process ingest door was removed may also read "ingest".
 	Source string
 	// VoteBuf, when non-nil, is a caller-owned buffer the verdict's vote
-	// distribution is built in (grown as needed) instead of a fresh
+	// distribution is copied into (grown as needed) instead of a fresh
 	// allocation. On success the returned Result owns the possibly-regrown
-	// buffer; on error the buffer must be considered lost — the coalescer
-	// may still be writing into it (see coalescer.submitVotes).
+	// buffer; on error the buffer is untouched and stays the caller's.
 	VoteBuf []float64
 }
 
@@ -37,11 +36,6 @@ type AssessOutcome struct {
 	// Model / Version identify the shard version that answered.
 	Model   string
 	Version uint64
-	// Replica is the slot index of the replica that answered; Spilled
-	// reports whether load-aware routing sent the request away from its
-	// home replica.
-	Replica int
-	Spilled bool
 	// Result is the trusted verdict.
 	Result detector.Result
 }
@@ -75,39 +69,32 @@ func (e *validationError) Unwrap() error { return e.err }
 // Assess routes one feature vector to a shard and returns its verdict —
 // the transport-independent core of POST /v1/assess. The full serving
 // path applies: resolve (model/device/default precedence), input
-// validation, coalesced batching, and the lossless retry when a hot swap
-// closes the shard mid-request. When a verdict store is attached, every
-// outcome is persisted with its latency.
+// validation, admission against the shard's in-flight cap, and the
+// assessment itself, run on the caller's goroutine. A hot swap racing the
+// call cannot fail it: the call finishes on the version it resolved. When
+// a verdict store is attached, every outcome is persisted with its
+// latency. The assessment takes microseconds and is not interruptible, so
+// ctx is not consulted; it is part of the signature for transports that
+// carry one.
 func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, error) {
 	if !f.enter() {
 		return AssessOutcome{}, &routeError{ErrClosed}
 	}
 	defer f.calls.Done()
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		sh, spilled, err := f.resolveReplica(spec.Model, spec.Device)
-		if err != nil {
-			return AssessOutcome{}, &routeError{err}
-		}
-		if err := validateFeatures(spec.Features, sh.det.InputDim()); err != nil {
-			return AssessOutcome{}, &validationError{err}
-		}
-		res, err := sh.assessOne(ctx, spec.Features, spec.VoteBuf)
-		switch {
-		case err == nil:
-			sh.served.Add(1)
-			out := AssessOutcome{Model: sh.name, Version: sh.version, Replica: sh.idx, Spilled: spilled, Result: res}
-			f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
-			return out, nil
-		case errors.Is(err, ErrClosed) && attempt < maxSwapRetries:
-			// The shard was hot-swapped between resolve and submit; its
-			// replacement is already serving. Re-resolve instead of failing
-			// the request — this is what makes a Swap lossless under load.
-			continue
-		default:
-			return AssessOutcome{}, err
-		}
+	sh, err := f.resolve(spec.Model, spec.Device)
+	if err != nil {
+		return AssessOutcome{}, &routeError{err}
 	}
+	if err := validateFeatures(spec.Features, sh.det.InputDim()); err != nil {
+		return AssessOutcome{}, &validationError{err}
+	}
+	res, err := sh.assessOne(spec.Features, spec.VoteBuf)
+	if err != nil {
+		return AssessOutcome{}, err
+	}
+	f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
+	return AssessOutcome{Model: sh.name, Version: sh.version, Result: res}, nil
 }
 
 // recordVerdict persists one served verdict when a store is attached.
@@ -145,8 +132,7 @@ func (f *Fleet) recordVerdict(device, source, model string, version uint64, res 
 // writeAssessError maps an Assess failure onto the HTTP wire, preserving
 // the status vocabulary of the original handler: route errors follow
 // writeResolveError (404, or 503 for a closed fleet), validation is 400,
-// overload and shutdown shed with 503 + Retry-After, a vanished client
-// gets the 503 formality, anything else is a 500.
+// overload sheds with 503 + Retry-After, anything else is a 500.
 func writeAssessError(w http.ResponseWriter, err error) {
 	var route *routeError
 	var invalid *validationError
@@ -156,19 +142,10 @@ func writeAssessError(w http.ResponseWriter, err error) {
 	case errors.As(err, &invalid):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case err == ErrQueueFull:
-		// The exact sentinel is the hot shed path: precomputed body, no
-		// formatting — overload rejection must itself be cheap.
+		// The hot shed path: precomputed body, no formatting — overload
+		// rejection must itself be cheap.
 		w.Header()["Retry-After"] = retryAfterOne
 		writeBytes(w, http.StatusServiceUnavailable, bodyQueueFull)
-	case err == ErrClosed:
-		w.Header()["Retry-After"] = retryAfterOne
-		writeBytes(w, http.StatusServiceUnavailable, bodyClosed)
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client is gone; the status code is a formality.
-		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}

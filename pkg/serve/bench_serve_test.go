@@ -1,20 +1,26 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
+	"trusthmd/internal/gen"
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/verdictstore"
 )
 
 // The loopback harness drives ServeHTTP directly with a reusable request
 // body and response sink, so the benchmarks (and TestAllocsServe) measure
-// the serving path itself — decode, route, coalesce, assess, encode — not
+// the serving path itself — decode, route, assess, encode — not
 // the cost of rebuilding net/http plumbing per iteration.
 
 // replayBody is a resettable request body over a fixed byte slice.
@@ -63,8 +69,7 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 }
 
 // benchServer builds a single-shard fleet for the loopback path on the
-// defaults: a sequential driver's lone request is flushed at once in a
-// batch of one.
+// defaults.
 func benchServer(tb testing.TB) (*Server, [][]float64) {
 	tb.Helper()
 	d, X := testDetector(tb)
@@ -77,7 +82,7 @@ func benchServer(tb testing.TB) (*Server, [][]float64) {
 
 // BenchmarkServeAssess is the steady-state single-request loopback: one
 // POST /v1/assess round trip per iteration through decode, admission,
-// coalescer handoff, assessment and response encoding.
+// assessment and response encoding.
 func BenchmarkServeAssess(b *testing.B) {
 	srv, X := benchServer(b)
 	defer srv.Close()
@@ -180,8 +185,8 @@ func BenchmarkServeBatchUnique(b *testing.B) {
 }
 
 // TestAllocsServe pins the steady-state allocation budget of the hot
-// request paths. The pooled codecs, coalescer fast path and precomputed
-// error bodies brought /v1/assess to ~1 alloc/op and /v1/assess/batch to
+// request paths. The pooled codecs and assessment scratch and the
+// precomputed error bodies brought /v1/assess to ~1 alloc/op and /v1/assess/batch to
 // 0 (the assess core votes serially, so a batch starts no goroutine); the
 // budgets below leave a little headroom for runtime noise (pool misses
 // after a GC) while still catching any regression back toward the
@@ -209,7 +214,7 @@ func TestAllocsServe(t *testing.T) {
 				t.Fatalf("%s: status %d: %s", path, w.code, w.body)
 			}
 		}
-		// Warm the pools and the coalescer before counting.
+		// Warm the pools before counting.
 		for i := 0; i < 32; i++ {
 			do()
 		}
@@ -249,4 +254,82 @@ func TestAllocsServe(t *testing.T) {
 	if st := store.Stats(); st.Appended < 8*200 {
 		t.Errorf("the store saw %d appends over 200 counted requests of 8 rows", st.Appended)
 	}
+}
+
+// BenchmarkFleetAssessConcurrent is the root-module gate of the single
+// assessment path: 32 callers into Fleet.Assess at once, on a 25-member
+// random forest (the paper's deployment ensemble) with no verdict store,
+// for a shallow-tree model (dvfs, Table I sizes) and a deep-tree one (hpc,
+// a quarter of Table I). ns/op is wall time per verdict across all
+// callers; cpu-us/verdict is the process's user+system CPU per verdict,
+// from getrusage, so a path that finishes sooner by burning more cores
+// shows it.
+func BenchmarkFleetAssessConcurrent(b *testing.B) {
+	const callers = 32
+	hpc := gen.Sizes{Train: gen.TableIHPC.Train / 4, Test: gen.TableIHPC.Test / 4, Unknown: gen.TableIHPC.Unknown / 4}
+	for _, m := range []struct {
+		name  string
+		split func() (gen.Splits, error)
+	}{
+		{"dvfs", func() (gen.Splits, error) { return gen.DVFSWithSizes(1, gen.TableIDVFS) }},
+		{"hpc", func() (gen.Splits, error) { return gen.HPCWithSizes(1, hpc) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			s, err := m.split()
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := detector.New(s.Train,
+				detector.WithModel("rf"), detector.WithEnsembleSize(25), detector.WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			X := make([][]float64, s.Test.Len())
+			for i := range X {
+				X[i] = s.Test.At(i).Features
+			}
+			f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+
+			var next atomic.Int64
+			var failed atomic.Pointer[error]
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			cpu0 := cpuTime()
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := next.Add(1) - 1
+						if i >= int64(b.N) {
+							return
+						}
+						spec := AssessSpec{Model: "m", Features: X[i%int64(len(X))]}
+						if _, err := f.Assess(context.Background(), spec); err != nil {
+							failed.CompareAndSwap(nil, &err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			cpu := cpuTime() - cpu0
+			b.StopTimer()
+			if err := failed.Load(); err != nil {
+				b.Fatal(*err)
+			}
+			b.ReportMetric(float64(cpu)/1e3/float64(b.N), "cpu-us/verdict")
+		})
+	}
+}
+
+// cpuTime is the user+system CPU the process has used so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -14,27 +12,36 @@ import (
 	"trusthmd/pkg/detector"
 )
 
+// ErrQueueFull is returned when a shard refuses a request because its
+// in-flight cap (Config.MaxInflight) is reached, so the daemon sheds load
+// instead of piling it up. Its message keeps the wording clients have
+// always seen in the 503 body.
+var ErrQueueFull = errors.New("serve: assessment queue full")
+
+// ErrClosed is returned for requests submitted after shutdown began.
+var ErrClosed = errors.New("serve: server is shutting down")
+
 // Fleet is the mutable, versioned shard registry at the heart of the
 // serving layer: a set of named detectors that can be loaded, hot-swapped
 // and unloaded while traffic flows. Server is a thin HTTP transport over
 // it; embedders that want a different transport (gRPC, a queue consumer)
 // drive the Fleet directly.
 //
-// Each name resolves to a *replica group*: Config.Replicas independent
-// instances of the same detector, each with its own coalescer and bounded
-// queue. Requests pick a replica in two levels — the consistent-hash
-// device routing chooses a *home* replica for session and locality
-// affinity, and when the home queue is hot, power-of-two-choices spills
-// the overflow to the least-loaded sibling. Replicas share one trained
-// detector (assessment is read-only and concurrency-safe), so a spilled
-// request's verdict is element-wise identical to the home replica's.
+// Each name resolves to one shard: a detector version, its stats and an
+// in-flight gauge. Assessment runs on the caller's goroutine — a trained
+// detector is read-only and safe for concurrent use, so concurrent
+// callers share it directly.
 //
-// Mutations are RCU-style and group-wide: Swap installs a freshly built
-// group (new coalescers, version+1) under the registry lock and only
-// then drains the old group's coalescers outside the lock, so requests
-// already queued complete on the detector they were accepted for and
-// requests that race the swap retry onto the replacement — no in-flight
-// work is lost. Each group carries a monotonically increasing
+// Requests that carry a device key instead of an explicit model name are
+// mapped onto the shards through a consistent-hash ring (Fleet.ring), so
+// a given device always lands on the same shard while the fleet
+// membership is stable, and loading or unloading a shard only remaps the
+// ~1/n of devices nearest to it on the ring.
+//
+// Mutations are RCU-style: Swap installs a fresh shard (version+1) under
+// the registry lock. Callers that resolved the old shard finish on the
+// detector they resolved, new callers resolve the replacement, so no
+// in-flight work is lost. Each shard carries a monotonically increasing
 // per-name version and the fleet an epoch that bumps on every mutation;
 // both are surfaced in /v1/models, /stats and assessment responses so
 // clients can observe exactly which model answered.
@@ -42,7 +49,7 @@ type Fleet struct {
 	cfg Config
 
 	mu     sync.RWMutex
-	shards map[string]*group
+	shards map[string]*shard
 	names  []string // sorted shard names
 	ring   *ring.Ring
 	// versions and statsByName survive Unload so a name reloaded later
@@ -66,159 +73,65 @@ type Fleet struct {
 	// Add runs under mu's read lock while the fleet is open, so none races
 	// Close's Wait.
 	calls sync.WaitGroup
-
-	// nextPin hands out CPU cores round-robin to replica flushers when
-	// PinCores is set; it keeps counting across loads and swaps so a
-	// replacement group lands on fresh cores instead of stacking on 0.
-	nextPin atomic.Int64
 }
 
-// group is one named shard version fanned out over N replicas. The
-// replicas and their coalescers belong to this version (a swap replaces
-// them all, so no queue outlives the model it was built on); the stats
-// object is shared across versions of the same name
-// so counters stay cumulative over swaps.
-type group struct {
+// shard is one named detector version. A swap replaces the shard; the
+// stats object is shared across versions of the same name so counters
+// stay cumulative over swaps.
+type shard struct {
 	name    string
 	version uint64
 	det     *detector.Detector
 	stats   *shardStats
-
-	replicas []*replica
-	// ring maps device keys onto home replica indices; nil for a single
-	// replica. It depends only on the group size, so a same-size swap
-	// preserves every device's home slot.
-	ring *ring.Ring
-	// rr hands device-less stream sessions round-robin home slots.
-	rr atomic.Uint64
-	// spillDepth is the home-replica load at which device traffic spills
-	// to the least-loaded sibling.
-	spillDepth int
+	// maxInflight caps the shard's concurrent work (single assessments
+	// plus client-batch samples); 0 means unbounded.
+	maxInflight int64
+	// inflight gauges that work: assessments running and client-batch
+	// samples reserved. It belongs to this version, so a swap starts the
+	// replacement at zero while the old version's callers finish.
+	inflight atomic.Int64
 }
 
-// replica is one independent serving instance inside a group: its own
-// coalescer (queue + flusher) over the group's shared detector. The name/version/det/stats fields mirror the group's so
-// handlers can serve from a picked replica without a back-reference.
-type replica struct {
-	name    string
-	version uint64
-	idx     int
-	det     *detector.Detector
-	co      *coalescer
-	stats   *shardStats
-	// maxInflight caps this replica's total in-flight work (coalesced +
-	// client-batched samples); 0 means unbounded.
-	maxInflight int
-	// batchInflight gauges client-batch samples currently assessing (the
-	// /v1/assess/batch path bypasses the coalescer queue).
-	batchInflight atomic.Int64
-	// served counts requests this replica answered — the spillover share
-	// is read off these per-replica counters.
-	served atomic.Int64
-}
-
-// load is the replica's admission and routing gauge: coalesced requests
-// accepted and not yet settled, plus client-batch samples in flight.
-func (r *replica) load() int64 {
-	return r.co.inflight.Load() + r.batchInflight.Load()
-}
-
-// assessOne is the admission-controlled single-sample path: the in-flight
-// cap is enforced here (a full queue sheds in the coalescer), then the
-// request coalesces as before.
-func (r *replica) assessOne(ctx context.Context, x, votes []float64) (detector.Result, error) {
-	if r.maxInflight > 0 && r.load() >= int64(r.maxInflight) {
-		r.stats.shed.Add(1)
-		return detector.Result{}, ErrQueueFull
-	}
-	return r.co.submitVotes(ctx, x, votes)
-}
-
-// admitBatch reserves capacity for a client-supplied batch of n samples.
-// A replica whose queue is full, or whose in-flight cap is already
-// exhausted, refuses — the batch path sheds with the same 503 +
-// Retry-After as the coalesced path. An idle replica always admits one
-// batch regardless of its size (the cap gates concurrency, it is not a
-// batch-size limit); the reservation may overshoot the cap and later
-// requests observe it.
-func (r *replica) admitBatch(n int) error {
-	if r.co.queueDepth() >= r.co.tuning.queueSize {
-		r.stats.shed.Add(1)
+// admit reserves n units of in-flight work, or sheds — counting it — when
+// the shard is already at its cap. An idle shard always admits, whatever
+// n is: the cap gates concurrency, it is not a batch-size limit, and the
+// reservation may overshoot it for later callers to observe.
+func (sh *shard) admit(n int64) error {
+	if v := sh.inflight.Add(n); sh.maxInflight > 0 && v-n >= sh.maxInflight {
+		sh.inflight.Add(-n)
+		sh.stats.shed.Add(1)
 		return ErrQueueFull
 	}
-	if r.maxInflight > 0 && r.load() >= int64(r.maxInflight) {
-		r.stats.shed.Add(1)
-		return ErrQueueFull
-	}
-	r.batchInflight.Add(int64(n))
 	return nil
 }
 
-// releaseBatch retires a reservation made by admitBatch.
-func (r *replica) releaseBatch(n int) { r.batchInflight.Add(-int64(n)) }
+// release retires a reservation made by admit.
+func (sh *shard) release(n int64) { sh.inflight.Add(-n) }
 
-// home returns the replica a request has session/locality affinity with: the
-// within-group consistent-hash pick for a device key, a round-robin slot
-// for device-less requests.
-func (g *group) home(device string) *replica {
-	if len(g.replicas) == 1 {
-		return g.replicas[0]
-	}
-	if device == "" {
-		return g.replicas[int(g.rr.Add(1))%len(g.replicas)]
-	}
-	return g.replicas[replicaIndex(g.ring, device)]
-}
+// assessScratchPool lends Fleet.Assess callers an assessment workspace
+// for the length of one call.
+var assessScratchPool = sync.Pool{New: func() any { return new(detector.BatchScratch) }}
 
-// pick chooses the serving replica for one request: the home replica while
-// its queue is cool, the least-loaded sibling (power-of-two-choices: home
-// versus best alternative, take the lighter) once the home load crosses
-// the spill watermark. Device-less requests have no affinity to preserve
-// and go straight to the least-loaded replica. The second return reports
-// whether the request spilled away from its home.
-func (g *group) pick(device string) (*replica, bool) {
-	if len(g.replicas) == 1 {
-		return g.replicas[0], false
+// assessOne is the admission-controlled single-sample path, run on the
+// caller's goroutine. The verdict's VoteDist is copied out of the pooled
+// scratch into votes (grown as needed; nil allocates), which the returned
+// Result then owns.
+func (sh *shard) assessOne(x, votes []float64) (detector.Result, error) {
+	if err := sh.admit(1); err != nil {
+		return detector.Result{}, err
 	}
-	if device == "" {
-		return g.leastLoaded(), false
+	defer sh.release(1)
+	sh.stats.requests.Add(1)
+	s := assessScratchPool.Get().(*detector.BatchScratch)
+	defer assessScratchPool.Put(s)
+	r, err := sh.det.AssessInto(s, x)
+	if err != nil {
+		sh.stats.errors.Add(1)
+		return detector.Result{}, err
 	}
-	home := g.home(device)
-	if home.load() < int64(g.spillDepth) {
-		return home, false
-	}
-	if best := g.leastLoaded(); best != home && best.load() < home.load() {
-		g.stats.spills.Add(1)
-		return best, true
-	}
-	return home, false
-}
-
-// leastLoaded scans the group for the lightest replica (group sizes are
-// single digits; a scan is cheaper than bookkeeping a heap).
-func (g *group) leastLoaded() *replica {
-	best := g.replicas[0]
-	bestLoad := best.load()
-	for _, r := range g.replicas[1:] {
-		if l := r.load(); l < bestLoad {
-			best, bestLoad = r, l
-		}
-	}
-	return best
-}
-
-// close drains every replica's coalescer, in parallel so a group-wide
-// swap's drain latency is one replica's, not the sum.
-func (g *group) close() {
-	var wg sync.WaitGroup
-	for _, r := range g.replicas {
-		wg.Add(1)
-		go func(r *replica) {
-			defer wg.Done()
-			r.co.close()
-		}(r)
-	}
-	wg.Wait()
+	sh.stats.observeOne(r.Decision)
+	r.VoteDist = append(votes[:0], r.VoteDist...)
+	return r, nil
 }
 
 // NewFleet builds a fleet over the given named detectors (which may be
@@ -230,7 +143,7 @@ func NewFleet(models map[string]*detector.Detector, cfg Config) (*Fleet, error) 
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		cfg:         cfg,
-		shards:      make(map[string]*group, len(models)),
+		shards:      make(map[string]*shard, len(models)),
 		versions:    make(map[string]uint64, len(models)),
 		statsByName: make(map[string]*shardStats, len(models)),
 	}
@@ -249,42 +162,6 @@ func NewFleet(models map[string]*detector.Detector, cfg Config) (*Fleet, error) 
 	return f, nil
 }
 
-// newGroup assembles one shard version as a full replica group; stats is
-// shared across versions (and across the group's replicas).
-func (f *Fleet) newGroup(name string, version uint64, det *detector.Detector, stats *shardStats) *group {
-	n := f.cfg.Replicas
-	g := &group{
-		name:       name,
-		version:    version,
-		det:        det,
-		stats:      stats,
-		replicas:   make([]*replica, n),
-		ring:       newReplicaRing(n),
-		spillDepth: f.cfg.SpillDepth,
-	}
-	tuning := coTuning{
-		maxBatch:  f.cfg.MaxBatch,
-		queueSize: f.cfg.QueueSize,
-	}
-	for i := range g.replicas {
-		if f.cfg.PinCores {
-			// Stored one-based (see coTuning.pinCPU); core assignment wraps
-			// when the fleet outgrows the machine.
-			tuning.pinCPU = 1 + int(f.nextPin.Add(1)-1)%runtime.NumCPU()
-		}
-		g.replicas[i] = &replica{
-			name:        name,
-			version:     version,
-			idx:         i,
-			det:         det,
-			co:          newCoalescer(det, tuning, stats),
-			stats:       stats,
-			maxInflight: f.cfg.MaxInflight,
-		}
-	}
-	return g
-}
-
 // Load adds a new shard under a name not currently in the fleet and
 // returns its version. Use Swap to replace an existing shard.
 func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
@@ -293,11 +170,9 @@ func (f *Fleet) Load(name string, det *detector.Detector) (uint64, error) {
 }
 
 // Swap atomically replaces the detector behind an existing shard name and
-// returns the new version. The replacement is a whole fresh replica group
-// (new coalescers); every old replica's coalescer
-// drains its queued requests on the old detector before Swap returns, so a
-// swap under load loses nothing — racing requests re-resolve onto the new
-// version. The cause ("admin", "cluster", "drift-retrain", ...) is recorded
+// returns the new version. Callers that already resolved the old version
+// finish on its detector and new callers resolve the replacement, so a
+// swap under load loses nothing. The cause ("admin", "cluster", "drift-retrain", ...) is recorded
 // as the fleet's last swap cause and surfaced by /stats — so an operator
 // reading a version bump can tell an operator-driven rollout from the
 // auto-retrain loop.
@@ -352,8 +227,8 @@ const (
 // and so the one place a detector enters the fleet: it runs
 // Config.PrepareDetector on every detector it installs, whoever hands it
 // over (boot, admin endpoint, cluster catalog, retrain loop). It returns
-// the installed group, whose det is the prepared detector.
-func (f *Fleet) install(name string, det *detector.Detector, mode installMode, cause string) (*group, bool, error) {
+// the installed shard, whose det is the prepared detector.
+func (f *Fleet) install(name string, det *detector.Detector, mode installMode, cause string) (*shard, bool, error) {
 	if name == "" {
 		return nil, false, errors.New("serve: empty model name")
 	}
@@ -375,7 +250,7 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 		f.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	old, exists := f.shards[name]
+	_, exists := f.shards[name]
 	switch mode {
 	case installNew:
 		if exists {
@@ -397,8 +272,8 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 		stats = &shardStats{}
 		f.statsByName[name] = stats
 	}
-	g := f.newGroup(name, v, det, stats)
-	f.shards[name] = g
+	sh := &shard{name: name, version: v, det: det, stats: stats, maxInflight: int64(f.cfg.MaxInflight)}
+	f.shards[name] = sh
 	if exists {
 		// A swap keeps the membership: names and ring are unchanged, so
 		// resolvers are only blocked for the pointer write + epoch bump.
@@ -408,25 +283,19 @@ func (f *Fleet) install(name string, det *detector.Detector, mode installMode, c
 		f.rebuildLocked()
 	}
 	f.mu.Unlock()
-	if exists {
-		// Drain outside the lock: queued requests finish on the detector
-		// they were accepted for while new traffic already routes to the
-		// replacement group.
-		old.close()
-	}
-	return g, exists, nil
+	return sh, exists, nil
 }
 
-// installed turns install's group into the version Load, Swap and
+// installed turns install's shard into the version Load, Swap and
 // LoadOrSwap report.
-func installed(g *group, replaced bool, err error) (uint64, bool, error) {
+func installed(sh *shard, replaced bool, err error) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	return g.version, replaced, nil
+	return sh.version, replaced, nil
 }
 
-// Unload removes a shard and drains its replicas' coalescers. The name's
+// Unload removes a shard; callers already assessing on it finish. The name's
 // version counter and cumulative stats are retained (up to maxRetiredNames
 // unloaded names), so reloading it later continues both sequences.
 func (f *Fleet) Unload(name string) error {
@@ -435,8 +304,7 @@ func (f *Fleet) Unload(name string) error {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	g, ok := f.shards[name]
-	if !ok {
+	if _, ok := f.shards[name]; !ok {
 		// Format while still holding the lock: f.names is mutated in
 		// place by rebuildLocked, so reading it after Unlock races
 		// concurrent membership changes.
@@ -461,7 +329,6 @@ func (f *Fleet) Unload(name string) error {
 		}
 	}
 	f.mu.Unlock()
-	g.close()
 	return nil
 }
 
@@ -478,12 +345,10 @@ func (f *Fleet) rebuildLocked() {
 	f.epoch++
 }
 
-// resolve picks the replica group for a request. Precedence: an explicit
-// model name wins; otherwise a non-empty device key routes through the
-// consistent-hash ring; otherwise the default model serves. Replica
-// selection within the group is the caller's second step (group.pick for
-// assessment traffic, group.home for sessions).
-func (f *Fleet) resolve(model, device string) (*group, error) {
+// resolve picks the shard for a request. Precedence: an explicit model
+// name wins; otherwise a non-empty device key routes through the
+// consistent-hash ring; otherwise the default model serves.
+func (f *Fleet) resolve(model, device string) (*shard, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
@@ -502,24 +367,11 @@ func (f *Fleet) resolve(model, device string) (*group, error) {
 			return nil, fmt.Errorf("request must name a model or device (loaded: %v)", f.names)
 		}
 	}
-	g, ok := f.shards[name]
+	sh, ok := f.shards[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown model %q (loaded: %v)", name, f.names)
 	}
-	return g, nil
-}
-
-// resolveReplica is the full two-level pick for assessment traffic: name
-// to group (explicit model / device ring / default), then group to replica
-// (home affinity with load-aware spill). The middle return reports whether
-// the request spilled away from its home replica.
-func (f *Fleet) resolveReplica(model, device string) (*replica, bool, error) {
-	g, err := f.resolve(model, device)
-	if err != nil {
-		return nil, false, err
-	}
-	r, spilled := g.pick(device)
-	return r, spilled, nil
+	return sh, nil
 }
 
 // defaultLocked names the shard serving model-less, device-less requests:
@@ -578,13 +430,12 @@ func (f *Fleet) ModelsWithEpoch() (uint64, []ModelInfo) {
 	def := f.defaultLocked()
 	out := make([]ModelInfo, 0, len(f.names))
 	for _, name := range f.names {
-		g := f.shards[name]
+		sh := f.shards[name]
 		out = append(out, ModelInfo{
-			Name:     name,
-			Version:  g.version,
-			Replicas: len(g.replicas),
-			Default:  name == def,
-			Info:     g.det.Info(),
+			Name:    name,
+			Version: sh.version,
+			Default: name == def,
+			Info:    sh.det.Info(),
 		})
 	}
 	return f.epoch, out
@@ -597,35 +448,25 @@ func (f *Fleet) Stats() []ShardStats {
 }
 
 // StatsWithEpoch returns the counter snapshot together with the epoch of
-// the same consistent view — the pair /stats reports. Per-replica gauges
-// (queue depth, in-flight load, served share) are read
-// under the same registry lock, so the whole snapshot describes one fleet
-// generation.
+// the same consistent view — the pair /stats reports. Each shard's
+// in-flight gauge is read under the same registry lock, so the whole
+// snapshot describes one fleet generation.
 func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	out := make([]ShardStats, 0, len(f.names))
 	for _, name := range f.names {
-		g := f.shards[name]
-		st := g.stats.snapshot(name)
-		st.Version = g.version
-		st.Replicas = make([]ReplicaStats, len(g.replicas))
-		for i, r := range g.replicas {
-			st.Replicas[i] = ReplicaStats{
-				Replica:    i,
-				QueueDepth: r.co.queueDepth(),
-				Inflight:   r.load(),
-				Served:     r.served.Load(),
-			}
-		}
+		sh := f.shards[name]
+		st := sh.stats.snapshot(name)
+		st.Version = sh.version
+		st.Inflight = sh.inflight.Load()
 		out = append(out, st)
 	}
 	return f.epoch, out
 }
 
-// Close stops every replica's coalescer after draining queued requests,
-// waits for every Assess call in flight to return, its verdict recorded,
-// and rejects all future mutations and resolves. Safe to call more than
+// Close waits for every Assess call in flight to return, its verdict
+// recorded, and rejects all future mutations and resolves. Safe to call more than
 // once. The HTTP listener should be shut down first so no new requests
 // arrive.
 func (f *Fleet) Close() {
@@ -635,13 +476,6 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	groups := make([]*group, 0, len(f.shards))
-	for _, g := range f.shards {
-		groups = append(groups, g)
-	}
 	f.mu.Unlock()
-	for _, g := range groups {
-		g.close()
-	}
 	f.calls.Wait()
 }

@@ -226,10 +226,7 @@ func TestSwapUnderLoadIsLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{
-		MaxBatch:  8,
-		QueueSize: 4096,
-	})
+	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,5 +637,18 @@ func TestAdminEndpoints(t *testing.T) {
 	var e ErrorResponse
 	if err := json.Unmarshal(putBody, &e); err != nil || e.Error == "" {
 		t.Fatalf("non-JSON 405 body: %s", putBody)
+	}
+}
+
+// TestDetectorInfoSurface guards the Info surface the daemon's /v1/models
+// endpoint depends on.
+func TestDetectorInfoSurface(t *testing.T) {
+	d, X := testDetector(t)
+	info := d.Info()
+	if info.Model != "rf" || info.Members != 11 || info.InputDim != len(X[0]) {
+		t.Fatalf("info: %+v", info)
+	}
+	if info.Diversity != "bootstrap" {
+		t.Fatalf("diversity: %q", info.Diversity)
 	}
 }

@@ -10,8 +10,7 @@ import (
 // The ring's own properties (determinism, spread, minimal remap) are
 // pinned by pkg/cluster/ring's tests; the cases here pin what the fleet
 // builds on top — that resolve keeps them across its own membership
-// bookkeeping (sorted names, ring rebuilt on Load/Unload) — and the
-// replica-index mapping.
+// bookkeeping (sorted names, ring rebuilt on Load/Unload).
 
 // routedFleet loads one detector under each name, in the given order.
 func routedFleet(t *testing.T, names ...string) *Fleet {
@@ -113,74 +112,5 @@ func TestRingMinimalRemapping(t *testing.T) {
 		if is := shardFor(t, f, fmt.Sprintf("device-%d", i)); is != was {
 			t.Fatalf("device-%d did not return to its shard after reload (%s -> %s)", i, was, is)
 		}
-	}
-}
-
-// TestReplicaRingMinimalRemap is minimal remapping one level down, as a
-// sweep over group sizes: growing a replica group from n to n+1 must send
-// devices ONLY to the new replica (survivors keep their home slot), and
-// shrinking back must remap only the removed replica's devices.
-func TestReplicaRingMinimalRemap(t *testing.T) {
-	const devices = 2000
-	for n := 2; n <= 8; n++ {
-		small := newReplicaRing(n)
-		big := newReplicaRing(n + 1)
-		gained, moved := 0, 0
-		for i := 0; i < devices; i++ {
-			key := fmt.Sprintf("device-%d", i)
-			was, is := replicaIndex(small, key), replicaIndex(big, key)
-			if is == n {
-				gained++ // picked up by the added replica — the only legal move
-				continue
-			}
-			if was != is {
-				moved++
-			}
-		}
-		if moved != 0 {
-			t.Fatalf("grow %d->%d: %d devices moved between surviving replicas", n, n+1, moved)
-		}
-		if gained == 0 {
-			t.Fatalf("grow %d->%d: the new replica picked up no devices", n, n+1)
-		}
-		// Shrink is the same comparison read backwards: devices homed on the
-		// removed replica must land elsewhere, everyone else must stay put.
-		for i := 0; i < devices; i++ {
-			key := fmt.Sprintf("device-%d", i)
-			was, is := replicaIndex(big, key), replicaIndex(small, key)
-			if was == n {
-				if is == n {
-					t.Fatalf("shrink %d->%d: device %q still routes to the removed replica", n+1, n, key)
-				}
-				continue
-			}
-			if was != is {
-				t.Fatalf("shrink %d->%d: device %q moved between surviving replicas (%d -> %d)", n+1, n, key, was, is)
-			}
-		}
-	}
-}
-
-// TestReplicaRingSpreads: every replica in a group takes a meaningful
-// share of the device space (no starved slot, no hog).
-func TestReplicaRingSpreads(t *testing.T) {
-	const n = 3
-	r := newReplicaRing(n)
-	counts := make([]int, n)
-	const devices = 3000
-	for i := 0; i < devices; i++ {
-		counts[replicaIndex(r, fmt.Sprintf("device-%d", i))]++
-	}
-	for idx, c := range counts {
-		share := float64(c) / devices
-		if share < 0.10 || share > 0.60 {
-			t.Fatalf("replica %d homes %.1f%% of devices: %v", idx, 100*share, counts)
-		}
-	}
-	if newReplicaRing(1) != nil {
-		t.Fatal("single-replica group should have a nil ring")
-	}
-	if replicaIndex(nil, "x") != 0 {
-		t.Fatal("nil ring must home everything on replica 0")
 	}
 }

@@ -28,8 +28,9 @@ var (
 )
 
 // gatedDetector is testDetector with internal/testgate's family: while a
-// test holds the gate, a flusher assessing this detector stays busy, so
-// requests back up behind it exactly as they do under production load.
+// test holds the gate, every caller assessing this detector stays inside
+// the assessment, so a test can hold as many requests in flight as it
+// needs, exactly as a slow assessment under production load would.
 func gatedDetector(t testing.TB) (*detector.Detector, [][]float64) {
 	t.Helper()
 	_, X := testDetector(t)
@@ -37,7 +38,8 @@ func gatedDetector(t testing.TB) (*detector.Detector, [][]float64) {
 }
 
 // waitFor polls cond until it holds; the conditions waited on are gauges
-// the serving layer exposes (queue depth, in-flight), not elapsed time.
+// the serving layer exposes (in-flight work, a closed fleet), not elapsed
+// time.
 func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -125,18 +127,17 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 
 // TestAssessCoalescedMatchesSequential is the acceptance test of the
 // serving layer: N concurrent /v1/assess requests must return decisions
-// element-wise identical to direct sequential Assess, and /stats must show
-// them leaving in batches — proof that the identical answers really went
-// through coalesced AssessBatch calls. The load is built the way
-// production builds it: the flusher is busy (held at the gate inside its
-// first flush) while the rest arrive, so they are queued when it comes
-// back. The last n-distinct requests repeat earlier vectors bit for bit:
-// a repeat is queued and assessed like any other request, and answers the
-// same bits as its first occurrence.
+// element-wise identical to direct sequential Assess. The requests really
+// are concurrent: every one of them is held inside its assessment (at the
+// gate) until all n are in flight at once on the shard's gauge, and only
+// then released together. The last n-distinct requests repeat earlier
+// vectors bit for bit: a repeat is assessed like any other request, and
+// answers the same bits as its first occurrence. (The name predates the
+// inline path; the test no longer has any coalescing to check.)
 func TestAssessCoalescedMatchesSequential(t *testing.T) {
-	const maxBatch, n, distinct = 16, 96, 80
+	const n, distinct = 96, 80
 	d, X := gatedDetector(t)
-	s, ts := newTestServerOver(t, d, Config{MaxBatch: maxBatch})
+	s, ts := newTestServerOver(t, d, Config{})
 
 	want := make([]detector.Result, n)
 	for i := 0; i < n; i++ {
@@ -173,8 +174,8 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 			errs[i] = json.NewDecoder(resp.Body).Decode(&got[i])
 		}(i)
 	}
-	waitFor(t, "every request to be admitted behind the busy flusher", func() bool {
-		return s.Fleet().Stats()[0].Replicas[0].Inflight == n
+	waitFor(t, "every request to be in flight at once", func() bool {
+		return s.Fleet().Stats()[0].Inflight == n
 	})
 	release()
 	wg.Wait()
@@ -207,14 +208,9 @@ func TestAssessCoalescedMatchesSequential(t *testing.T) {
 	if st[0].Requests != n {
 		t.Fatalf("stats requests %d, want %d", st[0].Requests, n)
 	}
-	// The held flush took whatever had arrived by then (1..MaxBatch); the
-	// rest were all queued at release and left in full batches plus at
-	// most one remainder.
-	if maxBatches := int64(1 + n/maxBatch); st[0].Batches > maxBatches {
-		t.Fatalf("no coalescing happened: %d batches (mean size %.2f), want at most %d",
-			st[0].Batches, st[0].MeanBatchSize, maxBatches)
+	if st[0].Inflight != 0 {
+		t.Fatalf("in-flight gauge %d after every request answered, want 0", st[0].Inflight)
 	}
-	t.Logf("coalesced %d requests into %d batches (mean %.1f)", st[0].Requests, st[0].Batches, st[0].MeanBatchSize)
 
 	// The /stats endpoint serves the same snapshot.
 	resp, err := http.Get(ts.URL + "/stats")
@@ -491,7 +487,7 @@ func TestShutdownShedsNewRequests(t *testing.T) {
 	s := mustServer(t, map[string]*detector.Detector{"m": d}, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	s.Close() // drain coalescers; handler must now shed with 503
+	s.Close() // close the fleet; the handler must now shed with 503
 	resp, body := postJSON(t, ts.URL+"/v1/assess", AssessRequest{Features: X[0]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown status %d: %s", resp.StatusCode, body)

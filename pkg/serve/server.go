@@ -1,8 +1,7 @@
 // Package serve is the HTTP serving layer of the trusted HMD: a mutable,
 // versioned fleet of named detector shards (Fleet) exposed through a thin
-// HTTP transport (Server) with per-shard request coalescing,
-// consistent-hash device routing, NDJSON streaming and a hot
-// model-lifecycle admin surface.
+// HTTP transport (Server) with consistent-hash device routing, NDJSON
+// streaming and a hot model-lifecycle admin surface.
 //
 // Endpoints:
 //
@@ -22,31 +21,19 @@
 // membership change only remaps the devices nearest the changed shard);
 // otherwise the default model serves.
 //
-// Each shard name resolves to a replica group of Config.Replicas
-// independent instances (own coalescer, own queue) over one shared
-// detector. Within the group a second consistent-hash level picks a
-// *home* replica per device — session and locality affinity — and
-// when the home replica's load crosses Config.SpillDepth, power-of-two-
-// choices spills the request to the least-loaded sibling. Admission
-// control bounds each replica: Config.MaxInflight caps concurrent work
-// and a full Config.QueueSize queue sheds; both assessment endpoints
-// answer a shed with 503 + Retry-After. /stats reports shed and spill
-// totals plus per-replica queue-depth/in-flight/served gauges.
-//
-// Concurrent /v1/assess requests are coalesced: each replica owns a
-// bounded queue and a flusher goroutine that takes every request already
-// waiting (up to Config.MaxBatch) into a single AssessBatch call and
-// flushes when the queue runs dry. Load sets the batch size — a lone
-// request is answered at once in a batch of one, and whatever arrives
-// during a flush is the next batch. Results are element-wise identical to
-// direct Assess — batching changes latency and throughput, never
-// decisions.
+// Each shard name resolves to one detector version, and every /v1/assess
+// request is assessed inline, on the handler's own goroutine: a trained
+// detector is read-only, so concurrent requests share it directly, and
+// every verdict is the one a direct Assess returns. Admission control
+// bounds each shard: Config.MaxInflight caps its concurrent work, and
+// both assessment endpoints answer a shed with 503 + Retry-After. /stats
+// reports shed totals plus each shard's in-flight gauge.
 //
 // There is no cross-request result cache: the detector reads continuous
 // HPC/DVFS counter windows, which rarely repeat bit for bit, and on the
 // one benchmark workload with built-in repeats a cache neither lowered
 // latency beyond run-to-run noise nor saved CPU per verdict. Every
-// /v1/assess request is validated, coalesced, assessed and recorded.
+// /v1/assess request is validated, assessed and recorded.
 package serve
 
 import (
@@ -67,36 +54,10 @@ import (
 
 // Config tunes the serving layer; the zero value gets sane defaults.
 type Config struct {
-	// MaxBatch caps one coalesced batch (default 32): the flusher takes
-	// what is queued up to this many and never waits for more. Larger
-	// batches amortise projection further but add queueing latency under
-	// load.
-	MaxBatch int
-	// QueueSize bounds each replica's pending-request buffer (default
-	// 1024); requests beyond it are shed with 503.
-	QueueSize int
-	// Replicas is the number of independent shard instances per name
-	// (default 1; clamped to 64). Each replica owns its coalescer and queue
-	// over the group's shared detector; devices keep a consistent-hash home
-	// replica and overflow spills to the least-loaded sibling.
-	Replicas int
-	// PinCores pins each replica's flusher thread to its own CPU core,
-	// assigned round-robin across the fleet (sched_setaffinity on Linux,
-	// no-op elsewhere). With per-replica scratch arenas this keeps every
-	// replica's hot projection and vote buffers resident in one core's
-	// cache and stops flushers from migrating under load. Best with
-	// Replicas x shards <= NumCPU; assignment wraps beyond that. Verdicts
-	// are unaffected — pinning changes locality, never results.
-	PinCores bool
-	// MaxInflight caps one replica's concurrent work — coalesced requests
-	// accepted and not yet answered plus client-batch samples assessing.
-	// Beyond it requests shed with 503 + Retry-After. 0 means unbounded.
+	// MaxInflight caps one shard's concurrent work — single assessments
+	// running plus client-batch samples assessing (default 1024). Beyond
+	// it requests shed with 503 + Retry-After. Negative means unbounded.
 	MaxInflight int
-	// SpillDepth is the home-replica load at which device-keyed requests
-	// spill to the least-loaded sibling (power-of-two-choices). Default:
-	// MaxBatch — a home replica with a full batch in flight is busy enough
-	// to share. Negative disables spilling. Irrelevant for Replicas=1.
-	SpillDepth int
 	// MaxBatchSamples caps the size of a client-supplied /v1/assess/batch
 	// body (default 4096 vectors).
 	MaxBatchSamples int
@@ -143,27 +104,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 1024
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas > 64 {
-		c.Replicas = 64
-	}
-	if c.MaxInflight < 0 {
-		c.MaxInflight = 0
-	}
 	switch {
-	case c.SpillDepth == 0:
-		c.SpillDepth = c.MaxBatch
-	case c.SpillDepth < 0:
-		// Never spill: a home replica keeps its devices no matter how hot.
-		c.SpillDepth = int(^uint(0) >> 1)
+	case c.MaxInflight == 0:
+		c.MaxInflight = 1024
+	case c.MaxInflight < 0:
+		c.MaxInflight = 0 // unbounded
 	}
 	if c.MaxBatchSamples <= 0 {
 		c.MaxBatchSamples = 4096
@@ -186,15 +131,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxSwapRetries bounds how many times a request re-resolves after losing
-// the race with a hot swap (its shard's coalescer closed between resolve
-// and submit). One retry suffices in practice; the bound is paranoia
-// against a pathological swap storm.
-const maxSwapRetries = 4
-
 // Server is the HTTP transport over a Fleet. Create it with NewServer,
-// mount it as an http.Handler, and Close it on shutdown to drain the
-// fleet's coalescers.
+// mount it as an http.Handler, and Close it on shutdown to wait out the
+// fleet's assessments in flight.
 type Server struct {
 	fleet *Fleet
 	mux   *http.ServeMux
@@ -245,7 +184,7 @@ func (s *Server) Fleet() *Fleet { return s.fleet }
 // with) Shutdown; Close implies it.
 func (s *Server) BeginDrain() { s.drainOnce.Do(func() { close(s.draining) }) }
 
-// Close closes the underlying fleet, draining every shard's coalescer.
+// Close closes the underlying fleet, waiting out its assessments in flight.
 // The HTTP listener should be shut down first so no new requests arrive.
 func (s *Server) Close() {
 	s.BeginDrain()
@@ -278,19 +217,15 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Model = model
-	// Hand the scratch vote buffer to the assessment: the coalescer copies
-	// the verdict's vote distribution into it instead of allocating. The
-	// buffer's ownership rides with the request — on any error after
-	// enqueue the flusher may still write into it, so it is recovered only
-	// from a successful outcome and abandoned otherwise.
-	voteBuf := sc.votes
-	sc.votes = nil
+	// Hand the scratch vote buffer to the assessment: the verdict's vote
+	// distribution is copied into it instead of a fresh allocation, and the
+	// possibly-regrown buffer comes back with the result.
 	out, err := s.fleet.Assess(r.Context(), AssessSpec{
 		Model:    req.Model,
 		Device:   req.Device,
 		Features: req.Features,
 		Source:   "assess",
-		VoteBuf:  voteBuf,
+		VoteBuf:  sc.votes,
 	})
 	if err != nil {
 		writeAssessError(w, err)
@@ -325,7 +260,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Model = model
-	g, err := s.fleet.resolve(req.Model, req.Device)
+	sh, err := s.fleet.resolve(req.Model, req.Device)
 	if err != nil {
 		writeResolveError(w, err)
 		return
@@ -339,7 +274,7 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Batch), s.fleet.cfg.MaxBatchSamples))
 		return
 	}
-	dim := g.det.InputDim()
+	dim := sh.det.InputDim()
 	for i, x := range req.Batch {
 		if err := validateFeatures(x, dim); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("batch[%d]: %v", i, err))
@@ -347,16 +282,15 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n := len(req.Batch)
-	// A client batch is one admission unit on one replica: load-aware pick,
-	// then reserve capacity up front so the coalesced path observes batch
-	// work in its load gauge. An overloaded replica sheds the whole batch
-	// with the same 503 + Retry-After as /v1/assess.
-	sh, _ := g.pick(req.Device)
-	if err := sh.admitBatch(n); err != nil {
+	// A client batch is one admission unit: reserve its samples up front so
+	// single assessments observe batch work in the in-flight gauge. An
+	// overloaded shard sheds the whole batch with the same 503 +
+	// Retry-After as /v1/assess.
+	if err := sh.admit(int64(n)); err != nil {
 		writeAssessError(w, err)
 		return
 	}
-	defer sh.releaseBatch(n)
+	defer sh.release(int64(n))
 	// The client already aggregated, so the rows go straight to one batched
 	// assessment. The results are scratch-owned, which is safe because the
 	// verdict records are framed and the response is encoded before the
@@ -369,7 +303,6 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.stats.batchRequests.Add(1)
 	sh.stats.batchSamples.Add(int64(n))
-	sh.served.Add(int64(n))
 	sh.stats.observe(results)
 	// Tap every row into the verdict store as one group (latency is the
 	// whole batch's serving time — the rows were answered together). The
@@ -598,13 +531,10 @@ var contentTypeJSON = []string{"application/json"}
 // retryAfterOne is the shared Retry-After value every shed answer carries.
 var retryAfterOne = []string{"1"}
 
-// bodyQueueFull / bodyClosed are the precomputed shed envelopes: a
-// saturated box answers 503 from static bytes instead of encoding its way
-// through its own overload.
-var (
-	bodyQueueFull = appendErrorResponse(nil, ErrQueueFull.Error())
-	bodyClosed    = appendErrorResponse(nil, ErrClosed.Error())
-)
+// bodyQueueFull is the precomputed shed envelope: a saturated box answers
+// 503 from static bytes instead of encoding its way through its own
+// overload.
+var bodyQueueFull = appendErrorResponse(nil, ErrQueueFull.Error())
 
 // methodNotAllowedBodies precomputes the 405 envelope for every
 // Allow-header combination the mux mounts, so method discipline on a

@@ -280,15 +280,13 @@ type streamSession interface {
 }
 
 // localStream is a stream served on this node: a detector.Online pinned
-// to the replica that accepted it. A stream pins its home replica the way
-// it pins the shard version: the device's consistent-hash slot (round-robin
-// for device-less streams), chosen once at accept time. Streams run their
-// own Online rather than the replica's coalescer, so the pin is affinity
-// and accounting — a hot swap mid-stream changes neither. One goroutine
-// drives it: the connection's NDJSON loop, or one StreamPush.
+// to the shard version that accepted it, chosen once at accept time, so a
+// hot swap mid-stream changes neither its detector nor its accounting.
+// One goroutine drives it: the connection's NDJSON loop, or one
+// StreamPush.
 type localStream struct {
 	f      *Fleet
-	sh     *replica
+	sh     *shard
 	device string
 	o      *detector.Online
 }
@@ -298,11 +296,10 @@ type localStream struct {
 // counting a new session when it is nil. Resolve failures come back as
 // *routeError; anything else is the caller's header or state being wrong.
 func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *detector.SessionState) (*localStream, error) {
-	g, err := f.resolve(model, device)
+	sh, err := f.resolve(model, device)
 	if err != nil {
 		return nil, &routeError{err}
 	}
-	sh := g.home(device)
 	if cfg.Window > f.cfg.MaxStreamWindow {
 		return nil, fmt.Errorf("window %d exceeds limit %d", cfg.Window, f.cfg.MaxStreamWindow)
 	}

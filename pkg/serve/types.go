@@ -23,9 +23,9 @@ type AssessRequest struct {
 }
 
 // BatchRequest is the JSON body of POST /v1/assess/batch: a pre-batched
-// set of feature vectors assessed in one AssessBatch call, bypassing the
-// coalescer (the client already did the aggregation). Model and Device
-// route like AssessRequest's.
+// set of feature vectors assessed in one AssessBatch call (the client
+// already did the aggregation). Model and Device route like
+// AssessRequest's.
 type BatchRequest struct {
 	Model  string      `json:"model,omitempty"`
 	Device string      `json:"device,omitempty"`
@@ -73,9 +73,6 @@ type ModelInfo struct {
 	Name string `json:"name"`
 	// Version counts hot swaps of this name: 1 on first load, +1 per Swap.
 	Version uint64 `json:"version"`
-	// Replicas is the group size serving this name: how many independent
-	// instances (own coalescer and queue) fan out the same detector.
-	Replicas int `json:"replicas"`
 	// Default marks the shard used when requests carry neither "model"
 	// nor "device".
 	Default bool `json:"default,omitempty"`
@@ -161,10 +158,11 @@ func toResponse(model string, version uint64, r detector.Result) AssessResponse 
 	return out
 }
 
-// validateFeatures rejects malformed inputs before they reach a coalesced
-// batch, so one bad request can never fail a flush that carries innocent
-// neighbours: the vector must be non-empty, finite, and match the shard's
-// trained input dimensionality.
+// validateFeatures rejects malformed inputs before they reach the
+// detector, so a caller error answers 400 instead of failing inside the
+// pipeline: the vector must be non-empty, finite, and match the shard's
+// trained input dimensionality. The batch path checks every row before
+// any is assessed, so one bad row cannot fail the rest after the fact.
 func validateFeatures(x []float64, dim int) error {
 	if len(x) == 0 {
 		return fmt.Errorf("features missing or empty")
