@@ -228,6 +228,29 @@ func TestFleetSwapUnderLoadLossless(t *testing.T) {
 	}
 }
 
+// TestFleetClosedRejects: a closed fleet refuses every assessment with
+// ErrClosed, counts none of them, and a second Close is a no-op.
+func TestFleetClosedRejects(t *testing.T) {
+	d, X := testDetector(t)
+	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	f.Close() // idempotent
+	if _, err := f.Assess(context.Background(), AssessSpec{Features: X[0]}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if _, err := f.Assess(context.Background(), AssessSpec{Model: "m", Features: X[1]}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("named model: err = %v, want ErrClosed", err)
+	}
+	for _, st := range f.Stats() {
+		if st.Requests != 0 || st.Inflight != 0 {
+			t.Fatalf("closed fleet counted work: %+v", st)
+		}
+	}
+}
+
 // TestFleetCloseWaitsForAssessments: Close lands while n assessments are
 // held inside the detector. From then on the fleet refuses new work, but
 // Close returns only after every held call has answered with the direct
