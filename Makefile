@@ -52,7 +52,7 @@ serve-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestAssessCoalescedMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the nine packages that decode
+# fuzz-smoke runs every Fuzz* target of the ten packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
 # the stream-line decoder (pkg/serve), the float64↔decimal kernels under
 # it (internal/decfloat), the float and string encoders the codec and the
@@ -64,8 +64,10 @@ serve-stress:
 # member gob decoders, whose models must predict without a fault on any
 # row as wide as they report (FuzzMemberGobDecode in internal/ml/bayes and
 # internal/ml/knn), the stream-state resume a cluster peer's push feeds
-# (pkg/detector), and the drop-line parser of `trusthmd push`, whose CSV
-# drops are outside bytes (cmd/trusthmd) — for FUZZTIME each.
+# (pkg/detector), every node-to-node POST body a cluster peer sends —
+# join, heartbeat, stage, commit, abort and push (pkg/cluster) — and the
+# drop-line parser of `trusthmd push`, whose CSV drops are outside bytes
+# (cmd/trusthmd) — for FUZZTIME each.
 # Plain `go test` only replays their seed corpora; this is what lets the
 # differential oracles (encoding/json, strconv, the reference builder)
 # look at inputs nobody wrote down. `go test -fuzz` takes one target and one package per run,
@@ -73,7 +75,7 @@ serve-stress:
 # testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./internal/ml/bayes ./internal/ml/knn ./pkg/detector ./cmd/trusthmd; do \
+	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./internal/ml/bayes ./internal/ml/knn ./pkg/detector ./pkg/cluster ./cmd/trusthmd; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

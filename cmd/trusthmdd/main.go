@@ -150,9 +150,9 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.verdicts.MaxSegments, "verdict-retain", 16, "sealed verdict segments retained; beyond it the oldest segment is dropped")
 	fs.IntVar(&cfg.verdicts.SyncEvery, "verdict-sync-every", 0, "verdict-store durability: 0 group-commits appends off the serving path (a crash loses at most one uncommitted group), N>0 writes each record synchronously and fsyncs every N records")
 
-	fs.StringVar(&cfg.cluster.NodeID, "node-id", "", "cluster identity of this node (default: hostname; IDs order coordinator promotion)")
+	fs.StringVar(&cfg.cluster.NodeID, "node-id", "", "cluster identity of this node (default: hostname)")
 	fs.StringVar(&cfg.cluster.Advertise, "advertise", "", "base URL other cluster nodes reach this node at, e.g. http://10.0.0.5:8080 (required with -coordinator or -join)")
-	fs.BoolVar(&cfg.cluster.Coordinator, "coordinator", false, "start this node as the cluster coordinator")
+	fs.BoolVar(&cfg.cluster.Coordinator, "coordinator", false, "start this node as the cluster coordinator (for the cluster's lifetime: no follower takes over)")
 	fs.StringVar(&cfg.cluster.Join, "join", "", "advertise URL of a running cluster member to join (exactly one of -coordinator/-join)")
 	fs.DurationVar(&cfg.cluster.Heartbeat, "heartbeat", time.Second, "cluster heartbeat and membership-sweep interval")
 

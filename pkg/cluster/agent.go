@@ -16,18 +16,16 @@ import (
 
 // Config parameterises one cluster agent.
 type Config struct {
-	// NodeID uniquely names this node in the cluster. Required. IDs also
-	// order coordinator promotion: on coordinator loss the lowest-ID
-	// surviving member promotes itself.
+	// NodeID uniquely names this node in the cluster. Required.
 	NodeID string
 	// Advertise is the base URL other nodes reach this node at (scheme +
 	// host:port; the serve mux and the /cluster/v1/ mux share it).
 	// Required.
 	Advertise string
-	// Coordinator starts this node as the cluster coordinator. Join is
-	// the advertise URL of any running member (normally the coordinator; a
-	// follower answers with the coordinator's address). Exactly one of the
-	// two must be set.
+	// Coordinator makes this node the cluster coordinator for the
+	// cluster's lifetime. Join is the advertise URL of any running member
+	// (normally the coordinator; a follower answers with the coordinator's
+	// address). Exactly one of the two must be set.
 	Coordinator bool
 	Join        string
 	// Heartbeat is the follower heartbeat interval and the coordinator
@@ -128,10 +126,10 @@ type Agent struct {
 	cat   *catalog
 
 	view atomic.Pointer[routeView]
-	// members is authoritative only while this node is coordinator.
+	// members is the coordinator's membership table (unused on followers).
 	members *memberTable
-	isCoord atomic.Bool
-	// coordAddr is the follower's current coordinator address.
+	// coordAddr is the coordinator's address: this node's own on the
+	// coordinator, the member that accepted the join on a follower.
 	coordAddr atomic.Pointer[string]
 	// epoch is the coordinator's table generation counter.
 	epoch atomic.Uint64
@@ -144,6 +142,10 @@ type Agent struct {
 	// installMu serialises install-on-demand so concurrent forwarded
 	// requests for the same missing shard load it once.
 	installMu sync.Mutex
+	// rolloutMu serialises the coordinator's catalog writes — a swap's
+	// version allocation and two-phase rollout, a join's model fold and
+	// the boot seed — so no two writers take one catalog version.
+	rolloutMu sync.Mutex
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -164,39 +166,61 @@ func New(cfg Config, fleet *serve.Fleet) (*Agent, error) {
 		members: newMemberTable(),
 		stop:    make(chan struct{}),
 	}
-	a.coordAddr.Store(&cfg.Join)
+	coord := cfg.Join
+	if cfg.Coordinator {
+		coord = cfg.Advertise
+	}
+	a.coordAddr.Store(&coord)
 	return a, nil
 }
 
 // NodeID returns the node's cluster identity.
 func (a *Agent) NodeID() string { return a.cfg.NodeID }
 
-// Role reports "coordinator" or "follower".
+// Role reports "coordinator" or "follower", fixed at boot.
 func (a *Agent) Role() string {
-	if a.isCoord.Load() {
+	if a.cfg.Coordinator {
 		return "coordinator"
 	}
 	return "follower"
 }
 
-// Start forms or joins the cluster and launches the background loops
-// (coordinator: membership sweep; follower: heartbeats with promotion on
-// coordinator loss). A joining node retries until the join target
+// Start forms or joins the cluster and launches the run loop, which
+// ticks once per heartbeat. A joining node retries until the join target
 // answers, bounded by DeadAfter.
 func (a *Agent) Start() error {
-	if a.cfg.Coordinator {
-		a.becomeCoordinator(nil)
-	} else {
-		if err := a.join(); err != nil {
-			return err
-		}
-		a.wg.Add(1)
-		go a.followerLoop()
-		return nil
+	if err := a.boot(); err != nil {
+		return err
 	}
 	a.wg.Add(1)
-	go a.coordinatorLoop()
+	go a.run()
 	return nil
+}
+
+// boot forms the cluster (coordinator) or joins it (follower).
+func (a *Agent) boot() error {
+	if !a.cfg.Coordinator {
+		return a.join()
+	}
+	a.members.observe(a.cfg.NodeID, a.cfg.Advertise, a.cfg.now())
+	a.seedCatalogFromFleet()
+	a.publishTable()
+	return nil
+}
+
+// run calls tick on the heartbeat cadence until Close.
+func (a *Agent) run() {
+	defer a.wg.Done()
+	t := time.NewTicker(a.cfg.Heartbeat)
+	defer t.Stop()
+	for {
+		select {
+		case <-a.stop:
+			return
+		case <-t.C:
+			a.tick(a.cfg.now())
+		}
+	}
 }
 
 // Close stops the background loops. It does not close the fleet.
@@ -205,28 +229,11 @@ func (a *Agent) Close() {
 	a.wg.Wait()
 }
 
-// becomeCoordinator seeds the authoritative member table (from the last
-// known view when promoting, from scratch when flagged at boot), folds
-// the local fleet's models into the catalog, and publishes the first
-// table.
-func (a *Agent) becomeCoordinator(last *routeView) {
-	now := a.cfg.now()
-	if last != nil {
-		a.members.adopt(last.table.Members, now)
-		a.members.markDead(last.table.Coordinator)
-		a.epoch.Store(last.table.Epoch)
-		a.cfg.Logf("cluster: %s promoting to coordinator (previous: %s)", a.cfg.NodeID, last.table.Coordinator)
-	}
-	a.members.observe(a.cfg.NodeID, a.cfg.Advertise, now)
-	a.isCoord.Store(true)
-	a.coordAddr.Store(&a.cfg.Advertise)
-	a.seedCatalogFromFleet()
-	a.publishTable()
-}
-
 // seedCatalogFromFleet folds the local fleet's models (loaded from disk
 // at boot) into the catalog so any member can materialise them.
 func (a *Agent) seedCatalogFromFleet() {
+	a.rolloutMu.Lock()
+	defer a.rolloutMu.Unlock()
 	for _, m := range localModels(a.fleet) {
 		if _, _, ok := a.cat.get(m.Name); ok {
 			continue
@@ -266,92 +273,23 @@ func (a *Agent) publishTable() {
 	a.view.Store(buildView(t))
 }
 
-// coordinatorLoop sweeps membership on the heartbeat cadence, republishing
-// the table whenever a member's state changes — that is the rebalance: a
-// new table means a new alive set, and ownership follows the ring.
-func (a *Agent) coordinatorLoop() {
-	defer a.wg.Done()
-	tick := time.NewTicker(a.cfg.Heartbeat)
-	defer tick.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-tick.C:
-			now := a.cfg.now()
-			// The coordinator is its own heartbeat: without this, the sweep
-			// would expire the coordinator's own entry.
-			changed := a.members.observe(a.cfg.NodeID, a.cfg.Advertise, now)
-			if a.members.sweep(now, a.cfg.SuspectAfter, a.cfg.DeadAfter) || changed {
-				a.publishTable()
-				a.cfg.Logf("cluster: %s republished table epoch %d", a.cfg.NodeID, a.epoch.Load())
-			}
-		}
-	}
-}
-
-// followerLoop heartbeats the coordinator, adopting fresher tables from
-// the responses. When the coordinator stays silent past DeadAfter, the
-// follower elects: the lowest-ID surviving member promotes itself, the
-// rest re-aim their heartbeats at it.
-func (a *Agent) followerLoop() {
-	defer a.wg.Done()
-	tick := time.NewTicker(a.cfg.Heartbeat)
-	defer tick.Stop()
-	var failedSince time.Time
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-tick.C:
-			if a.isCoord.Load() {
-				// Promoted mid-loop: hand over to the coordinator loop.
-				a.wg.Add(1)
-				go a.coordinatorLoop()
-				return
-			}
-			if err := a.heartbeat(); err != nil {
-				now := a.cfg.now()
-				if failedSince.IsZero() {
-					failedSince = now
-				}
-				if now.Sub(failedSince) >= a.cfg.DeadAfter {
-					a.elect()
-					failedSince = time.Time{}
-				}
-				continue
-			}
-			failedSince = time.Time{}
-		}
-	}
-}
-
-// elect reacts to coordinator loss: among the last known non-dead members
-// (coordinator excluded), the lowest ID promotes itself; everyone else
-// points their heartbeats at that candidate and lets the join/heartbeat
-// redirects converge the rest.
-func (a *Agent) elect() {
-	v := a.view.Load()
-	if v == nil {
+// tick is one beat of the node's control loop. The coordinator sweeps
+// membership, republishing the table whenever a member's state changes —
+// that is the rebalance: a new table means a new alive set, and ownership
+// follows the ring. A follower heartbeats the coordinator, adopting a
+// fresher table from the response; while the coordinator is unreachable
+// the beat fails and the follower serves on its last table.
+func (a *Agent) tick(now time.Time) {
+	if !a.cfg.Coordinator {
+		a.heartbeat()
 		return
 	}
-	var candidate string
-	for _, id := range aliveMembers(v.table.Members) { // sorted by ID
-		if id != v.table.Coordinator {
-			candidate = id
-			break
-		}
-	}
-	if candidate == "" {
-		return
-	}
-	if candidate == a.cfg.NodeID {
-		a.becomeCoordinator(v)
-		return
-	}
-	if addr, ok := v.addrs[candidate]; ok {
-		a.coordAddr.Store(&addr)
-		a.cfg.Logf("cluster: %s re-aiming heartbeats at %s (%s)", a.cfg.NodeID, candidate, addr)
+	// The coordinator is its own heartbeat: without this, the sweep would
+	// expire the coordinator's own entry.
+	changed := a.members.observe(a.cfg.NodeID, a.cfg.Advertise, now)
+	if a.members.sweep(now, a.cfg.SuspectAfter, a.cfg.DeadAfter) || changed {
+		a.publishTable()
+		a.cfg.Logf("cluster: %s republished table epoch %d", a.cfg.NodeID, a.epoch.Load())
 	}
 }
 

@@ -113,18 +113,6 @@ func (c *catalog) get(name string) (version uint64, data []byte, ok bool) {
 	return e.committed, e.versions[e.committed], true
 }
 
-// prevCommitted returns the rollback target for a name: the previously
-// committed version (0 when the name was new — rolling back means
-// reverting to uncommitted).
-func (c *catalog) prevCommitted(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
-		return e.prev
-	}
-	return 0
-}
-
 // nextVersion allocates the next catalog version for a name.
 func (c *catalog) nextVersion(name string) uint64 {
 	c.mu.Lock()

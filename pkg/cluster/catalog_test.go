@@ -45,10 +45,6 @@ func TestCatalogStageCommit(t *testing.T) {
 	if _, ok := c.commit("m", 2); !ok {
 		t.Fatal("commit v2 failed")
 	}
-	if p := c.prevCommitted("m"); p != 1 {
-		t.Fatalf("rollback target after v2: got %d want 1", p)
-	}
-
 	// Roll back to v1: the previous payload must still be retained.
 	data, ok = c.commit("m", 1)
 	if !ok || !bytes.Equal(data, []byte("v1")) {

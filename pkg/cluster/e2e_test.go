@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -701,52 +702,74 @@ func TestClusterNodeKillLosslessFailover(t *testing.T) {
 	}
 }
 
-// TestClusterCoordinatorFailover: killing the coordinator promotes the
-// lowest-ID survivor and the cluster keeps serving and swapping.
+// TestClusterCoordinatorFailover is the real-HTTP smoke of coordinator
+// loss; the simulator (sim_test.go) holds the protocol to its invariants
+// under partitions. The coordinator is made the shard's owner and then
+// killed: both followers keep serving detA's verdicts bit for bit from
+// their last table (forwarding falls over to a ring successor), and an
+// admin swap posted to a follower answers 503 with Retry-After, changing
+// no node's catalog or fleet — swaps wait for the coordinator.
 func TestClusterCoordinatorFailover(t *testing.T) {
 	detA, detB, X := e2eDetectors(t)
 	ids := []string{"n1", "n2", "n3"}
-	nodes := startCluster(t, ids, "n1", detA)
+	// No wait for the tables to settle: a join returns the coordinator's
+	// table, and any table serves.
+	coordID := ring.New(ids, 0).Lookup(e2eModel)
+	coord := startNode(t, coordID, map[string]*detector.Detector{e2eModel: detA}, true, "")
+	var followers []*node
+	for _, id := range ids {
+		if id != coordID {
+			followers = append(followers, startNode(t, id, nil, false, coord.url()))
+		}
+	}
+	// Install the shard on both followers before the kill, so the catalog
+	// and fleet compared below are the ones serving.
+	for _, n := range followers {
+		if err := n.agent.ensureLocal(e2eModel); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	nodes["n1"].kill()
+	coord.kill()
 
-	// The lowest-ID survivor (n2) must promote itself and both survivors
-	// must converge on a 2-member table.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := getStats(t, nodes["n2"].url())
-		if st["role"].(string) == "coordinator" && int(st["members_alive"].(float64)) == 2 {
-			st3 := getStats(t, nodes["n3"].url())
-			if int(st3["members_alive"].(float64)) == 2 {
-				break
+	for _, n := range followers {
+		for i, x := range X[:20] {
+			got, _, err := postAssess(n.url(), serve.AssessRequest{Model: e2eModel, Features: x})
+			if err != nil {
+				t.Fatalf("assess %d via %s after coordinator loss: %v", i, n.id, err)
+			}
+			want, _ := detA.Assess(x)
+			if got.Prediction != want.Prediction || got.Decision != want.Decision.String() ||
+				got.Entropy != want.Entropy || !reflect.DeepEqual(got.VoteDist, want.VoteDist) {
+				t.Fatalf("assess %d via %s after coordinator loss: got %+v want %+v", i, n.id, got, want)
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("n2 did not take over: %v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
-	// Serving still works through both survivors...
-	for _, id := range []string{"n2", "n3"} {
-		got, _, err := postAssess(nodes[id].url(), serve.AssessRequest{Model: e2eModel, Features: X[1]})
-		if err != nil {
-			t.Fatalf("assess via %s after coordinator loss: %v", id, err)
-		}
-		want, _ := detA.Assess(X[1])
-		if !sameDecision(*got, want) {
-			t.Fatalf("decision diverged after coordinator loss: %+v", got)
-		}
+	// The last joiner's table lists all three nodes, so it routed to the
+	// dead owner and fell over.
+	if last := followers[len(followers)-1]; last.agent.forwardFailovers.Load() == 0 {
+		t.Fatalf("%s never fell over from the dead owner %s", last.id, coordID)
 	}
 
-	// ...and so do fleet-wide swaps, via the NEW coordinator's relay path
-	// (posted to n3, a follower of n2).
+	type state struct {
+		catalog []CatalogModel
+		models  []serve.ModelInfo
+	}
+	snapshot := func() []state {
+		out := make([]state, len(followers))
+		for i, n := range followers {
+			out[i] = state{n.agent.cat.committedModels(), n.srv.Fleet().Models()}
+		}
+		return out
+	}
+	before := snapshot()
 	var buf bytes.Buffer
 	if err := detB.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(serve.LoadModelRequest{Name: e2eModel, Data: buf.Bytes()})
-	req, _ := http.NewRequest(http.MethodPost, nodes["n3"].url()+"/v1/models", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, followers[0].url()+"/v1/models", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Authorization", "Bearer "+e2eToken)
 	resp, err := http.DefaultClient.Do(req)
@@ -755,23 +778,12 @@ func TestClusterCoordinatorFailover(t *testing.T) {
 	}
 	swapBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("swap after failover: status %d: %s", resp.StatusCode, swapBody)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("swap without a coordinator: status %d, Retry-After %q: %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), swapBody)
 	}
-	var sw SwapResponse
-	if err := json.Unmarshal(swapBody, &sw); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Nodes != 2 {
-		t.Fatalf("swap after failover reached %d nodes, want 2", sw.Nodes)
-	}
-	got, _, err := postAssess(nodes["n2"].url(), serve.AssessRequest{Model: e2eModel, Features: X[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := detB.Assess(X[2])
-	if !sameDecision(*got, want) {
-		t.Fatalf("post-failover swap not visible: %+v", got)
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused swap changed a follower:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

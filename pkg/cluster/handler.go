@@ -27,8 +27,8 @@ import (
 //	POST /cluster/v1/push       apply one stream chunk + session state
 //	GET  /cluster/v1/model      fetch a committed model payload by name
 //
-// join and heartbeat on a non-coordinator answer 409 with the believed
-// coordinator address, so a node aimed at a demoted member converges.
+// join and heartbeat on a non-coordinator answer 409 with the coordinator's
+// address, so a node told to join through a follower finds the coordinator.
 
 type joinRequest struct {
 	ID   string `json:"id"`
@@ -61,6 +61,14 @@ type commitRequest struct {
 	// Version 0 reverts the name to uncommitted (rollback of a first
 	// install).
 	Version uint64 `json:"version"`
+}
+
+type commitResponse struct {
+	Committed string `json:"committed"`
+	Version   uint64 `json:"version"`
+	// Previous is the version the member had committed before: its
+	// rollback target should the swap fail on another member.
+	Previous uint64 `json:"previous"`
 }
 
 type redirectResponse struct {
@@ -142,13 +150,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // requireCoordinator answers the 409 redirect when this node is not the
 // coordinator; true means the caller may proceed.
 func (a *Agent) requireCoordinator(w http.ResponseWriter) bool {
-	if a.isCoord.Load() {
+	if a.cfg.Coordinator {
 		return true
 	}
-	coord := ""
-	if p := a.coordAddr.Load(); p != nil {
-		coord = *p
-	}
+	coord := *a.coordAddr.Load()
 	w.Header()["Content-Type"] = []string{"application/json"}
 	w.WriteHeader(http.StatusConflict)
 	_ = json.NewEncoder(w).Encode(redirectResponse{
@@ -174,6 +179,7 @@ func (a *Agent) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Fold the joiner's disk-loaded models into the catalog: first writer
 	// wins per name (the common case is every node booting with the same
 	// model flags, so this is a no-op for all but the first).
+	a.rolloutMu.Lock()
 	for _, m := range req.Models {
 		if _, _, ok := a.cat.get(m.Name); ok || len(m.Data) == 0 {
 			continue
@@ -183,6 +189,7 @@ func (a *Agent) handleJoin(w http.ResponseWriter, r *http.Request) {
 		a.cat.commit(m.Name, v)
 		changed = true
 	}
+	a.rolloutMu.Unlock()
 	if changed {
 		a.publishTable()
 		a.cfg.Logf("cluster: %s joined via %s, table epoch %d", req.ID, a.cfg.NodeID, a.epoch.Load())
@@ -242,25 +249,17 @@ func (a *Agent) handleCommit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "commit needs a name")
 		return
 	}
-	data, ok := a.cat.commit(req.Name, req.Version)
-	if !ok {
-		serve.WriteError(w, http.StatusConflict,
-			fmt.Sprintf("version %d of %q is not staged here", req.Version, req.Name))
+	prev, err := a.commitLocal(req.Name, req.Version)
+	switch {
+	case errors.Is(err, errNotStaged):
+		serve.WriteError(w, http.StatusConflict, err.Error())
 		return
-	}
-	if req.Version == 0 {
-		// Rollback of a first install: the shard never existed before, so
-		// drop the live copy if one was installed.
-		_ = a.fleet.Unload(req.Name)
-	} else if err := a.installCommitted(req.Name, data); err != nil {
+	case err != nil:
 		serve.WriteError(w, http.StatusInternalServerError,
 			fmt.Sprintf("installing %s v%d: %v", req.Name, req.Version, err))
 		return
 	}
-	if a.isCoord.Load() {
-		a.publishTable() // a new name extends the shard set
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"committed": req.Name, "version": req.Version})
+	serve.WriteJSON(w, http.StatusOK, commitResponse{Committed: req.Name, Version: req.Version, Previous: prev})
 }
 
 func (a *Agent) handleAbort(w http.ResponseWriter, r *http.Request) {
@@ -411,48 +410,24 @@ func (a *Agent) join() error {
 }
 
 // heartbeat sends one liveness ping to the coordinator and adopts a
-// fresher table when the response carries one.
-func (a *Agent) heartbeat() error {
-	coord := ""
-	if p := a.coordAddr.Load(); p != nil {
-		coord = *p
-	}
-	if coord == "" {
-		return errors.New("cluster: no coordinator address")
-	}
+// fresher table when the response carries one. A failed ping is dropped:
+// the next beat retries, and the node serves on its last table meanwhile.
+func (a *Agent) heartbeat() {
 	var resp heartbeatResponse
-	err := a.postJSON(coord, "/cluster/v1/heartbeat", heartbeatRequest{
+	err := a.postJSON(*a.coordAddr.Load(), "/cluster/v1/heartbeat", heartbeatRequest{
 		ID:    a.cfg.NodeID,
 		Addr:  a.cfg.Advertise,
 		Epoch: a.viewEpoch(),
 	}, &resp)
-	var rd *errRedirect
-	if errors.As(err, &rd) {
-		if rd.coordinator != "" && rd.coordinator != coord {
-			a.coordAddr.Store(&rd.coordinator)
-		}
-		return err
-	}
-	if err != nil {
-		return err
-	}
-	if resp.Table != nil {
+	if err == nil && resp.Table != nil {
 		a.view.Store(buildView(*resp.Table))
 	}
-	return nil
 }
 
 // fetchModel pulls a committed model payload from the coordinator.
 func (a *Agent) fetchModel(name string) (CatalogModel, error) {
-	coord := ""
-	if p := a.coordAddr.Load(); p != nil {
-		coord = *p
-	}
-	if coord == "" {
-		return CatalogModel{}, errors.New("no coordinator address")
-	}
 	req, err := http.NewRequest(http.MethodGet,
-		coord+"/cluster/v1/model?name="+url.QueryEscape(name), nil)
+		*a.coordAddr.Load()+"/cluster/v1/model?name="+url.QueryEscape(name), nil)
 	if err != nil {
 		return CatalogModel{}, err
 	}

@@ -1,15 +1,20 @@
 // Package cluster is the multi-node fleet control plane: it turns N
-// trusthmdd daemons into one fleet. A coordinator (flagged or promoted)
-// tracks node membership via heartbeats, owns the cluster-wide consistent-
-// hash placement of shards onto nodes, pushes admin hot swaps fleet-wide
-// with a two-phase stage/commit protocol, and rebalances ownership when a
-// node joins or dies. Every node runs the same Agent; the coordinator is
-// the one whose membership table is authoritative.
+// trusthmdd daemons into one fleet. The coordinator — the node booted
+// with Config.Coordinator, for the cluster's lifetime — tracks node
+// membership via heartbeats, owns the cluster-wide consistent-hash
+// placement of shards onto nodes, pushes admin hot swaps fleet-wide with a
+// two-phase stage/commit protocol, and rebalances ownership when a node
+// joins or dies. Every node runs the same Agent; the coordinator is the
+// one whose membership table is authoritative.
 //
 // The design is deliberately crash-stop and single-coordinator: there is
-// no quorum, no log, no split-brain arbitration — the supervisory pattern
-// of a DAQ control unit over many identical acquisition nodes, not a
-// consensus database. Placement disagreements during convergence are
+// no quorum, no log, no election — the supervisory pattern of a DAQ
+// control unit over many identical acquisition nodes, not a consensus
+// database. No follower ever takes the role, so a partition cannot leave
+// two coordinators. While the coordinator is unreachable, followers keep
+// serving on their last table (forwards and streams fall over to ring
+// successors), and swaps, joins and membership changes wait for it.
+// Placement disagreements during convergence are
 // harmless: a forwarded request is always served where it lands (loop
 // guard + install-on-demand from the replicated model catalog), so a
 // stale routing table costs an extra hop, never a wrong or lost answer.
@@ -121,19 +126,6 @@ func (t *memberTable) sweep(now time.Time, suspectAfter, deadAfter time.Duration
 	return changed
 }
 
-// markDead forces a member dead immediately (a follower promoting itself
-// declares the old coordinator dead rather than waiting out the sweep).
-func (t *memberTable) markDead(id string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.members[id]
-	if !ok || e.state == StateDead {
-		return false
-	}
-	e.state = StateDead
-	return true
-}
-
 // snapshot returns the members sorted by ID.
 func (t *memberTable) snapshot() []Member {
 	t.mu.Lock()
@@ -144,17 +136,6 @@ func (t *memberTable) snapshot() []Member {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// adopt replaces the table's contents with a snapshot (a promoted
-// follower seeds its authoritative table from its last known view).
-func (t *memberTable) adopt(members []Member, now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.members = make(map[string]*memberEntry, len(members))
-	for _, m := range members {
-		t.members[m.ID] = &memberEntry{id: m.ID, addr: m.Addr, state: m.State, lastSeen: now}
-	}
 }
 
 // aliveMembers extracts the IDs eligible for shard ownership from a

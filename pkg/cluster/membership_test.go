@@ -100,51 +100,3 @@ func TestMembershipAddressChange(t *testing.T) {
 		t.Fatalf("address not updated: %+v", ms[0])
 	}
 }
-
-func TestMembershipMarkDead(t *testing.T) {
-	mt := newMemberTable()
-	t0 := time.Unix(0, 0)
-	mt.observe("n1", "http://a", t0)
-	if !mt.markDead("n1") {
-		t.Fatal("markDead on an alive member must report a change")
-	}
-	if mt.markDead("n1") {
-		t.Fatal("markDead is idempotent")
-	}
-	if mt.markDead("ghost") {
-		t.Fatal("markDead on an unknown member is a no-op")
-	}
-	if memberStates(mt)["n1"] != StateDead {
-		t.Fatal("markDead must kill the member")
-	}
-}
-
-// TestMembershipAdopt: a promoted follower seeds its authoritative table
-// from its last known view; the adopted entries are alive from the moment
-// of adoption, so survivors get a full DeadAfter to re-register.
-func TestMembershipAdopt(t *testing.T) {
-	mt := newMemberTable()
-	t0 := time.Unix(0, 0)
-	mt.adopt([]Member{
-		{ID: "n1", Addr: "http://a", State: StateAlive},
-		{ID: "n2", Addr: "http://b", State: StateSuspect},
-		{ID: "n3", Addr: "http://c", State: StateDead},
-	}, t0)
-
-	got := memberStates(mt)
-	want := map[string]string{"n1": StateAlive, "n2": StateSuspect, "n3": StateDead}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("adopt states: got %v want %v", got, want)
-	}
-	// Adopted members decay from the adoption time, not their original
-	// lastSeen (which the snapshot does not carry).
-	if mt.sweep(t0.Add(tSuspect-time.Second), tSuspect, tDead) {
-		t.Fatal("adopted members must not expire before SuspectAfter from adoption")
-	}
-	if !mt.sweep(t0.Add(tDead+time.Second), tSuspect, tDead) {
-		t.Fatal("adopted members must expire eventually")
-	}
-	if ids := aliveMembers(mt.snapshot()); len(ids) != 0 {
-		t.Fatalf("all should be dead, got %v", ids)
-	}
-}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ type SwapResponse struct {
 // HandleModelLoad implements serve.ClusterHook. Admin auth was already
 // enforced by the serve handler.
 func (a *Agent) HandleModelLoad(w http.ResponseWriter, r *http.Request, req serve.LoadModelRequest) bool {
-	if !a.isCoord.Load() {
+	if !a.cfg.Coordinator {
 		a.relayToCoordinator(w, r, req)
 		return true
 	}
@@ -55,6 +56,8 @@ func (a *Agent) HandleModelLoad(w http.ResponseWriter, r *http.Request, req serv
 		return true
 	}
 
+	a.rolloutMu.Lock()
+	defer a.rolloutMu.Unlock()
 	_, _, existed := a.cat.get(req.Name)
 	version := a.cat.nextVersion(req.Name)
 	v := a.view.Load()
@@ -79,27 +82,28 @@ func (a *Agent) HandleModelLoad(w http.ResponseWriter, r *http.Request, req serv
 		staged = append(staged, m)
 	}
 
-	// Phase 2: commit everywhere. On a partial failure, roll the members
-	// that already committed back to the previous version (version 0 — a
-	// revert to uncommitted — when the name was new).
-	prev := a.cat.prevCommitted(req.Name)
-	committed := make([]Member, 0, len(staged))
+	// Phase 2: commit everywhere. On a partial failure, roll each member
+	// that already committed back to the version it had before (version 0
+	// — a revert to uncommitted — when the name was new to it), so no
+	// member's version goes below where it stood.
+	type done struct {
+		m    Member
+		prev uint64
+	}
+	committed := make([]done, 0, len(staged))
 	for _, m := range staged {
-		if err := a.commitOn(m, req.Name, version); err != nil {
-			rollback := prev
-			if !existed {
-				rollback = 0
-			}
+		prev, err := a.commitOn(m, req.Name, version)
+		if err != nil {
 			for _, c := range committed {
-				if rerr := a.commitOn(c, req.Name, rollback); rerr != nil {
-					a.cfg.Logf("cluster: rollback of %s on %s failed: %v", req.Name, c.ID, rerr)
+				if _, rerr := a.commitOn(c.m, req.Name, c.prev); rerr != nil {
+					a.cfg.Logf("cluster: rollback of %s on %s failed: %v", req.Name, c.m.ID, rerr)
 				}
 			}
 			serve.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("committing %s v%d on %s (rolled back): %v", req.Name, version, m.ID, err))
 			return true
 		}
-		committed = append(committed, m)
+		committed = append(committed, done{m, prev})
 	}
 
 	a.publishTable() // a new name extends the cluster shard set
@@ -124,19 +128,33 @@ func (a *Agent) stageOn(m Member, name string, version uint64, data []byte) erro
 	return a.postJSON(m.Addr, "/cluster/v1/stage", CatalogModel{Name: name, Version: version, Data: data}, nil)
 }
 
-func (a *Agent) commitOn(m Member, name string, version uint64) error {
+func (a *Agent) commitOn(m Member, name string, version uint64) (prev uint64, err error) {
 	if m.ID == a.cfg.NodeID {
-		data, ok := a.cat.commit(name, version)
-		if !ok {
-			return fmt.Errorf("version %d of %q is not staged locally", version, name)
-		}
-		if version == 0 {
-			_ = a.fleet.Unload(name)
-			return nil
-		}
-		return a.installCommitted(name, data)
+		return a.commitLocal(name, version)
 	}
-	return a.postJSON(m.Addr, "/cluster/v1/commit", commitRequest{Name: name, Version: version}, nil)
+	var resp commitResponse
+	err = a.postJSON(m.Addr, "/cluster/v1/commit", commitRequest{Name: name, Version: version}, &resp)
+	return resp.Previous, err
+}
+
+// errNotStaged refuses a commit of a version this node does not hold.
+var errNotStaged = errors.New("not staged here")
+
+// commitLocal makes a staged version this node's committed one and, where
+// the node serves the shard, its live model; version 0 reverts the name to
+// uncommitted and unloads it (the rollback of a first install). It returns
+// the version committed before.
+func (a *Agent) commitLocal(name string, version uint64) (prev uint64, err error) {
+	prev, _, _ = a.cat.get(name)
+	data, ok := a.cat.commit(name, version)
+	if !ok {
+		return prev, fmt.Errorf("version %d of %q is %w", version, name, errNotStaged)
+	}
+	if version == 0 {
+		_ = a.fleet.Unload(name)
+		return prev, nil
+	}
+	return prev, a.installCommitted(name, data)
 }
 
 func (a *Agent) abortOn(m Member, name string, version uint64) {
@@ -150,20 +168,12 @@ func (a *Agent) abortOn(m Member, name string, version uint64) {
 // relayToCoordinator forwards a follower's admin load to the coordinator
 // and relays the answer.
 func (a *Agent) relayToCoordinator(w http.ResponseWriter, r *http.Request, req serve.LoadModelRequest) {
-	coord := ""
-	if p := a.coordAddr.Load(); p != nil {
-		coord = *p
-	}
-	if coord == "" {
-		serve.WriteError(w, http.StatusServiceUnavailable, "no coordinator known")
-		return
-	}
 	body, err := jsonBody(req)
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	proxy, err := http.NewRequestWithContext(r.Context(), http.MethodPost, coord+"/v1/models", body)
+	proxy, err := http.NewRequestWithContext(r.Context(), http.MethodPost, *a.coordAddr.Load()+"/v1/models", body)
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
