@@ -54,10 +54,16 @@ func DVFS(seed int64) (Splits, error) { return DVFSWithSizes(seed, TableIDVFS) }
 // DVFSWithSizes generates a DVFS dataset with custom split sizes (smaller
 // sizes are used by tests and quick benchmarks).
 func DVFSWithSizes(seed int64, sizes Sizes) (Splits, error) {
+	return DVFSWithConfig(seed, sizes, dvfs.DefaultConfig())
+}
+
+// DVFSWithConfig generates a DVFS dataset from a simulator configured by
+// cfg (experiment E2 swaps the governor policy this way).
+func DVFSWithConfig(seed int64, sizes Sizes, cfg dvfs.Config) (Splits, error) {
 	if err := sizes.Validate(); err != nil {
 		return Splits{}, err
 	}
-	sim, err := dvfs.NewSimulator(dvfs.DefaultConfig())
+	sim, err := dvfs.NewSimulator(cfg)
 	if err != nil {
 		return Splits{}, err
 	}
