@@ -89,14 +89,17 @@ fuzz-smoke:
 # included), the three-node cluster e2e with its node kills
 # (pkg/cluster/...), hmdbench's HTTP loop, the verdict store's appends
 # against its group-commit flusher, the dispatched kernels and their tree
-# consumers, and the ensemble, whose members train in parallel goroutines,
-# each tree with a builder scratch of its own. Then the kernel consumers
+# consumers, the ensemble, whose members train in parallel goroutines,
+# each tree with a builder scratch of its own, and the dataset generator
+# (internal/gen), whose workers extract features while the caller keeps
+# drawing, with the experiments (internal/exp) that generate their
+# datasets through it. Then the kernel consumers
 # again with SIMD forced off so both dispatch arms get race coverage.
 # TestRetrainE2EClosedLoop writes its final /stats snapshot (verdict-store
 # occupancy included) to retrain-stats.json; CI uploads it as an artifact.
 race:
 	TRUSTHMD_RETRAIN_STATS_OUT=$(CURDIR)/retrain-stats.json \
-		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./cmd/hmdbench/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/
+		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./cmd/hmdbench/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/ ./internal/gen/ ./internal/exp/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:

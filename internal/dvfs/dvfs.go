@@ -20,7 +20,6 @@
 package dvfs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -251,31 +250,4 @@ func levelFor(u float64, maxLevel int) int {
 		l = maxLevel
 	}
 	return l
-}
-
-// ErrNoApps reports an empty behaviour list.
-var ErrNoApps = errors.New("dvfs: no applications")
-
-// TraceBatch simulates n traces for each behaviour and calls emit with the
-// behaviour and its trace. Used by the dataset generator and the online
-// detector demo.
-func (s *Simulator) TraceBatch(apps []workload.DVFSBehavior, n int, rng *rand.Rand, emit func(workload.DVFSBehavior, []int) error) error {
-	if len(apps) == 0 {
-		return ErrNoApps
-	}
-	if n < 1 {
-		return fmt.Errorf("dvfs: need n>=1 traces, got %d", n)
-	}
-	for _, app := range apps {
-		for i := 0; i < n; i++ {
-			tr, err := s.Trace(app, rng)
-			if err != nil {
-				return fmt.Errorf("dvfs: %s: %w", app.Name, err)
-			}
-			if err := emit(app, tr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

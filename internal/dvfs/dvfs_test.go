@@ -150,31 +150,6 @@ func TestTraceDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestTraceBatch(t *testing.T) {
-	s := mustSim(t)
-	apps := workload.DVFSApps()[:3]
-	count := 0
-	err := s.TraceBatch(apps, 4, rand.New(rand.NewSource(4)), func(a workload.DVFSBehavior, tr []int) error {
-		count++
-		if len(tr) != s.Config().Steps {
-			t.Fatal("bad trace length")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 12 {
-		t.Fatalf("emitted %d traces, want 12", count)
-	}
-	if err := s.TraceBatch(nil, 1, rand.New(rand.NewSource(1)), nil); err == nil {
-		t.Fatal("expected no-apps error")
-	}
-	if err := s.TraceBatch(apps, 0, rand.New(rand.NewSource(1)), nil); err == nil {
-		t.Fatal("expected n error")
-	}
-}
-
 func TestLevelForAndCapacity(t *testing.T) {
 	if levelFor(0, 7) != 0 {
 		t.Fatal("levelFor(0)")

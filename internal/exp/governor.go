@@ -2,15 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/dvfs"
-	"trusthmd/internal/feature"
 	"trusthmd/internal/gen"
 	"trusthmd/internal/metrics"
-	"trusthmd/internal/workload"
-	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/linalg"
 )
@@ -44,25 +40,27 @@ func GovernorSensitivity(cfg Config) (*GovernorResult, error) {
 	sizes := cfg.scaled(TableSizesForTest())
 	res := &GovernorResult{}
 	for _, policy := range GovernorPolicies {
-		splits, err := generateDVFSWithPolicy(cfg.Seed+3, sizes, policy)
+		simCfg := dvfs.DefaultConfig()
+		simCfg.Policy = policy
+		splits, err := gen.DVFSWithConfig(cfg.Seed+3, sizes, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: governor %v: %w", policy, err)
 		}
-		d, err := cfg.train(splits.train, "rf")
+		d, err := cfg.train(splits.Train, "rf")
 		if err != nil {
 			return nil, fmt.Errorf("exp: governor %v: %w", policy, err)
 		}
-		rKnown, err := d.AssessDataset(splits.test)
+		rKnown, err := d.AssessDataset(splits.Test)
 		if err != nil {
 			return nil, err
 		}
-		rUnknown, err := d.AssessDataset(splits.unknown)
+		rUnknown, err := d.AssessDataset(splits.Unknown)
 		if err != nil {
 			return nil, err
 		}
 		hKnown := detector.Entropies(rKnown)
 		hUnknown := detector.Entropies(rUnknown)
-		rep, err := metrics.Score(splits.test.Y(), detector.Predictions(rKnown))
+		rep, err := metrics.Score(splits.Test.Y(), detector.Predictions(rKnown))
 		if err != nil {
 			return nil, err
 		}
@@ -79,67 +77,6 @@ func GovernorSensitivity(cfg Config) (*GovernorResult, error) {
 		})
 	}
 	return res, nil
-}
-
-type dvfsSplitSet struct {
-	train, test, unknown *dataset.Dataset
-}
-
-// generateDVFSWithPolicy mirrors gen.DVFSWithSizes but under an explicit
-// governor policy (gen's default generator is pinned to ondemand).
-func generateDVFSWithPolicy(seed int64, sizes gen.Sizes, policy dvfs.Policy) (dvfsSplitSet, error) {
-	simCfg := dvfs.DefaultConfig()
-	simCfg.Policy = policy
-	sim, err := dvfs.NewSimulator(simCfg)
-	if err != nil {
-		return dvfsSplitSet{}, err
-	}
-	var known, unknown []workload.DVFSBehavior
-	for _, a := range workload.DVFSApps() {
-		if a.Known {
-			known = append(known, a)
-		} else {
-			unknown = append(unknown, a)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dim := feature.DVFSDim(simCfg.Levels)
-
-	build := func(apps []workload.DVFSBehavior, total int) (*dataset.Dataset, error) {
-		alloc, err := workload.Allocate(total, len(apps))
-		if err != nil {
-			return nil, err
-		}
-		d := dataset.New(dim)
-		for i, app := range apps {
-			for k := 0; k < alloc[i]; k++ {
-				trace, err := sim.Trace(app, rng)
-				if err != nil {
-					return nil, err
-				}
-				feats, err := feature.DVFSVector(trace, simCfg.Levels)
-				if err != nil {
-					return nil, err
-				}
-				if err := d.Add(dataset.Sample{Features: feats, Label: app.Label, App: app.Name}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return d, nil
-	}
-
-	var out dvfsSplitSet
-	if out.train, err = build(known, sizes.Train); err != nil {
-		return dvfsSplitSet{}, err
-	}
-	if out.test, err = build(known, sizes.Test); err != nil {
-		return dvfsSplitSet{}, err
-	}
-	if out.unknown, err = build(unknown, sizes.Unknown); err != nil {
-		return dvfsSplitSet{}, err
-	}
-	return out, nil
 }
 
 // Render prints the E2 table.

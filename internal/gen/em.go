@@ -1,13 +1,8 @@
 package gen
 
 import (
-	"fmt"
-	"math/rand"
-
 	"trusthmd/internal/em"
 	"trusthmd/internal/feature"
-	"trusthmd/internal/workload"
-	"trusthmd/pkg/dataset"
 )
 
 // EMSizes are the default split sizes for the EM generalisation experiment
@@ -26,51 +21,12 @@ func EMWithSizes(seed int64, sizes Sizes) (Splits, error) {
 	if err != nil {
 		return Splits{}, err
 	}
-	apps := em.Apps()
-	var known, unknown []em.Behavior
-	for _, a := range apps {
-		if a.Known {
-			known = append(known, a)
-		} else {
-			unknown = append(unknown, a)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dim := feature.EMDim(sensor.Bands())
-
-	build := func(apps []em.Behavior, total int) (*dataset.Dataset, error) {
-		alloc, err := workload.Allocate(total, len(apps))
-		if err != nil {
-			return nil, err
-		}
-		d := dataset.New(dim)
-		for i, app := range apps {
-			for k := 0; k < alloc[i]; k++ {
-				bands, err := sensor.Observe(app, rng)
-				if err != nil {
-					return nil, err
-				}
-				feats, err := feature.EMVector(bands)
-				if err != nil {
-					return nil, err
-				}
-				if err := d.Add(dataset.Sample{Features: feats, Label: app.Label, App: app.Name}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return d, nil
-	}
-
-	var s Splits
-	if s.Train, err = build(known, sizes.Train); err != nil {
-		return Splits{}, fmt.Errorf("gen: em train: %w", err)
-	}
-	if s.Test, err = build(known, sizes.Test); err != nil {
-		return Splits{}, fmt.Errorf("gen: em test: %w", err)
-	}
-	if s.Unknown, err = build(unknown, sizes.Unknown); err != nil {
-		return Splits{}, fmt.Errorf("gen: em unknown: %w", err)
-	}
-	return s, nil
+	return generate(source[em.Behavior, []float64]{
+		name:    "em",
+		dim:     feature.EMDim(sensor.Bands()),
+		apps:    em.Apps(),
+		meta:    func(a em.Behavior) (bool, int, string) { return a.Known, a.Label, a.Name },
+		draw:    sensor.Observe,
+		extract: feature.EMVector,
+	}, seed, sizes)
 }

@@ -12,8 +12,6 @@
 package hpc
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -141,29 +139,4 @@ func (g *Generator) Window(b workload.HPCBehavior, rng *rand.Rand) ([]float64, e
 		out[e] = math.Exp(lm)
 	}
 	return out, nil
-}
-
-// ErrNoApps reports an empty behaviour list.
-var ErrNoApps = errors.New("hpc: no applications")
-
-// WindowBatch draws n windows per behaviour and emits each.
-func (g *Generator) WindowBatch(apps []workload.HPCBehavior, n int, rng *rand.Rand, emit func(workload.HPCBehavior, []float64) error) error {
-	if len(apps) == 0 {
-		return ErrNoApps
-	}
-	if n < 1 {
-		return fmt.Errorf("hpc: need n>=1 windows, got %d", n)
-	}
-	for _, app := range apps {
-		for i := 0; i < n; i++ {
-			w, err := g.Window(app, rng)
-			if err != nil {
-				return fmt.Errorf("hpc: %s: %w", app.Name, err)
-			}
-			if err := emit(app, w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -161,28 +161,6 @@ func TestClassOverlap(t *testing.T) {
 	}
 }
 
-func TestWindowBatch(t *testing.T) {
-	g := NewGenerator()
-	apps := workload.HPCApps()[:2]
-	count := 0
-	err := g.WindowBatch(apps, 3, rand.New(rand.NewSource(4)), func(a workload.HPCBehavior, w []float64) error {
-		count++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 6 {
-		t.Fatalf("emitted %d windows, want 6", count)
-	}
-	if err := g.WindowBatch(nil, 1, rand.New(rand.NewSource(1)), nil); err == nil {
-		t.Fatal("expected no-apps error")
-	}
-	if err := g.WindowBatch(apps, 0, rand.New(rand.NewSource(1)), nil); err == nil {
-		t.Fatal("expected n error")
-	}
-}
-
 func TestNumComponents(t *testing.T) {
 	if NewGenerator().NumComponents() != 5 {
 		t.Fatal("component count")
