@@ -155,11 +155,11 @@ const maxChunk = 64
 
 // buildSplit spreads total samples over apps with workload.Allocate and
 // draws them in catalogue order on the calling goroutine, handing them in
-// chunks to runtime.GOMAXPROCS(0) extraction workers. Samples
-// enter the dataset in draw order, and the error returned is the one the
-// serial draw → extract → Add loop would return: that of the lowest
-// failing sample. A failed draw ends the drawing; every worker has exited
-// when buildSplit returns.
+// chunks to runtime.GOMAXPROCS(0) extraction workers. Samples enter the
+// dataset in draw order, and the error returned is the one the serial
+// draw → extract → Add loop would return: that of the lowest failing
+// sample. A failed draw ends the drawing; every worker has exited when
+// buildSplit returns.
 func buildSplit[B, D any](src source[B, D], apps []B, total int, rng *rand.Rand) (*dataset.Dataset, error) {
 	alloc, err := workload.Allocate(total, len(apps))
 	if err != nil {
