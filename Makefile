@@ -50,7 +50,7 @@ benchmark-test:
 # single flaky pass here means a timing assumption crept back in.
 serve-stress:
 	$(GO) test -race -count=20 \
-		-run 'TestAssessCoalescedMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments' ./pkg/serve/
+		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments' ./pkg/serve/
 
 # fuzz-smoke runs every Fuzz* target of the ten packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
@@ -87,19 +87,19 @@ fuzz-smoke:
 # concurrent inline assessment, streams against hot swaps and the
 # closed retrain loop (pkg/serve and cmd/trusthmdd, the daemon's e2e tests
 # included), the three-node cluster e2e with its node kills
-# (pkg/cluster/...), hmdbench's HTTP loop, the verdict store's appends
-# against its group-commit flusher, the dispatched kernels and their tree
-# consumers, the ensemble, whose members train in parallel goroutines,
-# each tree with a builder scratch of its own, and the dataset generator
-# (internal/gen), whose workers extract features while the caller keeps
-# drawing, with the experiments (internal/exp) that generate their
-# datasets through it. Then the kernel consumers
-# again with SIMD forced off so both dispatch arms get race coverage.
+# (pkg/cluster/...), the verdict store's appends against its group-commit
+# flusher, the dispatched kernels and their tree consumers, the ensemble,
+# whose members train in parallel goroutines, each tree with a builder
+# scratch of its own, and the dataset generator (internal/gen), whose
+# workers extract features while the caller keeps drawing, with the
+# experiments (internal/exp) that generate their datasets through it. Then
+# the kernel consumers again with SIMD forced off so both dispatch arms get
+# race coverage.
 # TestRetrainE2EClosedLoop writes its final /stats snapshot (verdict-store
 # occupancy included) to retrain-stats.json; CI uploads it as an artifact.
 race:
 	TRUSTHMD_RETRAIN_STATS_OUT=$(CURDIR)/retrain-stats.json \
-		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./cmd/hmdbench/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/ ./internal/gen/ ./internal/exp/
+		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/ ./internal/gen/ ./internal/exp/
 	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:

@@ -38,7 +38,7 @@ func benchCfg() exp.Config {
 	return exp.Config{Seed: 1, Scale: benchScale(), M: 25}
 }
 
-// --- One benchmark per paper artefact (DESIGN.md §5) ---
+// --- One benchmark per paper artefact (cmd/hmdbench's experiments table) ---
 
 func BenchmarkTableI(b *testing.B) {
 	b.ReportAllocs()

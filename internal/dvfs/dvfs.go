@@ -13,10 +13,10 @@
 //  3. a sampling layer that records the state sequence, with occasional
 //     misreads modelling sampling noise.
 //
-// This substitutes for real Android DVFS traces (see DESIGN.md §2): the
-// detector consumes only feature vectors extracted from state time series,
-// and the catalogue is calibrated so that the latent-space geometry matches
-// the paper's observations.
+// This substitutes for real Android DVFS traces, which the paper does not
+// publish: the detector consumes only feature vectors extracted from state
+// time series, and the catalogue is calibrated so that the latent-space
+// geometry matches the paper's observations.
 package dvfs
 
 import (

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one runner per table and figure of
-// the paper's evaluation (see DESIGN.md §5 for the experiment index). Each
-// runner regenerates the data, trains the pipelines and returns a result
-// struct whose Render method prints the same rows or series the paper
-// reports. The cmd/hmdbench binary and the repository's benchmarks both
+// the paper's evaluation (cmd/hmdbench's experiments table indexes them by
+// ID). Each runner regenerates the data, trains the pipelines and returns a
+// result struct whose Render method prints the same rows or series the
+// paper reports. The cmd/hmdbench binary and the repository's benchmarks both
 // drive these runners.
 package exp
 
@@ -26,8 +26,6 @@ type Config struct {
 	Scale float64
 	// M is the ensemble size (default 25).
 	M int
-	// Workers caps training parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 func (c Config) normalized() Config {
@@ -72,7 +70,7 @@ func (c Config) hpcData() (gen.Splits, error) {
 var modelSeedIndex = map[string]int64{"rf": 0, "lr": 1, "svm": 2, "nb": 3, "knn": 4}
 
 // detectorOpts returns the per-model training options used across all
-// experiments. These mirror the calibration recorded in DESIGN.md: random
+// experiments. This is the calibration every experiment shares: random
 // forests diversify through per-split feature sampling; logistic ensembles
 // additionally use random feature subspaces (sklearn BaggingClassifier's
 // max_features) because fully-converged linear members are otherwise
@@ -83,7 +81,6 @@ func (c Config) detectorOpts(model string) []detector.Option {
 		detector.WithModel(model),
 		detector.WithEnsembleSize(c.M),
 		detector.WithSeed(c.Seed + 1000*modelSeedIndex[model]),
-		detector.WithWorkers(c.Workers),
 		detector.WithThreshold(HeadlineThreshold),
 	}
 	switch model {

@@ -119,7 +119,7 @@ func subsample(d *dataset.Dataset, max int, rng *rand.Rand) *dataset.Dataset {
 
 // Render summarises the embedding: per (group, class) centroid and spread,
 // plus the separation silhouette. Full coordinates are available in Points
-// (cmd/hmdbench -csv dumps them for plotting).
+// (cmd/hmdbench -tsne-csv dumps them for plotting).
 func (r *TSNEResult) Render() string {
 	type key struct {
 		group string

@@ -4,11 +4,11 @@
 // parameters, mirroring the paper's Fig. 6 where signatures are bucketed
 // into known and unknown sets *by application* before any train/test split.
 //
-// The catalogue is calibrated per DESIGN.md §6: known DVFS applications
-// occupy distinct regions of behaviour space (disjoint latent classes),
-// unknown DVFS applications sit between and beyond those regions
-// (out-of-distribution); HPC applications deliberately overlap across the
-// benign/malware boundary.
+// The catalogue is calibrated to the latent-space picture of the paper's
+// Fig. 8 (TestDVFSCalibrationGap pins the DVFS half): known DVFS apps hold
+// distinct regions of behaviour space (disjoint latent classes), unknown
+// DVFS apps sit between and beyond them (out-of-distribution); HPC apps
+// deliberately overlap across the benign/malware boundary.
 package workload
 
 import (

@@ -57,8 +57,8 @@ func TestDVFSCatalogueValid(t *testing.T) {
 }
 
 func TestDVFSCalibrationGap(t *testing.T) {
-	// DESIGN.md §6: known benign loads and known malware loads form
-	// separated groups; unknown apps sit in the gap.
+	// The calibration the package doc states: known benign loads and known
+	// malware loads form separated groups; unknown apps sit in the gap.
 	var maxBenign, minUnknown, maxUnknown float64
 	minMalware := 1.0
 	minUnknown = 1.0

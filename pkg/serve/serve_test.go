@@ -125,16 +125,15 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-// TestAssessCoalescedMatchesSequential is the acceptance test of the
+// TestAssessConcurrentMatchesSequential is the acceptance test of the
 // serving layer: N concurrent /v1/assess requests must return decisions
 // element-wise identical to direct sequential Assess. The requests really
 // are concurrent: every one of them is held inside its assessment (at the
 // gate) until all n are in flight at once on the shard's gauge, and only
 // then released together. The last n-distinct requests repeat earlier
 // vectors bit for bit: a repeat is assessed like any other request, and
-// answers the same bits as its first occurrence. (The name predates the
-// inline path; the test no longer has any coalescing to check.)
-func TestAssessCoalescedMatchesSequential(t *testing.T) {
+// answers the same bits as its first occurrence.
+func TestAssessConcurrentMatchesSequential(t *testing.T) {
 	const n, distinct = 96, 80
 	d, X := gatedDetector(t)
 	s, ts := newTestServerOver(t, d, Config{})
