@@ -47,10 +47,14 @@ benchmark-test:
 # the in-flight cap and Close waiting out calls in flight. The ones that
 # need requests in flight hold them inside the assessment
 # (internal/testgate), not with the clock, so their counts are exact; a
-# single flaky pass here means a timing assumption crept back in.
+# single flaky pass here means a timing assumption crept back in. The
+# retrain loop rides along: its replay proof (a live run and an offline
+# fold of the same store end on the same model bytes) and its closed
+# loop, whose held case reads /stats while a round is parked in the
+# fleet's prepare hook.
 serve-stress:
 	$(GO) test -race -count=20 \
-		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments' ./pkg/serve/
+		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments|TestRetrainReplay|TestRetrainControllerClosedLoop' ./pkg/serve/
 
 # fuzz-smoke runs every Fuzz* target of the ten packages that decode
 # outside bytes or promise another encoder's bytes — the JSON codec and
@@ -64,7 +68,10 @@ serve-stress:
 # member gob decoders, whose models must predict without a fault on any
 # row as wide as they report (FuzzMemberGobDecode in internal/ml/bayes and
 # internal/ml/knn), the stream-state resume a cluster peer's push feeds
-# (pkg/detector), every node-to-node POST body a cluster peer sends —
+# (FuzzResumeOnline) and the saved-detector decoder POST /v1/models feeds,
+# whose scaler, PCA, ensemble and member gobs must decode to a detector
+# that assesses without a fault or fail (FuzzLoad, seeded with one blob
+# per registered family) (pkg/detector), every node-to-node POST body a cluster peer sends —
 # join, heartbeat, stage, commit, abort and push (pkg/cluster) — and the
 # drop-line parser of `trusthmd push`, whose CSV drops are outside bytes
 # (cmd/trusthmd) — for FUZZTIME each.

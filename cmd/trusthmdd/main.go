@@ -53,9 +53,9 @@
 // the assess endpoints, drop-directory CSV included (`trusthmd push -dir D
 // -addr URL` posts it to /v1/assess/batch); -auto-retrain tails the
 // verdict store for per-device entropy drift and, on sustained drift,
-// retrains in the background on the base set (-retrain-data) plus the
-// drifting device's rejected-verdict forensics and hot-swaps the result
-// in — zero downtime, no operator. It runs standalone only: a clustered
+// retrains on its own tail goroutine on the base set (-retrain-data) plus
+// the drifting device's rejected-verdict forensics and hot-swaps the
+// result in — zero downtime, no operator. It runs standalone only: a clustered
 // node installs only what the cluster catalog commits, and a local
 // retrain would be undone the moment its shard moved to another node.
 package main
@@ -163,7 +163,7 @@ func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.retrain.Drift.Window, "retrain-window", 50, "per-device drift window (recent verdict entropies)")
 	fs.IntVar(&cfg.retrain.Sustain, "retrain-sustain", 3, "consecutive alarmed observations before the controller acts")
 	fs.IntVar(&cfg.retrain.Quorum, "retrain-quorum", 25, "rejected-verdict forensics required before a retrain round fires")
-	fs.DurationVar(&cfg.retrain.Cooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-driven hot swaps")
+	fs.DurationVar(&cfg.retrain.Cooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-driven retrain rounds, in verdict time (from one round's trigger record to the next)")
 }
 
 // modelFlags collects repeated -model name=path specs. Duplicate shard
@@ -455,14 +455,13 @@ func (d *daemon) start(ctx context.Context) error {
 
 // close tears the daemon down in the one order that loses nothing: the
 // cluster agent first (heartbeats stop; peers will declare this node dead
-// and rebalance), then the retrain controller (which waits out an
-// in-flight round, possibly swapping the fleet, so it needs the fleet
-// alive), then the fleet, which waits out its assessments in flight, and
-// the verdict store last, since those assessments still tap verdicts into
-// it. The HTTP listener
-// should be shut down first so no new requests arrive. Safe on a
-// half-built daemon and idempotent; every call returns the store's close
-// error.
+// and rebalance), then the retrain controller (whose Run returns only
+// once its tick in progress is done, a round included, which may swap
+// the fleet, so it needs the fleet alive), then the fleet, which waits
+// out its assessments in flight, and the verdict store last, since those
+// assessments still tap verdicts into it. The HTTP listener should be
+// shut down first so no new requests arrive. Safe on a half-built daemon
+// and idempotent; every call returns the store's close error.
 func (d *daemon) close() error {
 	d.closeOnce.Do(func() {
 		if d.agent != nil {

@@ -2,8 +2,9 @@
 // telemetry producers assess their windows through a verdict-tapped fleet, a
 // retrain controller tails the verdict store and watches each device's
 // entropy stream, and when one device starts replaying zero-day windows
-// the controller retrains in the background and hot-swaps the fleet —
-// no operator, no downtime, no lost verdicts.
+// the controller retrains on its own goroutine and hot-swaps the fleet
+// while the producers keep assessing — no operator, no downtime, no lost
+// verdicts.
 package main
 
 import (
@@ -58,9 +59,10 @@ func main() {
 	}
 	defer fleet.Close()
 
-	// 3. The retrain controller tails the store; sustained drift on any
-	// single device triggers a background retrain and a zero-downtime
-	// Fleet.Swap.
+	// 3. The retrain controller tails the store and folds its records in
+	// seq order; sustained drift on any single device runs a retrain
+	// round in place on the controller's goroutine, then a zero-downtime
+	// Fleet.Swap, while the fleet keeps serving on the old version.
 	ctrl, err := serve.NewRetrainController(serve.RetrainConfig{
 		Store:          store,
 		Fleet:          fleet,

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"trusthmd/internal/gen"
 	"trusthmd/pkg/detector"
@@ -284,18 +284,21 @@ func TestStatsClosedLoopCounters(t *testing.T) {
 // TestRetrainControllerClosedLoop exercises the full automatic loop at
 // package level: a drifting device's verdicts accumulate in the store,
 // the controller's per-device monitor alarms, forensics reach quorum, a
-// background retrain fires and Swap installs the new version — all
-// while the healthy device keeps serving.
+// retrain fires and Swap installs the new version — all while the healthy
+// device keeps serving. The test folds the store itself, one tick per
+// verdict, so no clock decides anything.
+//
+// The held case stops the round inside the fleet's prepare hook: /stats
+// must still answer, the fleet must still serve on the old version, and
+// the verdict it serves then — the old model's, folded after the swap —
+// must feed the old monitors, not the new model's.
 func TestRetrainControllerClosedLoop(t *testing.T) {
-	splits, err := gen.DVFSWithSizes(5, gen.Sizes{Train: 320, Test: 80, Unknown: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := detector.New(splits.Train,
-		detector.WithModel("rf"), detector.WithEnsembleSize(9), detector.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("direct", func(t *testing.T) { testRetrainClosedLoop(t, false) })
+	t.Run("held", func(t *testing.T) { testRetrainClosedLoop(t, true) })
+}
+
+func testRetrainClosedLoop(t *testing.T, held bool) {
+	splits, det := loopDetector(t)
 	store, err := verdictstore.Open(t.TempDir(), verdictstore.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -304,11 +307,18 @@ func TestRetrainControllerClosedLoop(t *testing.T) {
 	// The fleet's prepare hook must reach the retrained model with no
 	// controller wiring. 0.45 rejects exactly what 0.40 does for nine
 	// members (the smallest split entropy is H(1/9) ≈ 0.50), so the loop
-	// itself runs as without the hook.
+	// itself runs as without the hook. In the held case the hook also
+	// parks the first round it sees until the test releases it.
 	const prepared = 0.45
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
 	fleet, err := NewFleet(map[string]*detector.Detector{"hmd": det}, Config{
 		Verdicts: store,
 		PrepareDetector: func(d *detector.Detector) (*detector.Detector, error) {
+			if hold.CompareAndSwap(true, false) {
+				entered <- struct{}{}
+				<-release
+			}
 			return d.WithOptions(detector.WithThreshold(prepared))
 		},
 	})
@@ -322,7 +332,6 @@ func TestRetrainControllerClosedLoop(t *testing.T) {
 		Fleet:          fleet,
 		Model:          "hmd",
 		Base:           splits.Train,
-		Interval:       20 * time.Millisecond,
 		Drift:          detector.DriftConfig{Window: 16},
 		BaselineSample: 100,
 		Sustain:        3,
@@ -331,51 +340,91 @@ func TestRetrainControllerClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ctrlDone := make(chan error, 1)
-	go func() { ctrlDone <- ctrl.Run(ctx) }()
-	defer func() { cancel(); <-ctrlDone }()
-
-	epochBefore := fleet.Epoch()
-	deadline := time.Now().Add(30 * time.Second)
-	sent := 0
-	for fleet.Epoch() == epochBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("no retrain after %d verdicts; controller: %+v", sent, ctrl.Stats())
-		}
-		// Interleave: a healthy device on known data, a drifting edge
-		// device on the zero-day split.
-		known := splits.Test.At(sent % splits.Test.Len()).Features
-		if _, err := fleet.Assess(ctx, AssessSpec{Device: "healthy", Features: known}); err != nil {
+	hold.Store(held)
+	ctx := context.Background()
+	healthy := func(i int) AssessOutcome {
+		t.Helper()
+		out, err := fleet.Assess(ctx, AssessSpec{Device: "healthy", Features: splits.Test.At(i % splits.Test.Len()).Features})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return out
+	}
+	tick := func() {
+		t.Helper()
+		if !held {
+			if err := ctrl.tick(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		done := make(chan error, 1)
+		go func() { done <- ctrl.tick() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-entered:
+		}
+		// The round is parked before its swap. Stats answers, and the
+		// fleet serves on the version being replaced.
+		func() {
+			defer close(release) // even if a check below fails
+			if st := ctrl.Stats(); !st.Retraining || st.Retrains != 0 {
+				t.Errorf("stats while a round is held: %+v", st)
+			}
+			if out := healthy(0); out.Version != 1 {
+				t.Errorf("assess while a round is held answered version %d, want 1", out.Version)
+			}
+		}()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Interleave a healthy device on known data and a drifting edge device
+	// on the zero-day split, folding after every verdict.
+	epochBefore := fleet.Epoch()
+	for sent := 0; fleet.Epoch() == epochBefore; sent++ {
+		if sent == 20*splits.Unknown.Len() {
+			t.Fatalf("no retrain after %d verdicts; controller: %+v", 2*sent, ctrl.Stats())
+		}
+		healthy(sent)
+		tick()
 		unknown := splits.Unknown.At(sent % splits.Unknown.Len()).Features
 		if _, err := fleet.Assess(ctx, AssessSpec{Device: "edge-7", Features: unknown}); err != nil {
 			t.Fatal(err)
 		}
-		sent++
-		time.Sleep(time.Millisecond)
+		tick()
 	}
 
-	// The swap must be attributed to the loop and counted.
+	// The swap is attributed to the loop and counted.
 	if cause := fleet.LastSwapCause(); cause != "drift-retrain" {
 		t.Fatalf("last swap cause %q, want drift-retrain", cause)
 	}
-	waitDeadline := time.Now().Add(5 * time.Second)
-	for ctrl.Stats().Retrains < 1 {
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("swap landed but retrains counter stayed at %d", ctrl.Stats().Retrains)
+	if st := ctrl.Stats(); st.Retrains != 1 || st.Retraining {
+		t.Fatalf("after the round: %+v, want one retrain", st)
+	}
+	if held {
+		// The held round fired on the last record of its tick, so the
+		// verdict served while it was held is the only old-version one
+		// left to fold: it must reach the old monitors, both still there.
+		tick()
+		if st := ctrl.Stats(); st.Devices != 2 {
+			t.Fatalf("old-version verdict folded after the swap left %d monitors, want the old 2", st.Devices)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Serving continued throughout and continues now, on the new version.
-	out, err := fleet.Assess(ctx, AssessSpec{Device: "healthy", Features: splits.Test.At(0).Features})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Version < 2 {
+	// Serving continued throughout and continues now, on the new version,
+	// whose first verdict switches the monitors to the new model.
+	if out := healthy(0); out.Version < 2 {
 		t.Fatalf("post-retrain version %d, want >= 2", out.Version)
+	}
+	tick()
+	if st := ctrl.Stats(); st.Devices != 1 {
+		t.Fatalf("first new-version verdict left %d monitors, want a fresh 1", st.Devices)
 	}
 	if m := fleet.Models(); len(m) != 1 || m[0].Version < 2 || m[0].Threshold != prepared {
 		t.Fatalf("retrained model skipped the fleet's prepare hook: %+v", m)

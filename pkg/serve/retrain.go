@@ -15,11 +15,17 @@ import (
 // RetrainController closes the paper's deployment loop automatically: it
 // tails the verdict store, feeds each device's entropy stream into its
 // own DriftMonitor, and when drift is sustained, drains the rejected
-// verdicts' stored feature vectors into a Retrainer, retrains in the
-// background and installs the result via Fleet.Swap — a zero-
-// downtime model refresh with no operator in the loop. The swap is the
-// same lossless hot swap the admin endpoint uses: in-flight requests
-// finish on the old version, everything after routes to the new one.
+// verdicts' stored feature vectors into a Retrainer, retrains and
+// installs the result via Fleet.Swap — a zero-downtime model refresh
+// with no operator in the loop. The swap is the same lossless hot swap
+// the admin endpoint uses: in-flight requests finish on the old version,
+// everything after routes to the new one.
+//
+// The controller is a fold over the store: step reads the records in seq
+// order and decides from them alone — the cooldown from their Time, the
+// switch to a new model's monitors from their Version — and a round runs
+// in place on the tailing goroutine. Folding the same records again with
+// the same configuration replays the same rounds into the same models.
 //
 // Per-device monitoring matters: one drifting edge device must trip the
 // loop even while a hundred healthy devices keep the aggregate entropy
@@ -28,18 +34,30 @@ type RetrainController struct {
 	cfg       RetrainConfig
 	retrainer *detector.Retrainer
 
-	mu       sync.Mutex
+	// The fold's state, touched only by tick's goroutine.
 	monitors map[string]*deviceState
 	baseline []float64
 	lastSeq  uint64
-	// retraining serializes retrain rounds: the tick loop never touches
-	// the retrainer while a background round owns it.
-	retraining  bool
-	lastSwapped time.Time
-	retrains    int64
-	failures    int64
+	// lastRound is the Time of the last round's trigger record: the
+	// cooldown runs from it, in verdict time.
+	lastRound time.Time
+	// nextVersion (0 for none) is the version the last round's swap
+	// returned, until the first record served by it switches the monitors
+	// to nextBaseline, the installed detector's.
+	nextVersion  uint64
+	nextBaseline []float64
 
-	wg sync.WaitGroup
+	// mu guards stats, the snapshot Stats returns. It is never held while
+	// a round trains or swaps, so /stats does not wait on training.
+	mu    sync.Mutex
+	stats RetrainStats
+}
+
+// round is a retrain decided at one trigger record. Its inputs are
+// already in the retrainer, which derives the seed from the round number.
+type round struct {
+	seq    uint64
+	device string
 }
 
 // deviceState is one device's drift tracking.
@@ -86,8 +104,10 @@ type RetrainConfig struct {
 	// (default 25): a retrain fires only once that many rejected vectors
 	// have been collected.
 	Quorum int
-	// Cooldown is the minimum gap between swaps (default 1m), so an
-	// ineffective retrain cannot thrash the fleet.
+	// Cooldown is the minimum gap between rounds (default 1m), so an
+	// ineffective retrain cannot thrash the fleet. It is measured in
+	// verdict time: from the Time of one round's trigger record to that of
+	// the next.
 	Cooldown time.Duration
 	// Labeler assigns a training label to one rejected verdict, or false
 	// to discard it. The default pseudo-labels with the ensemble's
@@ -109,7 +129,7 @@ type RetrainStats struct {
 	TailSeq uint64 `json:"tail_seq"`
 	// PendingForensics is the retrainer's labelled-but-unconsumed sample
 	// count; Devices the number of devices currently tracked; Retraining
-	// whether a background round is in flight.
+	// whether a round is training or swapping.
 	PendingForensics int  `json:"pending_forensics"`
 	Devices          int  `json:"devices"`
 	Retraining       bool `json:"retraining,omitempty"`
@@ -169,50 +189,43 @@ func NewRetrainController(cfg RetrainConfig) (*RetrainController, error) {
 		cfg:       cfg,
 		retrainer: retrainer,
 		monitors:  make(map[string]*deviceState),
+		stats:     RetrainStats{Model: cfg.Model},
 	}
-	if err := c.reseedBaseline(det); err != nil {
+	if c.baseline, err = c.baselineOf(det); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// reseedBaseline assesses a sample of the base training set through det
-// and stores the resulting entropies — the in-distribution reference
-// every device's monitor compares against. Called at construction and
-// after every swap (the new model has its own entropy profile).
-func (c *RetrainController) reseedBaseline(det *detector.Detector) error {
-	n := c.cfg.BaselineSample
-	if n > c.cfg.Base.Len() {
-		n = c.cfg.Base.Len()
-	}
+// baselineOf assesses a sample of the base training set through det and
+// returns the entropies — the in-distribution reference every device's
+// monitor compares against. The new model of every round has its own.
+func (c *RetrainController) baselineOf(det *detector.Detector) ([]float64, error) {
+	n := min(c.cfg.BaselineSample, c.cfg.Base.Len())
 	xs := make([][]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		xs[i] = c.cfg.Base.At(i).Features
 	}
 	rs, err := det.AssessBatch(xs)
 	if err != nil {
-		return fmt.Errorf("serve: retrain controller baseline: %w", err)
+		return nil, fmt.Errorf("serve: retrain controller baseline: %w", err)
 	}
 	baseline := make([]float64, len(rs))
 	for i, r := range rs {
 		baseline[i] = r.Entropy
 	}
-	c.mu.Lock()
-	c.baseline = baseline
-	c.monitors = make(map[string]*deviceState)
-	c.mu.Unlock()
-	return nil
+	return baseline, nil
 }
 
-// Run tails the store until ctx is done, waiting out any in-flight
-// retrain round before returning.
+// Run tails the store on every tick of cfg.Interval until ctx is done. A
+// round runs inside its tick, so Run returns only once the round in
+// progress has swapped or failed.
 func (c *RetrainController) Run(ctx context.Context) error {
 	ticker := time.NewTicker(c.cfg.Interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			c.wg.Wait()
 			return ctx.Err()
 		case <-ticker.C:
 			if err := c.tick(); err != nil {
@@ -222,163 +235,145 @@ func (c *RetrainController) Run(ctx context.Context) error {
 	}
 }
 
-// tick consumes the verdicts appended since the last tick and updates
-// every device's drift state, possibly launching a retrain round.
+// tick folds the verdicts appended since the last tick, running each
+// round a record decides before it folds the next record.
 func (c *RetrainController) tick() error {
-	c.mu.Lock()
-	since := c.lastSeq + 1
-	c.mu.Unlock()
-	recs, err := c.cfg.Store.Query(verdictstore.Filter{Model: c.cfg.Model, SinceSeq: since})
+	recs, err := c.cfg.Store.Query(verdictstore.Filter{Model: c.cfg.Model, SinceSeq: c.lastSeq + 1})
 	if err != nil {
 		if errors.Is(err, verdictstore.ErrClosed) {
 			return nil // shutting down; Run's ctx ends the loop
 		}
 		return err
 	}
-	if len(recs) == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var trigger *deviceState
-	var triggerDevice string
+	defer c.publish(nil)
 	for _, rec := range recs {
-		if rec.Seq > c.lastSeq {
-			c.lastSeq = rec.Seq
-		}
-		dev := rec.Device
-		ds := c.monitors[dev]
-		if ds == nil {
-			m, err := detector.NewDriftMonitor(c.baseline, c.cfg.Drift)
-			if err != nil {
-				return fmt.Errorf("device %q monitor: %w", dev, err)
-			}
-			ds = &deviceState{monitor: m}
-			c.monitors[dev] = ds
-		}
-		if rec.Decision == detector.Reject.String() && len(rec.Features) > 0 {
-			// Bound the stash: the oldest forensics age out once a device
-			// has far more than a quorum's worth.
-			if len(ds.rejects) >= 4*c.cfg.Quorum {
-				ds.rejects = ds.rejects[1:]
-			}
-			ds.rejects = append(ds.rejects, rec)
-		}
-		st, err := ds.monitor.Observe(rec.Entropy)
+		r, err := c.step(rec)
 		if err != nil {
-			// A stored verdict with a poisoned entropy must not wedge the
-			// loop; skip the observation.
-			c.cfg.Logf("retrain: device %q: %v", dev, err)
-			continue
+			return err
 		}
-		if st.Alarm {
-			ds.alarmed++
-			if ds.alarmed >= c.cfg.Sustain && trigger == nil {
-				trigger = ds
-				triggerDevice = dev
-			}
-		} else {
-			ds.alarmed = 0
+		if r != nil {
+			c.run(r)
 		}
 	}
-	if trigger == nil || c.retraining || time.Since(c.lastSwapped) < c.cfg.Cooldown {
-		return nil
+	return nil
+}
+
+// step folds one record into the per-device drift state and returns the
+// round it decides, if any.
+func (c *RetrainController) step(rec verdictstore.Record) (*round, error) {
+	c.lastSeq = rec.Seq
+	if c.nextVersion != 0 && rec.Version >= c.nextVersion {
+		// The first verdict of the retrained model: from here on every
+		// device is watched against its baseline. Older verdicts that
+		// trailed the trigger fed the old monitors.
+		c.baseline, c.monitors, c.nextVersion = c.nextBaseline, make(map[string]*deviceState), 0
 	}
-	// Sustained drift on triggerDevice: hand its stashed rejections to the
-	// retrainer as pseudo-labelled forensics.
-	forensics := make([]detector.Forensic, 0, len(trigger.rejects))
-	for _, rec := range trigger.rejects {
-		label, ok := c.cfg.Labeler(rec)
-		if !ok {
-			continue
+	ds := c.monitors[rec.Device]
+	if ds == nil {
+		m, err := detector.NewDriftMonitor(c.baseline, c.cfg.Drift)
+		if err != nil {
+			return nil, fmt.Errorf("device %q monitor: %w", rec.Device, err)
 		}
-		forensics = append(forensics, detector.Forensic{
-			Features: rec.Features,
-			Label:    label,
-			App:      "drift:" + triggerDevice,
-		})
+		ds = &deviceState{monitor: m}
+		c.monitors[rec.Device] = ds
 	}
-	trigger.rejects = trigger.rejects[:0]
-	trigger.alarmed = 0
+	if rec.Decision == detector.Reject.String() && len(rec.Features) > 0 {
+		// Bound the stash: the oldest forensics age out once a device has
+		// far more than a quorum's worth.
+		if len(ds.rejects) >= 4*c.cfg.Quorum {
+			ds.rejects = ds.rejects[1:]
+		}
+		ds.rejects = append(ds.rejects, rec)
+	}
+	st, err := ds.monitor.Observe(rec.Entropy)
+	if err != nil {
+		// A stored verdict with a poisoned entropy must not wedge the
+		// loop; skip the observation.
+		c.cfg.Logf("retrain: device %q: %v", rec.Device, err)
+		return nil, nil
+	}
+	if !st.Alarm {
+		ds.alarmed = 0
+		return nil, nil
+	}
+	if ds.alarmed++; ds.alarmed < c.cfg.Sustain || rec.Time.Sub(c.lastRound) < c.cfg.Cooldown {
+		return nil, nil
+	}
+	// Sustained drift: hand the device's stashed rejections, in seq
+	// order, to the retrainer as labelled forensics.
+	forensics := make([]detector.Forensic, 0, len(ds.rejects))
+	for _, r := range ds.rejects {
+		if label, ok := c.cfg.Labeler(r); ok {
+			forensics = append(forensics, detector.Forensic{Features: r.Features, Label: label, App: "drift:" + rec.Device})
+		}
+	}
+	ds.rejects, ds.alarmed = ds.rejects[:0], 0
 	if len(forensics) > 0 {
 		if err := c.retrainer.ReportForensics(forensics); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if !c.retrainer.ShouldRetrain() {
 		c.cfg.Logf("retrain: drift on %q, %d/%d forensics collected",
-			triggerDevice, c.retrainer.Pending(), c.cfg.Quorum)
-		return nil
+			rec.Device, c.retrainer.Pending(), c.cfg.Quorum)
+		return nil, nil
 	}
-	c.cfg.Logf("retrain: sustained drift on %q, launching round %d with %d forensics",
-		triggerDevice, c.retrainer.Rounds()+1, c.retrainer.Pending())
-	c.retraining = true
-	c.wg.Add(1)
-	go c.retrainAndSwap()
-	return nil
+	c.lastRound = rec.Time
+	return &round{seq: rec.Seq, device: rec.Device}, nil
 }
 
-// retrainAndSwap runs one background round: train on base+forensics,
-// hot-swap the shard (the fleet applies its prepare hook) and reseed the
-// baseline from the detector as installed.
-// Serving never pauses — the fleet keeps answering on the old version
-// until the swap installs the new one.
-func (c *RetrainController) retrainAndSwap() {
-	defer c.wg.Done()
-	fail := func(err error) {
-		c.cfg.Logf("retrain: round failed: %v", err)
-		c.mu.Lock()
-		c.failures++
-		c.retraining = false
-		c.mu.Unlock()
-	}
+// run trains round r on base+forensics, hot-swaps the shard (the fleet
+// applies its prepare hook) and captures the installed detector's
+// baseline for the monitors to switch to. Serving never pauses: the
+// fleet keeps answering on the old version until the swap installs the
+// new one.
+func (c *RetrainController) run(r *round) {
+	n := c.retrainer.Rounds() + 1
+	c.cfg.Logf("retrain: sustained drift on %q at seq %d, launching round %d with %d forensics",
+		r.device, r.seq, n, c.retrainer.Pending())
+	c.publish(func(s *RetrainStats) { s.Retraining = true })
 	det, err := c.retrainer.Retrain()
+	var version uint64
+	if err == nil {
+		version, err = c.cfg.Fleet.Swap(c.cfg.Model, det, "drift-retrain")
+	}
 	if err != nil {
-		fail(err)
+		c.cfg.Logf("retrain: round %d failed: %v", n, err)
+		c.publish(func(s *RetrainStats) { s.Failures++; s.Retraining = false })
 		return
 	}
-	// Snapshot while this round still owns the retrainer: after the
-	// retraining flag clears, the tick loop may touch it again.
-	trainSize := c.retrainer.TrainingSize()
-	version, err := c.cfg.Fleet.Swap(c.cfg.Model, det, "drift-retrain")
-	if err != nil {
-		fail(err)
-		return
-	}
+	var baseline []float64
 	if det, err = c.cfg.Fleet.Detector(c.cfg.Model); err == nil {
-		err = c.reseedBaseline(det)
+		baseline, err = c.baselineOf(det)
 	}
 	if err != nil {
 		// The swap already landed; a baseline error only degrades future
-		// drift detection. Keep the old baseline and say so.
+		// drift detection. Keep the old monitors and say so.
 		c.cfg.Logf("retrain: %v (keeping previous baseline)", err)
+	} else {
+		c.nextVersion, c.nextBaseline = version, baseline
 	}
+	c.publish(func(s *RetrainStats) { s.Retrains++; s.Retraining = false })
+	c.cfg.Logf("retrain: round %d swapped %s to version %d (training set now %d samples)",
+		n, c.cfg.Model, version, c.retrainer.TrainingSize())
+}
+
+// publish refreshes the snapshot Stats returns from the fold's state,
+// applying edit, if any, under the same lock. Only the fold calls it.
+func (c *RetrainController) publish(edit func(*RetrainStats)) {
 	c.mu.Lock()
-	c.retrains++
-	c.retraining = false
-	c.lastSwapped = time.Now()
-	c.mu.Unlock()
-	c.cfg.Logf("retrain: swapped %s to version %d (training set now %d samples)",
-		c.cfg.Model, version, trainSize)
+	defer c.mu.Unlock()
+	c.stats.TailSeq = c.lastSeq
+	c.stats.PendingForensics = c.retrainer.Pending()
+	c.stats.Devices = len(c.monitors)
+	if edit != nil {
+		edit(&c.stats)
+	}
 }
 
 // Stats snapshots the controller.
 func (c *RetrainController) Stats() RetrainStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending := 0
-	if !c.retraining {
-		// While a round is in flight the background goroutine owns the
-		// retrainer; its pending set is being consumed anyway.
-		pending = c.retrainer.Pending()
-	}
-	return RetrainStats{
-		Model:            c.cfg.Model,
-		Retrains:         c.retrains,
-		Failures:         c.failures,
-		TailSeq:          c.lastSeq,
-		PendingForensics: pending,
-		Devices:          len(c.monitors),
-		Retraining:       c.retraining,
-	}
+	return c.stats
 }
