@@ -56,33 +56,17 @@ serve-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments|TestRetrainReplay|TestRetrainControllerClosedLoop' ./pkg/serve/
 
-# fuzz-smoke runs every Fuzz* target of the ten packages that decode
-# outside bytes or promise another encoder's bytes — the JSON codec and
-# the stream-line decoder (pkg/serve), the float64↔decimal kernels under
-# it (internal/decfloat), the float and string encoders the codec and the
-# store share (internal/jsonwire), the verdict store's segment reader and
-# frame encoder (pkg/verdictstore), the tree gob decoder whose output the
-# unchecked tree walks index by (FuzzTreeGobDecode) and the tree builder
-# whose gob bytes must equal its per-node-sort reference's
-# (FuzzFitMatchesReference) (internal/ml/tree), the naive-Bayes and kNN
-# member gob decoders, whose models must predict without a fault on any
-# row as wide as they report (FuzzMemberGobDecode in internal/ml/bayes and
-# internal/ml/knn), the stream-state resume a cluster peer's push feeds
-# (FuzzResumeOnline) and the saved-detector decoder POST /v1/models feeds,
-# whose scaler, PCA, ensemble and member gobs must decode to a detector
-# that assesses without a fault or fail (FuzzLoad, seeded with one blob
-# per registered family) (pkg/detector), every node-to-node POST body a cluster peer sends —
-# join, heartbeat, stage, commit, abort and push (pkg/cluster) — and the
-# drop-line parser of `trusthmd push`, whose CSV drops are outside bytes
-# (cmd/trusthmd) — for FUZZTIME each.
-# Plain `go test` only replays their seed corpora; this is what lets the
-# differential oracles (encoding/json, strconv, the reference builder)
-# look at inputs nobody wrote down. `go test -fuzz` takes one target and one package per run,
-# hence the loop. A failure leaves its input under the package's
-# testdata/fuzz/<target>/ — commit it with the fix.
+# fuzz-smoke runs every Fuzz* target in the module for FUZZTIME each: the
+# packages come from `go list ./...` and their targets from `go test -list`,
+# so a new target joins without an edit here. Plain `go test` only replays
+# the seed corpora; this lets the differential oracles (encoding/json,
+# strconv, the reference tree builder, the generic kernels behind the SIMD
+# ones) look at inputs nobody wrote down. `go test -fuzz` takes one target
+# and one package per run, hence the loop. A failure leaves its input under
+# the package's testdata/fuzz/<target>/ — commit it with the fix.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/serve ./internal/decfloat ./internal/jsonwire ./pkg/verdictstore ./internal/ml/tree ./internal/ml/bayes ./internal/ml/knn ./pkg/detector ./pkg/cluster ./cmd/trusthmd; do \
+	@set -e; for pkg in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

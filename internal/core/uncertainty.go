@@ -159,16 +159,6 @@ func (p Posterior) Entropy() (float64, error) {
 	return stats.Entropy(p)
 }
 
-// MaxClass returns the argmax class of the posterior and its probability.
-func (p Posterior) MaxClass() (class int, prob float64) {
-	for i, v := range p {
-		if v > prob {
-			class, prob = i, v
-		}
-	}
-	return class, prob
-}
-
 // Decision is the output of a trusted HMD (Fig. 1, bottom path).
 type Decision int
 

@@ -125,10 +125,6 @@ func TestPosterior(t *testing.T) {
 	if math.Abs(h-want) > 1e-12 {
 		t.Fatalf("entropy %v, want %v", h, want)
 	}
-	cls, prob := p.MaxClass()
-	if cls != 1 || prob != 0.75 {
-		t.Fatalf("maxclass %d %v", cls, prob)
-	}
 }
 
 func TestDecisionString(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"trusthmd/internal/reduce"
 	"trusthmd/internal/stats"
 	"trusthmd/pkg/dataset"
-	"trusthmd/pkg/linalg"
 )
 
 // TSNEPoint is one embedded sample of Fig. 8.
@@ -164,10 +163,4 @@ func (r *TSNEResult) Render() string {
 		out += "  (overlapping classes)\n"
 	}
 	return out
-}
-
-// Dist2D is a convenience for tests: squared distance between two embedded
-// points.
-func Dist2D(a, b TSNEPoint) float64 {
-	return linalg.SqDist([]float64{a.X, a.Y}, []float64{b.X, b.Y})
 }

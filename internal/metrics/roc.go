@@ -85,31 +85,6 @@ func AUC(yTrue []int, scores []float64) (float64, error) {
 	return area, nil
 }
 
-// Brier returns the Brier score of probabilistic predictions: the mean
-// squared difference between P(y=1) and the outcome. Lower is better;
-// 0.25 is the score of a constant 0.5 prediction.
-func Brier(yTrue []int, probs []float64) (float64, error) {
-	if len(yTrue) == 0 {
-		return 0, ErrNoSamples
-	}
-	if len(yTrue) != len(probs) {
-		return 0, fmt.Errorf("metrics: %d labels vs %d probabilities", len(yTrue), len(probs))
-	}
-	var sum float64
-	for i, lab := range yTrue {
-		if lab != 0 && lab != 1 {
-			return 0, fmt.Errorf("metrics: label %d at sample %d is not binary", lab, i)
-		}
-		p := probs[i]
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return 0, fmt.Errorf("metrics: probability %v at sample %d outside [0,1]", p, i)
-		}
-		d := p - float64(lab)
-		sum += d * d
-	}
-	return sum / float64(len(yTrue)), nil
-}
-
 // ECE returns the expected calibration error with equal-width confidence
 // bins: the weighted mean |accuracy(bin) - confidence(bin)| over predicted
 // P(y=1) values. bins must be >= 1.

@@ -127,36 +127,6 @@ func TestAUCRangeProperty(t *testing.T) {
 	}
 }
 
-func TestBrier(t *testing.T) {
-	b, err := Brier([]int{1, 0}, []float64{1, 0})
-	if err != nil || b != 0 {
-		t.Fatalf("perfect brier %v err %v", b, err)
-	}
-	b, err = Brier([]int{1, 0}, []float64{0.5, 0.5})
-	if err != nil || math.Abs(b-0.25) > 1e-12 {
-		t.Fatalf("uniform brier %v err %v", b, err)
-	}
-	b, err = Brier([]int{1}, []float64{0})
-	if err != nil || b != 1 {
-		t.Fatalf("worst brier %v err %v", b, err)
-	}
-}
-
-func TestBrierErrors(t *testing.T) {
-	if _, err := Brier(nil, nil); err == nil {
-		t.Fatal("expected empty error")
-	}
-	if _, err := Brier([]int{1}, []float64{0.5, 0.5}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := Brier([]int{2}, []float64{0.5}); err == nil {
-		t.Fatal("expected label error")
-	}
-	if _, err := Brier([]int{1}, []float64{1.5}); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
 func TestECEPerfectlyCalibrated(t *testing.T) {
 	// Confidence 1.0 predictions that are always right: ECE 0.
 	yTrue := []int{1, 1, 0, 0}

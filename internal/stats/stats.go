@@ -74,18 +74,6 @@ func CountEntropy(counts []int) (float64, error) {
 	return h, nil
 }
 
-// BinaryEntropy returns the entropy, in bits, of a Bernoulli(p)
-// distribution. p outside [0,1] is an error.
-func BinaryEntropy(p float64) (float64, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("stats: binary entropy: p=%v outside [0,1]", p)
-	}
-	if p == 0 || p == 1 {
-		return 0, nil
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p), nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (the same scheme as numpy's
 // default). xs is not modified.
@@ -185,65 +173,6 @@ func (m *Moments) Variance() float64 {
 
 // Std returns the sample standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// Histogram is a fixed-width binning of scalar observations over [Min, Max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	total    int
-	below    int
-	above    int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [min, max). Values below min or at/above max are tallied separately in
-// the outermost bins' overflow counters but still count toward Total.
-func NewHistogram(min, max float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs >=1 bin, got %d", bins)
-	}
-	if !(min < max) {
-		return nil, fmt.Errorf("stats: histogram range [%v,%v) is empty", min, max)
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}, nil
-}
-
-// Observe adds x to the histogram.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.Min:
-		h.below++
-	case x >= h.Max:
-		h.above++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float edge case at the upper boundary
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the counts of observations below Min and at/above Max.
-func (h *Histogram) OutOfRange() (below, above int) { return h.below, h.above }
-
-// Normalized returns the in-range bin masses as probabilities summing to
-// (in-range count)/Total. A histogram with no observations returns zeros.
-func (h *Histogram) Normalized() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	inv := 1 / float64(h.total)
-	for i, c := range h.Counts {
-		out[i] = float64(c) * inv
-	}
-	return out
-}
 
 // Autocorrelation returns the lag-k sample autocorrelation of xs for
 // k = 0..maxLag. Constant series yield zeros beyond lag 0 (and 1 at lag 0

@@ -79,31 +79,6 @@ func TestCountEntropy(t *testing.T) {
 	}
 }
 
-func TestBinaryEntropy(t *testing.T) {
-	for _, p := range []float64{0, 1} {
-		if h, err := BinaryEntropy(p); err != nil || h != 0 {
-			t.Fatalf("H(%v)=%v err=%v", p, h, err)
-		}
-	}
-	h, err := BinaryEntropy(0.5)
-	if err != nil || math.Abs(h-1) > 1e-12 {
-		t.Fatalf("H(0.5)=%v err=%v", h, err)
-	}
-	if _, err := BinaryEntropy(1.5); err == nil {
-		t.Fatal("expected range error")
-	}
-	// Symmetry property: H(p) == H(1-p).
-	f := func(u float64) bool {
-		p := math.Abs(math.Mod(u, 1))
-		a, err1 := BinaryEntropy(p)
-		b, err2 := BinaryEntropy(1 - p)
-		return err1 == nil && err2 == nil && math.Abs(a-b) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	med, err := Quantile(xs, 0.5)
@@ -213,47 +188,6 @@ func TestMomentsMatchesBatchProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 9.99, 10, -1} {
-		h.Observe(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	below, above := h.OutOfRange()
-	if below != 1 || above != 1 {
-		t.Fatalf("out of range %d %d", below, above)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts %v", h.Counts)
-	}
-	p := h.Normalized()
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-4.0/6) > 1e-12 {
-		t.Fatalf("normalized mass %v", sum)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("expected bins error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("expected range error")
-	}
-	h, _ := NewHistogram(0, 1, 2)
-	if p := h.Normalized(); p[0] != 0 || p[1] != 0 {
-		t.Fatal("empty histogram should normalise to zeros")
 	}
 }
 

@@ -20,10 +20,6 @@ type AssessSpec struct {
 	Device string
 	// Features is the raw feature vector.
 	Features []float64
-	// Source tags the verdict's origin in the verdict store ("assess",
-	// "batch", "stream"; default "assess"). Records written before the
-	// daemon's in-process ingest door was removed may also read "ingest".
-	Source string
 	// VoteBuf, when non-nil, is a caller-owned buffer the verdict's vote
 	// distribution is copied into (grown as needed) instead of a fresh
 	// allocation. On success the returned Result owns the possibly-regrown
@@ -93,39 +89,45 @@ func (f *Fleet) Assess(ctx context.Context, spec AssessSpec) (AssessOutcome, err
 	if err != nil {
 		return AssessOutcome{}, err
 	}
-	f.recordVerdict(spec.Device, spec.Source, sh.name, sh.version, res, spec.Features, time.Since(start))
+	if st := f.cfg.Verdicts; st != nil {
+		rec := verdictRecord(spec.Device, "assess", sh, &res, spec.Features, time.Since(start))
+		if _, err := st.Append(rec); err != nil {
+			f.verdictAppendErrs.Add(1)
+		}
+	}
 	return AssessOutcome{Model: sh.name, Version: sh.version, Result: res}, nil
 }
 
-// recordVerdict persists one served verdict when a store is attached.
-// Features are kept only for rejections — they are the forensic evidence
-// the retraining loop feeds back into training; accepted verdicts stay
-// compact. Append failures are counted, never propagated: persistence
-// must not fail serving.
-func (f *Fleet) recordVerdict(device, source, model string, version uint64, res detector.Result, features []float64, lat time.Duration) {
-	st := f.cfg.Verdicts
-	if st == nil {
-		return
-	}
-	if source == "" {
-		source = "assess"
-	}
+// verdictRecord is the one place a served verdict becomes a store record,
+// whichever path served it (source "assess", "batch" or "stream"). Features
+// are kept only for rejections — they are the forensic evidence the
+// retraining loop feeds back into training; accepted verdicts stay
+// compact. The record aliases res.VoteDist and features, which is safe
+// because both store doors encode a record before they return.
+func verdictRecord(device, source string, sh *shard, res *detector.Result, features []float64, lat time.Duration) verdictstore.Record {
 	rec := verdictstore.Record{
 		Device:        device,
-		Model:         model,
-		Version:       version,
+		Model:         sh.name,
+		Version:       sh.version,
 		Source:        source,
 		Prediction:    res.Prediction,
 		Decision:      res.Decision.String(),
 		Entropy:       res.Entropy,
-		Votes:         append([]float64(nil), res.VoteDist...),
+		Votes:         res.VoteDist,
 		LatencyMicros: lat.Microseconds(),
 	}
-	if res.Decision == detector.Reject && features != nil {
-		rec.Features = append([]float64(nil), features...)
+	if res.Decision == detector.Reject {
+		rec.Features = features
 	}
-	if _, err := st.Append(rec); err != nil {
-		f.verdictAppendErrs.Add(1)
+	return rec
+}
+
+// storeGroup persists one group of served verdicts — a client batch, a
+// stream line — with one AppendBatch. Here and in Assess, append failures
+// are counted, never propagated: persistence must not fail serving.
+func (f *Fleet) storeGroup(recs []verdictstore.Record) {
+	if stored, _ := f.cfg.Verdicts.AppendBatch(recs); stored < len(recs) {
+		f.verdictAppendErrs.Add(int64(len(recs) - stored))
 	}
 }
 

@@ -254,6 +254,18 @@ func TestAllocsServe(t *testing.T) {
 	if st := store.Stats(); st.Appended < 8*200 {
 		t.Errorf("the store saw %d appends over 200 counted requests of 8 rows", st.Appended)
 	}
+
+	// /v1/assess with the store attached: the record aliases the verdict's
+	// votes, so past the no-store path's allocation the tap costs only the
+	// encoding/json door's two, the record it takes and the time it
+	// marshals. Measured at 3 allocs/op.
+	before := store.Stats().Appended
+	if got := run(tapped, "/v1/assess", assess); got > 3 {
+		t.Errorf("POST /v1/assess with a verdict store allocates %.1f/op, budget 3", got)
+	}
+	if st := store.Stats(); st.Appended-before < 200 {
+		t.Errorf("the store saw %d appends over 200 counted single requests", st.Appended-before)
+	}
 }
 
 // BenchmarkFleetAssessConcurrent is the root-module gate of the single

@@ -65,8 +65,9 @@ type Fleet struct {
 	// /stats answer to "why did the model just change?".
 	lastSwapCause string
 
-	// verdictAppendErrs counts verdict-store appends that failed (the tap
-	// never fails serving, so the only trace is this counter).
+	// verdictAppendErrs counts the verdicts the store refused (the tap
+	// never fails serving, so the only trace is this counter, which /stats
+	// reports as verdict_append_errors).
 	verdictAppendErrs atomic.Int64
 	// calls counts Assess calls in flight. Close waits them out, so every
 	// verdict they record reaches the store before its owner closes it.

@@ -90,7 +90,7 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if recs == nil {
-		recs = []verdictstore.Record{}
+		recs = make([]verdictstore.Record, 0)
 	}
 	writeJSON(w, http.StatusOK, VerdictsResponse{Count: len(recs), Records: recs})
 }

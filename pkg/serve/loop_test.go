@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -248,12 +250,12 @@ func TestStatsClosedLoopCounters(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
-	for _, key := range []string{"verdicts_stored", "retrains_triggered", "last_swap_cause"} {
+	for _, key := range []string{"verdicts_stored", "verdict_append_errors", "retrains_triggered", "last_swap_cause"} {
 		if _, ok := out[key]; !ok {
 			t.Fatalf("stats missing %q on a bare server: %v", key, out)
 		}
 	}
-	if out["verdicts_stored"].(float64) != 0 || out["last_swap_cause"].(string) != "" {
+	if out["verdicts_stored"].(float64) != 0 || out["verdict_append_errors"].(float64) != 0 || out["last_swap_cause"].(string) != "" {
 		t.Fatalf("bare stats not zero-valued: %v", out)
 	}
 
@@ -278,6 +280,40 @@ func TestStatsClosedLoopCounters(t *testing.T) {
 	}
 	if got := out["retrains_triggered"].(float64); got != 0 {
 		t.Fatalf("retrains_triggered = %v, want 0 (no controller attached)", got)
+	}
+}
+
+// TestStatsCountVerdictAppendErrors serves one single and one batch
+// request against a store whose writes fail: both are answered, and /stats
+// verdict_append_errors counts every row the store refused.
+func TestStatsCountVerdictAppendErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	store, err := verdictstore.Open(dir, verdictstore.Config{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// A synchronous store commits inside the append, and its first commit
+	// must create a segment in a directory that is gone.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Verdicts: store})
+	_, xs := testDetector(t)
+
+	if resp, body := postJSON(t, ts.URL+"/v1/assess", AssessRequest{Device: "d", Features: xs[0]}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("assess: %d %s", resp.StatusCode, body)
+	}
+	const rows = 5
+	if resp, body := postJSON(t, ts.URL+"/v1/assess/batch", BatchRequest{Device: "d", Batch: xs[:rows]}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	_, out := getJSON(t, ts.URL+"/stats")
+	if got := out["verdict_append_errors"].(float64); got != 1+rows {
+		t.Fatalf("verdict_append_errors = %v, want %d", got, 1+rows)
+	}
+	if got := out["verdicts_stored"].(float64); got != 0 {
+		t.Fatalf("verdicts_stored = %v from a store that refused every write", got)
 	}
 }
 

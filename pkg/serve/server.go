@@ -191,32 +191,47 @@ func (s *Server) Close() {
 	s.fleet.Close()
 }
 
+// routeBody is the front half both JSON assessment handlers share: read
+// the body, route it, and either forward it to the shard's owner or decode
+// it here. A cluster member routes from a peek at the keys (vecKey names
+// the vector field), so a body another node owns is forwarded with its
+// numbers unread and decoded only there; without a hook, or when the peek
+// declines, the body is decoded first, so a refused body gets the same 400
+// on every node. decode fills the request that model and device point
+// into. routeBody reports whether the request is this node's to serve,
+// with *model set to the routed shard; when it is not, the response has
+// been written.
+func (s *Server) routeBody(w http.ResponseWriter, r *http.Request, sc *codecScratch, vecKey string, model, device *string, decode func() error) bool {
+	if !s.readBody(w, r, sc, s.fleet.cfg.MaxBodyBytes) {
+		return false
+	}
+	peeked := false
+	if s.clusterHook() != nil {
+		*model, *device, peeked = peekRoute(sc.body, sc, vecKey)
+	}
+	if !peeked && refuseBody(w, decode()) {
+		return false
+	}
+	shard, owner := s.route(r, *model, *device)
+	if owner != nil {
+		owner.ForwardAssess(w, r, shard, *device, sc.body)
+		return false
+	}
+	if peeked && refuseBody(w, decode()) {
+		return false
+	}
+	*model = shard
+	return true
+}
+
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	sc := getCodecScratch()
 	defer putCodecScratch(sc)
-	if !s.readBody(w, r, sc, s.fleet.cfg.MaxBodyBytes) {
-		return
-	}
-	// A cluster member routes from a peek at the keys, so a body another
-	// node owns is forwarded with its numbers unread and decoded only there.
-	// Without a hook, or when the peek declines, the body is decoded first.
 	var req AssessRequest
-	peeked := false
-	if s.clusterHook() != nil {
-		req.Model, req.Device, peeked = peekRoute(sc.body, sc, "features")
-	}
-	if !peeked && refuseBody(w, decodeAssessRequest(sc.body, sc, &req)) {
+	if !s.routeBody(w, r, sc, "features", &req.Model, &req.Device,
+		func() error { return decodeAssessRequest(sc.body, sc, &req) }) {
 		return
 	}
-	model, owner := s.route(r, req.Model, req.Device)
-	if owner != nil {
-		owner.ForwardAssess(w, r, model, req.Device, sc.body)
-		return
-	}
-	if peeked && refuseBody(w, decodeAssessRequest(sc.body, sc, &req)) {
-		return
-	}
-	req.Model = model
 	// Hand the scratch vote buffer to the assessment: the verdict's vote
 	// distribution is copied into it instead of a fresh allocation, and the
 	// possibly-regrown buffer comes back with the result.
@@ -224,7 +239,6 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		Model:    req.Model,
 		Device:   req.Device,
 		Features: req.Features,
-		Source:   "assess",
 		VoteBuf:  sc.votes,
 	})
 	if err != nil {
@@ -240,26 +254,11 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := getCodecScratch()
 	defer putCodecScratch(sc)
-	if !s.readBody(w, r, sc, s.fleet.cfg.MaxBodyBytes) {
-		return
-	}
 	var req BatchRequest
-	peeked := false
-	if s.clusterHook() != nil {
-		req.Model, req.Device, peeked = peekRoute(sc.body, sc, "batch")
-	}
-	if !peeked && refuseBody(w, decodeBatchRequest(sc.body, sc, &req)) {
+	if !s.routeBody(w, r, sc, "batch", &req.Model, &req.Device,
+		func() error { return decodeBatchRequest(sc.body, sc, &req) }) {
 		return
 	}
-	model, owner := s.route(r, req.Model, req.Device)
-	if owner != nil {
-		owner.ForwardAssess(w, r, model, req.Device, sc.body)
-		return
-	}
-	if peeked && refuseBody(w, decodeBatchRequest(sc.body, sc, &req)) {
-		return
-	}
-	req.Model = model
 	sh, err := s.fleet.resolve(req.Model, req.Device)
 	if err != nil {
 		writeResolveError(w, err)
@@ -305,35 +304,14 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	sh.stats.batchSamples.Add(int64(n))
 	sh.stats.observe(results)
 	// Tap every row into the verdict store as one group (latency is the
-	// whole batch's serving time — the rows were answered together). The
-	// records alias the results' votes and, for rejections, the request
-	// rows; AppendBatch has framed them by the time it returns.
-	if st := s.fleet.cfg.Verdicts; st != nil {
-		lat := time.Since(start).Microseconds()
+	// whole batch's serving time — the rows were answered together).
+	if s.fleet.cfg.Verdicts != nil {
+		lat := time.Since(start)
 		recs := sc.recs[:0]
 		for i := range results {
-			res := &results[i]
-			rec := verdictstore.Record{
-				Device:        req.Device,
-				Model:         sh.name,
-				Version:       sh.version,
-				Source:        "batch",
-				Prediction:    res.Prediction,
-				Decision:      res.Decision.String(),
-				Entropy:       res.Entropy,
-				Votes:         res.VoteDist,
-				LatencyMicros: lat,
-			}
-			if res.Decision == detector.Reject {
-				rec.Features = req.Batch[i]
-			}
-			recs = append(recs, rec)
+			recs = append(recs, verdictRecord(req.Device, "batch", sh, &results[i], req.Batch[i], lat))
 		}
-		// Failures are counted, never propagated: persistence must not
-		// fail serving.
-		if stored, _ := st.AppendBatch(recs); stored < len(recs) {
-			s.fleet.verdictAppendErrs.Add(int64(len(recs) - stored))
-		}
+		s.fleet.storeGroup(recs)
 		clear(recs) // the pooled scratch must not pin this request's strings and slices
 		sc.recs = recs[:0]
 	}
@@ -400,12 +378,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// corresponding piece is not attached) so dashboards and tests can
 	// assert on them unconditionally.
 	out := map[string]any{
-		"fleet_epoch":        epoch,
-		"shards":             stats,
-		"shed_total":         shedTotal,
-		"last_swap_cause":    s.fleet.LastSwapCause(),
-		"verdicts_stored":    int64(0),
-		"retrains_triggered": int64(0),
+		"fleet_epoch":     epoch,
+		"shards":          stats,
+		"shed_total":      shedTotal,
+		"last_swap_cause": s.fleet.LastSwapCause(),
+		"verdicts_stored": int64(0),
+		// Verdicts a failing store refused: serving never fails on them,
+		// so this count is their only trace.
+		"verdict_append_errors": s.fleet.verdictAppendErrs.Load(),
+		"retrains_triggered":    int64(0),
 		// Cluster identity keys are likewise always present (zero-valued on
 		// a standalone daemon) and overwritten from the hook's snapshot when
 		// the node is a fleet member.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"trusthmd/pkg/detector"
+	"trusthmd/pkg/verdictstore"
 )
 
 // streamWriteTimeout bounds every response write on a live stream: a
@@ -329,13 +330,23 @@ func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *
 // what was accepted before it stays counted.
 func (l *localStream) push(states []int) (StreamPushResult, error) {
 	before := l.o.Stats
+	out := StreamPushResult{Model: l.sh.name, Version: l.sh.version}
 	defer func() {
 		after := l.o.Stats
 		l.sh.stats.streamSamples.Add(int64(after.Samples - before.Samples))
 		l.sh.stats.streamDecisions.Add(int64(after.Total() - before.Total()))
 		l.sh.stats.streamCacheHits.Add(int64(after.CacheHits - before.CacheHits))
+		// The line's decisions are stored as one group, without features:
+		// the stream's extracted window vector is internal, and stream
+		// forensics are reconstructible from the raw states client-side.
+		if l.f.cfg.Verdicts != nil && len(out.Results) > 0 {
+			recs := make([]verdictstore.Record, len(out.Results))
+			for i := range out.Results {
+				recs[i] = verdictRecord(l.device, "stream", l.sh, &out.Results[i].Result, nil, 0)
+			}
+			l.f.storeGroup(recs)
+		}
 	}()
-	out := StreamPushResult{Model: l.sh.name, Version: l.sh.version}
 	for i, state := range states {
 		res, ok, err := l.o.Push(state)
 		if err != nil {
@@ -345,10 +356,6 @@ func (l *localStream) push(states []int) (StreamPushResult, error) {
 			continue
 		}
 		l.sh.stats.observeOne(res.Decision)
-		// Stream verdicts are stored without features: the stream's
-		// extracted window vector is internal, and stream forensics
-		// are reconstructible from the raw states client-side.
-		l.f.recordVerdict(l.device, "stream", l.sh.name, l.sh.version, res, nil, 0)
 		out.Results = append(out.Results, StreamPushDecision{Offset: i, Result: res})
 	}
 	return out, nil

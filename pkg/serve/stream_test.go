@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"trusthmd/pkg/detector"
+	"trusthmd/pkg/verdictstore"
 )
 
 // streamNDJSON posts body to /v1/assess/stream and splits the NDJSON
@@ -212,6 +214,67 @@ func TestStreamChunkedStates(t *testing.T) {
 	}
 	if summary == nil || summary.Samples != len(states) {
 		t.Fatalf("summary: %+v", summary)
+	}
+}
+
+// TestStreamVerdictsStored streams a fixed trace in chunked lines through
+// a store-backed server: the store holds one record per emitted decision,
+// in order, bit-equal to its NDJSON line, tagged "stream" and without
+// features, and each input line's decisions are one group — contiguous
+// sequence numbers under one clock reading.
+func TestStreamVerdictsStored(t *testing.T) {
+	_, ts, store := newLoopServer(t)
+	const levels, window, stride, chunk = 8, 16, 4, 25
+	rng := rand.New(rand.NewSource(11))
+	states := make([]int, 300)
+	for i := range states {
+		states[i] = rng.Intn(levels)
+	}
+	var b strings.Builder
+	hdrRaw, _ := json.Marshal(StreamHeader{Device: "dev-s", Levels: levels, Window: window, Stride: stride})
+	b.Write(hdrRaw)
+	b.WriteByte('\n')
+	for i := 0; i < len(states); i += chunk {
+		line, _ := json.Marshal(StreamSample{States: states[i : i+chunk]})
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	status, got, _, errLine := streamNDJSON(t, ts.URL, b.String())
+	if status != http.StatusOK || errLine != nil {
+		t.Fatalf("stream: status %d, err %v", status, errLine)
+	}
+	if len(got) == 0 {
+		t.Fatal("the trace produced no decisions")
+	}
+
+	recs, err := store.Query(verdictstore.Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(got) {
+		t.Fatalf("stored %d verdicts, streamed %d", len(recs), len(got))
+	}
+	lines := 0
+	for i, rec := range recs {
+		g := got[i]
+		if rec.Source != "stream" || rec.Device != "dev-s" || rec.Features != nil ||
+			rec.Model != g.Model || rec.Version != g.Version {
+			t.Fatalf("verdict %d provenance: %+v", i, rec)
+		}
+		if rec.Prediction != g.Prediction || rec.Decision != g.Decision ||
+			math.Float64bits(rec.Entropy) != math.Float64bits(g.Entropy) || !sameFloats(rec.Votes, g.VoteDist) {
+			t.Fatalf("verdict %d diverged from its NDJSON line:\n got %+v\nwant %+v", i, rec, g)
+		}
+		if i == 0 || g.Sample/chunk != got[i-1].Sample/chunk {
+			lines++
+			continue
+		}
+		if prev := recs[i-1]; rec.Seq != prev.Seq+1 || !rec.Time.Equal(prev.Time) {
+			t.Fatalf("line %d: seq %d at %v follows seq %d at %v", g.Sample/chunk, rec.Seq, rec.Time, prev.Seq, prev.Time)
+		}
+	}
+	if lines == len(recs) {
+		t.Fatal("every line made one decision at most; the test needs lines with several")
 	}
 }
 

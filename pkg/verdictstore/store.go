@@ -13,17 +13,18 @@
 // scans every segment, truncates a torn tail at the last intact frame,
 // and resumes the sequence number after the last durable record.
 //
-// Appends are group-committed: Append frames the record into an
-// in-memory pending group and returns; a background flusher (optionally
-// core-pinned) drains the whole group with one write syscall and fsyncs
-// the active segment on a timer. An append issues no I/O itself; what it
-// can wait for is the store lock, which the flusher holds across its
-// write(2) and a rotation's sealing fsync (the timer's fsync runs outside
-// it). AppendBatch is the same front door for a group of records — a
-// client batch's verdicts — taken once: one lock acquisition and one
-// flusher wake-up for the lot, the records stamped in place and framed
-// without reflection into the bytes encoding/json would have produced, so
-// both doors write one format. Query, Stats, Sync and Close commit the
+// Appends are group-committed. Append (one record) and AppendBatch (a
+// group, such as a client batch's verdicts) run one locked body: refuse a
+// closed store or a failed background commit, stamp sequence numbers and
+// times, frame each record into an in-memory pending group, then wake the
+// flusher (or, with Config.SyncEvery > 0, commit before returning). Only
+// the framer differs: Append's is encoding/json, AppendBatch's writes the
+// same bytes without reflection, so both doors write one format. A
+// background flusher (optionally core-pinned) drains the whole group with
+// one write syscall and fsyncs the active segment on a timer. An append
+// issues no I/O itself; what it can wait for is the store lock, which the
+// flusher holds across its write(2) and a rotation's sealing fsync (the
+// timer's fsync runs outside it). Query, Stats, Sync and Close commit the
 // pending group first, so a read always observes every append that
 // returned before it. The durability contract: a crash loses at most one
 // uncommitted group plus whatever the OS had not flushed since the last
@@ -371,65 +372,11 @@ func readFrame(br *bufio.Reader) (Record, int64, error) {
 // before Append returns, so the caller may reuse Votes and Features. For
 // many records at once, AppendBatch does the same under one lock.
 func (s *Store) Append(rec Record) (uint64, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := s.werr; err != nil {
-		// Surface (and clear) a background commit failure on the append
-		// path instead of acknowledging records a dead disk will lose.
-		s.werr = nil
-		s.mu.Unlock()
+	recs := [1]Record{rec}
+	if _, err := s.appendRecs(recs[:], true); err != nil {
 		return 0, err
 	}
-	rec.Seq = s.nextSeq
-	if rec.Time.IsZero() {
-		rec.Time = time.Now()
-	}
-	s.encBuf.Reset()
-	if err := s.enc.Encode(rec); err != nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("verdictstore: %w", err)
-	}
-	payload := s.encBuf.Bytes()
-	payload = payload[:len(payload)-1] // Encode appends '\n'; frames carry bare JSON
-	if len(payload) > maxPayload {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("verdictstore: record of %d bytes exceeds frame limit", len(payload))
-	}
-	var hdr [frameHdr]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	s.pendBuf = append(s.pendBuf, hdr[:]...)
-	s.pendBuf = append(s.pendBuf, payload...)
-	s.pending = append(s.pending, pendMeta{seq: rec.Seq, tn: rec.Time.UnixNano(), size: frameHdr + len(payload)})
-	s.nextSeq++
-	s.appended++
-	if s.cfg.SyncEvery > 0 {
-		err := s.commitLocked()
-		if err == nil {
-			s.sinceSync++
-			if s.sinceSync >= s.cfg.SyncEvery && s.f != nil {
-				if serr := s.f.Sync(); serr != nil {
-					err = fmt.Errorf("verdictstore: %w", serr)
-				}
-				s.dirty = false
-				s.sinceSync = 0
-			}
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		return rec.Seq, nil
-	}
-	s.mu.Unlock()
-	select {
-	case s.signal <- struct{}{}:
-	default: // flusher already signalled
-	}
-	return rec.Seq, nil
+	return recs[0].Seq, nil
 }
 
 // AppendBatch stamps and persists a group of records as one append: one
@@ -456,12 +403,21 @@ func (s *Store) AppendBatch(recs []Record) (n int, err error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
+	return s.appendRecs(recs, false)
+}
+
+// appendRecs is the locked body of both doors, with AppendBatch's contract.
+// Only the framer differs: viaJSON frames through encoding/json (Append),
+// otherwise appendRecord writes the same bytes without reflection.
+func (s *Store) appendRecs(recs []Record, viaJSON bool) (n int, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if err := s.werr; err != nil {
+		// Surface (and clear) a background commit failure on the append
+		// path instead of acknowledging records a dead disk will lose.
 		s.werr = nil
 		s.mu.Unlock()
 		return 0, err
@@ -479,7 +435,13 @@ func (s *Store) AppendBatch(recs []Record) (n int, err error) {
 		// Reserve the header, encode the payload behind it, then patch
 		// length and checksum in.
 		mark := len(s.pendBuf)
-		buf, ferr := appendRecord(append(s.pendBuf, make([]byte, frameHdr)...), rec)
+		buf := append(s.pendBuf, make([]byte, frameHdr)...)
+		var ferr error
+		if viaJSON {
+			buf, ferr = s.appendJSON(buf, rec)
+		} else {
+			buf, ferr = appendRecord(buf, rec)
+		}
 		payload := buf[mark+frameHdr:]
 		if ferr == nil && len(payload) > maxPayload {
 			ferr = fmt.Errorf("record of %d bytes exceeds frame limit", len(payload))
@@ -526,6 +488,19 @@ func (s *Store) AppendBatch(recs []Record) (n int, err error) {
 		}
 	}
 	return n, err
+}
+
+// appendJSON appends rec's frame payload as encoding/json writes it,
+// without Encode's trailing newline. It encodes a copy of the record, so
+// rec does not escape and Append's one-record group stays on its stack.
+// Callers hold s.mu.
+func (s *Store) appendJSON(dst []byte, rec *Record) ([]byte, error) {
+	s.encBuf.Reset()
+	if err := s.enc.Encode(*rec); err != nil {
+		return dst, err
+	}
+	payload := s.encBuf.Bytes()
+	return append(dst, payload[:len(payload)-1]...), nil
 }
 
 func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
