@@ -54,7 +54,7 @@ benchmark-test:
 # fleet's prepare hook.
 serve-stress:
 	$(GO) test -race -count=20 \
-		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments|TestRetrainReplay|TestRetrainControllerClosedLoop' ./pkg/serve/
+		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments|TestFleetCloseWaitsForBatches|TestRetrainReplay|TestRetrainControllerClosedLoop' ./pkg/serve/
 
 # fuzz-smoke runs every Fuzz* target in the module for FUZZTIME each: the
 # packages come from `go list ./...` and their targets from `go test -list`,

@@ -510,7 +510,7 @@ func BenchmarkBaggingFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ens := ensemble.New(ensemble.Config{
 			M:    25,
-			New:  func(seed int64) ensemble.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
+			New:  func(seed int64) model.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
 			Seed: 1,
 		})
 		if err := ens.Fit(X, y); err != nil {
@@ -710,7 +710,7 @@ func BenchmarkEnsembleVotes(b *testing.B) {
 	s := dvfsBenchData(b)
 	ens := ensemble.New(ensemble.Config{
 		M:    25,
-		New:  func(seed int64) ensemble.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
+		New:  func(seed int64) model.Classifier { return tree.New(tree.Config{MaxFeatures: -1, Seed: seed}) },
 		Seed: 1,
 	})
 	if err := ens.Fit(s.Train.X(), s.Train.Y()); err != nil {
@@ -732,7 +732,7 @@ func BenchmarkVoteEntropy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.VoteEntropy(votes); err != nil {
+		if _, err := est.Summarize(votes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,12 +75,26 @@ func TestDecomposeHardVotesMatchVoteEntropy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var e Estimator
-	h, err := e.VoteEntropy(votes)
+	s, err := e.Summarize(votes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d.Epistemic-h) > 1e-12 {
-		t.Fatalf("epistemic %v vs vote entropy %v", d.Epistemic, h)
+	if math.Abs(d.Epistemic-s.Entropy) > 1e-12 {
+		t.Fatalf("epistemic %v vs vote entropy %v", d.Epistemic, s.Entropy)
+	}
+}
+
+// TestPosterior: Total is the entropy of the averaged member posterior
+// (Eq. 3 then Eq. 4) — here members {0.5, 0.5} and {0, 1} average to
+// {0.25, 0.75}.
+func TestPosterior(t *testing.T) {
+	d, err := Decompose([][]float64{{0.5, 0.5}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := -(0.25*math.Log2(0.25) + 0.75*math.Log2(0.75))
+	if math.Abs(d.Total-want) > 1e-12 {
+		t.Fatalf("total %v, want %v", d.Total, want)
 	}
 }
 

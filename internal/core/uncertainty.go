@@ -33,32 +33,6 @@ type Estimator struct {
 // ErrNoVotes reports an empty vote slice.
 var ErrNoVotes = errors.New("core: no votes")
 
-// VoteEntropy returns the entropy, in bits, of the frequency distribution
-// of the ensemble's hard votes (Eq. 4 applied to the vote histogram of
-// Fig. 2). Votes must be non-negative class indices.
-func (e Estimator) VoteEntropy(votes []int) (float64, error) {
-	counts, err := e.voteCounts(votes)
-	if err != nil {
-		return 0, err
-	}
-	return stats.CountEntropy(counts)
-}
-
-// VoteDistribution returns the normalised vote frequency distribution —
-// the approximate predictive posterior of Eq. 3 under hard votes.
-func (e Estimator) VoteDistribution(votes []int) ([]float64, error) {
-	counts, err := e.voteCounts(votes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(counts))
-	inv := 1 / float64(len(votes))
-	for i, c := range counts {
-		out[i] = float64(c) * inv
-	}
-	return out, nil
-}
-
 func (e Estimator) voteCounts(votes []int) ([]int, error) {
 	if len(votes) == 0 {
 		return nil, ErrNoVotes
@@ -83,10 +57,10 @@ func (e Estimator) voteCounts(votes []int) ([]int, error) {
 }
 
 // VoteSummary is everything the trusted HMD derives from one set of member
-// votes: the plurality prediction, the vote-entropy uncertainty and the
-// normalised vote distribution. It is produced by Estimator.Summarize in a
-// single pass over the votes, where the per-quantity methods (VoteEntropy,
-// VoteDistribution, a caller-side argmax) would each walk them again.
+// votes: the plurality prediction, the vote-entropy uncertainty (Eq. 4) and
+// the normalised vote distribution (the hard-vote form of Eq. 3's
+// predictive posterior). Estimator.Summarize and SummarizeCounts are the
+// only ways to produce one.
 type VoteSummary struct {
 	// Prediction is the plurality class; ties resolve to the lower index.
 	Prediction int
@@ -132,31 +106,6 @@ func (e Estimator) SummarizeCounts(counts []int, nVotes int, dist []float64) (Vo
 		}
 	}
 	return VoteSummary{Prediction: best, Entropy: h, Dist: dist}, nil
-}
-
-// Agreement returns the fraction of votes cast for the plurality class —
-// a linear alternative to entropy (1 = unanimous).
-func (e Estimator) Agreement(votes []int) (float64, error) {
-	counts, err := e.voteCounts(votes)
-	if err != nil {
-		return 0, err
-	}
-	best := 0
-	for _, c := range counts {
-		if c > best {
-			best = c
-		}
-	}
-	return float64(best) / float64(len(votes)), nil
-}
-
-// Posterior is an averaged predictive distribution P(y|x, D) produced by
-// Eq. 3 (mean of member probability outputs).
-type Posterior []float64
-
-// Entropy returns the Shannon entropy of the posterior in bits (Eq. 4).
-func (p Posterior) Entropy() (float64, error) {
-	return stats.Entropy(p)
 }
 
 // Decision is the output of a trusted HMD (Fig. 1, bottom path).

@@ -9,80 +9,80 @@ import (
 
 func TestVoteEntropyUnanimous(t *testing.T) {
 	var e Estimator
-	h, err := e.VoteEntropy([]int{1, 1, 1, 1})
+	s, err := e.Summarize([]int{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != 0 {
-		t.Fatalf("unanimous entropy %v, want 0", h)
+	if s.Entropy != 0 || s.Prediction != 1 {
+		t.Fatalf("unanimous summary %+v, want entropy 0 for class 1", s)
 	}
 }
 
 func TestVoteEntropySplit(t *testing.T) {
 	var e Estimator
-	h, err := e.VoteEntropy([]int{0, 1, 0, 1})
+	s, err := e.Summarize([]int{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(h-1) > 1e-12 {
-		t.Fatalf("50/50 entropy %v, want 1 bit", h)
+	if math.Abs(s.Entropy-1) > 1e-12 {
+		t.Fatalf("50/50 entropy %v, want 1 bit", s.Entropy)
+	}
+	if s.Prediction != 0 {
+		t.Fatalf("tie predicts %d, want the lower class 0", s.Prediction)
 	}
 }
 
 func TestVoteEntropyErrors(t *testing.T) {
 	var e Estimator
-	if _, err := e.VoteEntropy(nil); err == nil {
+	if _, err := e.Summarize(nil); err == nil {
 		t.Fatal("expected no-votes error")
 	}
-	if _, err := e.VoteEntropy([]int{-1}); err == nil {
+	if _, err := e.Summarize([]int{-1}); err == nil {
 		t.Fatal("expected negative vote error")
 	}
 }
 
 func TestVoteDistribution(t *testing.T) {
 	var e Estimator
-	p, err := e.VoteDistribution([]int{0, 1, 1, 1})
+	s, err := e.Summarize([]int{0, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p[0]-0.25) > 1e-12 || math.Abs(p[1]-0.75) > 1e-12 {
+	if p := s.Dist; math.Abs(p[0]-0.25) > 1e-12 || math.Abs(p[1]-0.75) > 1e-12 {
 		t.Fatalf("distribution %v", p)
 	}
 	// Classes floor: a single class of votes still yields a length-2 dist.
-	p, err = e.VoteDistribution([]int{0, 0})
+	s, err = e.Summarize([]int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) != 2 {
-		t.Fatalf("len %d, want 2", len(p))
+	if len(s.Dist) != 2 {
+		t.Fatalf("len %d, want 2", len(s.Dist))
 	}
 	// Explicit class count extends the support.
 	e3 := Estimator{Classes: 3}
-	p, err = e3.VoteDistribution([]int{0, 1})
+	s, err = e3.Summarize([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) != 3 {
-		t.Fatalf("len %d, want 3", len(p))
+	if len(s.Dist) != 3 {
+		t.Fatalf("len %d, want 3", len(s.Dist))
 	}
 }
 
-func TestAgreement(t *testing.T) {
-	var e Estimator
-	a, err := e.Agreement([]int{1, 1, 1, 0})
-	if err != nil {
-		t.Fatal(err)
+// pluralityShare is the fraction of votes cast for the most-voted class.
+func pluralityShare(votes []int) float64 {
+	counts := map[int]int{}
+	best := 0
+	for _, v := range votes {
+		counts[v]++
+		best = max(best, counts[v])
 	}
-	if math.Abs(a-0.75) > 1e-12 {
-		t.Fatalf("agreement %v", a)
-	}
-	if _, err := e.Agreement(nil); err == nil {
-		t.Fatal("expected error")
-	}
+	return float64(best) / float64(len(votes))
 }
 
-// Property: entropy is maximal iff votes are evenly split, and agreement
-// and entropy are inversely ordered.
+// Property: binary vote entropy lies in [0, 1] bits, and a larger plurality
+// share never comes with a larger entropy.
 func TestEntropyAgreementOrderingProperty(t *testing.T) {
 	var e Estimator
 	f := func(seed int64) bool {
@@ -94,36 +94,22 @@ func TestEntropyAgreementOrderingProperty(t *testing.T) {
 			votesA[i] = rng.Intn(2)
 			votesB[i] = rng.Intn(2)
 		}
-		hA, err1 := e.VoteEntropy(votesA)
-		hB, err2 := e.VoteEntropy(votesB)
-		aA, err3 := e.Agreement(votesA)
-		aB, err4 := e.Agreement(votesB)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+		sA, err1 := e.Summarize(votesA)
+		sB, err2 := e.Summarize(votesB)
+		if err1 != nil || err2 != nil {
 			return false
 		}
-		if hA < 0 || hA > 1+1e-12 {
+		if sA.Entropy < 0 || sA.Entropy > 1+1e-12 {
 			return false
 		}
-		// Higher agreement implies lower-or-equal entropy for binary votes.
-		if aA > aB && hA > hB+1e-12 {
+		// A larger plurality share implies lower-or-equal binary entropy.
+		if pluralityShare(votesA) > pluralityShare(votesB) && sA.Entropy > sB.Entropy+1e-12 {
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPosterior(t *testing.T) {
-	p := Posterior{0.25, 0.75}
-	h, err := p.Entropy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -(0.25*math.Log2(0.25) + 0.75*math.Log2(0.75))
-	if math.Abs(h-want) > 1e-12 {
-		t.Fatalf("entropy %v, want %v", h, want)
 	}
 }
 

@@ -5,8 +5,8 @@
 // estimators_ attribute — from which the uncertainty estimator builds the
 // vote frequency distribution.
 //
-// The framework is generic over a Classifier factory, so Random Forest
-// trees, logistic regressions and SVMs all plug in unchanged. It also
+// The framework is generic over a model.Factory, so Random Forest trees,
+// logistic regressions and SVMs all plug in unchanged. It also
 // supports random-restart diversity (no bootstrap resampling, different
 // seeds only) for the deep-ensembles-style ablation.
 package ensemble
@@ -21,17 +21,6 @@ import (
 	"trusthmd/pkg/linalg"
 	"trusthmd/pkg/model"
 )
-
-// Classifier is the minimal contract a base model must satisfy. It is an
-// alias of the exported pkg/model contract, so in-module implementations
-// and externally registered families are the same type.
-type Classifier = model.Classifier
-
-// ProbClassifier is optionally implemented by base models that can emit a
-// class-probability distribution; the ensemble then supports averaged
-// posteriors (Eq. 3) in addition to hard votes. Alias of pkg/model's
-// contract.
-type ProbClassifier = model.ProbClassifier
 
 // Diversity selects how ensemble members are diversified.
 type Diversity int
@@ -63,7 +52,7 @@ type Config struct {
 	// settles on ~20-25).
 	M int
 	// New constructs an untrained base classifier from a seed. Required.
-	New func(seed int64) Classifier
+	New model.Factory
 	// Diversity selects bagging vs random-restart (default Bootstrap).
 	Diversity Diversity
 	// MaxSamples is the bootstrap replicate size as a fraction of the
@@ -81,20 +70,14 @@ type Config struct {
 	Seed int64
 	// Workers caps fit-time parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// KeepFitErrors, when true, tolerates individual member fit errors
-	// (e.g. SVM non-convergence) as long as at least one member trains;
-	// failing members are dropped and recorded in FitErrors. When false
-	// (default) any member error aborts Fit.
-	KeepFitErrors bool
 }
 
 // Bagging is the trained ensemble.
 type Bagging struct {
-	cfg       Config
-	members   []Classifier
-	features  [][]int // per-member feature subset; nil = all features
-	fitErrors []error
-	classes   int
+	cfg      Config
+	members  []model.Classifier
+	features [][]int // per-member feature subset; nil = all features
+	classes  int
 }
 
 // ErrNotFitted reports use before Fit.
@@ -160,7 +143,7 @@ func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 		}
 	}
 
-	members := make([]Classifier, b.cfg.M)
+	members := make([]model.Classifier, b.cfg.M)
 	errs := make([]error, b.cfg.M)
 	workers := b.cfg.Workers
 	if workers <= 0 {
@@ -202,28 +185,13 @@ func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 	}
 	wg.Wait()
 
-	b.members = b.members[:0]
-	b.features = b.features[:0]
-	b.fitErrors = b.fitErrors[:0]
-	for m := 0; m < b.cfg.M; m++ {
-		if errs[m] != nil {
-			if !b.cfg.KeepFitErrors {
-				b.members = nil
-				b.features = nil
-				return errs[m]
-			}
-			b.fitErrors = append(b.fitErrors, errs[m])
-			continue
+	b.members, b.features = nil, nil
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		b.members = append(b.members, members[m])
-		b.features = append(b.features, featureSets[m])
 	}
-	if len(b.members) == 0 {
-		err := errs[0]
-		b.members = nil
-		b.features = nil
-		return fmt.Errorf("ensemble: all members failed to fit: %w", err)
-	}
+	b.members, b.features = members, featureSets
 	return nil
 }
 
@@ -267,11 +235,6 @@ func gather(dst, x []float64, cols []int) []float64 {
 	return dst
 }
 
-// Resample draws an n-sample bootstrap replicate of (X, y).
-func Resample(X *linalg.Matrix, y []int, rng *rand.Rand) (*linalg.Matrix, []int) {
-	return ResampleN(X, y, X.Rows(), rng)
-}
-
 // ResampleN draws a size-sample bootstrap replicate of (X, y), sampling
 // with replacement.
 func ResampleN(X *linalg.Matrix, y []int, size int, rng *rand.Rand) (*linalg.Matrix, []int) {
@@ -288,21 +251,15 @@ func ResampleN(X *linalg.Matrix, y []int, size int, rng *rand.Rand) (*linalg.Mat
 
 // Estimators returns the trained members — the sklearn estimators_
 // analogue. The returned slice is shared; do not mutate.
-func (b *Bagging) Estimators() []Classifier {
+func (b *Bagging) Estimators() []model.Classifier {
 	if b.members == nil {
 		panic(ErrNotFitted)
 	}
 	return b.members
 }
 
-// Size returns the number of successfully trained members.
+// Size returns the number of trained members.
 func (b *Bagging) Size() int { return len(b.members) }
-
-// FitErrors returns the per-member errors tolerated under KeepFitErrors.
-func (b *Bagging) FitErrors() []error { return b.fitErrors }
-
-// NumClasses returns the number of classes inferred at fit time.
-func (b *Bagging) NumClasses() int { return b.classes }
 
 // Votes returns the hard decision of every member on x.
 func (b *Bagging) Votes(x []float64) []int {
@@ -453,60 +410,6 @@ func (b *Bagging) MaxMemberDim(full int) (int, error) {
 	return dim, nil
 }
 
-// VoteCounts returns the per-class tally of member votes on x.
-func (b *Bagging) VoteCounts(x []float64) []int {
-	counts := make([]int, b.classes)
-	for _, v := range b.Votes(x) {
-		if v >= len(counts) { // defensive: member predicted unseen class
-			grown := make([]int, v+1)
-			copy(grown, counts)
-			counts = grown
-		}
-		counts[v]++
-	}
-	return counts
-}
-
-// Predict returns the plurality vote; ties resolve to the lower class.
-func (b *Bagging) Predict(x []float64) int {
-	counts := b.VoteCounts(x)
-	best := 0
-	for lab, c := range counts {
-		if c > counts[best] {
-			best = lab
-		}
-	}
-	return best
-}
-
-// PredictProba averages members' probability outputs (Eq. 3). Members that
-// do not implement ProbClassifier contribute a one-hot distribution of
-// their hard vote, so the result degrades gracefully to vote frequencies.
-func (b *Bagging) PredictProba(x []float64) []float64 {
-	if b.members == nil {
-		panic(ErrNotFitted)
-	}
-	out := make([]float64, b.classes)
-	for i, m := range b.members {
-		xi := b.memberInput(i, x)
-		if pc, ok := m.(ProbClassifier); ok {
-			p := pc.PredictProba(xi)
-			for j := 0; j < len(out) && j < len(p); j++ {
-				out[j] += p[j]
-			}
-			continue
-		}
-		if v := m.Predict(xi); v < len(out) {
-			out[v]++
-		}
-	}
-	inv := 1 / float64(len(b.members))
-	for j := range out {
-		out[j] *= inv
-	}
-	return out
-}
-
 // MemberProbas returns one posterior distribution per member: the member's
 // PredictProba when available, else a one-hot encoding of its hard vote.
 // This is the input to the uncertainty decomposition (core.Decompose).
@@ -517,7 +420,7 @@ func (b *Bagging) MemberProbas(x []float64) [][]float64 {
 	out := make([][]float64, len(b.members))
 	for i, m := range b.members {
 		xi := b.memberInput(i, x)
-		if pc, ok := m.(ProbClassifier); ok {
+		if pc, ok := m.(model.ProbClassifier); ok {
 			p := pc.PredictProba(xi)
 			row := make([]float64, b.classes)
 			copy(row, p)
@@ -548,7 +451,7 @@ func (b *Bagging) MemberOutputs(x []float64) (votes []int, probas [][]float64) {
 		xi := b.memberInput(i, x)
 		votes[i] = m.Predict(xi)
 		row := make([]float64, b.classes)
-		if pc, ok := m.(ProbClassifier); ok {
+		if pc, ok := m.(model.ProbClassifier); ok {
 			copy(row, pc.PredictProba(xi))
 		} else if votes[i] < len(row) {
 			row[votes[i]] = 1

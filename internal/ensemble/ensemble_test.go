@@ -7,9 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"trusthmd/internal/core"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/internal/ml/tree"
 	"trusthmd/pkg/linalg"
+	"trusthmd/pkg/model"
 )
 
 func blobs(rng *rand.Rand, n int, gap float64) (*linalg.Matrix, []int) {
@@ -27,12 +29,23 @@ func blobs(rng *rand.Rand, n int, gap float64) (*linalg.Matrix, []int) {
 	return linalg.MustFromRows(rows), y
 }
 
-func treeFactory(seed int64) Classifier {
+func treeFactory(seed int64) model.Classifier {
 	return tree.New(tree.Config{MaxFeatures: 1, Seed: seed})
 }
 
-func lrFactory(seed int64) Classifier {
+func lrFactory(seed int64) model.Classifier {
 	return linear.NewLogistic(linear.LogisticConfig{Seed: seed, Epochs: 30})
+}
+
+// predict is the ensemble's plurality label on x: its Votes summarised by
+// the estimator the trusted HMD uses.
+func predict(t testing.TB, b *Bagging, x []float64) int {
+	t.Helper()
+	s, err := core.Estimator{}.Summarize(b.Votes(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Prediction
 }
 
 func TestFitPredict(t *testing.T) {
@@ -44,7 +57,7 @@ func TestFitPredict(t *testing.T) {
 	}
 	correct := 0
 	for i := 0; i < X.Rows(); i++ {
-		if b.Predict(X.Row(i)) == y[i] {
+		if predict(t, b, X.Row(i)) == y[i] {
 			correct++
 		}
 	}
@@ -54,8 +67,8 @@ func TestFitPredict(t *testing.T) {
 	if b.Size() != 15 || len(b.Estimators()) != 15 {
 		t.Fatalf("size %d", b.Size())
 	}
-	if b.NumClasses() != 2 {
-		t.Fatalf("classes %d", b.NumClasses())
+	if b.classes != 2 {
+		t.Fatalf("classes %d", b.classes)
 	}
 }
 
@@ -70,56 +83,10 @@ func TestVotesAndCounts(t *testing.T) {
 	if len(votes) != 9 {
 		t.Fatalf("%d votes", len(votes))
 	}
-	counts := b.VoteCounts([]float64{0, 0})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("counts %v must sum to 9", counts)
-	}
-}
-
-func TestPredictProbaWithProbMembers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	X, y := blobs(rng, 100, 3)
-	b := New(Config{M: 7, New: treeFactory, Seed: 3})
-	if err := b.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	p := b.PredictProba([]float64{-3, 0})
-	var sum float64
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("proba %v", p)
+	for _, v := range votes {
+		if v != 0 && v != 1 {
+			t.Fatalf("vote %d is not a class label", v)
 		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("proba sums to %v", sum)
-	}
-	if p[0] < 0.7 {
-		t.Fatalf("deep in class 0 but P(0)=%v", p[0])
-	}
-}
-
-func TestPredictProbaHardFallback(t *testing.T) {
-	// SVMs have no PredictProba; the ensemble must fall back to vote
-	// frequencies.
-	rng := rand.New(rand.NewSource(4))
-	X, y := blobs(rng, 100, 3)
-	b := New(Config{M: 5, New: func(seed int64) Classifier {
-		return linear.NewSVM(linear.SVMConfig{Seed: seed, Epochs: 50})
-	}, Seed: 4})
-	if err := b.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	p := b.PredictProba([]float64{3, 0})
-	if math.Abs(p[0]+p[1]-1) > 1e-9 {
-		t.Fatalf("fallback proba %v", p)
-	}
-	if p[1] < 0.9 {
-		t.Fatalf("unanimous votes expected deep in class 1, got %v", p)
 	}
 }
 
@@ -168,7 +135,7 @@ func (f *failingClassifier) Predict(x []float64) int { return 0 }
 func TestMemberFitErrorAborts(t *testing.T) {
 	X := linalg.MustFromRows([][]float64{{1}, {2}})
 	y := []int{0, 1}
-	b := New(Config{M: 3, New: func(seed int64) Classifier {
+	b := New(Config{M: 3, New: func(seed int64) model.Classifier {
 		return &failingClassifier{fail: seed%2 == 0 || true}
 	}, Seed: 1})
 	if err := b.Fit(X, y); err == nil {
@@ -176,30 +143,17 @@ func TestMemberFitErrorAborts(t *testing.T) {
 	}
 }
 
-func TestKeepFitErrorsDropsFailures(t *testing.T) {
-	X := linalg.MustFromRows([][]float64{{1}, {2}})
-	y := []int{0, 1}
-	i := 0
-	b := New(Config{M: 4, KeepFitErrors: true, Workers: 1, New: func(seed int64) Classifier {
-		i++
-		return &failingClassifier{fail: i%2 == 0}
-	}, Seed: 1})
-	if err := b.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if b.Size() != 2 || len(b.FitErrors()) != 2 {
-		t.Fatalf("size %d, errors %d", b.Size(), len(b.FitErrors()))
-	}
-}
-
 func TestAllMembersFail(t *testing.T) {
 	X := linalg.MustFromRows([][]float64{{1}, {2}})
 	y := []int{0, 1}
-	b := New(Config{M: 2, KeepFitErrors: true, New: func(seed int64) Classifier {
+	b := New(Config{M: 2, New: func(seed int64) model.Classifier {
 		return &failingClassifier{fail: true}
 	}, Seed: 1})
 	if err := b.Fit(X, y); err == nil {
 		t.Fatal("expected all-failed error")
+	}
+	if _, err := b.Truncated(1); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("failed fit left a usable ensemble: %v", err)
 	}
 }
 
@@ -208,7 +162,7 @@ func TestUnfittedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"votes":      func() { b.Votes([]float64{1}) },
 		"estimators": func() { b.Estimators() },
-		"proba":      func() { b.PredictProba([]float64{1}) },
+		"outputs":    func() { b.MemberOutputs([]float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -262,7 +216,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		}
 		out := make([]int, 0, 50)
 		for gx := -2.0; gx <= 2.0; gx += 0.1 {
-			out = append(out, b.Predict([]float64{gx, 0.2}))
+			out = append(out, predict(t, b, []float64{gx, 0.2}))
 		}
 		return out
 	}
@@ -278,12 +232,12 @@ func TestResample(t *testing.T) {
 	X := linalg.MustFromRows([][]float64{{1}, {2}, {3}, {4}})
 	y := []int{0, 0, 1, 1}
 	rng := rand.New(rand.NewSource(1))
-	bx, by := Resample(X, y, rng)
-	if bx.Rows() != 4 || len(by) != 4 {
+	bx, by := ResampleN(X, y, 6, rng)
+	if bx.Rows() != 6 || len(by) != 6 {
 		t.Fatal("resample size")
 	}
 	// Every resampled row must be one of the originals with matching label.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		v := bx.At(i, 0)
 		found := false
 		for j := 0; j < 4; j++ {
@@ -297,8 +251,9 @@ func TestResample(t *testing.T) {
 	}
 }
 
-// Property: vote counts always sum to ensemble size and Predict is a
-// plurality vote.
+// Property: the one-row AccumulateVotes walk tallies exactly the votes of
+// the reference Votes walk, the counts sum to the ensemble size, and the
+// summarised prediction is a plurality vote.
 func TestVoteInvariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X, y := blobs(rng, 60, 2)
@@ -306,23 +261,26 @@ func TestVoteInvariantsProperty(t *testing.T) {
 	if err := b.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
+	dim, err := b.MaxMemberDim(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes, input := make([]int, 1), make([]float64, dim)
 	f := func(a, c float64) bool {
 		x := []float64{math.Mod(a, 6), math.Mod(c, 6)}
-		counts := b.VoteCounts(x)
-		sum := 0
-		for _, v := range counts {
-			sum += v
+		counts := make([]int, 2)
+		if err := b.AccumulateVotes(linalg.MustFromRows([][]float64{x}), nil, counts, 2, 0, b.Size(), votes, input); err != nil {
+			t.Fatal(err)
 		}
-		if sum != b.Size() {
+		want := make([]int, 2)
+		for _, v := range b.Votes(x) {
+			want[v]++
+		}
+		if counts[0] != want[0] || counts[1] != want[1] || counts[0]+counts[1] != b.Size() {
 			return false
 		}
-		pred := b.Predict(x)
-		for _, v := range counts {
-			if v > counts[pred] {
-				return false
-			}
-		}
-		return true
+		pred := predict(t, b, x)
+		return counts[pred] >= counts[1-pred]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -373,7 +331,7 @@ func TestMaxFeaturesSubspaces(t *testing.T) {
 	// Subspaced members still classify the easy blobs correctly overall.
 	correct := 0
 	for i := 0; i < X.Rows(); i++ {
-		if b.Predict(X.Row(i)) == y[i] {
+		if predict(t, b, X.Row(i)) == y[i] {
 			correct++
 		}
 	}
@@ -385,7 +343,7 @@ func TestMaxFeaturesSubspaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict(X.Row(0)); got != 0 && got != 1 {
+	if got := predict(t, tr, X.Row(0)); got != 0 && got != 1 {
 		t.Fatal("truncated subspace ensemble must predict")
 	}
 }
@@ -393,7 +351,7 @@ func TestMaxFeaturesSubspaces(t *testing.T) {
 func TestMemberProbas(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	X, y := blobs(rng, 100, 3)
-	// Tree members implement ProbClassifier.
+	// Tree members implement model.ProbClassifier.
 	b := New(Config{M: 5, New: treeFactory, Seed: 12})
 	if err := b.Fit(X, y); err != nil {
 		t.Fatal(err)
@@ -415,7 +373,7 @@ func TestMemberProbas(t *testing.T) {
 		}
 	}
 	// SVM members fall back to one-hot votes.
-	bs := New(Config{M: 3, New: func(seed int64) Classifier {
+	bs := New(Config{M: 3, New: func(seed int64) model.Classifier {
 		return linear.NewSVM(linear.SVMConfig{Seed: seed, Epochs: 40})
 	}, Seed: 12})
 	if err := bs.Fit(X, y); err != nil {

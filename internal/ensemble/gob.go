@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+
+	"trusthmd/pkg/model"
 )
 
 // baggingGob is the exported wire form of a trained Bagging ensemble. The
@@ -20,7 +22,7 @@ type baggingGob struct {
 	MaxFeatures float64
 	Seed        int64
 	Workers     int
-	Members     []Classifier
+	Members     []model.Classifier
 	Features    [][]int
 	Classes     int
 }
@@ -82,6 +84,5 @@ func (b *Bagging) GobDecode(data []byte) error {
 	b.members = g.Members
 	b.features = g.Features
 	b.classes = g.Classes
-	b.fitErrors = nil
 	return nil
 }

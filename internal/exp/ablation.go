@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"trusthmd/internal/core"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/internal/ml/platt"
 	"trusthmd/pkg/dataset"
@@ -133,7 +132,8 @@ func AblationPosterior(cfg Config) (*PosteriorResult, error) {
 	}
 	res := &PosteriorResult{}
 	for _, model := range []string{"rf", "lr"} {
-		d, err := cfg.train(data.Train, model)
+		// The averaged posterior's entropy is the decomposition's Total.
+		d, err := cfg.train(data.Train, model, detector.WithDecomposition(true))
 		if err != nil {
 			return nil, err
 		}
@@ -142,17 +142,9 @@ func AblationPosterior(cfg Config) (*PosteriorResult, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			for i, r := range rs {
+			for _, r := range rs {
 				vote += r.Entropy
-				pp, err := d.Posterior(ds.At(i).Features)
-				if err != nil {
-					return 0, 0, err
-				}
-				h, err := core.Posterior(pp).Entropy()
-				if err != nil {
-					return 0, 0, err
-				}
-				post += h
+				post += r.Decomposition.Total
 			}
 			n := float64(ds.Len())
 			return vote / n, post / n, nil

@@ -1,7 +1,7 @@
 // Package hmd is the implementation core of the trusted HMD pipelines of
 // the paper's Fig. 1: feature scaling → PCA → bagging ensemble →
 // vote-entropy uncertainty. It is deliberately thin and mechanism-only —
-// model families plug in through the Factory hook, and policy (rejection
+// model families plug in through a model.Factory, and policy (rejection
 // thresholds, model registry, serving concerns, serialization format) lives
 // in the public pkg/detector API that wraps this package.
 //
@@ -15,11 +15,12 @@
 //     The pipeline owns no buffers: every stage writes into memory the
 //     caller passes in.
 //   - One allocating reference — Project, AssessProjected and Assess (plus
-//     AssessDecomposeProjected for the aleatoric/epistemic split) — built
-//     on the ensemble's plain Votes walk. Tests pin the stages to it bit
-//     for bit, and it is where the core lands when a member votes a label
-//     outside the class histogram (ensemble.ErrVoteRange): its histogram
-//     grows to fit.
+//     AssessDecomposeProjected for the aleatoric/epistemic split, whose
+//     Total is the entropy of the averaged member posterior, Eq. 3) —
+//     built on the ensemble's plain Votes and MemberOutputs walks. Tests
+//     pin the stages to it bit for bit, and it is where the core lands
+//     when a member votes a label outside the class histogram
+//     (ensemble.ErrVoteRange): its histogram grows to fit.
 package hmd
 
 import (
@@ -36,17 +37,11 @@ import (
 	"trusthmd/pkg/model"
 )
 
-// Factory constructs one untrained ensemble member from a seed. The open
-// model registry in pkg/detector maps model names to factories; this
-// package never enumerates classifier families. Alias of the exported
-// pkg/model contract.
-type Factory = model.Factory
-
 // Config controls pipeline training.
 type Config struct {
 	// NewMember constructs an untrained base classifier from a seed.
 	// Required.
-	NewMember Factory
+	NewMember model.Factory
 	// M is the ensemble size (the paper settles on ~20-25; default 25).
 	M int
 	// PCAComponents is the dimensionality after PCA; 0 skips PCA.
@@ -309,26 +304,6 @@ func (p *Pipeline) Assess(x []float64) (Assessment, error) {
 		return Assessment{}, err
 	}
 	return p.AssessProjected(z)
-}
-
-// Predict runs the untrusted path: the plain majority-vote label.
-func (p *Pipeline) Predict(x []float64) (int, error) {
-	z, err := p.Project(x)
-	if err != nil {
-		return 0, err
-	}
-	return p.ens.Predict(z), nil
-}
-
-// Posterior returns the averaged member posterior (Eq. 3) for x: mean of
-// members' probability outputs, falling back to vote frequencies for
-// members without probability support.
-func (p *Pipeline) Posterior(x []float64) (core.Posterior, error) {
-	z, err := p.Project(x)
-	if err != nil {
-		return nil, err
-	}
-	return core.Posterior(p.ens.PredictProba(z)), nil
 }
 
 // Ensemble exposes the trained ensemble (for the Fig. 9a size sweep).

@@ -11,8 +11,10 @@ import (
 	"trusthmd/internal/gen"
 	"trusthmd/internal/ml/linear"
 	"trusthmd/internal/ml/tree"
+	"trusthmd/internal/stats"
 	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/linalg"
+	"trusthmd/pkg/model"
 )
 
 func dvfsSplits(t *testing.T) gen.Splits {
@@ -24,11 +26,11 @@ func dvfsSplits(t *testing.T) gen.Splits {
 	return s
 }
 
-func rfFactory(seed int64) ensemble.Classifier {
+func rfFactory(seed int64) model.Classifier {
 	return tree.New(tree.Config{MaxFeatures: -1, Seed: seed})
 }
 
-func lrFactory(seed int64) ensemble.Classifier {
+func lrFactory(seed int64) model.Classifier {
 	return linear.NewLogistic(linear.LogisticConfig{Seed: seed, Epochs: 20, Batch: 16})
 }
 
@@ -41,19 +43,12 @@ func TestTrainPredictAssess(t *testing.T) {
 	correct := 0
 	for i := 0; i < s.Test.Len(); i++ {
 		smp := s.Test.At(i)
-		pred, err := p.Predict(smp.Features)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == smp.Label {
-			correct++
-		}
 		a, err := p.Assess(smp.Features)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Prediction != pred {
-			t.Fatal("Assess and Predict must agree")
+		if a.Prediction == smp.Label {
+			correct++
 		}
 		if a.Entropy < 0 || a.Entropy > 1 {
 			t.Fatalf("entropy %v out of range", a.Entropy)
@@ -170,22 +165,54 @@ func TestAssessDecomposeProjected(t *testing.T) {
 	}
 }
 
+// TestPosterior pins the averaged member posterior of Eq. 3 (ablation A2's
+// quantity) to Decomposition.Total bit for bit: the mean of the members'
+// posteriors, summed in member order and scaled by 1/M, is a distribution,
+// and its entropy is exactly the decomposition's Total.
 func TestPosterior(t *testing.T) {
 	s := dvfsSplits(t)
-	p, err := Train(s.Train, Config{NewMember: rfFactory, M: 9, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post, err := p.Posterior(s.Test.At(0).Features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range post {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("posterior sums to %v", sum)
+	for name, cfg := range map[string]Config{
+		"rf": {NewMember: rfFactory, M: 9, Seed: 5},
+		"lr": {NewMember: lrFactory, M: 9, Seed: 5, MaxFeatures: 0.5},
+	} {
+		p, err := Train(s.Train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range []*dataset.Dataset{s.Test, s.Unknown} {
+			for i := 0; i < ds.Len(); i++ {
+				z, err := p.Project(ds.At(i).Features)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probas := p.ens.MemberProbas(z)
+				mean := make([]float64, len(probas[0]))
+				for _, pm := range probas {
+					for j, v := range pm {
+						mean[j] += v
+					}
+				}
+				var sum float64
+				for j := range mean {
+					mean[j] *= 1 / float64(len(probas))
+					sum += mean[j]
+				}
+				if math.Abs(sum-1) > 1e-9 {
+					t.Fatalf("%s row %d: posterior sums to %v", name, i, sum)
+				}
+				want, err := stats.Entropy(mean)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, dec, err := p.AssessDecomposeProjected(z)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(dec.Total) != math.Float64bits(want) {
+					t.Fatalf("%s row %d: Total %v, posterior entropy %v", name, i, dec.Total, want)
+				}
+			}
+		}
 	}
 }
 
@@ -236,13 +263,10 @@ func TestDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Predict([]float64{1, 2}); err == nil {
+	if _, err := p.Project([]float64{1, 2}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 	if _, err := p.Assess([]float64{1}); err == nil {
-		t.Fatal("expected dimension error")
-	}
-	if _, err := p.Posterior([]float64{1}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -260,7 +284,7 @@ func TestSVMNonConvergencePropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svm := func(seed int64) ensemble.Classifier {
+	svm := func(seed int64) model.Classifier {
 		return linear.NewSVM(linear.SVMConfig{Seed: seed, Epochs: 100, MaxObjective: 0.2})
 	}
 	_, err := Train(d, Config{NewMember: svm, M: 3, Seed: 8})
@@ -291,7 +315,7 @@ func TestDiversityModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if _, err := p.Predict(s.Test.At(0).Features); err != nil {
+		if _, err := p.Assess(s.Test.At(0).Features); err != nil {
 			t.Fatal(err)
 		}
 	}

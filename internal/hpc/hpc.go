@@ -118,9 +118,6 @@ func NewGenerator() *Generator {
 	return &Generator{comps: Components()}
 }
 
-// NumComponents returns the number of behaviour components.
-func (g *Generator) NumComponents() int { return len(g.comps) }
-
 // Window draws one counter window for behaviour b: per event, the mixture
 // of component log-means, shifted by log(Intensity), plus N(0, Spread)
 // log-normal noise.

@@ -160,9 +160,3 @@ func TestClassOverlap(t *testing.T) {
 		t.Fatalf("classes too separated: gap %v vs pooled std %v", gap, pooled)
 	}
 }
-
-func TestNumComponents(t *testing.T) {
-	if NewGenerator().NumComponents() != 5 {
-		t.Fatal("component count")
-	}
-}

@@ -8,7 +8,7 @@ import (
 
 func init() {
 	// Self-register so NB members survive gob encoding behind the
-	// ensemble.Classifier interface.
+	// model.Classifier interface.
 	gob.Register(&Gaussian{})
 }
 

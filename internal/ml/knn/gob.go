@@ -11,7 +11,7 @@ import (
 
 func init() {
 	// Self-register so kNN members survive gob encoding behind the
-	// ensemble.Classifier interface.
+	// model.Classifier interface.
 	gob.Register(&KNN{})
 }
 

@@ -7,7 +7,7 @@ import (
 
 func init() {
 	// Self-register so linear members survive gob encoding behind the
-	// ensemble.Classifier interface.
+	// model.Classifier interface.
 	gob.Register(&Logistic{})
 	gob.Register(&SVM{})
 }

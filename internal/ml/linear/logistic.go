@@ -151,7 +151,7 @@ func (l *Logistic) NumFeatures() int { return len(l.w) }
 func (l *Logistic) Proba(x []float64) float64 { return sigmoid(l.Score(x)) }
 
 // PredictProba returns the class distribution [P(y=0), P(y=1)], satisfying
-// the ensemble.ProbClassifier contract so logistic ensembles can average
+// the model.ProbClassifier contract so logistic ensembles can average
 // soft posteriors (Eq. 3).
 func (l *Logistic) PredictProba(x []float64) []float64 {
 	p := l.Proba(x)

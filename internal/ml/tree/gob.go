@@ -9,7 +9,7 @@ import (
 
 func init() {
 	// Self-register so trees survive gob encoding behind the
-	// ensemble.Classifier interface.
+	// model.Classifier interface.
 	gob.Register(&Tree{})
 }
 

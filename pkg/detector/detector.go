@@ -267,25 +267,6 @@ func (d *Detector) WithOptions(opts ...Option) (*Detector, error) {
 	return &Detector{cfg: cfg, pipe: d.pipe}, nil
 }
 
-// Predict runs the untrusted path: the plain majority-vote label without
-// uncertainty bookkeeping.
-func (d *Detector) Predict(x []float64) (int, error) {
-	p, err := d.pipe.Predict(x)
-	if err != nil {
-		return 0, fmt.Errorf("detector: %w", err)
-	}
-	return p, nil
-}
-
-// Posterior returns the averaged member posterior (the paper's Eq. 3).
-func (d *Detector) Posterior(x []float64) ([]float64, error) {
-	p, err := d.pipe.Posterior(x)
-	if err != nil {
-		return nil, fmt.Errorf("detector: %w", err)
-	}
-	return p, nil
-}
-
 // Truncated returns a detector view restricted to the first m ensemble
 // members, sharing the trained pipeline stages with the receiver. It powers
 // entropy-vs-ensemble-size sweeps (the paper's Fig. 9a) without refitting.

@@ -253,30 +253,30 @@ func TestWithOptionsRethreshold(t *testing.T) {
 	}
 }
 
+// TestPosteriorAndPredict reads the averaged member posterior (Eq. 3) as
+// the entropy it carries, Decomposition.Total, and the majority-vote label
+// as Result.Prediction: a decomposing detector gives the same prediction
+// and vote entropy as a plain one.
 func TestPosteriorAndPredict(t *testing.T) {
 	d, s := trainRF(t)
+	dd, err := d.WithOptions(WithDecomposition(true))
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := s.Test.At(0).Features
-	post, err := d.Posterior(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range post {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("posterior sums to %v", sum)
-	}
-	pred, err := d.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, err := d.Assess(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred != r.Prediction {
-		t.Fatal("Predict and Assess must agree")
+	rd, err := dd.Assess(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Decomposition == nil || rd.Decomposition.Total < 0 || rd.Decomposition.Total > 1+1e-12 {
+		t.Fatalf("posterior entropy %+v outside [0, 1] bits", rd.Decomposition)
+	}
+	if rd.Prediction != r.Prediction || rd.Entropy != r.Entropy {
+		t.Fatal("decomposing and plain Assess must agree")
 	}
 	if _, err := d.Assess([]float64{1, 2}); err == nil {
 		t.Fatal("expected dimension error")

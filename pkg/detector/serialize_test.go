@@ -10,6 +10,7 @@ import (
 
 	"trusthmd/internal/ensemble"
 	"trusthmd/internal/hmd"
+	"trusthmd/pkg/model"
 )
 
 // TestSaveLoadRoundTrip trains each built-in family that converges on the
@@ -320,7 +321,7 @@ type (
 		MaxSamples, MaxFeatures float64
 		Seed                    int64
 		Workers                 int
-		Members                 []ensemble.Classifier
+		Members                 []model.Classifier
 		Features                [][]int
 		Classes                 int
 	}

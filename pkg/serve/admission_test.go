@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -323,6 +325,91 @@ func TestFleetCloseWaitsForAssessments(t *testing.T) {
 		t.Fatalf("store holds %d appends when Close returned, want %d", st.Appended, n)
 	}
 	f.Close() // idempotent
+}
+
+// TestFleetCloseWaitsForBatches: a /v1/assess/batch held inside its
+// assessment across Close keeps Close waiting until the batch's verdicts
+// are stored, so the store its owner closes right after Close (as the
+// daemon does) holds every row, and nothing is lost as an append error.
+func TestFleetCloseWaitsForBatches(t *testing.T) {
+	const n = 10
+	d, X := gatedDetector(t)
+	dir := t.TempDir()
+	store, err := verdictstore.Open(dir, verdictstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(map[string]*detector.Detector{"m": d}, Config{Verdicts: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(f))
+	t.Cleanup(ts.Close) // after the gate's release, which Hold registers later
+	sh, err := f.resolve("m", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := testgate.Hold(t)
+	raw, err := json.Marshal(BatchRequest{Device: "dev", Batch: X[:n]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/assess/batch", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		resp.Body.Close()
+		done <- reply{status: resp.StatusCode}
+	}()
+	waitFor(t, "the batch to be held in flight", func() bool { return sh.inflight.Load() == n })
+
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		store.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to refuse new work", func() bool {
+		_, err := f.resolve("m", "")
+		return errors.Is(err, ErrClosed)
+	})
+	if resp, body := postJSON(t, ts.URL+"/v1/assess/batch", BatchRequest{Batch: X[:1]}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("batch after Close: status %d, want 503: %s", resp.StatusCode, body)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch was still in flight")
+	default:
+	}
+	release()
+	r := <-done
+	<-closed
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("held batch: status %d, err %v", r.status, r.err)
+	}
+	if got := f.verdictAppendErrs.Load(); got != 0 {
+		t.Fatalf("%d verdicts lost as append errors", got)
+	}
+	back, err := verdictstore.Open(dir, verdictstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	recs, err := back.Query(verdictstore.Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n {
+		t.Fatalf("store holds %d records after Close, want %d", len(recs), n)
+	}
 }
 
 // TestAssessOnePropagatesError: a detector error fails the call with that

@@ -36,7 +36,9 @@ type AssessOutcome struct {
 	Result detector.Result
 }
 
-// enter admits one Assess call into f.calls unless the fleet is closed.
+// enter admits one call into f.calls unless the fleet is closed: every
+// path that assesses and stores (Assess, a client batch, a stream push)
+// runs between enter and f.calls.Done.
 func (f *Fleet) enter() bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -69,8 +69,9 @@ type Fleet struct {
 	// never fails serving, so the only trace is this counter, which /stats
 	// reports as verdict_append_errors).
 	verdictAppendErrs atomic.Int64
-	// calls counts Assess calls in flight. Close waits them out, so every
-	// verdict they record reaches the store before its owner closes it.
+	// calls counts assessments in flight — Assess calls, client batches and
+	// stream pushes. Close waits them out, so every verdict they record
+	// reaches the store before its owner closes it.
 	// Add runs under mu's read lock while the fleet is open, so none races
 	// Close's Wait.
 	calls sync.WaitGroup
@@ -466,10 +467,10 @@ func (f *Fleet) StatsWithEpoch() (uint64, []ShardStats) {
 	return f.epoch, out
 }
 
-// Close waits for every Assess call in flight to return, its verdict
-// recorded, and rejects all future mutations and resolves. Safe to call more than
-// once. The HTTP listener should be shut down first so no new requests
-// arrive.
+// Close waits for every assessment in flight (Assess, client batch,
+// stream push) to return, its verdicts recorded, and rejects all future
+// mutations and resolves. Safe to call more than once. The HTTP listener
+// should be shut down first so no new requests arrive.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.closed {

@@ -259,6 +259,11 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 		func() error { return decodeBatchRequest(sc.body, sc, &req) }) {
 		return
 	}
+	if !s.fleet.enter() {
+		writeResolveError(w, ErrClosed)
+		return
+	}
+	defer s.fleet.calls.Done()
 	sh, err := s.fleet.resolve(req.Model, req.Device)
 	if err != nil {
 		writeResolveError(w, err)

@@ -325,10 +325,16 @@ func (f *Fleet) openStream(model, device string, cfg detector.StreamConfig, st *
 
 // push is the one place a stream's windows are assessed, counted and
 // stored, whether the states came off this node's socket or in a peer's
-// StreamPush (which adds the exported State; it is left zero here). The
-// loop has range-checked states, so an error here is an assessment failing;
-// what was accepted before it stays counted.
+// StreamPush (which adds the exported State; it is left zero here). It runs
+// inside the fleet's in-flight count, so Close waits for its verdicts to be
+// stored; once the fleet is closed it refuses the line with ErrClosed. The
+// loop has range-checked states, so any other error is an assessment
+// failing; what was accepted before it stays counted.
 func (l *localStream) push(states []int) (StreamPushResult, error) {
+	if !l.f.enter() {
+		return StreamPushResult{}, &routeError{ErrClosed}
+	}
+	defer l.f.calls.Done()
 	before := l.o.Stats
 	out := StreamPushResult{Model: l.sh.name, Version: l.sh.version}
 	defer func() {

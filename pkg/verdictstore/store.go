@@ -20,8 +20,8 @@
 // flusher (or, with Config.SyncEvery > 0, commit before returning). Only
 // the framer differs: Append's is encoding/json, AppendBatch's writes the
 // same bytes without reflection, so both doors write one format. A
-// background flusher (optionally core-pinned) drains the whole group with
-// one write syscall and fsyncs the active segment on a timer. An append
+// background flusher drains the whole group with one write syscall and
+// fsyncs the active segment on a timer. An append
 // issues no I/O itself; what it can wait for is the store lock, which the
 // flusher holds across its write(2) and a rotation's sealing fsync (the
 // timer's fsync runs outside it). Query, Stats, Sync and Close commit the
