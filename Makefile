@@ -23,8 +23,11 @@ test-short:
 # (generic pure-Go implementations forced via TRUSTHMD_NOSIMD), proving
 # every result the tests pin is reached identically without SIMD — the
 # bit-identical contract of pkg/linalg/kernel, exercised end to end.
+# -count=1 because the kernel package reads TRUSTHMD_NOSIMD in init, before
+# the test cache starts recording environment reads: a cached pass would
+# replay SIMD results.
 test-nosimd:
-	TRUSTHMD_NOSIMD=1 $(GO) test ./...
+	TRUSTHMD_NOSIMD=1 $(GO) test -count=1 ./...
 
 # test-allocs re-runs the zero-allocation contract of the inference hot
 # path (testing.AllocsPerRun assertions) uncached, race-free — the race
@@ -85,13 +88,13 @@ fuzz-smoke:
 # workers extract features while the caller keeps drawing, with the
 # experiments (internal/exp) that generate their datasets through it. Then
 # the kernel consumers again with SIMD forced off so both dispatch arms get
-# race coverage.
+# race coverage (uncached, as in test-nosimd).
 # TestRetrainE2EClosedLoop writes its final /stats snapshot (verdict-store
 # occupancy included) to retrain-stats.json; CI uploads it as an artifact.
 race:
 	TRUSTHMD_RETRAIN_STATS_OUT=$(CURDIR)/retrain-stats.json \
 		$(GO) test -race ./pkg/detector/ ./pkg/serve/ ./pkg/cluster/... ./pkg/verdictstore/ ./cmd/trusthmdd/ ./pkg/linalg/... ./internal/ml/tree/ ./internal/ensemble/ ./internal/gen/ ./internal/exp/
-	TRUSTHMD_NOSIMD=1 $(GO) test -race ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
+	TRUSTHMD_NOSIMD=1 $(GO) test -race -count=1 ./pkg/detector/ ./pkg/linalg/... ./internal/ml/tree/
 
 vet:
 	$(GO) vet ./...

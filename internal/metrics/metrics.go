@@ -87,14 +87,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// FalsePositiveRate returns FP/(FP+TN), or 0 when no negatives exist.
-func (c Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
-}
-
 // String renders the matrix and derived scores for logs and reports.
 func (c Confusion) String() string {
 	return fmt.Sprintf("tp=%d fp=%d tn=%d fn=%d acc=%.3f prec=%.3f rec=%.3f f1=%.3f",

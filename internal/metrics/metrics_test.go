@@ -32,9 +32,6 @@ func TestConfusionBasics(t *testing.T) {
 	if math.Abs(c.F1()-2.0/3) > 1e-12 {
 		t.Fatalf("f1 %v", c.F1())
 	}
-	if math.Abs(c.FalsePositiveRate()-1.0/3) > 1e-12 {
-		t.Fatalf("fpr %v", c.FalsePositiveRate())
-	}
 	if c.String() == "" {
 		t.Fatal("empty string")
 	}
@@ -42,7 +39,7 @@ func TestConfusionBasics(t *testing.T) {
 
 func TestConfusionEdgeCases(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.FalsePositiveRate() != 0 {
+	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Fatal("empty confusion should score zero everywhere")
 	}
 	// All negative ground truth, all negative predictions.

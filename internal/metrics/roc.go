@@ -84,58 +84,3 @@ func AUC(yTrue []int, scores []float64) (float64, error) {
 	}
 	return area, nil
 }
-
-// ECE returns the expected calibration error with equal-width confidence
-// bins: the weighted mean |accuracy(bin) - confidence(bin)| over predicted
-// P(y=1) values. bins must be >= 1.
-func ECE(yTrue []int, probs []float64, bins int) (float64, error) {
-	if bins < 1 {
-		return 0, fmt.Errorf("metrics: ECE needs >=1 bin, got %d", bins)
-	}
-	if len(yTrue) == 0 {
-		return 0, ErrNoSamples
-	}
-	if len(yTrue) != len(probs) {
-		return 0, fmt.Errorf("metrics: %d labels vs %d probabilities", len(yTrue), len(probs))
-	}
-	type bucket struct {
-		n       int
-		correct int
-		confSum float64
-	}
-	bs := make([]bucket, bins)
-	for i, lab := range yTrue {
-		if lab != 0 && lab != 1 {
-			return 0, fmt.Errorf("metrics: label %d at sample %d is not binary", lab, i)
-		}
-		p := probs[i]
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return 0, fmt.Errorf("metrics: probability %v at sample %d outside [0,1]", p, i)
-		}
-		pred := 0
-		conf := 1 - p
-		if p >= 0.5 {
-			pred = 1
-			conf = p
-		}
-		b := int(conf * float64(bins))
-		if b == bins { // conf == 1.0
-			b = bins - 1
-		}
-		bs[b].n++
-		bs[b].confSum += conf
-		if pred == lab {
-			bs[b].correct++
-		}
-	}
-	var ece float64
-	for _, b := range bs {
-		if b.n == 0 {
-			continue
-		}
-		acc := float64(b.correct) / float64(b.n)
-		conf := b.confSum / float64(b.n)
-		ece += float64(b.n) / float64(len(yTrue)) * math.Abs(acc-conf)
-	}
-	return ece, nil
-}

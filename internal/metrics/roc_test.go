@@ -126,68 +126,3 @@ func TestAUCRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestECEPerfectlyCalibrated(t *testing.T) {
-	// Confidence 1.0 predictions that are always right: ECE 0.
-	yTrue := []int{1, 1, 0, 0}
-	probs := []float64{1, 1, 0, 0}
-	e, err := ECE(yTrue, probs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e > 1e-12 {
-		t.Fatalf("ECE %v, want 0", e)
-	}
-}
-
-func TestECEOverconfident(t *testing.T) {
-	// Always predicts malware with certainty but is right half the time.
-	yTrue := []int{1, 0, 1, 0}
-	probs := []float64{1, 1, 1, 1}
-	e, err := ECE(yTrue, probs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e-0.5) > 1e-12 {
-		t.Fatalf("ECE %v, want 0.5", e)
-	}
-}
-
-func TestECEErrors(t *testing.T) {
-	if _, err := ECE(nil, nil, 10); err == nil {
-		t.Fatal("expected empty error")
-	}
-	if _, err := ECE([]int{1}, []float64{0.5}, 0); err == nil {
-		t.Fatal("expected bins error")
-	}
-	if _, err := ECE([]int{1}, []float64{0.5, 0.1}, 5); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := ECE([]int{3}, []float64{0.5}, 5); err == nil {
-		t.Fatal("expected label error")
-	}
-	if _, err := ECE([]int{1}, []float64{-0.1}, 5); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
-func TestECERangeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(80)
-		yTrue := make([]int, n)
-		probs := make([]float64, n)
-		for i := range yTrue {
-			yTrue[i] = rng.Intn(2)
-			probs[i] = rng.Float64()
-		}
-		e, err := ECE(yTrue, probs, 10)
-		if err != nil {
-			return false
-		}
-		return e >= 0 && e <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

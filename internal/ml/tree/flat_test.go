@@ -52,60 +52,87 @@ func randomFitted(t testing.TB, rng *rand.Rand) (*Tree, [][]float64) {
 	return tr, probes
 }
 
-// leafCountsPtr is the pointer-chasing walk over the nodes Fit grows and
-// GobDecode rebuilds — what the tree computed before it had a slab, kept
-// here as the reference every slab walk is compared against.
-func (t *Tree) leafCountsPtr(x []float64) []int {
-	n := t.root
-	for !n.leaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
+// wireLeaf is the reference walk every slab walk is held to: it follows x
+// down the wire-form nodes of a tree gob by their child indices and returns
+// the class histogram of the leaf it reaches. It reads nothing the slab
+// writer wrote.
+func wireLeaf(nodes []nodeGob, x []float64) []int {
+	i := 0
+	for nodes[i].Left >= 0 {
+		if nd := &nodes[i]; x[nd.Feature] <= nd.Threshold {
+			i = nd.Left
 		} else {
-			n = n.right
+			i = nd.Right
 		}
 	}
-	return n.counts
+	return nodes[i].Counts
 }
 
-// TestFlatMatchesPointerWalk is the flattening property test: on
-// randomized fitted trees, the packed-slab traversal (Predict,
-// PredictProba, PredictBatch) must be bit-identical to the original
-// pointer-node walk for every probe.
+// wireNodes decodes the tree gob b as plain gob and returns its nodes.
+func wireNodes(t testing.TB, b []byte) []nodeGob {
+	t.Helper()
+	var g treeGob
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	return g.Nodes
+}
+
+// encodedNodes returns the wire-form nodes GobEncode writes for tr.
+func encodedNodes(t testing.TB, tr *Tree) []nodeGob {
+	t.Helper()
+	b, err := tr.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wireNodes(t, b)
+}
+
+// TestFlatMatchesPointerWalk is the slab's property test: on randomized
+// fitted trees, every slab walk (Predict, PredictProba, PredictBatch) must
+// reach, for every probe, the leaf the walk over the tree's wire-form nodes
+// reaches — same label, same histogram, same frequencies.
 func TestFlatMatchesPointerWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 30; round++ {
 		tr, probes := randomFitted(t, rng)
 		if tr.flat == nil {
-			t.Fatalf("round %d: fitted tree was not flattened", round)
+			t.Fatalf("round %d: fitted tree has no slab", round)
 		}
+		nodes := encodedNodes(t, tr)
 		X := linalg.MustFromRows(probes)
 		batch := make([]int, len(probes))
 		tr.PredictBatch(X, batch)
 		for pi, x := range probes {
-			wantCounts := tr.leafCountsPtr(x)
+			wantCounts := wireLeaf(nodes, x)
 			wantLabel := majorityLabel(wantCounts)
 			if got := tr.Predict(x); got != wantLabel {
-				t.Fatalf("round %d probe %d: flat Predict %d, pointer walk %d", round, pi, got, wantLabel)
+				t.Fatalf("round %d probe %d: flat Predict %d, wire walk %d", round, pi, got, wantLabel)
 			}
 			if batch[pi] != wantLabel {
-				t.Fatalf("round %d probe %d: PredictBatch %d, pointer walk %d", round, pi, batch[pi], wantLabel)
+				t.Fatalf("round %d probe %d: PredictBatch %d, wire walk %d", round, pi, batch[pi], wantLabel)
 			}
-			gotCounts := tr.leafCountsFlat(x)
-			if len(gotCounts) != len(wantCounts) {
-				t.Fatalf("round %d probe %d: flat counts %v, pointer counts %v", round, pi, gotCounts, wantCounts)
+			off := int(tr.flat[tr.leafOf(x)].leafOff)
+			gotCounts := tr.leafSlab[off : off+tr.nClasses]
+			proba := tr.PredictProba(x)
+			total := 0
+			for _, c := range wantCounts {
+				total += c
+			}
+			if len(gotCounts) != len(wantCounts) || len(proba) != len(wantCounts) {
+				t.Fatalf("round %d probe %d: flat counts %v, wire counts %v", round, pi, gotCounts, wantCounts)
 			}
 			for c := range wantCounts {
-				if gotCounts[c] != wantCounts[c] {
-					t.Fatalf("round %d probe %d: flat counts %v, pointer counts %v", round, pi, gotCounts, wantCounts)
+				if gotCounts[c] != wantCounts[c] || proba[c] != float64(wantCounts[c])/float64(total) {
+					t.Fatalf("round %d probe %d: flat counts %v proba %v, wire counts %v", round, pi, gotCounts, proba, wantCounts)
 				}
 			}
 		}
 	}
 }
 
-// TestFlatRebuiltAfterGobDecode asserts the wire format stays pointer
-// shaped while decoded trees immediately serve from a rebuilt flat slab,
-// with bit-identical predictions.
+// TestFlatRebuiltAfterGobDecode asserts that a decoded tree serves from a
+// slab of its own the moment it is decoded, with bit-identical predictions.
 func TestFlatRebuiltAfterGobDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr, probes := randomFitted(t, rng)
@@ -118,7 +145,7 @@ func TestFlatRebuiltAfterGobDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.flat == nil {
-		t.Fatal("decoded tree was not flattened")
+		t.Fatal("decoded tree has no slab")
 	}
 	if len(back.flat) != len(tr.flat) {
 		t.Fatalf("decoded slab has %d nodes, original %d", len(back.flat), len(tr.flat))
@@ -170,11 +197,12 @@ func walkProbes(rng *rand.Rand, tr *Tree, n int) *linalg.Matrix {
 	return X
 }
 
-// TestLevelWalkMatchesReference pins every slab walk to the pointer walk:
-// over small random trees, deep ragged ones and a tree that is one leaf,
-// and over batch sizes on both sides of every kernel boundary (the 8-row
-// lockstep group, the 32-row walk choice, the 256-row level-walk block),
-// PredictBatch, per-row Predict and the reference agree on every row; and
+// TestLevelWalkMatchesReference pins every slab walk to the walk over the
+// tree's wire-form nodes: over small random trees, deep ragged ones and a
+// tree that is one leaf, and over batch sizes on both sides of every kernel
+// boundary (the 8-row lockstep group, the 32-row walk choice, the 256-row
+// level-walk block), PredictBatch, per-row Predict and the reference agree
+// on every row; and
 // at 31 and 32 rows the lockstep kernel and the level walk, each run on
 // the same rows, agree with each other.
 func TestLevelWalkMatchesReference(t *testing.T) {
@@ -195,18 +223,19 @@ func TestLevelWalkMatchesReference(t *testing.T) {
 	trees = append(trees, leaf)
 
 	for ti, tr := range trees {
+		nodes := encodedNodes(t, tr)
 		for _, n := range []int{0, 1, 7, 8, 31, 32, 33, 255, 256, 257, 1025} {
 			X := walkProbes(rng, tr, n)
 			got := make([]int, n)
 			tr.PredictBatch(X, got)
 			for i := 0; i < n; i++ {
 				x := X.Row(i)
-				want := majorityLabel(tr.leafCountsPtr(x))
+				want := majorityLabel(wireLeaf(nodes, x))
 				if got[i] != want {
-					t.Fatalf("tree %d, %d rows, row %d %v: PredictBatch %d, pointer walk %d", ti, n, i, x, got[i], want)
+					t.Fatalf("tree %d, %d rows, row %d %v: PredictBatch %d, wire walk %d", ti, n, i, x, got[i], want)
 				}
 				if p := tr.Predict(x); p != want {
-					t.Fatalf("tree %d, %d rows, row %d %v: Predict %d, pointer walk %d", ti, n, i, x, p, want)
+					t.Fatalf("tree %d, %d rows, row %d %v: Predict %d, wire walk %d", ti, n, i, x, p, want)
 				}
 			}
 			if n == 31 || n == 32 {

@@ -13,8 +13,9 @@ func init() {
 	gob.Register(&Tree{})
 }
 
-// nodeGob is one flattened tree node: Left/Right index into the node slice,
-// -1 marks a leaf.
+// nodeGob is one wire-form tree node: Left/Right index into the node
+// slice, -1 marks a leaf. A leaf carries its class histogram in Counts and
+// a zero Feature and Threshold; an internal node carries no Counts.
 type nodeGob struct {
 	Feature     int
 	Threshold   float64
@@ -22,8 +23,9 @@ type nodeGob struct {
 	Counts      []int
 }
 
-// treeGob is the exported wire form of a trained Tree, with the node
-// pointers flattened into a preorder slice.
+// treeGob is the exported wire form of a trained Tree: the nodes in one
+// preorder slice, each internal node followed by its left subtree and then
+// its right one.
 type treeGob struct {
 	Cfg       Config
 	NFeatures int
@@ -32,23 +34,31 @@ type treeGob struct {
 	Nodes     []nodeGob
 }
 
-func flatten(n *node, out *[]nodeGob) int {
-	idx := len(*out)
-	*out = append(*out, nodeGob{Feature: n.feature, Threshold: n.threshold, Left: -1, Right: -1, Counts: n.counts})
-	if !n.leaf() {
-		(*out)[idx].Left = flatten(n.left, out)
-		(*out)[idx].Right = flatten(n.right, out)
-	}
-	return idx
-}
-
 // GobEncode implements gob.GobEncoder for trained-pipeline serialization.
+// It walks the slab from the root in preorder, leaves included, so the wire
+// form is the node-per-entry shape every saved model has had.
 func (t *Tree) GobEncode() ([]byte, error) {
-	if t.root == nil {
+	if t.flat == nil {
 		return nil, ErrNotFitted
 	}
-	g := treeGob{Cfg: t.cfg, NFeatures: t.nFeatures, NClasses: t.nClasses, NodeTally: t.nodes}
-	flatten(t.root, &g.Nodes)
+	g := treeGob{Cfg: t.cfg, NFeatures: t.nFeatures, NClasses: t.nClasses, NodeTally: t.nodes,
+		Nodes: make([]nodeGob, 0, len(t.flat))}
+	var walk func(i int32) int
+	walk = func(i int32) int {
+		at := len(g.Nodes)
+		nd := &t.flat[i]
+		if nd.isLeaf(i) {
+			off := int(nd.leafOff)
+			g.Nodes = append(g.Nodes, nodeGob{Left: -1, Right: -1, Counts: t.leafSlab[off : off+t.nClasses]})
+			return at
+		}
+		g.Nodes = append(g.Nodes, nodeGob{Feature: int(nd.feature), Threshold: nd.threshold})
+		left := walk(nd.left)
+		right := walk(nd.right)
+		g.Nodes[at].Left, g.Nodes[at].Right = left, right
+		return at
+	}
+	walk(0)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
 		return nil, err
@@ -64,7 +74,10 @@ func (t *Tree) GobEncode() ([]byte, error) {
 // one parent — a shared child would make the slab exponentially larger
 // than the gob), every split feature is a column of an NFeatures-wide
 // row, and every leaf carries an NClasses-wide histogram of non-negative
-// counts.
+// counts. The checked nodes then go straight into the slab, through the
+// slab writer Fit uses. Only what a walk reads is kept: a leaf's Feature
+// and Threshold and an internal node's Counts are dropped, so a tree that
+// arrived with any of them set re-encodes without them.
 func (t *Tree) GobDecode(b []byte) error {
 	var g treeGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&g); err != nil {
@@ -79,10 +92,8 @@ func (t *Tree) GobDecode(b []byte) error {
 	if leaves := (len(g.Nodes) + 1) / 2; leaves > math.MaxInt32/g.NClasses {
 		return fmt.Errorf("tree: gob of %d nodes x %d classes exceeds the slab's 32-bit offsets", len(g.Nodes), g.NClasses)
 	}
-	nodes := make([]node, len(g.Nodes))
 	hasParent := make([]bool, len(g.Nodes))
 	for i, ng := range g.Nodes {
-		nodes[i] = node{feature: ng.Feature, threshold: ng.Threshold, counts: ng.Counts}
 		if ng.Left < 0 && ng.Right < 0 {
 			if len(ng.Counts) != g.NClasses {
 				return fmt.Errorf("tree: corrupt gob: leaf %d has %d counts for %d classes", i, len(ng.Counts), g.NClasses)
@@ -94,10 +105,10 @@ func (t *Tree) GobDecode(b []byte) error {
 			}
 			continue
 		}
-		// flatten emits children at strictly greater preorder indices;
+		// GobEncode emits children at strictly greater preorder indices;
 		// anything else (including back-references, which would make
 		// Predict loop forever) is corruption.
-		if ng.Left <= i || ng.Left >= len(nodes) || ng.Right <= i || ng.Right >= len(nodes) {
+		if ng.Left <= i || ng.Left >= len(g.Nodes) || ng.Right <= i || ng.Right >= len(g.Nodes) {
 			return fmt.Errorf("tree: corrupt gob: node %d children %d/%d", i, ng.Left, ng.Right)
 		}
 		if ng.Feature < 0 || ng.Feature >= g.NFeatures {
@@ -107,8 +118,6 @@ func (t *Tree) GobDecode(b []byte) error {
 			return fmt.Errorf("tree: corrupt gob: a child of node %d (%d/%d) has two parents", i, ng.Left, ng.Right)
 		}
 		hasParent[ng.Left], hasParent[ng.Right] = true, true
-		nodes[i].left = &nodes[ng.Left]
-		nodes[i].right = &nodes[ng.Right]
 	}
 	for i, ok := range hasParent[1:] {
 		if !ok {
@@ -119,9 +128,23 @@ func (t *Tree) GobDecode(b []byte) error {
 	t.nFeatures = g.NFeatures
 	t.nClasses = g.NClasses
 	t.nodes = g.NodeTally
-	t.root = &nodes[0]
-	// The wire format stays pointer-shaped (frozen v2 blobs must keep
-	// decoding); the inference slab is rebuilt on this side of the wire.
-	t.buildFlat()
+	// The nodes are one binary tree rooted at node 0, so a walk down the
+	// child links from there meets each once, in preorder — whatever order
+	// the wire lists them in — and lays the slab down as Fit does.
+	var w slabWriter
+	var lay func(i, depth int) int32
+	lay = func(i, depth int) int32 {
+		ng := &g.Nodes[i]
+		if ng.Left < 0 {
+			return w.leaf(ng.Counts, depth)
+		}
+		at := w.split(ng.Feature, ng.Threshold)
+		left := lay(ng.Left, depth+1)
+		right := lay(ng.Right, depth+1)
+		w.children(at, left, right)
+		return at
+	}
+	lay(0, 0)
+	w.finish(t)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -132,9 +133,51 @@ func TestGobDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestGobEncodeRoundTrip pins the encoder on trees Fit wrote — small
+// random ones, a deep ragged one and one that is a single leaf: decoding
+// GobEncode's bytes lays down the slab Fit laid down, and encoding that
+// again gives back the same bytes.
+func TestGobEncodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var trees []*Tree
+	for i := 0; i < 10; i++ {
+		tr, _ := randomFitted(t, rng)
+		trees = append(trees, tr)
+	}
+	trees = append(trees, deepTree(t, rng, 2500, 6))
+	leaf := New(Config{})
+	if err := leaf.Fit(linalg.New(4, 3), []int{1, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	trees = append(trees, leaf)
+	for ti, tr := range trees {
+		b, err := tr.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Tree
+		if err := back.GobDecode(b); err != nil {
+			t.Fatalf("tree %d: %v", ti, err)
+		}
+		if !reflect.DeepEqual(back.flat, tr.flat) || !reflect.DeepEqual(back.labels, tr.labels) ||
+			!reflect.DeepEqual(back.leafSlab, tr.leafSlab) || !reflect.DeepEqual(back.qs, tr.qs) ||
+			back.nInternal != tr.nInternal || back.flatDepth != tr.flatDepth {
+			t.Fatalf("tree %d: the decoded slab differs from the one Fit wrote", ti)
+		}
+		again, err := back.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("tree %d: re-encoding the decoded tree wrote %d bytes, not the %d it was decoded from", ti, len(again), len(b))
+		}
+	}
+}
+
 // FuzzTreeGobDecode: whatever the bytes, GobDecode returns an error or a
 // tree every walk can serve — no fault, no hang, and the slab walks agree
-// with the pointer walk over the decoded nodes.
+// with the walk over the wire-form nodes the bytes hold. A decoded tree
+// also re-encodes to bytes that decode and encode to themselves.
 func FuzzTreeGobDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 4; i++ {
@@ -154,9 +197,21 @@ func FuzzTreeGobDecode(f *testing.F) {
 		if err := tr.GobDecode(b); err != nil {
 			return
 		}
+		enc, err := tr.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Tree
+		if err := again.GobDecode(enc); err != nil {
+			t.Fatalf("re-encoded tree does not decode: %v", err)
+		}
+		if enc2, err := again.GobEncode(); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoded tree encodes to other bytes (%v)", err)
+		}
 		if tr.nFeatures > 1<<12 {
 			t.Skip("rows too wide to build here")
 		}
+		nodes := wireNodes(t, b)
 		const rows = 40 // a lockstep batch of 8 and a level-walk batch of 40
 		X := linalg.New(rows, tr.nFeatures)
 		fill := rand.New(rand.NewSource(int64(len(b))))
@@ -172,12 +227,12 @@ func FuzzTreeGobDecode(f *testing.F) {
 		tr.PredictBatch(head, small)
 		tr.PredictBatch(X, batch)
 		for i := 0; i < rows; i++ {
-			want := majorityLabel(tr.leafCountsPtr(X.Row(i)))
+			want := majorityLabel(wireLeaf(nodes, X.Row(i)))
 			if got := tr.Predict(X.Row(i)); got != want {
-				t.Fatalf("row %d: Predict %d, pointer walk %d", i, got, want)
+				t.Fatalf("row %d: Predict %d, wire walk %d", i, got, want)
 			}
 			if batch[i] != want || (i < 8 && small[i] != want) {
-				t.Fatalf("row %d: PredictBatch %d, pointer walk %d", i, batch[i], want)
+				t.Fatalf("row %d: PredictBatch %d, wire walk %d", i, batch[i], want)
 			}
 			tr.PredictProba(X.Row(i))
 		}

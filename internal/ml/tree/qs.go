@@ -60,8 +60,8 @@ var allOnes32 = func() (v [32]uint64) {
 	return
 }()
 
-// buildQS derives the bitmask slab from the flat slab. Called by buildFlat
-// (so Fit and GobDecode both rebuild it); trees with more than 64 leaves
+// buildQS derives the bitmask slab from the flat slab. Called by the slab
+// writer's finish (so Fit and GobDecode both build it); trees with more than 64 leaves
 // leave qs nil and are served by PredictBatch's walks alone.
 func (t *Tree) buildQS() {
 	t.qs = nil
@@ -143,7 +143,7 @@ func (t *Tree) PredictBatchCols(X, XT *linalg.Matrix, out []int) {
 	if r0 < n {
 		data, cols := X.Raw(), X.Cols()
 		for ; r0 < n; r0++ {
-			out[r0] = t.predictFlat(data[r0*cols : (r0+1)*cols])
+			out[r0] = int(t.labels[t.leafOf(data[r0*cols:(r0+1)*cols])])
 		}
 	}
 }

@@ -83,29 +83,29 @@ type Config struct {
 // Tree is a trained CART classifier. The zero value is unusable; call Fit.
 type Tree struct {
 	cfg       Config
-	root      *node
 	nFeatures int
 	nClasses  int
 	nodes     int
 
-	// flat is the inference-time form of the tree: the pointer nodes packed
-	// into one contiguous array-of-structs slab, internal nodes first. The
-	// nInternal internal nodes fill [0, nInternal) in preorder among
-	// themselves (so an internal left child of node i is i+1 and the root
-	// of any tree that splits is 0); the leaves follow in [nInternal,
-	// len(flat)), also in preorder, i.e. left to right. A strictly binary
-	// tree has one leaf more than it has internal nodes, so len(flat) is
-	// 2*nInternal+1, and a tree that is one leaf has nInternal == 0.
-	// leafSlab holds the leaf class histograms concatenated in leaf order,
-	// labels the majority label per node index (-1 for internal nodes), and
-	// flatDepth is the longest root-to-leaf path. Fit and GobDecode build
-	// all of it; no fitted or decoded tree exists without it.
+	// flat is the tree, in the one form it is kept in: a contiguous
+	// array-of-structs slab, internal nodes first. The nInternal internal
+	// nodes fill [0, nInternal) in preorder among themselves (so an internal
+	// left child of node i is i+1 and the root of any tree that splits is
+	// 0); the leaves follow in [nInternal, len(flat)), also in preorder, i.e.
+	// left to right. A strictly binary tree has one leaf more than it has
+	// internal nodes, so len(flat) is 2*nInternal+1, and a tree that is one
+	// leaf has nInternal == 0. leafSlab holds the leaf class histograms
+	// concatenated in leaf order, labels the majority label per node index
+	// (-1 for internal nodes), and flatDepth is the longest root-to-leaf
+	// path. Fit and GobDecode write all of it through one slabWriter, and
+	// GobEncode reads the wire form back off it; flat is nil exactly when
+	// the tree is unfitted.
 	//
-	// Who reads which half: the per-row walks (predictFlat, leafCountsFlat)
-	// and the lockstep kernel load whatever node they stand on, leaves
-	// included; the level walk finishes a row the moment its next index is
-	// >= nInternal and never loads a leaf node, so its working set is the
-	// internal half alone.
+	// Who reads which half: the per-row walk (leafOf) and the lockstep
+	// kernel load whatever node they stand on, leaves included; the level
+	// walk finishes a row the moment its next index is >= nInternal and
+	// never loads a leaf node, so its working set is the internal half
+	// alone.
 	flat      []flatNode
 	leafSlab  []int
 	labels    []int32
@@ -116,16 +116,6 @@ type Tree struct {
 	// leaves; see qs.go. Rebuilt alongside flat, nil when unavailable.
 	qs *qsSlab
 }
-
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	counts    []int // class histogram at this node (leaf payload)
-}
-
-func (n *node) leaf() bool { return n.left == nil }
 
 // flatNode is one packed tree node; 24 bytes keeps the internal half of
 // even a purity-grown HPC tree (~1300 internal nodes) L1-resident. right
@@ -151,60 +141,75 @@ type flatNode struct {
 // isLeaf reports whether the node at index i self-loops.
 func (n *flatNode) isLeaf(i int32) bool { return n.left == i }
 
-// buildFlat packs the pointer tree into the traversal slab (layout: see
-// Tree.flat). It is representation only — traversal decisions, and
-// therefore predictions, are identical to walking the pointer nodes
-// (asserted by TestFlatMatchesPointerWalk). Every leaf must carry an
-// nClasses-wide histogram: Fit writes nothing else and GobDecode rejects
-// anything else.
-func (t *Tree) buildFlat() {
-	t.nInternal = countInternal(t.root)
-	n := 2*t.nInternal + 1
+// slabWriter lays a tree down in the slab's layout (see Tree.flat) as a
+// depth-first preorder walk hands it the nodes; Fit's builder and
+// GobDecode are its two callers. split gives an internal node the next
+// internal index when it opens, before its children are written, which
+// keeps the internal nodes in preorder; leaf gives a leaf the next leaf
+// number and appends its histogram. A leaf's slab index is nInternal plus
+// its number, and nInternal is known only once the walk is over, so a
+// child that is a leaf is held as ^number until finish resolves it.
+type slabWriter struct {
+	internal []flatNode // the internal nodes, by index
+	leafSlab []int      // the leaf histograms, by leaf number
+	leaves   int
+	depth    int // the deepest leaf so far
+}
+
+// split opens an internal node and returns its index; children sets its
+// children once they are written.
+func (w *slabWriter) split(feature int, threshold float64) int32 {
+	w.internal = append(w.internal, flatNode{threshold: threshold, feature: int32(feature), leafOff: -1})
+	return int32(len(w.internal) - 1)
+}
+
+func (w *slabWriter) children(i, left, right int32) {
+	w.internal[i].left, w.internal[i].right = left, right
+}
+
+// leaf writes a leaf with the class histogram counts at the given depth and
+// returns its child reference, ^number.
+func (w *slabWriter) leaf(counts []int, depth int) int32 {
+	w.depth = max(w.depth, depth)
+	w.leafSlab = append(w.leafSlab, counts...)
+	w.leaves++
+	return ^int32(w.leaves - 1)
+}
+
+// finish installs the written tree in t, whose nClasses is the width of
+// every histogram: the internal nodes with their leaf children resolved,
+// then the self-looping leaves, in slices of exactly their size, and the
+// bitmask form built from them.
+func (w *slabWriter) finish(t *Tree) {
+	nInt := int32(len(w.internal))
+	n := len(w.internal) + w.leaves
 	t.flat = make([]flatNode, n)
 	t.labels = make([]int32, n)
-	t.leafSlab = make([]int, 0, (t.nInternal+1)*t.nClasses)
-	t.flatDepth = 0
-	nextInternal, nextLeaf := int32(0), int32(t.nInternal)
-	t.flattenNode(t.root, 0, &nextInternal, &nextLeaf)
+	for i, nd := range w.internal {
+		if nd.left < 0 {
+			nd.left = nInt + ^nd.left
+		}
+		if nd.right < 0 {
+			nd.right = nInt + ^nd.right
+		}
+		t.flat[i] = nd
+		t.labels[i] = -1
+	}
+	for lf := range w.leaves {
+		// Self-loop: both children point home and the +Inf threshold makes
+		// the comparison outcome irrelevant (any value, NaN included, stays
+		// put).
+		i, off := nInt+int32(lf), lf*t.nClasses
+		t.flat[i] = flatNode{threshold: math.Inf(1), left: i, right: i, leafOff: int32(off)}
+		t.labels[i] = int32(majorityLabel(w.leafSlab[off : off+t.nClasses]))
+	}
+	t.leafSlab = append(make([]int, 0, len(w.leafSlab)), w.leafSlab...)
+	t.nInternal, t.flatDepth = int(nInt), w.depth
 	t.buildQS()
 }
 
-func countInternal(n *node) int {
-	if n.leaf() {
-		return 0
-	}
-	return 1 + countInternal(n.left) + countInternal(n.right)
-}
-
-// flattenNode writes n's subtree into the slab, drawing internal and leaf
-// indices from their two preorder counters, and returns n's index.
-func (t *Tree) flattenNode(n *node, depth int, nextInternal, nextLeaf *int32) int32 {
-	if depth > t.flatDepth {
-		t.flatDepth = depth
-	}
-	if n.leaf() {
-		// Self-loop: both children point home and the +Inf threshold makes
-		// the comparison outcome irrelevant (any value, NaN included, stays
-		// put). The label is the argmax-with-ties-to-lower reduction
-		// Predict used to run against the histogram on every call.
-		idx := *nextLeaf
-		*nextLeaf++
-		t.flat[idx] = flatNode{threshold: math.Inf(1), left: idx, right: idx, leafOff: int32(len(t.leafSlab))}
-		t.labels[idx] = int32(majorityLabel(n.counts))
-		t.leafSlab = append(t.leafSlab, n.counts...)
-		return idx
-	}
-	idx := *nextInternal
-	*nextInternal++
-	t.labels[idx] = -1
-	left := t.flattenNode(n.left, depth+1, nextInternal, nextLeaf)
-	right := t.flattenNode(n.right, depth+1, nextInternal, nextLeaf)
-	t.flat[idx] = flatNode{threshold: n.threshold, feature: int32(n.feature), left: left, right: right, leafOff: -1}
-	return idx
-}
-
-// majorityLabel is the argmax-with-ties-to-lower reduction Predict applies
-// to a leaf histogram, precomputed once per leaf at flatten time.
+// majorityLabel is the argmax-with-ties-to-lower reduction of a leaf
+// histogram, precomputed once per leaf by finish.
 func majorityLabel(counts []int) int {
 	best, bestC := 0, -1
 	for lab, c := range counts {
@@ -294,8 +299,8 @@ func (t *Tree) Fit(X *linalg.Matrix, y []int) error {
 	for f := range b.feats {
 		b.feats[f] = f
 	}
-	t.root = b.build(0, len(rows), n, 0, counts)
-	t.buildFlat()
+	b.build(0, len(rows), n, 0, counts)
+	b.w.finish(t)
 	return nil
 }
 
@@ -430,10 +435,12 @@ type entry struct {
 //     the same depth-first pre-order.
 //
 // The builder owns every scratch slice (allocated in Fit, a feature's
-// column when the feature is first sorted); growing a node allocates the
-// node and its children's class histograms, nothing else.
+// column when the feature is first sorted); growing a node allocates its
+// children's class histograms, nothing else, and the slab writer grows its
+// node and histogram slices by append.
 type builder struct {
 	t   *Tree
+	w   slabWriter
 	raw []float64 // X, row-major
 	y   []int
 	rng *rand.Rand
@@ -465,12 +472,13 @@ func (b *builder) terminal(counts []int, n, depth int) bool {
 }
 
 // build grows the subtree over positions [lo, hi), which hold size samples
-// and whose class counts the caller has already taken. counts becomes the
-// leaf's histogram when the node does not split.
-func (b *builder) build(lo, hi, size, depth int, counts []int) *node {
+// and whose class counts the caller has already taken, writes it to the
+// slab and returns its child reference. counts becomes the leaf's
+// histogram when the node does not split.
+func (b *builder) build(lo, hi, size, depth int, counts []int) int32 {
 	b.t.nodes++
 	if b.terminal(counts, size, depth) {
-		return &node{counts: counts}
+		return b.w.leaf(counts, depth)
 	}
 
 	mark := len(b.onPath)
@@ -478,7 +486,7 @@ func (b *builder) build(lo, hi, size, depth int, counts []int) *node {
 
 	feat, thr, ok := b.bestSplit(lo, hi, size, counts)
 	if !ok {
-		return &node{counts: counts}
+		return b.w.leaf(counts, depth)
 	}
 
 	// The threshold is a rounded midpoint and can land on either neighbour
@@ -500,7 +508,7 @@ func (b *builder) build(lo, hi, size, depth int, counts []int) *node {
 		b.goLeft[e.row] = g
 	}
 	if mid == lo || mid == hi {
-		return &node{counts: counts}
+		return b.w.leaf(counts, depth)
 	}
 	k := len(counts)
 	both := make([]int, 2*k) // one allocation for the two children's histograms
@@ -516,12 +524,11 @@ func (b *builder) build(lo, hi, size, depth int, counts []int) *node {
 	if !b.terminal(leftCounts, nl, depth+1) || !b.terminal(rightCounts, nr, depth+1) {
 		b.partition(lo, hi, feat)
 	}
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		left:      b.build(lo, mid, nl, depth+1, leftCounts),
-		right:     b.build(mid, hi, nr, depth+1, rightCounts),
-	}
+	i := b.w.split(feat, thr)
+	left := b.build(lo, mid, nl, depth+1, leftCounts)
+	right := b.build(mid, hi, nr, depth+1, rightCounts)
+	b.w.children(i, left, right)
+	return i
 }
 
 // leavePath takes the features sorted since mark off the path: their
@@ -804,13 +811,13 @@ func impurity(counts []int, n int, c Criterion) float64 {
 // Predict returns the majority class of the leaf reached by x.
 func (t *Tree) Predict(x []float64) int {
 	t.checkInput(x)
-	return t.predictFlat(x)
+	return int(t.labels[t.leafOf(x)])
 }
 
 // checkInput panics unless the tree is fitted and x is as wide as the rows
 // it was trained on — the precondition of the unchecked loads in the walks.
 func (t *Tree) checkInput(x []float64) {
-	if t.root == nil {
+	if t.flat == nil {
 		panic(ErrNotFitted)
 	}
 	if len(x) != t.nFeatures {
@@ -818,12 +825,12 @@ func (t *Tree) checkInput(x []float64) {
 	}
 }
 
-// predictFlat walks the packed slab to a leaf and returns its precomputed
-// majority label. The walk keeps the branchy child select on purpose: the
-// speculative branch beats an arithmetic (CMOV-style) select here because
-// prediction lets the next node load issue before the compare resolves,
-// and real splits are far from 50/50 on most of the path.
-func (t *Tree) predictFlat(x []float64) int {
+// leafOf walks the slab from the root to x's leaf and returns the leaf's
+// index; x must pass checkInput. The walk keeps the branchy child select on
+// purpose: the speculative branch beats an arithmetic (CMOV-style) select
+// here because prediction lets the next node load issue before the compare
+// resolves, and real splits are far from 50/50 on most of the path.
+func (t *Tree) leafOf(x []float64) int32 {
 	// SliceData (not &x[0]) so a zero-feature degenerate tree — whose root
 	// leaf never reads x — can still be walked.
 	base := unsafe.Pointer(unsafe.SliceData(t.flat))
@@ -832,7 +839,7 @@ func (t *Tree) predictFlat(x []float64) int {
 	for {
 		nd := (*flatNode)(unsafe.Add(base, uintptr(i)*unsafe.Sizeof(flatNode{})))
 		if nd.left == i {
-			return int(t.labels[i])
+			return i
 		}
 		next := nd.right
 		if *(*float64)(unsafe.Add(xp, uintptr(nd.feature)*8)) <= nd.threshold {
@@ -844,7 +851,9 @@ func (t *Tree) predictFlat(x []float64) int {
 
 // PredictProba returns the class frequencies of the leaf reached by x.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	counts := t.leafCounts(x)
+	t.checkInput(x)
+	off := int(t.flat[t.leafOf(x)].leafOff)
+	counts := t.leafSlab[off : off+t.nClasses]
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -857,30 +866,6 @@ func (t *Tree) PredictProba(x []float64) []float64 {
 		out[lab] = float64(c) / float64(total)
 	}
 	return out
-}
-
-func (t *Tree) leafCounts(x []float64) []int {
-	t.checkInput(x)
-	return t.leafCountsFlat(x)
-}
-
-// leafCountsFlat walks the slab to x's leaf and returns its class
-// histogram: successive nodes live in one contiguous slab, so the walk
-// touches a handful of cache lines instead of chasing heap pointers.
-func (t *Tree) leafCountsFlat(x []float64) []int {
-	flat := t.flat
-	i := int32(0)
-	for {
-		n := &flat[i]
-		if n.isLeaf(i) {
-			return t.leafSlab[n.leafOff : int(n.leafOff)+t.nClasses]
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
 }
 
 // PredictBatch writes the majority-class prediction for every row of X
@@ -920,12 +905,12 @@ func (t *Tree) leafCountsFlat(x []float64) []int {
 // tree step on the host, or TRUSTHMD_NOSIMD).
 //
 // Unsafe loads in both walks are confined to indices the representation
-// already proves: node indices come from the slab itself (flattenNode
+// already proves: node indices come from the slab itself (the slab writer
 // writes only in-range children), features are < nFeatures (Fit draws them
 // from the columns, GobDecode rejects any other; nFeatures is checked
 // against X.Cols() below), and rows are rows of X's backing array.
 func (t *Tree) PredictBatch(X *linalg.Matrix, out []int) {
-	if t.root == nil {
+	if t.flat == nil {
 		panic(ErrNotFitted)
 	}
 	if len(out) != X.Rows() {
@@ -1026,7 +1011,7 @@ func (t *Tree) PredictBatch(X *linalg.Matrix, out []int) {
 		out[i+7] = int(labels[j7])
 	}
 	for ; i < n; i++ {
-		out[i] = t.predictFlat(data[i*cols : (i+1)*cols])
+		out[i] = int(labels[t.leafOf(data[i*cols:(i+1)*cols])])
 	}
 }
 
@@ -1134,21 +1119,10 @@ func levelStep(base, xp unsafe.Pointer, stride uintptr, st *levelState, m int) i
 // Depth returns the depth of the trained tree (a stump is depth 0), or -1
 // if the tree is unfitted.
 func (t *Tree) Depth() int {
-	if t.root == nil {
+	if t.flat == nil {
 		return -1
 	}
-	return depthOf(t.root)
-}
-
-func depthOf(n *node) int {
-	if n.leaf() {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return t.flatDepth
 }
 
 // NodeCount returns the number of nodes materialised during the last Fit.

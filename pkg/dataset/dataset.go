@@ -146,57 +146,6 @@ func (d *Dataset) Merge(other *Dataset) (*Dataset, error) {
 	return out, nil
 }
 
-// SplitByApps partitions the dataset into a known and an unknown bucket by
-// application name (Fig. 6): samples whose App is in unknownApps go to the
-// unknown bucket, everything else to the known bucket.
-func (d *Dataset) SplitByApps(unknownApps []string) (known, unknown *Dataset) {
-	set := map[string]bool{}
-	for _, a := range unknownApps {
-		set[a] = true
-	}
-	known, unknown = New(d.dim), New(d.dim)
-	for _, s := range d.samples {
-		if set[s.App] {
-			unknown.samples = append(unknown.samples, s)
-		} else {
-			known.samples = append(known.samples, s)
-		}
-	}
-	return known, unknown
-}
-
-// StratifiedSplit splits the dataset into train and test subsets with
-// approximately trainFrac of each class in train. The split is random under
-// rng but deterministic for a fixed seed.
-func (d *Dataset) StratifiedSplit(trainFrac float64, rng *rand.Rand) (train, test *Dataset, err error) {
-	if d.Len() == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: trainFrac %v outside (0,1)", trainFrac)
-	}
-	byClass := map[int][]int{}
-	for i, s := range d.samples {
-		byClass[s.Label] = append(byClass[s.Label], i)
-	}
-	var trainIdx, testIdx []int
-	classes := make([]int, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		idx := byClass[c]
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		cut := int(float64(len(idx)) * trainFrac)
-		trainIdx = append(trainIdx, idx[:cut]...)
-		testIdx = append(testIdx, idx[cut:]...)
-	}
-	sort.Ints(trainIdx)
-	sort.Ints(testIdx)
-	return d.Subset(trainIdx), d.Subset(testIdx), nil
-}
-
 // TakeN returns a dataset with exactly n samples drawn without replacement
 // under rng, or an error if fewer are available.
 func (d *Dataset) TakeN(n int, rng *rand.Rand) (*Dataset, error) {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"trusthmd/pkg/linalg"
 )
@@ -79,102 +78,6 @@ func TestClassCounts(t *testing.T) {
 	b, m := d.ClassCounts()
 	if b != 3 || m != 3 {
 		t.Fatalf("counts %d %d", b, m)
-	}
-}
-
-func TestSplitByApps(t *testing.T) {
-	d := buildSmall(t)
-	known, unknown := d.SplitByApps([]string{"appB", "malY"})
-	if known.Len() != 4 || unknown.Len() != 2 {
-		t.Fatalf("split %d/%d", known.Len(), unknown.Len())
-	}
-	for i := 0; i < unknown.Len(); i++ {
-		app := unknown.At(i).App
-		if app != "appB" && app != "malY" {
-			t.Fatalf("unexpected app %q in unknown bucket", app)
-		}
-	}
-	// Known and unknown share no apps.
-	kApps := map[string]bool{}
-	for _, a := range known.Apps() {
-		kApps[a] = true
-	}
-	for _, a := range unknown.Apps() {
-		if kApps[a] {
-			t.Fatalf("app %q leaked into both buckets", a)
-		}
-	}
-}
-
-func TestStratifiedSplit(t *testing.T) {
-	d := New(1)
-	for i := 0; i < 100; i++ {
-		lab := Benign
-		if i%2 == 0 {
-			lab = Malware
-		}
-		if err := d.Add(sample("a", lab, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	train, test, err := d.StratifiedSplit(0.8, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 80 || test.Len() != 20 {
-		t.Fatalf("split %d/%d", train.Len(), test.Len())
-	}
-	tb, tm := train.ClassCounts()
-	if tb != 40 || tm != 40 {
-		t.Fatalf("train class balance %d/%d", tb, tm)
-	}
-}
-
-func TestStratifiedSplitErrors(t *testing.T) {
-	d := New(1)
-	if _, _, err := d.StratifiedSplit(0.5, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("expected empty error")
-	}
-	_ = d.Add(sample("a", Benign, 1))
-	if _, _, err := d.StratifiedSplit(0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("expected frac error")
-	}
-	if _, _, err := d.StratifiedSplit(1, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("expected frac error")
-	}
-}
-
-func TestStratifiedSplitDisjointProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := New(1)
-		n := 10 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			_ = d.Add(sample("a", i%2, float64(i)))
-		}
-		train, test, err := d.StratifiedSplit(0.7, rng)
-		if err != nil {
-			return false
-		}
-		if train.Len()+test.Len() != n {
-			return false
-		}
-		seen := map[float64]int{}
-		for i := 0; i < train.Len(); i++ {
-			seen[train.At(i).Features[0]]++
-		}
-		for i := 0; i < test.Len(); i++ {
-			seen[test.At(i).Features[0]]++
-		}
-		for _, c := range seen {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

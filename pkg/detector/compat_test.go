@@ -1,6 +1,9 @@
 package detector
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"os"
@@ -79,5 +82,31 @@ func TestLoadFrozenV2Blobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResaveFrozenV2RF pins what Save writes for the frozen rf blob after
+// Load: the trees decoded from the pre-refactor bytes, encoded again. The
+// hash is of the re-save, not of the file: the file names its member
+// slice's gob type []ensemble.Classifier and the re-save []model.Classifier,
+// three bytes shorter. It holds decode → encode on trees no current Fit
+// produced.
+func TestResaveFrozenV2RF(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "detector_v2_rf.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "975e9bf8ee0d3b4f5af2ebd1a000a46b0b8c3ff1996d2066065f135771c48c85"; got != want {
+		t.Fatalf("re-saving the frozen rf blob wrote %d bytes hashing to %s, pinned %s", buf.Len(), got, want)
 	}
 }
