@@ -54,10 +54,12 @@ benchmark-test:
 # retrain loop rides along: its replay proof (a live run and an offline
 # fold of the same store end on the same model bytes) and its closed
 # loop, whose held case reads /stats while a round is parked in the
-# fleet's prepare hook.
+# fleet's prepare hook. The verdict store's appends and stats must return
+# while a Query is parked mid-read, since Query reads outside the lock.
 serve-stress:
 	$(GO) test -race -count=20 \
 		-run 'TestAssessConcurrentMatchesSequential|TestSwapUnderLoadIsLossless|TestFleetSwapUnderLoadLossless|TestAssessShedsWithRetryAfter|TestBatchShedsWithRetryAfter|TestFleetCloseWaitsForAssessments|TestFleetCloseWaitsForBatches|TestRetrainReplay|TestRetrainControllerClosedLoop' ./pkg/serve/
+	$(GO) test -race -count=20 -run 'TestQueryReadsOutsideLock' ./pkg/verdictstore/
 
 # fuzz-smoke runs every Fuzz* target in the module for FUZZTIME each: the
 # packages come from `go list ./...` and their targets from `go test -list`,

@@ -368,9 +368,10 @@ func BenchmarkOnlinePush(b *testing.B) {
 	}
 }
 
-// onlineBench builds a streaming detector and pre-fills its window.
-func onlineBench(b *testing.B, fill func(i int) int) *detector.Online {
-	b.Helper()
+// BenchmarkOnlineAssessVaried streams a stride-1 window of 256 states:
+// every push completes a window, so each pays feature extraction and the
+// full assessment.
+func BenchmarkOnlineAssessVaried(b *testing.B) {
 	s, err := gen.DVFSWithSizes(3, gen.Sizes{Train: 280, Test: 40, Unknown: 40})
 	if err != nil {
 		b.Fatal(err)
@@ -385,35 +386,10 @@ func onlineBench(b *testing.B, fill func(i int) int) *detector.Online {
 		b.Fatal(err)
 	}
 	for i := 0; i < 256; i++ {
-		if _, _, err := o.Push(fill(i)); err != nil {
+		if _, _, err := o.Push(i & 7); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return o
-}
-
-// BenchmarkOnlineAssessBursty streams a steady telemetry phase: every
-// window repeats the previous one exactly, so each decision is served from
-// the window memo (feature extraction and assessment skipped).
-func BenchmarkOnlineAssessBursty(b *testing.B) {
-	o := onlineBench(b, func(int) int { return 3 })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := o.Push(3); err != nil || !ok {
-			b.Fatalf("push %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if o.Stats.CacheHits < b.N {
-		b.Fatalf("bursty stream expected %d cache hits, got %d", b.N, o.Stats.CacheHits)
-	}
-}
-
-// BenchmarkOnlineAssessVaried streams windows that never repeat, paying
-// the full feature-extraction + assessment path on every decision — the
-// baseline the bursty benchmark's memo is measured against.
-func BenchmarkOnlineAssessVaried(b *testing.B) {
-	o := onlineBench(b, func(i int) int { return i & 7 })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

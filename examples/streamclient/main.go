@@ -2,9 +2,8 @@
 // streaming endpoint: it generates a DVFS state trace (benign workloads,
 // then a cryptojacker), streams the raw states to POST /v1/assess/stream,
 // and prints the trusted verdicts as they come back line by line — the
-// whole online loop (windowing, feature extraction, window memo,
-// rejection) runs server-side, so the client ships integers, not feature
-// vectors.
+// whole online loop (windowing, feature extraction, rejection) runs
+// server-side, so the client ships integers, not feature vectors.
 //
 // Start a daemon first, then point the client at it:
 //
@@ -122,8 +121,8 @@ func main() {
 			if err := json.Unmarshal(sc.Bytes(), &sum); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("\nstream done: model %s v%d — %d samples, %d decisions (%d benign / %d malware / %d rejected), %d memo hits\n",
-				sum.Model, sum.Version, sum.Samples, sum.Decisions, sum.Benign, sum.Malware, sum.Rejected, sum.CacheHits)
+			fmt.Printf("\nstream done: model %s v%d — %d samples, %d decisions (%d benign / %d malware / %d rejected)\n",
+				sum.Model, sum.Version, sum.Samples, sum.Decisions, sum.Benign, sum.Malware, sum.Rejected)
 		default:
 			var r serve.StreamResult
 			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {

@@ -435,9 +435,9 @@ type entry struct {
 //     the same depth-first pre-order.
 //
 // The builder owns every scratch slice (allocated in Fit, a feature's
-// column when the feature is first sorted); growing a node allocates its
-// children's class histograms, nothing else, and the slab writer grows its
-// node and histogram slices by append.
+// column when the feature is first sorted, a depth's histogram pair when
+// the tree first reaches it); growing a node allocates nothing else, and
+// the slab writer grows its node and histogram slices by append.
 type builder struct {
 	t   *Tree
 	w   slabWriter
@@ -457,6 +457,11 @@ type builder struct {
 	feats  []int   // candidate features; the identity when all are drawn
 	left   []int   // class counts left and right of the scan position
 	right  []int
+	// children[d] holds the class histograms of the two children of the
+	// node being split at depth d, left then right. Only that node writes
+	// the row, and the right child's half is still intact when the left
+	// subtree returns; a leaf's histogram is copied into the slab.
+	children [][]int
 }
 
 // terminal reports whether a node of n samples (its weight) with the given
@@ -511,7 +516,10 @@ func (b *builder) build(lo, hi, size, depth int, counts []int) int32 {
 		return b.w.leaf(counts, depth)
 	}
 	k := len(counts)
-	both := make([]int, 2*k) // one allocation for the two children's histograms
+	if depth == len(b.children) {
+		b.children = append(b.children, make([]int, 2*k))
+	}
+	both := b.children[depth]
 	leftCounts, rightCounts := both[:k:k], both[k:]
 	for lab, c := range b.left {
 		leftCounts[lab] = c

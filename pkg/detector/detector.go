@@ -40,8 +40,7 @@
 //	AssessBatch      pooled scratch    results and VoteDists allocated fresh for the caller
 //	AssessBatchInto  caller's scratch  results and VoteDists live in the scratch
 //	AssessDataset    = AssessBatch over the dataset's rows
-//	Online.Push      the stream's own  VoteDist copied out; a window equal to the last
-//	                 scratch           one returns the remembered result without assessing
+//	Online.Push      = Assess on each completed window's features
 //
 // The core picks between member walks (lone row; 2-31 rows, the trees'
 // 8-lane lockstep kernel; from 32 rows the bitmask kernel over a transpose

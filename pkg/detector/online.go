@@ -2,7 +2,6 @@ package detector
 
 import (
 	"fmt"
-	"slices"
 
 	"trusthmd/internal/feature"
 )
@@ -35,22 +34,6 @@ type Online struct {
 	stride    int
 	sinceLast int
 
-	// lastWin/last memoise the most recent window and its assessment. DVFS
-	// telemetry is bursty — steady phases repeat one state pattern for many
-	// strides — and a trained detector is immutable, so when the linearised
-	// window matches the previous one, Push skips feature extraction and
-	// the whole assess core and returns the remembered result. last's
-	// VoteDist lives in assess (or, for decomposing detectors, on the
-	// heap); Push hands out copies.
-	lastWin []int
-	last    Result
-	hasMemo bool
-
-	// assess is the stream's private workspace for the detector's assess
-	// core, so a window miss allocates only during feature extraction and
-	// for the returned VoteDist.
-	assess BatchScratch
-
 	// Stats accumulates decision counts for monitoring dashboards.
 	Stats OnlineStats
 }
@@ -62,20 +45,14 @@ type OnlineStats struct {
 	Benign   int `json:"benign"`
 	Malware  int `json:"malware"`
 	Rejected int `json:"rejected"`
-	Windows  int `json:"windows"`
 	// Samples counts the states accepted into the window — every Push
 	// that passed range validation, including samples whose assessment
 	// failed (the window retains them and retries on the next Push).
 	Samples int `json:"samples"`
-	// CacheHits counts windows served from the memo (identical to their
-	// predecessor, so extraction and assessment were skipped).
-	CacheHits int `json:"cache_hits"`
 }
 
-// Observe folds one decision into the tally. Serving layers reuse it to
-// keep per-shard rejection-rate counters.
+// Observe folds one decision into the tally.
 func (s *OnlineStats) Observe(d Decision) {
-	s.Windows++
 	switch d {
 	case Benign:
 		s.Benign++
@@ -173,11 +150,10 @@ type SessionState struct {
 	Stats     OnlineStats `json:"stats"`
 }
 
-// Export snapshots the stream's replayable state: the window buffer
-// linearised oldest-first (only the filled portion), the stride phase and
-// the cumulative stats. The window memo is deliberately excluded — it
-// is a pure optimisation, so a resumed stream produces identical decisions
-// with at most a one-window warm-up cost.
+// Export snapshots the stream's whole state: the window buffer linearised
+// oldest-first (only the filled portion), the stride phase and the
+// cumulative stats. Nothing else shapes a decision, so a resumed stream
+// produces decisions and stats identical to never having moved.
 func (o *Online) Export() SessionState {
 	win := make([]int, o.filled)
 	if o.filled == len(o.ring) {
@@ -259,27 +235,12 @@ func (o *Online) Push(state int) (res Result, ok bool, err error) {
 	n := copy(o.scratch, o.ring[o.head:])
 	copy(o.scratch[n:], o.ring[:o.head])
 
-	if o.hasMemo && slices.Equal(o.scratch, o.lastWin) {
-		o.Stats.CacheHits++
-	} else {
-		feats, ferr := feature.DVFSVector(o.scratch, o.levels)
-		if ferr != nil {
-			return Result{}, false, fmt.Errorf("detector: online features: %w", ferr)
-		}
-		// The scratch behind the old memo is overwritten from here on; a
-		// failed assessment leaves no memo and is retried in full.
-		o.hasMemo = false
-		if o.last, err = o.det.AssessInto(&o.assess, feats); err != nil {
-			return Result{}, false, err
-		}
-		o.lastWin = append(o.lastWin[:0], o.scratch...)
-		o.hasMemo = true
+	feats, err := feature.DVFSVector(o.scratch, o.levels)
+	if err != nil {
+		return Result{}, false, fmt.Errorf("detector: online features: %w", err)
 	}
-	res = o.last
-	res.VoteDist = ownedDist(res.VoteDist)
-	if res.Decomposition != nil {
-		dec := *res.Decomposition
-		res.Decomposition = &dec
+	if res, err = o.det.Assess(feats); err != nil {
+		return Result{}, false, err
 	}
 	o.sinceLast = 0
 	o.Stats.Observe(res.Decision)

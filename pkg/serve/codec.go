@@ -137,49 +137,38 @@ func (p *jsonParser) lit(s string) error {
 func decodeAssessRequest(data []byte, sc *codecScratch, req *AssessRequest) error {
 	*req = AssessRequest{}
 	p := jsonParser{buf: data, sc: sc}
-	p.skipWS()
-	if p.pos >= len(p.buf) {
-		return p.errAt("unexpected end of input")
-	}
-	switch p.buf[p.pos] {
-	case 'n':
-		// A bare null leaves the target untouched, exactly like Decode.
-		if err := p.lit("null"); err != nil {
+	return p.request(&req.Model, &req.Device, "features", func() error {
+		f, err := p.floatArrayField(sc.features)
+		if err != nil {
 			return err
 		}
-	case '{':
-		if err := p.object(func(key []byte) error {
-			switch {
-			case fieldMatch(key, "model"):
-				return p.stringField(&req.Model)
-			case fieldMatch(key, "device"):
-				return p.stringField(&req.Device)
-			case fieldMatch(key, "features"):
-				f, err := p.floatArrayField(sc.features)
-				if err != nil {
-					return err
-				}
-				if f != nil {
-					sc.features = f
-				}
-				req.Features = f
-				return nil
-			default:
-				return p.errAt("unknown field %q", key)
-			}
-		}); err != nil {
-			return err
+		if f != nil {
+			sc.features = f
 		}
-	default:
-		return p.errAt("request body must be a JSON object")
-	}
-	return p.checkTrailing()
+		req.Features = f
+		return nil
+	})
 }
 
 // decodeBatchRequest decodes one BatchRequest body; row slices alias sc.
 func decodeBatchRequest(data []byte, sc *codecScratch, req *BatchRequest) error {
 	*req = BatchRequest{}
 	p := jsonParser{buf: data, sc: sc}
+	return p.request(&req.Model, &req.Device, "batch", func() error {
+		b, err := p.batchField()
+		if err != nil {
+			return err
+		}
+		req.Batch = b
+		return nil
+	})
+}
+
+// request is the one body of the request decoders: an object of "model",
+// "device" and the vector field, whose value the vector callback reads
+// off p, or a bare null, which leaves the target untouched exactly like
+// Decode, and nothing after it.
+func (p *jsonParser) request(model, device *string, field string, vector func() error) error {
 	p.skipWS()
 	if p.pos >= len(p.buf) {
 		return p.errAt("unexpected end of input")
@@ -193,16 +182,11 @@ func decodeBatchRequest(data []byte, sc *codecScratch, req *BatchRequest) error 
 		if err := p.object(func(key []byte) error {
 			switch {
 			case fieldMatch(key, "model"):
-				return p.stringField(&req.Model)
+				return p.stringField(model)
 			case fieldMatch(key, "device"):
-				return p.stringField(&req.Device)
-			case fieldMatch(key, "batch"):
-				b, err := p.batchField()
-				if err != nil {
-					return err
-				}
-				req.Batch = b
-				return nil
+				return p.stringField(device)
+			case fieldMatch(key, field):
+				return vector()
 			default:
 				return p.errAt("unknown field %q", key)
 			}

@@ -41,13 +41,11 @@ type ShardStats struct {
 
 	// StreamSessions counts /v1/assess/stream connections accepted;
 	// StreamSamples / StreamDecisions the raw states pushed and window
-	// decisions emitted across them; StreamCacheHits the windows served
-	// from the sessions' window memo (OnlineStats.CacheHits).
-	// Samples/decisions/memo-hit counters fold in when a session ends.
+	// decisions emitted across them. Samples and decisions fold in once
+	// per applied line, local or proxied, not when a session ends.
 	StreamSessions  int64 `json:"stream_sessions"`
 	StreamSamples   int64 `json:"stream_samples"`
 	StreamDecisions int64 `json:"stream_decisions"`
-	StreamCacheHits int64 `json:"stream_cache_hits"`
 
 	// Benign/Malware/Rejected tally served verdicts (an OnlineStats-style
 	// decision count); RejectionRate is the share of decisions the detector
@@ -76,7 +74,6 @@ type shardStats struct {
 	streamSessions  atomic.Int64
 	streamSamples   atomic.Int64
 	streamDecisions atomic.Int64
-	streamCacheHits atomic.Int64
 
 	benign, malware, rejected atomic.Int64
 }
@@ -128,7 +125,6 @@ func (s *shardStats) snapshot(model string) ShardStats {
 		StreamSessions:  s.streamSessions.Load(),
 		StreamSamples:   s.streamSamples.Load(),
 		StreamDecisions: s.streamDecisions.Load(),
-		StreamCacheHits: s.streamCacheHits.Load(),
 		Benign:          dec.Benign,
 		Malware:         dec.Malware,
 		Rejected:        dec.Rejected,

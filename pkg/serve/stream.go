@@ -30,8 +30,8 @@ const drainWriteGrace = time.Second
 // POST /v1/assess/stream is the raw-telemetry transport: instead of
 // client-side feature extraction feeding /v1/assess, a client streams the
 // DVFS states themselves and the server runs the full online loop (sliding
-// window, feature extraction, window memo, trusted decision) through a
-// per-connection detector.Online.
+// window, feature extraction, trusted decision) through a per-connection
+// detector.Online.
 //
 // The protocol is newline-delimited JSON both ways:
 //
@@ -200,7 +200,6 @@ func (s *Server) handleAssessStream(w http.ResponseWriter, r *http.Request) {
 			Version:   version,
 			Samples:   st.Samples,
 			Decisions: st.Total(),
-			CacheHits: st.CacheHits,
 			Benign:    st.Benign,
 			Malware:   st.Malware,
 			Rejected:  st.Rejected,
@@ -341,7 +340,6 @@ func (l *localStream) push(states []int) (StreamPushResult, error) {
 		after := l.o.Stats
 		l.sh.stats.streamSamples.Add(int64(after.Samples - before.Samples))
 		l.sh.stats.streamDecisions.Add(int64(after.Total() - before.Total()))
-		l.sh.stats.streamCacheHits.Add(int64(after.CacheHits - before.CacheHits))
 		// The line's decisions are stored as one group, without features:
 		// the stream's extracted window vector is internal, and stream
 		// forensics are reconstructible from the raw states client-side.

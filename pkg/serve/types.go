@@ -127,7 +127,6 @@ type StreamSummary struct {
 	Version   uint64 `json:"version"`
 	Samples   int    `json:"samples"`
 	Decisions int    `json:"decisions"`
-	CacheHits int    `json:"cache_hits"`
 	Benign    int    `json:"benign"`
 	Malware   int    `json:"malware"`
 	Rejected  int    `json:"rejected"`

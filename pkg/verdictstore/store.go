@@ -26,11 +26,11 @@
 // flusher holds across its write(2) and a rotation's sealing fsync (the
 // timer's fsync runs outside it). Query, Stats, Sync and Close commit the
 // pending group first, so a read always observes every append that
-// returned before it. The durability contract: a crash loses at most one
-// uncommitted group plus whatever the OS had not flushed since the last
-// fsync tick — Sync forces full durability on demand, and
-// Config.SyncEvery switches the store to synchronous writes when that
-// window is too wide. A write that fails part-way (ENOSPC, EIO) is cut
+// returned before it; Query then reads its segments outside the lock.
+// The durability contract: a crash loses at most one uncommitted group
+// plus whatever the OS had not flushed since the last fsync tick — Sync
+// forces full durability on demand, and Config.SyncEvery switches the
+// store to synchronous writes when that window is too wide. A write that fails part-way (ENOSPC, EIO) is cut
 // back to the last accounted frame, or, when even that fails, its segment
 // is sealed; either way no later record lands behind a torn frame, and
 // reads stop at the accounted bytes.
@@ -188,6 +188,11 @@ type segmentFile interface {
 	Truncate(size int64) error
 }
 
+// openSegment opens a segment for Query, which reads it after releasing
+// the store lock. A test swaps it (Store.openSeg) for a wrapper that parks
+// the read mid-segment.
+func openSegment(path string) (io.ReadCloser, error) { return os.Open(path) }
+
 // Store is the embedded verdict log. Open one per daemon.
 type Store struct {
 	dir string
@@ -197,6 +202,8 @@ type Store struct {
 	closed bool
 	segs   []*segment  // oldest first; the last one is active
 	f      segmentFile // active segment, O_APPEND; nil until the next commit opens one
+	// openSeg opens the segments a Query reads: openSegment outside tests.
+	openSeg func(path string) (io.ReadCloser, error)
 
 	// The pending group: Append frames records into pendBuf (metadata in
 	// pending) and the flusher — or the next Query/Stats/Sync/Close —
@@ -238,7 +245,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("verdictstore: %w", err)
 	}
-	s := &Store{dir: dir, cfg: cfg, nextSeq: 1}
+	s := &Store{dir: dir, cfg: cfg, nextSeq: 1, openSeg: openSegment}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("verdictstore: %w", err)
@@ -672,19 +679,64 @@ func (s *Store) drain(fsync bool) {
 }
 
 // Query returns the records matching f in sequence order. It observes
-// every Append that returned before the call, flushed or not.
+// every Append that returned before the call, flushed or not. The store
+// lock covers only the commit and the opening of the segments f selects;
+// they are read and decoded after it is released, each up to the bytes it
+// held at that moment, so appends, and retention removing a segment being
+// read, go on meanwhile.
 func (s *Store) Query(f Filter) ([]Record, error) {
+	reads, err := s.openQuery(f)
+	defer func() {
+		for _, r := range reads {
+			r.rc.Close()
+		}
+	}()
+	if err != nil {
+		return nil, err
+	}
+	var out []Record
+	for _, r := range reads {
+		br := bufio.NewReader(io.LimitReader(r.rc, r.bytes))
+		for {
+			rec, _, err := readFrame(br)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			if !f.matches(rec) {
+				continue
+			}
+			out = append(out, rec)
+			if f.Limit > 0 && len(out) >= f.Limit {
+				return out, nil
+			}
+		}
+	}
+	return out, nil
+}
+
+// segmentRead is one segment a Query reads: its open file and the bytes
+// accounted to it when it was opened.
+type segmentRead struct {
+	rc    io.ReadCloser
+	bytes int64
+}
+
+// openQuery is Query's locked part: commit the pending group, so the read
+// sees everything appended, then open every segment f can match. On error
+// it also returns what it opened, for the caller to close.
+func (s *Store) openQuery(f Filter) ([]segmentRead, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// Commit the pending group first so the read pass below sees
-	// everything appended.
 	if err := s.commitLocked(); err != nil {
 		return nil, err
 	}
-	var out []Record
+	var reads []segmentRead
 	for _, seg := range s.segs {
 		if seg.records == 0 || seg.lastSeq < f.SinceSeq {
 			continue
@@ -695,34 +747,15 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 		if !f.Since.IsZero() && seg.maxTime < f.Since.UnixNano() {
 			continue
 		}
-		rf, err := os.Open(seg.path)
+		rc, err := s.openSeg(seg.path)
 		if err != nil {
-			return nil, fmt.Errorf("verdictstore: %w", err)
+			return reads, fmt.Errorf("verdictstore: %w", err)
 		}
 		// Only the accounted bytes: past them a sealed segment may end in
-		// a run whose write failed part-way.
-		br := bufio.NewReader(io.LimitReader(rf, seg.bytes))
-		for {
-			rec, _, err := readFrame(br)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rf.Close()
-				return nil, err
-			}
-			if !f.matches(rec) {
-				continue
-			}
-			out = append(out, rec)
-			if f.Limit > 0 && len(out) >= f.Limit {
-				rf.Close()
-				return out, nil
-			}
-		}
-		rf.Close()
+		// a run whose write failed part-way, and the active one grows.
+		reads = append(reads, segmentRead{rc: rc, bytes: seg.bytes})
 	}
-	return out, nil
+	return reads, nil
 }
 
 func (f Filter) matches(rec Record) bool {

@@ -1,9 +1,13 @@
 package verdictstore
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -511,5 +515,114 @@ func TestGroupCommitReadsObservePending(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// parkedReader blocks its first Read until release is closed, announcing
+// on parked that a Query is now mid-segment.
+type parkedReader struct {
+	io.ReadCloser
+	once    sync.Once
+	parked  chan<- struct{}
+	release <-chan struct{}
+}
+
+func (p *parkedReader) Read(b []byte) (int, error) {
+	p.once.Do(func() {
+		p.parked <- struct{}{}
+		<-p.release
+	})
+	return p.ReadCloser.Read(b)
+}
+
+// TestQueryReadsOutsideLock parks a Query inside its first segment read
+// and checks that Append, AppendBatch and Stats all return meanwhile, even
+// while the appends rotate the parked segment out of retention, and that
+// the parked Query then returns exactly what it would have returned
+// unparked: the records of before the call, none of those appended during
+// it.
+func TestQueryReadsOutsideLock(t *testing.T) {
+	s, err := Open(t.TempDir(), Config{SegmentBytes: 512, MaxSegments: 2, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		mustAppend(t, s, Record{Model: "m", Version: 1, Decision: "benign"})
+	}
+	want, err := s.Query(Filter{})
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Query: %d records, %v", len(want), err)
+	}
+	oldest := s.Stats().FirstSeq
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	var parkedPath string
+	var once sync.Once
+	s.openSeg = func(path string) (io.ReadCloser, error) {
+		rc, err := openSegment(path)
+		if err != nil {
+			return nil, err
+		}
+		var out io.ReadCloser = rc
+		once.Do(func() {
+			parkedPath = path
+			out = &parkedReader{ReadCloser: rc, parked: parked, release: release}
+		})
+		return out, nil
+	}
+	type result struct {
+		recs []Record
+		err  error
+	}
+	queried := make(chan result, 1)
+	go func() {
+		recs, err := s.Query(Filter{})
+		queried <- result{recs, err}
+	}()
+	<-parked
+
+	done := make(chan error, 1)
+	go func() {
+		if _, err := s.Append(Record{Model: "m", Version: 1, Decision: "benign"}); err != nil {
+			done <- err
+			return
+		}
+		batch := make([]Record, 16)
+		for i := range batch {
+			batch[i] = Record{Model: "m", Version: 1, Decision: "malware"}
+		}
+		if _, err := s.AppendBatch(batch); err != nil {
+			done <- err
+			return
+		}
+		if st := s.Stats(); st.FirstSeq <= oldest {
+			done <- fmt.Errorf("stats first seq %d: retention never dropped the parked segment", st.FirstSeq)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		<-queried
+		t.Fatal("Append, AppendBatch or Stats waited behind a Query parked mid-read")
+	}
+	if _, err := os.Stat(parkedPath); !os.IsNotExist(err) {
+		close(release)
+		t.Fatalf("parked segment %s still on disk: %v", parkedPath, err)
+	}
+	close(release)
+	got := <-queried
+	if got.err != nil {
+		t.Fatalf("parked Query: %v", got.err)
+	}
+	if !reflect.DeepEqual(got.recs, want) {
+		t.Fatalf("parked Query returned %d records, want the %d of before the call", len(got.recs), len(want))
 	}
 }
