@@ -25,9 +25,13 @@ test-short:
 # bit-identical contract of pkg/linalg/kernel, exercised end to end.
 # -count=1 because the kernel package reads TRUSTHMD_NOSIMD in init, before
 # the test cache starts recording environment reads: a cached pass would
-# replay SIMD results.
+# replay SIMD results. The digest and golden-model tests then run again on
+# one core: forest members go to training workers dynamically, and the
+# models, datasets and experiment renderings must not depend on how many
+# there are.
 test-nosimd:
 	TRUSTHMD_NOSIMD=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Digests|GoldenModelHashes' ./...
 
 # test-allocs re-runs the zero-allocation contract of the inference hot
 # path (testing.AllocsPerRun assertions) uncached, race-free — the race
@@ -85,8 +89,9 @@ fuzz-smoke:
 # included), the three-node cluster e2e with its node kills
 # (pkg/cluster/...), the verdict store's appends against its group-commit
 # flusher, the dispatched kernels and their tree consumers, the ensemble,
-# whose members train in parallel goroutines, each tree with a builder
-# scratch of its own, and the dataset generator (internal/gen), whose
+# whose members train on a pool of goroutines that read one shared
+# presort and each reuse a builder scratch of their own, and the dataset
+# generator (internal/gen), whose
 # workers extract features while the caller keeps drawing, with the
 # experiments (internal/exp) that generate their datasets through it. Then
 # the kernel consumers again with SIMD forced off so both dispatch arms get

@@ -495,6 +495,37 @@ func BenchmarkBaggingFit(b *testing.B) {
 	}
 }
 
+// BenchmarkForestFit is the in-repo twin of the set-up the repo benchmark
+// times (setup_s; detector.train_s in its traces): detector.New with the rf
+// defaults and train seed 1 on the two training sets the benchmark boots
+// from — full Table-I DVFS, and quarter Table-I HPC for offline-score —
+// with the data generated outside the timer. The forest trains on
+// GOMAXPROCS workers, as there.
+func BenchmarkForestFit(b *testing.B) {
+	quarter := gen.Sizes{Train: gen.TableIHPC.Train / 4, Test: gen.TableIHPC.Test / 4, Unknown: gen.TableIHPC.Unknown / 4}
+	for _, c := range []struct {
+		name   string
+		splits func() (gen.Splits, error)
+	}{
+		{"dvfs", func() (gen.Splits, error) { return gen.DVFS(1) }},
+		{"hpc-quarter", func() (gen.Splits, error) { return gen.HPCWithSizes(1, quarter) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := c.splits()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := detector.New(s.Train, detector.WithModel("rf"), detector.WithSeed(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMulInto measures the dense product at sizes bracketing the
 // parallel cutover (mulParallelFlops = 2^21): "small" shapes stay serial
 // on the kernel axpy, "large" ones fan out row blocks. The batch hot path

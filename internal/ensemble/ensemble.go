@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"trusthmd/pkg/linalg"
 	"trusthmd/pkg/model"
@@ -68,7 +69,8 @@ type Config struct {
 	MaxFeatures float64
 	// Seed drives bootstrap resampling and member seeds.
 	Seed int64
-	// Workers caps fit-time parallelism; 0 means GOMAXPROCS.
+	// Workers caps fit-time parallelism, the size of Fit's goroutine pool;
+	// 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -88,10 +90,23 @@ func New(cfg Config) *Bagging {
 	return &Bagging{cfg: cfg}
 }
 
-// Fit trains the M members. With Bootstrap diversity each member sees an
-// n-sample resample-with-replacement of (X, y); with RandomInit each member
-// sees the full data and only its seed differs. Training runs in parallel
-// but is deterministic for a fixed Config.Seed.
+// Fit trains the M members. With Bootstrap diversity each member sees a
+// with-replacement draw of MaxSamples·n rows of (X, y) (all n when
+// MaxSamples is 0); with RandomInit each member sees the full data and only
+// its seed differs. A MaxFeatures subset restricts a member to its own
+// columns.
+//
+// Members train on a fixed pool of up to Workers goroutines, each taking
+// the next member from a shared counter. When every member implements
+// model.Presorter (trees do), X is presorted once, on the same pool, and
+// each goroutine trains its members from that shared read-only presort
+// with scratch of its own: a member's replicate is handed over as row
+// counts drawn from the rng sequence ResampleN uses, and its feature subset
+// as a column map, so nothing is copied per member. Other families train
+// on a ResampleN copy of their replicate, selectColumns applied. Either
+// way every member, and so the ensemble, is a function of Config.Seed
+// alone, whatever the worker count; when members fail, the first failure
+// in member order is returned.
 func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 	if b.cfg.M < 1 {
 		return fmt.Errorf("ensemble: config needs M>=1, got %d", b.cfg.M)
@@ -124,8 +139,8 @@ func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 
 	seedRng := rand.New(rand.NewSource(b.cfg.Seed))
 	bootSeeds := make([]int64, b.cfg.M)
-	memberSeeds := make([]int64, b.cfg.M)
 	featureSets := make([][]int, b.cfg.M)
+	members := make([]model.Classifier, b.cfg.M)
 	nSub := X.Cols()
 	if b.cfg.MaxFeatures > 0 {
 		nSub = int(b.cfg.MaxFeatures * float64(X.Cols()))
@@ -135,55 +150,59 @@ func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 	}
 	for i := 0; i < b.cfg.M; i++ {
 		bootSeeds[i] = seedRng.Int63()
-		memberSeeds[i] = seedRng.Int63()
+		members[i] = b.cfg.New(seedRng.Int63())
 		if nSub < X.Cols() {
 			idx := seedRng.Perm(X.Cols())[:nSub]
 			sortInts(idx)
 			featureSets[i] = idx
 		}
 	}
-
-	members := make([]model.Classifier, b.cfg.M)
-	errs := make([]error, b.cfg.M)
+	size := X.Rows()
+	if b.cfg.MaxSamples > 0 {
+		size = max(int(b.cfg.MaxSamples*float64(X.Rows())), 1)
+	}
 	workers := b.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > b.cfg.M {
-		workers = b.cfg.M
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for m := 0; m < b.cfg.M; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 
+	// memberFit returns one goroutine's fit function: train member m.
+	memberFit := func() func(m int) error {
+		return func(m int) error {
 			tx, ty := X, y
 			if b.cfg.Diversity == Bootstrap {
-				size := X.Rows()
-				if b.cfg.MaxSamples > 0 {
-					size = int(b.cfg.MaxSamples * float64(X.Rows()))
-					if size < 1 {
-						size = 1
-					}
-				}
 				tx, ty = ResampleN(X, y, size, rand.New(rand.NewSource(bootSeeds[m])))
 			}
 			if featureSets[m] != nil {
 				tx = selectColumns(tx, featureSets[m])
 			}
-			c := b.cfg.New(memberSeeds[m])
-			if err := c.Fit(tx, ty); err != nil {
-				errs[m] = fmt.Errorf("ensemble: member %d: %w", m, err)
-				return
-			}
-			members[m] = c
-		}(m)
+			return members[m].Fit(tx, ty)
+		}
 	}
-	wg.Wait()
+	if p, ok := presorter(members); ok {
+		newFitter, err := p.Presort(X, y, func(n int, task func(i int)) {
+			run(workers, n, func() func(int) { return task })
+		})
+		if err != nil {
+			return fmt.Errorf("ensemble: %w", err)
+		}
+		memberFit = func() func(m int) error {
+			fit, counts := newFitter(), make([]int32, X.Rows())
+			return func(m int) error {
+				b.drawCounts(counts, size, bootSeeds[m])
+				return fit(members[m], counts, featureSets[m])
+			}
+		}
+	}
+	errs := make([]error, b.cfg.M)
+	run(workers, b.cfg.M, func() func(int) {
+		fit := memberFit()
+		return func(m int) {
+			if err := fit(m); err != nil {
+				errs[m] = fmt.Errorf("ensemble: member %d: %w", m, err)
+			}
+		}
+	})
 
 	b.members, b.features = nil, nil
 	for _, err := range errs {
@@ -193,6 +212,55 @@ func (b *Bagging) Fit(X *linalg.Matrix, y []int) error {
 	}
 	b.members, b.features = members, featureSets
 	return nil
+}
+
+// presorter returns the first member as a model.Presorter when every
+// member is one.
+func presorter(members []model.Classifier) (model.Presorter, bool) {
+	for _, c := range members {
+		if _, ok := c.(model.Presorter); !ok {
+			return nil, false
+		}
+	}
+	return members[0].(model.Presorter), true
+}
+
+// drawCounts writes a member's replicate into counts, by row: with
+// Bootstrap diversity how often size draws from rng seeded with seed —
+// ResampleN's draws, in ResampleN's order — pick the row, otherwise 1.
+func (b *Bagging) drawCounts(counts []int32, size int, seed int64) {
+	if b.cfg.Diversity != Bootstrap {
+		for i := range counts {
+			counts[i] = 1
+		}
+		return
+	}
+	clear(counts)
+	rng := rand.New(rand.NewSource(seed))
+	for range size {
+		counts[rng.Intn(len(counts))]++
+	}
+}
+
+// run calls a task for every i in [0, n) on up to workers goroutines, which
+// take i from a shared counter, and returns when all tasks have returned.
+// Each goroutine first calls worker for its own task function, so scratch
+// made there is reused across that goroutine's tasks and never shared.
+func run(workers, n int, worker func() func(i int)) {
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			task := worker()
+			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				task(int(i))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // sortInts is a tiny insertion sort; feature subsets are short.

@@ -20,35 +20,58 @@ func DVFSDim(levels int) int { return levels + 9 }
 // literature: state residency histogram, up/down/stay transition shares,
 // mean and standard deviation of the state, and short-lag autocorrelations
 // of the state sequence (which capture periodic beaconing and burst
-// structure).
+// structure). It is DVFSInto with memory of its own.
 func DVFSVector(states []int, levels int) ([]float64, error) {
+	return DVFSInto(nil, nil, states, levels)
+}
+
+// dvfsLags are the autocorrelation lags DVFSVector reports.
+var dvfsLags = [...]int{1, 2, 4, 8}
+
+// DVFSInto is DVFSVector writing into caller-owned memory: the features
+// go to dst[:DVFSDim(levels)], which it returns, and dev[:len(states)]
+// holds the series' deviations from its mean; either is allocated when its
+// capacity falls short, so a caller that keeps both allocates nothing per
+// window. dst and dev must not overlap. The deviations are computed once
+// and shared by the four lags, and only lags 1, 2, 4 and 8 are computed;
+// every product and sum keeps the order of the textbook per-lag formula,
+// so the features are the same floats.
+func DVFSInto(dst, dev []float64, states []int, levels int) ([]float64, error) {
 	if levels < 2 {
 		return nil, fmt.Errorf("feature: need >=2 levels, got %d", levels)
 	}
-	if len(states) < 2 {
-		return nil, fmt.Errorf("feature: need >=2 samples, got %d", len(states))
+	n := len(states)
+	if n < 2 {
+		return nil, fmt.Errorf("feature: need >=2 samples, got %d", n)
 	}
-	out := make([]float64, 0, DVFSDim(levels))
+	if dim := DVFSDim(levels); cap(dst) >= dim {
+		dst = dst[:dim]
+	} else {
+		dst = make([]float64, dim)
+	}
+	if cap(dev) >= n {
+		dev = dev[:n]
+	} else {
+		dev = make([]float64, n)
+	}
 
 	// State residency histogram.
-	hist := make([]float64, levels)
-	series := make([]float64, len(states))
+	hist := dst[:levels]
+	clear(hist)
 	for i, s := range states {
 		if s < 0 || s >= levels {
 			return nil, fmt.Errorf("feature: state %d at sample %d outside [0,%d)", s, i, levels)
 		}
 		hist[s]++
-		series[i] = float64(s)
 	}
-	inv := 1 / float64(len(states))
+	inv := 1 / float64(n)
 	for i := range hist {
 		hist[i] *= inv
 	}
-	out = append(out, hist...)
 
 	// Transition shares: up, down, stay.
 	var up, down, stay float64
-	for i := 1; i < len(states); i++ {
+	for i := 1; i < n; i++ {
 		switch {
 		case states[i] > states[i-1]:
 			up++
@@ -58,31 +81,41 @@ func DVFSVector(states []int, levels int) ([]float64, error) {
 			stay++
 		}
 	}
-	tInv := 1 / float64(len(states)-1)
-	out = append(out, up*tInv, down*tInv, stay*tInv)
+	tInv := 1 / float64(n-1)
+	dst[levels], dst[levels+1], dst[levels+2] = up*tInv, down*tInv, stay*tInv
 
 	// Level moments.
 	var m stats.Moments
-	for _, v := range series {
-		m.Add(v)
+	var mean float64
+	for _, s := range states {
+		m.Add(float64(s))
+		mean += float64(s)
 	}
-	out = append(out, m.Mean()/float64(levels-1), m.Std()/float64(levels-1))
+	dst[levels+3], dst[levels+4] = m.Mean()/float64(levels-1), m.Std()/float64(levels-1)
 
-	// Short-lag autocorrelations capture periodic structure.
-	lags := []int{1, 2, 4, 8}
-	maxLag := lags[len(lags)-1]
-	ac, err := stats.Autocorrelation(series, maxLag)
-	if err != nil {
-		return nil, fmt.Errorf("feature: %w", err)
+	// Short-lag autocorrelations capture periodic structure: for lag k,
+	// sum_i dev[i]*dev[i+k] over sum_i dev[i]^2, and 0 when the series is
+	// constant or shorter than k+1.
+	mean /= float64(n)
+	var denom float64
+	for i, s := range states {
+		d := float64(s) - mean
+		dev[i] = d
+		denom += d * d
 	}
-	for _, lag := range lags {
-		if lag < len(ac) {
-			out = append(out, ac[lag])
-		} else {
-			out = append(out, 0)
+	ac := dst[levels+5:]
+	for j, lag := range dvfsLags {
+		ac[j] = 0
+		if lag >= n || denom == 0 {
+			continue
 		}
+		var num float64
+		for i := 0; i+lag < n; i++ {
+			num += dev[i] * dev[i+lag]
+		}
+		ac[j] = num / denom
 	}
-	return out, nil
+	return dst, nil
 }
 
 // HPCDim is the dimensionality of HPCVector's output: log-scaled event

@@ -1,10 +1,13 @@
 package feature
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"trusthmd/internal/stats"
 )
 
 func TestDVFSVectorDim(t *testing.T) {
@@ -331,4 +334,135 @@ func TestEMVectorFiniteProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dvfsReference is DVFSVector as it was computed before DVFSInto, kept as
+// the oracle: a float copy of the series, a histogram of its own, and the
+// textbook autocorrelation at every lag 0..8, each lag's numerator taking
+// the deviations from the mean afresh.
+func dvfsReference(states []int, levels int) ([]float64, error) {
+	if levels < 2 {
+		return nil, fmt.Errorf("feature: need >=2 levels, got %d", levels)
+	}
+	if len(states) < 2 {
+		return nil, fmt.Errorf("feature: need >=2 samples, got %d", len(states))
+	}
+	out := make([]float64, 0, DVFSDim(levels))
+	hist := make([]float64, levels)
+	series := make([]float64, len(states))
+	for i, s := range states {
+		if s < 0 || s >= levels {
+			return nil, fmt.Errorf("feature: state %d at sample %d outside [0,%d)", s, i, levels)
+		}
+		hist[s]++
+		series[i] = float64(s)
+	}
+	inv := 1 / float64(len(states))
+	for i := range hist {
+		hist[i] *= inv
+	}
+	out = append(out, hist...)
+	var up, down, stay float64
+	for i := 1; i < len(states); i++ {
+		switch {
+		case states[i] > states[i-1]:
+			up++
+		case states[i] < states[i-1]:
+			down++
+		default:
+			stay++
+		}
+	}
+	tInv := 1 / float64(len(states)-1)
+	out = append(out, up*tInv, down*tInv, stay*tInv)
+	var m stats.Moments
+	for _, v := range series {
+		m.Add(v)
+	}
+	out = append(out, m.Mean()/float64(levels-1), m.Std()/float64(levels-1))
+
+	maxLag := min(8, len(series)-1)
+	var mean float64
+	for _, v := range series {
+		mean += v
+	}
+	mean /= float64(len(series))
+	var denom float64
+	for _, v := range series {
+		d := v - mean
+		denom += d * d
+	}
+	ac := make([]float64, maxLag+1)
+	ac[0] = 1
+	if denom != 0 {
+		for k := 1; k <= maxLag; k++ {
+			var num float64
+			for i := 0; i+k < len(series); i++ {
+				num += (series[i] - mean) * (series[i+k] - mean)
+			}
+			ac[k] = num / denom
+		}
+	}
+	for _, lag := range []int{1, 2, 4, 8} {
+		if lag < len(ac) {
+			out = append(out, ac[lag])
+		} else {
+			out = append(out, 0)
+		}
+	}
+	return out, nil
+}
+
+// FuzzDVFSInto holds DVFSInto to the per-lag formula it replaced,
+// dvfsReference: the same error, or the same features bit for bit — with
+// fresh memory, and again into dst and dev left dirty by another window.
+// Byte 0 is the ladder size in [0, 9] (below 2 is an error); every further
+// byte is a state, taken mod the ladder size, except 254 (one past the
+// top) and 255 (-1).
+func FuzzDVFSInto(f *testing.F) {
+	f.Add([]byte{8, 0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 2, 3})
+	f.Add([]byte{4, 3, 3, 3, 3})
+	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{5, 1})
+	f.Add([]byte{5, 1, 2, 255})
+	f.Add([]byte{1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		levels := int(data[0] % 10)
+		states := make([]int, len(data)-1)
+		for i, b := range data[1:] {
+			switch {
+			case b == 255:
+				states[i] = -1
+			case b == 254:
+				states[i] = levels
+			case levels > 0:
+				states[i] = int(b) % levels
+			}
+		}
+		want, wantErr := dvfsReference(states, levels)
+		dirty := make([]float64, 64+len(states))
+		for i := range dirty {
+			dirty[i] = math.NaN()
+		}
+		for _, mem := range [][2][]float64{{nil, nil}, {dirty[:1:1], dirty[1:1:1]}, {dirty[:64:64], dirty[64:]}} {
+			got, err := DVFSInto(mem[0], mem[1], states, levels)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("levels %d states %v: error %v, reference %v", levels, states, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("levels %d states %v: %d features, reference %d", levels, states, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("levels %d states %v: feature %d is %v, reference %v", levels, states, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

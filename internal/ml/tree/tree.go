@@ -4,34 +4,38 @@
 // classifiers of the random-forest ensemble used throughout the paper's
 // evaluation.
 //
-// Fit grows a tree with the presorted-column builder (see builder) over the
-// distinct rows of its training set: rows that repeat bit for bit, label
-// included — a bootstrap replicate's copies — are grouped first, and the
-// builder carries one row per group with the group's size as its weight,
-// counting weight wherever CART counts samples. A feature's rows are sorted
-// once, by a radix sort, the first time a node considers the feature, and
-// every node below inherits that order through a stable partition instead
-// of sorting again — one sort per feature per tree and O(g) per feature per
-// tree level after it for g distinct rows, where a per-node sort pays
-// O(n log n) per candidate feature at every node. A split scan has two
-// forms, chosen by the criterion and the class count: integer counts with
-// the Gini arithmetic written out for two classes under Gini, the generic
-// impurity loop otherwise.
+// Trees grow with the presorted-column builder (see builder) over a
+// presort: every feature of the training set sorted once, each value
+// replaced by its dense rank among the feature's distinct values. An
+// ensemble sorts its training set once and every member grows from that one
+// presort (Presort, the model.Presorter hook), its bootstrap replicate given
+// as a count per row and its feature subset as a column map; Fit is the
+// same builder over a presort of its own, every row counted once. A node's
+// rows are ordered by a feature the first time the node's path draws it —
+// at the root by filtering the presort's order down to the counted rows,
+// further down by a radix sort of their keys — and every node below
+// inherits that order through a stable partition instead of sorting again:
+// O(g) per feature per tree level for g counted rows, where a per-node
+// sort pays O(n log n) per candidate feature at every node. A split scan
+// has two forms, chosen by the criterion and the class count: integer
+// counts with the Gini arithmetic written out for two classes under Gini,
+// the generic impurity loop otherwise.
 //
 // The tree that comes out is byte-identical to the per-node-sort one over
 // every copy of every row (TestFitMatchesReference,
-// FuzzFitMatchesReference): the copies of a row have equal values, so no
-// split position ever falls between them, and every position that is
-// evaluated sees the same integer counts, hence the same gains in the same
-// order and the same threshold. Trained models, verdicts and saved blobs do
-// not depend on which builder produced them.
+// FuzzFitMatchesReference, and in internal/ensemble
+// TestForestFitMatchesReplicates against members fitted on copied
+// replicates): the copies of a row have equal values, so no split position
+// ever falls between them, and every position that is evaluated sees the
+// same integer counts, hence the same gains in the same order and the same
+// threshold. Trained models, verdicts and saved blobs do not depend on
+// which builder produced them.
 package tree
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"unsafe"
 
 	"trusthmd/pkg/linalg"
@@ -235,585 +239,19 @@ func New(cfg Config) *Tree {
 // be in [0, k) for some k >= 2 inferred from the data. A NaN feature value
 // is an error: NaN has no place in a value order, so a tree grown over one
 // would not be a function of its inputs. ±Inf is ordered and accepted.
+//
+// Fit is the builder an ensemble member trains with (see Presort), run on a
+// presort of X of its own with every row counted once.
 func (t *Tree) Fit(X *linalg.Matrix, y []int) error {
-	n := X.Rows()
-	if n == 0 {
-		return errors.New("tree: empty training set")
+	p, err := newPresort(X, y, serial)
+	if err != nil {
+		return err
 	}
-	if n != len(y) {
-		return fmt.Errorf("tree: %d rows but %d labels", n, len(y))
+	counts := make([]int32, p.n)
+	for i := range counts {
+		counts[i] = 1
 	}
-	maxLabel := 0
-	for i, lab := range y {
-		if lab < 0 {
-			return fmt.Errorf("tree: negative label %d at sample %d", lab, i)
-		}
-		if lab > maxLabel {
-			maxLabel = lab
-		}
-	}
-	if n > math.MaxInt32 || maxLabel > math.MaxInt32 {
-		return fmt.Errorf("tree: %d rows with labels up to %d exceed the builder's 32-bit indices", n, maxLabel)
-	}
-	d, raw := X.Cols(), X.Raw()
-	for i, v := range raw {
-		if math.IsNaN(v) {
-			return fmt.Errorf("tree: NaN feature value at row %d, column %d", i/d, i%d)
-		}
-	}
-	t.nClasses = maxLabel + 1
-	if t.nClasses < 2 {
-		t.nClasses = 2
-	}
-	t.nFeatures = d
-	if t.cfg.MaxFeatures < 0 {
-		t.cfg.MaxFeatures = int(math.Round(math.Sqrt(float64(d))))
-		if t.cfg.MaxFeatures < 1 {
-			t.cfg.MaxFeatures = 1
-		}
-	}
-	t.nodes = 0
-
-	rows, weight := distinctRows(raw, y, d)
-	b := &builder{
-		t:      t,
-		raw:    raw,
-		y:      y,
-		rng:    rand.New(rand.NewSource(t.cfg.Seed)),
-		rows:   rows,
-		weight: weight,
-		cols:   make([][]entry, d),
-		sorted: make([]bool, d),
-		onPath: make([]int, 0, d),
-		goLeft: make([]uint8, n),
-		buf:    make([]entry, len(rows)),
-		rowBuf: make([]int32, len(rows)),
-		feats:  make([]int, d),
-		left:   make([]int, t.nClasses),
-		right:  make([]int, t.nClasses),
-	}
-	counts := make([]int, t.nClasses)
-	for _, lab := range y {
-		counts[lab]++
-	}
-	for f := range b.feats {
-		b.feats[f] = f
-	}
-	b.build(0, len(rows), n, 0, counts)
-	b.w.finish(t)
-	return nil
-}
-
-// distinctRows groups the n = len(y) rows of raw (row-major, d wide) whose
-// feature bits and label are all equal. It returns the first row of each
-// group, in row order, and by row the size of the group the row heads (0
-// for a row folded into an earlier one). The groups come from an
-// open-addressing table of row indices, and every probe that meets a slot
-// with the same hash tag compares the two rows bit for bit, so a hash
-// collision never merges rows. Bits, not values: -0 and +0 stay apart, as
-// do rows that agree in every feature but not in the label.
-func distinctRows(raw []float64, y []int, d int) (rows, weight []int32) {
-	n := len(y)
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	// A slot holds the row heading its group plus one (0 is empty) and the
-	// high half of the row's hash.
-	type slot struct{ row, tag int32 }
-	table := make([]slot, size)
-	mask := uint64(size - 1)
-	rows = make([]int32, 0, n)
-	weight = make([]int32, n)
-	for i := 0; i < n; i++ {
-		x := raw[i*d : i*d+d]
-		h := uint64(y[i])
-		for _, v := range x {
-			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
-		}
-		// murmur3's fmix64, so that the low bits (the slot) depend on the
-		// high bits of every value as well.
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		h *= 0xc4ceb9fe1a85ec53
-		h ^= h >> 33
-		tag := int32(h >> 32)
-		for s := h & mask; ; s = (s + 1) & mask {
-			sl := &table[s]
-			if sl.row == 0 {
-				*sl = slot{row: int32(i + 1), tag: tag}
-				rows = append(rows, int32(i))
-				weight[i] = 1
-				break
-			}
-			if r := int(sl.row - 1); sl.tag == tag && y[r] == y[i] && sameBits(raw[r*d:r*d+d], x) {
-				weight[r]++
-				break
-			}
-		}
-	}
-	return rows, weight
-}
-
-// sameBits reports whether a and b (equal lengths) agree bit for bit.
-func sameBits(a, b []float64) bool {
-	for j, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-// entry is one distinct row as one feature sees it: the value, the row it
-// came from and the row's label, kept together so that a split scan reads
-// memory front to back and never goes back to X or y. The row's weight is
-// looked up by row (builder.weight), which keeps the entry at 16 bytes.
-type entry struct {
-	v   float64
-	row int32
-	lab int32
-}
-
-// builder grows one tree with the presorted-column form of CART, over the
-// distinct rows of its training set.
-//
-// Distinct rows: a bootstrap replicate repeats rows — only about 1 − 1/e ≈
-// 63 % of a full-size replicate's rows are distinct — and every copy of a
-// row would be sorted, scanned and partitioned like any other sample. Fit
-// groups rows whose feature bits and label agree (distinctRows), and the
-// builder works on one position per group, with the group's size as the
-// row's weight. Everything that counts samples counts weight: the class
-// histograms, a node's size (terminal, MinLeaf, the impurity divisor) and
-// the left child's size when a node splits. Positions stay positions: a
-// segment [lo, hi) is hi-lo groups, and the partition and the sorts move
-// groups.
-//
-// A node is a segment [lo, hi) of positions. rows[lo:hi] names the node's
-// distinct rows, and for every feature f that is sorted on the path from
-// the root to the node, cols[f][lo:hi] holds the same rows as entries in
-// ascending order of feature f. A feature joins the path the first time a
-// node draws it as a split candidate: that node gathers its own segment
-// from X and sorts it (radixSort), once. From there down the order is
-// inherited, not recomputed: splitting a node stable-partitions rows and
-// every on-path feature's segment around the winning threshold, so both
-// halves are again sorted segments, and the feature leaves the path when
-// the node that sorted it is finished. Features no node on the path has
-// drawn cost nothing.
-//
-// Cost: each feature is sorted at most once along any root-to-leaf path —
-// one O(g) radix sort per feature per tree for g distinct rows when the
-// root draws it, less when it is first drawn further down — and after that
-// one O(segment) scan per candidate feature per node plus one O(segment)
-// partition per on-path feature per node, i.e. O(g) per feature per tree
-// level. Memory is one entry (16 bytes) per distinct row per feature.
-//
-// A split scan walks a segment once, adding each row's weight to its
-// class; there are two forms of it, picked by the criterion and the class
-// count (scanGini2 for Gini over two classes, the generic loop in
-// bestSplit otherwise), which compute the same floats.
-//
-// The result is byte-identical to searching each node with a fresh sort of
-// all its samples, copies included (the reference builder in
-// tree_test.go):
-//   - a scan reads only (value, label) pairs in value order and evaluates
-//     gain only at positions where the next value differs, so the class
-//     counts on either side of every evaluated position — and with them
-//     every gain, the sequence of gain > bestGain updates and the chosen
-//     threshold v + (next-v)/2 — do not depend on how equal values are
-//     ordered among themselves (-0 and +0 are equal and yield the same
-//     threshold against any neighbour);
-//   - the copies of a row have equal values, so the per-sample scan never
-//     evaluates a position between two of them, and the positions it does
-//     evaluate are the boundaries between groups that the weighted scan
-//     evaluates, in the same order, with the same integer counts on either
-//     side — the same gains, bit for bit;
-//   - samples go left by the same v <= threshold test, which on a sorted
-//     segment selects a prefix, and the copies of a row go together;
-//   - candidate features are drawn from rng once per searched node, in
-//     the same depth-first pre-order.
-//
-// The builder owns every scratch slice (allocated in Fit, a feature's
-// column when the feature is first sorted, a depth's histogram pair when
-// the tree first reaches it); growing a node allocates nothing else, and
-// the slab writer grows its node and histogram slices by append.
-type builder struct {
-	t   *Tree
-	w   slabWriter
-	raw []float64 // X, row-major
-	y   []int
-	rng *rand.Rand
-
-	rows   []int32   // positions -> distinct row, partitioned along with the tree
-	weight []int32   // by row: how many training rows the distinct row stands for
-	cols   [][]entry // per feature, one entry per position, allocated when first sorted
-	sorted []bool    // sorted[f]: f is on the path to the node being built
-	onPath []int     // the features with sorted[f], in the order they joined
-
-	goLeft []uint8 // by row: 1 when the row goes to the left child
-	buf    []entry // radix and partition scratch
-	rowBuf []int32 // partition scratch for rows
-	feats  []int   // candidate features; the identity when all are drawn
-	left   []int   // class counts left and right of the scan position
-	right  []int
-	// children[d] holds the class histograms of the two children of the
-	// node being split at depth d, left then right. Only that node writes
-	// the row, and the right child's half is still intact when the left
-	// subtree returns; a leaf's histogram is copied into the slab.
-	children [][]int
-}
-
-// terminal reports whether a node of n samples (its weight) with the given
-// class counts at the given depth is a leaf whatever its features look
-// like.
-func (b *builder) terminal(counts []int, n, depth int) bool {
-	for _, c := range counts {
-		if c == n {
-			return true // pure
-		}
-	}
-	return n < 2*b.t.cfg.MinLeaf || (b.t.cfg.MaxDepth > 0 && depth >= b.t.cfg.MaxDepth)
-}
-
-// build grows the subtree over positions [lo, hi), which hold size samples
-// and whose class counts the caller has already taken, writes it to the
-// slab and returns its child reference. counts becomes the leaf's
-// histogram when the node does not split.
-func (b *builder) build(lo, hi, size, depth int, counts []int) int32 {
-	b.t.nodes++
-	if b.terminal(counts, size, depth) {
-		return b.w.leaf(counts, depth)
-	}
-
-	mark := len(b.onPath)
-	defer b.leavePath(mark)
-
-	feat, thr, ok := b.bestSplit(lo, hi, size, counts)
-	if !ok {
-		return b.w.leaf(counts, depth)
-	}
-
-	// The threshold is a rounded midpoint and can land on either neighbour
-	// (or be NaN or ±Inf when a neighbour is infinite), so membership is
-	// decided by the comparison prediction will make, not by the scan
-	// position; a split that leaves one side empty makes a leaf. mid counts
-	// positions, nl samples.
-	clear(b.left)
-	mid, nl := lo, 0
-	for _, e := range b.cols[feat][lo:hi] {
-		var g uint8
-		if e.v <= thr {
-			g = 1
-			w := int(b.weight[e.row])
-			mid++
-			nl += w
-			b.left[e.lab] += w
-		}
-		b.goLeft[e.row] = g
-	}
-	if mid == lo || mid == hi {
-		return b.w.leaf(counts, depth)
-	}
-	k := len(counts)
-	if depth == len(b.children) {
-		b.children = append(b.children, make([]int, 2*k))
-	}
-	both := b.children[depth]
-	leftCounts, rightCounts := both[:k:k], both[k:]
-	for lab, c := range b.left {
-		leftCounts[lab] = c
-		rightCounts[lab] = counts[lab] - c
-	}
-
-	// Children that are leaves on their counts alone never look at their
-	// samples, so the last split of a branch skips the partition.
-	nr := size - nl
-	if !b.terminal(leftCounts, nl, depth+1) || !b.terminal(rightCounts, nr, depth+1) {
-		b.partition(lo, hi, feat)
-	}
-	i := b.w.split(feat, thr)
-	left := b.build(lo, mid, nl, depth+1, leftCounts)
-	right := b.build(mid, hi, nr, depth+1, rightCounts)
-	b.w.children(i, left, right)
-	return i
-}
-
-// leavePath takes the features sorted since mark off the path: their
-// segments are valid only under the node that sorted them.
-func (b *builder) leavePath(mark int) {
-	for _, f := range b.onPath[mark:] {
-		b.sorted[f] = false
-	}
-	b.onPath = b.onPath[:mark]
-}
-
-// partition moves the samples flagged in goLeft to the front of [lo, hi)
-// in rows and in every on-path feature's segment, keeping the relative
-// order on both sides, so each side is a sorted segment of its own. The
-// split feature's segment is already in that shape.
-func (b *builder) partition(lo, hi, feat int) {
-	rows := b.rows[lo:hi]
-	l, r := 0, 0
-	for _, row := range rows {
-		g := int(b.goLeft[row])
-		rows[l], b.rowBuf[r] = row, row
-		l += g
-		r += 1 - g
-	}
-	copy(rows[l:], b.rowBuf[:r])
-
-	for _, f := range b.onPath {
-		if f == feat {
-			continue
-		}
-		seg := b.cols[f][lo:hi]
-		l, r := 0, 0
-		for _, e := range seg {
-			// Both stores, then advance one cursor: no branch to mispredict
-			// on a flag that is a coin toss. seg[l] is at or behind the
-			// entry just read.
-			g := int(b.goLeft[e.row])
-			seg[l], b.buf[r] = e, e
-			l += g
-			r += 1 - g
-		}
-		copy(seg[l:], b.buf[:r])
-	}
-}
-
-// column returns the node's samples in ascending order of feature f,
-// sorting them if no node on the path has yet.
-func (b *builder) column(f, lo, hi int) []entry {
-	if b.sorted[f] {
-		return b.cols[f][lo:hi]
-	}
-	if b.cols[f] == nil {
-		b.cols[f] = make([]entry, len(b.rows))
-	}
-	seg := b.cols[f][lo:hi]
-	d := b.t.nFeatures
-	for i, row := range b.rows[lo:hi] {
-		seg[i] = entry{v: b.raw[int(row)*d+f], row: row, lab: int32(b.y[row])}
-	}
-	radixSort(seg, b.buf[:len(seg)])
-	b.sorted[f] = true
-	b.onPath = append(b.onPath, f)
-	return seg
-}
-
-// sortKey maps a float64 to a uint64 whose unsigned order is the float's
-// numeric order (NaN excluded; -0 sorts just below +0): negative values
-// have every bit flipped, the rest only the sign bit.
-func sortKey(v float64) uint64 {
-	bits := math.Float64bits(v)
-	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
-}
-
-// insertionMax is the segment length up to which radixSort insertion-sorts
-// rather than clear and fill eight 256-bucket histograms. Fit time is flat
-// for cutoffs from 16 to 128.
-const insertionMax = 48
-
-// radixSort orders a by value, ascending, using tmp (same length) as
-// scratch: a byte-wide least-significant-digit radix sort on sortKey. One
-// read builds all eight histograms, and a byte on which every key agrees —
-// the high exponent bytes of any real feature, the low mantissa bytes of
-// integer-valued ones — costs no pass.
-func radixSort(a, tmp []entry) {
-	if len(a) <= insertionMax {
-		for i := 1; i < len(a); i++ {
-			e := a[i]
-			j := i
-			for ; j > 0 && a[j-1].v > e.v; j-- {
-				a[j] = a[j-1]
-			}
-			a[j] = e
-		}
-		return
-	}
-	var hist [8][256]int32
-	for i := range a {
-		k := sortKey(a[i].v)
-		hist[0][byte(k)]++
-		hist[1][byte(k>>8)]++
-		hist[2][byte(k>>16)]++
-		hist[3][byte(k>>24)]++
-		hist[4][byte(k>>32)]++
-		hist[5][byte(k>>40)]++
-		hist[6][byte(k>>48)]++
-		hist[7][byte(k>>56)]++
-	}
-	src, dst := a, tmp
-	for p := range hist {
-		h := &hist[p]
-		shift := uint(p) * 8
-		if int(h[byte(sortKey(src[0].v)>>shift)]) == len(src) {
-			continue
-		}
-		sum := int32(0)
-		for i, c := range h {
-			h[i] = sum
-			sum += c
-		}
-		for _, e := range src {
-			d := byte(sortKey(e.v) >> shift)
-			dst[h[d]] = e
-			h[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-// bestSplit searches candidate features of the node over positions [lo,
-// hi), size samples, for the split with the largest impurity decrease. It
-// returns ok=false when no split satisfies MinLeaf or improves impurity.
-func (b *builder) bestSplit(lo, hi, size int, total []int) (feature int, threshold float64, ok bool) {
-	n := float64(size)
-	crit, minLeaf := b.t.cfg.Criterion, b.t.cfg.MinLeaf
-	parentImp := impurity(total, size, crit)
-	gini2 := crit == Gini && len(total) == 2
-
-	// Any valid split is acceptable, even at zero gain (as in sklearn's
-	// CART): datasets like XOR have zero-gain first splits but still
-	// separate perfectly once grown. Node sizes strictly shrink, so
-	// termination is guaranteed.
-	bestGain := math.Inf(-1)
-	leftCounts, rightCounts := b.left, b.right
-
-	for _, f := range b.candidateFeatures() {
-		seg := b.column(f, lo, hi)
-		if gini2 {
-			if gain, thr, found := b.scanGini2(seg, size, total[1], parentImp, bestGain); found {
-				bestGain, feature, threshold, ok = gain, f, thr, true
-			}
-			continue
-		}
-		clear(leftCounts)
-		copy(rightCounts, total)
-
-		nl := 0
-		for pos := 0; pos < len(seg)-1; pos++ {
-			e := &seg[pos]
-			w := int(b.weight[e.row])
-			leftCounts[e.lab] += w
-			rightCounts[e.lab] -= w
-			nl += w
-
-			v, next := e.v, seg[pos+1].v
-			if v == next {
-				continue // cannot split between equal values
-			}
-			nr := size - nl
-			if nl < minLeaf || nr < minLeaf {
-				continue
-			}
-			child := (float64(nl)*impurity(leftCounts, nl, crit) +
-				float64(nr)*impurity(rightCounts, nr, crit)) / n
-			if gain := parentImp - child; gain > bestGain {
-				bestGain = gain
-				feature = f
-				threshold = v + (next-v)/2
-				ok = true
-			}
-		}
-	}
-	return feature, threshold, ok
-}
-
-// scanGini2 is bestSplit's scan of one sorted segment for Gini over two
-// classes: the class counts stay two integers (the left class-1 count
-// beside the left size; total1 is the node's class-1 count), and
-// impurity's Gini arithmetic is written out operation for operation —
-// inv := 1/n, g := 1, g -= p*p per class in class order — so every gain
-// is the float the generic scan computes. It returns the best gain above
-// best, with its threshold, and whether there was one.
-func (b *builder) scanGini2(seg []entry, size, total1 int, parentImp, best float64) (gain, threshold float64, found bool) {
-	n := float64(size)
-	minLeaf, weight := b.t.cfg.MinLeaf, b.weight
-	nl, l1 := 0, 0
-	for pos := 0; pos < len(seg)-1; pos++ {
-		e := &seg[pos]
-		w := int(weight[e.row])
-		nl += w
-		l1 += w * int(e.lab)
-
-		v, next := e.v, seg[pos+1].v
-		if v == next {
-			continue // cannot split between equal values
-		}
-		nr := size - nl
-		if nl < minLeaf || nr < minLeaf {
-			continue
-		}
-		r1 := total1 - l1
-		inv := 1 / float64(nl)
-		gl := 1.0
-		p := float64(nl-l1) * inv
-		gl -= p * p
-		p = float64(l1) * inv
-		gl -= p * p
-		inv = 1 / float64(nr)
-		gr := 1.0
-		p = float64(nr-r1) * inv
-		gr -= p * p
-		p = float64(r1) * inv
-		gr -= p * p
-		child := (float64(nl)*gl + float64(nr)*gr) / n
-		if g := parentImp - child; g > best {
-			best, threshold, found = g, v+(next-v)/2, true
-		}
-	}
-	return best, threshold, found
-}
-
-// candidateFeatures draws the features a node may split on: all of them,
-// or MaxFeatures of a fresh permutation. The permutation is rand.Perm's
-// own inside-out shuffle written into the builder's buffer — the same
-// draws from rng and the same result, without Perm's allocation (the loop
-// never reads an element it has not written, so the buffer needs no reset).
-func (b *builder) candidateFeatures() []int {
-	k := b.t.cfg.MaxFeatures
-	if k <= 0 || k >= b.t.nFeatures {
-		return b.feats
-	}
-	for i := range b.feats {
-		j := b.rng.Intn(i + 1)
-		b.feats[i] = b.feats[j]
-		b.feats[j] = i
-	}
-	return b.feats[:k]
-}
-
-// impurity computes Gini impurity or entropy (nats scale is irrelevant for
-// split comparison) of a class histogram with n total samples.
-func impurity(counts []int, n int, c Criterion) float64 {
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / float64(n)
-	switch c {
-	case Entropy:
-		var h float64
-		for _, cnt := range counts {
-			if cnt == 0 {
-				continue
-			}
-			p := float64(cnt) * inv
-			h -= p * math.Log2(p)
-		}
-		return h
-	default: // Gini
-		g := 1.0
-		for _, cnt := range counts {
-			p := float64(cnt) * inv
-			g -= p * p
-		}
-		return g
-	}
+	return (&builder{p: p}).fit(t, counts, nil)
 }
 
 // Predict returns the majority class of the leaf reached by x.

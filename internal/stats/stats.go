@@ -173,41 +173,3 @@ func (m *Moments) Variance() float64 {
 
 // Std returns the sample standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs for
-// k = 0..maxLag. Constant series yield zeros beyond lag 0 (and 1 at lag 0
-// by convention).
-func Autocorrelation(xs []float64, maxLag int) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if maxLag < 0 {
-		return nil, fmt.Errorf("stats: negative maxLag %d", maxLag)
-	}
-	if maxLag >= len(xs) {
-		maxLag = len(xs) - 1
-	}
-	var mean float64
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	var denom float64
-	for _, v := range xs {
-		d := v - mean
-		denom += d * d
-	}
-	out := make([]float64, maxLag+1)
-	out[0] = 1
-	if denom == 0 {
-		return out, nil
-	}
-	for k := 1; k <= maxLag; k++ {
-		var num float64
-		for i := 0; i+k < len(xs); i++ {
-			num += (xs[i] - mean) * (xs[i+k] - mean)
-		}
-		out[k] = num / denom
-	}
-	return out, nil
-}

@@ -191,40 +191,6 @@ func TestMomentsMatchesBatchProperty(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Alternating series has lag-1 autocorrelation near -1.
-	xs := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	ac, err := Autocorrelation(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ac[0] != 1 {
-		t.Fatalf("lag0=%v", ac[0])
-	}
-	if ac[1] > -0.8 {
-		t.Fatalf("lag1=%v, want near -1", ac[1])
-	}
-	// Constant series.
-	cc, err := Autocorrelation([]float64{3, 3, 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc[0] != 1 || cc[1] != 0 {
-		t.Fatalf("constant acf %v", cc)
-	}
-	if _, err := Autocorrelation(nil, 1); err == nil {
-		t.Fatal("expected empty error")
-	}
-	if _, err := Autocorrelation(xs, -1); err == nil {
-		t.Fatal("expected maxLag error")
-	}
-	// maxLag clamping.
-	short, err := Autocorrelation([]float64{1, 2}, 10)
-	if err != nil || len(short) != 2 {
-		t.Fatalf("clamped acf len=%d err=%v", len(short), err)
-	}
-}
-
 func TestSilhouetteSeparated(t *testing.T) {
 	X := [][]float64{{0, 0}, {0.1, 0}, {0, 0.1}, {10, 10}, {10.1, 10}, {10, 10.1}}
 	y := []int{0, 0, 0, 1, 1, 1}

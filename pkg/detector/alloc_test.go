@@ -10,7 +10,7 @@ import (
 // "Performance"): steady-state batched assessment through a reused
 // BatchScratch performs no heap allocations at all, single-sample Assess
 // allocates only its result's VoteDist, and the streaming window costs
-// nothing between assessment boundaries. CI runs these under
+// nothing between assessment boundaries and only that VoteDist at one. CI runs these under
 // `-run TestAllocs -count=1` (make test-allocs), so a regression that
 // re-introduces garbage into the hot path fails the build even when it is
 // too small to move any timing.
@@ -85,5 +85,26 @@ func TestAllocsOnlinePush(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Online.Push allocates %.2f times per sample, want 0", allocs)
+	}
+
+	// At stride 1 every push ends a window: the stream's own feature
+	// scratch leaves only Assess's VoteDist.
+	o, err = NewOnline(d, StreamConfig{Levels: 8, Window: 64, Stride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, _, err := o.Push(i & 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if _, ok, err := o.Push(state % 7); err != nil || !ok {
+			t.Fatalf("push: ok=%v err=%v", ok, err)
+		}
+		state++
+	})
+	if allocs > 1 {
+		t.Fatalf("Online.Push at a window boundary allocates %.2f times per decision, want <= 1 (the VoteDist)", allocs)
 	}
 }

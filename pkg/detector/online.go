@@ -28,8 +28,12 @@ type Online struct {
 	head   int
 	filled int
 	// scratch linearises the ring (oldest first) for feature extraction,
-	// reused across windows so the steady state allocates nothing extra.
+	// and feats and dev are feature.DVFSInto's output and deviation
+	// scratch: all three are reused across windows, so a decision
+	// allocates only what Assess returns.
 	scratch []int
+	feats   []float64
+	dev     []float64
 
 	stride    int
 	sinceLast int
@@ -135,6 +139,8 @@ func NewOnline(d *Detector, cfg StreamConfig) (*Online, error) {
 		levels:  cfg.Levels,
 		ring:    make([]int, cfg.Window),
 		scratch: make([]int, cfg.Window),
+		feats:   make([]float64, feature.DVFSDim(cfg.Levels)),
+		dev:     make([]float64, cfg.Window),
 		stride:  stride,
 	}, nil
 }
@@ -235,7 +241,7 @@ func (o *Online) Push(state int) (res Result, ok bool, err error) {
 	n := copy(o.scratch, o.ring[o.head:])
 	copy(o.scratch[n:], o.ring[:o.head])
 
-	feats, err := feature.DVFSVector(o.scratch, o.levels)
+	feats, err := feature.DVFSInto(o.feats, o.dev, o.scratch, o.levels)
 	if err != nil {
 		return Result{}, false, fmt.Errorf("detector: online features: %w", err)
 	}

@@ -93,8 +93,10 @@ func WithSeed(seed int64) Option {
 }
 
 // WithWorkers caps member-training parallelism; 0 (the default) means
-// GOMAXPROCS. It is a training-time option: assessment always votes
-// serially on the caller's goroutine.
+// GOMAXPROCS. Training runs on a pool of that many goroutines: they
+// presort the training set, then take members one at a time. The trained
+// model does not depend on it. It is a training-time option: assessment
+// always votes serially on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

@@ -90,6 +90,27 @@ type ColsBatchClassifier interface {
 	PredictBatchCols(X, XT *linalg.Matrix, out []int)
 }
 
+// Presorter is optionally implemented by base models that train from one
+// presort of the training set shared by every member of an ensemble,
+// rather than from a copy of each member's replicate. A tree family sorts
+// each feature of X once here instead of once per member, and each member
+// then trains on row counts: its replicate is row i of X taken counts[i]
+// times, over the columns cols of X in that order (nil: all of them).
+type Presorter interface {
+	Classifier
+	// Presort prepares (X, y) for members of the receiver's family and
+	// returns newFitter; the receiver itself is neither read nor changed.
+	// It may hand independent tasks to parallel, which runs task(i) for
+	// every i in [0, n) on the ensemble's workers and returns when all of
+	// them have. Each call of newFitter returns a fit function with scratch
+	// of its own, for one goroutine at a time: fit(member, counts, cols)
+	// trains member, a classifier of the receiver's family, to the model
+	// member.Fit would train on that replicate (len(counts) == X.Rows()).
+	// Neither fit nor newFitter retains counts or cols; X and y are read
+	// until the last fit returns.
+	Presort(X *linalg.Matrix, y []int, parallel func(n int, task func(i int))) (newFitter func() func(member Classifier, counts []int32, cols []int) error, err error)
+}
+
 // Factory constructs one untrained ensemble member from a seed. The
 // ensemble calls it once per member with that member's own seed;
 // deterministic families may ignore the seed (bootstrap resampling still
