@@ -59,8 +59,8 @@ func (e Estimator) voteCounts(votes []int) ([]int, error) {
 // VoteSummary is everything the trusted HMD derives from one set of member
 // votes: the plurality prediction, the vote-entropy uncertainty (Eq. 4) and
 // the normalised vote distribution (the hard-vote form of Eq. 3's
-// predictive posterior). Estimator.Summarize and SummarizeCounts are the
-// only ways to produce one.
+// predictive posterior). Estimator.Summarize is the only way to produce
+// one.
 type VoteSummary struct {
 	// Prediction is the plurality class; ties resolve to the lower index.
 	Prediction int
@@ -77,27 +77,12 @@ func (e Estimator) Summarize(votes []int) (VoteSummary, error) {
 	if err != nil {
 		return VoteSummary{}, err
 	}
-	return e.SummarizeCounts(counts, len(votes), make([]float64, len(counts)))
-}
-
-// SummarizeCounts is the destination-passing core of Summarize: it builds
-// the summary from an already-accumulated vote histogram over nVotes total
-// votes, writing the normalised distribution into dist (len(counts)). The
-// zero-allocation assessment path accumulates counts member-by-member and
-// summarises them here; the numbers are bit-identical to Summarize over
-// the equivalent vote slice.
-func (e Estimator) SummarizeCounts(counts []int, nVotes int, dist []float64) (VoteSummary, error) {
-	if nVotes == 0 {
-		return VoteSummary{}, ErrNoVotes
-	}
-	if len(dist) != len(counts) {
-		return VoteSummary{}, fmt.Errorf("core: dist len %d for %d classes", len(dist), len(counts))
-	}
 	h, err := stats.CountEntropy(counts)
 	if err != nil {
 		return VoteSummary{}, err
 	}
-	inv := 1 / float64(nVotes)
+	inv := 1 / float64(len(votes))
+	dist := make([]float64, len(counts))
 	best := 0
 	for lab, c := range counts {
 		dist[lab] = float64(c) * inv

@@ -341,16 +341,11 @@ func (b *Bagging) Votes(x []float64) []int {
 	return votes
 }
 
-// ErrVoteRange reports a member vote outside the [0, classes) histogram
-// AccumulateVotes was given. Callers fall back to the allocating Votes
-// path, whose consumers grow their histogram to fit any label.
-var ErrVoteRange = errors.New("ensemble: member vote outside class range")
-
 // AccumulateVotes adds the votes of members [from, to) on every row of Z
 // into counts, a row-major rows x k histogram slab (a vote v on row i
 // increments counts[i*k+v]). votes (len >= rows) and input (len >=
 // MaxMemberDim) are caller-owned scratch, so the steady state allocates
-// nothing.
+// nothing. A vote outside [0, k) has no cell in the slab and is an error.
 //
 // The walk is chosen per member from the batch it is handed. Over several
 // rows, members that implement model.BatchClassifier and see the full
@@ -391,7 +386,7 @@ func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, t
 			}
 			v := member.Predict(xi)
 			if v < 0 || v >= k {
-				return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
+				return fmt.Errorf("ensemble: member vote %d outside [0, %d)", v, k)
 			}
 			counts[v]++
 		}
@@ -409,7 +404,7 @@ func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, t
 				ci := 0
 				for _, v := range votes[:n] {
 					if v < 0 || v >= k {
-						return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
+						return fmt.Errorf("ensemble: member vote %d outside [0, %d)", v, k)
 					}
 					counts[ci+v]++
 					ci += k
@@ -424,7 +419,7 @@ func (b *Bagging) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, k, from, t
 			}
 			v := member.Predict(x)
 			if v < 0 || v >= k {
-				return fmt.Errorf("%w: vote %d of %d classes", ErrVoteRange, v, k)
+				return fmt.Errorf("ensemble: member vote %d outside [0, %d)", v, k)
 			}
 			counts[i*k+v]++
 		}
@@ -478,55 +473,27 @@ func (b *Bagging) MaxMemberDim(full int) (int, error) {
 	return dim, nil
 }
 
-// MemberProbas returns one posterior distribution per member: the member's
-// PredictProba when available, else a one-hot encoding of its hard vote.
-// This is the input to the uncertainty decomposition (core.Decompose).
-func (b *Bagging) MemberProbas(x []float64) [][]float64 {
+// MemberProbas returns one k-wide posterior distribution per member: the
+// member's PredictProba when available, else a one-hot encoding of its hard
+// vote. This is the input to the uncertainty decomposition (core.Decompose).
+// The caller gives the width, as it does to AccumulateVotes, so a decoded
+// ensemble's class count never sizes an allocation.
+func (b *Bagging) MemberProbas(x []float64, k int) [][]float64 {
 	if b.members == nil {
 		panic(ErrNotFitted)
 	}
 	out := make([][]float64, len(b.members))
 	for i, m := range b.members {
 		xi := b.memberInput(i, x)
+		row := make([]float64, k)
 		if pc, ok := m.(model.ProbClassifier); ok {
-			p := pc.PredictProba(xi)
-			row := make([]float64, b.classes)
-			copy(row, p)
-			out[i] = row
-			continue
-		}
-		row := make([]float64, b.classes)
-		if v := m.Predict(xi); v < len(row) {
+			copy(row, pc.PredictProba(xi))
+		} else if v := m.Predict(xi); v >= 0 && v < k {
 			row[v] = 1
 		}
 		out[i] = row
 	}
 	return out
-}
-
-// MemberOutputs returns every member's hard vote and posterior in a single
-// walk over the members — the one-pass input for an assessment that needs
-// both the vote-entropy estimate and the aleatoric/epistemic decomposition.
-// Posteriors follow the MemberProbas convention: PredictProba when the
-// member supports it, else a one-hot encoding of the hard vote.
-func (b *Bagging) MemberOutputs(x []float64) (votes []int, probas [][]float64) {
-	if b.members == nil {
-		panic(ErrNotFitted)
-	}
-	votes = make([]int, len(b.members))
-	probas = make([][]float64, len(b.members))
-	for i, m := range b.members {
-		xi := b.memberInput(i, x)
-		votes[i] = m.Predict(xi)
-		row := make([]float64, b.classes)
-		if pc, ok := m.(model.ProbClassifier); ok {
-			copy(row, pc.PredictProba(xi))
-		} else if votes[i] < len(row) {
-			row[votes[i]] = 1
-		}
-		probas[i] = row
-	}
-	return votes, probas
 }
 
 // Truncated returns a view of the ensemble restricted to its first m

@@ -162,7 +162,6 @@ func TestUnfittedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"votes":      func() { b.Votes([]float64{1}) },
 		"estimators": func() { b.Estimators() },
-		"outputs":    func() { b.MemberOutputs([]float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -356,7 +355,7 @@ func TestMemberProbas(t *testing.T) {
 	if err := b.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	probs := b.MemberProbas([]float64{-3, 0})
+	probs := b.MemberProbas([]float64{-3, 0}, 2)
 	if len(probs) != 5 {
 		t.Fatalf("%d member posteriors", len(probs))
 	}
@@ -379,7 +378,7 @@ func TestMemberProbas(t *testing.T) {
 	if err := bs.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range bs.MemberProbas([]float64{3, 0}) {
+	for _, p := range bs.MemberProbas([]float64{3, 0}, 2) {
 		ones := 0
 		for _, v := range p {
 			if v == 1 {
@@ -399,6 +398,33 @@ func TestMemberProbas(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		New(Config{M: 1, New: treeFactory}).MemberProbas([]float64{0, 0})
+		New(Config{M: 1, New: treeFactory}).MemberProbas([]float64{0, 0}, 2)
 	}()
+}
+
+// TestMemberProbasIgnoresDecodedClasses: the class count a gob carries
+// sizes nothing at inference. A blob claiming -1 classes decodes, and
+// MemberProbas still returns posteriors as wide as its caller asks instead
+// of panicking in makeslice.
+func TestMemberProbasIgnoresDecodedClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	X, y := blobs(rng, 60, 3)
+	b := New(Config{M: 3, New: treeFactory, Seed: 13})
+	if err := b.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	b.classes = -1
+	blob, err := b.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Bagging
+	if err := back.GobDecode(blob); err != nil {
+		t.Fatal(err)
+	}
+	for m, p := range back.MemberProbas(X.Row(0), 2) {
+		if len(p) != 2 {
+			t.Fatalf("member %d posterior %v, want 2 classes", m, p)
+		}
+	}
 }

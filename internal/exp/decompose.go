@@ -38,7 +38,7 @@ type SourcesResult struct {
 // thresholds = epistemic). Fully grown forests would register everything
 // as epistemic; fully converged linear members register boundary ambiguity
 // as aleatoric. The decomposition rides along on the batched assessment
-// (WithDecomposition), sharing its single pass over member outputs.
+// (WithDecomposition), as its last stage.
 func AblationSources(cfg Config) (*SourcesResult, error) {
 	cfg = cfg.normalized()
 	res := &SourcesResult{}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"trusthmd/internal/core"
 	"trusthmd/internal/ensemble"
 	"trusthmd/internal/reduce"
 	"trusthmd/pkg/dataset"
@@ -84,6 +83,5 @@ func (p *Pipeline) GobDecode(b []byte) error {
 	p.scaler = g.Scaler
 	p.pca = g.PCA
 	p.ens = g.Ens
-	p.est = core.Estimator{Classes: dataset.NumClasses}
 	return nil
 }

@@ -7,20 +7,19 @@
 //
 // Inference is exposed twice, and only twice:
 //
-//   - Four scratch-taking stages that pkg/detector's single assess core
-//     strings together — ProjectRowsScratch (scale + PCA over a batch),
-//     the caller's transpose (WantsCols says whether any member reads it),
-//     AccumulateVotes (member votes into a histogram slab) and
-//     SummarizeCounts (histogram → prediction, entropy, distribution).
-//     The pipeline owns no buffers: every stage writes into memory the
-//     caller passes in.
-//   - One allocating reference — Project, AssessProjected and Assess (plus
-//     AssessDecomposeProjected for the aleatoric/epistemic split, whose
-//     Total is the entropy of the averaged member posterior, Eq. 3) —
-//     built on the ensemble's plain Votes and MemberOutputs walks. Tests
-//     pin the stages to it bit for bit, and it is where the core lands
-//     when a member votes a label outside the class histogram
-//     (ensemble.ErrVoteRange): its histogram grows to fit.
+//   - The stages that pkg/detector's single assess core strings together —
+//     ProjectRowsScratch (scale + PCA over a batch), the caller's transpose
+//     (WantsCols says whether any member reads it), AccumulateVotes (member
+//     votes into a histogram slab), SummarizeCounts (histogram →
+//     prediction, entropy, distribution) and, for detectors that ask for
+//     it, Decompose (one projected row's aleatoric/epistemic split from the
+//     member posteriors, whose Total is the entropy of the averaged
+//     posterior, Eq. 3). The vote stages own no buffers: they write into
+//     memory the caller passes in. A member vote outside the two classes
+//     is an error, never a wider histogram.
+//   - One allocating reference — Project, AssessProjected and Assess —
+//     built on the ensemble's plain Votes walk and core.Estimator. Tests
+//     pin the stages to it bit for bit.
 package hmd
 
 import (
@@ -67,25 +66,21 @@ type Pipeline struct {
 	scaler *dataset.Scaler
 	pca    *reduce.PCA
 	ens    *ensemble.Bagging
-	est    core.Estimator
 
 	// entropy2 memoises the binary vote entropy: with M members and two
-	// classes there are only M+1 possible histograms, so the hot
-	// SummarizeCounts path replaces two log2 calls per sample with a table
-	// lookup. Entries are produced by the very stats.CountEntropy call the
-	// slow path makes, so they are bit-identical. Built lazily (never
+	// classes there are only M+1 possible histograms, so SummarizeCounts
+	// replaces two log2 calls per sample with a table lookup. Entries are
+	// produced by the very stats.CountEntropy call the reference's
+	// core.Estimator makes, so they are bit-identical. Built lazily (never
 	// serialized; rebuilt per process).
 	entropyOnce sync.Once
 	entropy2    []float64
 }
 
 // entropyTable returns the memoised binary-histogram entropies, indexed by
-// the class-1 count, or nil when the pipeline is not a two-class ensemble.
+// the class-1 count: Members()+1 entries.
 func (p *Pipeline) entropyTable() []float64 {
 	p.entropyOnce.Do(func() {
-		if p.Classes() != 2 {
-			return
-		}
 		m := p.ens.Size()
 		tab := make([]float64, m+1)
 		pair := make([]int, 2)
@@ -160,7 +155,6 @@ func Train(train *dataset.Dataset, cfg Config) (*Pipeline, error) {
 		scaler: scaler,
 		pca:    pca,
 		ens:    ens,
-		est:    core.Estimator{Classes: dataset.NumClasses},
 	}, nil
 }
 
@@ -180,15 +174,10 @@ func (p *Pipeline) Project(x []float64) ([]float64, error) {
 	return z, nil
 }
 
-// Classes returns the width of the vote histogram the estimator builds —
-// the counts/dist buffer size the scratch assessment paths require.
-func (p *Pipeline) Classes() int {
-	k := p.est.Classes
-	if k < 2 {
-		k = 2
-	}
-	return k
-}
+// Classes returns the width of the vote histogram — the counts/dist buffer
+// size the scratch assessment paths require: dataset.NumClasses, the only
+// labels a training set admits.
+func (p *Pipeline) Classes() int { return dataset.NumClasses }
 
 // projectedDim returns the dimensionality ensemble members consume: the
 // PCA width when a PCA stage is fitted, the scaler width otherwise.
@@ -232,9 +221,8 @@ func (p *Pipeline) ProjectRowsScratch(rows [][]float64, work, reduced *linalg.Ma
 // into the row-major rows x Classes() histogram slab counts. votes and
 // input are caller-owned scratch (see ensemble.AccumulateVotes). ZT is an
 // optional transpose of Z shared by members that want feature-major loads
-// (see WantsCols); nil is always valid. An ensemble.ErrVoteRange result
-// means a member voted outside the histogram; callers fall back to
-// AssessProjected, whose histogram grows to fit.
+// (see WantsCols); nil is always valid. A member vote outside [0,
+// Classes()) is an error.
 func (p *Pipeline) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, from, to int, votes []int, input []float64) error {
 	return p.ens.AccumulateVotes(Z, ZT, counts, p.Classes(), from, to, votes, input)
 }
@@ -245,55 +233,40 @@ func (p *Pipeline) AccumulateVotes(Z, ZT *linalg.Matrix, counts []int, from, to 
 func (p *Pipeline) WantsCols() bool { return p.ens.WantsCols() }
 
 // SummarizeCounts turns one row's accumulated vote histogram into an
-// Assessment, writing the vote distribution into dist (len Classes()).
-// Binary full-turnout histograms take the memoised-entropy fast path;
-// everything else goes through the estimator. Both are bit-identical.
+// Assessment, writing the vote distribution into dist (len Classes()). The
+// histogram must hold exactly Members() votes over the two classes; the
+// entropy is read from the memoised table, bit-identical to the reference.
 func (p *Pipeline) SummarizeCounts(counts []int, dist []float64) (Assessment, error) {
-	m := p.ens.Size()
-	if len(counts) == 2 && len(dist) == 2 && counts[0] >= 0 && counts[1] >= 0 && counts[0]+counts[1] == m {
-		if tab := p.entropyTable(); tab != nil {
-			c0, c1 := counts[0], counts[1]
-			inv := 1 / float64(m)
-			dist[0], dist[1] = float64(c0)*inv, float64(c1)*inv
-			pred := 0
-			if c1 > c0 {
-				pred = 1
-			}
-			return Assessment{Prediction: pred, Entropy: tab[c1], VoteDist: dist}, nil
-		}
+	tab := p.entropyTable()
+	m := len(tab) - 1
+	if len(counts) != 2 || len(dist) != 2 || counts[0] < 0 || counts[1] < 0 || counts[0]+counts[1] != m {
+		return Assessment{}, fmt.Errorf("hmd: vote histogram %v is not %d votes over 2 classes", counts, m)
 	}
-	s, err := p.est.SummarizeCounts(counts, m, dist)
-	if err != nil {
-		return Assessment{}, err
+	c0, c1 := counts[0], counts[1]
+	inv := 1 / float64(m)
+	dist[0], dist[1] = float64(c0)*inv, float64(c1)*inv
+	pred := 0
+	if c1 > c0 {
+		pred = 1
 	}
-	return Assessment{Prediction: s.Prediction, Entropy: s.Entropy, VoteDist: s.Dist}, nil
+	return Assessment{Prediction: pred, Entropy: tab[c1], VoteDist: dist}, nil
 }
 
-// AssessProjected assesses an already-projected vector: one walk over the
-// member votes yields prediction, entropy and vote distribution together.
+// AssessProjected assesses an already-projected vector on the reference
+// walk: every member's vote, summarised by core.Estimator.
 func (p *Pipeline) AssessProjected(z []float64) (Assessment, error) {
-	s, err := p.est.Summarize(p.ens.Votes(z))
+	s, err := core.Estimator{Classes: dataset.NumClasses}.Summarize(p.ens.Votes(z))
 	if err != nil {
 		return Assessment{}, err
 	}
 	return Assessment{Prediction: s.Prediction, Entropy: s.Entropy, VoteDist: s.Dist}, nil
 }
 
-// AssessDecomposeProjected assesses an already-projected vector and also
-// decomposes its uncertainty into aleatoric and epistemic components, with
-// a single walk over the ensemble members producing both the votes and the
-// member posteriors.
-func (p *Pipeline) AssessDecomposeProjected(z []float64) (Assessment, core.Decomposition, error) {
-	votes, probas := p.ens.MemberOutputs(z)
-	s, err := p.est.Summarize(votes)
-	if err != nil {
-		return Assessment{}, core.Decomposition{}, err
-	}
-	dec, err := core.Decompose(probas)
-	if err != nil {
-		return Assessment{}, core.Decomposition{}, err
-	}
-	return Assessment{Prediction: s.Prediction, Entropy: s.Entropy, VoteDist: s.Dist}, dec, nil
+// Decompose splits the uncertainty of an already-projected vector into
+// aleatoric and epistemic components (core.Decompose) from every member's
+// Classes()-wide posterior.
+func (p *Pipeline) Decompose(z []float64) (core.Decomposition, error) {
+	return core.Decompose(p.ens.MemberProbas(z, p.Classes()))
 }
 
 // Assess runs the trusted path on a raw feature vector: label plus
@@ -325,5 +298,5 @@ func (p *Pipeline) Truncated(m int) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{cfg: p.cfg, scaler: p.scaler, pca: p.pca, ens: tr, est: p.est}, nil
+	return &Pipeline{cfg: p.cfg, scaler: p.scaler, pca: p.pca, ens: tr}, nil
 }

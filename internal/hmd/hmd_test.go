@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"trusthmd/internal/core"
 	"trusthmd/internal/ensemble"
 	"trusthmd/internal/gen"
 	"trusthmd/internal/ml/linear"
@@ -134,39 +133,8 @@ func TestProjectBatchMatchesProject(t *testing.T) {
 	}
 }
 
-func TestAssessDecomposeProjected(t *testing.T) {
-	s := dvfsSplits(t)
-	p, err := Train(s.Train, Config{NewMember: lrFactory, M: 9, Seed: 3, MaxFeatures: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := s.Unknown.At(0).Features
-	z, err := p.Project(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, dec, err := p.AssessDecomposeProjected(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := p.AssessProjected(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Prediction != plain.Prediction || a.Entropy != plain.Entropy {
-		t.Fatal("decomposing assessment must not change the assessment")
-	}
-	want, err := core.Decompose(p.ens.MemberProbas(z))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dec.Total-want.Total) > 1e-12 || math.Abs(dec.Aleatoric-want.Aleatoric) > 1e-12 {
-		t.Fatalf("one-pass decomposition %+v diverged from reference %+v", dec, want)
-	}
-}
-
 // TestPosterior pins the averaged member posterior of Eq. 3 (ablation A2's
-// quantity) to Decomposition.Total bit for bit: the mean of the members'
+// quantity) to Decompose's Total bit for bit: the mean of the members'
 // posteriors, summed in member order and scaled by 1/M, is a distribution,
 // and its entropy is exactly the decomposition's Total.
 func TestPosterior(t *testing.T) {
@@ -185,7 +153,7 @@ func TestPosterior(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				probas := p.ens.MemberProbas(z)
+				probas := p.ens.MemberProbas(z, 2)
 				mean := make([]float64, len(probas[0]))
 				for _, pm := range probas {
 					for j, v := range pm {
@@ -204,7 +172,7 @@ func TestPosterior(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, dec, err := p.AssessDecomposeProjected(z)
+				dec, err := p.Decompose(z)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,6 +180,26 @@ func TestPosterior(t *testing.T) {
 					t.Fatalf("%s row %d: Total %v, posterior entropy %v", name, i, dec.Total, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSummarizeCountsRejects: a histogram that is not Members() votes over
+// the two classes is an error, never a panic or a wider assessment.
+func TestSummarizeCountsRejects(t *testing.T) {
+	s := dvfsSplits(t)
+	p, err := Train(s.Train, Config{NewMember: rfFactory, M: 5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, counts := range map[string][]int{
+		"third class":   {2, 2, 1},
+		"short turnout": {3, 1},
+		"negative":      {6, -1},
+	} {
+		a, err := p.SummarizeCounts(counts, make([]float64, len(counts)))
+		if err == nil {
+			t.Fatalf("%s: %v accepted as %+v", name, counts, a)
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"trusthmd/internal/core"
-	"trusthmd/internal/ensemble"
-	"trusthmd/internal/hmd"
 	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/linalg"
 )
@@ -90,7 +88,8 @@ const colsBlock = 32
 // become results:
 //
 //	project rows into s → transpose iff a member kernel will read it →
-//	accumulate member votes → summarize each histogram → decide
+//	accumulate member votes → summarize each histogram → decide →
+//	decompose each row iff the detector was built WithDecomposition
 //
 // With fresh set, the results and their VoteDist backing are allocated for
 // the caller to keep; otherwise both live in s until its next use. Every
@@ -99,13 +98,8 @@ const colsBlock = 32
 // bit-identical to hmd.Pipeline.Assess on that row. The members vote
 // serially on the caller's goroutine — a 64-row batch over 25 trees is
 // less work than fanning them out — so parallelism comes from concurrent
-// calls, never from inside one.
-//
-// Two cases swap the accumulate and summarize stages for hmd's allocating
-// per-row reference walk (referenceRow), keeping the projection and the
-// decision: detectors built WithDecomposition, which need every member's
-// posterior per row, and a batch in which a member voted outside the
-// class histogram, which the reference's growing histogram absorbs.
+// calls, never from inside one. A member vote outside the two classes
+// fails the call.
 func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Result, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("detector: empty batch")
@@ -117,28 +111,22 @@ func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Resu
 	}
 	n, k := Z.Rows(), d.pipe.Classes()
 
-	reference := d.cfg.decompose
-	if !reference {
-		// One transpose per batch, shared read-only by every member that
-		// wants feature-major loads.
-		var ZT *linalg.Matrix
-		if n >= colsBlock && d.pipe.WantsCols() {
-			s.workT.ResizeUnset(Z.Cols(), n) // TInto writes every cell
-			if err := Z.TInto(s.workT); err != nil {
-				return nil, fmt.Errorf("detector: %w", err)
-			}
-			ZT = s.workT
-		}
-		s.counts = growInts(s.counts, n*k)
-		clear(s.counts)
-		s.votes = growInts(s.votes, n)
-		s.input = growFloats(s.input, Z.Cols()) // bounds every member's feature subset
-		err = d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, d.pipe.Members(), s.votes, s.input)
-		if errors.Is(err, ensemble.ErrVoteRange) {
-			reference = true
-		} else if err != nil {
+	// One transpose per batch, shared read-only by every member that wants
+	// feature-major loads.
+	var ZT *linalg.Matrix
+	if n >= colsBlock && d.pipe.WantsCols() {
+		s.workT.ResizeUnset(Z.Cols(), n) // TInto writes every cell
+		if err := Z.TInto(s.workT); err != nil {
 			return nil, fmt.Errorf("detector: %w", err)
 		}
+		ZT = s.workT
+	}
+	s.counts = growInts(s.counts, n*k)
+	clear(s.counts)
+	s.votes = growInts(s.votes, n)
+	s.input = growFloats(s.input, Z.Cols()) // bounds every member's feature subset
+	if err := d.pipe.AccumulateVotes(Z, ZT, s.counts, 0, d.pipe.Members(), s.votes, s.input); err != nil {
+		return nil, fmt.Errorf("detector: %w", err)
 	}
 
 	var results []Result
@@ -155,22 +143,18 @@ func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Resu
 	}
 	rej := core.Rejector{Threshold: d.cfg.threshold}
 	for i := range results {
-		var (
-			a   hmd.Assessment
-			dec *Decomposition
-			err error
-		)
-		if reference {
-			a, dec, err = d.referenceRow(Z.Row(i))
-		} else {
-			// Full slice expressions cap each VoteDist at its own window so
-			// a caller appending to one result cannot overwrite its
-			// neighbour.
-			a, err = d.pipe.SummarizeCounts(s.counts[i*k:(i+1)*k], dists[i*k:(i+1)*k:(i+1)*k])
-		}
+		// Full slice expressions cap each VoteDist at its own window so a
+		// caller appending to one result cannot overwrite its neighbour.
+		a, err := d.pipe.SummarizeCounts(s.counts[i*k:(i+1)*k], dists[i*k:(i+1)*k:(i+1)*k])
 		var decision core.Decision
 		if err == nil {
 			decision, err = rej.Decide(a.Prediction, a.Entropy)
+		}
+		var dec *Decomposition
+		if err == nil && d.cfg.decompose {
+			var dc core.Decomposition
+			dc, err = d.pipe.Decompose(Z.Row(i))
+			dec = (*Decomposition)(&dc)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("detector: sample %d: %w", i, err)
@@ -184,17 +168,4 @@ func (d *Detector) assess(s *BatchScratch, rows [][]float64, fresh bool) ([]Resu
 		}
 	}
 	return results, nil
-}
-
-// referenceRow assesses one projected row on hmd's allocating reference
-// walk, with the aleatoric/epistemic split when the detector decomposes.
-// Its VoteDist is freshly allocated and as wide as the labels the members
-// actually voted.
-func (d *Detector) referenceRow(z []float64) (hmd.Assessment, *Decomposition, error) {
-	if !d.cfg.decompose {
-		a, err := d.pipe.AssessProjected(z)
-		return a, nil, err
-	}
-	a, dc, err := d.pipe.AssessDecomposeProjected(z)
-	return a, (*Decomposition)(&dc), err
 }

@@ -16,7 +16,7 @@ import (
 
 // reference assesses x on hmd's allocating reference walk — the vector
 // Project, the plain Votes histogram and (for decomposing detectors) the
-// one-pass member-posterior split — and applies the detector's threshold.
+// split of the members' posteriors — and applies the detector's threshold.
 // It shares no buffer, kernel or batch shape with the assess core.
 func reference(t *testing.T, d *Detector, x []float64) Result {
 	t.Helper()
@@ -30,12 +30,9 @@ func reference(t *testing.T, d *Detector, x []float64) Result {
 		t.Fatal(err)
 	}
 	if d.cfg.decompose {
-		da, dc, err := d.pipe.AssessDecomposeProjected(z)
+		dc, err := core.Decompose(d.pipe.Ensemble().MemberProbas(z, 2))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if da.Prediction != a.Prediction || da.Entropy != a.Entropy {
-			t.Fatal("reference: decomposing walk changed the assessment")
 		}
 		want.Decomposition = (*Decomposition)(&dc)
 	}
@@ -219,12 +216,10 @@ func registerFixedVote(t *testing.T, name string, labels []int) {
 	}
 }
 
-// TestOutOfRangeVotesLandOnReference drives every entry point into the
-// ensemble.ErrVoteRange fallback — members voting a third class, then a
-// negative label — and requires exactly what hmd.Pipeline.Assess returns:
-// the grown three-class distribution in the first case, its error in the
-// second.
-func TestOutOfRangeVotesLandOnReference(t *testing.T) {
+// TestOutOfRangeVotesFail: a member vote outside the two classes — a
+// third class, or a negative label — fails every entry point, over the
+// lone-row walk and a batch, for plain and decomposing detectors alike.
+func TestOutOfRangeVotesFail(t *testing.T) {
 	s := dvfsSplits(t)
 	X := make([][]float64, 40)
 	for i := range X {
@@ -233,56 +228,32 @@ func TestOutOfRangeVotesLandOnReference(t *testing.T) {
 	registerFixedVote(t, "test-third-class", []int{0, 1, 2})
 	registerFixedVote(t, "test-negative", []int{0, 1, -1})
 
-	d, err := New(s.Train, WithModel("test-third-class"), WithEnsembleSize(9), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reference(t, d, X[0])
-	if len(want.VoteDist) != 3 || want.Decision != Reject {
-		t.Fatalf("reference did not grow its histogram: %+v", want)
-	}
 	var sc BatchScratch
-	got, err := d.Assess(X[0])
-	if diff := sameBits(got, want); err != nil || diff != "" {
-		t.Fatalf("Assess: %v %s", err, diff)
-	}
-	got, err = d.AssessInto(&sc, X[0])
-	if diff := sameBits(got, want); err != nil || diff != "" {
-		t.Fatalf("AssessInto: %v %s", err, diff)
-	}
-	for _, n := range []int{1, len(X)} {
-		for entry, assess := range map[string]func() ([]Result, error){
-			"AssessBatch":     func() ([]Result, error) { return d.AssessBatch(X[:n]) },
-			"AssessBatchInto": func() ([]Result, error) { return d.AssessBatchInto(&sc, X[:n]) },
-		} {
-			rs, err := assess()
-			if err != nil || len(rs) != n {
-				t.Fatalf("%s(%d): %d results, err %v", entry, n, len(rs), err)
+	for _, family := range []struct{ name, vote string }{
+		{"test-third-class", "vote 2 "},
+		{"test-negative", "vote -1 "},
+	} {
+		trained, err := New(s.Train, WithModel(family.name), WithEnsembleSize(9), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decompose := range []bool{false, true} {
+			d, err := trained.WithOptions(WithDecomposition(decompose))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, r := range rs {
-				if diff := sameBits(r, want); diff != "" { // members ignore x
-					t.Fatalf("%s(%d) row %d: %s", entry, n, i, diff)
+			for entry, assess := range map[string]func() error{
+				"Assess":             func() error { _, err := d.Assess(X[0]); return err },
+				"AssessInto":         func() error { _, err := d.AssessInto(&sc, X[0]); return err },
+				"AssessBatch(1)":     func() error { _, err := d.AssessBatch(X[:1]); return err },
+				"AssessBatch":        func() error { _, err := d.AssessBatch(X); return err },
+				"AssessBatchInto(1)": func() error { _, err := d.AssessBatchInto(&sc, X[:1]); return err },
+				"AssessBatchInto":    func() error { _, err := d.AssessBatchInto(&sc, X); return err },
+			} {
+				if err := assess(); err == nil || !strings.Contains(err.Error(), family.vote) {
+					t.Fatalf("%s decompose=%v %s: error %v, want one naming the %q", family.name, decompose, entry, err, family.vote)
 				}
 			}
-		}
-	}
-
-	neg, err := New(s.Train, WithModel("test-negative"), WithEnsembleSize(9), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, refErr := neg.pipe.Assess(X[0])
-	if refErr == nil {
-		t.Fatal("reference accepted a negative vote")
-	}
-	for entry, assess := range map[string]func() error{
-		"Assess":          func() error { _, err := neg.Assess(X[0]); return err },
-		"AssessInto":      func() error { _, err := neg.AssessInto(&sc, X[0]); return err },
-		"AssessBatch":     func() error { _, err := neg.AssessBatch(X); return err },
-		"AssessBatchInto": func() error { _, err := neg.AssessBatchInto(&sc, X); return err },
-	} {
-		if err := assess(); err == nil || !strings.Contains(err.Error(), refErr.Error()) {
-			t.Fatalf("%s: error %v, want the reference's %q", entry, err, refErr)
 		}
 	}
 }

@@ -30,7 +30,7 @@
 //	                      → hmd.AccumulateVotes     member votes → histogram slab
 //	                      → hmd.SummarizeCounts     histogram → prediction, entropy, distribution
 //	                      → core.Rejector.Decide    threshold → decision
-//	                      ↘ hmd reference walk      on ensemble.ErrVoteRange, or WithDecomposition
+//	                      → hmd.Decompose           member posteriors → split, WithDecomposition only
 //
 // A wrapper chooses only where the BatchScratch comes from and who owns
 // the returned VoteDist:

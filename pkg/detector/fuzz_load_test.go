@@ -13,10 +13,12 @@ import (
 
 // FuzzLoad feeds Load the bytes POST /v1/models hands it: whatever they
 // are, Load returns an error or a detector that assesses an
-// InputDim()-wide row without a fault. The seeds are one saved detector
-// per registered family — one with PCA and per-member feature subsets,
-// so the scaler, PCA, ensemble and every member gob are reached — plus
-// the frozen format-2 blobs under testdata.
+// InputDim()-wide row without a fault, with and without the
+// aleatoric/epistemic split (the member-posterior walk). The seeds are one
+// saved detector per registered family — one with PCA and per-member
+// feature subsets, so the scaler, PCA, ensemble and every member gob are
+// reached, and one saved WithDecomposition(true) — plus the frozen
+// format-2 blobs under testdata.
 func FuzzLoad(f *testing.F) {
 	splits, err := gen.DVFSWithSizes(3, gen.Sizes{Train: 120, Test: 10, Unknown: 10})
 	if err != nil {
@@ -24,8 +26,11 @@ func FuzzLoad(f *testing.F) {
 	}
 	for i, family := range detector.Models() {
 		opts := []detector.Option{detector.WithModel(family), detector.WithEnsembleSize(3), detector.WithSeed(1)}
-		if i == 0 {
+		switch i {
+		case 0:
 			opts = append(opts, detector.WithPCA(4), detector.WithMaxFeatures(0.5))
+		case 1:
+			opts = append(opts, detector.WithDecomposition(true))
 		}
 		d, err := detector.New(splits.Train, opts...)
 		if err != nil {
@@ -61,5 +66,8 @@ func FuzzLoad(f *testing.F) {
 			x[i] = float64(i%7) - 3
 		}
 		d.Assess(x)
+		if dd, err := d.WithOptions(detector.WithDecomposition(true)); err == nil {
+			dd.Assess(x)
+		}
 	})
 }

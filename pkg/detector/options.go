@@ -131,7 +131,9 @@ func WithMaxFeatures(f float64) Option {
 }
 
 // WithDecomposition enables the aleatoric/epistemic uncertainty split on
-// every Result (computed in the same pass over member outputs).
+// every Result, computed from the member posteriors of each row after the
+// batched vote. As on every detector, a member vote outside {0, 1} is an
+// error.
 func WithDecomposition(on bool) Option {
 	return func(c *config) { c.decompose = on }
 }
