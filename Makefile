@@ -25,13 +25,13 @@ test-short:
 # bit-identical contract of pkg/linalg/kernel, exercised end to end.
 # -count=1 because the kernel package reads TRUSTHMD_NOSIMD in init, before
 # the test cache starts recording environment reads: a cached pass would
-# replay SIMD results. The digest and golden-model tests then run again on
-# one core: forest members go to training workers dynamically, and the
-# models, datasets and experiment renderings must not depend on how many
-# there are.
+# replay SIMD results. The digest and golden-model tests and the pinned
+# examples then run again on one core: forest members go to training
+# workers dynamically, and the models, datasets, experiment renderings and
+# example outputs must not depend on how many there are.
 test-nosimd:
 	TRUSTHMD_NOSIMD=1 $(GO) test -count=1 ./...
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Digests|GoldenModelHashes' ./...
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Digests|GoldenModelHashes|Example' ./...
 
 # test-allocs re-runs the zero-allocation contract of the inference hot
 # path (testing.AllocsPerRun assertions) uncached, race-free — the race

@@ -1,9 +1,11 @@
 // Retraining feedback loop: the full trusted-HMD lifecycle from the
 // paper's introduction. A zero-day cryptojacker is first rejected by the
 // uncertainty estimator; its rejected windows are collected as forensics
-// and labelled by an analyst; the detector retrains; afterwards the family
-// is classified confidently as malware while other zero-days still trip
-// the estimator.
+// and labelled by an analyst; the detector retrains. One round moves the
+// held-out part of the family toward the known set: accuracy 0.237 ->
+// 0.711, mean entropy 0.570 -> 0.372. The unrelated zero-days keep a high
+// mean entropy (0.526), so they still trip the estimator, but the round
+// costs accuracy on them: 0.593 -> 0.427.
 package main
 
 import (
@@ -73,22 +75,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rejected := 0
+	var rejected []detector.Forensic
 	for _, s := range forensic {
 		res, err := det.Assess(s.Features)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if res.Decision != detector.Reject {
-			continue
-		}
-		rejected++
-		if err := retrainer.ReportRejection(s.Features, s.Label, s.App); err != nil {
-			log.Fatal(err)
+		if res.Decision == detector.Reject {
+			rejected = append(rejected, detector.Forensic{Features: s.Features, Label: s.Label, App: s.App})
 		}
 	}
+	if err := retrainer.ReportForensics(rejected); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nforensics: %d of %d %s windows rejected and labelled by the analyst\n",
-		rejected, len(forensic), family)
+		len(rejected), len(forensic), family)
 	if !retrainer.ShouldRetrain() {
 		log.Fatalf("forensic quorum not reached (%d pending)", retrainer.Pending())
 	}

@@ -22,6 +22,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"os"
 
 	"trusthmd/internal/dvfs"
 	"trusthmd/internal/workload"
@@ -37,10 +38,17 @@ func main() {
 		stride = flag.Int("stride", 128, "new states between assessments")
 	)
 	flag.Parse()
+	if err := run(*addr, *model, *device, *window, *stride, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run streams the two-phase trace to the daemon at addr and writes each
+// verdict, then the stream summary, to w.
+func run(addr, model, device string, window, stride int, w io.Writer) error {
 	sim, err := dvfs.NewSimulator(dvfs.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	apps := map[string]workload.DVFSBehavior{}
 	for _, a := range workload.DVFSApps() {
@@ -60,7 +68,7 @@ func main() {
 		for i := 0; i < phase.windows; i++ {
 			trace, err := sim.Trace(apps[phase.app], rng)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			states = append(states, trace...)
 		}
@@ -68,15 +76,23 @@ func main() {
 
 	// The request body is written into a pipe while the response is read
 	// concurrently: decisions stream back while states are still going out.
+	// On return, closing the read end unblocks the writer if the server
+	// stopped reading early, and run waits for the writer to exit.
 	pr, pw := io.Pipe()
+	wrote := make(chan struct{})
+	defer func() {
+		pr.Close()
+		<-wrote
+	}()
 	go func() {
+		defer close(wrote)
 		enc := json.NewEncoder(pw)
 		if err := enc.Encode(serve.StreamHeader{
-			Model:  *model,
-			Device: *device,
+			Model:  model,
+			Device: device,
 			Levels: sim.Config().Levels,
-			Window: *window,
-			Stride: *stride,
+			Window: window,
+			Stride: stride,
 		}); err != nil {
 			pw.CloseWithError(err)
 			return
@@ -94,49 +110,47 @@ func main() {
 		pw.Close()
 	}()
 
-	resp, err := http.Post(*addr+"/v1/assess/stream", "application/x-ndjson", pr)
+	resp, err := http.Post(addr+"/v1/assess/stream", "application/x-ndjson", pr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		log.Fatalf("stream rejected: %d: %s", resp.StatusCode, body)
+		return fmt.Errorf("stream rejected: %d: %s", resp.StatusCode, body)
 	}
 
-	fmt.Printf("streaming %d DVFS states (window %d, stride %d)\n\n", len(states), *window, *stride)
+	fmt.Fprintf(w, "streaming %d DVFS states (window %d, stride %d)\n\n", len(states), window, stride)
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var probe map[string]json.RawMessage
 		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			log.Fatalf("bad stream line: %s", sc.Bytes())
+			return fmt.Errorf("bad stream line: %s", sc.Bytes())
 		}
 		switch {
 		case probe["error"] != nil:
 			var e serve.ErrorResponse
 			_ = json.Unmarshal(sc.Bytes(), &e)
-			log.Fatalf("stream error: %s", e.Error)
+			return fmt.Errorf("stream error: %s", e.Error)
 		case probe["done"] != nil:
 			var sum serve.StreamSummary
 			if err := json.Unmarshal(sc.Bytes(), &sum); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("\nstream done: model %s v%d — %d samples, %d decisions (%d benign / %d malware / %d rejected)\n",
+			fmt.Fprintf(w, "\nstream done: model %s v%d — %d samples, %d decisions (%d benign / %d malware / %d rejected)\n",
 				sum.Model, sum.Version, sum.Samples, sum.Decisions, sum.Benign, sum.Malware, sum.Rejected)
 		default:
 			var r serve.StreamResult
 			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			marker := ""
 			if r.Decision != "benign" {
 				marker = "  <-- " + r.Decision
 			}
-			fmt.Printf("decision %3d @ sample %5d: %-7s (entropy %.3f, model %s v%d)%s\n",
+			fmt.Fprintf(w, "decision %3d @ sample %5d: %-7s (entropy %.3f, model %s v%d)%s\n",
 				r.Seq, r.Sample, r.Decision, r.Entropy, r.Model, r.Version, marker)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
-	}
+	return sc.Err()
 }

@@ -120,25 +120,3 @@ func At(threshold float64, knownEntropies, unknownEntropies []float64) (Operatin
 		UnknownRejectedPct: 100 * uf,
 	}, nil
 }
-
-// BestSeparation searches the threshold grid for the operating point that
-// maximises (unknown rejected − known rejected), the natural figure of
-// merit for zero-day screening.
-func BestSeparation(knownEntropies, unknownEntropies, thresholds []float64) (OperatingPoint, error) {
-	if len(thresholds) == 0 {
-		return OperatingPoint{}, errors.New("core: no thresholds")
-	}
-	var best OperatingPoint
-	bestGap := -1.0
-	for _, thr := range thresholds {
-		op, err := At(thr, knownEntropies, unknownEntropies)
-		if err != nil {
-			return OperatingPoint{}, err
-		}
-		if gap := op.UnknownRejectedPct - op.KnownRejectedPct; gap > bestGap {
-			bestGap = gap
-			best = op
-		}
-	}
-	return best, nil
-}

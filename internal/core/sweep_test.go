@@ -105,25 +105,6 @@ func TestAtOperatingPoint(t *testing.T) {
 	}
 }
 
-func TestBestSeparation(t *testing.T) {
-	known := []float64{0.05, 0.1, 0.15}
-	unknown := []float64{0.7, 0.8, 0.9}
-	ts, _ := Thresholds(0, 1, 0.05)
-	op, err := BestSeparation(known, unknown, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.KnownRejectedPct != 0 || op.UnknownRejectedPct != 100 {
-		t.Fatalf("best separation %+v", op)
-	}
-	if op.Threshold < 0.15 || op.Threshold >= 0.7 {
-		t.Fatalf("threshold %v should sit between the populations", op.Threshold)
-	}
-	if _, err := BestSeparation(known, unknown, nil); err == nil {
-		t.Fatal("expected no-thresholds error")
-	}
-}
-
 // Property: rejection curves are monotonically non-increasing and bounded
 // in [0,100] for any entropy population.
 func TestRejectionCurveProperty(t *testing.T) {

@@ -98,9 +98,6 @@ func (c Config) train(train *dataset.Dataset, model string, extra ...detector.Op
 	return detector.New(train, append(c.detectorOpts(model), extra...)...)
 }
 
-// TableSizesForTest exposes the DVFS Table I sizes for white-box tests.
-func TableSizesForTest() gen.Sizes { return gen.TableIDVFS }
-
 // Models lists the base classifier families the paper evaluates, by their
 // detector registry names.
 var Models = []string{"rf", "lr", "svm"}

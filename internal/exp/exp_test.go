@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"trusthmd/internal/gen"
 )
 
 // quickCfg is a scaled-down configuration for fast shape checks. The full
@@ -351,7 +353,7 @@ func TestConfigNormalization(t *testing.T) {
 	if c.Scale != 1 || c.M != 25 {
 		t.Fatalf("defaults %+v", c)
 	}
-	s := Config{Scale: 0.0001}.scaled(TableSizesForTest())
+	s := Config{Scale: 0.0001}.scaled(gen.TableIDVFS)
 	if s.Train < 140 || s.Test < 70 || s.Unknown < 40 {
 		t.Fatalf("floors not applied: %+v", s)
 	}

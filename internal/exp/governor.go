@@ -37,7 +37,7 @@ var GovernorPolicies = []dvfs.Policy{dvfs.Ondemand, dvfs.Conservative}
 // GovernorSensitivity runs E2.
 func GovernorSensitivity(cfg Config) (*GovernorResult, error) {
 	cfg = cfg.normalized()
-	sizes := cfg.scaled(TableSizesForTest())
+	sizes := cfg.scaled(gen.TableIDVFS)
 	res := &GovernorResult{}
 	for _, policy := range GovernorPolicies {
 		simCfg := dvfs.DefaultConfig()

@@ -53,23 +53,8 @@ func NewRetrainer(train *dataset.Dataset, quorum int, opts ...Option) (*Retraine
 	}, nil
 }
 
-// ReportRejection records one rejected input together with the analyst's
-// verdict. app identifies the workload for bookkeeping (it becomes the
-// sample's application tag in the augmented training set).
-func (r *Retrainer) ReportRejection(features []float64, analystLabel int, app string) error {
-	if err := r.pending.Add(dataset.Sample{
-		Features: append([]float64(nil), features...),
-		Label:    analystLabel,
-		App:      app,
-	}); err != nil {
-		return fmt.Errorf("detector: report rejection: %w", err)
-	}
-	return nil
-}
-
 // Forensic is one rejected input with its (analyst- or policy-assigned)
-// label, the batched form of ReportRejection used when forensics are
-// assembled from a verdict store rather than reported one by one.
+// label, as handed to ReportForensics.
 type Forensic struct {
 	Features []float64
 	Label    int
@@ -78,10 +63,10 @@ type Forensic struct {
 	App string
 }
 
-// ReportForensics records a batch of rejected inputs at once — the bulk
-// path a retraining controller uses after draining a verdict store's
-// rejected records. The batch is all-or-nothing: on a malformed sample
-// nothing is recorded and the pending set is unchanged.
+// ReportForensics records a batch of rejected inputs — however an analyst
+// collected them, or as a retraining controller drains them from a verdict
+// store's rejected records. The batch is all-or-nothing: on a malformed
+// sample nothing is recorded and the pending set is unchanged.
 func (r *Retrainer) ReportForensics(fs []Forensic) error {
 	batch := dataset.New(r.pending.Dim())
 	for i, f := range fs {

@@ -38,11 +38,13 @@ func TestRetrainerLifecycle(t *testing.T) {
 	}
 	baseSize := r.TrainingSize()
 
+	var fs []Forensic
 	for i := 0; i < 10; i++ {
 		smp := s.Unknown.At(i)
-		if err := r.ReportRejection(smp.Features, smp.Label, smp.App); err != nil {
-			t.Fatal(err)
-		}
+		fs = append(fs, Forensic{Features: smp.Features, Label: smp.Label, App: smp.App})
+	}
+	if err := r.ReportForensics(fs); err != nil {
+		t.Fatal(err)
 	}
 	if !r.ShouldRetrain() {
 		t.Fatal("quorum reached but ShouldRetrain false")
@@ -68,10 +70,10 @@ func TestRetrainerReportValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReportRejection([]float64{1, 2}, 1, "x"); err == nil {
+	if err := r.ReportForensics([]Forensic{{Features: []float64{1, 2}, Label: 1, App: "x"}}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if err := r.ReportRejection(s.Unknown.At(0).Features, 7, "x"); err == nil {
+	if err := r.ReportForensics([]Forensic{{Features: s.Unknown.At(0).Features, Label: 7, App: "x"}}); err == nil {
 		t.Fatal("expected label error")
 	}
 }
@@ -132,10 +134,12 @@ func TestRetrainingAbsorbsZeroDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := make([]Forensic, 0, len(forensic))
 	for _, smp := range forensic {
-		if err := r.ReportRejection(smp.Features, smp.Label, smp.App); err != nil {
-			t.Fatal(err)
-		}
+		fs = append(fs, Forensic{Features: smp.Features, Label: smp.Label, App: smp.App})
+	}
+	if err := r.ReportForensics(fs); err != nil {
+		t.Fatal(err)
 	}
 	after, err := r.Retrain()
 	if err != nil {

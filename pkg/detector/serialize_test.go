@@ -209,7 +209,7 @@ func TestSavedDetectorIsRetrainable(t *testing.T) {
 		t.Fatal(err)
 	}
 	smp := s.Unknown.At(0)
-	if err := r.ReportRejection(smp.Features, smp.Label, smp.App); err != nil {
+	if err := r.ReportForensics([]Forensic{{Features: smp.Features, Label: smp.Label, App: smp.App}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Retrain(); err != nil {
