@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test serve-stress fuzz-smoke race vet fmt-check ci
+.PHONY: all build build-arm64 test test-short test-nosimd test-allocs benchmark-test paper serve-stress fuzz-smoke race vet fmt-check ci
 
 all: build
 
@@ -25,13 +25,13 @@ test-short:
 # bit-identical contract of pkg/linalg/kernel, exercised end to end.
 # -count=1 because the kernel package reads TRUSTHMD_NOSIMD in init, before
 # the test cache starts recording environment reads: a cached pass would
-# replay SIMD results. The digest and golden-model tests and the pinned
-# examples then run again on one core: forest members go to training
-# workers dynamically, and the models, datasets, experiment renderings and
-# example outputs must not depend on how many there are.
+# replay SIMD results. The digest and golden tests (datasets, models,
+# experiment renderings, response bodies) and the pinned examples then run
+# again on one core: forest members go to training workers dynamically,
+# and none of those bytes may depend on how many there are.
 test-nosimd:
 	TRUSTHMD_NOSIMD=1 $(GO) test -count=1 ./...
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Digests|GoldenModelHashes|Example' ./...
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Digests|Golden|Example' ./...
 
 # test-allocs re-runs the zero-allocation contract of the inference hot
 # path (testing.AllocsPerRun assertions) uncached, race-free — the race
@@ -48,6 +48,19 @@ test-allocs:
 # noticing; this target is what notices.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# paper regenerates the paper's whole evaluation at its own scale
+# (`hmdbench -exp all -scale 1`, about 35 s on 2 vCPUs) and diffs it
+# against cmd/hmdbench/testdata/golden/scale1.txt. The golden renderings
+# `go test` checks are taken at Scale 0.02, where a change can still move
+# a number of the paper's that no test sees; this is the check at the
+# scale the paper reports. A change that means to move such a number
+# rewrites the file and says why in CHANGES.md.
+paper:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/hmdbench" ./cmd/hmdbench; \
+	"$$dir/hmdbench" -exp all -scale 1 > "$$dir/scale1.txt"; \
+	diff -u cmd/hmdbench/testdata/golden/scale1.txt "$$dir/scale1.txt"
 
 # serve-stress repeats the serving layer's load tests twenty times under
 # the race detector: concurrent bit-identity, swap under load, shedding at
@@ -112,4 +125,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build build-arm64 vet fmt-check test test-nosimd test-allocs benchmark-test race serve-stress fuzz-smoke
+ci: build build-arm64 vet fmt-check test test-nosimd test-allocs benchmark-test paper race serve-stress fuzz-smoke

@@ -1,8 +1,9 @@
 // Package trusthmd's benchmarks regenerate every table and figure of the
-// paper (one benchmark per artefact, backed by the internal/exp runners)
-// and additionally measure the core building blocks. Benchmarks default to
-// a scaled-down dataset so `go test -bench=.` completes quickly; set
-// TRUSTHMD_BENCH_SCALE=1.0 to run the paper's full Table I sizes.
+// paper (BenchmarkExperiments, one sub-benchmark per entry of internal/exp's
+// experiments table) and additionally measure the core building blocks.
+// Benchmarks default to a scaled-down dataset so `go test -bench=.`
+// completes quickly; set TRUSTHMD_BENCH_SCALE=1.0 to run the paper's full
+// Table I sizes.
 package trusthmd
 
 import (
@@ -38,167 +39,19 @@ func benchCfg() exp.Config {
 	return exp.Config{Seed: 1, Scale: benchScale(), M: 25}
 }
 
-// --- One benchmark per paper artefact (cmd/hmdbench's experiments table) ---
-
-func BenchmarkTableI(b *testing.B) {
-	b.ReportAllocs()
+// BenchmarkExperiments runs the experiments table, one sub-benchmark per
+// ID: `-bench 'Experiments/F5'` runs Fig. 5 alone.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.TableI(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig4(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig5(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7a(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7a(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7b(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7b(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		for _, which := range []string{"DVFS", "HPC"} {
-			if _, err := exp.Fig8(cfg, which); err != nil {
-				b.Fatal(err)
+	for _, e := range exp.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}
-}
-
-func BenchmarkFig9a(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig9a(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9b(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig9b(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeadlines(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Headlines(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPlatt(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationPlatt(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPosterior(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationPosterior(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationDiversity(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationDiversity(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationFamilies(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationFamilies(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSources(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationSources(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEMGeneralization(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.EMGeneralization(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGovernorSensitivity(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.GovernorSensitivity(cfg); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 

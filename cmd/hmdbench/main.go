@@ -1,5 +1,5 @@
 // Command hmdbench regenerates every table and figure of the paper's
-// evaluation, one experiment per entry of the experiments table below.
+// evaluation, one experiment per entry of internal/exp's Experiments.
 //
 // Usage:
 //
@@ -9,8 +9,9 @@
 // in table order.
 //
 // -scale 1.0 reproduces the paper's full Table I sizes (the HPC dataset has
-// 63k samples; the full run takes a few minutes). Smaller scales give quick
-// qualitative runs.
+// 63k samples; the full run takes about 35 s on a 2-vCPU machine, and
+// `make paper` holds its output to testdata/golden/scale1.txt). Smaller
+// scales give quick qualitative runs.
 package main
 
 import (
@@ -23,42 +24,10 @@ import (
 	"trusthmd/internal/exp"
 )
 
-type renderer interface{ Render() string }
-
-// result adapts an experiment runner returning its own result type to the
-// table's signature.
-func result[R renderer](f func(exp.Config) (R, error)) func(exp.Config) (renderer, error) {
-	return func(cfg exp.Config) (renderer, error) { return f(cfg) }
-}
-
-// experiments is the index of the paper's artefacts: T = table, F = figure,
-// H = the headline numbers, A = ablations, E = extensions beyond the paper.
-var experiments = []struct {
-	id  string
-	run func(exp.Config) (renderer, error)
-}{
-	{"T1", result(exp.TableI)},
-	{"F4", result(exp.Fig4)},
-	{"F5", result(exp.Fig5)},
-	{"F7a", result(exp.Fig7a)},
-	{"F7b", result(exp.Fig7b)},
-	{"F8", fig8},
-	{"F9a", result(exp.Fig9a)},
-	{"F9b", result(exp.Fig9b)},
-	{"H", result(exp.Headlines)},
-	{"A1", result(exp.AblationPlatt)},
-	{"A2", result(exp.AblationPosterior)},
-	{"A3", result(exp.AblationDiversity)},
-	{"A4", result(exp.AblationFamilies)},
-	{"A5", result(exp.AblationSources)},
-	{"E1", result(exp.EMGeneralization)},
-	{"E2", result(exp.GovernorSensitivity)},
-}
-
 func experimentIDs() []string {
-	ids := make([]string, len(experiments))
-	for i, e := range experiments {
-		ids[i] = e.id
+	ids := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		ids[i] = e.ID
 	}
 	return ids
 }
@@ -92,61 +61,44 @@ func main() {
 
 // run runs one experiment and prints its rendering.
 func run(id string, cfg exp.Config) error {
-	for _, e := range experiments {
-		if e.id != id {
+	for _, e := range exp.Experiments {
+		if e.ID != id {
 			continue
 		}
-		res, err := e.run(cfg)
+		res, err := e.Run(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		out := res.Render()
+		if panels, ok := res.(exp.Fig8Panels); ok && tsneDir != "" {
+			if out, err = dumpTSNE(panels, tsneDir); err != nil {
+				return err
+			}
+		}
+		fmt.Println(out)
 		return nil
 	}
 	return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(experimentIDs(), ","))
 }
 
-// renderedLines is an experiment whose output is already rendered: F8's
-// two embeddings, each followed by the line naming its CSV dump.
-type renderedLines []string
-
-func (r renderedLines) Render() string { return strings.Join(r, "\n") }
-
-// fig8 embeds the DVFS and then the HPC dataset, dumping each embedding
-// under tsneDir when it is set.
-func fig8(cfg exp.Config) (renderer, error) {
-	var out renderedLines
-	for _, which := range []string{"DVFS", "HPC"} {
-		r, err := exp.Fig8(cfg, which)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r.Render())
-		if tsneDir != "" {
-			line, err := dumpTSNE(r, tsneDir)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, line)
-		}
-	}
-	return out, nil
-}
-
-// dumpTSNE writes r's points to dir/fig8_<dataset>.csv and returns the
-// line reporting it.
-func dumpTSNE(r *exp.TSNEResult, dir string) (string, error) {
+// dumpTSNE writes each panel's points to dir/fig8_<dataset>.csv and returns
+// F8's rendering with the line naming each dump after its panel.
+func dumpTSNE(panels exp.Fig8Panels, dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	var csv strings.Builder
-	csv.WriteString("x,y,label,group,app\n")
-	for _, p := range r.Points {
-		fmt.Fprintf(&csv, "%g,%g,%d,%s,%s\n", p.X, p.Y, p.Label, p.Group, p.App)
+	var out []string
+	for _, r := range panels {
+		var csv strings.Builder
+		csv.WriteString("x,y,label,group,app\n")
+		for _, p := range r.Points {
+			fmt.Fprintf(&csv, "%g,%g,%d,%s,%s\n", p.X, p.Y, p.Label, p.Group, p.App)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("fig8_%s.csv", strings.ToLower(r.Dataset)))
+		if err := os.WriteFile(path, []byte(csv.String()), 0o666); err != nil {
+			return "", err
+		}
+		out = append(out, r.Render(), fmt.Sprintf("wrote %s (%d points)", path, len(r.Points)))
 	}
-	path := filepath.Join(dir, fmt.Sprintf("fig8_%s.csv", strings.ToLower(r.Dataset)))
-	if err := os.WriteFile(path, []byte(csv.String()), 0o666); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("wrote %s (%d points)", path, len(r.Points)), nil
+	return strings.Join(out, "\n"), nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,56 +22,154 @@ func TestRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown experiment F6 ran")
 	}
-	for _, e := range experiments {
-		if !strings.Contains(err.Error(), e.id) {
-			t.Errorf("error %q does not name experiment %s", err, e.id)
+	for _, e := range exp.Experiments {
+		if !strings.Contains(err.Error(), e.ID) {
+			t.Errorf("error %q does not name experiment %s", err, e.ID)
 		}
 	}
 }
 
-// experimentDigests pins the SHA-256 of every experiment's rendering at
-// Scale 0.02, Seed 1, M 25 (and of H's at Scale 0.1, the setting its
-// numbers are usually checked at), with SIMD on and off alike. A change
-// that means to move a paper number updates its digest here and says why
-// in CHANGES.md; any other change must leave every one of them alone.
-var experimentDigests = map[string]string{
-	"T1":    "ea0515ecd7fdd8cfeda0cac27117beec2ea6a3affc0de00016209acd0c10169a",
-	"F4":    "0e2f4cc29a9061555a680242b4811b3b2660d2d4b1a20aa7b971d309a3cb062c",
-	"F5":    "7ed72ca560f3823a328ab18ee0957c5bbd9257e87ab31114519bb098652126de",
-	"F7a":   "53da4282ff12410745871959ab75dcc89130723d0855289b4f6da4a521c73fbd",
-	"F7b":   "e0ccd0bdd653b959cbca3c7a23d7ed7e2b835cb7d33bf1e7061153e2fd9dea42",
-	"F8":    "f2dd9e5350a92f09d817ed58a4814fff53f6d2ba8be2e0adb44e529619f945b5",
-	"F9a":   "9ad0da34c6ce9249123bc36f867d7deb92c95f0a0432a49927addea63763ea35",
-	"F9b":   "dda2bc7b6e23dde6fca401901e271bd94dcc9389bf99583163116489301c241a",
-	"H":     "ec7a2d052e022aa4b0022eb4fa7ed7b9ff24135aa6465f989bd922af74a6cf57",
-	"A1":    "185c9a7f1c32e8d4605676c77c9c7f1f99983c30cd8d0aa1c6bd5b2a6465dd5f",
-	"A2":    "bacfcf00fa392f698e802f08ec914349c311cbb81ba28dfea82e90edd72b5138",
-	"A3":    "c320ccfcf77bd156323f66bf0aa1bd4fc0c526c83ad278fc45b15159569e9baf",
-	"A4":    "ca6719005d59271f0f7f9a8954d6a7211b733e557e5c92763be5d25bc12ff07e",
-	"A5":    "03fb9f56a857c8ec1101ef230faaa4fd3d2d50ed2448288102c5ac3624673036",
-	"E1":    "74cf6905d8a6962ffbe89340785b2b1dfab4c4f6315223c6c8ade1282958120a",
-	"E2":    "a9aac59a47cdef793f5be03be44bd63e337f87b6bb4a83f6ccd18e71c75567c1",
-	"H@0.1": "643733413da825365e57f78f0957344667b2187106f95ef365c81cc7291cfacc",
-}
-
-// TestExperimentDigests runs the whole experiments table at a small scale
-// and holds each rendering to its pinned digest, so a change anywhere in
-// the model path that moves a number in a table or figure fails here.
-func TestExperimentDigests(t *testing.T) {
-	check := func(key string, run func(exp.Config) (renderer, error), cfg exp.Config) {
-		res, err := run(cfg)
+// TestGoldenRenderings runs every entry of exp.Experiments at Scale 0.02,
+// Seed 1, M 25, and H again at Scale 0.1 (the setting its numbers are
+// usually checked at), and holds each rendering to
+// testdata/golden/<ID>.txt byte for byte, with SIMD on and off alike. A
+// change that means to move a paper number rewrites its golden file and
+// says why in CHANGES.md; any other change leaves every one of them alone.
+func TestGoldenRenderings(t *testing.T) {
+	check := func(name string, e exp.Experiment, cfg exp.Config) {
+		res, err := e.Run(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		sum := sha256.Sum256([]byte(res.Render()))
-		if got, want := hex.EncodeToString(sum[:]), experimentDigests[key]; got != want {
-			t.Errorf("%s: rendering digest %s, want %s", key, got, want)
+		path := filepath.Join("testdata", "golden", name+".txt")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := lineDiff(res.Render(), string(want)); diff != "" {
+			t.Errorf("%s: rendering differs from %s (-want +got, by line):\n%s", name, path, diff)
 		}
 	}
-	for _, e := range experiments {
-		check(e.id, e.run, exp.Config{Scale: 0.02, Seed: 1, M: 25})
-		if e.id == "H" {
-			check("H@0.1", e.run, exp.Config{Scale: 0.1, Seed: 1, M: 25})
+	for _, e := range exp.Experiments {
+		check(e.ID, e, exp.Config{Scale: 0.02, Seed: 1, M: 25})
+		if e.ID == "H" {
+			check("H@0.1", e, exp.Config{Scale: 0.1, Seed: 1, M: 25})
 		}
+	}
+}
+
+// lineDiff returns "" when got equals want, and otherwise the lines between
+// their common first and last lines: "-N: line" for line N of want, then
+// "+N: line" for line N of got.
+func lineDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	pre := 0
+	for pre < len(g) && pre < len(w) && g[pre] == w[pre] {
+		pre++
+	}
+	suf := 0
+	for suf < len(g)-pre && suf < len(w)-pre && g[len(g)-1-suf] == w[len(w)-1-suf] {
+		suf++
+	}
+	var b strings.Builder
+	for i := pre; i < len(w)-suf; i++ {
+		fmt.Fprintf(&b, "-%d: %s\n", i+1, w[i])
+	}
+	for i := pre; i < len(g)-suf; i++ {
+		fmt.Fprintf(&b, "+%d: %s\n", i+1, g[i])
+	}
+	return b.String()
+}
+
+// stdout runs f with os.Stdout redirected and returns what it printed.
+func stdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	out := <-read
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
+}
+
+// TestTSNECSV runs F8 the way `hmdbench -exp F8 -tsne-csv dir` does. Each
+// embedding's rendering is followed by one line naming its CSV dump, and
+// with those two lines taken out the output is F8's golden rendering.
+func TestTSNECSV(t *testing.T) {
+	dir := t.TempDir()
+	tsneDir = dir
+	defer func() { tsneDir = "" }()
+	out := stdout(t, func() error { return run("F8", exp.Config{Scale: 0.02, Seed: 1, M: 25}) })
+
+	lines := strings.Split(out, "\n")
+	var kept []string
+	wrote := map[int]string{}
+	for i, l := range lines {
+		if strings.HasPrefix(l, "wrote ") {
+			wrote[i] = l
+			continue
+		}
+		kept = append(kept, l)
+	}
+	for _, w := range []struct {
+		line    int
+		dataset string
+		points  int
+		groups  map[string]int
+	}{
+		{9, "dvfs", 180, map[string]int{"train": 140, "unknown": 40}},
+		{19, "hpc", 650, map[string]int{"train": 500, "unknown": 150}},
+	} {
+		path := filepath.Join(dir, "fig8_"+w.dataset+".csv")
+		want := "wrote " + path + " (" + strconv.Itoa(w.points) + " points)"
+		if wrote[w.line] != want {
+			t.Errorf("output line %d = %q, want %q", w.line+1, wrote[w.line], want)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+		if rows[0] != "x,y,label,group,app" {
+			t.Errorf("%s header %q", path, rows[0])
+		}
+		groups := map[string]int{}
+		for _, row := range rows[1:] {
+			f := strings.Split(row, ",")
+			if len(f) != 5 {
+				t.Fatalf("%s row %q: %d fields", path, row, len(f))
+			}
+			groups[f[3]]++
+		}
+		if len(rows)-1 != w.points || groups["train"] != w.groups["train"] || groups["unknown"] != w.groups["unknown"] {
+			t.Errorf("%s: %d points %v, want %d %v", path, len(rows)-1, groups, w.points, w.groups)
+		}
+	}
+	if len(wrote) != 2 {
+		t.Errorf("%d wrote lines, want 2: %q", len(wrote), wrote)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "F8.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(kept, "\n"); got != string(golden)+"\n" {
+		t.Errorf("F8 output without the wrote lines:\n%s\nwant the golden rendering and a newline:\n%s", got, golden)
 	}
 }

@@ -81,20 +81,12 @@ func AblationPlatt(cfg Config) (*PlattResult, error) {
 	}
 
 	// LR ensemble vote entropy for the same inputs.
-	d, err := cfg.train(data.Train, "lr")
+	known, unknown, err := cfg.screen(data, "lr")
 	if err != nil {
 		return nil, err
 	}
-	rKnown, err := d.AssessDataset(data.Test)
-	if err != nil {
-		return nil, err
-	}
-	rUnknown, err := d.AssessDataset(data.Unknown)
-	if err != nil {
-		return nil, err
-	}
-	res.MeanEntropyKnown = linalg.Mean(detector.Entropies(rKnown))
-	res.MeanEntropyUnknown = linalg.Mean(detector.Entropies(rUnknown))
+	res.MeanEntropyKnown = linalg.Mean(detector.Entropies(known))
+	res.MeanEntropyUnknown = linalg.Mean(detector.Entropies(unknown))
 	return res, nil
 }
 
@@ -133,29 +125,21 @@ func AblationPosterior(cfg Config) (*PosteriorResult, error) {
 	res := &PosteriorResult{}
 	for _, model := range []string{"rf", "lr"} {
 		// The averaged posterior's entropy is the decomposition's Total.
-		d, err := cfg.train(data.Train, model, detector.WithDecomposition(true))
+		known, unknown, err := cfg.screen(data, model, detector.WithDecomposition(true))
 		if err != nil {
 			return nil, err
 		}
-		eval := func(ds *dataset.Dataset) (vote, post float64, err error) {
-			rs, err := d.AssessDataset(ds)
-			if err != nil {
-				return 0, 0, err
-			}
+		mean := func(rs []detector.Result) (vote, post float64) {
 			for _, r := range rs {
 				vote += r.Entropy
 				post += r.Decomposition.Total
 			}
-			n := float64(ds.Len())
-			return vote / n, post / n, nil
+			n := float64(len(rs))
+			return vote / n, post / n
 		}
 		row := PosteriorRow{Model: model}
-		if row.VoteKnown, row.PosteriorKnown, err = eval(data.Test); err != nil {
-			return nil, err
-		}
-		if row.VoteUnknown, row.PosteriorUnknown, err = eval(data.Unknown); err != nil {
-			return nil, err
-		}
+		row.VoteKnown, row.PosteriorKnown = mean(known)
+		row.VoteUnknown, row.PosteriorUnknown = mean(unknown)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -189,20 +173,12 @@ func AblationDiversity(cfg Config) (*DiversityResult, error) {
 	}
 	res := &DiversityResult{}
 	for _, mode := range []string{"bootstrap", "random-init"} {
-		d, err := cfg.train(data.Train, "lr", detector.WithDiversity(mode))
+		known, unknown, err := cfg.screen(data, "lr", detector.WithDiversity(mode))
 		if err != nil {
 			return nil, err
 		}
-		rKnown, err := d.AssessDataset(data.Test)
-		if err != nil {
-			return nil, err
-		}
-		rUnknown, err := d.AssessDataset(data.Unknown)
-		if err != nil {
-			return nil, err
-		}
-		hKnown := linalg.Mean(detector.Entropies(rKnown))
-		hUnknown := linalg.Mean(detector.Entropies(rUnknown))
+		hKnown := linalg.Mean(detector.Entropies(known))
+		hUnknown := linalg.Mean(detector.Entropies(unknown))
 		if mode == "bootstrap" {
 			res.BaggingKnown, res.BaggingUnknown = hKnown, hUnknown
 		} else {

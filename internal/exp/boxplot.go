@@ -5,7 +5,6 @@ import (
 
 	"trusthmd/internal/gen"
 	"trusthmd/internal/stats"
-	"trusthmd/pkg/detector"
 )
 
 // EntropySummary is one box of Figs. 4/5: the distribution of estimated
@@ -51,34 +50,18 @@ func Fig5(cfg Config) (*BoxplotResult, error) {
 }
 
 func entropyBoxes(cfg Config, name string, data gen.Splits) (*BoxplotResult, error) {
-	res := &BoxplotResult{Dataset: name, Excluded: map[string]string{}}
-	for _, model := range Models {
-		d, err := cfg.train(data.Train, model)
+	res := &BoxplotResult{Dataset: name}
+	var err error
+	res.Excluded, err = cfg.screenModels(name, data, func(model, split string, h []float64) error {
+		s, err := stats.Summarize(h)
 		if err != nil {
-			if detector.IsNoConvergence(err) {
-				res.Excluded[model] = err.Error()
-				continue
-			}
-			return nil, fmt.Errorf("exp: %s %s: %w", name, model, err)
+			return fmt.Errorf("exp: %s %s %s: %w", name, model, split, err)
 		}
-		rKnown, err := d.AssessDataset(data.Test)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s %s known: %w", name, model, err)
-		}
-		rUnknown, err := d.AssessDataset(data.Unknown)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s %s unknown: %w", name, model, err)
-		}
-		for _, e := range []struct {
-			split string
-			h     []float64
-		}{{"known", detector.Entropies(rKnown)}, {"unknown", detector.Entropies(rUnknown)}} {
-			s, err := stats.Summarize(e.h)
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s %s %s: %w", name, model, e.split, err)
-			}
-			res.Boxes = append(res.Boxes, EntropySummary{Model: model, Split: e.split, Summary: s})
-		}
+		res.Boxes = append(res.Boxes, EntropySummary{Model: model, Split: split, Summary: s})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"trusthmd/internal/core"
 	"trusthmd/internal/gen"
-	"trusthmd/pkg/detector"
 )
 
 // RejectionSeries is one curve of Fig. 7a / Fig. 9b: rejected percentage
@@ -51,34 +50,17 @@ func rejectionCurves(cfg Config, name string, data gen.Splits, maxThr float64) (
 	if err != nil {
 		return nil, err
 	}
-	res := &CurvesResult{Dataset: name, Excluded: map[string]string{}}
-	for _, model := range Models {
-		d, err := cfg.train(data.Train, model)
+	res := &CurvesResult{Dataset: name}
+	res.Excluded, err = cfg.screenModels(name, data, func(model, split string, h []float64) error {
+		pts, err := core.RejectionCurve(h, thresholds)
 		if err != nil {
-			if detector.IsNoConvergence(err) {
-				res.Excluded[model] = err.Error()
-				continue
-			}
-			return nil, fmt.Errorf("exp: %s %s: %w", name, model, err)
+			return err
 		}
-		rKnown, err := d.AssessDataset(data.Test)
-		if err != nil {
-			return nil, err
-		}
-		rUnknown, err := d.AssessDataset(data.Unknown)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range []struct {
-			split string
-			h     []float64
-		}{{"known", detector.Entropies(rKnown)}, {"unknown", detector.Entropies(rUnknown)}} {
-			pts, err := core.RejectionCurve(e.h, thresholds)
-			if err != nil {
-				return nil, err
-			}
-			res.Series = append(res.Series, RejectionSeries{Model: model, Split: e.split, Points: pts})
-		}
+		res.Series = append(res.Series, RejectionSeries{Model: model, Split: split, Points: pts})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -130,10 +112,6 @@ type F1CurvesResult struct {
 // Fig. 7b: RF-DVFS and RF-HPC).
 func Fig7b(cfg Config) (*F1CurvesResult, error) {
 	cfg = cfg.normalized()
-	thresholds, err := core.Thresholds(0.05, 0.85, 0.05)
-	if err != nil {
-		return nil, err
-	}
 	res := &F1CurvesResult{}
 	for _, d := range []struct {
 		name string
@@ -146,17 +124,9 @@ func Fig7b(cfg Config) (*F1CurvesResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig7b %s: %w", d.name, err)
 		}
-		det, err := cfg.train(data.Train, "rf")
+		_, pts, err := cfg.rfF1Curve(data)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig7b %s: %w", d.name, err)
-		}
-		rs, err := det.AssessDataset(data.Test)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := core.F1Curve(data.Test.Y(), detector.Predictions(rs), detector.Entropies(rs), thresholds)
-		if err != nil {
-			return nil, err
 		}
 		res.Series = append(res.Series, F1Series{Model: "rf", Dataset: d.name, Points: pts})
 	}

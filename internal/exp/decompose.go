@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trusthmd/internal/gen"
-	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
 )
 
@@ -53,26 +52,22 @@ func AblationSources(cfg Config) (*SourcesResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: ablation sources %s: %w", d.name, err)
 		}
-		det, err := cfg.train(data.Train, "rf",
+		known, unknown, err := cfg.screen(data, "rf",
 			detector.WithTreeLimits(0, 25), detector.WithDecomposition(true))
 		if err != nil {
 			return nil, fmt.Errorf("exp: ablation sources %s: %w", d.name, err)
 		}
 		for _, e := range []struct {
 			split string
-			set   *dataset.Dataset
-		}{{"known", data.Test}, {"unknown", data.Unknown}} {
-			rs, err := det.AssessDataset(e.set)
-			if err != nil {
-				return nil, err
-			}
+			rs    []detector.Result
+		}{{"known", known}, {"unknown", unknown}} {
 			row := SourceRow{Dataset: d.name, Split: e.split}
-			for _, r := range rs {
+			for _, r := range e.rs {
 				row.Total += r.Decomposition.Total
 				row.Aleatoric += r.Decomposition.Aleatoric
 				row.Epistemic += r.Decomposition.Epistemic
 			}
-			n := float64(len(rs))
+			n := float64(len(e.rs))
 			row.Total /= n
 			row.Aleatoric /= n
 			row.Epistemic /= n

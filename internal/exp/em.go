@@ -3,20 +3,13 @@ package exp
 import (
 	"fmt"
 
-	"trusthmd/internal/core"
 	"trusthmd/internal/gen"
-	"trusthmd/internal/metrics"
-	"trusthmd/pkg/detector"
-	"trusthmd/pkg/linalg"
 )
 
 // EMRow is one model row of the E1 sensor-generalisation study.
 type EMRow struct {
-	Model          string
-	Accuracy       float64
-	KnownEntropy   float64
-	UnknownEntropy float64
-	OperatingPoint core.OperatingPoint // at the paper's 0.40 threshold
+	Model string
+	ScreenRow
 }
 
 // EMResult is experiment E1 (extension): the trusted-HMD framework applied
@@ -38,35 +31,11 @@ func EMGeneralization(cfg Config) (*EMResult, error) {
 	}
 	res := &EMResult{}
 	for _, model := range []string{"rf", "lr"} {
-		d, err := cfg.train(data.Train, model)
+		row, err := cfg.screenRow(data, model)
 		if err != nil {
 			return nil, fmt.Errorf("exp: em generalization %s: %w", model, err)
 		}
-		rKnown, err := d.AssessDataset(data.Test)
-		if err != nil {
-			return nil, err
-		}
-		rUnknown, err := d.AssessDataset(data.Unknown)
-		if err != nil {
-			return nil, err
-		}
-		hKnown := detector.Entropies(rKnown)
-		hUnknown := detector.Entropies(rUnknown)
-		rep, err := metrics.Score(data.Test.Y(), detector.Predictions(rKnown))
-		if err != nil {
-			return nil, err
-		}
-		op, err := core.At(HeadlineThreshold, hKnown, hUnknown)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, EMRow{
-			Model:          model,
-			Accuracy:       rep.Accuracy,
-			KnownEntropy:   linalg.Mean(hKnown),
-			UnknownEntropy: linalg.Mean(hUnknown),
-			OperatingPoint: op,
-		})
+		res.Rows = append(res.Rows, EMRow{Model: model, ScreenRow: row})
 	}
 	return res, nil
 }
@@ -75,15 +44,8 @@ func EMGeneralization(cfg Config) (*EMResult, error) {
 func (r *EMResult) Render() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			displayModel(row.Model),
-			fmt.Sprintf("%.3f", row.Accuracy),
-			fmt.Sprintf("%.3f", row.KnownEntropy),
-			fmt.Sprintf("%.3f", row.UnknownEntropy),
-			fmt.Sprintf("%.1f%%", row.OperatingPoint.KnownRejectedPct),
-			fmt.Sprintf("%.1f%%", row.OperatingPoint.UnknownRejectedPct),
-		})
+		rows = append(rows, append([]string{displayModel(row.Model)}, row.cells()...))
 	}
 	return "Experiment E1 (extension): trusted HMD on EM emission telemetry\n" +
-		table([]string{"Model", "Accuracy", "KnownH", "UnknownH", "rejK@0.40", "rejU@0.40"}, rows)
+		table(append([]string{"Model"}, screenColumns...), rows)
 }

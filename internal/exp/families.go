@@ -47,21 +47,13 @@ func AblationFamilies(cfg Config) (*FamiliesResult, error) {
 			// random-subspace diversification as the linear ensemble.
 			extra = append(extra, detector.WithMaxFeatures(0.45))
 		}
-		d, err := cfg.train(data.Train, model, extra...)
+		known, unknown, err := cfg.screen(data, model, extra...)
 		if err != nil {
 			return nil, fmt.Errorf("exp: ablation families %s: %w", model, err)
 		}
-		rKnown, err := d.AssessDataset(data.Test)
-		if err != nil {
-			return nil, err
-		}
-		rUnknown, err := d.AssessDataset(data.Unknown)
-		if err != nil {
-			return nil, err
-		}
-		hKnown := detector.Entropies(rKnown)
-		hUnknown := detector.Entropies(rUnknown)
-		rep, err := metrics.Score(data.Test.Y(), detector.Predictions(rKnown))
+		hKnown := detector.Entropies(known)
+		hUnknown := detector.Entropies(unknown)
+		rep, err := metrics.Score(data.Test.Y(), detector.Predictions(known))
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"trusthmd/internal/gen"
 	"trusthmd/internal/reduce"
@@ -103,6 +104,31 @@ func Fig8(cfg Config, which string) (*TSNEResult, error) {
 	}
 	res.TrainSilhouette = sil
 	return res, nil
+}
+
+// Fig8Panels is F8's entry in Experiments: the DVFS and then the HPC
+// embedding.
+type Fig8Panels []*TSNEResult
+
+func fig8Panels(cfg Config) (Fig8Panels, error) {
+	var p Fig8Panels
+	for _, which := range []string{"DVFS", "HPC"} {
+		r, err := Fig8(cfg, which)
+		if err != nil {
+			return nil, err
+		}
+		p = append(p, r)
+	}
+	return p, nil
+}
+
+// Render prints the panels one after the other, a blank line between.
+func (p Fig8Panels) Render() string {
+	out := make([]string, len(p))
+	for i, r := range p {
+		out[i] = r.Render()
+	}
+	return strings.Join(out, "\n")
 }
 
 func subsample(d *dataset.Dataset, max int, rng *rand.Rand) *dataset.Dataset {

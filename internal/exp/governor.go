@@ -3,21 +3,14 @@ package exp
 import (
 	"fmt"
 
-	"trusthmd/internal/core"
 	"trusthmd/internal/dvfs"
 	"trusthmd/internal/gen"
-	"trusthmd/internal/metrics"
-	"trusthmd/pkg/detector"
-	"trusthmd/pkg/linalg"
 )
 
 // GovernorRow is one policy row of the E2 sensitivity study.
 type GovernorRow struct {
-	Policy         dvfs.Policy
-	Accuracy       float64
-	KnownEntropy   float64
-	UnknownEntropy float64
-	OperatingPoint core.OperatingPoint // at threshold 0.40
+	Policy dvfs.Policy
+	ScreenRow
 }
 
 // GovernorResult is experiment E2 (extension): sensitivity of the DVFS HMD
@@ -46,35 +39,11 @@ func GovernorSensitivity(cfg Config) (*GovernorResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: governor %v: %w", policy, err)
 		}
-		d, err := cfg.train(splits.Train, "rf")
+		row, err := cfg.screenRow(splits, "rf")
 		if err != nil {
 			return nil, fmt.Errorf("exp: governor %v: %w", policy, err)
 		}
-		rKnown, err := d.AssessDataset(splits.Test)
-		if err != nil {
-			return nil, err
-		}
-		rUnknown, err := d.AssessDataset(splits.Unknown)
-		if err != nil {
-			return nil, err
-		}
-		hKnown := detector.Entropies(rKnown)
-		hUnknown := detector.Entropies(rUnknown)
-		rep, err := metrics.Score(splits.Test.Y(), detector.Predictions(rKnown))
-		if err != nil {
-			return nil, err
-		}
-		op, err := core.At(HeadlineThreshold, hKnown, hUnknown)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, GovernorRow{
-			Policy:         policy,
-			Accuracy:       rep.Accuracy,
-			KnownEntropy:   linalg.Mean(hKnown),
-			UnknownEntropy: linalg.Mean(hUnknown),
-			OperatingPoint: op,
-		})
+		res.Rows = append(res.Rows, GovernorRow{Policy: policy, ScreenRow: row})
 	}
 	return res, nil
 }
@@ -83,15 +52,8 @@ func GovernorSensitivity(cfg Config) (*GovernorResult, error) {
 func (r *GovernorResult) Render() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Policy.String(),
-			fmt.Sprintf("%.3f", row.Accuracy),
-			fmt.Sprintf("%.3f", row.KnownEntropy),
-			fmt.Sprintf("%.3f", row.UnknownEntropy),
-			fmt.Sprintf("%.1f%%", row.OperatingPoint.KnownRejectedPct),
-			fmt.Sprintf("%.1f%%", row.OperatingPoint.UnknownRejectedPct),
-		})
+		rows = append(rows, append([]string{row.Policy.String()}, row.cells()...))
 	}
 	return "Experiment E2 (extension): DVFS governor-policy sensitivity (RF)\n" +
-		table([]string{"Governor", "Accuracy", "KnownH", "UnknownH", "rejK@0.40", "rejU@0.40"}, rows)
+		table(append([]string{"Governor"}, screenColumns...), rows)
 }

@@ -33,20 +33,12 @@ func Headlines(cfg Config) (*HeadlineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: headlines: %w", err)
 	}
-	pd, err := cfg.train(dvfs.Train, "rf")
+	known, unknown, err := cfg.screen(dvfs, "rf")
 	if err != nil {
 		return nil, fmt.Errorf("exp: headlines dvfs: %w", err)
 	}
-	rKnown, err := pd.AssessDataset(dvfs.Test)
-	if err != nil {
-		return nil, err
-	}
-	rUnknown, err := pd.AssessDataset(dvfs.Unknown)
-	if err != nil {
-		return nil, err
-	}
 	res.DVFSOperatingPoint, err = core.At(HeadlineThreshold,
-		detector.Entropies(rKnown), detector.Entropies(rUnknown))
+		detector.Entropies(known), detector.Entropies(unknown))
 	if err != nil {
 		return nil, err
 	}
@@ -56,30 +48,16 @@ func Headlines(cfg Config) (*HeadlineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: headlines: %w", err)
 	}
-	ph, err := cfg.train(hpc.Train, "rf")
+	rs, curve, err := cfg.rfF1Curve(hpc)
 	if err != nil {
 		return nil, fmt.Errorf("exp: headlines hpc: %w", err)
 	}
-	rTest, err := ph.AssessDataset(hpc.Test)
-	if err != nil {
-		return nil, err
-	}
-	preds, entropies := detector.Predictions(rTest), detector.Entropies(rTest)
-	yTrue := hpc.Test.Y()
-	res.HPCBaseline, err = metrics.Score(yTrue, preds)
+	res.HPCBaseline, err = metrics.Score(hpc.Test.Y(), detector.Predictions(rs))
 	if err != nil {
 		return nil, err
 	}
 	// Pick the best F1 over the threshold grid, as the paper's "upon
 	// rejecting the uncertain predictions" (it does not fix a threshold).
-	thresholds, err := core.Thresholds(0.05, 0.85, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := core.F1Curve(yTrue, preds, entropies, thresholds)
-	if err != nil {
-		return nil, err
-	}
 	best := curve[0]
 	for _, pt := range curve[1:] {
 		if pt.F1 > best.F1 {

@@ -25,10 +25,12 @@ package gbm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
 
+	"trusthmd/pkg/dataset"
 	"trusthmd/pkg/detector"
 	"trusthmd/pkg/linalg"
 	"trusthmd/pkg/model"
@@ -40,6 +42,29 @@ func init() {
 			return New(Config{Seed: seed})
 		}
 	}, &GBM{})
+	pinGobTypes()
+}
+
+// pinGobTypes saves one tiny trained gbm detector to io.Discard, so that
+// encoding/gob numbers this family's wire types at init, right after
+// pkg/detector's init has numbered the built-in ones. gob numbers types
+// process-wide in first-encoded order; without the pin, the bytes a gbm
+// Save writes would depend on what the process had encoded before it.
+func pinGobTypes() {
+	tiny := dataset.New(2)
+	for i := 0; i < 12; i++ {
+		label := i % 2
+		if err := tiny.Add(dataset.Sample{Features: []float64{float64(i%5 + 3*label), float64(i % 3)}, Label: label}); err != nil {
+			panic(err)
+		}
+	}
+	d, err := detector.New(tiny, detector.WithModel("gbm"), detector.WithEnsembleSize(2), detector.WithWorkers(1))
+	if err == nil {
+		err = d.Save(io.Discard)
+	}
+	if err != nil {
+		panic("gbm: pinning gob's type numbers: " + err.Error())
+	}
 }
 
 // Config parameterises a GBM member.

@@ -2,10 +2,15 @@ package gbm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"trusthmd/pkg/dataset"
@@ -232,4 +237,71 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 	}()
 	unfitted.PredictBatch(X, out)
+}
+
+// saveDigest trains a small gbm detector and returns the SHA-256 of what
+// Save writes.
+func saveDigest(t *testing.T) string {
+	t.Helper()
+	X, y := blobs(60, 3, 2.5, 5)
+	train := dataset.New(3)
+	for i := 0; i < X.Rows(); i++ {
+		if err := train.Add(dataset.Sample{Features: X.Row(i), Label: y[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := detector.New(train, detector.WithModel("gbm"), detector.WithEnsembleSize(3), detector.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSaveFresh prints saveDigest as "save HEX". Run alone with
+// `-test.run '^TestSaveFresh$'`, it gives the bytes a process that saves
+// nothing else writes; TestSaveBytesIgnoreGobHistory re-executes the test
+// binary that way.
+func TestSaveFresh(t *testing.T) {
+	fmt.Printf("save %s\n", saveDigest(t))
+}
+
+// TestSaveBytesIgnoreGobHistory holds a gbm Save to the bytes a fresh
+// process writes after this process has gob-encoded an unrelated type and
+// a GBM on its own. The package init pins gob's numbering of gbm's types;
+// without it, these encodes would number them first and move the bytes.
+func TestSaveBytesIgnoreGobHistory(t *testing.T) {
+	out, err := exec.Command(os.Args[0], "-test.run", "^TestSaveFresh$").CombinedOutput()
+	if err != nil {
+		t.Fatalf("fresh process: %v\n%s", err, out)
+	}
+	var fresh string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "save" {
+			fresh = f[1]
+		}
+	}
+	if fresh == "" {
+		t.Fatalf("fresh process printed no digest:\n%s", out)
+	}
+
+	X, y := blobs(40, 2, 2.5, 6)
+	g := New(Config{Seed: 1})
+	if err := g.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	enc := gob.NewEncoder(new(bytes.Buffer))
+	if err := enc.Encode(struct{ Unrelated []string }{[]string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(g); err != nil {
+		t.Fatal(err)
+	}
+	if got := saveDigest(t); got != fresh {
+		t.Fatalf("gbm saves to %s here, %s in a fresh process", got, fresh)
+	}
 }
